@@ -271,9 +271,13 @@ def vote_events(
     """Back-project a stream slice into ``grid`` (accumulates in place).
 
     Camera poses come either from ``traj`` (per-event interpolation) or a
-    single fixed ``pose``. With ``workers`` > 1 the events are split into
-    contiguous blocks voted into private grids and merged in block order,
-    which reproduces the single-worker result (exactly for nearest mode).
+    single fixed ``pose``. The sweep runs plane-major: each depth plane
+    receives the votes of all events in one fixed order. With ``workers`` > 1
+    the planes (not the events) are split into contiguous ranges, one per
+    thread, each writing straight into its own planes of ``grid.votes``.
+    No plane is shared, so votes and ``skipped_events`` do not depend on
+    the worker count: they are bit-identical for 1 or N workers in both
+    voting modes.
     """
     if mode not in VOTING_MODES:
         raise ValueError(f"unknown voting mode {mode!r}")
@@ -288,53 +292,55 @@ def vote_events(
         q_wc = np.broadcast_to(pose.quat, (len(events), 4))
         t_wc = np.broadcast_to(pose.trans, (len(events), 3))
     prep = _prepare_rays(grid, events, cam, q_wc, t_wc)
+    # Well-conditioned rays take the affine-form kernel; near-grazing ones
+    # are intersected plane by plane.
+    ok = prep.affine_ok
+    affine = (prep.a_u[ok], prep.a_v[ok], prep.b_u[ok], prep.b_v[ok],
+              prep.lo[ok], prep.hi[ok])
+    graze = (prep.origins[~ok], prep.dirs[~ok], prep.lo[~ok], prep.hi[~ok])
 
-    workers = max(1, min(workers, len(events)))
+    nz = grid.num_planes
+    workers = max(1, min(workers, nz))
     if workers == 1:
-        grid.skipped_events += _vote_block(grid, prep, slice(None), mode, kernel,
-                                           grid.votes)
-        return grid
-
-    splits = np.array_split(np.arange(len(events)), workers)
-    parts = [np.zeros_like(grid.votes) for _ in splits]
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [
-            pool.submit(_vote_block, grid, prep, blk, mode, kernel, out)
-            for blk, out in zip(splits, parts)
-        ]
-        skipped = [f.result() for f in futures]
-    for part in parts:  # merge in block order for determinism
-        grid.votes += part
-    grid.skipped_events += sum(skipped)
+        hits = [_vote_planes(grid, affine, graze, mode, kernel, 0, nz)]
+    else:
+        edges = [nz * j // workers for j in range(workers + 1)]
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            futures = [
+                pool.submit(_vote_planes, grid, affine, graze, mode, kernel, p0, p1)
+                for p0, p1 in zip(edges[:-1], edges[1:])
+            ]
+            hits = [f.result() for f in futures]
+    voted = np.count_nonzero(np.logical_or.reduce(hits))
+    grid.skipped_events += len(events) - int(voted)
     return grid
 
 
-def _vote_block(grid: DsiGrid, prep: _RayPrep, block, mode: str, kernel: str,
-                votes: np.ndarray) -> int:
-    """Vote one contiguous event block into ``votes``; returns skip count.
+def _vote_planes(grid: DsiGrid, affine: tuple, graze: tuple, mode: str,
+                 kernel: str, p0: int, p1: int) -> np.ndarray:
+    """Vote every event into planes [p0, p1) of ``grid.votes``.
 
-    Well-conditioned rays take the affine-form kernel; near-grazing ones
-    are intersected plane by plane.
+    ``affine`` holds the sweep coefficients (a_u, a_v, b_u, b_v, lo, hi) of
+    the well-conditioned rays, ``graze`` the (origins, dirs, lo, hi) of the
+    rest. Returns the hit mask over the events in (affine, graze) order:
+    whether each voted on at least one plane of the range.
     """
-    sub = _RayPrep(*(a[block] for a in prep))
-    skipped = 0
-    affine = np.nonzero(sub.affine_ok)[0]
-    graze = np.nonzero(~sub.affine_ok)[0]
-    if affine.size:
-        coeffs = (sub.a_u[affine], sub.a_v[affine], sub.b_u[affine],
-                  sub.b_v[affine], sub.lo[affine], sub.hi[affine])
-        skipped += _sweep.run_sweep(
-            coeffs, grid.inv_depths, votes, grid.width, grid.height, mode, kernel,
-        )
-    if graze.size:
+    *coeffs, lo, hi = affine
+    origins, dirs, g_lo, g_hi = graze
+    hits = []
+    if len(lo):
+        hits.append(_sweep.run_sweep(
+            (*coeffs, np.clip(lo, p0, p1), np.clip(hi, p0, p1)),
+            grid.inv_depths, grid.votes, grid.width, grid.height, mode, kernel,
+        ))
+    if len(g_lo):
         k = grid.ref_intrinsics
-        skipped += _sweep.sweep_direct(
-            sub.origins[graze], sub.dirs[graze], sub.lo[graze], sub.hi[graze],
-            grid.depths, (k.fx, k.fy, k.cx, k.cy), votes,
+        hits.append(_sweep.sweep_direct(
+            origins, dirs, np.clip(g_lo, p0, p1), np.clip(g_hi, p0, p1),
+            grid.depths, (k.fx, k.fy, k.cx, k.cy), grid.votes,
             grid.width, grid.height, bilinear=(mode == "bilinear"),
-        )
-    return skipped
+        ))
+    return np.concatenate(hits)
 
 
 def vote_event(grid: DsiGrid, event: Event, cam: CameraModel, T_w_cam: Se3,

@@ -1,8 +1,13 @@
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from raysweep import _sweep
 from raysweep._sweep import HAVE_NUMBA
 from raysweep.dsi import (
     ARITHMETIC,
@@ -20,6 +25,7 @@ from raysweep.dsi import (
     vote_event_bruteforce,
     vote_events,
 )
+from raysweep.dsi import _prepare_rays
 from raysweep.errors import InvalidDepthRange, MisalignedDsi
 from raysweep.events import Event, EventStream
 from raysweep.geometry import CameraModel, PoseTrajectory, Se3
@@ -185,6 +191,87 @@ class TestVotingOracle:
             assert a.skipped_events == b.skipped_events
 
 
+class TestGrazingFallback:
+    @pytest.mark.parametrize("mode", ["nearest", "bilinear"])
+    def test_mixed_affine_and_direct_match_bruteforce(self, distorted_cam, mode,
+                                                      monkeypatch):
+        # a camera inside the depth range, turned 70 deg about y to look across
+        # the reference view: many of its rays run nearly parallel to the
+        # depth planes and take sweep_direct, the rest the affine kernel
+        rng = np.random.default_rng(5)
+        stream = random_stream(rng, 400, distorted_cam)
+        pose = Se3.from_axis_angle([0, 1, 0], np.deg2rad(70), trans=[-0.3, 0.0, 0.8])
+        grid = make_grid(distorted_cam, num_planes=30, z_min=0.45, z_max=4.0)
+
+        voted = {}
+        for name in ("run_sweep", "sweep_direct"):
+            def spy(*args, _fn=getattr(_sweep, name), _name=name, **kwargs):
+                hit = _fn(*args, **kwargs)
+                voted[_name] = voted.get(_name, 0) + int(np.count_nonzero(hit))
+                return hit
+            monkeypatch.setattr(_sweep, name, spy)
+
+        fast = grid.copy_empty()
+        vote_events(fast, stream, distorted_cam, pose=pose, mode=mode)
+        assert voted["run_sweep"] > 0 and voted["sweep_direct"] > 0
+
+        brute = grid.copy_empty()
+        for i in range(len(stream)):
+            vote_event_bruteforce(brute, stream[i], distorted_cam, pose, mode=mode)
+        if mode == "nearest":
+            assert np.array_equal(fast.votes, brute.votes)
+        else:
+            assert np.max(np.abs(fast.votes - brute.votes)) <= 1e-12
+        assert fast.skipped_events == brute.skipped_events
+
+
+class TestLoopKernels:
+    """The numba kernels' Python source, run uncompiled, against numpy."""
+
+    @staticmethod
+    def _prep(cam, n=300, num_planes=12, seed=8):
+        # one random pose per event, centers spread through the depth range:
+        # forward and backward rays, lo > 0 and hi < num_planes both occur
+        rng = np.random.default_rng(seed)
+        stream = random_stream(rng, n, cam)
+        grid = make_grid(cam, num_planes=num_planes, z_min=0.45, z_max=4.0)
+        quats = np.array([random_unit_quat(rng) for _ in range(n)])
+        trans = rng.normal(size=(n, 3)) * [0.3, 0.3, 0.0] + [0.0, 0.0, 1.0]
+        trans[:, 2] += rng.uniform(-1.0, 1.5, n)
+        prep = _prepare_rays(grid, stream, cam, quats, trans)
+        keep = prep.affine_ok
+        return grid, [a[keep] for a in prep[:6]]
+
+    @pytest.mark.parametrize("planes", [None, (3, 8)])
+    @pytest.mark.parametrize("mode", ["nearest", "bilinear"])
+    def test_loops_match_numpy(self, distorted_cam, mode, planes):
+        grid, (a_u, a_v, b_u, b_v, lo, hi) = self._prep(distorted_cam)
+        assert lo.max() > 0 and hi.min() < grid.num_planes
+        if planes is not None:
+            lo, hi = np.clip(lo, *planes), np.clip(hi, *planes)
+        loops = (_sweep._sweep_bilinear_loops if mode == "bilinear"
+                 else _sweep._sweep_nearest_loops)
+        args = (a_u, a_v, b_u, b_v, lo, hi, grid.inv_depths)
+        dims = (grid.width, grid.height)
+        v_loops = np.zeros_like(grid.votes)
+        v_numpy = np.zeros_like(grid.votes)
+        hit_loops = loops(*args, v_loops, *dims)
+        hit_numpy = _sweep._sweep_numpy(*args, v_numpy, *dims,
+                                        bilinear=(mode == "bilinear"))
+        assert hit_loops.dtype == hit_numpy.dtype == np.bool_
+        assert np.array_equal(hit_loops, hit_numpy)
+        assert 0 < np.count_nonzero(hit_numpy) < len(hit_numpy)
+        if mode == "nearest":
+            assert np.array_equal(v_loops, v_numpy)
+        else:
+            assert np.max(np.abs(v_loops - v_numpy)) <= 1e-12
+        if planes is not None:
+            outside = np.ones(grid.num_planes, bool)
+            outside[planes[0]:planes[1]] = False
+            assert not v_numpy[outside].any() and not v_loops[outside].any()
+            assert v_numpy[~outside].any()
+
+
 class TestParallelVoting:
     def test_workers_reproduce_single_worker(self, distorted_cam):
         rng = np.random.default_rng(21)
@@ -192,16 +279,52 @@ class TestParallelVoting:
         traj = PoseTrajectory(np.array([0.0, 1.0]),
                               np.tile([0, 0, 0, 1.0], (2, 1)),
                               np.array([[-0.2, 0, 0], [0.2, 0, 0]]))
-        for mode, tol in [("nearest", 0.0), ("bilinear", 1e-9)]:
+        # workers split the planes, so no vote's summation order changes
+        for mode in ["nearest", "bilinear"]:
             g1 = make_grid(distorted_cam, num_planes=25, z_min=0.45, z_max=4.0)
             g4 = g1.copy_empty()
             vote_events(g1, stream, distorted_cam, traj=traj, mode=mode, workers=1)
             vote_events(g4, stream, distorted_cam, traj=traj, mode=mode, workers=4)
-            if tol == 0.0:
-                assert np.array_equal(g1.votes, g4.votes)
-            else:
-                assert np.max(np.abs(g1.votes - g4.votes)) <= tol
+            assert np.array_equal(g1.votes, g4.votes)
             assert g1.skipped_events == g4.skipped_events
+
+    def test_stress_more_workers_than_cpus_and_planes(self, distorted_cam):
+        # 2 and 8 threads on few CPUs with a tiny switch interval, so the
+        # threads interleave as often as the interpreter allows; 8 > 5 planes
+        rng = np.random.default_rng(22)
+        stream = random_stream(rng, 3000, distorted_cam)
+        traj = PoseTrajectory(np.array([0.0, 1.0]),
+                              np.array([random_unit_quat(rng), random_unit_quat(rng)]),
+                              np.array([[-0.2, 0, 0.3], [0.2, 0.1, 0.5]]))
+        mismatches = []
+
+        def run():
+            for mode in ["nearest", "bilinear"]:
+                for num_planes in [25, 5]:
+                    ref = make_grid(distorted_cam, num_planes=num_planes,
+                                    z_min=0.45, z_max=4.0)
+                    vote_events(ref, stream, distorted_cam, traj=traj, mode=mode,
+                                workers=1)
+                    for workers in [2, 8, 8, 8]:
+                        g = ref.copy_empty()
+                        vote_events(g, stream, distorted_cam, traj=traj, mode=mode,
+                                    workers=workers)
+                        if not (np.array_equal(g.votes, ref.votes)
+                                and g.skipped_events == ref.skipped_events):
+                            mismatches.append((mode, num_planes, workers))
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            t0 = time.perf_counter()
+            runner = threading.Thread(target=run, daemon=True)
+            runner.start()
+            runner.join(timeout=120.0)
+            assert not runner.is_alive(), "voting did not finish within 120 s"
+        finally:
+            sys.setswitchinterval(old)
+        assert mismatches == []
+        assert time.perf_counter() - t0 < 120.0
 
 
 class TestMerge:
