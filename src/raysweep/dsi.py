@@ -489,13 +489,20 @@ MAX = FusionOp("max")
 
 
 def fuse(grids, op: FusionOp) -> DsiGrid:
-    """Fuse n >= 2 aligned per-camera DSIs into one, voxel-wise."""
+    """Fuse n >= 2 aligned per-camera DSIs into one, voxel-wise.
+
+    Fuses one depth plane at a time into the output volume, so the stacked
+    inputs and the operator's temporaries are a few planes in cache rather
+    than several fresh volume-sized arrays. Every operator is element-wise
+    over the planes, so the result is bit-identical to fusing the whole
+    stack at once.
+    """
     grids = list(grids)
     if len(grids) < 2:
         raise ValueError("fusion needs at least two grids")
     _check_aligned(grids)
-    stack = np.stack([g.votes for g in grids])
     fused = grids[0].copy_empty()
-    fused.votes = op.apply(stack)
+    for i in range(fused.num_planes):
+        fused.votes[i] = op.apply(np.stack([g.votes[i] for g in grids]))
     fused.skipped_events = sum(g.skipped_events for g in grids)
     return fused

@@ -8,7 +8,9 @@ of millions of lines, so the parser streams them in blocks.
 from __future__ import annotations
 
 import json
+import warnings
 from dataclasses import dataclass
+from io import StringIO
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +29,9 @@ from .geometry import CameraModel, PoseTrajectory, Se3
 _TIME_JITTER = 1e-6  # tolerated backward step in event timestamps (s)
 _QUAT_PARSE_TOL = 1e-3
 _PARSE_BLOCK = 1 << 16
+_PARSE_CHARS = 1 << 22  # text read per vectorized block (~160k event lines)
+_EVENT_ROW = np.dtype([("t", np.float64), ("x", np.int32), ("y", np.int32),
+                       ("p", np.int8)])
 
 
 @dataclass(frozen=True)
@@ -60,12 +65,79 @@ def parse_events(path, camera_id: str | None = None, *,
     out-of-bounds coordinates are rejected with their line number. Tiny
     timestamp jitter (<= 1e-6 s backward) is repaired by a stable sort;
     larger regressions raise NonMonotonicTimestamps.
+
+    A well-formed file is parsed in vectorized blocks. A file the
+    vectorized pass turns down (a bad or out-of-range field, an inline
+    comment, a timestamp regression, a NaN timestamp, no events) is re-read
+    line by line, which returns the same arrays or raises the error for the
+    first bad line.
     """
     path = Path(path)
     if camera_id is None:
         camera_id = path.stem
     if (width is None) != (height is None):
         raise ValueError("pass both width and height, or neither")
+    cols = _parse_events_blocks(path, width, height)
+    if cols is None:
+        cols = _parse_events_lines(path, width, height)
+    return EventStream(camera_id, *cols)
+
+
+def _whole_line_comments(text: str) -> bool:
+    """Whether every '#' in ``text`` starts a comment line: only whitespace
+    before it on its line, as the line parser requires."""
+    pos = text.find("#")
+    while pos >= 0:
+        if text[text.rfind("\n", 0, pos) + 1:pos].strip():
+            return False
+        end = text.find("\n", pos)
+        pos = -1 if end < 0 else text.find("#", end)
+    return True
+
+
+def _parse_events_blocks(path: Path, width, height):
+    """Vectorized parse of a well-formed event file into (t, x, y, p), or
+    None if the line parser must decide. Everything this accepts, the line
+    parser accepts with the same values: numpy's number parsing takes a
+    subset of what float()/int() take and rounds floats the same way."""
+    blocks = []
+    try:
+        with open(path, "r") as fh:
+            while True:
+                text = fh.read(_PARSE_CHARS)
+                if not text:
+                    break
+                text += fh.readline()
+                if not _whole_line_comments(text):
+                    return None
+                with warnings.catch_warnings():
+                    warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                    blocks.append(np.loadtxt(StringIO(text), dtype=_EVENT_ROW,
+                                             comments="#", ndmin=1))
+    except ValueError:  # bad field, field count or encoding
+        return None
+    if not blocks:
+        return None
+    t, x, y, p = (np.concatenate([b[f] for b in blocks]) for f in _EVENT_ROW.names)
+    if len(t) == 0 or np.isnan(t).any():
+        return None
+    if not ((p == 1) | (p == 0) | (p == -1)).all():
+        return None
+    if width is not None and not ((x >= 0) & (x < width) & (y >= 0) & (y < height)).all():
+        return None
+    # back[i]: how far event i+1 lies before the latest earlier timestamp
+    back = np.maximum.accumulate(t)[:-1] - t[1:]
+    if (back > _TIME_JITTER).any():
+        return None
+    p[p == 0] = -1
+    if (back > 0.0).any():
+        order = np.argsort(t, kind="stable")
+        t, x, y, p = t[order], x[order], y[order], p[order]
+    return t, x, y, p
+
+
+def _parse_events_lines(path: Path, width, height):
+    """Line-by-line parse into (t, x, y, p); raises on the first bad line."""
     ts, xs, ys, ps = [], [], [], []
     t_blocks, x_blocks, y_blocks, p_blocks = [], [], [], []
 
@@ -130,7 +202,7 @@ def parse_events(path, camera_id: str | None = None, *,
     if needs_sort:
         order = np.argsort(t, kind="stable")
         t, x, y, p = t[order], x[order], y[order], p[order]
-    return EventStream(camera_id, t, x, y, p)
+    return t, x, y, p
 
 
 def write_events(stream: EventStream, path):

@@ -483,6 +483,22 @@ class TestFusionOp:
             b = op.apply(stack)
             assert np.max(np.abs(a - b) / b) < 1e-12
 
+    def test_fuse_matches_whole_stack_apply_exactly(self, pinhole_cam):
+        # fuse() works one plane at a time; every operator is element-wise
+        # over the planes, so the volume equals apply() on the whole stack
+        rng = np.random.default_rng(51)
+        grids = [make_grid(pinhole_cam, num_planes=5) for _ in range(3)]
+        for g in grids:
+            g.votes[:] = rng.uniform(0.0, 9.0, g.votes.shape)
+            g.votes[rng.random(g.votes.shape) < 0.3] = 0.0
+        stack = np.stack([g.votes for g in grids])
+        ops = [MIN, HARMONIC, GEOMETRIC, ARITHMETIC, RMS, MAX,
+               FusionOp("power", -1.5), FusionOp("power", 0.5), FusionOp("power", 1e-5)]
+        for op in ops:
+            for n in (2, 3):
+                got = fuse(grids[:n], op).votes
+                assert np.array_equal(got, op.apply(stack[:n])), op
+
     def test_from_string(self):
         assert FusionOp.from_string("harmonic") == HARMONIC
         assert FusionOp.from_string("power:0.5") == FusionOp("power", 0.5)

@@ -84,6 +84,81 @@ class TestEventParsing:
         assert np.array_equal(back.polarity, s.polarity)
 
 
+def _both_parsers(path, **bounds):
+    """(vectorized, line-by-line) results; the vectorized one is None where
+    it hands the file to the line parser."""
+    w, h = bounds.get("width"), bounds.get("height")
+    return rio._parse_events_blocks(path, w, h), rio._parse_events_lines(path, w, h)
+
+
+class TestVectorizedEventParsing:
+    """The vectorized pass returns exactly what the line parser returns, and
+    hands every file it cannot take whole to the line parser."""
+
+    CLEAN = (
+        "# t x y p\n"
+        "\n"
+        "0.100000001 1 2 1\r\n"
+        "  # indented comment\n"
+        " 0.2  3\t4  0 \n"
+        "0.1999999995 5 6 +1\n"  # jitter: stable re-sort
+        "1999999995e-10 7 8 -1\n"  # the same stamp again: order kept
+        "0.3 0 179 1\n"
+    )
+
+    def test_clean_file_identical(self, tmp_path):
+        p = write(tmp_path, "e.txt", self.CLEAN)
+        fast, lines = _both_parsers(p, width=240, height=180)
+        assert fast is not None
+        for a, b in zip(fast, lines):
+            assert a.dtype == b.dtype
+            assert np.array_equal(a, b)
+        assert fast[1].tolist() == [1, 5, 7, 3, 0]
+        assert fast[3].tolist() == [1, 1, -1, -1, 1]
+
+    def test_random_file_identical_across_blocks(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(4)
+        n = 3000
+        t = np.cumsum(rng.exponential(1e-4, n)) * 10.0 ** rng.integers(-3, 3)
+        t[rng.choice(n, 40)] -= 5e-7  # sub-microsecond jitter
+        xyp = zip(t.tolist(), rng.integers(0, 240, n).tolist(),
+                  rng.integers(0, 180, n).tolist(), rng.integers(0, 2, n).tolist())
+        text = "".join(f"{ti!r} {xi} {yi} {pi}\n" for ti, xi, yi, pi in xyp)
+        p = write(tmp_path, "e.txt", "# header\n" + text)
+        monkeypatch.setattr(rio, "_PARSE_CHARS", 1000)  # ~40 blocks
+        fast, lines = _both_parsers(p)
+        assert fast is not None
+        for a, b in zip(fast, lines):
+            assert np.array_equal(a, b)
+        assert np.array_equal(rio.parse_events(p).t, lines[0])
+
+    @pytest.mark.parametrize("text", [
+        "0.1 1 2 1 # inline comment\n",
+        "0.1 1 2 1\n0.2 1_0 2 1\n",      # int() takes it, numpy does not
+        "0.1 1 2 2\n",
+        "0.1 1 2 1\n0.2 300 4 1\n",
+        "0.5 1 2 1\n0.1 3 4 1\n",
+        "nan 1 2 1\n",
+        "# only a comment\n",
+        "",
+    ])
+    def test_irregular_file_goes_to_line_parser(self, tmp_path, text):
+        p = write(tmp_path, "e.txt", text)
+        assert rio._parse_events_blocks(p, 240, 180) is None
+
+    def test_inline_comment_reports_line(self, tmp_path):
+        p = write(tmp_path, "e.txt", "# ok\n0.1 1 2 1\n0.2 3 4 1 # not ok\n")
+        with pytest.raises(ParseError) as err:
+            rio.parse_events(p)
+        assert err.value.line == 3
+
+    def test_line_parser_extensions_still_accepted(self, tmp_path):
+        p = write(tmp_path, "e.txt", "0.1 1_0 2 1\nnan 3 4 0\n")
+        s = rio.parse_events(p)
+        assert s.x.tolist() == [10, 3]
+        assert np.isnan(s.t[1])
+
+
 class TestTrajectoryParsing:
     def test_identity_sample(self, tmp_path):
         p = write(tmp_path, "t.txt", "0.0 0 0 0 0 0 0 1\n")
