@@ -19,7 +19,6 @@ from .dsi import (
     DsiGrid,
     FusionOp,
     fuse,
-    merge_partial_grids,
     plane_depths,
     vote_event,
     vote_event_bruteforce,
@@ -61,7 +60,6 @@ __all__ = [
     "intersect_ray_with_depth_plane",
     "make_scenario",
     "median_filter_depth",
-    "merge_partial_grids",
     "plane_depths",
     "refine_result",
     "relative_pose",

@@ -9,14 +9,17 @@ success, 1 on usage errors, 2 on processing errors.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import logging
 import sys
+import typing
 from pathlib import Path
 
 import numpy as np
 
 from . import evaluation
 from . import io as rio
+from .dsi import VOTING_MODES
 from .errors import RaysweepError
 from .events import chunk_events, select_reference_view
 from .pipeline import PipelineConfig, run_pipeline
@@ -33,6 +36,49 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise _UsageError(message)
+
+
+# Config keys with no `map` flag: the inputs always come from the config.
+_PATH_KEYS = ("events", "trajectory", "calibration")
+
+# argparse settings of the override flags beyond the derived name and type.
+_FLAG_SETTINGS = {
+    "out_dir": {"flag": "--out", "metavar": "OUT", "help": "override output directory"},
+    "width": {"help": "DSI width (default: reference camera)"},
+    "height": {"help": "DSI height (default: reference camera)"},
+    "fusion": {"help": "min|harmonic|geometric|arithmetic|rms|max|power:P"},
+    "voting": {"choices": VOTING_MODES},
+    "nms_radius": {"help": "keep only local confidence maxima (0 = off)"},
+}
+
+
+def _on_off(text: str) -> bool:
+    if text not in ("on", "off"):
+        raise argparse.ArgumentTypeError(f"invalid choice: {text!r} (choose from on, off)")
+    return text == "on"
+
+
+def _add_config_flags(parser: argparse.ArgumentParser) -> None:
+    """One override flag per PipelineConfig field except the path keys:
+    ``--field-name``, typed like the field. A bool field that defaults to
+    off is a bare switch; one that defaults to on takes ``on|off``. Every
+    flag defaults to None, meaning "keep the config's value"."""
+    types = typing.get_type_hints(PipelineConfig)
+    for f in dataclasses.fields(PipelineConfig):
+        if f.name in _PATH_KEYS:
+            continue
+        kw = dict(_FLAG_SETTINGS.get(f.name, {}))
+        flag = kw.pop("flag", "--" + f.name.replace("_", "-"))
+        kind = types[f.name]
+        if type(None) in typing.get_args(kind):  # int | None -> int
+            kind = typing.get_args(kind)[0]
+        if kind is bool and not f.default:
+            kw["action"] = "store_true"
+        elif kind is bool:
+            kw.update(type=_on_off, metavar="{on,off}")
+        else:
+            kw["type"] = kind
+        parser.add_argument(flag, dest=f.name, default=None, **kw)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -59,24 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_map = sub.add_parser("map", parents=[common],
                            help="run the depth mapper from a config file")
     p_map.add_argument("--config", required=True, help="pipeline config JSON")
-    p_map.add_argument("--out", help="override output directory")
-    p_map.add_argument("--chunk-duration", type=float, dest="chunk_duration")
-    p_map.add_argument("--width", type=int, help="DSI width (default: reference camera)")
-    p_map.add_argument("--height", type=int, help="DSI height (default: reference camera)")
-    p_map.add_argument("--num-planes", type=int, dest="num_planes")
-    p_map.add_argument("--z-min", type=float, dest="z_min")
-    p_map.add_argument("--z-max", type=float, dest="z_max")
-    p_map.add_argument("--fusion", help="min|harmonic|geometric|arithmetic|rms|max|power:P")
-    p_map.add_argument("--voting", choices=("nearest", "bilinear"))
-    p_map.add_argument("--threshold-sigma", type=float, dest="threshold_sigma")
-    p_map.add_argument("--threshold-offset", type=float, dest="threshold_offset")
-    p_map.add_argument("--nms-radius", type=int, dest="nms_radius",
-                       help="keep only local confidence maxima (0 = off)")
-    p_map.add_argument("--median-kernel", type=int, dest="median_kernel")
-    p_map.add_argument("--subvoxel", choices=("on", "off"))
-    p_map.add_argument("--polarity-split", choices=("on", "off"), dest="polarity_split")
-    p_map.add_argument("--dump-dsi", action="store_true", dest="dump_dsi")
-    p_map.add_argument("--pose-batch-ms", type=float, dest="pose_batch_ms")
+    _add_config_flags(p_map)
 
     p_eval = sub.add_parser("eval", parents=[common],
                             help="compare predicted depth against ground truth")
@@ -123,31 +152,10 @@ def _cmd_synth(args) -> int:
 
 def _cmd_map(args) -> int:
     config = PipelineConfig.load(args.config)
-    overrides = {
-        "out_dir": args.out,
-        "chunk_duration": args.chunk_duration,
-        "width": args.width,
-        "height": args.height,
-        "num_planes": args.num_planes,
-        "z_min": args.z_min,
-        "z_max": args.z_max,
-        "fusion": args.fusion,
-        "voting": args.voting,
-        "threshold_sigma": args.threshold_sigma,
-        "threshold_offset": args.threshold_offset,
-        "nms_radius": args.nms_radius,
-        "median_kernel": args.median_kernel,
-        "pose_batch_ms": args.pose_batch_ms,
-    }
-    for key, val in overrides.items():
-        if val is not None:
-            setattr(config, key, val)
-    if args.subvoxel is not None:
-        config.subvoxel = args.subvoxel == "on"
-    if args.polarity_split is not None:
-        config.polarity_split = args.polarity_split == "on"
-    if args.dump_dsi:
-        config.dump_dsi = True
+    for f in dataclasses.fields(PipelineConfig):
+        value = getattr(args, f.name, None)
+        if value is not None:
+            setattr(config, f.name, value)
 
     outputs = run_pipeline(config)
     for o in outputs:

@@ -121,17 +121,13 @@ class DsiGrid:
             ref_intrinsics = dataclasses.replace(
                 ref_intrinsics, dist=np.zeros(4), width=width, height=height
             )
-        inv = inverse_depth_samples(z_min, z_max, num_planes)
-        zs = 1.0 / inv
-        zs[0] = z_min
-        zs[-1] = z_max
         return cls(
             width=width,
             height=height,
             z_min=float(z_min),
             z_max=float(z_max),
-            inv_depths=inv,
-            depths=zs,
+            inv_depths=inverse_depth_samples(z_min, z_max, num_planes),
+            depths=plane_depths(z_min, z_max, num_planes),
             ref_pose=ref_pose,
             ref_intrinsics=ref_intrinsics,
             votes=np.zeros((num_planes, height, width)),
@@ -140,11 +136,6 @@ class DsiGrid:
     @property
     def num_planes(self) -> int:
         return len(self.inv_depths)
-
-    @property
-    def inv_depth_spacing(self) -> float:
-        """Constant spacing of the inverse-depth sampling (positive)."""
-        return float((self.inv_depths[0] - self.inv_depths[-1]) / (self.num_planes - 1))
 
     def copy_empty(self) -> "DsiGrid":
         return dataclasses.replace(
@@ -179,26 +170,6 @@ def _check_aligned(grids):
 
 # ---------------------------------------------------------------------------
 # voting
-
-def _camera_poses_at(events: EventStream, cam: CameraModel, traj: PoseTrajectory,
-                     pose_batch_s: float = 0.0):
-    """Per-event world-from-camera poses as (quats (N,4), trans (N,3)).
-
-    With ``pose_batch_s`` > 0, events are binned to that time quantum and
-    share the pose interpolated at their bin center (throughput mode).
-    """
-    ts = events.t
-    if pose_batch_s > 0.0 and len(ts):
-        bins = np.floor(ts / pose_batch_s)
-        centers = (bins + 0.5) * pose_batch_s
-        ts = np.clip(centers, traj.t_start, traj.t_end)
-    q_wb, t_wb = traj.interpolate_batch(ts)
-    q_bc = cam.T_body_cam.quat
-    t_bc = cam.T_body_cam.trans
-    q_wc = quat_mul(q_wb, np.broadcast_to(q_bc, q_wb.shape))
-    t_wc = t_wb + quat_rotate(q_wb, np.broadcast_to(t_bc, t_wb.shape))
-    return q_wc, t_wc
-
 
 def _prepare_rays(grid: DsiGrid, events: EventStream, cam: CameraModel,
                   q_wc: np.ndarray, t_wc: np.ndarray) -> "_RayPrep":
@@ -266,7 +237,6 @@ def vote_events(
     mode: str = "bilinear",
     kernel: str = "auto",
     workers: int = 1,
-    pose_batch_s: float = 0.0,
 ) -> DsiGrid:
     """Back-project a stream slice into ``grid`` (accumulates in place).
 
@@ -287,7 +257,7 @@ def vote_events(
         return grid
 
     if traj is not None:
-        q_wc, t_wc = _camera_poses_at(events, cam, traj, pose_batch_s)
+        q_wc, t_wc = traj.camera_poses(events.t, cam.T_body_cam)
     else:
         q_wc = np.broadcast_to(pose.quat, (len(events), 4))
         t_wc = np.broadcast_to(pose.trans, (len(events), 3))
@@ -399,19 +369,6 @@ def vote_event_bruteforce(grid: DsiGrid, event: Event, cam: CameraModel,
     if hits == 0:
         grid.skipped_events += 1
     return grid
-
-
-def merge_partial_grids(parts) -> DsiGrid:
-    """Sum aligned partial grids from disjoint event partitions."""
-    parts = list(parts)
-    if not parts:
-        raise ValueError("need at least one grid")
-    _check_aligned(parts)
-    out = parts[0].copy()
-    for p in parts[1:]:
-        out.votes += p.votes
-        out.skipped_events += p.skipped_events
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -148,14 +148,11 @@ class Se3:
     def from_axis_angle(cls, axis, angle, trans=(0.0, 0.0, 0.0)):
         return cls(quat_from_axis_angle(axis, angle), np.asarray(trans, dtype=np.float64))
 
-    def compose(self, other: "Se3") -> "Se3":
+    def __matmul__(self, other: "Se3") -> "Se3":
         return Se3(
             quat_mul(self.quat, other.quat),
             self.trans + quat_rotate(self.quat, other.trans),
         )
-
-    def __matmul__(self, other: "Se3") -> "Se3":
-        return self.compose(other)
 
     def inverse(self) -> "Se3":
         qc = quat_conjugate(self.quat)
@@ -391,6 +388,14 @@ class PoseTrajectory:
         q[exact_hi] = self.quats[hi[exact_hi]]
         p[exact_hi] = self.trans[hi[exact_hi]]
         return q, p
+
+    def camera_poses(self, ts, T_body_cam: Se3):
+        """World-from-camera poses at ``ts`` of a camera mounted at
+        ``T_body_cam`` on the body: ``(quats (N,4), trans (N,3))``."""
+        q_wb, t_wb = self.interpolate_batch(ts)
+        q_wc = quat_mul(q_wb, np.broadcast_to(T_body_cam.quat, q_wb.shape))
+        t_wc = t_wb + quat_rotate(q_wb, np.broadcast_to(T_body_cam.trans, t_wb.shape))
+        return q_wc, t_wc
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,8 @@
 """End-to-end orchestration: chunk the streams, build one DSI per camera
 at a shared reference view, fuse, and extract semi-dense depth.
 
-Chunks are independent work units; within a chunk, voting parallelizes
-over event partitions (worker count capped by RAYSWEEP_THREADS).
+Chunks are independent work units; within a chunk, voting splits the
+depth planes across workers (worker count capped by RAYSWEEP_THREADS).
 """
 
 from __future__ import annotations
@@ -10,6 +10,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import logging
+import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -23,20 +24,19 @@ from .depth import (
     median_filter_depth,
     refine_result,
 )
-from .dsi import DsiGrid, FusionOp, fuse, resolve_workers, vote_events
+from .dsi import VOTING_MODES, DsiGrid, FusionOp, fuse, resolve_workers, vote_events
 from .errors import OutOfTrajectoryRange, RaysweepError
 from .events import Chunk, EventStream, chunk_events, select_reference_view
 from .geometry import PoseTrajectory
 
 log = logging.getLogger(__name__)
 
-_VALID_VOTING = ("nearest", "bilinear")
-
 
 @dataclass
 class PipelineConfig:
     """Everything the pipeline needs; every field maps 1:1 to a config-file
-    key and a CLI flag (flags win)."""
+    key and, except the input paths (events, trajectory, calibration), to a
+    ``raysweep map`` flag (flags win)."""
 
     events: list[str] = field(default_factory=list)  # per camera, rig order
     trajectory: str | None = None
@@ -56,20 +56,22 @@ class PipelineConfig:
     nms_radius: int = 0          # 0 = off; >0 keeps local confidence maxima
     median_kernel: int = 5
     subvoxel: bool = True
-    polarity_split: bool = False
     dump_dsi: bool = False
-    pose_batch_ms: float = 0.0   # 0 = exact per-event poses
-    seed: int = 0
 
     def validate(self):
+        for name in ("chunk_duration", "z_min", "z_max", "threshold_sigma",
+                     "threshold_offset"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.chunk_duration <= 0.0:
             raise ValueError("chunk_duration must be positive")
         if not (0.0 < self.z_min < self.z_max):
             raise ValueError("need 0 < z_min < z_max")
         if self.num_planes < 2:
             raise ValueError("num_planes must be >= 2")
-        if self.voting not in _VALID_VOTING:
-            raise ValueError(f"voting must be one of {_VALID_VOTING}")
+        if self.voting not in VOTING_MODES:
+            raise ValueError(f"voting must be one of {VOTING_MODES}")
         FusionOp.from_string(self.fusion)  # raises on bad spec
         if self.threshold_sigma <= 0.0:
             raise ValueError("threshold_sigma must be positive")
@@ -77,8 +79,6 @@ class PipelineConfig:
             raise ValueError("median_kernel must be odd and >= 1")
         if self.nms_radius < 0:
             raise ValueError("nms_radius must be >= 0")
-        if self.pose_batch_ms < 0.0:
-            raise ValueError("pose_batch_ms must be >= 0")
         for dim in (self.width, self.height):
             if dim is not None and dim < 1:
                 raise ValueError("DSI dimensions must be positive")
@@ -110,8 +110,8 @@ class PipelineConfig:
 class ChunkOutput:
     """Result of one chunk: the (post-processed) depth result plus stats.
 
-    ``stats`` records events read/voted/skipped/out-of-bounds per camera,
-    vote totals, and per-stage timings in seconds.
+    ``stats`` records events read/voted/skipped per camera, vote totals,
+    and per-stage timings in seconds.
     """
 
     index: int
@@ -150,32 +150,14 @@ def process_chunk(
     grids = []
     for cid, cam in zip(rig.camera_ids, rig.cameras):
         stream = chunk.events.get(cid, EventStream.empty(cid))
-        if config.polarity_split:
-            subgrids = []
-            for pol in (1, -1):
-                g = ref_grid.copy_empty()
-                vote_events(
-                    g, stream.select(stream.polarity == pol), cam, traj=traj,
-                    mode=config.voting, workers=workers,
-                    pose_batch_s=config.pose_batch_ms * 1e-3,
-                )
-                subgrids.append(g)
-            grid = subgrids[0]
-            grid.votes += subgrids[1].votes
-            grid.skipped_events += subgrids[1].skipped_events
-        else:
-            grid = ref_grid.copy_empty()
-            vote_events(
-                grid, stream, cam, traj=traj,
-                mode=config.voting, workers=workers,
-                pose_batch_s=config.pose_batch_ms * 1e-3,
-            )
+        grid = ref_grid.copy_empty()
+        vote_events(grid, stream, cam, traj=traj, mode=config.voting,
+                    workers=workers)
         grids.append(grid)
         per_camera[cid] = {
             "events_read": len(stream),
             "events_voted": len(stream) - grid.skipped_events,
             "events_skipped": grid.skipped_events,
-            "events_out_of_bounds": 0,  # rejected at ingestion, never here
             "votes": grid.total_votes(),
         }
     timings["voting"] = time.perf_counter() - t0
@@ -205,7 +187,6 @@ def process_chunk(
         "events_read": sum(c["events_read"] for c in per_camera.values()),
         "events_voted": sum(c["events_voted"] for c in per_camera.values()),
         "events_skipped": sum(c["events_skipped"] for c in per_camera.values()),
-        "events_out_of_bounds": 0,
         "fused_votes": fused.total_votes(),
         "valid_pixels": result.num_valid,
         "timings": timings,

@@ -24,7 +24,6 @@ from .geometry import (
     PoseTrajectory,
     Se3,
     quat_conjugate,
-    quat_mul,
     quat_rotate,
 )
 from .io import RigCalibration
@@ -92,11 +91,9 @@ def simulate_events(scene: SyntheticScene, rig: RigCalibration,
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     times = np.arange(traj.t_start, traj.t_end, dt)
-    q_wb, t_wb = traj.interpolate_batch(times)
     out = {}
     for cid, cam in zip(rig.camera_ids, rig.cameras):
-        q_wc = quat_mul(q_wb, np.broadcast_to(cam.T_body_cam.quat, q_wb.shape))
-        t_wc = t_wb + quat_rotate(q_wb, np.broadcast_to(cam.T_body_cam.trans, t_wb.shape))
+        q_wc, t_wc = traj.camera_poses(times, cam.T_body_cam)
         q_cw = quat_conjugate(q_wc)
 
         ev_t, ev_x, ev_y, ev_p = [], [], [], []
@@ -296,7 +293,7 @@ def make_scenario(name: str, n_points: int = 500, seed: int = 7) -> Scenario:
             chunk_duration=duration, z_min=0.45, z_max=4.0, num_planes=100,
             fusion="harmonic", voting="bilinear",
             threshold_sigma=7.0, threshold_offset=8.0, nms_radius=1,
-            median_kernel=1, subvoxel=True, seed=seed,
+            median_kernel=1, subvoxel=True,
         )
         noise = 0.2 if name == "noisy_left" else 0.0
         if name == "noisy_left":
@@ -315,7 +312,7 @@ def make_scenario(name: str, n_points: int = 500, seed: int = 7) -> Scenario:
             chunk_duration=duration, z_min=1.0, z_max=20.0, num_planes=100,
             fusion="harmonic", voting="bilinear",
             threshold_sigma=7.0, threshold_offset=8.0, nms_radius=1,
-            median_kernel=1, subvoxel=True, seed=seed,
+            median_kernel=1, subvoxel=True,
         )
         return Scenario(name, scene, rig, traj, config, sim_dt=1e-3)
     raise ValueError(f"unknown scenario {name!r}; choose from {SCENARIO_NAMES}")

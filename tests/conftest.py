@@ -18,11 +18,6 @@ def distorted_cam():
     )
 
 
-@pytest.fixture
-def identity_pose():
-    return Se3.identity()
-
-
 def random_unit_quat(rng):
     q = rng.normal(size=4)
     return q / np.linalg.norm(q)

@@ -19,7 +19,6 @@ from raysweep.dsi import (
     DsiGrid,
     FusionOp,
     fuse,
-    merge_partial_grids,
     plane_depths,
     vote_event,
     vote_event_bruteforce,
@@ -328,28 +327,8 @@ class TestParallelVoting:
 
 
 class TestMerge:
-    def _single_event_grid(self, cam, ev, pose, mode="nearest"):
-        g = make_grid(cam, num_planes=8, z_min=0.45, z_max=4.0)
-        vote_event(g, ev, cam, pose, mode=mode)
-        return g
-
-    def test_merge_with_zero_grid_is_identity(self, pinhole_cam):
-        g = self._single_event_grid(pinhole_cam, Event(0.0, 100, 80), Se3.identity())
-        merged = merge_partial_grids([g, g.copy_empty()])
-        assert np.array_equal(merged.votes, g.votes)
-        assert merged.skipped_events == g.skipped_events
-
-    def test_merge_two_single_event_grids(self, pinhole_cam):
-        pose = Se3(np.array([0, 0, 0, 1.0]), np.array([0.1, 0, 0]))
-        e1, e2 = Event(0.0, 100, 80), Event(0.0, 140, 95)
-        merged = merge_partial_grids([
-            self._single_event_grid(pinhole_cam, e1, pose),
-            self._single_event_grid(pinhole_cam, e2, pose),
-        ])
-        seq = make_grid(pinhole_cam, num_planes=8, z_min=0.45, z_max=4.0)
-        vote_event(seq, e1, pinhole_cam, pose, mode="nearest")
-        vote_event(seq, e2, pinhole_cam, pose, mode="nearest")
-        assert np.array_equal(merged.votes, seq.votes)
+    """Disjoint event slices voted into one grid in turn add up to a single
+    vote over the whole stream."""
 
     @pytest.mark.parametrize("mode,tol", [("nearest", 0.0), ("bilinear", 1e-9)])
     def test_random_partitions_equal_sequential(self, distorted_cam, mode, tol):
@@ -359,37 +338,15 @@ class TestMerge:
         seq = make_grid(distorted_cam, num_planes=12, z_min=0.45, z_max=4.0)
         vote_events(seq, stream, distorted_cam, pose=pose, mode=mode)
         cuts = sorted(rng.integers(0, len(stream), 3))
-        parts = []
+        merged = seq.copy_empty()
         for i0, i1 in zip([0, *cuts], [*cuts, len(stream)]):
-            g = seq.copy_empty()
-            vote_events(g, stream.slice(i0, i1), distorted_cam, pose=pose, mode=mode)
-            parts.append(g)
-        merged = merge_partial_grids(parts)
+            vote_events(merged, stream.slice(i0, i1), distorted_cam, pose=pose,
+                        mode=mode)
         if tol == 0.0:
             assert np.array_equal(merged.votes, seq.votes)
         else:
             assert np.max(np.abs(merged.votes - seq.votes)) <= tol
         assert merged.skipped_events == seq.skipped_events
-
-    def test_misaligned_rejected(self, pinhole_cam):
-        a = make_grid(pinhole_cam, num_planes=8)
-        b = make_grid(pinhole_cam, num_planes=9)
-        with pytest.raises(MisalignedDsi):
-            merge_partial_grids([a, b])
-
-    def test_associative_within_summation_tolerance(self, distorted_cam):
-        rng = np.random.default_rng(32)
-        pose = Se3(np.array([0, 0, 0, 1.0]), np.array([0.2, 0, 0]))
-        parts = []
-        for _ in range(3):
-            g = make_grid(distorted_cam, num_planes=10, z_min=0.45, z_max=4.0)
-            vote_events(g, random_stream(rng, 300, distorted_cam),
-                        distorted_cam, pose=pose, mode="bilinear")
-            parts.append(g)
-        left = merge_partial_grids([merge_partial_grids(parts[:2]), parts[2]])
-        right = merge_partial_grids([parts[0], merge_partial_grids(parts[1:])])
-        assert np.max(np.abs(left.votes - right.votes)) <= 1e-9
-        assert left.skipped_events == right.skipped_events
 
 
 class TestFusionOp:
@@ -520,31 +477,3 @@ class TestFusionOp:
                     mode="nearest")
         voted = len(stream) - grid.skipped_events
         assert grid.total_votes() <= voted * grid.num_planes
-
-
-class TestPoseMicroBatch:
-    def test_static_trajectory_identical_to_exact(self, distorted_cam):
-        # with all poses equal, sharing a pose per time bin changes nothing
-        rng = np.random.default_rng(71)
-        stream = random_stream(rng, 800, distorted_cam)
-        traj = PoseTrajectory(np.array([0.0, 1.0]), np.tile([0, 0, 0, 1.0], (2, 1)),
-                              np.tile([0.1, 0.0, 0.0], (2, 1)))
-        exact = make_grid(distorted_cam, num_planes=12, z_min=0.45, z_max=4.0)
-        batched = exact.copy_empty()
-        vote_events(exact, stream, distorted_cam, traj=traj, mode="nearest")
-        vote_events(batched, stream, distorted_cam, traj=traj, mode="nearest",
-                    pose_batch_s=1e-3)
-        assert np.array_equal(exact.votes, batched.votes)
-
-    def test_moving_trajectory_stays_close(self, distorted_cam):
-        rng = np.random.default_rng(72)
-        stream = random_stream(rng, 800, distorted_cam)
-        traj = PoseTrajectory(np.array([0.0, 1.0]), np.tile([0, 0, 0, 1.0], (2, 1)),
-                              np.array([[-0.2, 0, 0], [0.2, 0, 0]]))
-        exact = make_grid(distorted_cam, num_planes=12, z_min=0.45, z_max=4.0)
-        batched = exact.copy_empty()
-        vote_events(exact, stream, distorted_cam, traj=traj, mode="nearest")
-        vote_events(batched, stream, distorted_cam, traj=traj, mode="nearest",
-                    pose_batch_s=1e-3)
-        # same vote budget, nearly the same voxels
-        assert batched.total_votes() == pytest.approx(exact.total_votes(), rel=0.02)

@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -35,12 +37,20 @@ class TestConfig:
         ("threshold_sigma", -1.0),
         ("median_kernel", 4),
         ("nms_radius", -1),
-        ("pose_batch_ms", -1.0),
+        ("chunk_duration", math.nan),
+        ("chunk_duration", math.inf),
+        ("z_min", math.nan),
+        ("z_max", math.nan),
+        ("z_max", math.inf),
+        ("threshold_sigma", math.nan),
+        ("threshold_sigma", math.inf),
+        ("threshold_offset", math.nan),
+        ("threshold_offset", -math.inf),
     ])
     def test_validation(self, field, value):
         cfg = PipelineConfig()
         setattr(cfg, field, value)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=field):
             cfg.validate()
 
     def test_unknown_key_rejected(self):
@@ -87,8 +97,7 @@ class TestRunPipeline:
         outs = run_pipeline(sc.config, streams=streams, rig=sc.rig, traj=sc.traj,
                             workers=1)
         st = outs[0].stats
-        assert st["events_read"] == (st["events_voted"] + st["events_skipped"]
-                                     + st["events_out_of_bounds"])
+        assert st["events_read"] == st["events_voted"] + st["events_skipped"]
         assert st["events_read"] == sum(len(s) for s in streams.values())
 
     def test_zero_event_chunk_yields_empty_result(self, pinhole_cam):
@@ -148,21 +157,6 @@ class TestRunPipeline:
         assert np.array_equal(a.result.depth, b.result.depth)
         assert np.array_equal(a.result.mask, b.result.mask)
 
-    def test_polarity_split_matches_default_on_single_polarity(self, small_scenario):
-        import dataclasses as dc
-        sc, streams = small_scenario
-        # force all polarities positive so the split changes nothing
-        mono = {
-            cid: EventStream(cid, s.t, s.x, s.y, np.ones(len(s), np.int8))
-            for cid, s in streams.items()
-        }
-        cfg_a = dc.replace(sc.config)
-        cfg_b = dc.replace(sc.config, polarity_split=True)
-        a = run_pipeline(cfg_a, streams=mono, rig=sc.rig, traj=sc.traj, workers=1)[0]
-        b = run_pipeline(cfg_b, streams=mono, rig=sc.rig, traj=sc.traj, workers=1)[0]
-        assert np.array_equal(a.result.depth, b.result.depth)
-        assert np.array_equal(a.result.mask, b.result.mask)
-
     def test_out_of_bounds_stream_rejected(self, small_scenario):
         sc, _ = small_scenario
         bad = EventStream("left", np.array([0.1]), np.array([999], np.int32),
@@ -219,6 +213,53 @@ class TestCli:
                          "--out", str(res2), "--num-planes", "40",
                          "--voting", "nearest", "--fusion", "min"]) == 0
         assert (res2 / "depth_chunk000.pfm").exists()
+
+    # config field -> (flag, its argument or None for a bare switch, value set)
+    FLAG_TABLE = {
+        "out_dir": ("--out", "res", "res"),
+        "chunk_duration": ("--chunk-duration", "0.25", 0.25),
+        "width": ("--width", "64", 64),
+        "height": ("--height", "48", 48),
+        "num_planes": ("--num-planes", "40", 40),
+        "z_min": ("--z-min", "0.5", 0.5),
+        "z_max": ("--z-max", "3.5", 3.5),
+        "fusion": ("--fusion", "power:0.5", "power:0.5"),
+        "voting": ("--voting", "nearest", "nearest"),
+        "threshold_sigma": ("--threshold-sigma", "3.0", 3.0),
+        "threshold_offset": ("--threshold-offset", "1.5", 1.5),
+        "nms_radius": ("--nms-radius", "2", 2),
+        "median_kernel": ("--median-kernel", "3", 3),
+        "subvoxel": ("--subvoxel", "off", False),
+        "dump_dsi": ("--dump-dsi", None, True),
+    }
+
+    def test_map_flag_table_covers_config(self, tmp_path, monkeypatch, capsys):
+        paths = {"events", "trajectory", "calibration"}
+        fields = {f.name for f in dataclasses.fields(PipelineConfig)}
+        assert set(self.FLAG_TABLE) == fields - paths
+        captured = []
+        monkeypatch.setattr("raysweep.cli.run_pipeline",
+                            lambda config: captured.append(config) or [])
+        cfg = tmp_path / "cfg.json"
+        defaults = PipelineConfig().to_dict()
+        PipelineConfig().save(cfg)
+        for name, (flag, text, value) in self.FLAG_TABLE.items():
+            assert value != defaults[name], name
+            argv = ["map", "--config", str(cfg), flag] + ([text] if text else [])
+            assert cli_main(argv) == 0, name
+            got = captured.pop().to_dict()
+            assert type(got[name]) is type(value), name
+            assert got == dict(defaults, **{name: value}), name
+        for name in paths:
+            assert cli_main(["map", "--config", str(cfg), "--" + name, "x"]) == 1
+
+    def test_removed_knobs_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(dict(PipelineConfig().to_dict(), pose_batch_ms=1.0)))
+        assert cli_main(["map", "--config", str(cfg)]) == 2
+        assert "pose_batch_ms" in capsys.readouterr().err
+        for flag in ("--polarity-split", "--pose-batch-ms"):  # fail before the config is read
+            assert cli_main(["map", "--config", str(cfg), flag, "1"]) == 1
 
     def test_eval_shape_mismatch(self, tmp_path, capsys):
         from raysweep.io import write_pfm
