@@ -52,9 +52,20 @@ def extract_depth(fused: DsiGrid) -> DepthResult:
 
     Ties break toward the nearest plane (smallest index). Pixels whose
     whole column is zero are left unmasked.
+
+    A running maximum over the planes, updated only where a plane is
+    strictly greater, gives the first maximum exactly as
+    ``np.argmax(votes, axis=0)`` does on NaN-free votes, in a few planes of
+    memory instead of volume-sized temporaries.
     """
-    best = np.argmax(fused.votes, axis=0)  # first max -> nearest plane
-    confidence = np.take_along_axis(fused.votes, best[None], axis=0)[0]
+    votes = fused.votes
+    confidence = votes[0].copy()
+    best = np.zeros(confidence.shape, dtype=np.intp)
+    greater = np.empty(confidence.shape, dtype=bool)
+    for i in range(1, fused.num_planes):
+        np.greater(votes[i], confidence, out=greater)
+        np.copyto(confidence, votes[i], where=greater)
+        np.copyto(best, i, where=greater)
     return DepthResult(
         depth=fused.depths[best],
         confidence=confidence,
@@ -104,17 +115,21 @@ def refine_result(fused: DsiGrid, result: DepthResult) -> DepthResult:
     argmax plane when extraction output is passed straight through; the
     consensus plane after median filtering). Only interior planes that are
     local vote maxima are refined; anything else keeps its depth.
+
+    The nearest plane is searched for the masked pixels only, an
+    (Nz, n_masked) array rather than two volume-sized ones; the result is
+    bit-identical to the search over every pixel.
     """
     inv = fused.inv_depths  # decreasing with plane index
+    iy, ix = np.nonzero(result.mask)
     with np.errstate(divide="ignore"):
-        cur = np.where(result.mask, 1.0 / result.depth, inv[0])
-    best = np.argmin(np.abs(inv[:, None, None] - cur[None]), axis=0)
-    interior = result.mask & (best > 0) & (best < fused.num_planes - 1)
+        cur = 1.0 / result.depth[iy, ix]
+    best = np.argmin(np.abs(inv[:, None] - cur[None]), axis=0)
+    interior = (best > 0) & (best < fused.num_planes - 1)
     if not interior.any():
         return replace(result, depth=result.depth.copy())
 
-    iy, ix = np.nonzero(interior)
-    i = best[iy, ix]
+    iy, ix, i = iy[interior], ix[interior], best[interior]
     y1 = fused.votes[i - 1, iy, ix]
     y2 = fused.votes[i, iy, ix]
     y3 = fused.votes[i + 1, iy, ix]

@@ -139,7 +139,7 @@ class DsiGrid:
 
     def copy_empty(self) -> "DsiGrid":
         return dataclasses.replace(
-            self, votes=np.zeros_like(self.votes), skipped_events=0
+            self, votes=np.zeros(self.votes.shape), skipped_events=0
         )
 
     def copy(self) -> "DsiGrid":
@@ -386,6 +386,9 @@ class FusionOp:
     geometric mean. Harmonic, geometric, min, and power means with p <= 0
     return 0 wherever any input voxel is 0 (AND logic): a fused voxel is
     high only when every camera saw high ray density there.
+
+    ``apply_into`` holds the one implementation, in place and without
+    volume-sized temporaries; ``apply`` and ``fuse`` call it.
     """
 
     kind: str
@@ -409,32 +412,61 @@ class FusionOp:
 
     def apply(self, stack: np.ndarray) -> np.ndarray:
         """Fuse along axis 0 of ``stack`` (n_grids, ...); inputs >= 0."""
+        return self.apply_into(np.array(stack, dtype=np.float64),
+                               np.empty(stack.shape[1:]))
+
+    def apply_into(self, stack: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Fuse along axis 0 of the float64 ``stack`` (n_grids, ...) into
+        ``out``; inputs >= 0.
+
+        ``stack`` is overwritten as workspace; the only other temporaries
+        are boolean masks. Each result is bit-identical to the whole-stack
+        form (``np.where(stack > 0, stack, 1)`` for the AND-logic means,
+        then the sum along axis 0 in order): adding the 0/1 mask of
+        ``~(stack > 0)`` turns the zero entries into exactly 1 and leaves
+        the rest unchanged, and multiplying by the all-positive mask zeroes
+        a finite result exactly.
+        """
         n = stack.shape[0]
         if self.kind == "min":
-            return np.min(stack, axis=0)
+            return np.min(stack, axis=0, out=out)
         if self.kind == "max":
-            return np.max(stack, axis=0)
+            return np.max(stack, axis=0, out=out)
         if self.kind == "arithmetic":
-            return np.mean(stack, axis=0)
+            return np.mean(stack, axis=0, out=out)
         if self.kind == "rms":
-            return np.sqrt(np.mean(np.square(stack), axis=0))
+            np.square(stack, out=stack)
+            np.mean(stack, axis=0, out=out)
+            return np.sqrt(out, out=out)
 
-        all_pos = np.all(stack > 0.0, axis=0)
-        if self.kind == "harmonic":
-            with np.errstate(divide="ignore"):
-                inv_sum = np.sum(1.0 / np.where(stack > 0.0, stack, 1.0), axis=0)
-            return np.where(all_pos, n / inv_sum, 0.0)
-        if self.kind == "geometric":
-            logs = np.sum(np.log(np.where(stack > 0.0, stack, 1.0)), axis=0)
-            return np.where(all_pos, np.exp(logs / n), 0.0)
+        kind = self.kind
+        if kind == "power" and abs(self.p) < 1e-4:
+            kind = "geometric"  # x**p degenerates numerically; use the p->0 limit
+        if kind == "power" and self.p > 0.0:
+            p = float(self.p)
+            np.power(stack, p, out=stack)
+            np.mean(stack, axis=0, out=out)
+            return np.power(out, 1.0 / p, out=out)
 
-        p = float(self.p)
-        if abs(p) < 1e-4:  # x**p degenerates numerically; use the p->0 limit
-            return FusionOp("geometric").apply(stack)
-        if p > 0.0:
-            return np.power(np.mean(np.power(stack, p), axis=0), 1.0 / p)
-        powered = np.mean(np.power(np.where(stack > 0.0, stack, 1.0), p), axis=0)
-        return np.where(all_pos, np.power(powered, 1.0 / p), 0.0)
+        # AND logic: harmonic, geometric, power with p < 0
+        not_pos = np.logical_not(stack > 0.0)
+        all_pos = np.logical_not(np.any(not_pos, axis=0))
+        np.add(stack, not_pos, out=stack)  # 0 -> 1.0
+        if kind == "harmonic":
+            np.divide(1.0, stack, out=stack)
+            np.sum(stack, axis=0, out=out)
+            np.divide(n, out, out=out)
+        elif kind == "geometric":
+            np.log(stack, out=stack)
+            np.sum(stack, axis=0, out=out)
+            np.divide(out, n, out=out)
+            np.exp(out, out=out)
+        else:
+            p = float(self.p)
+            np.power(stack, p, out=stack)
+            np.mean(stack, axis=0, out=out)
+            np.power(out, 1.0 / p, out=out)
+        return np.multiply(out, all_pos, out=out)
 
 
 MIN = FusionOp("min")
@@ -448,18 +480,23 @@ MAX = FusionOp("max")
 def fuse(grids, op: FusionOp) -> DsiGrid:
     """Fuse n >= 2 aligned per-camera DSIs into one, voxel-wise.
 
-    Fuses one depth plane at a time into the output volume, so the stacked
-    inputs and the operator's temporaries are a few planes in cache rather
-    than several fresh volume-sized arrays. Every operator is element-wise
-    over the planes, so the result is bit-identical to fusing the whole
-    stack at once.
+    Fuses one depth plane at a time: plane i of every grid is copied into
+    one reused (n, H, W) buffer, which ``op.apply_into`` turns into plane
+    i of the output volume in place. Apart from the output, the call
+    allocates n planes and a few boolean masks, no volume-sized
+    temporaries. Every operator is element-wise over the planes and sums
+    along the grid axis in the same order, so the result is bit-identical
+    to fusing the whole stack at once.
     """
     grids = list(grids)
     if len(grids) < 2:
         raise ValueError("fusion needs at least two grids")
     _check_aligned(grids)
     fused = grids[0].copy_empty()
+    planes = np.empty((len(grids),) + fused.votes.shape[1:])
     for i in range(fused.num_planes):
-        fused.votes[i] = op.apply(np.stack([g.votes[i] for g in grids]))
+        for k, g in enumerate(grids):
+            planes[k] = g.votes[i]
+        op.apply_into(planes, fused.votes[i])
     fused.skipped_events = sum(g.skipped_events for g in grids)
     return fused

@@ -51,6 +51,10 @@ class EventStream:
         p = np.asarray(self.polarity, dtype=np.int8).reshape(-1)
         if not (len(t) == len(x) == len(y) == len(p)):
             raise ValueError("event columns must share one length")
+        finite = np.isfinite(t)
+        if not finite.all():
+            bad = int(np.argmin(finite))
+            raise ValueError(f"event {bad} has a non-finite timestamp {t[bad]}")
         if t.size and np.any(np.diff(t) < 0.0):
             raise ValueError("event timestamps must be non-decreasing")
         if p.size and not np.all((p == 1) | (p == -1)):

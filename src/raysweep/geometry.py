@@ -308,12 +308,18 @@ class PoseTrajectory:
         t = np.asarray(self.times, dtype=np.float64).reshape(-1)
         if t.size == 0:
             raise ValueError("trajectory must contain at least one sample")
-        if np.any(np.diff(t) <= 0.0):
-            raise ValueError("trajectory timestamps must be strictly increasing")
-        q = quat_normalize(np.asarray(self.quats, dtype=np.float64).reshape(-1, 4))
+        q = np.asarray(self.quats, dtype=np.float64).reshape(-1, 4)
         p = np.asarray(self.trans, dtype=np.float64).reshape(-1, 3)
         if not (len(t) == len(q) == len(p)):
             raise ValueError("trajectory arrays must share one length")
+        for name, arr in (("timestamp", t), ("quaternion", q), ("translation", p)):
+            finite = np.isfinite(arr).reshape(len(arr), -1).all(axis=1)
+            if not finite.all():
+                bad = int(np.argmin(finite))
+                raise ValueError(f"trajectory sample {bad}: non-finite {name}")
+        if np.any(np.diff(t) <= 0.0):
+            raise ValueError("trajectory timestamps must be strictly increasing")
+        q = quat_normalize(q)
         object.__setattr__(self, "times", _readonly(t))
         object.__setattr__(self, "quats", _readonly(q))
         object.__setattr__(self, "trans", _readonly(p))

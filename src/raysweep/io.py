@@ -8,6 +8,7 @@ of millions of lines, so the parser streams them in blocks.
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from dataclasses import dataclass
 from io import StringIO
@@ -68,9 +69,9 @@ def parse_events(path, camera_id: str | None = None, *,
 
     A well-formed file is parsed in vectorized blocks. A file the
     vectorized pass turns down (a bad or out-of-range field, an inline
-    comment, a timestamp regression, a NaN timestamp, no events) is re-read
-    line by line, which returns the same arrays or raises the error for the
-    first bad line.
+    comment, a timestamp regression, a non-finite timestamp, no events) is
+    re-read line by line, which returns the same arrays or raises the error
+    for the first bad line.
     """
     path = Path(path)
     if camera_id is None:
@@ -119,7 +120,7 @@ def _parse_events_blocks(path: Path, width, height):
     if not blocks:
         return None
     t, x, y, p = (np.concatenate([b[f] for b in blocks]) for f in _EVENT_ROW.names)
-    if len(t) == 0 or np.isnan(t).any():
+    if len(t) == 0 or not np.isfinite(t).all():
         return None
     if not ((p == 1) | (p == 0) | (p == -1)).all():
         return None
@@ -168,6 +169,9 @@ def _parse_events_lines(path: Path, width, height):
                 p = int(parts[3])
             except ValueError:
                 raise ParseError(f"bad numeric field in {line!r}", path=path, line=lineno)
+            if not math.isfinite(t):
+                raise ParseError(f"non-finite timestamp in {line!r}",
+                                 path=path, line=lineno)
             if p == 0:
                 p = -1
             if p not in (-1, 1):
@@ -234,6 +238,8 @@ def parse_trajectory(path) -> PoseTrajectory:
                 vals = [float(v) for v in parts]
             except ValueError:
                 raise ParseError(f"bad numeric field in {line!r}", path=path, line=lineno)
+            if not all(map(math.isfinite, vals)):
+                raise ParseError(f"non-finite value in {line!r}", path=path, line=lineno)
             q = np.array(vals[4:8])
             norm = float(np.linalg.norm(q))
             if abs(norm - 1.0) > _QUAT_PARSE_TOL:
@@ -368,7 +374,10 @@ def read_pfm(path) -> np.ndarray:
         w, h = int(dims[0]), int(dims[1])
         scale = float(fh.readline())
         dtype = "<f4" if scale < 0 else ">f4"
-        data = np.frombuffer(fh.read(4 * w * h), dtype=dtype).reshape(h, w)
+        payload = fh.read(4 * w * h)
+        if len(payload) != 4 * w * h:
+            raise ParseError("truncated PFM payload", path=path)
+        data = np.frombuffer(payload, dtype=dtype).reshape(h, w)
     return np.flipud(data).astype(np.float32)
 
 

@@ -11,7 +11,9 @@ import dataclasses
 import json
 import logging
 import math
+import numbers
 import time
+import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -30,6 +32,19 @@ from .events import Chunk, EventStream, chunk_events, select_reference_view
 from .geometry import PoseTrajectory
 
 log = logging.getLogger(__name__)
+
+# Config fields holding file paths (str or path-like); the others are
+# type-checked against their annotations by PipelineConfig.validate.
+_PATH_FIELDS = ("events", "trajectory", "calibration", "out_dir")
+
+# Annotation -> accepted value types; bool, an int subclass, is accepted
+# only where the annotation is bool.
+_FIELD_TYPES = {
+    int: (numbers.Integral, "an int"),
+    float: (numbers.Real, "a number"),
+    bool: (bool, "true or false"),
+    str: (str, "a string"),
+}
 
 
 @dataclass
@@ -59,6 +74,7 @@ class PipelineConfig:
     dump_dsi: bool = False
 
     def validate(self):
+        self._check_types()
         for name in ("chunk_duration", "z_min", "z_max", "threshold_sigma",
                      "threshold_offset"):
             value = getattr(self, name)
@@ -83,6 +99,24 @@ class PipelineConfig:
             if dim is not None and dim < 1:
                 raise ValueError("DSI dimensions must be positive")
         return self
+
+    def _check_types(self):
+        """Reject a value whose type the field's annotation does not allow,
+        e.g. a JSON string or bool where a number or a bool belongs."""
+        hints = typing.get_type_hints(type(self))
+        for f in dataclasses.fields(self):
+            if f.name in _PATH_FIELDS:
+                continue
+            value = getattr(self, f.name)
+            kind = hints[f.name]
+            if type(None) in typing.get_args(kind):  # int | None -> int
+                if value is None:
+                    continue
+                kind = typing.get_args(kind)[0]
+            accepted, text = _FIELD_TYPES[kind]
+            if not isinstance(value, accepted) or (
+                    isinstance(value, bool) and kind is not bool):
+                raise ValueError(f"{f.name} must be {text}, got {value!r}")
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)

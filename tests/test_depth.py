@@ -1,8 +1,12 @@
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from raysweep.depth import (
     DepthResult,
+    _parabola_vertex,
     adaptive_threshold,
     extract_depth,
     local_peak_mask,
@@ -27,6 +31,33 @@ def result_from(depth, mask, cam, conf=None, z_min=0.5, z_max=10.0):
         conf = mask.astype(np.float64)
     return DepthResult(depth, np.asarray(conf, np.float64), mask,
                        Se3.identity(), cam, z_min, z_max)
+
+
+def argmax_extraction(fused):
+    """Volume-wide argmax extraction: the oracle of extract_depth."""
+    best = np.argmax(fused.votes, axis=0)
+    confidence = np.take_along_axis(fused.votes, best[None], axis=0)[0]
+    return fused.depths[best], confidence, confidence > 0.0
+
+
+def volume_refinement(fused, result):
+    """Frozen copy of the sub-plane refinement that searches the nearest
+    plane of every pixel at once: the oracle of refine_result."""
+    inv = fused.inv_depths
+    with np.errstate(divide="ignore"):
+        cur = np.where(result.mask, 1.0 / result.depth, inv[0])
+    best = np.argmin(np.abs(inv[:, None, None] - cur[None]), axis=0)
+    interior = result.mask & (best > 0) & (best < fused.num_planes - 1)
+    depth = result.depth.copy()
+    iy, ix = np.nonzero(interior)
+    i = best[iy, ix]
+    y1, y2, y3 = (fused.votes[i + k, iy, ix] for k in (-1, 0, 1))
+    x1, x2, x3 = inv[i - 1], inv[i], inv[i + 1]
+    vertex = np.clip(_parabola_vertex(x1, y1, x2, y2, x3, y3),
+                     np.minimum(x1, x3), np.maximum(x1, x3))
+    peak = (y2 >= y1) & (y2 >= y3)
+    depth[iy, ix] = np.where(peak, 1.0 / vertex, depth[iy, ix])
+    return depth
 
 
 class TestExtract:
@@ -64,6 +95,30 @@ class TestExtract:
         res = extract_depth(small_grid)
         assert np.all(res.depth[res.mask] >= small_grid.z_min)
         assert np.all(res.depth[res.mask] <= small_grid.z_max)
+
+    @pytest.mark.parametrize("lam", [0.05, 0.5, 3.0])
+    def test_matches_volume_argmax_bit_for_bit(self, small_grid, lam):
+        # Poisson counts tie often, within a column and across planes
+        rng = np.random.default_rng(11)
+        small_grid.votes[:] = rng.poisson(lam, small_grid.votes.shape)
+        small_grid.votes[:, :20] *= 0.5  # non-integer ties too
+        res = extract_depth(small_grid)
+        depth, confidence, mask = argmax_extraction(small_grid)
+        assert np.array_equal(res.depth, depth)
+        assert np.array_equal(res.confidence, confidence)
+        assert np.array_equal(res.mask, mask)
+
+    def test_peak_memory_few_planes(self, pinhole_cam):
+        grid = DsiGrid.create(Se3.identity(), pinhole_cam, 0.45, 4.0, 100)
+        grid.votes[:] = np.random.default_rng(12).poisson(0.3, grid.votes.shape)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            extract_depth(grid)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * grid.votes[0].nbytes, peak / grid.votes[0].nbytes
 
 
 class TestSubvoxelRefine:
@@ -112,6 +167,23 @@ class TestSubvoxelRefine:
             col = small_grid.votes[:, y, x]
             want = 1.0 / subvoxel_refine(col, int(np.argmax(col)), inv)
             assert refined.depth[y, x] == pytest.approx(want, rel=1e-12)
+
+    def test_matches_volume_wide_nearest_plane_search(self, small_grid):
+        rng = np.random.default_rng(79)
+        small_grid.votes[:] = rng.poisson(2.0, small_grid.votes.shape).astype(float)
+        res = extract_depth(small_grid)
+        filtered = median_filter_depth(res, 5)  # depths between planes
+        edges = res.mask.copy()
+        edges[::2] = False
+        at_bounds = replace(res, depth=np.where(  # planes 0 and Nz-1 exactly
+            edges, np.where(np.arange(res.depth.shape[1]) % 2, small_grid.z_min,
+                            small_grid.z_max), res.depth))
+        for result in (res, filtered, at_bounds):
+            want = volume_refinement(small_grid, result)
+            got = refine_result(small_grid, result)
+            assert np.array_equal(got.depth, want)
+            assert np.array_equal(got.mask, result.mask)
+        assert np.any(filtered.depth[filtered.mask] != res.depth[filtered.mask])
 
     def test_refined_depth_stays_bracketed(self, small_grid):
         rng = np.random.default_rng(78)

@@ -1,6 +1,7 @@
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -349,6 +350,35 @@ class TestMerge:
         assert merged.skipped_events == seq.skipped_events
 
 
+def whole_stack_fusion(op, stack):
+    """Frozen copy of the whole-stack fusion formulas (np.where masks, fresh
+    temporaries): the oracle that FusionOp.apply_into must match exactly."""
+    n = stack.shape[0]
+    if op.kind == "min":
+        return np.min(stack, axis=0)
+    if op.kind == "max":
+        return np.max(stack, axis=0)
+    if op.kind == "arithmetic":
+        return np.mean(stack, axis=0)
+    if op.kind == "rms":
+        return np.sqrt(np.mean(np.square(stack), axis=0))
+    all_pos = np.all(stack > 0.0, axis=0)
+    if op.kind == "harmonic":
+        with np.errstate(divide="ignore"):
+            inv_sum = np.sum(1.0 / np.where(stack > 0.0, stack, 1.0), axis=0)
+        return np.where(all_pos, n / inv_sum, 0.0)
+    if op.kind == "geometric":
+        logs = np.sum(np.log(np.where(stack > 0.0, stack, 1.0)), axis=0)
+        return np.where(all_pos, np.exp(logs / n), 0.0)
+    p = float(op.p)
+    if abs(p) < 1e-4:
+        return whole_stack_fusion(GEOMETRIC, stack)
+    if p > 0.0:
+        return np.power(np.mean(np.power(stack, p), axis=0), 1.0 / p)
+    powered = np.mean(np.power(np.where(stack > 0.0, stack, 1.0), p), axis=0)
+    return np.where(all_pos, np.power(powered, 1.0 / p), 0.0)
+
+
 class TestFusionOp:
     def test_known_pair_values(self, pinhole_cam):
         a = make_grid(pinhole_cam, num_planes=2)
@@ -441,8 +471,9 @@ class TestFusionOp:
             assert np.max(np.abs(a - b) / b) < 1e-12
 
     def test_fuse_matches_whole_stack_apply_exactly(self, pinhole_cam):
-        # fuse() works one plane at a time; every operator is element-wise
-        # over the planes, so the volume equals apply() on the whole stack
+        # fuse() works one plane at a time in a reused buffer, and apply()
+        # shares that code; both must equal the whole-stack formulas bit
+        # for bit, zeros (AND logic) included
         rng = np.random.default_rng(51)
         grids = [make_grid(pinhole_cam, num_planes=5) for _ in range(3)]
         for g in grids:
@@ -453,8 +484,27 @@ class TestFusionOp:
                FusionOp("power", -1.5), FusionOp("power", 0.5), FusionOp("power", 1e-5)]
         for op in ops:
             for n in (2, 3):
-                got = fuse(grids[:n], op).votes
-                assert np.array_equal(got, op.apply(stack[:n])), op
+                want = whole_stack_fusion(op, stack[:n])
+                assert np.array_equal(fuse(grids[:n], op).votes, want), op
+                assert np.array_equal(op.apply(stack[:n]), want), op
+
+    def test_fuse_peak_memory_one_volume_and_few_planes(self, pinhole_cam):
+        # the output volume plus an (n, H, W) buffer and boolean masks;
+        # no stacked inputs and no volume- or plane-sized temporaries per op
+        rng = np.random.default_rng(52)
+        grids = [make_grid(pinhole_cam, num_planes=100, z_min=0.45) for _ in range(2)]
+        for g in grids:
+            g.votes[:] = rng.poisson(0.5, g.votes.shape)
+        plane = grids[0].votes[0].nbytes
+        for op in (HARMONIC, GEOMETRIC, FusionOp("power", -1.5), RMS):
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                fused = fuse(grids, op)
+                peak = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+            assert peak <= fused.votes.nbytes + 4 * plane, (op, peak / plane)
 
     def test_from_string(self):
         assert FusionOp.from_string("harmonic") == HARMONIC

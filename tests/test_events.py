@@ -24,6 +24,11 @@ class TestEvent:
         with pytest.raises(ValueError):
             stream_at([0.2, 0.1])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_stream_requires_finite_times(self, bad):
+        with pytest.raises(ValueError, match="event 1 has a non-finite"):
+            stream_at([0.0, bad, 0.2])
+
     def test_stream_roundtrip_single_events(self):
         s = EventStream.from_events("c", [Event(0.1, 3, 4, -1), Event(0.2, 5, 6, 1)])
         assert len(s) == 2

@@ -129,6 +129,17 @@ class TestPoseInterpolation:
         with pytest.raises(ValueError):
             PoseTrajectory.from_poses([(0.0, Se3.identity()), (0.0, Se3.identity())])
 
+    @pytest.mark.parametrize("column,index", [
+        ("times", 1), ("quats", (1, 2)), ("quats", (1, slice(None))), ("trans", (1, 0)),
+    ])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_samples_rejected(self, column, index, bad):
+        arrays = {"times": np.arange(3.0), "quats": np.tile([0.0, 0, 0, 1], (3, 1)),
+                  "trans": np.zeros((3, 3))}
+        arrays[column][index] = bad
+        with pytest.raises(ValueError, match="trajectory sample 1"):
+            PoseTrajectory(**arrays)
+
     def test_double_cover_takes_short_arc(self):
         q = quat_from_axis_angle([0, 1, 0], 0.3)
         ours = quat_slerp(q, -q, 0.5)  # same rotation, negated representation

@@ -139,6 +139,7 @@ class TestVectorizedEventParsing:
         "0.1 1 2 1\n0.2 300 4 1\n",
         "0.5 1 2 1\n0.1 3 4 1\n",
         "nan 1 2 1\n",
+        "0.1 1 2 1\ninf 1 2 1\n",
         "# only a comment\n",
         "",
     ])
@@ -153,10 +154,16 @@ class TestVectorizedEventParsing:
         assert err.value.line == 3
 
     def test_line_parser_extensions_still_accepted(self, tmp_path):
-        p = write(tmp_path, "e.txt", "0.1 1_0 2 1\nnan 3 4 0\n")
+        p = write(tmp_path, "e.txt", "0.1 1_0 2 1\n0.2 3 4 0\n")
         s = rio.parse_events(p)
         assert s.x.tolist() == [10, 3]
-        assert np.isnan(s.t[1])
+
+    @pytest.mark.parametrize("stamp", ["nan", "inf", "-inf"])
+    def test_non_finite_timestamp_reports_line(self, tmp_path, stamp):
+        p = write(tmp_path, "e.txt", f"# h\n0.0 1 2 1\n{stamp} 3 4 0\n0.2 5 6 1\n")
+        with pytest.raises(ParseError, match="non-finite timestamp") as err:
+            rio.parse_events(p)
+        assert err.value.line == 3
 
 
 class TestTrajectoryParsing:
@@ -181,6 +188,14 @@ class TestTrajectoryParsing:
         p = write(tmp_path, "t.txt", "0.0 0 0 0 0 0 0 1.01\n")
         with pytest.raises(QuaternionNormError):
             rio.parse_trajectory(p)
+
+    @pytest.mark.parametrize("line", ["1.0 0 nan 0 0 0 0 1", "nan 0 0 0 0 0 0 1",
+                                      "1.0 0 0 0 0 0 inf 1"])
+    def test_non_finite_value_reports_line(self, tmp_path, line):
+        p = write(tmp_path, "t.txt", f"0.0 0 0 0 0 0 0 1\n{line}\n")
+        with pytest.raises(ParseError, match="non-finite") as err:
+            rio.parse_trajectory(p)
+        assert err.value.line == 2
 
     def test_malformed_line(self, tmp_path):
         p = write(tmp_path, "t.txt", "0.0 0 0 0 0 0 1\n")
@@ -291,6 +306,15 @@ class TestPfm:
         # bottom row first
         payload = np.frombuffer(raw[len(b"Pf\n2 2\n-1.0\n"):], dtype="<f4")
         assert list(payload) == [3.0, 4.0, 1.0, 2.0]
+
+    @pytest.mark.parametrize("cut", [1, 4, 7])
+    def test_truncated_payload_is_parse_error(self, tmp_path, cut):
+        p = tmp_path / "d.pfm"
+        rio.write_pfm(np.ones((3, 4), np.float32), p)
+        p.write_bytes(p.read_bytes()[:-cut])
+        with pytest.raises(ParseError, match="truncated PFM payload") as err:
+            rio.read_pfm(p)
+        assert err.value.path == p
 
     def test_rejects_foreign_magic(self, tmp_path):
         p = tmp_path / "x.pfm"

@@ -46,12 +46,32 @@ class TestConfig:
         ("threshold_sigma", math.inf),
         ("threshold_offset", math.nan),
         ("threshold_offset", -math.inf),
+        ("num_planes", "100"),  # wrong JSON types
+        ("num_planes", 100.0),
+        ("num_planes", True),
+        ("width", "64"),
+        ("median_kernel", 5.5),
+        ("nms_radius", False),
+        ("chunk_duration", "0.5"),
+        ("z_min", None),
+        ("z_max", True),
+        ("threshold_offset", [-6.0]),
+        ("subvoxel", "off"),
+        ("subvoxel", 1),
+        ("dump_dsi", "true"),
+        ("fusion", 1),
+        ("voting", None),
     ])
     def test_validation(self, field, value):
         cfg = PipelineConfig()
         setattr(cfg, field, value)
         with pytest.raises(ValueError, match=field):
             cfg.validate()
+
+    def test_numeric_types_accepted(self):
+        cfg = PipelineConfig(chunk_duration=1, z_max=np.float64(3.5),
+                             num_planes=np.int64(40), width=None)
+        assert cfg.validate() is cfg
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError):
@@ -260,6 +280,12 @@ class TestCli:
         assert "pose_batch_ms" in capsys.readouterr().err
         for flag in ("--polarity-split", "--pose-batch-ms"):  # fail before the config is read
             assert cli_main(["map", "--config", str(cfg), flag, "1"]) == 1
+
+    def test_wrong_json_type_is_processing_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(dict(PipelineConfig().to_dict(), num_planes="100")))
+        assert cli_main(["map", "--config", str(cfg)]) == 2
+        assert "num_planes" in capsys.readouterr().err
 
     def test_eval_shape_mismatch(self, tmp_path, capsys):
         from raysweep.io import write_pfm
