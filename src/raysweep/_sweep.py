@@ -14,83 +14,155 @@ events that voted on at least one plane; an intersection must land inside
 [0, W) x [0, H), and the nearest voxel must exist (the top half-pixel edge
 rounds out of the grid).
 
-The numpy kernel sweeps plane-major, as the space sweep does: for each
-plane it projects every event, block by block, and scatters the hits into
+Both kernels sweep plane-major, as the space sweep does: for each plane
+they project every event, in ascending order, and scatter the hits into
 that plane's W x H slice alone, which stays in cache. A plane's votes
 therefore depend only on the events and their order, never on which other
 planes the same call sweeps, so callers may split the planes [lo, hi)
 across threads (clip ``lo``/``hi`` to each thread's range) and get the
 same volume bit for bit at any worker count.
 
-Two interchangeable implementations: numba-compiled loops (fast path, same
-contract) and plane-major numpy (fallback). Nearest-mode votes are integral
-adds, so both produce bit-identical grids; bilinear differs only in
-summation order.
+Two kernels keep this contract: ``_sweep.c``, and numpy (blocks of events
+per step), which is the fallback and the test oracle. Nearest-mode votes
+are integral adds, so both produce bit-identical grids; bilinear differs
+only in summation order.
+
+The C source is compiled on first use (not at import), once per source and
+flag set, with ``gcc -O3 -ffp-contract=off -fPIC -shared`` into
+``$XDG_CACHE_HOME/raysweep`` (default ``~/.cache/raysweep``), and loaded with
+ctypes, which releases the GIL for the call, so plane ranges split across
+threads still run in parallel. If the library cannot be built or loaded,
+``kernel="auto"`` runs the numpy kernel and one warning names the error.
 """
 
 from __future__ import annotations
 
+import ctypes
+import hashlib
+import os
+import subprocess
+import tempfile
+import threading
+import warnings
+from pathlib import Path
+
 import numpy as np
 
-try:
-    from numba import njit
+# Read by the benchmark's environment record; ROADMAP item 5 replaces it
+# with the kernel that actually ran.
+HAVE_NUMBA = False
 
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is an optional accelerator
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-
-        return wrap
-
+KERNELS = ("c", "numpy")
 
 _BLOCK = 1 << 16  # events projected per step; bounds the temporaries
 
+_SOURCE = Path(__file__).with_name("_sweep.c")
+_COMPILE = ("gcc", "-O3", "-ffp-contract=off", "-fPIC", "-shared")
+_I64, _PTR = ctypes.c_int64, ctypes.c_void_p
+# sweep(a_u, a_v, b_u, b_v, lo, hi, n, inv_zs, p0, p1, votes, width, height,
+#       bilinear, hit)
+_ARGTYPES = [_PTR] * 6 + [_I64, _PTR, _I64, _I64, _PTR, _I64, _I64, ctypes.c_int, _PTR]
 
-def _sweep_nearest_loops(a_u, a_v, b_u, b_v, lo, hi, inv_zs, votes, width, height):
-    n_events = a_u.shape[0]
-    hit = np.zeros(n_events, dtype=np.bool_)
-    for k in range(n_events):
-        for i in range(lo[k], hi[k]):
-            u = a_u[k] + b_u[k] * inv_zs[i]
-            v = a_v[k] + b_v[k] * inv_zs[i]
-            if 0.0 <= u < width and 0.0 <= v < height:
-                ix = int(np.floor(u + 0.5))
-                iy = int(np.floor(v + 0.5))
-                if ix < width and iy < height:
-                    votes[i, iy, ix] += 1.0
-                    hit[k] = True
+_lock = threading.Lock()
+_c_sweep = None  # the loaded C function, once built
+_c_error = None  # why it could not be built or loaded
+
+
+def _cache_dir() -> Path:
+    base = os.environ.get("XDG_CACHE_HOME") or os.path.expanduser("~/.cache")
+    return Path(base) / "raysweep"
+
+
+def _build() -> Path:
+    """Compile ``_sweep.c`` unless the cache already holds it; returns the
+    library path. The name hashes the source and the compile command, and
+    the library is compiled to a temporary file and renamed into place, so
+    concurrent builders never load a partly written file."""
+    src = _SOURCE.read_bytes()
+    key = hashlib.sha256(src + " ".join(_COMPILE).encode()).hexdigest()[:16]
+    cache = _cache_dir()
+    lib = cache / f"_sweep-{key}.so"
+    if lib.is_file():
+        return lib
+    cache.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(prefix=f".{lib.name}.", dir=cache)
+    os.close(fd)
+    try:
+        proc = subprocess.run([*_COMPILE, "-o", tmp, str(_SOURCE)],
+                              capture_output=True, text=True)
+        if proc.returncode != 0:
+            raise RuntimeError(f"{' '.join(_COMPILE)} failed: {proc.stderr.strip()}")
+        os.replace(tmp, lib)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+    return lib
+
+
+def _load_c():
+    """The compiled sweep function, built and loaded on first call; None
+    if that failed, in which case the first call warned once."""
+    global _c_sweep, _c_error
+    with _lock:
+        if _c_sweep is None and _c_error is None:
+            try:
+                fn = ctypes.CDLL(str(_build())).sweep
+                fn.argtypes = _ARGTYPES
+                fn.restype = None
+                _c_sweep = fn
+            except Exception as exc:  # no compiler, no cache, bad library...
+                _c_error = f"{type(exc).__name__}: {exc}"
+                warnings.warn(f"raysweep: C sweep kernel unavailable, using the "
+                              f"numpy kernel ({_c_error})", RuntimeWarning,
+                              stacklevel=2)
+    return _c_sweep
+
+
+def resolve_kernel(kernel: str) -> str:
+    """The kernel that ``kernel`` selects: ``"auto"`` is ``"c"`` when the
+    compiled kernel loads and ``"numpy"`` otherwise."""
+    if kernel == "auto":
+        return "c" if _load_c() is not None else "numpy"
+    if kernel not in KERNELS:
+        raise ValueError(f"unknown kernel {kernel!r}")
+    return kernel
+
+
+def _sweep_c(a_u, a_v, b_u, b_v, lo, hi, inv_zs, votes, width, height, bilinear):
+    """Call the C kernel after checking every bound it relies on, so that
+    no argument can make it read or write outside its arrays."""
+    fn = _load_c()
+    if fn is None:
+        raise RuntimeError(f"C kernel requested but unavailable ({_c_error})")
+    if not (isinstance(votes, np.ndarray) and votes.dtype == np.float64
+            and votes.ndim == 3 and votes.flags.c_contiguous
+            and votes.flags.writeable):
+        raise ValueError("votes must be a writable C-contiguous float64 "
+                         "(planes, height, width) array")
+    if votes.shape[1:] != (height, width):
+        raise ValueError(f"votes shape {votes.shape} does not match "
+                         f"height {height} x width {width}")
+    coeffs = [np.ascontiguousarray(c, dtype=np.float64) for c in (a_u, a_v, b_u, b_v)]
+    lo = np.ascontiguousarray(lo, dtype=np.int64)
+    hi = np.ascontiguousarray(hi, dtype=np.int64)
+    inv_zs = np.ascontiguousarray(inv_zs, dtype=np.float64)
+    n = lo.size
+    if any(a.shape != (n,) for a in (*coeffs, lo, hi)):
+        raise ValueError("coefficient and plane-range arrays must be 1-D and "
+                         "of equal length")
+    if inv_zs.shape != votes.shape[:1]:
+        raise ValueError("inv_zs must hold one inverse depth per plane")
+    hit = np.zeros(n, dtype=bool)
+    if n == 0:
+        return hit
+    p0, p1 = int(lo.min()), int(hi.max())
+    if p0 < 0 or p1 > votes.shape[0]:
+        raise ValueError(f"plane range [{p0}, {p1}) outside the "
+                         f"{votes.shape[0]} planes of votes")
+    fn(*(c.ctypes.data for c in coeffs), lo.ctypes.data, hi.ctypes.data, n,
+       inv_zs.ctypes.data, p0, p1, votes.ctypes.data, width, height,
+       int(bilinear), hit.ctypes.data)
     return hit
-
-
-def _sweep_bilinear_loops(a_u, a_v, b_u, b_v, lo, hi, inv_zs, votes, width, height):
-    n_events = a_u.shape[0]
-    hit = np.zeros(n_events, dtype=np.bool_)
-    for k in range(n_events):
-        for i in range(lo[k], hi[k]):
-            u = a_u[k] + b_u[k] * inv_zs[i]
-            v = a_v[k] + b_v[k] * inv_zs[i]
-            if 0.0 <= u < width and 0.0 <= v < height:
-                x0 = int(np.floor(u))
-                y0 = int(np.floor(v))
-                wx = u - x0
-                wy = v - y0
-                votes[i, y0, x0] += (1.0 - wx) * (1.0 - wy)
-                if x0 + 1 < width:
-                    votes[i, y0, x0 + 1] += wx * (1.0 - wy)
-                if y0 + 1 < height:
-                    votes[i, y0 + 1, x0] += (1.0 - wx) * wy
-                    if x0 + 1 < width:
-                        votes[i, y0 + 1, x0 + 1] += wx * wy
-                hit[k] = True
-    return hit
-
-
-if HAVE_NUMBA:
-    _sweep_nearest_numba = njit(cache=True, nogil=True)(_sweep_nearest_loops)
-    _sweep_bilinear_numba = njit(cache=True, nogil=True)(_sweep_bilinear_loops)
 
 
 def _scatter_plane(u, v, ok, plane, bilinear):
@@ -142,7 +214,7 @@ def _scatter_plane(u, v, ok, plane, bilinear):
 
 
 def _sweep_planes(project, lo, hi, votes, width, height, bilinear):
-    """Plane-major sweep shared by both numpy paths.
+    """Plane-major numpy sweep shared by the affine and the direct kernel.
 
     ``project(i, s, e)`` returns the pixel coordinates (u, v) where the rays
     of events s:e meet plane i. Returns the per-event hit mask.
@@ -207,17 +279,5 @@ def run_sweep(prep, inv_zs, votes, width, height, mode, kernel):
     coefficients; only planes in each event's [lo, hi) are touched.
     Returns the boolean mask of events that voted on at least one plane.
     """
-    a_u, a_v, b_u, b_v, lo, hi = prep
-    if kernel == "auto":
-        kernel = "numba" if HAVE_NUMBA else "numpy"
-    if kernel == "numba":
-        if not HAVE_NUMBA:
-            raise RuntimeError("numba kernel requested but numba is unavailable")
-        fn = _sweep_bilinear_numba if mode == "bilinear" else _sweep_nearest_numba
-        return fn(a_u, a_v, b_u, b_v, lo, hi, inv_zs, votes, width, height)
-    if kernel == "numpy":
-        return _sweep_numpy(
-            a_u, a_v, b_u, b_v, lo, hi, inv_zs, votes, width, height,
-            bilinear=(mode == "bilinear"),
-        )
-    raise ValueError(f"unknown kernel {kernel!r}")
+    sweep = _sweep_c if resolve_kernel(kernel) == "c" else _sweep_numpy
+    return sweep(*prep, inv_zs, votes, width, height, bilinear=(mode == "bilinear"))

@@ -241,7 +241,8 @@ def vote_events(
     """Back-project a stream slice into ``grid`` (accumulates in place).
 
     Camera poses come either from ``traj`` (per-event interpolation) or a
-    single fixed ``pose``. The sweep runs plane-major: each depth plane
+    single fixed ``pose``. ``kernel`` is ``"c"``, ``"numpy"`` or ``"auto"``
+    (C when it builds, else numpy). The sweep runs plane-major: each depth plane
     receives the votes of all events in one fixed order. With ``workers`` > 1
     the planes (not the events) are split into contiguous ranges, one per
     thread, each writing straight into its own planes of ``grid.votes``.

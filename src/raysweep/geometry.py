@@ -55,10 +55,19 @@ def quat_rotate(q, v):
     """Rotate vectors ``v`` (...,3) by unit quaternions ``q`` (...,4)."""
     q = np.asarray(q, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
-    qv = q[..., :3]
-    w = q[..., 3:4]
-    t = 2.0 * np.cross(qv, v)
-    return v + w * t + np.cross(qv, t)
+    # v + w t + qv x t with t = 2 qv x v, written out per component: the
+    # same products and differences as np.cross, so bit-identical, without
+    # its (..., 3) temporaries.
+    x, y, z, w = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
+    vx, vy, vz = v[..., 0], v[..., 1], v[..., 2]
+    tx = 2.0 * (y * vz - z * vy)
+    ty = 2.0 * (z * vx - x * vz)
+    tz = 2.0 * (x * vy - y * vx)
+    out = np.empty(np.broadcast_shapes(q.shape[:-1], v.shape[:-1]) + (3,))
+    out[..., 0] = vx + w * tx + (y * tz - z * ty)
+    out[..., 1] = vy + w * ty + (z * tx - x * tz)
+    out[..., 2] = vz + w * tz + (x * ty - y * tx)
+    return out
 
 
 def quat_to_matrix(q):

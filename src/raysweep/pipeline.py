@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import io as rio
+from ._sweep import resolve_kernel
 from .depth import (
     DepthResult,
     adaptive_threshold,
@@ -179,6 +180,7 @@ def process_chunk(
     timings["reference"] = time.perf_counter() - t0
 
     op = FusionOp.from_string(config.fusion)
+    kernel = resolve_kernel("auto")
     per_camera = {}
     t0 = time.perf_counter()
     grids = []
@@ -186,7 +188,7 @@ def process_chunk(
         stream = chunk.events.get(cid, EventStream.empty(cid))
         grid = ref_grid.copy_empty()
         vote_events(grid, stream, cam, traj=traj, mode=config.voting,
-                    workers=workers)
+                    kernel=kernel, workers=workers)
         grids.append(grid)
         per_camera[cid] = {
             "events_read": len(stream),
@@ -223,6 +225,7 @@ def process_chunk(
         "events_skipped": sum(c["events_skipped"] for c in per_camera.values()),
         "fused_votes": fused.total_votes(),
         "valid_pixels": result.num_valid,
+        "kernel": kernel,
         "timings": timings,
     }
     log.info(

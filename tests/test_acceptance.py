@@ -243,7 +243,7 @@ def test_criterion_8_throughput_reported():
         vote_events(grid, stream, cam, traj=traj, mode="bilinear", workers=workers)
         return n / (time.perf_counter() - t0)
 
-    run(1)  # warm (jit + caches)
+    run(1)  # warm the caches
     rate1 = max(run(1) for _ in range(3))
     rate8 = max(run(8) for _ in range(3))
     assert rate1 > 0 and rate8 > 0

@@ -1,3 +1,5 @@
+import os
+import subprocess
 import sys
 import threading
 import time
@@ -9,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from raysweep import _sweep
-from raysweep._sweep import HAVE_NUMBA
 from raysweep.dsi import (
     ARITHMETIC,
     GEOMETRIC,
@@ -32,7 +33,7 @@ from raysweep.geometry import CameraModel, PoseTrajectory, Se3
 
 from conftest import random_unit_quat
 
-KERNELS = ["numba", "numpy"] if HAVE_NUMBA else ["numpy"]
+KERNELS = ["c", "numpy"]
 
 positive = st.floats(min_value=1e-6, max_value=1e6)
 
@@ -170,26 +171,6 @@ class TestVotingOracle:
         vote_events(grid, EventStream.empty("e"), pinhole_cam, pose=Se3.identity())
         assert grid.total_votes() == 0.0
 
-    @pytest.mark.skipif(not HAVE_NUMBA, reason="needs both kernels")
-    def test_kernels_agree(self, distorted_cam):
-        rng = np.random.default_rng(4)
-        stream = random_stream(rng, 2000, distorted_cam)
-        traj = PoseTrajectory(
-            np.array([0.0, 1.0]),
-            np.array([random_unit_quat(rng), random_unit_quat(rng)]),
-            np.array([[0.0, 0, 0], [0.3, 0, 0]]),
-        )
-        for mode in ["nearest", "bilinear"]:
-            a = make_grid(distorted_cam, num_planes=20, z_min=0.45, z_max=4.0)
-            b = a.copy_empty()
-            vote_events(a, stream, distorted_cam, traj=traj, mode=mode, kernel="numba")
-            vote_events(b, stream, distorted_cam, traj=traj, mode=mode, kernel="numpy")
-            if mode == "nearest":
-                assert np.array_equal(a.votes, b.votes)
-            else:
-                assert np.max(np.abs(a.votes - b.votes)) < 1e-12
-            assert a.skipped_events == b.skipped_events
-
 
 class TestGrazingFallback:
     @pytest.mark.parametrize("mode", ["nearest", "bilinear"])
@@ -225,8 +206,8 @@ class TestGrazingFallback:
         assert fast.skipped_events == brute.skipped_events
 
 
-class TestLoopKernels:
-    """The numba kernels' Python source, run uncompiled, against numpy."""
+class TestCKernel:
+    """The compiled kernel against the numpy kernel, its oracle."""
 
     @staticmethod
     def _prep(cam, n=300, num_planes=12, seed=8):
@@ -244,32 +225,126 @@ class TestLoopKernels:
 
     @pytest.mark.parametrize("planes", [None, (3, 8)])
     @pytest.mark.parametrize("mode", ["nearest", "bilinear"])
-    def test_loops_match_numpy(self, distorted_cam, mode, planes):
+    def test_c_matches_numpy(self, distorted_cam, mode, planes):
         grid, (a_u, a_v, b_u, b_v, lo, hi) = self._prep(distorted_cam)
         assert lo.max() > 0 and hi.min() < grid.num_planes
         if planes is not None:
             lo, hi = np.clip(lo, *planes), np.clip(hi, *planes)
-        loops = (_sweep._sweep_bilinear_loops if mode == "bilinear"
-                 else _sweep._sweep_nearest_loops)
-        args = (a_u, a_v, b_u, b_v, lo, hi, grid.inv_depths)
+        prep = (a_u, a_v, b_u, b_v, lo, hi)
         dims = (grid.width, grid.height)
-        v_loops = np.zeros_like(grid.votes)
+        v_c = np.zeros_like(grid.votes)
         v_numpy = np.zeros_like(grid.votes)
-        hit_loops = loops(*args, v_loops, *dims)
-        hit_numpy = _sweep._sweep_numpy(*args, v_numpy, *dims,
-                                        bilinear=(mode == "bilinear"))
-        assert hit_loops.dtype == hit_numpy.dtype == np.bool_
-        assert np.array_equal(hit_loops, hit_numpy)
+        hit_c = _sweep.run_sweep(prep, grid.inv_depths, v_c, *dims, mode, "c")
+        hit_numpy = _sweep.run_sweep(prep, grid.inv_depths, v_numpy, *dims, mode,
+                                     "numpy")
+        assert hit_c.dtype == hit_numpy.dtype == np.bool_
+        assert np.array_equal(hit_c, hit_numpy)
         assert 0 < np.count_nonzero(hit_numpy) < len(hit_numpy)
         if mode == "nearest":
-            assert np.array_equal(v_loops, v_numpy)
+            assert np.array_equal(v_c, v_numpy)
         else:
-            assert np.max(np.abs(v_loops - v_numpy)) <= 1e-12
+            assert np.max(np.abs(v_c - v_numpy)) <= 1e-12
         if planes is not None:
             outside = np.ones(grid.num_planes, bool)
             outside[planes[0]:planes[1]] = False
-            assert not v_numpy[outside].any() and not v_loops[outside].any()
+            assert not v_numpy[outside].any() and not v_c[outside].any()
             assert v_numpy[~outside].any()
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("mode", ["nearest", "bilinear"])
+    def test_streams_agree_with_numpy(self, distorted_cam, mode, workers):
+        rng = np.random.default_rng(4)
+        stream = random_stream(rng, 2000, distorted_cam)
+        traj = PoseTrajectory(
+            np.array([0.0, 1.0]),
+            np.array([random_unit_quat(rng), random_unit_quat(rng)]),
+            np.array([[0.0, 0, 0], [0.3, 0, 0]]),
+        )
+        a = make_grid(distorted_cam, num_planes=20, z_min=0.45, z_max=4.0)
+        b = a.copy_empty()
+        vote_events(a, stream, distorted_cam, traj=traj, mode=mode, kernel="c",
+                    workers=workers)
+        vote_events(b, stream, distorted_cam, traj=traj, mode=mode, kernel="numpy",
+                    workers=workers)
+        if mode == "nearest":
+            assert np.array_equal(a.votes, b.votes)
+        else:
+            assert np.max(np.abs(a.votes - b.votes)) <= 1e-12
+        assert a.skipped_events == b.skipped_events
+        assert a.total_votes() > 0
+
+    def test_auto_resolves_to_c(self):
+        assert _sweep.resolve_kernel("auto") == "c"
+        with pytest.raises(ValueError, match="unknown kernel"):
+            _sweep.resolve_kernel("numba")
+
+    @pytest.mark.parametrize("bad", [
+        "float32", "fortran", "readonly", "shape",
+        "short_coeff", "negative_lo", "hi_beyond", "inv_zs",
+    ])
+    def test_guard_rejects_unsafe_arguments(self, pinhole_cam, bad):
+        grid, prep = self._prep(pinhole_cam, n=50)
+        votes = np.zeros_like(grid.votes)
+        inv_zs = grid.inv_depths
+        w, h = grid.width, grid.height
+        if bad == "float32":
+            votes = votes.astype(np.float32)
+        elif bad == "fortran":
+            votes = np.asfortranarray(votes)
+        elif bad == "readonly":
+            votes.flags.writeable = False
+        elif bad == "shape":
+            w += 1
+        elif bad == "short_coeff":
+            prep[2] = prep[2][:-1]
+        elif bad == "negative_lo":
+            prep[4] = prep[4] - 1
+            prep[4][0] = -1
+        elif bad == "hi_beyond":
+            prep[5] = prep[5].copy()
+            prep[5][0] = grid.num_planes + 1
+        elif bad == "inv_zs":
+            inv_zs = inv_zs[:-1]
+        with pytest.raises(ValueError):
+            _sweep.run_sweep(prep, inv_zs, votes, w, h, "bilinear", "c")
+
+    def test_compiles_without_warnings(self, tmp_path):
+        out = tmp_path / "sweep.so"
+        proc = subprocess.run(
+            [*_sweep._COMPILE, "-Wall", "-Wextra", "-Werror", "-o", str(out),
+             str(_sweep._SOURCE)],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert out.stat().st_size > 0
+
+    def test_build_is_cached_by_source_and_flags(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        lib = _sweep._build()
+        assert lib.parent == tmp_path / "raysweep"
+        assert [p.name for p in lib.parent.iterdir()] == [lib.name]  # no temp file
+        mtime = lib.stat().st_mtime_ns
+        assert _sweep._build() == lib and lib.stat().st_mtime_ns == mtime
+        monkeypatch.setattr(_sweep, "_COMPILE", (*_sweep._COMPILE, "-g"))
+        other = _sweep._build()
+        assert other != lib and other.parent == lib.parent
+
+    def test_import_builds_nothing(self, tmp_path):
+        # the kernel is built on first use, so importing starts no compiler
+        env = {**os.environ, "XDG_CACHE_HOME": str(tmp_path),
+               "PYTHONPATH": os.pathsep.join(sys.path)}
+        subprocess.run([sys.executable, "-c", "import raysweep"], env=env,
+                       check=True, timeout=120)
+        assert not (tmp_path / "raysweep").exists()
+
+    def test_requested_c_without_library_raises(self, monkeypatch, pinhole_cam):
+        monkeypatch.setattr(_sweep, "_c_sweep", None)
+        monkeypatch.setattr(_sweep, "_c_error", "OSError: no compiler")
+        grid, prep = self._prep(pinhole_cam, n=10)
+        with pytest.raises(RuntimeError, match="no compiler"):
+            _sweep.run_sweep(prep, grid.inv_depths, grid.votes, grid.width,
+                             grid.height, "nearest", "c")
+        assert _sweep.resolve_kernel("auto") == "numpy"
 
 
 class TestParallelVoting:

@@ -11,6 +11,7 @@ from raysweep.geometry import (
     Se3,
     intersect_ray_with_depth_plane,
     quat_from_axis_angle,
+    quat_rotate,
     quat_slerp,
     relative_pose,
     rotation_angle,
@@ -184,6 +185,33 @@ class TestSe3:
     def test_bad_quaternion_rejected(self):
         with pytest.raises(ValueError):
             Se3(np.array([1.0, 1.0, 0.0, 1.0]), np.zeros(3))
+
+
+class TestQuatRotate:
+    @staticmethod
+    def _cross_form(q, v):
+        # the np.cross form quat_rotate had before it was written per component
+        qv, w = q[..., :3], q[..., 3:4]
+        t = 2.0 * np.cross(qv, v)
+        return v + w * t + np.cross(qv, t)
+
+    def test_bit_identical_to_cross_form(self):
+        rng = np.random.default_rng(31)
+        q = rng.normal(size=(5000, 4))
+        q /= np.linalg.norm(q, axis=1, keepdims=True)
+        v = rng.normal(size=(5000, 3)) * rng.uniform(1e-3, 1e3, (5000, 1))
+        for qq, vv in ((q, v), (q[7], v), (q[7], v[3]), (q, v[3])):
+            got = quat_rotate(qq, vv)
+            want = self._cross_form(qq, vv)
+            assert got.shape == want.shape
+            assert np.array_equal(got, want)
+
+    def test_matches_rotation_matrix(self):
+        rng = np.random.default_rng(32)
+        q = random_unit_quat(rng)
+        v = rng.normal(size=(10, 3))
+        assert np.allclose(quat_rotate(q, v), v @ Rotation.from_quat(q).as_matrix().T,
+                           atol=1e-12)
 
 
 class TestRayPlaneIntersection:

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -167,6 +168,40 @@ class TestRunPipeline:
                              workers=1)
         assert np.array_equal(solo.result.depth, full[0].result.depth)
         assert np.array_equal(solo.result.mask, full[0].result.mask)
+
+    def test_numpy_fallback_when_build_fails(self, small_scenario, monkeypatch):
+        # without a compiled kernel the chunk votes with numpy, says so in its
+        # stats, and the failure is reported once, naming the compiler error
+        import copy
+        from raysweep import _sweep
+        from raysweep.dsi import vote_events
+        from raysweep.events import chunk_events
+        from raysweep.pipeline import process_chunk
+        sc, streams = small_scenario
+        ordered = [streams[cid] for cid in sc.rig.camera_ids]
+        chunk = chunk_events(ordered, sc.config.chunk_duration)[0]
+        c_out = process_chunk(copy.deepcopy(chunk), sc.rig, sc.traj, sc.config)
+        assert c_out.stats["kernel"] == "c"
+
+        def broken_build():
+            raise RuntimeError("gcc failed: cc1: error: bad value for -O3")
+        monkeypatch.setattr(_sweep, "_build", broken_build)
+        monkeypatch.setattr(_sweep, "_c_sweep", None)
+        monkeypatch.setattr(_sweep, "_c_error", None)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            outs = [process_chunk(copy.deepcopy(chunk), sc.rig, sc.traj, sc.config,
+                                  workers=w, keep_fused=True) for w in (1, 2)]
+        assert len(caught) == 1
+        assert "bad value for -O3" in str(caught[0].message)
+        for out in outs:
+            assert out.stats["kernel"] == "numpy"
+            for cid, cam, grid in zip(sc.rig.camera_ids, sc.rig.cameras,
+                                      out.camera_grids):
+                want = grid.copy_empty()
+                vote_events(want, chunk.events[cid], cam, traj=sc.traj,
+                            mode=sc.config.voting, kernel="numpy")
+                assert np.array_equal(grid.votes, want.votes)
 
     def test_rerun_is_deterministic(self, small_scenario):
         sc, streams = small_scenario
