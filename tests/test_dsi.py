@@ -250,6 +250,33 @@ class TestCKernel:
             assert not v_numpy[outside].any() and not v_c[outside].any()
             assert v_numpy[~outside].any()
 
+    @pytest.mark.parametrize("mode", ["nearest", "bilinear"])
+    def test_grid_edges_match_numpy(self, mode):
+        # hand-placed hits on the grid's edges: the top half-pixel edge
+        # (u = W - 0.5) rounds out of the grid in nearest mode; the last
+        # column and row have no right/lower bilinear neighbour; u < 0,
+        # u = W, NaN and inf miss
+        w, h, nz = 6, 4, 3
+        below = np.nextafter(w - 0.5, 0.0)
+        a_u = np.array([w - 0.5, below, w - 1.0, 0.0, -0.0, -1e-300, w,
+                        np.nan, np.inf, 2.5, 2.5])
+        a_v = np.array([1.0, 1.0, h - 1.0, h - 0.5, 0.0, 1.0, 1.0,
+                        1.0, 1.0, np.nextafter(h - 0.5, 0.0), h - 0.5])
+        n = len(a_u)
+        zeros = np.zeros(n)
+        prep = (a_u, a_v, zeros, zeros, np.zeros(n, np.int64),
+                np.full(n, nz, np.int64))
+        inv_zs = np.array([1.0, 0.5, 0.25])
+        v_c, v_numpy = np.zeros((nz, h, w)), np.zeros((nz, h, w))
+        hit_c = _sweep.run_sweep(prep, inv_zs, v_c, w, h, mode, "c")
+        hit_numpy = _sweep.run_sweep(prep, inv_zs, v_numpy, w, h, mode, "numpy")
+        assert np.array_equal(hit_c, hit_numpy)
+        # at most two weights meet in a voxel, and a sum of two is order-free
+        assert np.array_equal(v_c, v_numpy)
+        want = [mode == "bilinear", True, True, mode == "bilinear", True, False,
+                False, False, False, True, mode == "bilinear"]
+        assert hit_c.tolist() == want
+
     @pytest.mark.parametrize("workers", [1, 3])
     @pytest.mark.parametrize("mode", ["nearest", "bilinear"])
     def test_streams_agree_with_numpy(self, distorted_cam, mode, workers):
