@@ -77,7 +77,7 @@ def _build() -> Path:
     """Compile ``_sweep.c`` unless the cache already holds it; returns the
     library path. The name hashes the source and the compile command, and
     the library is compiled to a temporary file and renamed into place, so
-    concurrent builders never load a partly written file."""
+    a concurrent process never loads a partly written file."""
     src = _SOURCE.read_bytes()
     key = hashlib.sha256(src + " ".join(_COMPILE).encode()).hexdigest()[:16]
     cache = _cache_dir()
