@@ -3,8 +3,9 @@
  * For each plane i in [p0, p1), every event k with lo[k] <= i < hi[k]
  * projects to u = a_u + b_u * inv_zs[i], v = a_v + b_v * inv_zs[i] and,
  * if (u, v) lies in [0, width) x [0, height), votes into that plane of
- * votes[num_planes][height][width]: one unit at the nearest voxel, which
- * must exist, or four bilinear weights. hit[k] is set to 1 for every
+ * votes[planes][height][width], whose first plane is plane `offset` of
+ * the volume: one unit at the nearest voxel, which must exist, or four
+ * bilinear weights. hit[k] is set to 1 for every
  * event that voted. Each plane receives its events in ascending order, so
  * its votes do not depend on which other planes the call sweeps.
  *
@@ -16,13 +17,13 @@
 void sweep(const double *a_u, const double *a_v, const double *b_u,
            const double *b_v, const int64_t *lo, const int64_t *hi,
            int64_t n, const double *inv_zs, int64_t p0, int64_t p1,
-           double *votes, int64_t width, int64_t height, int bilinear,
-           uint8_t *hit)
+           double *votes, int64_t offset, int64_t width, int64_t height,
+           int bilinear, uint8_t *hit)
 {
     const double w = (double)width, h = (double)height;
     for (int64_t i = p0; i < p1; i++) {
         const double inv_z = inv_zs[i];
-        double *plane = votes + i * width * height;
+        double *plane = votes + (i - offset) * width * height;
         for (int64_t k = 0; k < n; k++) {
             if (i < lo[k] || i >= hi[k])
                 continue;

@@ -9,18 +9,21 @@ with per-event coefficients precomputed from the ray origin and direction.
 Planes behind the ray origin are excluded up front: because the planes are
 depth-sorted, the forward planes form one contiguous index range [lo, hi)
 per event. The kernels scatter one vote per valid (event, plane) pair into
-a ``(num_planes, height, width)`` array and return a per-event mask of the
-events that voted on at least one plane; an intersection must land inside
-[0, W) x [0, H), and the nearest voxel must exist (the top half-pixel edge
-rounds out of the grid).
+a ``(planes, height, width)`` array holding the planes [offset, offset +
+planes) of the volume (the whole volume at offset 0, or one band of it)
+and return a per-event mask of the events that voted on at least one
+plane; an intersection must land inside [0, W) x [0, H), and the nearest
+voxel must exist (the top half-pixel edge rounds out of the grid). Plane
+indices ``lo``, ``hi`` and the depth samples are those of the whole
+volume; every event's [lo, hi) must lie within the array's planes.
 
 Both kernels sweep plane-major, as the space sweep does: for each plane
 they project every event, in ascending order, and scatter the hits into
 that plane's W x H slice alone, which stays in cache. A plane's votes
 therefore depend only on the events and their order, never on which other
 planes the same call sweeps, so callers may split the planes [lo, hi)
-across threads (clip ``lo``/``hi`` to each thread's range) and get the
-same volume bit for bit at any worker count.
+across threads or bands (clip ``lo``/``hi`` to each range) and get the
+same volume bit for bit at any worker count or band size.
 
 Two kernels keep this contract: ``_sweep.c``, and numpy (blocks of events
 per step), which is the fallback and the test oracle. Nearest-mode votes
@@ -59,9 +62,10 @@ _BLOCK = 1 << 16  # events projected per step; bounds the temporaries
 _SOURCE = Path(__file__).with_name("_sweep.c")
 _COMPILE = ("gcc", "-O3", "-ffp-contract=off", "-fPIC", "-shared")
 _I64, _PTR = ctypes.c_int64, ctypes.c_void_p
-# sweep(a_u, a_v, b_u, b_v, lo, hi, n, inv_zs, p0, p1, votes, width, height,
-#       bilinear, hit)
-_ARGTYPES = [_PTR] * 6 + [_I64, _PTR, _I64, _I64, _PTR, _I64, _I64, ctypes.c_int, _PTR]
+# sweep(a_u, a_v, b_u, b_v, lo, hi, n, inv_zs, p0, p1, votes, offset, width,
+#       height, bilinear, hit)
+_ARGTYPES = [_PTR] * 6 + [_I64, _PTR, _I64, _I64, _PTR, _I64, _I64, _I64,
+                          ctypes.c_int, _PTR]
 
 _lock = threading.Lock()
 _c_sweep = None  # the loaded C function, once built
@@ -128,7 +132,19 @@ def resolve_kernel(kernel: str) -> str:
     return kernel
 
 
-def _sweep_c(a_u, a_v, b_u, b_v, lo, hi, inv_zs, votes, width, height, bilinear):
+def _plane_range(lo, hi, offset, votes):
+    """The planes [p0, p1) that the events' ranges span; raises ValueError
+    unless they lie within the planes [offset, offset + len(votes)) that
+    ``votes`` holds, so that no plane index wraps or overruns."""
+    p0, p1 = int(lo.min()), int(hi.max())
+    if offset < 0 or p0 < offset or p1 > offset + votes.shape[0]:
+        raise ValueError(f"plane range [{p0}, {p1}) outside the planes "
+                         f"[{offset}, {offset + votes.shape[0]}) of votes")
+    return p0, p1
+
+
+def _sweep_c(a_u, a_v, b_u, b_v, lo, hi, inv_zs, votes, width, height, bilinear,
+             offset=0):
     """Call the C kernel after checking every bound it relies on, so that
     no argument can make it read or write outside its arrays."""
     fn = _load_c()
@@ -150,17 +166,16 @@ def _sweep_c(a_u, a_v, b_u, b_v, lo, hi, inv_zs, votes, width, height, bilinear)
     if any(a.shape != (n,) for a in (*coeffs, lo, hi)):
         raise ValueError("coefficient and plane-range arrays must be 1-D and "
                          "of equal length")
-    if inv_zs.shape != votes.shape[:1]:
-        raise ValueError("inv_zs must hold one inverse depth per plane")
+    offset = int(offset)
+    if inv_zs.ndim != 1 or inv_zs.size < offset + votes.shape[0]:
+        raise ValueError("inv_zs must hold an inverse depth for every plane "
+                         "of votes")
     hit = np.zeros(n, dtype=bool)
     if n == 0:
         return hit
-    p0, p1 = int(lo.min()), int(hi.max())
-    if p0 < 0 or p1 > votes.shape[0]:
-        raise ValueError(f"plane range [{p0}, {p1}) outside the "
-                         f"{votes.shape[0]} planes of votes")
+    p0, p1 = _plane_range(lo, hi, offset, votes)
     fn(*(c.ctypes.data for c in coeffs), lo.ctypes.data, hi.ctypes.data, n,
-       inv_zs.ctypes.data, p0, p1, votes.ctypes.data, width, height,
+       inv_zs.ctypes.data, p0, p1, votes.ctypes.data, offset, width, height,
        int(bilinear), hit.ctypes.data)
     return hit
 
@@ -213,18 +228,20 @@ def _scatter_plane(u, v, ok, plane, bilinear):
     return ok
 
 
-def _sweep_planes(project, lo, hi, votes, width, height, bilinear):
+def _sweep_planes(project, lo, hi, votes, width, height, bilinear, offset):
     """Plane-major numpy sweep shared by the affine and the direct kernel.
 
     ``project(i, s, e)`` returns the pixel coordinates (u, v) where the rays
-    of events s:e meet plane i. Returns the per-event hit mask.
+    of events s:e meet plane i, which is ``votes[i - offset]``. Returns the
+    per-event hit mask.
     """
     n_events = lo.shape[0]
     hit = np.zeros(n_events, dtype=bool)
     if n_events == 0:
         return hit
-    for i in range(int(lo.min()), int(hi.max())):
-        plane = votes[i]
+    p0, p1 = _plane_range(lo, hi, offset, votes)
+    for i in range(p0, p1):
+        plane = votes[i - offset]
         for s in range(0, n_events, _BLOCK):
             e = min(s + _BLOCK, n_events)
             u, v = project(i, s, e)
@@ -235,7 +252,8 @@ def _sweep_planes(project, lo, hi, votes, width, height, bilinear):
     return hit
 
 
-def _sweep_numpy(a_u, a_v, b_u, b_v, lo, hi, inv_zs, votes, width, height, bilinear):
+def _sweep_numpy(a_u, a_v, b_u, b_v, lo, hi, inv_zs, votes, width, height, bilinear,
+                 offset=0):
     def project(i, s, e):
         inv_z = inv_zs[i]
         with np.errstate(invalid="ignore", over="ignore"):
@@ -245,17 +263,18 @@ def _sweep_numpy(a_u, a_v, b_u, b_v, lo, hi, inv_zs, votes, width, height, bilin
             v += a_v[s:e]
         return u, v
 
-    return _sweep_planes(project, lo, hi, votes, width, height, bilinear)
+    return _sweep_planes(project, lo, hi, votes, width, height, bilinear, offset)
 
 
-def sweep_direct(origins, dirs, lo, hi, zs, intr, votes, width, height, bilinear):
+def sweep_direct(origins, dirs, lo, hi, zs, intr, votes, width, height, bilinear,
+                 offset=0):
     """Vote near-grazing rays by direct per-plane intersection.
 
     The affine u = a + b/z form cancels catastrophically when the ray runs
     nearly parallel to the planes (|a|, |b/z| >> |u|); evaluating the
     intersection point explicitly stays well conditioned. Vectorized numpy;
     only the rare ill-conditioned events take this route. Same plane-major
-    sweep and hit-mask return as the affine kernels.
+    sweep, plane offset and hit-mask return as the affine kernels.
     """
     fx, fy, cx, cy = intr
 
@@ -269,15 +288,17 @@ def sweep_direct(origins, dirs, lo, hi, zs, intr, votes, width, height, bilinear
             v = fy * (o[:, 1] + lam * d[:, 1]) / z + cy
         return u, v
 
-    return _sweep_planes(project, lo, hi, votes, width, height, bilinear)
+    return _sweep_planes(project, lo, hi, votes, width, height, bilinear, offset)
 
 
-def run_sweep(prep, inv_zs, votes, width, height, mode, kernel):
+def run_sweep(prep, inv_zs, votes, width, height, mode, kernel, offset=0):
     """Dispatch a prepared event batch to the selected kernel.
 
     ``prep`` is the (a_u, a_v, b_u, b_v, lo, hi) tuple of affine-form
-    coefficients; only planes in each event's [lo, hi) are touched.
-    Returns the boolean mask of events that voted on at least one plane.
+    coefficients; only planes in each event's [lo, hi) are touched, and
+    plane i is ``votes[i - offset]``. Returns the boolean mask of events
+    that voted on at least one plane.
     """
     sweep = _sweep_c if resolve_kernel(kernel) == "c" else _sweep_numpy
-    return sweep(*prep, inv_zs, votes, width, height, bilinear=(mode == "bilinear"))
+    return sweep(*prep, inv_zs, votes, width, height,
+                 bilinear=(mode == "bilinear"), offset=offset)

@@ -113,9 +113,20 @@ class DsiGrid:
         num_planes: int,
         width: int | None = None,
         height: int | None = None,
+        votes: np.ndarray | None = None,
     ) -> "DsiGrid":
+        """A grid at the reference view; ``width``/``height`` default to the
+        camera's. ``votes`` is an existing (num_planes, height, width)
+        float64 array to hold the volume, contents kept; None allocates a
+        zeroed one."""
         width = int(width if width is not None else ref_intrinsics.width)
         height = int(height if height is not None else ref_intrinsics.height)
+        shape = (int(num_planes), height, width)
+        if votes is None:
+            votes = np.zeros(shape)
+        elif votes.shape != shape or votes.dtype != np.float64:
+            raise ValueError(f"votes must be a float64 array of shape {shape}, "
+                             f"got {votes.dtype} {votes.shape}")
         if ref_intrinsics.has_distortion or width != ref_intrinsics.width \
                 or height != ref_intrinsics.height:
             ref_intrinsics = dataclasses.replace(
@@ -130,7 +141,7 @@ class DsiGrid:
             depths=plane_depths(z_min, z_max, num_planes),
             ref_pose=ref_pose,
             ref_intrinsics=ref_intrinsics,
-            votes=np.zeros((num_planes, height, width)),
+            votes=votes,
         )
 
     @property
@@ -227,6 +238,84 @@ def _prepare_rays(grid: DsiGrid, events: EventStream, cam: CameraModel,
     return _RayPrep(a_u, a_v, b_u, b_v, lo, hi, origins, dirs, affine_ok)
 
 
+@dataclass(frozen=True)
+class SweepRays:
+    """One camera's events prepared for sweeps into any range of planes.
+
+    ``affine`` holds the sweep coefficients (a_u, a_v, b_u, b_v, lo, hi) of
+    the well-conditioned rays, ``graze`` the (origins, dirs, lo, hi) of the
+    near-grazing ones; hit masks list the events in this (affine, graze)
+    order.
+    """
+
+    affine: tuple
+    graze: tuple
+
+    @property
+    def num_events(self) -> int:
+        return len(self.affine[4]) + len(self.graze[2])
+
+
+def prepare_sweep(grid: DsiGrid, events: EventStream, cam: CameraModel, *,
+                  traj: PoseTrajectory | None = None,
+                  pose: Se3 | None = None) -> SweepRays:
+    """Per-event camera poses and rays of ``events`` in ``grid``'s reference
+    view, split into the affine-form and the near-grazing rays.
+
+    Camera poses come either from ``traj`` (per-event interpolation) or a
+    single fixed ``pose``. This is the part of voting that does not depend
+    on the planes: do it once per camera, then sweep any plane ranges with
+    ``sweep_band``.
+    """
+    if (traj is None) == (pose is None):
+        raise ValueError("pass exactly one of traj= or pose=")
+    if traj is not None:
+        q_wc, t_wc = traj.camera_poses(events.t, cam.T_body_cam)
+    else:
+        q_wc = np.broadcast_to(pose.quat, (len(events), 4))
+        t_wc = np.broadcast_to(pose.trans, (len(events), 3))
+    prep = _prepare_rays(grid, events, cam, q_wc, t_wc)
+    # Well-conditioned rays take the affine-form kernel; near-grazing ones
+    # are intersected plane by plane.
+    ok = prep.affine_ok
+    return SweepRays(
+        affine=(prep.a_u[ok], prep.a_v[ok], prep.b_u[ok], prep.b_v[ok],
+                prep.lo[ok], prep.hi[ok]),
+        graze=(prep.origins[~ok], prep.dirs[~ok], prep.lo[~ok], prep.hi[~ok]),
+    )
+
+
+def sweep_band(grid: DsiGrid, rays: SweepRays, votes: np.ndarray, p0: int,
+               mode: str = "bilinear", kernel: str = "auto") -> np.ndarray:
+    """Vote prepared rays into planes [p0, p0 + len(votes)) of ``grid``'s
+    volume, held by the (planes, height, width) array ``votes``
+    (accumulates); ``grid.votes`` itself is not touched unless passed.
+
+    Returns the hit mask over the events in (affine, graze) order: whether
+    each voted on at least one plane of the band. The votes of a plane
+    depend only on the events, never on the band, so any split of the
+    planes into bands gives the same volume bit for bit.
+    """
+    p1 = p0 + votes.shape[0]
+    *coeffs, lo, hi = rays.affine
+    origins, dirs, g_lo, g_hi = rays.graze
+    hits = [np.zeros(0, dtype=bool)]
+    if len(lo):
+        hits.append(_sweep.run_sweep(
+            (*coeffs, np.clip(lo, p0, p1), np.clip(hi, p0, p1)),
+            grid.inv_depths, votes, grid.width, grid.height, mode, kernel,
+            offset=p0,
+        ))
+    if len(g_lo):
+        k = grid.ref_intrinsics
+        hits.append(_sweep.sweep_direct(
+            origins, dirs, np.clip(g_lo, p0, p1), np.clip(g_hi, p0, p1),
+            grid.depths, (k.fx, k.fy, k.cx, k.cy), votes,
+            grid.width, grid.height, bilinear=(mode == "bilinear"), offset=p0,
+        ))
+    return np.concatenate(hits)
+
+
 def vote_events(
     grid: DsiGrid,
     events: EventStream,
@@ -257,61 +346,22 @@ def vote_events(
     if len(events) == 0:
         return grid
 
-    if traj is not None:
-        q_wc, t_wc = traj.camera_poses(events.t, cam.T_body_cam)
-    else:
-        q_wc = np.broadcast_to(pose.quat, (len(events), 4))
-        t_wc = np.broadcast_to(pose.trans, (len(events), 3))
-    prep = _prepare_rays(grid, events, cam, q_wc, t_wc)
-    # Well-conditioned rays take the affine-form kernel; near-grazing ones
-    # are intersected plane by plane.
-    ok = prep.affine_ok
-    affine = (prep.a_u[ok], prep.a_v[ok], prep.b_u[ok], prep.b_v[ok],
-              prep.lo[ok], prep.hi[ok])
-    graze = (prep.origins[~ok], prep.dirs[~ok], prep.lo[~ok], prep.hi[~ok])
-
+    rays = prepare_sweep(grid, events, cam, traj=traj, pose=pose)
     nz = grid.num_planes
     workers = max(1, min(workers, nz))
+    edges = [nz * j // workers for j in range(workers + 1)]
+
+    def sweep(p0, p1):
+        return sweep_band(grid, rays, grid.votes[p0:p1], p0, mode, kernel)
+
     if workers == 1:
-        hits = [_vote_planes(grid, affine, graze, mode, kernel, 0, nz)]
+        hits = [sweep(0, nz)]
     else:
-        edges = [nz * j // workers for j in range(workers + 1)]
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(_vote_planes, grid, affine, graze, mode, kernel, p0, p1)
-                for p0, p1 in zip(edges[:-1], edges[1:])
-            ]
-            hits = [f.result() for f in futures]
+            hits = list(pool.map(sweep, edges[:-1], edges[1:]))
     voted = np.count_nonzero(np.logical_or.reduce(hits))
     grid.skipped_events += len(events) - int(voted)
     return grid
-
-
-def _vote_planes(grid: DsiGrid, affine: tuple, graze: tuple, mode: str,
-                 kernel: str, p0: int, p1: int) -> np.ndarray:
-    """Vote every event into planes [p0, p1) of ``grid.votes``.
-
-    ``affine`` holds the sweep coefficients (a_u, a_v, b_u, b_v, lo, hi) of
-    the well-conditioned rays, ``graze`` the (origins, dirs, lo, hi) of the
-    rest. Returns the hit mask over the events in (affine, graze) order:
-    whether each voted on at least one plane of the range.
-    """
-    *coeffs, lo, hi = affine
-    origins, dirs, g_lo, g_hi = graze
-    hits = []
-    if len(lo):
-        hits.append(_sweep.run_sweep(
-            (*coeffs, np.clip(lo, p0, p1), np.clip(hi, p0, p1)),
-            grid.inv_depths, grid.votes, grid.width, grid.height, mode, kernel,
-        ))
-    if len(g_lo):
-        k = grid.ref_intrinsics
-        hits.append(_sweep.sweep_direct(
-            origins, dirs, np.clip(g_lo, p0, p1), np.clip(g_hi, p0, p1),
-            grid.depths, (k.fx, k.fy, k.cx, k.cy), grid.votes,
-            grid.width, grid.height, bilinear=(mode == "bilinear"),
-        ))
-    return np.concatenate(hits)
 
 
 def vote_event(grid: DsiGrid, event: Event, cam: CameraModel, T_w_cam: Se3,

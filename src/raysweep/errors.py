@@ -53,3 +53,7 @@ class InsufficientCameras(RaysweepError):
 
 class MotionTooFastForStep(RaysweepError):
     """Simulation step too coarse for the configured pixel displacement."""
+
+
+class DsiTooLarge(RaysweepError):
+    """The DSI volume and its voting buffers exceed physical memory."""

@@ -1,8 +1,10 @@
-"""End-to-end orchestration: chunk the streams, build one DSI per camera
-at a shared reference view, fuse, and extract semi-dense depth.
+"""End-to-end orchestration: chunk the streams, vote every camera's rays
+into a shared reference view, fuse, and extract semi-dense depth.
 
-Chunks are independent work units; within a chunk, voting splits the
-depth planes across workers (worker count capped by RAYSWEEP_THREADS).
+Chunks are independent work units. Within a chunk, voting and fusion run
+one band of depth planes at a time, so the per-camera volumes never exist
+as a whole; workers take whole bands (worker count capped by
+RAYSWEEP_THREADS).
 """
 
 from __future__ import annotations
@@ -12,10 +14,14 @@ import json
 import logging
 import math
 import numbers
+import os
 import time
 import typing
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
+
+import numpy as np
 
 from . import io as rio
 from ._sweep import resolve_kernel
@@ -27,12 +33,28 @@ from .depth import (
     median_filter_depth,
     refine_result,
 )
-from .dsi import VOTING_MODES, DsiGrid, FusionOp, fuse, resolve_workers, vote_events
-from .errors import OutOfTrajectoryRange, RaysweepError
+# vote_events and fuse, the whole-volume API, stay importable here: the
+# traced benchmark wraps them in this namespace by name.
+from .dsi import (  # noqa: F401
+    VOTING_MODES,
+    DsiGrid,
+    FusionOp,
+    fuse,
+    prepare_sweep,
+    resolve_workers,
+    sweep_band,
+    vote_events,
+)
+from .errors import DsiTooLarge, OutOfTrajectoryRange, RaysweepError
 from .events import Chunk, EventStream, chunk_events, select_reference_view
 from .geometry import PoseTrajectory
 
 log = logging.getLogger(__name__)
+
+# Depth planes voted and fused per step. A worker's voting memory is one
+# (cameras, BAND_PLANES, H, W) buffer; chunk times on lateral_room were the
+# same at bands of 1 to 16 planes.
+BAND_PLANES = 4
 
 # Config fields holding file paths (str or path-like); the others are
 # type-checked against their annotations by PipelineConfig.validate.
@@ -166,41 +188,55 @@ def process_chunk(
     config: PipelineConfig,
     workers: int = 1,
     keep_fused: bool = False,
+    volume: np.ndarray | None = None,
 ) -> ChunkOutput:
     """Run reference-view selection, per-camera voting, fusion, and depth
-    extraction for one chunk. Assumes trajectory coverage was checked."""
+    extraction for one chunk. Assumes trajectory coverage was checked.
+
+    The fused DSI is written into ``volume``, a (num_planes, height, width)
+    float64 array whose contents are overwritten (``run_pipeline`` passes
+    one for all its chunks); None allocates one. With ``keep_fused`` or
+    ``config.dump_dsi`` the chunk gets fresh fused and per-camera volumes,
+    which its output keeps, and ``volume`` is not used.
+    """
+    kept = keep_fused or config.dump_dsi
     timings = {}
     t0 = time.perf_counter()
     ref_view = select_reference_view(chunk, traj, rig.cameras[0])
     chunk.reference_view = ref_view
-    ref_grid = DsiGrid.create(
+    fused = DsiGrid.create(
         ref_view, rig.cameras[0], config.z_min, config.z_max,
         config.num_planes, config.width, config.height,
+        votes=None if kept else volume,
     )
     timings["reference"] = time.perf_counter() - t0
 
-    op = FusionOp.from_string(config.fusion)
-    kernel = resolve_kernel("auto")
-    per_camera = {}
     t0 = time.perf_counter()
-    grids = []
-    for cid, cam in zip(rig.camera_ids, rig.cameras):
-        stream = chunk.events.get(cid, EventStream.empty(cid))
-        grid = ref_grid.copy_empty()
-        vote_events(grid, stream, cam, traj=traj, mode=config.voting,
-                    kernel=kernel, workers=workers)
-        grids.append(grid)
-        per_camera[cid] = {
-            "events_read": len(stream),
-            "events_voted": len(stream) - grid.skipped_events,
-            "events_skipped": grid.skipped_events,
-            "votes": grid.total_votes(),
-        }
-    timings["voting"] = time.perf_counter() - t0
+    streams = [chunk.events.get(cid, EventStream.empty(cid)) for cid in rig.camera_ids]
+    rays = [prepare_sweep(fused, stream, cam, traj=traj)
+            for stream, cam in zip(streams, rig.cameras)]
+    timings["rays"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    fused = fuse(grids, op) if len(grids) >= 2 else grids[0]
-    timings["fusion"] = time.perf_counter() - t0
+    kernel = resolve_kernel("auto")
+    cameras = np.empty((len(rays),) + fused.votes.shape) if kept else None
+    hits, votes, fused_votes = _vote_and_fuse(
+        fused, rays, FusionOp.from_string(config.fusion), config.voting, kernel,
+        workers, cameras,
+    )
+    timings["vote_fuse"] = time.perf_counter() - t0
+
+    per_camera = {}
+    skipped = []
+    for cid, stream, hit, total in zip(rig.camera_ids, streams, hits, votes):
+        skipped.append(len(stream) - int(np.count_nonzero(hit)))
+        per_camera[cid] = {
+            "events_read": len(stream),
+            "events_voted": len(stream) - skipped[-1],
+            "events_skipped": skipped[-1],
+            "votes": total,
+        }
+    fused.skipped_events = sum(skipped)
 
     t0 = time.perf_counter()
     result = extract_depth(fused)
@@ -223,7 +259,7 @@ def process_chunk(
         "events_read": sum(c["events_read"] for c in per_camera.values()),
         "events_voted": sum(c["events_voted"] for c in per_camera.values()),
         "events_skipped": sum(c["events_skipped"] for c in per_camera.values()),
-        "fused_votes": fused.total_votes(),
+        "fused_votes": fused_votes,
         "valid_pixels": result.num_valid,
         "kernel": kernel,
         "timings": timings,
@@ -234,10 +270,95 @@ def process_chunk(
         stats["events_read"], stats["fused_votes"], stats["valid_pixels"],
     )
     out = ChunkOutput(chunk.index, chunk.t_start, chunk.t_end, result, stats)
-    if keep_fused or config.dump_dsi:
+    if kept:
         out.fused = fused
-        out.camera_grids = grids
+        out.camera_grids = [dataclasses.replace(fused, votes=v, skipped_events=n)
+                            for v, n in zip(cameras, skipped)]
     return out
+
+
+def _vote_and_fuse(fused: DsiGrid, rays, op: FusionOp, mode: str, kernel: str,
+                   workers: int, cameras: np.ndarray | None = None):
+    """Vote every camera's prepared rays and fuse them into ``fused.votes``,
+    one band of BAND_PLANES planes at a time.
+
+    Each band of every camera is swept into a zeroed (cameras, band, H, W)
+    buffer, summed, copied into ``cameras`` (the per-camera volumes, when
+    kept) and fused into the band's planes of ``fused.votes``; the buffer
+    is then reused for the next band. Workers take contiguous runs of whole
+    bands, each with its own buffer, so fusion runs in parallel too. A
+    plane's votes depend only on the events and every fusion operator is
+    element-wise, so the result is bit-identical to voting whole volumes
+    with ``vote_events`` and fusing them with ``fuse``, at any worker
+    count. One camera's votes are its fused volume, as ``fuse`` needs two.
+
+    Returns, per camera, the hit mask (events that voted on any plane) and
+    the vote total, and the fused vote total. A total is the sum of the
+    band sums in plane order: the same at any worker count, but not
+    bit-equal to ``votes.sum()`` over the whole volume.
+    """
+    nz, n = fused.num_planes, len(rays)
+    bands = [(p0, min(p0 + BAND_PLANES, nz)) for p0 in range(0, nz, BAND_PLANES)]
+    workers = max(1, min(workers, len(bands)))
+    runs = [bands[len(bands) * j // workers:len(bands) * (j + 1) // workers]
+            for j in range(workers)]
+
+    def run(my_bands):
+        buf = np.empty((n, BAND_PLANES, fused.height, fused.width))
+        hits = [np.zeros(r.num_events, dtype=bool) for r in rays]
+        sums = []
+        for p0, p1 in my_bands:
+            stack = buf[:, :p1 - p0]
+            stack.fill(0.0)
+            for k, r in enumerate(rays):
+                hits[k] |= sweep_band(fused, r, stack[k], p0, mode, kernel)
+            if cameras is not None:
+                cameras[:, p0:p1] = stack
+            band_sums = [float(stack[k].sum()) for k in range(n)]
+            out = fused.votes[p0:p1]
+            if n == 1:
+                np.copyto(out, stack[0])
+            else:
+                op.apply_into(stack, out)  # overwrites stack
+            sums.append((band_sums, float(out.sum())))
+        return hits, sums
+
+    if workers == 1:
+        results = [run(runs[0])]
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(run, runs))
+    hits = [np.logical_or.reduce([h[k] for h, _ in results]) for k in range(n)]
+    band_sums = [s for _, sums in results for s in sums]  # in plane order
+    votes = [sum(cams[k] for cams, _ in band_sums) for k in range(n)]
+    return hits, votes, sum(f for _, f in band_sums)
+
+
+def _check_memory(shape: tuple, n_cameras: int, workers: int, keep: bool) -> int:
+    """Bytes one chunk needs for its volumes of ``shape`` (planes, H, W) and
+    band buffers: the fused volume, one band buffer per worker and, when
+    kept, the per-camera volumes (``keep_fused`` holds those of every
+    chunk; one chunk's are counted). Raises DsiTooLarge when that exceeds
+    physical memory, before anything is allocated; where the system does
+    not report physical memory, nothing is checked."""
+    num_planes, height, width = shape
+    plane = width * height * 8
+    workers = min(workers, -(-num_planes // BAND_PLANES))
+    buffers = workers * n_cameras * BAND_PLANES * plane
+    need = (1 + (n_cameras if keep else 0)) * num_planes * plane + buffers
+    try:
+        pages, page_size = os.sysconf("SC_PHYS_PAGES"), os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, OSError, ValueError):  # no sysconf, or no such name
+        return need
+    physical = pages * page_size
+    if pages > 0 and page_size > 0 and physical < need:
+        raise DsiTooLarge(
+            f"the DSI needs {need} bytes ({need / 2**30:.1f} GiB: "
+            f"{num_planes} planes of {plane} bytes, {n_cameras} cameras, "
+            f"{workers} workers) but the machine has {physical} bytes of "
+            f"physical memory; use fewer planes or a smaller width/height"
+        )
+    return need
 
 
 def run_pipeline(
@@ -260,6 +381,10 @@ def run_pipeline(
         if config.calibration is None:
             raise RaysweepError("no calibration provided")
         rig = rio.parse_calibration(config.calibration)
+    kept = keep_fused or config.dump_dsi
+    cam = rig.cameras[0]
+    shape = (config.num_planes, config.height or cam.height, config.width or cam.width)
+    _check_memory(shape, len(rig.cameras), workers, kept)
     if traj is None:
         if config.trajectory is None:
             raise RaysweepError("no trajectory provided")
@@ -285,6 +410,7 @@ def run_pipeline(
     if out_dir:
         out_dir.mkdir(parents=True, exist_ok=True)
 
+    volume = None if kept else np.empty(shape)  # the fused DSI of every chunk
     outputs = []
     for chunk in chunks:
         lo = min(
@@ -309,7 +435,7 @@ def run_pipeline(
         try:
             result = process_chunk(
                 chunk, rig, traj, config, workers=workers,
-                keep_fused=keep_fused,
+                keep_fused=keep_fused, volume=volume,
             )
         except (RaysweepError, OutOfTrajectoryRange) as e:
             raise RaysweepError(
@@ -318,6 +444,8 @@ def run_pipeline(
         outputs.append(result)
         if out_dir and result.result is not None:
             _write_outputs(result, out_dir, config, rig.camera_ids)
+        if not keep_fused:  # dumped volumes are on disk; hold no chunk's
+            result.fused = result.camera_grids = None
 
     if out_dir:
         with open(out_dir / "stats.json", "w") as fh:

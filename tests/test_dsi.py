@@ -206,20 +206,39 @@ class TestGrazingFallback:
         assert fast.skipped_events == brute.skipped_events
 
 
+def random_rays(cam, n=300, num_planes=12, seed=8):
+    """(grid, _prepare_rays output) for one random pose per event, centers
+    spread through the depth range: forward and backward rays, lo > 0 and
+    hi < num_planes both occur."""
+    rng = np.random.default_rng(seed)
+    stream = random_stream(rng, n, cam)
+    grid = make_grid(cam, num_planes=num_planes, z_min=0.45, z_max=4.0)
+    quats = np.array([random_unit_quat(rng) for _ in range(n)])
+    trans = rng.normal(size=(n, 3)) * [0.3, 0.3, 0.0] + [0.0, 0.0, 1.0]
+    trans[:, 2] += rng.uniform(-1.0, 1.5, n)
+    return grid, _prepare_rays(grid, stream, cam, quats, trans)
+
+
+def edge_rays():
+    """Hand-placed hits on the edges of a 6 x 4 x 3 grid: the top half-pixel
+    edge (u = W - 0.5) rounds out of the grid in nearest mode; the last
+    column and row have no right/lower bilinear neighbour; u < 0, u = W,
+    NaN and inf miss. Returns (width, height, a_u, a_v)."""
+    w, h = 6, 4
+    below = np.nextafter(w - 0.5, 0.0)
+    a_u = np.array([w - 0.5, below, w - 1.0, 0.0, -0.0, -1e-300, w,
+                    np.nan, np.inf, 2.5, 2.5])
+    a_v = np.array([1.0, 1.0, h - 1.0, h - 0.5, 0.0, 1.0, 1.0,
+                    1.0, 1.0, np.nextafter(h - 0.5, 0.0), h - 0.5])
+    return w, h, a_u, a_v
+
+
 class TestCKernel:
     """The compiled kernel against the numpy kernel, its oracle."""
 
     @staticmethod
-    def _prep(cam, n=300, num_planes=12, seed=8):
-        # one random pose per event, centers spread through the depth range:
-        # forward and backward rays, lo > 0 and hi < num_planes both occur
-        rng = np.random.default_rng(seed)
-        stream = random_stream(rng, n, cam)
-        grid = make_grid(cam, num_planes=num_planes, z_min=0.45, z_max=4.0)
-        quats = np.array([random_unit_quat(rng) for _ in range(n)])
-        trans = rng.normal(size=(n, 3)) * [0.3, 0.3, 0.0] + [0.0, 0.0, 1.0]
-        trans[:, 2] += rng.uniform(-1.0, 1.5, n)
-        prep = _prepare_rays(grid, stream, cam, quats, trans)
+    def _prep(cam, n=300):
+        grid, prep = random_rays(cam, n)
         keep = prep.affine_ok
         return grid, [a[keep] for a in prep[:6]]
 
@@ -252,17 +271,8 @@ class TestCKernel:
 
     @pytest.mark.parametrize("mode", ["nearest", "bilinear"])
     def test_grid_edges_match_numpy(self, mode):
-        # hand-placed hits on the grid's edges: the top half-pixel edge
-        # (u = W - 0.5) rounds out of the grid in nearest mode; the last
-        # column and row have no right/lower bilinear neighbour; u < 0,
-        # u = W, NaN and inf miss
-        w, h, nz = 6, 4, 3
-        below = np.nextafter(w - 0.5, 0.0)
-        a_u = np.array([w - 0.5, below, w - 1.0, 0.0, -0.0, -1e-300, w,
-                        np.nan, np.inf, 2.5, 2.5])
-        a_v = np.array([1.0, 1.0, h - 1.0, h - 0.5, 0.0, 1.0, 1.0,
-                        1.0, 1.0, np.nextafter(h - 0.5, 0.0), h - 0.5])
-        n = len(a_u)
+        w, h, a_u, a_v = edge_rays()
+        nz, n = 3, len(a_u)
         zeros = np.zeros(n)
         prep = (a_u, a_v, zeros, zeros, np.zeros(n, np.int64),
                 np.full(n, nz, np.int64))
@@ -372,6 +382,86 @@ class TestCKernel:
             _sweep.run_sweep(prep, grid.inv_depths, grid.votes, grid.width,
                              grid.height, "nearest", "c")
         assert _sweep.resolve_kernel("auto") == "numpy"
+
+
+class TestBandSweep:
+    """A sweep into a band buffer holding planes [p0, p0 + band) of the
+    volume, with the plane offset p0, equals the same planes of a sweep
+    into the whole volume, in every kernel."""
+
+    @staticmethod
+    def _rays(case, cam):
+        """(width, height, nz, sweep) where sweep(votes, offset, p0, p1,
+        kernel, mode) votes the case's events, clipped to [p0, p1), into
+        ``votes`` and returns the hit mask."""
+        if case == "random":
+            grid, prep = random_rays(cam)
+            w, h, inv_zs, zs = grid.width, grid.height, grid.inv_depths, grid.depths
+            coeffs, lo, hi = prep[:4], prep.lo, prep.hi
+            origins, dirs, intr = prep.origins, prep.dirs, (cam.fx, cam.fy, cam.cx, cam.cy)
+        else:
+            # the direct kernel meets the same (u, v): from the origin along
+            # (u, v, 1), at power-of-two depths z, fx = 1 and cx = 0
+            w, h, a_u, a_v = edge_rays()
+            n = len(a_u)
+            zs = np.array([1.0, 2.0, 4.0])
+            inv_zs = 1.0 / zs
+            coeffs = (a_u, a_v, np.zeros(n), np.zeros(n))
+            lo, hi = np.zeros(n, np.int64), np.full(n, 3, np.int64)
+            origins = np.zeros((n, 3))
+            dirs = np.stack([a_u, a_v, np.ones(n)], axis=-1)
+            intr = (1.0, 1.0, 0.0, 0.0)
+
+        def sweep(votes, offset, p0, p1, kernel, mode):
+            lo_b, hi_b = np.clip(lo, p0, p1), np.clip(hi, p0, p1)
+            if kernel == "direct":
+                return _sweep.sweep_direct(origins, dirs, lo_b, hi_b, zs, intr, votes,
+                                           w, h, mode == "bilinear", offset=offset)
+            return _sweep.run_sweep((*coeffs, lo_b, hi_b), inv_zs, votes, w, h,
+                                    mode, kernel, offset=offset)
+
+        return w, h, len(zs), sweep
+
+    @pytest.mark.parametrize("band", [1, 3, None])
+    @pytest.mark.parametrize("case", ["random", "edges"])
+    @pytest.mark.parametrize("mode", ["nearest", "bilinear"])
+    @pytest.mark.parametrize("kernel", ["c", "numpy", "direct"])
+    def test_bands_equal_whole_volume(self, distorted_cam, kernel, mode, case, band):
+        w, h, nz, sweep = self._rays(case, distorted_cam)
+        band = band or nz
+        whole = np.zeros((nz, h, w))
+        want_hit = sweep(whole, 0, 0, nz, kernel, mode)
+        assert whole.any() and want_hit.any()
+        got, hits = np.zeros_like(whole), []
+        for p0 in range(0, nz, band):
+            p1 = min(p0 + band, nz)
+            buf = np.full((band, h, w), 0.0)
+            hits.append(sweep(buf[:p1 - p0], p0, p0, p1, kernel, mode))
+            assert not buf[p1 - p0:].any()
+            got[p0:p1] = buf[:p1 - p0]
+        assert np.array_equal(got, whole)
+        assert np.array_equal(np.logical_or.reduce(hits), want_hit)
+
+    @pytest.mark.parametrize("kernel,bad", [
+        (kernel, bad) for kernel in ("c", "numpy", "direct")
+        for bad in ("below", "beyond", "negative_offset")
+    ] + [("c", "past_inv_zs")])  # numpy reads inv_zs/zs only at swept planes
+    def test_range_outside_band_rejected_before_any_write(self, distorted_cam,
+                                                          monkeypatch, kernel, bad):
+        calls = []
+        monkeypatch.setattr(_sweep, "_load_c", lambda: lambda *a: calls.append(a))
+        w, h, nz, sweep = self._rays("random", distorted_cam)
+        votes = np.zeros((4, h, w))
+        offset, p0, p1 = {
+            "below": (4, 3, 8),        # events reach plane 3 < offset
+            "beyond": (4, 4, 9),       # plane 8 is past the buffer
+            "negative_offset": (-1, 0, 3),
+            "past_inv_zs": (nz - 2, nz - 2, nz),  # buffer reaches plane nz + 1
+        }[bad]
+        with pytest.raises(ValueError):
+            sweep(votes, offset, p0, p1, kernel, "bilinear")
+        assert calls == []
+        assert not votes.any()
 
 
 class TestParallelVoting:

@@ -1,16 +1,28 @@
+import copy
 import dataclasses
 import json
 import math
+import tracemalloc
+import types
 import warnings
 
 import numpy as np
 import pytest
 
+from raysweep import pipeline
 from raysweep.cli import cli_main
-from raysweep.events import EventStream
-from raysweep.geometry import PoseTrajectory
-from raysweep.io import read_pfm
-from raysweep.pipeline import PipelineConfig, run_pipeline
+from raysweep.depth import (
+    adaptive_threshold,
+    extract_depth,
+    median_filter_depth,
+    refine_result,
+)
+from raysweep.dsi import DsiGrid, FusionOp, fuse, prepare_sweep, vote_events
+from raysweep.errors import DsiTooLarge
+from raysweep.events import EventStream, chunk_events, select_reference_view
+from raysweep.geometry import CameraModel, PoseTrajectory, Se3
+from raysweep.io import RigCalibration, read_pfm
+from raysweep.pipeline import PipelineConfig, process_chunk, run_pipeline
 from raysweep.synth import make_scenario
 
 
@@ -221,6 +233,250 @@ class TestRunPipeline:
         with pytest.raises(ValueError):
             run_pipeline(sc.config, streams={"left": bad, "right": ok},
                          rig=sc.rig, traj=sc.traj, workers=1)
+
+
+def band_rig(n_cams):
+    """Up to three cameras: a left camera, one 12 cm to its right, and one
+    inside the depth range turned 70 deg to look across the reference view,
+    so that many of its rays run nearly parallel to the depth planes."""
+    left = CameraModel(fx=200.0, fy=200.0, cx=120.0, cy=90.0, width=240,
+                       height=180, dist=np.array([-0.03, 0.0, 0.0, 0.0]))
+    cams = (
+        left,
+        dataclasses.replace(left, T_body_cam=Se3.from_axis_angle([0, 0, 1], 0.0,
+                                                                 trans=[0.12, 0, 0])),
+        dataclasses.replace(left, T_body_cam=Se3.from_axis_angle(
+            [0, 1, 0], np.deg2rad(70), trans=[-0.3, 0.0, 0.8])),
+    )[:n_cams]
+    ids = ("a", "b", "c")[:n_cams]
+    if n_cams == 1:  # RigCalibration needs two cameras; process_chunk does not
+        return types.SimpleNamespace(camera_ids=ids, cameras=cams)
+    return RigCalibration("band", ids, cams)
+
+
+@pytest.fixture(scope="module")
+def band_inputs():
+    """(rig, trajectory, chunk) for a 1- and a 3-camera rig, random events."""
+    rng = np.random.default_rng(12)
+    traj = PoseTrajectory(np.array([0.0, 1.0]), np.tile([0, 0, 0, 1.0], (2, 1)),
+                          np.array([[-0.2, 0.0, 0.0], [0.2, 0.05, 0.1]]))
+    out = {}
+    for n_cams in (1, 3):
+        rig = band_rig(n_cams)
+        # most events in one 40 x 40 patch, so that the AND-logic means of
+        # three cameras still find voxels every camera voted on
+        streams = [EventStream(cid, np.sort(rng.uniform(0.0, 1.0, 1500)),
+                               rng.integers(100, 140, 1500, dtype=np.int32),
+                               rng.integers(70, 110, 1500, dtype=np.int32),
+                               np.ones(1500, np.int8)) for cid in rig.camera_ids]
+        out[n_cams] = (rig, traj, chunk_events(streams, 1.5)[0])
+    return out
+
+
+def whole_volume_chunk(chunk, rig, traj, config):
+    """The oracle: one full volume per camera from vote_events, fused with
+    fuse, then process_chunk's extraction chain."""
+    ref_view = select_reference_view(chunk, traj, rig.cameras[0])
+    grids = []
+    for cid, cam in zip(rig.camera_ids, rig.cameras):
+        grid = DsiGrid.create(ref_view, rig.cameras[0], config.z_min, config.z_max,
+                              config.num_planes, config.width, config.height)
+        vote_events(grid, chunk.events[cid], cam, traj=traj, mode=config.voting)
+        grids.append(grid)
+    op = FusionOp.from_string(config.fusion)
+    fused = fuse(grids, op) if len(grids) > 1 else grids[0]
+    result = extract_depth(fused)
+    keep = adaptive_threshold(result.confidence, config.threshold_sigma,
+                              config.threshold_offset)
+    result = dataclasses.replace(result, mask=result.mask & keep)
+    result = median_filter_depth(result, config.median_kernel)
+    return grids, fused, refine_result(fused, result)
+
+
+class TestBandLoop:
+    """process_chunk votes and fuses one band of planes at a time; its
+    outputs must equal voting whole per-camera volumes and fusing them."""
+
+    def test_third_camera_has_grazing_rays(self, band_inputs):
+        rig, traj, chunk = band_inputs[3]
+        grid = DsiGrid.create(Se3.identity(), rig.cameras[0], 0.45, 4.0, 13)
+        rays = prepare_sweep(grid, chunk.events["c"], rig.cameras[2], traj=traj)
+        assert 0 < len(rays.graze[2]) < rays.num_events
+
+    @pytest.mark.parametrize("fusion", ["min", "harmonic", "geometric", "arithmetic",
+                                        "rms", "max", "power:-2", "power:0.5"])
+    @pytest.mark.parametrize("voting", ["nearest", "bilinear"])
+    def test_matches_whole_volume_vote_and_fuse(self, band_inputs, fusion, voting):
+        # 13 planes: bands of 4, 4, 4 and 1
+        config = PipelineConfig(num_planes=13, fusion=fusion, voting=voting)
+        for n_cams in (1, 3):
+            rig, traj, chunk = band_inputs[n_cams]
+            grids, fused, want = whole_volume_chunk(chunk, rig, traj, config)
+            assert fused.votes.any()
+            stats = []
+            for workers in (1, 2, 3):
+                volume = np.full(fused.votes.shape, np.nan)  # all overwritten
+                out = process_chunk(copy.deepcopy(chunk), rig, traj, config,
+                                    workers=workers, volume=volume)
+                assert np.array_equal(volume, fused.votes), (n_cams, workers)
+                for name in ("depth", "mask", "confidence"):
+                    assert np.array_equal(getattr(out.result, name),
+                                          getattr(want, name)), (n_cams, workers, name)
+                stats.append({k: v for k, v in out.stats.items() if k != "timings"})
+            assert stats[0] == stats[1] == stats[2]
+            per_camera = stats[0]["cameras"]
+            for cid, grid in zip(rig.camera_ids, grids):
+                assert per_camera[cid]["events_skipped"] == grid.skipped_events
+                assert per_camera[cid]["votes"] == pytest.approx(
+                    grid.votes.sum(), rel=1e-12, abs=0.0)
+            assert stats[0]["fused_votes"] == pytest.approx(
+                fused.votes.sum(), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("voting", ["nearest", "bilinear"])
+    def test_kept_volumes_match_whole_volume_voting(self, band_inputs, voting):
+        config = PipelineConfig(num_planes=13, fusion="harmonic", voting=voting)
+        rig, traj, chunk = band_inputs[3]
+        grids, fused, _ = whole_volume_chunk(chunk, rig, traj, config)
+        for workers in (1, 3):
+            out = process_chunk(copy.deepcopy(chunk), rig, traj, config,
+                                workers=workers, keep_fused=True)
+            assert np.array_equal(out.fused.votes, fused.votes)
+            assert out.fused.skipped_events == fused.skipped_events
+            for got, want in zip(out.camera_grids, grids):
+                assert np.array_equal(got.votes, want.votes)
+                assert got.skipped_events == want.skipped_events
+
+    @pytest.mark.parametrize("keep_fused", [False, True])
+    def test_later_chunks_leave_earlier_outputs_alone(self, small_scenario,
+                                                      monkeypatch, keep_fused):
+        # the fused volume is reused across chunks; no output may alias it
+        sc, streams = small_scenario
+        config = dataclasses.replace(sc.config, chunk_duration=0.1)
+        snapshots, volumes = [], []
+        real = pipeline.process_chunk
+
+        def spy(*args, **kwargs):
+            out = real(*args, **kwargs)
+            volumes.append(kwargs["volume"])
+            arrays = [out.result.depth, out.result.confidence, out.result.mask]
+            if keep_fused:
+                arrays += [out.fused.votes] + [g.votes for g in out.camera_grids]
+            snapshots.append([a.copy() for a in arrays])
+            return out
+        monkeypatch.setattr(pipeline, "process_chunk", spy)
+        outs = run_pipeline(config, streams=streams, rig=sc.rig, traj=sc.traj,
+                            workers=2, keep_fused=keep_fused)
+        assert len(outs) >= 3 and all(not o.skipped for o in outs)
+        if keep_fused:
+            assert volumes == [None] * len(outs)
+        else:
+            assert volumes[0] is not None
+            assert all(v is volumes[0] for v in volumes)
+        for out, snap in zip(outs, snapshots):
+            arrays = [out.result.depth, out.result.confidence, out.result.mask]
+            if keep_fused:
+                arrays += [out.fused.votes] + [g.votes for g in out.camera_grids]
+            assert len(arrays) == len(snap)
+            for a, b in zip(arrays, snap):
+                assert np.array_equal(a, b)
+
+    def test_dumped_volumes_written_per_chunk_not_held(self, small_scenario,
+                                                       tmp_path):
+        from raysweep.io import read_dsi
+        sc, streams = small_scenario
+        config = dataclasses.replace(sc.config, chunk_duration=0.1, dump_dsi=True,
+                                     out_dir=str(tmp_path))
+        kwargs = dict(streams=streams, rig=sc.rig, traj=sc.traj, workers=2)
+        dumped = run_pipeline(config, **kwargs)
+        kept = run_pipeline(dataclasses.replace(config, dump_dsi=False, out_dir=None),
+                            keep_fused=True, **kwargs)
+        assert len(dumped) >= 3
+        for d, k in zip(dumped, kept):
+            assert d.fused is None and d.camera_grids is None
+            tag = f"chunk{d.index:03d}"
+            for name, grid in [("fused", k.fused), *zip(sc.rig.camera_ids,
+                                                        k.camera_grids)]:
+                votes = read_dsi(tmp_path / f"dsi_{name}_{tag}.bin")[0]
+                assert np.array_equal(votes, grid.votes.astype(np.float32))
+
+    def test_peak_allocation_is_one_volume_plus_bands(self, small_scenario,
+                                                      monkeypatch):
+        sc, streams = small_scenario
+        config = dataclasses.replace(sc.config, chunk_duration=0.1)
+        cam = sc.rig.cameras[0]
+        plane = cam.width * cam.height * 8
+        workers, n_cams = 2, len(sc.rig.cameras)
+        # band buffers, plus a few planes for extraction and the events
+        bands = (workers * n_cams * pipeline.BAND_PLANES + 12) * plane
+        volume = config.num_planes * plane
+        chunk = chunk_events([streams[c] for c in sc.rig.camera_ids],
+                             config.chunk_duration)[1]
+        peaks = []
+        real = pipeline.process_chunk
+
+        def measured(*args, **kwargs):
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            out = real(*args, **kwargs)
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+            return out
+        monkeypatch.setattr(pipeline, "process_chunk", measured)
+        tracemalloc.start()
+        try:
+            pipeline.process_chunk(chunk, sc.rig, sc.traj, config, workers=workers)
+            run_pipeline(config, streams=streams, rig=sc.rig, traj=sc.traj,
+                         workers=workers)
+        finally:
+            tracemalloc.stop()
+        assert len(peaks) >= 3
+        assert volume < peaks[0] <= volume + bands  # a chunk on its own
+        assert max(peaks[2:]) <= bands  # the run's volume is reused
+
+
+class TestMemoryBudget:
+    def test_oversized_dsi_refused_before_allocating(self, small_scenario):
+        sc, streams = small_scenario
+        config = dataclasses.replace(sc.config, num_planes=10**7)  # 3.5 TB
+        need = 10**7 * 240 * 180 * 8
+        tracemalloc.start()
+        try:
+            with pytest.raises(DsiTooLarge, match=r"the DSI needs (\d+) bytes") as exc:
+                run_pipeline(config, streams=streams, rig=sc.rig, traj=sc.traj,
+                             workers=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        asked = int(exc.value.args[0].split()[3])
+        assert need < asked < need + 2**30  # the volume plus the band buffers
+
+    def test_cli_exits_2_naming_the_bytes(self, tmp_path, capsys):
+        out = tmp_path / "scn"
+        assert cli_main(["synth", "--scenario", "lateral_room", "--out", str(out),
+                         "--points", "40", "--seed", "2"]) == 0
+        assert cli_main(["map", "--config", str(out / "config.json"),
+                         "--num-planes", "10000000", "--width", "1000"]) == 2
+        assert "bytes" in capsys.readouterr().err
+        assert not (out / "results" / "stats.json").exists()
+
+    def test_skipped_where_physical_memory_is_unknown(self, monkeypatch):
+        shape = (10**7, 180, 240)
+        with pytest.raises(DsiTooLarge):
+            pipeline._check_memory(shape, 2, 1, keep=False)
+
+        def unavailable(name):
+            raise ValueError(f"unrecognized configuration name {name!r}")
+        monkeypatch.setattr(pipeline.os, "sysconf", unavailable)
+        assert pipeline._check_memory(shape, 2, 1, keep=False) > 10**12
+        monkeypatch.setattr(pipeline.os, "sysconf", lambda name: -1)
+        assert pipeline._check_memory(shape, 2, 1, keep=False) > 10**12
+
+    def test_counts_kept_volumes_and_band_buffers(self):
+        plane = 180 * 240 * 8
+        assert pipeline._check_memory((100, 180, 240), 2, 1, keep=False) == \
+            (100 + 2 * pipeline.BAND_PLANES) * plane
+        assert pipeline._check_memory((100, 180, 240), 3, 2, keep=True) == \
+            ((1 + 3) * 100 + 2 * 3 * pipeline.BAND_PLANES) * plane
 
 
 class TestCli:
