@@ -143,8 +143,7 @@ def _plane_range(lo, hi, offset, votes):
     return p0, p1
 
 
-def _sweep_c(a_u, a_v, b_u, b_v, lo, hi, inv_zs, votes, width, height, bilinear,
-             offset=0):
+def _sweep_c(a_u, a_v, b_u, b_v, lo, hi, inv_zs, votes, bilinear, offset=0):
     """Call the C kernel after checking every bound it relies on, so that
     no argument can make it read or write outside its arrays."""
     fn = _load_c()
@@ -155,9 +154,6 @@ def _sweep_c(a_u, a_v, b_u, b_v, lo, hi, inv_zs, votes, width, height, bilinear,
             and votes.flags.writeable):
         raise ValueError("votes must be a writable C-contiguous float64 "
                          "(planes, height, width) array")
-    if votes.shape[1:] != (height, width):
-        raise ValueError(f"votes shape {votes.shape} does not match "
-                         f"height {height} x width {width}")
     coeffs = [np.ascontiguousarray(c, dtype=np.float64) for c in (a_u, a_v, b_u, b_v)]
     lo = np.ascontiguousarray(lo, dtype=np.int64)
     hi = np.ascontiguousarray(hi, dtype=np.int64)
@@ -174,6 +170,7 @@ def _sweep_c(a_u, a_v, b_u, b_v, lo, hi, inv_zs, votes, width, height, bilinear,
     if n == 0:
         return hit
     p0, p1 = _plane_range(lo, hi, offset, votes)
+    height, width = votes.shape[1:]
     fn(*(c.ctypes.data for c in coeffs), lo.ctypes.data, hi.ctypes.data, n,
        inv_zs.ctypes.data, p0, p1, votes.ctypes.data, offset, width, height,
        int(bilinear), hit.ctypes.data)
@@ -228,7 +225,7 @@ def _scatter_plane(u, v, ok, plane, bilinear):
     return ok
 
 
-def _sweep_planes(project, lo, hi, votes, width, height, bilinear, offset):
+def _sweep_planes(project, lo, hi, votes, bilinear, offset):
     """Plane-major numpy sweep shared by the affine and the direct kernel.
 
     ``project(i, s, e)`` returns the pixel coordinates (u, v) where the rays
@@ -240,6 +237,7 @@ def _sweep_planes(project, lo, hi, votes, width, height, bilinear, offset):
     if n_events == 0:
         return hit
     p0, p1 = _plane_range(lo, hi, offset, votes)
+    height, width = votes.shape[1:]
     for i in range(p0, p1):
         plane = votes[i - offset]
         for s in range(0, n_events, _BLOCK):
@@ -252,8 +250,7 @@ def _sweep_planes(project, lo, hi, votes, width, height, bilinear, offset):
     return hit
 
 
-def _sweep_numpy(a_u, a_v, b_u, b_v, lo, hi, inv_zs, votes, width, height, bilinear,
-                 offset=0):
+def _sweep_numpy(a_u, a_v, b_u, b_v, lo, hi, inv_zs, votes, bilinear, offset=0):
     def project(i, s, e):
         inv_z = inv_zs[i]
         with np.errstate(invalid="ignore", over="ignore"):
@@ -263,11 +260,10 @@ def _sweep_numpy(a_u, a_v, b_u, b_v, lo, hi, inv_zs, votes, width, height, bilin
             v += a_v[s:e]
         return u, v
 
-    return _sweep_planes(project, lo, hi, votes, width, height, bilinear, offset)
+    return _sweep_planes(project, lo, hi, votes, bilinear, offset)
 
 
-def sweep_direct(origins, dirs, lo, hi, zs, intr, votes, width, height, bilinear,
-                 offset=0):
+def sweep_direct(origins, dirs, lo, hi, zs, intr, votes, bilinear, offset=0):
     """Vote near-grazing rays by direct per-plane intersection.
 
     The affine u = a + b/z form cancels catastrophically when the ray runs
@@ -288,10 +284,10 @@ def sweep_direct(origins, dirs, lo, hi, zs, intr, votes, width, height, bilinear
             v = fy * (o[:, 1] + lam * d[:, 1]) / z + cy
         return u, v
 
-    return _sweep_planes(project, lo, hi, votes, width, height, bilinear, offset)
+    return _sweep_planes(project, lo, hi, votes, bilinear, offset)
 
 
-def run_sweep(prep, inv_zs, votes, width, height, mode, kernel, offset=0):
+def run_sweep(prep, inv_zs, votes, mode, kernel, offset=0):
     """Dispatch a prepared event batch to the selected kernel.
 
     ``prep`` is the (a_u, a_v, b_u, b_v, lo, hi) tuple of affine-form
@@ -300,5 +296,4 @@ def run_sweep(prep, inv_zs, votes, width, height, mode, kernel, offset=0):
     that voted on at least one plane.
     """
     sweep = _sweep_c if resolve_kernel(kernel) == "c" else _sweep_numpy
-    return sweep(*prep, inv_zs, votes, width, height,
-                 bilinear=(mode == "bilinear"), offset=offset)
+    return sweep(*prep, inv_zs, votes, bilinear=(mode == "bilinear"), offset=offset)

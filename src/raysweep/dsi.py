@@ -12,7 +12,6 @@ import dataclasses
 import math
 import os
 from collections import namedtuple
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -303,15 +302,14 @@ def sweep_band(grid: DsiGrid, rays: SweepRays, votes: np.ndarray, p0: int,
     if len(lo):
         hits.append(_sweep.run_sweep(
             (*coeffs, np.clip(lo, p0, p1), np.clip(hi, p0, p1)),
-            grid.inv_depths, votes, grid.width, grid.height, mode, kernel,
-            offset=p0,
+            grid.inv_depths, votes, mode, kernel, offset=p0,
         ))
     if len(g_lo):
         k = grid.ref_intrinsics
         hits.append(_sweep.sweep_direct(
             origins, dirs, np.clip(g_lo, p0, p1), np.clip(g_hi, p0, p1),
             grid.depths, (k.fx, k.fy, k.cx, k.cy), votes,
-            grid.width, grid.height, bilinear=(mode == "bilinear"), offset=p0,
+            bilinear=(mode == "bilinear"), offset=p0,
         ))
     return np.concatenate(hits)
 
@@ -325,19 +323,16 @@ def vote_events(
     pose: Se3 | None = None,
     mode: str = "bilinear",
     kernel: str = "auto",
-    workers: int = 1,
 ) -> DsiGrid:
     """Back-project a stream slice into ``grid`` (accumulates in place).
 
     Camera poses come either from ``traj`` (per-event interpolation) or a
     single fixed ``pose``. ``kernel`` is ``"c"``, ``"numpy"`` or ``"auto"``
-    (C when it builds, else numpy). The sweep runs plane-major: each depth plane
-    receives the votes of all events in one fixed order. With ``workers`` > 1
-    the planes (not the events) are split into contiguous ranges, one per
-    thread, each writing straight into its own planes of ``grid.votes``.
-    No plane is shared, so votes and ``skipped_events`` do not depend on
-    the worker count: they are bit-identical for 1 or N workers in both
-    voting modes.
+    (C when it builds, else numpy). This is ``prepare_sweep`` and one
+    ``sweep_band`` over the whole volume, on the calling thread: the plain
+    reference for the pipeline's band loop, which splits the planes into
+    bands and the bands across workers and gives the same volume bit for
+    bit.
     """
     if mode not in VOTING_MODES:
         raise ValueError(f"unknown voting mode {mode!r}")
@@ -347,20 +342,8 @@ def vote_events(
         return grid
 
     rays = prepare_sweep(grid, events, cam, traj=traj, pose=pose)
-    nz = grid.num_planes
-    workers = max(1, min(workers, nz))
-    edges = [nz * j // workers for j in range(workers + 1)]
-
-    def sweep(p0, p1):
-        return sweep_band(grid, rays, grid.votes[p0:p1], p0, mode, kernel)
-
-    if workers == 1:
-        hits = [sweep(0, nz)]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            hits = list(pool.map(sweep, edges[:-1], edges[1:]))
-    voted = np.count_nonzero(np.logical_or.reduce(hits))
-    grid.skipped_events += len(events) - int(voted)
+    hit = sweep_band(grid, rays, grid.votes, 0, mode, kernel)
+    grid.skipped_events += len(events) - int(np.count_nonzero(hit))
     return grid
 
 

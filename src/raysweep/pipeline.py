@@ -384,6 +384,13 @@ def run_pipeline(
     kept = keep_fused or config.dump_dsi
     cam = rig.cameras[0]
     shape = (config.num_planes, config.height or cam.height, config.width or cam.width)
+    for name, size, c in (("width", shape[2], cam.cx), ("height", shape[1], cam.cy)):
+        if not 0.0 <= c < size:
+            raise ValueError(
+                f"DSI {name} {size} excludes the principal point (cx, cy) = "
+                f"({cam.cx}, {cam.cy}) of the reference camera, which the DSI "
+                f"keeps; {name} must exceed {c}"
+            )
     _check_memory(shape, len(rig.cameras), workers, kept)
     if traj is None:
         if config.trajectory is None:

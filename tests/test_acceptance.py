@@ -10,6 +10,7 @@ import time
 import numpy as np
 import pytest
 
+from raysweep._sweep import resolve_kernel
 from raysweep.depth import extract_depth
 from raysweep.dsi import (
     ARITHMETIC,
@@ -19,6 +20,7 @@ from raysweep.dsi import (
     MIN,
     RMS,
     DsiGrid,
+    prepare_sweep,
     vote_event_bruteforce,
     vote_events,
 )
@@ -26,7 +28,7 @@ from raysweep.events import EventStream
 from raysweep.evaluation import compare_depth_results
 from raysweep.geometry import CameraModel, PoseTrajectory, Se3
 from raysweep.io import parse_events, read_pfm, write_events, write_pfm
-from raysweep.pipeline import run_pipeline
+from raysweep.pipeline import _vote_and_fuse, run_pipeline
 from raysweep.synth import ground_truth_depth, make_scenario
 
 from conftest import random_unit_quat
@@ -223,7 +225,8 @@ def test_criterion_7_forward_motion_degrades_accuracy(lateral):
 
 def test_criterion_8_throughput_reported():
     # soft target (reported, not gated): >= 1e6 events/s into a
-    # 240x180x100 volume single-worker, and the scaling at 8 workers
+    # 240x180x100 volume single-worker with vote_events, and the scaling of
+    # the pipeline's band loop at 8 workers over the same prepared rays
     rng = np.random.default_rng(55)
     cam = CameraModel(fx=200.0, fy=200.0, cx=120.0, cy=90.0, width=240, height=180,
                       dist=np.array([-0.03, 0.01, 0.001, -0.001]))
@@ -237,19 +240,30 @@ def test_criterion_8_throughput_reported():
     traj = PoseTrajectory(np.array([0.0, 1.0]), np.tile([0, 0, 0, 1.0], (2, 1)),
                           np.array([[-0.25, 0, 0], [0.25, 0, 0]]))
 
-    def run(workers):
+    def run():
         grid = DsiGrid.create(Se3.identity(), cam, 0.45, 4.0, 100)
         t0 = time.perf_counter()
-        vote_events(grid, stream, cam, traj=traj, mode="bilinear", workers=workers)
+        vote_events(grid, stream, cam, traj=traj, mode="bilinear")
         return n / (time.perf_counter() - t0)
 
-    run(1)  # warm the caches
-    rate1 = max(run(1) for _ in range(3))
-    rate8 = max(run(8) for _ in range(3))
-    assert rate1 > 0 and rate8 > 0
+    grid = DsiGrid.create(Se3.identity(), cam, 0.45, 4.0, 100)
+    rays = [prepare_sweep(grid, stream, cam, traj=traj)]
+    kernel = resolve_kernel("auto")
+
+    def run_bands(workers):
+        t0 = time.perf_counter()
+        _vote_and_fuse(grid, rays, HARMONIC, "bilinear", kernel, workers)
+        return n / (time.perf_counter() - t0)
+
+    run()  # warm the caches
+    rate1 = max(run() for _ in range(3))
+    band1 = max(run_bands(1) for _ in range(3))
+    band8 = max(run_bands(8) for _ in range(3))
+    assert rate1 > 0 and band1 > 0 and band8 > 0
     import os
     report(8, f"single-worker {rate1 / 1e6:.2f} Mev/s (soft target 1.0), "
-              f"8-worker scale {rate8 / rate1:.2f}x on {os.cpu_count()} cpus "
+              f"8-worker band-loop scale {band8 / band1:.2f}x on "
+              f"{os.cpu_count()} cpus "
               "(reported, not gated)")
 
 

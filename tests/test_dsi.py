@@ -1,8 +1,6 @@
 import os
 import subprocess
 import sys
-import threading
-import time
 import tracemalloc
 
 import numpy as np
@@ -250,12 +248,10 @@ class TestCKernel:
         if planes is not None:
             lo, hi = np.clip(lo, *planes), np.clip(hi, *planes)
         prep = (a_u, a_v, b_u, b_v, lo, hi)
-        dims = (grid.width, grid.height)
         v_c = np.zeros_like(grid.votes)
         v_numpy = np.zeros_like(grid.votes)
-        hit_c = _sweep.run_sweep(prep, grid.inv_depths, v_c, *dims, mode, "c")
-        hit_numpy = _sweep.run_sweep(prep, grid.inv_depths, v_numpy, *dims, mode,
-                                     "numpy")
+        hit_c = _sweep.run_sweep(prep, grid.inv_depths, v_c, mode, "c")
+        hit_numpy = _sweep.run_sweep(prep, grid.inv_depths, v_numpy, mode, "numpy")
         assert hit_c.dtype == hit_numpy.dtype == np.bool_
         assert np.array_equal(hit_c, hit_numpy)
         assert 0 < np.count_nonzero(hit_numpy) < len(hit_numpy)
@@ -278,8 +274,8 @@ class TestCKernel:
                 np.full(n, nz, np.int64))
         inv_zs = np.array([1.0, 0.5, 0.25])
         v_c, v_numpy = np.zeros((nz, h, w)), np.zeros((nz, h, w))
-        hit_c = _sweep.run_sweep(prep, inv_zs, v_c, w, h, mode, "c")
-        hit_numpy = _sweep.run_sweep(prep, inv_zs, v_numpy, w, h, mode, "numpy")
+        hit_c = _sweep.run_sweep(prep, inv_zs, v_c, mode, "c")
+        hit_numpy = _sweep.run_sweep(prep, inv_zs, v_numpy, mode, "numpy")
         assert np.array_equal(hit_c, hit_numpy)
         # at most two weights meet in a voxel, and a sum of two is order-free
         assert np.array_equal(v_c, v_numpy)
@@ -287,9 +283,8 @@ class TestCKernel:
                 False, False, False, True, mode == "bilinear"]
         assert hit_c.tolist() == want
 
-    @pytest.mark.parametrize("workers", [1, 3])
     @pytest.mark.parametrize("mode", ["nearest", "bilinear"])
-    def test_streams_agree_with_numpy(self, distorted_cam, mode, workers):
+    def test_streams_agree_with_numpy(self, distorted_cam, mode):
         rng = np.random.default_rng(4)
         stream = random_stream(rng, 2000, distorted_cam)
         traj = PoseTrajectory(
@@ -299,10 +294,8 @@ class TestCKernel:
         )
         a = make_grid(distorted_cam, num_planes=20, z_min=0.45, z_max=4.0)
         b = a.copy_empty()
-        vote_events(a, stream, distorted_cam, traj=traj, mode=mode, kernel="c",
-                    workers=workers)
-        vote_events(b, stream, distorted_cam, traj=traj, mode=mode, kernel="numpy",
-                    workers=workers)
+        vote_events(a, stream, distorted_cam, traj=traj, mode=mode, kernel="c")
+        vote_events(b, stream, distorted_cam, traj=traj, mode=mode, kernel="numpy")
         if mode == "nearest":
             assert np.array_equal(a.votes, b.votes)
         else:
@@ -316,22 +309,18 @@ class TestCKernel:
             _sweep.resolve_kernel("numba")
 
     @pytest.mark.parametrize("bad", [
-        "float32", "fortran", "readonly", "shape",
-        "short_coeff", "negative_lo", "hi_beyond", "inv_zs",
+        "float32", "fortran", "readonly", "short_coeff", "negative_lo", "hi_beyond", "inv_zs",
     ])
     def test_guard_rejects_unsafe_arguments(self, pinhole_cam, bad):
         grid, prep = self._prep(pinhole_cam, n=50)
         votes = np.zeros_like(grid.votes)
         inv_zs = grid.inv_depths
-        w, h = grid.width, grid.height
         if bad == "float32":
             votes = votes.astype(np.float32)
         elif bad == "fortran":
             votes = np.asfortranarray(votes)
         elif bad == "readonly":
             votes.flags.writeable = False
-        elif bad == "shape":
-            w += 1
         elif bad == "short_coeff":
             prep[2] = prep[2][:-1]
         elif bad == "negative_lo":
@@ -343,7 +332,7 @@ class TestCKernel:
         elif bad == "inv_zs":
             inv_zs = inv_zs[:-1]
         with pytest.raises(ValueError):
-            _sweep.run_sweep(prep, inv_zs, votes, w, h, "bilinear", "c")
+            _sweep.run_sweep(prep, inv_zs, votes, "bilinear", "c")
 
     def test_compiles_without_warnings(self, tmp_path):
         out = tmp_path / "sweep.so"
@@ -379,8 +368,7 @@ class TestCKernel:
         monkeypatch.setattr(_sweep, "_c_error", "OSError: no compiler")
         grid, prep = self._prep(pinhole_cam, n=10)
         with pytest.raises(RuntimeError, match="no compiler"):
-            _sweep.run_sweep(prep, grid.inv_depths, grid.votes, grid.width,
-                             grid.height, "nearest", "c")
+            _sweep.run_sweep(prep, grid.inv_depths, grid.votes, "nearest", "c")
         assert _sweep.resolve_kernel("auto") == "numpy"
 
 
@@ -416,9 +404,9 @@ class TestBandSweep:
             lo_b, hi_b = np.clip(lo, p0, p1), np.clip(hi, p0, p1)
             if kernel == "direct":
                 return _sweep.sweep_direct(origins, dirs, lo_b, hi_b, zs, intr, votes,
-                                           w, h, mode == "bilinear", offset=offset)
-            return _sweep.run_sweep((*coeffs, lo_b, hi_b), inv_zs, votes, w, h,
-                                    mode, kernel, offset=offset)
+                                           mode == "bilinear", offset=offset)
+            return _sweep.run_sweep((*coeffs, lo_b, hi_b), inv_zs, votes, mode,
+                                    kernel, offset=offset)
 
         return w, h, len(zs), sweep
 
@@ -462,61 +450,6 @@ class TestBandSweep:
             sweep(votes, offset, p0, p1, kernel, "bilinear")
         assert calls == []
         assert not votes.any()
-
-
-class TestParallelVoting:
-    def test_workers_reproduce_single_worker(self, distorted_cam):
-        rng = np.random.default_rng(21)
-        stream = random_stream(rng, 5000, distorted_cam)
-        traj = PoseTrajectory(np.array([0.0, 1.0]),
-                              np.tile([0, 0, 0, 1.0], (2, 1)),
-                              np.array([[-0.2, 0, 0], [0.2, 0, 0]]))
-        # workers split the planes, so no vote's summation order changes
-        for mode in ["nearest", "bilinear"]:
-            g1 = make_grid(distorted_cam, num_planes=25, z_min=0.45, z_max=4.0)
-            g4 = g1.copy_empty()
-            vote_events(g1, stream, distorted_cam, traj=traj, mode=mode, workers=1)
-            vote_events(g4, stream, distorted_cam, traj=traj, mode=mode, workers=4)
-            assert np.array_equal(g1.votes, g4.votes)
-            assert g1.skipped_events == g4.skipped_events
-
-    def test_stress_more_workers_than_cpus_and_planes(self, distorted_cam):
-        # 2 and 8 threads on few CPUs with a tiny switch interval, so the
-        # threads interleave as often as the interpreter allows; 8 > 5 planes
-        rng = np.random.default_rng(22)
-        stream = random_stream(rng, 3000, distorted_cam)
-        traj = PoseTrajectory(np.array([0.0, 1.0]),
-                              np.array([random_unit_quat(rng), random_unit_quat(rng)]),
-                              np.array([[-0.2, 0, 0.3], [0.2, 0.1, 0.5]]))
-        mismatches = []
-
-        def run():
-            for mode in ["nearest", "bilinear"]:
-                for num_planes in [25, 5]:
-                    ref = make_grid(distorted_cam, num_planes=num_planes,
-                                    z_min=0.45, z_max=4.0)
-                    vote_events(ref, stream, distorted_cam, traj=traj, mode=mode,
-                                workers=1)
-                    for workers in [2, 8, 8, 8]:
-                        g = ref.copy_empty()
-                        vote_events(g, stream, distorted_cam, traj=traj, mode=mode,
-                                    workers=workers)
-                        if not (np.array_equal(g.votes, ref.votes)
-                                and g.skipped_events == ref.skipped_events):
-                            mismatches.append((mode, num_planes, workers))
-
-        old = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            t0 = time.perf_counter()
-            runner = threading.Thread(target=run, daemon=True)
-            runner.start()
-            runner.join(timeout=120.0)
-            assert not runner.is_alive(), "voting did not finish within 120 s"
-        finally:
-            sys.setswitchinterval(old)
-        assert mismatches == []
-        assert time.perf_counter() - t0 < 120.0
 
 
 class TestMerge:

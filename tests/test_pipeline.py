@@ -2,6 +2,9 @@ import copy
 import dataclasses
 import json
 import math
+import sys
+import threading
+import time
 import tracemalloc
 import types
 import warnings
@@ -126,12 +129,31 @@ class TestRunPipeline:
         assert np.all(res.confidence[res.mask] > 0)
 
     def test_stats_conservation(self, small_scenario):
+        # several chunks, and a second stream that starts later, so that the
+        # first stream's earliest events precede the common start and drop
         sc, streams = small_scenario
-        outs = run_pipeline(sc.config, streams=streams, rig=sc.rig, traj=sc.traj,
-                            workers=1)
-        st = outs[0].stats
-        assert st["events_read"] == st["events_voted"] + st["events_skipped"]
-        assert st["events_read"] == sum(len(s) for s in streams.values())
+        first, second = sc.rig.camera_ids
+        late = streams[second]
+        late = late.slice(int(np.searchsorted(late.t, late.t[0] + 0.02)), len(late))
+        trimmed = {first: streams[first], second: late}
+        before = int(np.searchsorted(streams[first].t, late.t[0]))
+        assert before > 0
+        config = dataclasses.replace(sc.config, chunk_duration=0.1)
+        runs = [run_pipeline(config, streams=trimmed, rig=sc.rig, traj=sc.traj,
+                             workers=workers) for workers in (1, 2)]
+        for outs in runs:
+            assert len(outs) >= 3 and not any(o.skipped for o in outs)
+            for o in outs:
+                st = o.stats
+                assert st["events_read"] == st["events_voted"] + st["events_skipped"]
+                for cam in st["cameras"].values():
+                    assert cam["events_read"] == (cam["events_voted"]
+                                                  + cam["events_skipped"])
+            read = sum(o.stats["events_read"] for o in outs)
+            assert read + before == sum(len(s) for s in trimmed.values())
+        untimed = [[{k: v for k, v in o.stats.items() if k != "timings"} for o in outs]
+                   for outs in runs]
+        assert untimed[0] == untimed[1]
 
     def test_zero_event_chunk_yields_empty_result(self, pinhole_cam):
         # two bursts separated by a quiet window: the middle chunk is empty
@@ -332,6 +354,48 @@ class TestBandLoop:
             assert stats[0]["fused_votes"] == pytest.approx(
                 fused.votes.sum(), rel=1e-12, abs=0.0)
 
+    def test_stress_more_workers_than_cpus_and_bands(self, band_inputs):
+        # 2 and 8 threads on few CPUs with a tiny switch interval, so the
+        # threads interleave as often as the interpreter allows; 5 planes
+        # form 2 bands, which 8 workers outnumber. The arithmetic mean keeps
+        # every camera's votes, where the AND-logic means leave 5 planes empty
+        rig, traj, chunk = band_inputs[3]
+        mismatches, finished = [], []
+
+        def run():
+            for voting in ["nearest", "bilinear"]:
+                for num_planes in [25, 5]:
+                    config = PipelineConfig(num_planes=num_planes, voting=voting,
+                                            fusion="arithmetic")
+                    outs = []
+                    for workers in [1, 2, 8, 8, 8]:
+                        volume = np.full((num_planes, 180, 240), np.nan)
+                        out = process_chunk(copy.deepcopy(chunk), rig, traj, config,
+                                            workers=workers, volume=volume)
+                        stats = {k: v for k, v in out.stats.items() if k != "timings"}
+                        outs.append((volume, stats))
+                    ref_volume, ref_stats = outs[0]
+                    if not ref_volume.any():
+                        mismatches.append((voting, num_planes, "no fused votes"))
+                    for workers, (volume, stats) in zip([2, 8, 8, 8], outs[1:]):
+                        if not (np.array_equal(volume, ref_volume)
+                                and stats == ref_stats):
+                            mismatches.append((voting, num_planes, workers))
+            finished.append(True)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            t0 = time.perf_counter()
+            runner = threading.Thread(target=run, daemon=True)
+            runner.start()
+            runner.join(timeout=120.0)
+            assert not runner.is_alive(), "voting did not finish within 120 s"
+        finally:
+            sys.setswitchinterval(old)
+        assert finished and mismatches == []
+        assert time.perf_counter() - t0 < 120.0
+
     @pytest.mark.parametrize("voting", ["nearest", "bilinear"])
     def test_kept_volumes_match_whole_volume_voting(self, band_inputs, voting):
         config = PipelineConfig(num_planes=13, fusion="harmonic", voting=voting)
@@ -431,6 +495,41 @@ class TestBandLoop:
         assert len(peaks) >= 3
         assert volume < peaks[0] <= volume + bands  # a chunk on its own
         assert max(peaks[2:]) <= bands  # the run's volume is reused
+
+
+class TestDsiShape:
+    """A DSI width/height that leaves out the reference camera's principal
+    point is refused once the rig is loaded, before any event file is read."""
+
+    @pytest.fixture
+    def scenario_dir(self, tmp_path, monkeypatch):
+        out = tmp_path / "scn"
+        assert cli_main(["synth", "--scenario", "lateral_room", "--out", str(out),
+                         "--points", "40", "--seed", "2"]) == 0
+        parsed = []
+        real = pipeline.rio.parse_events
+        monkeypatch.setattr(pipeline.rio, "parse_events",
+                            lambda *a, **k: parsed.append(a) or real(*a, **k))
+        return out, parsed
+
+    @pytest.mark.parametrize("field,size", [("width", 100), ("height", 90)])
+    def test_api_names_the_field_before_parsing(self, scenario_dir, field, size):
+        out, parsed = scenario_dir
+        config = dataclasses.replace(PipelineConfig.load(out / "config.json"),
+                                     **{field: size})
+        with pytest.raises(ValueError, match=rf"DSI {field} {size} excludes the "
+                                             r"principal point \(cx, cy\) = \(120"):
+            run_pipeline(config, workers=1)
+        assert parsed == []
+
+    def test_cli_exits_2_naming_width(self, scenario_dir, capsys):
+        out, parsed = scenario_dir
+        assert cli_main(["map", "--config", str(out / "config.json"),
+                         "--width", "100"]) == 2
+        err = capsys.readouterr().err
+        assert "width 100" in err and "principal point" in err
+        assert parsed == []
+        assert not (out / "results" / "stats.json").exists()
 
 
 class TestMemoryBudget:
