@@ -451,15 +451,16 @@ class FusionOp:
 
     def apply_into(self, stack: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Fuse along axis 0 of the float64 ``stack`` (n_grids, ...) into
-        ``out``; inputs >= 0.
+        ``out``; inputs >= 0. ``stack`` is overwritten as workspace.
 
-        ``stack`` is overwritten as workspace; the only other temporaries
-        are boolean masks. Each result is bit-identical to the whole-stack
-        form (``np.where(stack > 0, stack, 1)`` for the AND-logic means,
-        then the sum along axis 0 in order): adding the 0/1 mask of
-        ``~(stack > 0)`` turns the zero entries into exactly 1 and leaves
-        the rest unchanged, and multiplying by the all-positive mask zeroes
-        a finite result exactly.
+        The AND logic of harmonic, geometric and p < 0 power means comes
+        from IEEE arithmetic, with no masks: a zero input turns into
+        1/0 = +inf, log 0 = -inf or 0**p = +inf, so that voxel's sum is
+        infinite and its result n/inf, exp(-inf) or inf**(1/p) is exactly
+        +0.0. Every other voxel goes through the same operations, in the
+        same order, as in the whole-stack form (zeros replaced by 1, then
+        the result multiplied by the all-positive mask), so each result is
+        bit-identical to it.
         """
         n = stack.shape[0]
         if self.kind == "min":
@@ -476,31 +477,20 @@ class FusionOp:
         kind = self.kind
         if kind == "power" and abs(self.p) < 1e-4:
             kind = "geometric"  # x**p degenerates numerically; use the p->0 limit
-        if kind == "power" and self.p > 0.0:
+        with np.errstate(divide="ignore"):
+            if kind == "harmonic":
+                np.divide(1.0, stack, out=stack)
+                np.sum(stack, axis=0, out=out)
+                return np.divide(n, out, out=out)
+            if kind == "geometric":
+                np.log(stack, out=stack)
+                np.sum(stack, axis=0, out=out)
+                np.divide(out, n, out=out)
+                return np.exp(out, out=out)
             p = float(self.p)
             np.power(stack, p, out=stack)
             np.mean(stack, axis=0, out=out)
             return np.power(out, 1.0 / p, out=out)
-
-        # AND logic: harmonic, geometric, power with p < 0
-        not_pos = np.logical_not(stack > 0.0)
-        all_pos = np.logical_not(np.any(not_pos, axis=0))
-        np.add(stack, not_pos, out=stack)  # 0 -> 1.0
-        if kind == "harmonic":
-            np.divide(1.0, stack, out=stack)
-            np.sum(stack, axis=0, out=out)
-            np.divide(n, out, out=out)
-        elif kind == "geometric":
-            np.log(stack, out=stack)
-            np.sum(stack, axis=0, out=out)
-            np.divide(out, n, out=out)
-            np.exp(out, out=out)
-        else:
-            p = float(self.p)
-            np.power(stack, p, out=stack)
-            np.mean(stack, axis=0, out=out)
-            np.power(out, 1.0 / p, out=out)
-        return np.multiply(out, all_pos, out=out)
 
 
 MIN = FusionOp("min")
@@ -517,10 +507,10 @@ def fuse(grids, op: FusionOp) -> DsiGrid:
     Fuses one depth plane at a time: plane i of every grid is copied into
     one reused (n, H, W) buffer, which ``op.apply_into`` turns into plane
     i of the output volume in place. Apart from the output, the call
-    allocates n planes and a few boolean masks, no volume-sized
-    temporaries. Every operator is element-wise over the planes and sums
-    along the grid axis in the same order, so the result is bit-identical
-    to fusing the whole stack at once.
+    allocates n planes, no volume-sized temporaries. Every operator is
+    element-wise over the planes and sums along the grid axis in the same
+    order, so the result is bit-identical to fusing the whole stack at
+    once.
     """
     grids = list(grids)
     if len(grids) < 2:

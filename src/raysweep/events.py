@@ -109,16 +109,13 @@ class EventStream:
 class Chunk:
     """One processing window: per-camera event slices over [t_start, t_end).
 
-    ``reference_view`` (world-from-reference-camera) is filled in by
-    select_reference_view; events at exactly the final window's upper edge
-    belong to that window.
+    Events at exactly the final window's upper edge belong to that window.
     """
 
     index: int
     t_start: float
     t_end: float
     events: dict[str, EventStream] = field(default_factory=dict)
-    reference_view: Se3 | None = None
 
     @property
     def t_mid(self) -> float:

@@ -45,7 +45,7 @@ from .dsi import (  # noqa: F401
     sweep_band,
     vote_events,
 )
-from .errors import DsiTooLarge, OutOfTrajectoryRange, RaysweepError
+from .errors import DsiTooLarge, RaysweepError
 from .events import Chunk, EventStream, chunk_events, select_reference_view
 from .geometry import PoseTrajectory
 
@@ -168,7 +168,9 @@ class ChunkOutput:
     """Result of one chunk: the (post-processed) depth result plus stats.
 
     ``stats`` records events read/voted/skipped per camera, vote totals,
-    and per-stage timings in seconds.
+    and per-stage timings in seconds. ``fused`` and ``camera_grids`` are
+    set only with ``config.dump_dsi``, and ``run_pipeline`` drops them
+    once written.
     """
 
     index: int
@@ -187,7 +189,6 @@ def process_chunk(
     traj: PoseTrajectory,
     config: PipelineConfig,
     workers: int = 1,
-    keep_fused: bool = False,
     volume: np.ndarray | None = None,
 ) -> ChunkOutput:
     """Run reference-view selection, per-camera voting, fusion, and depth
@@ -195,31 +196,28 @@ def process_chunk(
 
     The fused DSI is written into ``volume``, a (num_planes, height, width)
     float64 array whose contents are overwritten (``run_pipeline`` passes
-    one for all its chunks); None allocates one. With ``keep_fused`` or
-    ``config.dump_dsi`` the chunk gets fresh fused and per-camera volumes,
-    which its output keeps, and ``volume`` is not used.
+    one for all its chunks); None allocates one. With ``config.dump_dsi``
+    the chunk also gets fresh per-camera volumes, and its output holds
+    them and the fused DSI (which wraps ``volume``) for writing.
     """
-    kept = keep_fused or config.dump_dsi
     timings = {}
     t0 = time.perf_counter()
     ref_view = select_reference_view(chunk, traj, rig.cameras[0])
-    chunk.reference_view = ref_view
     fused = DsiGrid.create(
         ref_view, rig.cameras[0], config.z_min, config.z_max,
-        config.num_planes, config.width, config.height,
-        votes=None if kept else volume,
+        config.num_planes, config.width, config.height, votes=volume,
     )
     timings["reference"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    streams = [chunk.events.get(cid, EventStream.empty(cid)) for cid in rig.camera_ids]
+    streams = [chunk.events[cid] for cid in rig.camera_ids]
     rays = [prepare_sweep(fused, stream, cam, traj=traj)
             for stream, cam in zip(streams, rig.cameras)]
     timings["rays"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     kernel = resolve_kernel("auto")
-    cameras = np.empty((len(rays),) + fused.votes.shape) if kept else None
+    cameras = np.empty((len(rays),) + fused.votes.shape) if config.dump_dsi else None
     hits, votes, fused_votes = _vote_and_fuse(
         fused, rays, FusionOp.from_string(config.fusion), config.voting, kernel,
         workers, cameras,
@@ -270,7 +268,7 @@ def process_chunk(
         stats["events_read"], stats["fused_votes"], stats["valid_pixels"],
     )
     out = ChunkOutput(chunk.index, chunk.t_start, chunk.t_end, result, stats)
-    if kept:
+    if cameras is not None:
         out.fused = fused
         out.camera_grids = [dataclasses.replace(fused, votes=v, skipped_events=n)
                             for v, n in zip(cameras, skipped)]
@@ -290,7 +288,7 @@ def _vote_and_fuse(fused: DsiGrid, rays, op: FusionOp, mode: str, kernel: str,
     plane's votes depend only on the events and every fusion operator is
     element-wise, so the result is bit-identical to voting whole volumes
     with ``vote_events`` and fusing them with ``fuse``, at any worker
-    count. One camera's votes are its fused volume, as ``fuse`` needs two.
+    count.
 
     Returns, per camera, the hit mask (events that voted on any plane) and
     the vote total, and the fused vote total. A total is the sum of the
@@ -315,11 +313,7 @@ def _vote_and_fuse(fused: DsiGrid, rays, op: FusionOp, mode: str, kernel: str,
             if cameras is not None:
                 cameras[:, p0:p1] = stack
             band_sums = [float(stack[k].sum()) for k in range(n)]
-            out = fused.votes[p0:p1]
-            if n == 1:
-                np.copyto(out, stack[0])
-            else:
-                op.apply_into(stack, out)  # overwrites stack
+            out = op.apply_into(stack, fused.votes[p0:p1])  # overwrites stack
             sums.append((band_sums, float(out.sum())))
         return hits, sums
 
@@ -337,8 +331,7 @@ def _vote_and_fuse(fused: DsiGrid, rays, op: FusionOp, mode: str, kernel: str,
 def _check_memory(shape: tuple, n_cameras: int, workers: int, keep: bool) -> int:
     """Bytes one chunk needs for its volumes of ``shape`` (planes, H, W) and
     band buffers: the fused volume, one band buffer per worker and, when
-    kept, the per-camera volumes (``keep_fused`` holds those of every
-    chunk; one chunk's are counted). Raises DsiTooLarge when that exceeds
+    dumped, the per-camera volumes. Raises DsiTooLarge when that exceeds
     physical memory, before anything is allocated; where the system does
     not report physical memory, nothing is checked."""
     num_planes, height, width = shape
@@ -368,7 +361,6 @@ def run_pipeline(
     rig: rio.RigCalibration | None = None,
     traj: PoseTrajectory | None = None,
     workers: int | None = None,
-    keep_fused: bool = False,
 ) -> list[ChunkOutput]:
     """Run the full mapper. Inputs come from config paths unless given
     in-memory. Chunks not covered by the trajectory are skipped with a
@@ -381,7 +373,6 @@ def run_pipeline(
         if config.calibration is None:
             raise RaysweepError("no calibration provided")
         rig = rio.parse_calibration(config.calibration)
-    kept = keep_fused or config.dump_dsi
     cam = rig.cameras[0]
     shape = (config.num_planes, config.height or cam.height, config.width or cam.width)
     for name, size, c in (("width", shape[2], cam.cx), ("height", shape[1], cam.cy)):
@@ -391,7 +382,7 @@ def run_pipeline(
                 f"({cam.cx}, {cam.cy}) of the reference camera, which the DSI "
                 f"keeps; {name} must exceed {c}"
             )
-    _check_memory(shape, len(rig.cameras), workers, kept)
+    _check_memory(shape, len(rig.cameras), workers, config.dump_dsi)
     if traj is None:
         if config.trajectory is None:
             raise RaysweepError("no trajectory provided")
@@ -407,17 +398,26 @@ def run_pipeline(
                 path, cid, width=cam.width, height=cam.height
             )
     else:
+        if sorted(streams) != sorted(rig.camera_ids):
+            raise RaysweepError(
+                f"event streams for cameras {sorted(streams)}, but the rig "
+                f"has cameras {sorted(rig.camera_ids)}"
+            )
         for cid, cam in zip(rig.camera_ids, rig.cameras):
-            if cid in streams:
-                streams[cid].check_bounds(cam)
+            if streams[cid].camera_id != cid:
+                raise RaysweepError(
+                    f"the stream given for camera {cid!r} is camera "
+                    f"{streams[cid].camera_id!r}"
+                )
+            streams[cid].check_bounds(cam)
 
-    ordered = [streams[cid] for cid in rig.camera_ids if cid in streams]
+    ordered = [streams[cid] for cid in rig.camera_ids]
     chunks = chunk_events(ordered, config.chunk_duration)
     out_dir = Path(config.out_dir) if config.out_dir else None
     if out_dir:
         out_dir.mkdir(parents=True, exist_ok=True)
 
-    volume = None if kept else np.empty(shape)  # the fused DSI of every chunk
+    volume = np.empty(shape)  # the fused DSI of every chunk
     outputs = []
     for chunk in chunks:
         lo = min(
@@ -440,19 +440,17 @@ def run_pipeline(
             ))
             continue
         try:
-            result = process_chunk(
-                chunk, rig, traj, config, workers=workers,
-                keep_fused=keep_fused, volume=volume,
-            )
-        except (RaysweepError, OutOfTrajectoryRange) as e:
+            result = process_chunk(chunk, rig, traj, config, workers=workers,
+                                   volume=volume)
+        except RaysweepError as e:
             raise RaysweepError(
                 f"chunk {chunk.index} [{chunk.t_start:.3f}, {chunk.t_end:.3f}): {e}"
             ) from e
         outputs.append(result)
         if out_dir and result.result is not None:
-            _write_outputs(result, out_dir, config, rig.camera_ids)
-        if not keep_fused:  # dumped volumes are on disk; hold no chunk's
-            result.fused = result.camera_grids = None
+            _write_outputs(result, out_dir, rig.camera_ids)
+        # the next chunk overwrites the fused volume; dumped ones are on disk
+        result.fused = result.camera_grids = None
 
     if out_dir:
         with open(out_dir / "stats.json", "w") as fh:
@@ -461,13 +459,12 @@ def run_pipeline(
     return outputs
 
 
-def _write_outputs(out: ChunkOutput, out_dir: Path, config: PipelineConfig,
-                   camera_ids=()):
+def _write_outputs(out: ChunkOutput, out_dir: Path, camera_ids):
     tag = f"chunk{out.index:03d}"
     rio.write_depth_pfm(out.result, out_dir / f"depth_{tag}.pfm")
     rio.write_confidence_pgm(out.result, out_dir / f"confidence_{tag}.pgm")
     rio.write_ply(out.result, out_dir / f"cloud_{tag}.ply")
-    if config.dump_dsi and out.fused is not None:
+    if out.fused is not None:  # config.dump_dsi
         rio.write_dsi(out.fused, out_dir / f"dsi_fused_{tag}.bin")
-        for cid, grid in zip(camera_ids, out.camera_grids or ()):
+        for cid, grid in zip(camera_ids, out.camera_grids):
             rio.write_dsi(grid, out_dir / f"dsi_{cid}_{tag}.bin")

@@ -24,11 +24,11 @@ from raysweep.dsi import (
     vote_event_bruteforce,
     vote_events,
 )
-from raysweep.events import EventStream
+from raysweep.events import EventStream, chunk_events
 from raysweep.evaluation import compare_depth_results
 from raysweep.geometry import CameraModel, PoseTrajectory, Se3
 from raysweep.io import parse_events, read_pfm, write_events, write_pfm
-from raysweep.pipeline import _vote_and_fuse, run_pipeline
+from raysweep.pipeline import _vote_and_fuse, process_chunk, run_pipeline
 from raysweep.synth import ground_truth_depth, make_scenario
 
 from conftest import random_unit_quat
@@ -40,13 +40,19 @@ def report(criterion, detail):
 
 @pytest.fixture(scope="module")
 def lateral():
-    """Reference run of the lateral_room scenario (criteria 3, 5, 6, 7)."""
+    """Reference run of the lateral_room scenario (criteria 3, 5, 6, 7): its
+    one chunk, with the fused volume kept."""
     sc = make_scenario("lateral_room", n_points=500, seed=7)
     streams = sc.simulate()
-    outs = run_pipeline(sc.config, streams=streams, rig=sc.rig, traj=sc.traj,
-                        workers=1, keep_fused=True)
-    gt = ground_truth_depth(sc.scene, outs[0].result.ref_pose, sc.rig.cameras[0])
-    return sc, streams, outs[0], gt
+    out = process_chunk(first_chunk(sc, streams), sc.rig, sc.traj,
+                        dataclasses.replace(sc.config, dump_dsi=True), workers=1)
+    gt = ground_truth_depth(sc.scene, out.result.ref_pose, sc.rig.cameras[0])
+    return sc, streams, out, gt
+
+
+def first_chunk(sc, streams):
+    return chunk_events([streams[cid] for cid in sc.rig.camera_ids],
+                        sc.config.chunk_duration)[0]
 
 
 def inv_tolerance(config):
@@ -172,10 +178,9 @@ def test_criterion_6_parallel_determinism(lateral, tmp_path):
     assert f1.read_bytes() == f8.read_bytes()
 
     # bilinear: votes within 1e-9, extracted depth maps identical
-    b1 = run_pipeline(sc.config, streams=streams, rig=sc.rig, traj=sc.traj,
-                      workers=1, keep_fused=True)[0]
-    b8 = run_pipeline(sc.config, streams=streams, rig=sc.rig, traj=sc.traj,
-                      workers=8, keep_fused=True)[0]
+    dump = dataclasses.replace(sc.config, dump_dsi=True)  # keeps the volumes
+    b1, b8 = (process_chunk(first_chunk(sc, streams), sc.rig, sc.traj, dump,
+                            workers=w) for w in (1, 8))
     max_diff = max(
         float(np.max(np.abs(a.votes - b.votes)))
         for a, b in zip(b1.camera_grids, b8.camera_grids)

@@ -596,25 +596,45 @@ class TestFusionOp:
             assert np.max(np.abs(a - b) / b) < 1e-12
 
     def test_fuse_matches_whole_stack_apply_exactly(self, pinhole_cam):
-        # fuse() works one plane at a time in a reused buffer, and apply()
-        # shares that code; both must equal the whole-stack formulas bit
-        # for bit, zeros (AND logic) included
+        # fuse() works one plane at a time in a reused buffer, and apply() and
+        # the band loop's apply_into on an (n, 4, H, W) band share that code;
+        # all must equal the whole-stack formulas bit for bit (compared as
+        # uint64, so the sign of a zero counts), zeros (AND logic) included
         rng = np.random.default_rng(51)
-        grids = [make_grid(pinhole_cam, num_planes=5) for _ in range(3)]
-        for g in grids:
-            g.votes[:] = rng.uniform(0.0, 9.0, g.votes.shape)
-            g.votes[rng.random(g.votes.shape) < 0.3] = 0.0
-        stack = np.stack([g.votes for g in grids])
+        shape = (4, 4, pinhole_cam.height, pinhole_cam.width)
+        stack = np.where(rng.random(shape) < 0.5,
+                         10.0 ** rng.uniform(-3.0, 3.0, shape),  # 1e-3 to 1e3
+                         rng.integers(1, 6, shape).astype(float))
+        stack[rng.random(shape) < 0.3] = 0.0
+        width = np.arange(pinhole_cam.width)
+        stack[:, 0, 0] = 0.0  # every input 0
+        stack[:, 0, 1] = rng.uniform(1e-3, 1e3, (4, pinhole_cam.width))
+        stack[:, 0, 2] = stack[:, 0, 1]  # every input positive ...
+        stack[width % 4, 0, 2, width] = 0.0  # ... but exactly one
+        grids = [make_grid(pinhole_cam, num_planes=4) for _ in range(4)]
+        for g, votes in zip(grids, stack):
+            g.votes[:] = votes
         ops = [MIN, HARMONIC, GEOMETRIC, ARITHMETIC, RMS, MAX,
-               FusionOp("power", -1.5), FusionOp("power", 0.5), FusionOp("power", 1e-5)]
+               FusionOp("power", -7.0), FusionOp("power", -2.0),
+               FusionOp("power", -1.5), FusionOp("power", -0.5),
+               FusionOp("power", 0.5), FusionOp("power", 3.0),
+               FusionOp("power", 1e-5)]
+
+        def bits(a):
+            return np.ascontiguousarray(a).view(np.uint64)
         for op in ops:
-            for n in (2, 3):
-                want = whole_stack_fusion(op, stack[:n])
-                assert np.array_equal(fuse(grids[:n], op).votes, want), op
-                assert np.array_equal(op.apply(stack[:n]), want), op
+            for n in (2, 3, 4):
+                want = bits(whole_stack_fusion(op, stack[:n]))
+                assert np.array_equal(bits(fuse(grids[:n], op).votes), want), op
+                assert np.array_equal(bits(op.apply(stack[:n])), want), op
+                volume = np.full((6,) + shape[2:], np.nan)
+                band = stack[:n].copy()
+                assert op.apply_into(band, volume[1:5]).base is volume
+                assert np.array_equal(bits(volume[1:5]), want), (op, n)
+                assert np.isnan(volume[[0, 5]]).all()
 
     def test_fuse_peak_memory_one_volume_and_few_planes(self, pinhole_cam):
-        # the output volume plus an (n, H, W) buffer and boolean masks;
+        # the output volume plus an (n, H, W) buffer;
         # no stacked inputs and no volume- or plane-sized temporaries per op
         rng = np.random.default_rng(52)
         grids = [make_grid(pinhole_cam, num_planes=100, z_min=0.45) for _ in range(2)]

@@ -6,7 +6,6 @@ import sys
 import threading
 import time
 import tracemalloc
-import types
 import warnings
 
 import numpy as np
@@ -21,7 +20,7 @@ from raysweep.depth import (
     refine_result,
 )
 from raysweep.dsi import DsiGrid, FusionOp, fuse, prepare_sweep, vote_events
-from raysweep.errors import DsiTooLarge
+from raysweep.errors import DsiTooLarge, RaysweepError
 from raysweep.events import EventStream, chunk_events, select_reference_view
 from raysweep.geometry import CameraModel, PoseTrajectory, Se3
 from raysweep.io import RigCalibration, read_pfm
@@ -222,10 +221,11 @@ class TestRunPipeline:
         monkeypatch.setattr(_sweep, "_build", broken_build)
         monkeypatch.setattr(_sweep, "_c_sweep", None)
         monkeypatch.setattr(_sweep, "_c_error", None)
+        dump = dataclasses.replace(sc.config, dump_dsi=True)  # keeps the volumes
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            outs = [process_chunk(copy.deepcopy(chunk), sc.rig, sc.traj, sc.config,
-                                  workers=w, keep_fused=True) for w in (1, 2)]
+            outs = [process_chunk(copy.deepcopy(chunk), sc.rig, sc.traj, dump,
+                                  workers=w) for w in (1, 2)]
         assert len(caught) == 1
         assert "bad value for -O3" in str(caught[0].message)
         for out in outs:
@@ -246,6 +246,29 @@ class TestRunPipeline:
         assert np.array_equal(a.result.depth, b.result.depth)
         assert np.array_equal(a.result.mask, b.result.mask)
 
+    @pytest.mark.parametrize("keys", [["left"], ["lft", "right"],
+                                      ["left", "right", "extra"]])
+    def test_streams_must_name_the_rig_cameras(self, small_scenario, monkeypatch,
+                                               keys):
+        # a missing or misnamed camera is refused before chunking, naming
+        # both sets, instead of being voted as an empty stream
+        sc, streams = small_scenario
+        given = {key: streams.get(key, streams["left"]) for key in keys}
+        monkeypatch.setattr(pipeline, "chunk_events", None)  # not reached
+        with pytest.raises(RaysweepError) as exc:
+            run_pipeline(sc.config, streams=given, rig=sc.rig, traj=sc.traj,
+                         workers=1)
+        assert str(sorted(keys)) in str(exc.value)
+        assert "['left', 'right']" in str(exc.value)
+
+    def test_stream_filed_under_another_camera_rejected(self, small_scenario):
+        sc, streams = small_scenario
+        swapped = {"left": streams["right"], "right": streams["left"]}
+        with pytest.raises(RaysweepError, match="given for camera 'left' is "
+                                                "camera 'right'"):
+            run_pipeline(sc.config, streams=swapped, rig=sc.rig, traj=sc.traj,
+                         workers=1)
+
     def test_out_of_bounds_stream_rejected(self, small_scenario):
         sc, _ = small_scenario
         bad = EventStream("left", np.array([0.1]), np.array([999], np.int32),
@@ -257,10 +280,10 @@ class TestRunPipeline:
                          rig=sc.rig, traj=sc.traj, workers=1)
 
 
-def band_rig(n_cams):
-    """Up to three cameras: a left camera, one 12 cm to its right, and one
-    inside the depth range turned 70 deg to look across the reference view,
-    so that many of its rays run nearly parallel to the depth planes."""
+def band_rig():
+    """Three cameras: a left camera, one 12 cm to its right, and one inside
+    the depth range turned 70 deg to look across the reference view, so
+    that many of its rays run nearly parallel to the depth planes."""
     left = CameraModel(fx=200.0, fy=200.0, cx=120.0, cy=90.0, width=240,
                        height=180, dist=np.array([-0.03, 0.0, 0.0, 0.0]))
     cams = (
@@ -269,30 +292,24 @@ def band_rig(n_cams):
                                                                  trans=[0.12, 0, 0])),
         dataclasses.replace(left, T_body_cam=Se3.from_axis_angle(
             [0, 1, 0], np.deg2rad(70), trans=[-0.3, 0.0, 0.8])),
-    )[:n_cams]
-    ids = ("a", "b", "c")[:n_cams]
-    if n_cams == 1:  # RigCalibration needs two cameras; process_chunk does not
-        return types.SimpleNamespace(camera_ids=ids, cameras=cams)
-    return RigCalibration("band", ids, cams)
+    )
+    return RigCalibration("band", ("a", "b", "c"), cams)
 
 
 @pytest.fixture(scope="module")
 def band_inputs():
-    """(rig, trajectory, chunk) for a 1- and a 3-camera rig, random events."""
+    """(rig, trajectory, chunk) for the 3-camera band rig, random events."""
     rng = np.random.default_rng(12)
     traj = PoseTrajectory(np.array([0.0, 1.0]), np.tile([0, 0, 0, 1.0], (2, 1)),
                           np.array([[-0.2, 0.0, 0.0], [0.2, 0.05, 0.1]]))
-    out = {}
-    for n_cams in (1, 3):
-        rig = band_rig(n_cams)
-        # most events in one 40 x 40 patch, so that the AND-logic means of
-        # three cameras still find voxels every camera voted on
-        streams = [EventStream(cid, np.sort(rng.uniform(0.0, 1.0, 1500)),
-                               rng.integers(100, 140, 1500, dtype=np.int32),
-                               rng.integers(70, 110, 1500, dtype=np.int32),
-                               np.ones(1500, np.int8)) for cid in rig.camera_ids]
-        out[n_cams] = (rig, traj, chunk_events(streams, 1.5)[0])
-    return out
+    rig = band_rig()
+    # most events in one 40 x 40 patch, so that the AND-logic means of
+    # three cameras still find voxels every camera voted on
+    streams = [EventStream(cid, np.sort(rng.uniform(0.0, 1.0, 1500)),
+                           rng.integers(100, 140, 1500, dtype=np.int32),
+                           rng.integers(70, 110, 1500, dtype=np.int32),
+                           np.ones(1500, np.int8)) for cid in rig.camera_ids]
+    return rig, traj, chunk_events(streams, 1.5)[0]
 
 
 def whole_volume_chunk(chunk, rig, traj, config):
@@ -306,7 +323,7 @@ def whole_volume_chunk(chunk, rig, traj, config):
         vote_events(grid, chunk.events[cid], cam, traj=traj, mode=config.voting)
         grids.append(grid)
     op = FusionOp.from_string(config.fusion)
-    fused = fuse(grids, op) if len(grids) > 1 else grids[0]
+    fused = fuse(grids, op)
     result = extract_depth(fused)
     keep = adaptive_threshold(result.confidence, config.threshold_sigma,
                               config.threshold_offset)
@@ -320,7 +337,7 @@ class TestBandLoop:
     outputs must equal voting whole per-camera volumes and fusing them."""
 
     def test_third_camera_has_grazing_rays(self, band_inputs):
-        rig, traj, chunk = band_inputs[3]
+        rig, traj, chunk = band_inputs
         grid = DsiGrid.create(Se3.identity(), rig.cameras[0], 0.45, 4.0, 13)
         rays = prepare_sweep(grid, chunk.events["c"], rig.cameras[2], traj=traj)
         assert 0 < len(rays.graze[2]) < rays.num_events
@@ -331,35 +348,34 @@ class TestBandLoop:
     def test_matches_whole_volume_vote_and_fuse(self, band_inputs, fusion, voting):
         # 13 planes: bands of 4, 4, 4 and 1
         config = PipelineConfig(num_planes=13, fusion=fusion, voting=voting)
-        for n_cams in (1, 3):
-            rig, traj, chunk = band_inputs[n_cams]
-            grids, fused, want = whole_volume_chunk(chunk, rig, traj, config)
-            assert fused.votes.any()
-            stats = []
-            for workers in (1, 2, 3):
-                volume = np.full(fused.votes.shape, np.nan)  # all overwritten
-                out = process_chunk(copy.deepcopy(chunk), rig, traj, config,
-                                    workers=workers, volume=volume)
-                assert np.array_equal(volume, fused.votes), (n_cams, workers)
-                for name in ("depth", "mask", "confidence"):
-                    assert np.array_equal(getattr(out.result, name),
-                                          getattr(want, name)), (n_cams, workers, name)
-                stats.append({k: v for k, v in out.stats.items() if k != "timings"})
-            assert stats[0] == stats[1] == stats[2]
-            per_camera = stats[0]["cameras"]
-            for cid, grid in zip(rig.camera_ids, grids):
-                assert per_camera[cid]["events_skipped"] == grid.skipped_events
-                assert per_camera[cid]["votes"] == pytest.approx(
-                    grid.votes.sum(), rel=1e-12, abs=0.0)
-            assert stats[0]["fused_votes"] == pytest.approx(
-                fused.votes.sum(), rel=1e-12, abs=0.0)
+        rig, traj, chunk = band_inputs
+        grids, fused, want = whole_volume_chunk(chunk, rig, traj, config)
+        assert fused.votes.any()
+        stats = []
+        for workers in (1, 2, 3):
+            volume = np.full(fused.votes.shape, np.nan)  # all overwritten
+            out = process_chunk(copy.deepcopy(chunk), rig, traj, config,
+                                workers=workers, volume=volume)
+            assert np.array_equal(volume, fused.votes), workers
+            for name in ("depth", "mask", "confidence"):
+                assert np.array_equal(getattr(out.result, name),
+                                      getattr(want, name)), (workers, name)
+            stats.append({k: v for k, v in out.stats.items() if k != "timings"})
+        assert stats[0] == stats[1] == stats[2]
+        per_camera = stats[0]["cameras"]
+        for cid, grid in zip(rig.camera_ids, grids):
+            assert per_camera[cid]["events_skipped"] == grid.skipped_events
+            assert per_camera[cid]["votes"] == pytest.approx(
+                grid.votes.sum(), rel=1e-12, abs=0.0)
+        assert stats[0]["fused_votes"] == pytest.approx(
+            fused.votes.sum(), rel=1e-12, abs=0.0)
 
     def test_stress_more_workers_than_cpus_and_bands(self, band_inputs):
         # 2 and 8 threads on few CPUs with a tiny switch interval, so the
         # threads interleave as often as the interpreter allows; 5 planes
         # form 2 bands, which 8 workers outnumber. The arithmetic mean keeps
         # every camera's votes, where the AND-logic means leave 5 planes empty
-        rig, traj, chunk = band_inputs[3]
+        rig, traj, chunk = band_inputs
         mismatches, finished = [], []
 
         def run():
@@ -398,24 +414,28 @@ class TestBandLoop:
 
     @pytest.mark.parametrize("voting", ["nearest", "bilinear"])
     def test_kept_volumes_match_whole_volume_voting(self, band_inputs, voting):
-        config = PipelineConfig(num_planes=13, fusion="harmonic", voting=voting)
-        rig, traj, chunk = band_inputs[3]
+        config = PipelineConfig(num_planes=13, fusion="harmonic", voting=voting,
+                                dump_dsi=True)
+        rig, traj, chunk = band_inputs
         grids, fused, _ = whole_volume_chunk(chunk, rig, traj, config)
         for workers in (1, 3):
             out = process_chunk(copy.deepcopy(chunk), rig, traj, config,
-                                workers=workers, keep_fused=True)
+                                workers=workers)
             assert np.array_equal(out.fused.votes, fused.votes)
             assert out.fused.skipped_events == fused.skipped_events
             for got, want in zip(out.camera_grids, grids):
                 assert np.array_equal(got.votes, want.votes)
                 assert got.skipped_events == want.skipped_events
 
-    @pytest.mark.parametrize("keep_fused", [False, True])
+    @pytest.mark.parametrize("dump_dsi", [False, True])
     def test_later_chunks_leave_earlier_outputs_alone(self, small_scenario,
-                                                      monkeypatch, keep_fused):
-        # the fused volume is reused across chunks; no output may alias it
+                                                      monkeypatch, tmp_path,
+                                                      dump_dsi):
+        # the fused volume is reused across chunks, dumped ones included; no
+        # output may alias it
         sc, streams = small_scenario
-        config = dataclasses.replace(sc.config, chunk_duration=0.1)
+        config = dataclasses.replace(sc.config, chunk_duration=0.1, dump_dsi=dump_dsi,
+                                     out_dir=str(tmp_path) if dump_dsi else None)
         snapshots, volumes = [], []
         real = pipeline.process_chunk
 
@@ -423,24 +443,17 @@ class TestBandLoop:
             out = real(*args, **kwargs)
             volumes.append(kwargs["volume"])
             arrays = [out.result.depth, out.result.confidence, out.result.mask]
-            if keep_fused:
-                arrays += [out.fused.votes] + [g.votes for g in out.camera_grids]
             snapshots.append([a.copy() for a in arrays])
             return out
         monkeypatch.setattr(pipeline, "process_chunk", spy)
         outs = run_pipeline(config, streams=streams, rig=sc.rig, traj=sc.traj,
-                            workers=2, keep_fused=keep_fused)
+                            workers=2)
         assert len(outs) >= 3 and all(not o.skipped for o in outs)
-        if keep_fused:
-            assert volumes == [None] * len(outs)
-        else:
-            assert volumes[0] is not None
-            assert all(v is volumes[0] for v in volumes)
+        assert volumes[0] is not None
+        assert all(v is volumes[0] for v in volumes)
         for out, snap in zip(outs, snapshots):
+            assert out.fused is None and out.camera_grids is None
             arrays = [out.result.depth, out.result.confidence, out.result.mask]
-            if keep_fused:
-                arrays += [out.fused.votes] + [g.votes for g in out.camera_grids]
-            assert len(arrays) == len(snap)
             for a, b in zip(arrays, snap):
                 assert np.array_equal(a, b)
 
@@ -450,13 +463,14 @@ class TestBandLoop:
         sc, streams = small_scenario
         config = dataclasses.replace(sc.config, chunk_duration=0.1, dump_dsi=True,
                                      out_dir=str(tmp_path))
-        kwargs = dict(streams=streams, rig=sc.rig, traj=sc.traj, workers=2)
-        dumped = run_pipeline(config, **kwargs)
-        kept = run_pipeline(dataclasses.replace(config, dump_dsi=False, out_dir=None),
-                            keep_fused=True, **kwargs)
-        assert len(dumped) >= 3
-        for d, k in zip(dumped, kept):
+        dumped = run_pipeline(config, streams=streams, rig=sc.rig, traj=sc.traj,
+                              workers=2)
+        chunks = chunk_events([streams[c] for c in sc.rig.camera_ids],
+                              config.chunk_duration)
+        assert len(dumped) == len(chunks) >= 3
+        for d, chunk in zip(dumped, chunks):
             assert d.fused is None and d.camera_grids is None
+            k = process_chunk(chunk, sc.rig, sc.traj, config, workers=2)
             tag = f"chunk{d.index:03d}"
             for name, grid in [("fused", k.fused), *zip(sc.rig.camera_ids,
                                                         k.camera_grids)]:
