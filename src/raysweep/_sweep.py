@@ -30,6 +30,12 @@ per step), which is the fallback and the test oracle. Nearest-mode votes
 are integral adds, so both produce bit-identical grids; bilinear differs
 only in summation order.
 
+``_sweep.c`` also holds ``prepare``, the compiled ``dsi._prepare_rays``
+that computes these coefficients (and each ray's origin, direction and
+conditioning flag) in one pass per event. It runs numpy's operations in
+numpy's order, so its outputs are bit-identical to the numpy form, which
+stays its fallback and oracle.
+
 The C source is compiled on first use (not at import), once per source and
 flag set, with ``gcc -O3 -ffp-contract=off -fPIC -shared`` into
 ``$XDG_CACHE_HOME/raysweep`` (default ``~/.cache/raysweep``), and loaded with
@@ -61,14 +67,21 @@ _BLOCK = 1 << 16  # events projected per step; bounds the temporaries
 
 _SOURCE = Path(__file__).with_name("_sweep.c")
 _COMPILE = ("gcc", "-O3", "-ffp-contract=off", "-fPIC", "-shared")
-_I64, _PTR = ctypes.c_int64, ctypes.c_void_p
-# sweep(a_u, a_v, b_u, b_v, lo, hi, n, inv_zs, p0, p1, votes, offset, width,
-#       height, bilinear, hit)
-_ARGTYPES = [_PTR] * 6 + [_I64, _PTR, _I64, _I64, _PTR, _I64, _I64, _I64,
-                          ctypes.c_int, _PTR]
+_I64, _PTR, _F64 = ctypes.c_int64, ctypes.c_void_p, ctypes.c_double
+_ARGTYPES = {
+    # sweep(a_u, a_v, b_u, b_v, lo, hi, n, inv_zs, p0, p1, votes, offset,
+    #       width, height, bilinear, hit)
+    "sweep": [_PTR] * 6 + [_I64, _PTR, _I64, _I64, _PTR, _I64, _I64, _I64,
+                           ctypes.c_int, _PTR],
+    # prepare(q_wc, t_wc, bearings, index, n, q_ref_inv, t_ref, intr, depths,
+    #         nz, inv_max, bound, a_u, a_v, b_u, b_v, lo, hi, origins, dirs,
+    #         affine_ok)
+    "prepare": [_PTR] * 4 + [_I64] + [_PTR] * 4 + [_I64, _F64, _F64]
+               + [_PTR] * 9,
+}
 
 _lock = threading.Lock()
-_c_sweep = None  # the loaded C function, once built
+_c_lib = None  # the loaded library, its functions typed, once built
 _c_error = None  # why it could not be built or loaded
 
 
@@ -104,22 +117,33 @@ def _build() -> Path:
 
 
 def _load_c():
-    """The compiled sweep function, built and loaded on first call; None
-    if that failed, in which case the first call warned once."""
-    global _c_sweep, _c_error
+    """The compiled library, built and loaded on first call, with its
+    ``sweep`` and ``prepare`` functions typed; None if that failed, in
+    which case the first call warned once."""
+    global _c_lib, _c_error
     with _lock:
-        if _c_sweep is None and _c_error is None:
+        if _c_lib is None and _c_error is None:
             try:
-                fn = ctypes.CDLL(str(_build())).sweep
-                fn.argtypes = _ARGTYPES
-                fn.restype = None
-                _c_sweep = fn
+                lib = ctypes.CDLL(str(_build()))
+                for name, argtypes in _ARGTYPES.items():
+                    fn = getattr(lib, name)
+                    fn.argtypes = argtypes
+                    fn.restype = None
+                _c_lib = lib
             except Exception as exc:  # no compiler, no cache, bad library...
                 _c_error = f"{type(exc).__name__}: {exc}"
-                warnings.warn(f"raysweep: C sweep kernel unavailable, using the "
-                              f"numpy kernel ({_c_error})", RuntimeWarning,
-                              stacklevel=2)
-    return _c_sweep
+                warnings.warn(f"raysweep: C kernels unavailable, preparing and "
+                              f"sweeping rays with numpy ({_c_error})",
+                              RuntimeWarning, stacklevel=2)
+    return _c_lib
+
+
+def _require_c():
+    """The compiled library; raises RuntimeError if it is unavailable."""
+    lib = _load_c()
+    if lib is None:
+        raise RuntimeError(f"C kernel requested but unavailable ({_c_error})")
+    return lib
 
 
 def resolve_kernel(kernel: str) -> str:
@@ -146,9 +170,7 @@ def _plane_range(lo, hi, offset, votes):
 def _sweep_c(a_u, a_v, b_u, b_v, lo, hi, inv_zs, votes, bilinear, offset=0):
     """Call the C kernel after checking every bound it relies on, so that
     no argument can make it read or write outside its arrays."""
-    fn = _load_c()
-    if fn is None:
-        raise RuntimeError(f"C kernel requested but unavailable ({_c_error})")
+    lib = _require_c()
     if not (isinstance(votes, np.ndarray) and votes.dtype == np.float64
             and votes.ndim == 3 and votes.flags.c_contiguous
             and votes.flags.writeable):
@@ -171,10 +193,51 @@ def _sweep_c(a_u, a_v, b_u, b_v, lo, hi, inv_zs, votes, bilinear, offset=0):
         return hit
     p0, p1 = _plane_range(lo, hi, offset, votes)
     height, width = votes.shape[1:]
-    fn(*(c.ctypes.data for c in coeffs), lo.ctypes.data, hi.ctypes.data, n,
-       inv_zs.ctypes.data, p0, p1, votes.ctypes.data, offset, width, height,
-       int(bilinear), hit.ctypes.data)
+    lib.sweep(*(c.ctypes.data for c in coeffs), lo.ctypes.data, hi.ctypes.data,
+              n, inv_zs.ctypes.data, p0, p1, votes.ctypes.data, offset, width,
+              height, int(bilinear), hit.ctypes.data)
     return hit
+
+
+def prepare_c(q_wc, t_wc, bearings, index, q_ref_inv, t_ref, intr, depths,
+              inv_max, bound):
+    """Run the C ``prepare``, the compiled ``dsi._prepare_rays``, after
+    checking every dtype, shape and index it relies on, so that no argument
+    can make it read or write outside its arrays.
+
+    Event k's camera pose is (``q_wc[k]``, ``t_wc[k]``) and its undistorted
+    bearing ``bearings[index[k]]``; ``q_ref_inv``/``t_ref`` are the inverse
+    rotation and position of the reference view, ``intr`` its (fx, fy, cx,
+    cy). Returns (a_u, a_v, b_u, b_v, lo, hi, origins, dirs, affine_ok), as
+    ``_prepare_rays`` does, bit for bit.
+    """
+    lib = _require_c()
+    q_wc, t_wc, bearings, q_ref_inv, t_ref, intr, depths = (
+        np.ascontiguousarray(a, dtype=np.float64)
+        for a in (q_wc, t_wc, bearings, q_ref_inv, t_ref, intr, depths))
+    index = np.ascontiguousarray(index, dtype=np.int64)
+    n = len(index)
+    if not (index.ndim == 1 and q_wc.shape == (n, 4) and t_wc.shape == (n, 3)):
+        raise ValueError("index, q_wc and t_wc must be (n,), (n, 4) and (n, 3)")
+    if bearings.ndim != 2 or bearings.shape[1] != 2:
+        raise ValueError("bearings must be an (m, 2) array")
+    if (q_ref_inv.shape, t_ref.shape, intr.shape) != ((4,), (3,), (4,)) \
+            or depths.ndim != 1:
+        raise ValueError("q_ref_inv, t_ref and intr must be (4,), (3,) and "
+                         "(4,), depths 1-D")
+    if n and (index.min() < 0 or index.max() >= len(bearings)):
+        raise ValueError(f"pixel index outside the {len(bearings)} bearings")
+    a_u, a_v, b_u, b_v = (np.empty(n) for _ in range(4))
+    lo, hi = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
+    origins, dirs = np.empty((n, 3)), np.empty((n, 3))
+    affine_ok = np.empty(n, dtype=bool)
+    lib.prepare(q_wc.ctypes.data, t_wc.ctypes.data, bearings.ctypes.data,
+                index.ctypes.data, n, q_ref_inv.ctypes.data, t_ref.ctypes.data,
+                intr.ctypes.data, depths.ctypes.data, len(depths),
+                float(inv_max), float(bound),
+                *(a.ctypes.data for a in (a_u, a_v, b_u, b_v, lo, hi, origins,
+                                          dirs, affine_ok)))
+    return a_u, a_v, b_u, b_v, lo, hi, origins, dirs, affine_ok
 
 
 def _scatter_plane(u, v, ok, plane, bilinear):

@@ -181,28 +181,58 @@ def _check_aligned(grids):
 # ---------------------------------------------------------------------------
 # voting
 
+def _pixel_bearings(events: EventStream, cam: CameraModel):
+    """The undistorted bearings (m, 2) of the distinct pixels of ``events``
+    in ascending pixel order, and each event's index into them.
+
+    Streams revisit pixels heavily, so each pixel is undistorted once. An
+    occupancy table over the W*H pixels lists them without sorting: the
+    same pixels and indices as ``np.unique(code, return_inverse=True)``.
+    """
+    events.check_bounds(cam)
+    width = cam.width
+    code = np.multiply(events.y, width, dtype=np.int64)
+    code += events.x
+    seen = np.zeros(width * cam.height, dtype=bool)
+    seen[code] = True
+    uniq = np.flatnonzero(seen)
+    index = np.empty(seen.size, dtype=np.int64)
+    index[uniq] = np.arange(uniq.size)
+    upix = np.empty((uniq.size, 2))
+    upix[:, 1], upix[:, 0] = np.divmod(uniq, width)
+    return cam.undistort_pixels(upix), index[code]
+
+
 def _prepare_rays(grid: DsiGrid, events: EventStream, cam: CameraModel,
-                  q_wc: np.ndarray, t_wc: np.ndarray) -> "_RayPrep":
+                  q_wc: np.ndarray, t_wc: np.ndarray,
+                  kernel: str = "numpy") -> "_RayPrep":
     """Per-event sweep coefficients and ray geometry.
 
     The ray is expressed in the reference frame: origin = camera center,
     direction = rotated undistorted bearing (u, v, 1). Projection onto
     plane z is then affine in 1/z, and the planes in front of the ray
     origin (lam > 0) form the contiguous index range [lo, hi).
-    """
-    # Undistort each distinct pixel once; streams revisit pixels heavily.
-    code = events.y.astype(np.int64) * cam.width + events.x.astype(np.int64)
-    uniq, inverse = np.unique(code, return_inverse=True)
-    upix = np.stack([uniq % cam.width, uniq // cam.width], axis=-1).astype(np.float64)
-    bearing = cam.undistort_pixels(upix)[inverse]
-    dirs_cam = np.concatenate([bearing, np.ones((len(events), 1))], axis=-1)
 
+    ``kernel="c"`` runs the compiled form, one pass per event with the
+    same operations in the same order, so every output is bit-identical;
+    this numpy form is its fallback and test oracle.
+    """
+    bearings, index = _pixel_bearings(events, cam)
     q_ref_inv = quat_conjugate(grid.ref_pose.quat)
+    k = grid.ref_intrinsics
+    if kernel == "c":
+        return _RayPrep(*_sweep.prepare_c(
+            q_wc, t_wc, bearings, index, q_ref_inv, grid.ref_pose.trans,
+            (k.fx, k.fy, k.cx, k.cy), grid.depths, grid.inv_depths[0],
+            _AFFINE_COND_BOUND,
+        ))
+    dirs_cam = np.ones((len(events), 3))
+    dirs_cam[:, :2] = bearings[index]
+
     q_rv_cam = quat_mul(np.broadcast_to(q_ref_inv, q_wc.shape), q_wc)
     origins = quat_rotate(q_ref_inv, t_wc - grid.ref_pose.trans)
     dirs = quat_rotate(q_rv_cam, dirs_cam)
 
-    k = grid.ref_intrinsics
     with np.errstate(divide="ignore", invalid="ignore"):
         dxz = dirs[:, 0] / dirs[:, 2]
         dyz = dirs[:, 1] / dirs[:, 2]
@@ -257,14 +287,15 @@ class SweepRays:
 
 def prepare_sweep(grid: DsiGrid, events: EventStream, cam: CameraModel, *,
                   traj: PoseTrajectory | None = None,
-                  pose: Se3 | None = None) -> SweepRays:
+                  pose: Se3 | None = None, kernel: str = "auto") -> SweepRays:
     """Per-event camera poses and rays of ``events`` in ``grid``'s reference
     view, split into the affine-form and the near-grazing rays.
 
     Camera poses come either from ``traj`` (per-event interpolation) or a
-    single fixed ``pose``. This is the part of voting that does not depend
-    on the planes: do it once per camera, then sweep any plane ranges with
-    ``sweep_band``.
+    single fixed ``pose``. ``kernel`` prepares the rays as in ``sweep_band``
+    (``"c"``, ``"numpy"`` or ``"auto"``); poses are interpolated in numpy.
+    This is the part of voting that does not depend on the planes: do it
+    once per camera, then sweep any plane ranges with ``sweep_band``.
     """
     if (traj is None) == (pose is None):
         raise ValueError("pass exactly one of traj= or pose=")
@@ -273,14 +304,19 @@ def prepare_sweep(grid: DsiGrid, events: EventStream, cam: CameraModel, *,
     else:
         q_wc = np.broadcast_to(pose.quat, (len(events), 4))
         t_wc = np.broadcast_to(pose.trans, (len(events), 3))
-    prep = _prepare_rays(grid, events, cam, q_wc, t_wc)
+    prep = _prepare_rays(grid, events, cam, q_wc, t_wc,
+                         _sweep.resolve_kernel(kernel))
     # Well-conditioned rays take the affine-form kernel; near-grazing ones
-    # are intersected plane by plane.
+    # are intersected plane by plane. Only the grazing rays' origins and
+    # directions are kept, as copies; when no ray grazes, which is usual,
+    # the coefficient arrays are kept as they are, not copied.
     ok = prep.affine_ok
+    graze = ~ok
+    affine = prep[:6] if ok.all() else tuple(a[ok] for a in prep[:6])
     return SweepRays(
-        affine=(prep.a_u[ok], prep.a_v[ok], prep.b_u[ok], prep.b_v[ok],
-                prep.lo[ok], prep.hi[ok]),
-        graze=(prep.origins[~ok], prep.dirs[~ok], prep.lo[~ok], prep.hi[~ok]),
+        affine=affine,
+        graze=(prep.origins[graze], prep.dirs[graze], prep.lo[graze],
+               prep.hi[graze]),
     )
 
 
@@ -341,7 +377,7 @@ def vote_events(
     if len(events) == 0:
         return grid
 
-    rays = prepare_sweep(grid, events, cam, traj=traj, pose=pose)
+    rays = prepare_sweep(grid, events, cam, traj=traj, pose=pose, kernel=kernel)
     hit = sweep_band(grid, rays, grid.votes, 0, mode, kernel)
     grid.skipped_events += len(events) - int(np.count_nonzero(hit))
     return grid

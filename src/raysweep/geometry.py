@@ -387,13 +387,19 @@ class PoseTrajectory:
         t0, t1 = self.times[lo], self.times[hi]
         alpha = (ts - t0) / (t1 - t0)
 
-        q_lo = self.quats[lo]
-        q_hi = self.quats[hi]
+        # np.take gathers rows faster than fancy indexing, into fresh arrays
+        q_lo = np.take(self.quats, lo, axis=0)
+        q_hi = np.take(self.quats, hi, axis=0)
         if np.array_equal(q_lo, q_hi):  # pure-translation segments: no slerp
-            q = q_lo.copy()
+            q = q_lo
         else:
             q = quat_slerp(q_lo, q_hi, alpha)
-        p = self.trans[lo] + alpha[:, None] * (self.trans[hi] - self.trans[lo])
+        # p_lo + alpha * (p_hi - p_lo), in place
+        p_lo = np.take(self.trans, lo, axis=0)
+        p = np.take(self.trans, hi, axis=0)
+        p -= p_lo
+        p *= alpha[:, None]
+        p += p_lo
 
         # Pin exact sample hits to the stored values.
         exact_lo = ts == t0

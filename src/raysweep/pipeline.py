@@ -210,13 +210,13 @@ def process_chunk(
     timings["reference"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
+    kernel = resolve_kernel("auto")  # prepares and sweeps the rays
     streams = [chunk.events[cid] for cid in rig.camera_ids]
-    rays = [prepare_sweep(fused, stream, cam, traj=traj)
+    rays = [prepare_sweep(fused, stream, cam, traj=traj, kernel=kernel)
             for stream, cam in zip(streams, rig.cameras)]
     timings["rays"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    kernel = resolve_kernel("auto")
     cameras = np.empty((len(rays),) + fused.votes.shape) if config.dump_dsi else None
     hits, votes, fused_votes = _vote_and_fuse(
         fused, rays, FusionOp.from_string(config.fusion), config.voting, kernel,

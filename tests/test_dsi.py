@@ -1,7 +1,9 @@
+import dataclasses
 import os
 import subprocess
 import sys
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from raysweep.dsi import (
     FusionOp,
     fuse,
     plane_depths,
+    prepare_sweep,
     vote_event,
     vote_event_bruteforce,
     vote_events,
@@ -29,7 +32,7 @@ from raysweep.errors import InvalidDepthRange, MisalignedDsi
 from raysweep.events import Event, EventStream
 from raysweep.geometry import CameraModel, PoseTrajectory, Se3
 
-from conftest import random_unit_quat
+from conftest import random_pose, random_unit_quat
 
 KERNELS = ["c", "numpy"]
 
@@ -204,17 +207,34 @@ class TestGrazingFallback:
         assert fast.skipped_events == brute.skipped_events
 
 
-def random_rays(cam, n=300, num_planes=12, seed=8):
-    """(grid, _prepare_rays output) for one random pose per event, centers
-    spread through the depth range: forward and backward rays, lo > 0 and
-    hi < num_planes both occur."""
+def random_ray_inputs(cam, n=300, num_planes=12, seed=8):
+    """(grid, stream, quats, trans) with one random camera pose per event,
+    centers spread through the depth range: forward and backward rays,
+    lo > 0 and hi < num_planes all occur."""
     rng = np.random.default_rng(seed)
     stream = random_stream(rng, n, cam)
     grid = make_grid(cam, num_planes=num_planes, z_min=0.45, z_max=4.0)
     quats = np.array([random_unit_quat(rng) for _ in range(n)])
     trans = rng.normal(size=(n, 3)) * [0.3, 0.3, 0.0] + [0.0, 0.0, 1.0]
     trans[:, 2] += rng.uniform(-1.0, 1.5, n)
+    return grid, stream, quats, trans
+
+
+def random_rays(cam, n=300, num_planes=12, seed=8):
+    """(grid, _prepare_rays output) of ``random_ray_inputs``."""
+    grid, stream, quats, trans = random_ray_inputs(cam, n, num_planes, seed)
     return grid, _prepare_rays(grid, stream, cam, quats, trans)
+
+
+def assert_same_bits(got, want):
+    """Two sequences of arrays hold the same dtypes, shapes and bits."""
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.shape == w.shape
+        if g.dtype == np.bool_:
+            assert np.array_equal(g, w)
+        else:
+            assert np.array_equal(g.view(np.uint64), w.view(np.uint64))
 
 
 def edge_rays():
@@ -364,12 +384,164 @@ class TestCKernel:
         assert not (tmp_path / "raysweep").exists()
 
     def test_requested_c_without_library_raises(self, monkeypatch, pinhole_cam):
-        monkeypatch.setattr(_sweep, "_c_sweep", None)
+        monkeypatch.setattr(_sweep, "_c_lib", None)
         monkeypatch.setattr(_sweep, "_c_error", "OSError: no compiler")
         grid, prep = self._prep(pinhole_cam, n=10)
         with pytest.raises(RuntimeError, match="no compiler"):
             _sweep.run_sweep(prep, grid.inv_depths, grid.votes, "nearest", "c")
+        grid, stream, quats, trans = random_ray_inputs(pinhole_cam, n=10)
+        with pytest.raises(RuntimeError, match="no compiler"):
+            _prepare_rays(grid, stream, pinhole_cam, quats, trans, kernel="c")
         assert _sweep.resolve_kernel("auto") == "numpy"
+
+
+class TestCPrepare:
+    """The compiled ray preparation against numpy's ``_prepare_rays``, its
+    oracle: every output array bit for bit."""
+
+    @staticmethod
+    def _both(grid, stream, cam, quats, trans):
+        want = _prepare_rays(grid, stream, cam, quats, trans)
+        assert_same_bits(_prepare_rays(grid, stream, cam, quats, trans, kernel="c"),
+                         want)
+        return want
+
+    def test_random_rays(self, distorted_cam):
+        grid, stream, quats, trans = random_ray_inputs(distorted_cam, n=3000)
+        prep = self._both(grid, stream, distorted_cam, quats, trans)
+        d_z = prep.dirs[:, 2]
+        assert (d_z > 0).any() and (d_z < 0).any()
+        assert prep.lo.max() > 0 and prep.hi.min() < grid.num_planes
+        assert 0 < np.count_nonzero(~prep.affine_ok) < len(stream)  # grazing
+
+    def test_slerped_trajectory_and_rotated_mount(self, distorted_cam):
+        # a rotating 21-sample trajectory, events also at its exact sample
+        # times, a rotated and offset camera mount, random reference views
+        rng = np.random.default_rng(21)
+        times = np.linspace(0.0, 1.0, 21)
+        traj = PoseTrajectory(times, np.array([random_unit_quat(rng) for _ in times]),
+                              rng.normal(size=(21, 3)) * 0.3)
+        cam = dataclasses.replace(
+            distorted_cam, T_body_cam=Se3(random_unit_quat(rng), [0.1, -0.05, 0.02]))
+        n = 4000
+        stream = EventStream(
+            "r", np.sort(np.concatenate([rng.uniform(0.0, 1.0, n), times])),
+            rng.integers(0, cam.width, n + 21, dtype=np.int32),
+            rng.integers(0, cam.height, n + 21, dtype=np.int32),
+            np.ones(n + 21, np.int8))
+        for _ in range(5):
+            grid = make_grid(cam, num_planes=20, z_min=0.45, z_max=4.0,
+                             ref=random_pose(rng, 0.3))
+            quats, trans = traj.camera_poses(stream.t, cam.T_body_cam)
+            prep = self._both(grid, stream, cam, quats, trans)
+            assert 0 < np.count_nonzero(~prep.affine_ok)
+            got = prepare_sweep(grid, stream, cam, traj=traj, kernel="c")
+            want = prepare_sweep(grid, stream, cam, traj=traj, kernel="numpy")
+            assert_same_bits(got.affine + got.graze, want.affine + want.graze)
+
+    def test_backward_parallel_and_on_plane_origins(self):
+        # fx = fy = 2, cx = cy = 0: pixel (x, y) has the exact bearing
+        # (x/2, y/2). Quaternions (arrays, not poses, so unnormalized is
+        # fine): identity looks forward (d_z = 1); (0, 1, 0, 0) turns about
+        # y (d_z = -1); (1, 0, 0, 1) gives d_z = y - 1, zero on row 1.
+        cam = CameraModel(fx=2.0, fy=2.0, cx=0.0, cy=0.0, width=4, height=4)
+        grid = make_grid(cam, num_planes=5, z_min=1.0, z_max=4.0)
+        zs = grid.depths
+        quats = np.array([[0, 0, 0, 1.0], [0, 1.0, 0, 0], [1.0, 0, 0, 1.0]])
+        # an infinite height makes the origin NaN, which searchsorted sorts
+        # after every plane
+        heights = np.array([zs[0], zs[2], zs[4], 0.0, 0.5 * (zs[1] + zs[2]), 5.0,
+                            np.inf])
+        x, y, qi, zi = (a.ravel() for a in np.meshgrid(
+            np.arange(4), np.arange(4), np.arange(3), np.arange(7), indexing="ij"))
+        n = len(x)
+        stream = EventStream("r", np.zeros(n), x.astype(np.int32), y.astype(np.int32),
+                             np.ones(n, np.int8))
+        trans = np.zeros((n, 3))
+        trans[:, 2] = heights[zi]
+        with np.errstate(invalid="ignore"):  # 0 * inf
+            prep = self._both(grid, stream, cam, quats[qi], trans)
+
+        finite = zi < 6
+        assert np.array_equal(prep.origins[finite, 2], trans[finite, 2])
+        d_z = prep.dirs[:, 2]
+        fwd, bwd, flat = d_z > 0, d_z < 0, d_z == 0
+        assert fwd.any() and bwd.any() and flat.any()
+        assert not prep.affine_ok[flat].any() and not prep.hi[flat].any()
+        # an origin on plane 2: forward rays start past it, backward ones
+        # end before it (searchsorted side="right" and side="left")
+        on2 = zi == 1
+        assert (prep.lo[on2 & fwd] == 3).all() and (prep.hi[on2 & fwd] == 5).all()
+        assert (prep.lo[on2 & bwd] == 0).all() and (prep.hi[on2 & bwd] == 2).all()
+        assert (prep.lo[(zi == 0) & fwd] == 1).all() and (prep.hi[(zi == 2) & bwd] == 4).all()
+        assert np.isnan(prep.origins[~finite, 2]).all()
+        assert (prep.lo[~finite & fwd] == 5).all() and (prep.hi[~finite & bwd] == 5).all()
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_empty_stream(self, distorted_cam, kernel):
+        # a camera silent for one chunk
+        grid = make_grid(distorted_cam)
+        prep = _prepare_rays(grid, EventStream.empty("r"), distorted_cam,
+                             np.empty((0, 4)), np.empty((0, 3)), kernel=kernel)
+        assert [a.shape for a in prep] == [(0,)] * 6 + [(0, 3)] * 2 + [(0,)]
+        rays = prepare_sweep(grid, EventStream.empty("r"), distorted_cam,
+                             pose=Se3.identity(), kernel=kernel)
+        assert rays.num_events == 0
+
+    def test_fixed_pose(self, distorted_cam):
+        rng = np.random.default_rng(22)
+        stream = random_stream(rng, 3000, distorted_cam)
+        grid = make_grid(distorted_cam, num_planes=20, z_min=0.45, z_max=4.0)
+        pose = random_pose(rng, 0.5)
+        got = prepare_sweep(grid, stream, distorted_cam, pose=pose, kernel="c")
+        want = prepare_sweep(grid, stream, distorted_cam, pose=pose, kernel="numpy")
+        assert_same_bits(got.affine + got.graze, want.affine + want.graze)
+        assert got.num_events == len(stream)
+
+    @pytest.mark.parametrize("bad", [
+        "index_high", "index_negative", "index_2d", "quat_shape", "short_trans",
+        "bearings_shape", "intr", "depths_2d",
+    ])
+    def test_guard_rejects_unsafe_arguments(self, monkeypatch, bad):
+        calls = []
+        monkeypatch.setattr(_sweep, "_c_lib",
+                            types.SimpleNamespace(prepare=lambda *a: calls.append(a)))
+        monkeypatch.setattr(_sweep, "_c_error", None)
+        n, m = 6, 4
+        args = dict(q_wc=np.tile([0, 0, 0, 1.0], (n, 1)), t_wc=np.zeros((n, 3)),
+                    bearings=np.zeros((m, 2)), index=np.arange(n) % m,
+                    q_ref_inv=np.array([0, 0, 0, 1.0]), t_ref=np.zeros(3),
+                    intr=(1.0, 1.0, 0.0, 0.0), depths=np.array([1.0, 2.0]),
+                    inv_max=1.0, bound=1e3)
+        _sweep.prepare_c(**args)
+        assert len(calls) == 1
+        if bad == "index_high":
+            args["index"] = np.full(n, m)
+        elif bad == "index_negative":
+            args["index"] = np.full(n, -1)
+        elif bad == "index_2d":
+            args["index"] = np.zeros((n, 1), np.int64)
+        elif bad == "quat_shape":
+            args["q_wc"] = np.zeros((n, 3))
+        elif bad == "short_trans":
+            args["t_wc"] = np.zeros((n - 1, 3))
+        elif bad == "bearings_shape":
+            args["bearings"] = np.zeros((m, 3))
+        elif bad == "intr":
+            args["intr"] = (1.0, 1.0, 0.0)
+        elif bad == "depths_2d":
+            args["depths"] = np.ones((2, 2))
+        with pytest.raises(ValueError):
+            _sweep.prepare_c(**args)
+        assert len(calls) == 1
+
+    def test_out_of_bounds_pixel_rejected(self, distorted_cam):
+        stream = EventStream("r", np.zeros(2), np.array([3, distorted_cam.width], np.int32),
+                             np.zeros(2, np.int32), np.ones(2, np.int8))
+        for kernel in KERNELS:
+            with pytest.raises(ValueError, match="outside"):
+                prepare_sweep(make_grid(distorted_cam), stream, distorted_cam,
+                              pose=Se3.identity(), kernel=kernel)
 
 
 class TestBandSweep:

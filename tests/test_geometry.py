@@ -119,6 +119,36 @@ class TestPoseInterpolation:
         assert angles[0] == 0.0
         assert angles[-1] == pytest.approx(np.pi / 2, abs=1e-12)
 
+    @staticmethod
+    def _gather_form(traj, ts):
+        # interpolate_batch as written before it gathered with np.take and
+        # lerped in place: fancy indexing and an (N, 3) broadcast
+        hi = np.clip(np.searchsorted(traj.times, ts, side="right"), 1, len(traj) - 1)
+        lo = hi - 1
+        t0, t1 = traj.times[lo], traj.times[hi]
+        alpha = (ts - t0) / (t1 - t0)
+        q_lo, q_hi = traj.quats[lo], traj.quats[hi]
+        q = q_lo.copy() if np.array_equal(q_lo, q_hi) else quat_slerp(q_lo, q_hi, alpha)
+        p = traj.trans[lo] + alpha[:, None] * (traj.trans[hi] - traj.trans[lo])
+        for exact, idx in ((ts == t0, lo), (ts == t1, hi)):
+            q[exact] = traj.quats[idx[exact]]
+            p[exact] = traj.trans[idx[exact]]
+        return q, p
+
+    @pytest.mark.parametrize("rotating", [True, False])
+    def test_batch_bit_identical_to_gather_form(self, rotating):
+        rng = np.random.default_rng(12)
+        times = np.sort(rng.uniform(0.0, 2.0, 21))
+        quats = (np.array([random_unit_quat(rng) for _ in times]) if rotating
+                 else np.tile(random_unit_quat(rng), (len(times), 1)))
+        traj = PoseTrajectory(times, quats, rng.normal(size=(len(times), 3)))
+        ts = np.sort(np.concatenate([rng.uniform(times[0], times[-1], 5000),
+                                     times, times[3:5]]))
+        got, want = traj.interpolate_batch(ts), self._gather_form(traj, ts)
+        for g, w in zip(got, want):
+            assert g.shape == w.shape and g.flags.c_contiguous
+            assert np.array_equal(g.view(np.uint64), w.view(np.uint64))
+
     def test_out_of_range_raises(self):
         traj = self._traj()
         with pytest.raises(OutOfTrajectoryRange):

@@ -11,7 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
-from raysweep import pipeline
+from raysweep import dsi, pipeline
 from raysweep.cli import cli_main
 from raysweep.depth import (
     adaptive_threshold,
@@ -22,7 +22,13 @@ from raysweep.depth import (
 from raysweep.dsi import DsiGrid, FusionOp, fuse, prepare_sweep, vote_events
 from raysweep.errors import DsiTooLarge, RaysweepError
 from raysweep.events import EventStream, chunk_events, select_reference_view
-from raysweep.geometry import CameraModel, PoseTrajectory, Se3
+from raysweep.geometry import (
+    CameraModel,
+    PoseTrajectory,
+    Se3,
+    quat_from_axis_angle,
+    quat_mul,
+)
 from raysweep.io import RigCalibration, read_pfm
 from raysweep.pipeline import PipelineConfig, process_chunk, run_pipeline
 from raysweep.synth import make_scenario
@@ -219,15 +225,23 @@ class TestRunPipeline:
         def broken_build():
             raise RuntimeError("gcc failed: cc1: error: bad value for -O3")
         monkeypatch.setattr(_sweep, "_build", broken_build)
-        monkeypatch.setattr(_sweep, "_c_sweep", None)
+        monkeypatch.setattr(_sweep, "_c_lib", None)
         monkeypatch.setattr(_sweep, "_c_error", None)
         dump = dataclasses.replace(sc.config, dump_dsi=True)  # keeps the volumes
+        prepared = []
+        prepare_rays = dsi._prepare_rays
+
+        def spy(grid, events, cam, q_wc, t_wc, kernel="numpy"):
+            prepared.append(kernel)
+            return prepare_rays(grid, events, cam, q_wc, t_wc, kernel)
+        monkeypatch.setattr(dsi, "_prepare_rays", spy)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             outs = [process_chunk(copy.deepcopy(chunk), sc.rig, sc.traj, dump,
                                   workers=w) for w in (1, 2)]
         assert len(caught) == 1
         assert "bad value for -O3" in str(caught[0].message)
+        assert prepared and set(prepared) == {"numpy"}  # rays prepared in numpy too
         for out in outs:
             assert out.stats["kernel"] == "numpy"
             for cid, cam, grid in zip(sc.rig.camera_ids, sc.rig.cameras,
@@ -236,6 +250,34 @@ class TestRunPipeline:
                 vote_events(want, chunk.events[cid], cam, traj=sc.traj,
                             mode=sc.config.voting, kernel="numpy")
                 assert np.array_equal(grid.votes, want.votes)
+
+    def test_kernels_agree_on_rotating_trajectory(self, small_scenario, monkeypatch):
+        # the scenario's body only translates; turning it a little about y
+        # between samples makes every event's pose a slerp. Nearest votes
+        # are integral, so C and numpy give the same volumes bit for bit.
+        sc, streams = small_scenario
+        traj = sc.traj
+        turns = np.linspace(-0.04, 0.04, len(traj))
+        rot = PoseTrajectory(
+            traj.times,
+            np.array([quat_mul(q, quat_from_axis_angle([0, 1, 0], a))
+                      for q, a in zip(traj.quats, turns)]),
+            traj.trans)
+        config = dataclasses.replace(sc.config, voting="nearest", dump_dsi=True)
+        chunk = chunk_events([streams[cid] for cid in sc.rig.camera_ids],
+                             config.chunk_duration)[0]
+        c_out = process_chunk(copy.deepcopy(chunk), sc.rig, rot, config)
+        monkeypatch.setattr(pipeline, "resolve_kernel", lambda kernel: "numpy")
+        np_out = process_chunk(copy.deepcopy(chunk), sc.rig, rot, config)
+        assert (c_out.stats.pop("kernel"), np_out.stats.pop("kernel")) == ("c", "numpy")
+        c_out.stats.pop("timings"), np_out.stats.pop("timings")
+        assert c_out.stats == np_out.stats and c_out.stats["events_voted"] > 0
+        for a, b in zip([c_out.fused] + c_out.camera_grids,
+                        [np_out.fused] + np_out.camera_grids):
+            assert np.array_equal(a.votes, b.votes)
+        for field in ("depth", "confidence", "mask"):
+            assert np.array_equal(getattr(c_out.result, field),
+                                  getattr(np_out.result, field), equal_nan=True)
 
     def test_rerun_is_deterministic(self, small_scenario):
         sc, streams = small_scenario
