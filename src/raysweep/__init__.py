@@ -12,7 +12,6 @@ from .depth import (
     extract_depth,
     median_filter_depth,
     refine_result,
-    subvoxel_refine,
     to_point_cloud,
 )
 from .dsi import (
@@ -66,7 +65,6 @@ __all__ = [
     "run_pipeline",
     "select_reference_view",
     "simulate_events",
-    "subvoxel_refine",
     "to_point_cloud",
     "vote_event",
     "vote_event_bruteforce",

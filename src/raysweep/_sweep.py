@@ -57,7 +57,7 @@ from pathlib import Path
 
 import numpy as np
 
-# Read by the benchmark's environment record; ROADMAP item 5 replaces it
+# Read by the benchmark's environment record; ROADMAP item 1 replaces it
 # with the kernel that actually ran.
 HAVE_NUMBA = False
 

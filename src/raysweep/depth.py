@@ -36,13 +36,6 @@ class DepthResult:
     def num_valid(self) -> int:
         return int(np.count_nonzero(self.mask))
 
-    def normalized_confidence(self) -> np.ndarray:
-        """Confidence scaled to [0, 1] by the map's maximum."""
-        peak = float(self.confidence.max()) if self.confidence.size else 0.0
-        if peak <= 0.0:
-            return np.zeros_like(self.confidence)
-        return self.confidence / peak
-
     def masked_depth(self, fill: float = 0.0) -> np.ndarray:
         return np.where(self.mask, self.depth, fill)
 
@@ -87,25 +80,6 @@ def _parabola_vertex(x1, y1, x2, y2, x3, y3):
     with np.errstate(invalid="ignore", divide="ignore"):
         vertex = x2 - 0.5 * num / den
     return np.where(den != 0.0, vertex, x2)
-
-
-def subvoxel_refine(column, i_star: int, inv_depths) -> float:
-    """Refined inverse depth for one DSI column around its peak ``i_star``.
-
-    Interior peaks are refined by the vertex of the parabola through the
-    three (inverse depth, votes) samples, clamped to the bracketing plane
-    interval; boundary or degenerate peaks stay at the sampled plane.
-    """
-    column = np.asarray(column, dtype=np.float64)
-    inv_depths = np.asarray(inv_depths, dtype=np.float64)
-    n = len(column)
-    if i_star <= 0 or i_star >= n - 1:
-        return float(inv_depths[i_star])
-    x1, x2, x3 = inv_depths[i_star - 1], inv_depths[i_star], inv_depths[i_star + 1]
-    v = _parabola_vertex(
-        x1, column[i_star - 1], x2, column[i_star], x3, column[i_star + 1]
-    )
-    return float(np.clip(v, min(x1, x3), max(x1, x3)))
 
 
 def refine_result(fused: DsiGrid, result: DepthResult) -> DepthResult:

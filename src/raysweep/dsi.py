@@ -469,6 +469,10 @@ class FusionOp:
             raise ValueError(f"unknown fusion kind {self.kind!r}")
         if self.kind == "power" and self.p is None:
             raise ValueError("power mean needs an exponent p")
+        if self.kind == "power" and not math.isfinite(self.p):
+            # p = +-inf turns a voxel one camera never voted on into 1
+            raise ValueError(f"fusion {str(self)!r}: the power mean's exponent "
+                             f"must be finite")
 
     @classmethod
     def from_string(cls, spec: str) -> "FusionOp":

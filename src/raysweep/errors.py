@@ -56,4 +56,5 @@ class MotionTooFastForStep(RaysweepError):
 
 
 class DsiTooLarge(RaysweepError):
-    """The DSI volume and its voting buffers exceed physical memory."""
+    """The DSI volume, its voting buffers or its extraction filters exceed
+    physical memory."""

@@ -25,13 +25,6 @@ class DepthMetrics:
     inlier_fraction: float    # within inv-depth tolerance, over pred (NaN if no tol)
     density: float            # gt pixels with a prediction within the radius
 
-    def summary(self) -> str:
-        return (
-            f"pred={self.n_pred} gt={self.n_gt} matched={self.n_matched} "
-            f"mean_abs_rel={self.mean_abs_rel:.4f} "
-            f"outliers={self.outlier_fraction:.4f} density={self.density:.4f}"
-        )
-
 
 def compare_depth(
     pred_depth,

@@ -171,9 +171,6 @@ class Se3:
         """Transform points (...,3) from the child frame into the parent."""
         return quat_rotate(self.quat, points) + self.trans
 
-    def apply_rotation(self, vectors):
-        return quat_rotate(self.quat, vectors)
-
     def rotation_matrix(self):
         return quat_to_matrix(self.quat)
 

@@ -56,8 +56,8 @@ log = logging.getLogger(__name__)
 # same at bands of 1 to 16 planes.
 BAND_PLANES = 4
 
-# Config fields holding file paths (str or path-like); the others are
-# type-checked against their annotations by PipelineConfig.validate.
+# Config fields holding file paths (str or path-like; events a list of
+# them), checked apart from the others, whose annotations give their types.
 _PATH_FIELDS = ("events", "trajectory", "calibration", "out_dir")
 
 # Annotation -> accepted value types; bool, an int subclass, is accepted
@@ -101,7 +101,11 @@ class PipelineConfig:
         for name in ("chunk_duration", "z_min", "z_max", "threshold_sigma",
                      "threshold_offset"):
             value = getattr(self, name)
-            if not math.isfinite(value):
+            try:
+                finite = math.isfinite(value)
+            except OverflowError:  # an int beyond float range
+                finite = False
+            if not finite:
                 raise ValueError(f"{name} must be finite, got {value}")
         if self.chunk_duration <= 0.0:
             raise ValueError("chunk_duration must be positive")
@@ -126,6 +130,14 @@ class PipelineConfig:
     def _check_types(self):
         """Reject a value whose type the field's annotation does not allow,
         e.g. a JSON string or bool where a number or a bool belongs."""
+        path = (str, os.PathLike)
+        if not isinstance(self.events, list) or not all(
+                isinstance(p, path) for p in self.events):
+            raise ValueError(f"events must be a list of paths, got {self.events!r}")
+        for name in _PATH_FIELDS[1:]:
+            value = getattr(self, name)
+            if value is not None and not isinstance(value, path):
+                raise ValueError(f"{name} must be a path or null, got {value!r}")
         hints = typing.get_type_hints(type(self))
         for f in dataclasses.fields(self):
             if f.name in _PATH_FIELDS:
@@ -146,6 +158,8 @@ class PipelineConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "PipelineConfig":
+        if not isinstance(d, dict):
+            raise ValueError(f"a config must be a JSON object, got {type(d).__name__}")
         known = {f.name for f in dataclasses.fields(cls)}
         unknown = set(d) - known
         if unknown:
@@ -328,17 +342,30 @@ def _vote_and_fuse(fused: DsiGrid, rays, op: FusionOp, mode: str, kernel: str,
     return hits, votes, sum(f for _, f in band_sums)
 
 
-def _check_memory(shape: tuple, n_cameras: int, workers: int, keep: bool) -> int:
-    """Bytes one chunk needs for its volumes of ``shape`` (planes, H, W) and
-    band buffers: the fused volume, one band buffer per worker and, when
-    dumped, the per-camera volumes. Raises DsiTooLarge when that exceeds
-    physical memory, before anything is allocated; where the system does
-    not report physical memory, nothing is checked."""
+# The extraction filters' temporaries peak at up to 5 float64 copies of
+# their largest array (tracemalloc and ru_maxrss, 80x60 and 240x180 maps):
+# median_filter_depth's H*W*k^2 windows (4.4-5.0x) and the threshold
+# Gaussian's 2*int(4 sigma + 0.5) + 1 weights (3.0-4.7x).
+FILTER_COPIES = 5
+
+
+def _check_memory(shape: tuple, n_cameras: int, workers: int, keep: bool,
+                  median_kernel: int = 1, threshold_sigma: float = 0.0) -> int:
+    """Bytes one chunk needs for its volumes of ``shape`` (planes, H, W),
+    band buffers and extraction filters: the fused volume and, when dumped,
+    the per-camera volumes, plus the largest of one band buffer per worker
+    (voting), the median filter's and the threshold's temporaries, which
+    are never live at once. Raises DsiTooLarge when that exceeds physical
+    memory, before anything is allocated; where the system does not report
+    physical memory, nothing is checked."""
     num_planes, height, width = shape
     plane = width * height * 8
     workers = min(workers, -(-num_planes // BAND_PLANES))
     buffers = workers * n_cameras * BAND_PLANES * plane
-    need = (1 + (n_cameras if keep else 0)) * num_planes * plane + buffers
+    median = FILTER_COPIES * plane * median_kernel**2
+    gaussian = FILTER_COPIES * 8 * (2 * int(4 * threshold_sigma + 0.5) + 1)
+    volumes = (1 + (n_cameras if keep else 0)) * num_planes * plane
+    need = volumes + max(buffers, median, gaussian)
     try:
         pages, page_size = os.sysconf("SC_PHYS_PAGES"), os.sysconf("SC_PAGE_SIZE")
     except (AttributeError, OSError, ValueError):  # no sysconf, or no such name
@@ -348,8 +375,11 @@ def _check_memory(shape: tuple, n_cameras: int, workers: int, keep: bool) -> int
         raise DsiTooLarge(
             f"the DSI needs {need} bytes ({need / 2**30:.1f} GiB: "
             f"{num_planes} planes of {plane} bytes, {n_cameras} cameras, "
-            f"{workers} workers) but the machine has {physical} bytes of "
-            f"physical memory; use fewer planes or a smaller width/height"
+            f"{workers} workers; {median} bytes for median_kernel "
+            f"{median_kernel} and {gaussian} bytes for threshold_sigma "
+            f"{threshold_sigma:g}) but the machine has {physical} bytes of "
+            f"physical memory; use fewer planes, a smaller width/height, "
+            f"median_kernel or threshold_sigma"
         )
     return need
 
@@ -382,7 +412,8 @@ def run_pipeline(
                 f"({cam.cx}, {cam.cy}) of the reference camera, which the DSI "
                 f"keeps; {name} must exceed {c}"
             )
-    _check_memory(shape, len(rig.cameras), workers, config.dump_dsi)
+    _check_memory(shape, len(rig.cameras), workers, config.dump_dsi,
+                  config.median_kernel, config.threshold_sigma)
     if traj is None:
         if config.trajectory is None:
             raise RaysweepError("no trajectory provided")
@@ -435,7 +466,8 @@ def run_pipeline(
             )
             outputs.append(ChunkOutput(
                 chunk.index, chunk.t_start, chunk.t_end, None,
-                {"chunk": chunk.index, "skipped": "trajectory coverage"},
+                {"chunk": chunk.index, "skipped": "trajectory coverage",
+                 "events_read": chunk.total_events()},
                 skipped=True,
             ))
             continue

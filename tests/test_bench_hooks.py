@@ -21,6 +21,9 @@ USED_NAMES = [
     "evaluation.compare_depth_results", "io.read_pfm", "io.write_calibration",
     "io.write_events", "io.write_trajectory", "pipeline.run_pipeline",
     "synth.ground_truth_depth", "synth.make_scenario",
+    # wrapped by bench/layers.py install, or called by its counters
+    "DsiGrid.copy_empty", "pipeline.vote_events", "pipeline.fuse",
+    "Chunk.total_events", "_sweep.run_sweep", "_sweep.sweep_direct",
 ]
 
 

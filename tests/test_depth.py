@@ -12,7 +12,6 @@ from raysweep.depth import (
     local_peak_mask,
     median_filter_depth,
     refine_result,
-    subvoxel_refine,
     to_point_cloud,
 )
 from raysweep.dsi import DsiGrid
@@ -121,52 +120,54 @@ class TestExtract:
         assert peak <= 4 * grid.votes[0].nbytes, peak / grid.votes[0].nbytes
 
 
+def refine_column(cam, col, i_star):
+    """refine_result on a grid whose one voted pixel holds the column
+    ``col`` and sits at plane ``i_star``; returns the refined depth and the
+    grid, whose inverse depths are ``np.linspace(2.0, 0.5, len(col))``."""
+    grid = DsiGrid.create(Se3.identity(), cam, 0.5, 2.0, len(col))
+    assert np.array_equal(grid.inv_depths, np.linspace(2.0, 0.5, len(col)))
+    y, x = 50, 60
+    grid.votes[:, y, x] = col
+    res = extract_depth(grid)
+    depth = np.zeros_like(res.depth)
+    depth[y, x] = grid.depths[i_star]
+    mask = np.zeros_like(res.mask)
+    mask[y, x] = True
+    refined = refine_result(grid, replace(res, depth=depth, mask=mask))
+    return refined.depth[y, x], grid
+
+
 class TestSubvoxelRefine:
-    def test_symmetric_neighbors_stay_centered(self):
-        inv = np.linspace(2.0, 0.5, 7)
+    def test_symmetric_neighbors_stay_centered(self, pinhole_cam):
         col = np.array([0, 1.0, 4.0, 1.0, 0, 0, 0])
-        assert subvoxel_refine(col, 2, inv) == inv[2]
+        got, grid = refine_column(pinhole_cam, col, 2)
+        assert got == grid.depths[2]
 
-    def test_boundary_peak_unrefined(self):
-        inv = np.linspace(2.0, 0.5, 5)
+    def test_boundary_peak_unrefined(self, pinhole_cam):
         col = np.array([5.0, 1.0, 0.5, 0.2, 0.1])
-        assert subvoxel_refine(col, 0, inv) == inv[0]
-        col = np.array([0.1, 0.2, 0.5, 1.0, 5.0])
-        assert subvoxel_refine(col, 4, inv) == inv[4]
+        got, grid = refine_column(pinhole_cam, col, 0)
+        assert got == grid.depths[0]
+        got, grid = refine_column(pinhole_cam, col[::-1], 4)
+        assert got == grid.depths[4]
 
-    def test_recovers_parabola_vertex(self):
+    def test_recovers_parabola_vertex(self, pinhole_cam):
         # sample an exact parabola in inverse depth; the vertex sits
         # between planes and must be recovered to 1e-9
         inv = np.linspace(2.0, 0.5, 11)
         vertex = inv[5] + 0.37 * (inv[6] - inv[5])
         col = 10.0 - 50.0 * (inv - vertex) ** 2
-        i_star = int(np.argmax(col))
-        got = subvoxel_refine(col, i_star, inv)
-        assert got == pytest.approx(vertex, abs=1e-9)
+        got, _ = refine_column(pinhole_cam, col, int(np.argmax(col)))
+        assert 1.0 / got == pytest.approx(vertex, abs=1e-9)
 
-    def test_flat_column_unrefined(self):
-        inv = np.linspace(2.0, 0.5, 5)
-        col = np.ones(5)
-        assert subvoxel_refine(col, 2, inv) == inv[2]
+    def test_flat_column_unrefined(self, pinhole_cam):
+        got, grid = refine_column(pinhole_cam, np.ones(5), 2)
+        assert got == grid.depths[2]
 
-    def test_clamped_to_neighbor_interval(self):
-        inv = np.linspace(2.0, 0.5, 5)
+    def test_clamped_to_neighbor_interval(self, pinhole_cam):
         # nearly flat top: vertex formula could overshoot, must clamp
         col = np.array([0.0, 10.0, 10.0 + 1e-12, 0.0, 0.0])
-        got = subvoxel_refine(col, 2, inv)
-        assert min(inv[1], inv[3]) <= got <= max(inv[1], inv[3])
-
-    def test_grid_refinement_matches_scalar_op(self, small_grid):
-        rng = np.random.default_rng(77)
-        small_grid.votes[:] = rng.poisson(2.0, small_grid.votes.shape).astype(float)
-        res = extract_depth(small_grid)
-        refined = refine_result(small_grid, res)
-        iy, ix = np.nonzero(res.mask)
-        inv = small_grid.inv_depths
-        for y, x in list(zip(iy, ix))[:200]:
-            col = small_grid.votes[:, y, x]
-            want = 1.0 / subvoxel_refine(col, int(np.argmax(col)), inv)
-            assert refined.depth[y, x] == pytest.approx(want, rel=1e-12)
+        got, grid = refine_column(pinhole_cam, col, 2)
+        assert grid.depths[1] <= got <= grid.depths[3]
 
     def test_matches_volume_wide_nearest_plane_search(self, small_grid):
         rng = np.random.default_rng(79)
@@ -336,17 +337,3 @@ class TestPointCloud:
         res = result_from(np.full((180, 240), 2.0), mask, pinhole_cam)
         pts, conf = to_point_cloud(res)
         assert len(pts) == mask.sum() == len(conf)
-
-
-class TestNormalizedConfidence:
-    def test_scaled_to_unit_peak(self, pinhole_cam):
-        conf = np.array([[0.0, 2.0], [4.0, 1.0]])
-        res = result_from(np.ones((2, 2)), conf > 0, pinhole_cam, conf=conf)
-        norm = res.normalized_confidence()
-        assert norm.max() == 1.0
-        assert np.allclose(norm, conf / 4.0)
-
-    def test_zero_map_stays_zero(self, pinhole_cam):
-        res = result_from(np.zeros((2, 2)), np.zeros((2, 2), bool), pinhole_cam,
-                          conf=np.zeros((2, 2)))
-        assert np.all(res.normalized_confidence() == 0.0)

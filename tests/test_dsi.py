@@ -828,6 +828,9 @@ class TestFusionOp:
         assert FusionOp.from_string("power:0.5") == FusionOp("power", 0.5)
         with pytest.raises(ValueError):
             FusionOp.from_string("median")
+        for spec in ("power:nan", "power:inf", "power:-inf"):
+            with pytest.raises(ValueError, match=f"fusion '{spec}'"):
+                FusionOp.from_string(spec)
 
     def test_fuse_checks_alignment(self, pinhole_cam):
         a = make_grid(pinhole_cam, num_planes=4)

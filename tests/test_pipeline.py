@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import json
 import math
+import re
 import sys
 import threading
 import time
@@ -10,6 +11,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from raysweep import dsi, pipeline
 from raysweep.cli import cli_main
@@ -32,6 +35,21 @@ from raysweep.geometry import (
 from raysweep.io import RigCalibration, read_pfm
 from raysweep.pipeline import PipelineConfig, process_chunk, run_pipeline
 from raysweep.synth import make_scenario
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=8,
+)
+# objects whose keys are config fields, with values of every JSON type and
+# some that pass the type checks
+CONFIG_DOCUMENTS = st.dictionaries(
+    st.sampled_from([f.name for f in dataclasses.fields(PipelineConfig)]),
+    JSON_VALUES | st.lists(st.text(), max_size=2) | st.sampled_from(
+        ["harmonic", "power:0.5", "power:1e400", "power:x", "nearest", "cfg.json"]),
+)
 
 
 @pytest.fixture(scope="module")
@@ -82,6 +100,17 @@ class TestConfig:
         ("dump_dsi", "true"),
         ("fusion", 1),
         ("voting", None),
+        ("fusion", "power:nan"),  # non-finite exponents lose the AND logic
+        ("fusion", "power:inf"),
+        ("fusion", "power:-inf"),
+        pytest.param("chunk_duration", 2**1024,  # beyond float range
+                     id="chunk_duration-2**1024"),
+        ("events", [1, 2]),  # path fields
+        ("events", "events_left.txt"),
+        ("events", None),
+        ("trajectory", 3),
+        ("calibration", ["calibration.json"]),
+        ("out_dir", True),
     ])
     def test_validation(self, field, value):
         cfg = PipelineConfig()
@@ -97,6 +126,19 @@ class TestConfig:
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError):
             PipelineConfig.from_dict({"zmin": 1.0})
+
+    @pytest.mark.parametrize("doc", [[], None, "abc", 3, [{"num_planes": 50}]])
+    def test_non_object_document_rejected(self, doc):
+        with pytest.raises(ValueError, match="must be a JSON object"):
+            PipelineConfig.from_dict(doc)
+
+    @given(st.one_of(JSON_VALUES, CONFIG_DOCUMENTS))
+    @settings(max_examples=300, deadline=None)
+    def test_any_json_document_loads_or_raises_value_error(self, doc):
+        try:
+            PipelineConfig.from_dict(doc).validate()
+        except ValueError:
+            pass
 
 
 class TestWorkerResolution:
@@ -192,6 +234,27 @@ class TestRunPipeline:
         outs = run_pipeline(sc.config, streams=streams, rig=sc.rig, traj=short,
                             workers=1)
         assert all(o.skipped for o in outs)
+
+        # a trajectory that ends mid-run, and a second stream that starts
+        # late: every event is read by a chunk, skipped or not, or dropped
+        # before the common start
+        first, second = sc.rig.camera_ids
+        late = streams[second]
+        late = late.slice(int(np.searchsorted(late.t, late.t[0] + 0.02)), len(late))
+        trimmed = {first: streams[first], second: late}
+        before = int(np.searchsorted(streams[first].t, late.t[0]))
+        end = int(np.searchsorted(sc.traj.times, 0.25)) + 1
+        partial = PoseTrajectory(sc.traj.times[:end], sc.traj.quats[:end],
+                                 sc.traj.trans[:end])
+        config = dataclasses.replace(sc.config, chunk_duration=0.1)
+        outs = run_pipeline(config, streams=trimmed, rig=sc.rig, traj=partial,
+                            workers=1)
+        skipped = [o for o in outs if o.skipped]
+        assert 0 < len(skipped) < len(outs)
+        assert all(o.stats["events_read"] > 0 for o in skipped)
+        read = sum(o.stats["events_read"] for o in outs)
+        assert before > 0
+        assert read + before == sum(len(s) for s in trimmed.values())
 
     def test_chunks_are_independent_work_units(self, small_scenario):
         # processing a chunk on its own must reproduce its in-sequence output
@@ -626,6 +689,46 @@ class TestMemoryBudget:
         monkeypatch.setattr(pipeline.os, "sysconf", lambda name: -1)
         assert pipeline._check_memory(shape, 2, 1, keep=False) > 10**12
 
+    def test_counts_the_extraction_filters(self):
+        plane = 180 * 240 * 8
+        volume = 100 * plane
+        copies = pipeline.FILTER_COPIES
+        assert pipeline._check_memory((100, 180, 240), 2, 1, keep=False,
+                                      median_kernel=21) == \
+            volume + copies * 21**2 * plane
+        assert pipeline._check_memory((100, 180, 240), 2, 1, keep=False,
+                                      threshold_sigma=1e6) == \
+            volume + copies * 8 * (2 * 4_000_000 + 1)
+        # filters and band buffers are never live at once: small filters
+        # cost nothing beyond the buffers
+        assert pipeline._check_memory((100, 180, 240), 2, 1, keep=False,
+                                      median_kernel=1, threshold_sigma=7.0) == \
+            (100 + 2 * pipeline.BAND_PLANES) * plane
+
+    @pytest.mark.parametrize("flag,value,named", [
+        ("--median-kernel", "101", "median_kernel 101"),
+        ("--threshold-sigma", "1e8", "threshold_sigma 1e+08"),
+    ])
+    def test_unbounded_filter_refused_before_parsing(self, tmp_path, capsys,
+                                                     monkeypatch, flag, value,
+                                                     named):
+        out = tmp_path / "scn"
+        assert cli_main(["synth", "--scenario", "lateral_room", "--out", str(out),
+                         "--points", "40", "--seed", "2"]) == 0
+
+        def reached(*args, **kwargs):
+            raise AssertionError("the run went past the memory check")
+        for name in ("median_filter_depth", "adaptive_threshold"):
+            monkeypatch.setattr(pipeline, name, reached)
+        monkeypatch.setattr(pipeline.rio, "parse_events", reached)
+        monkeypatch.setattr(pipeline.os, "sysconf", lambda name: {  # 2 GiB
+            "SC_PHYS_PAGES": 2**19, "SC_PAGE_SIZE": 4096}[name])
+        assert cli_main(["map", "--config", str(out / "config.json"),
+                         flag, value]) == 2
+        err = capsys.readouterr().err
+        need = int(re.search(r"the DSI needs (\d+) bytes", err).group(1))
+        assert need > 2**31 and named in err
+
     def test_counts_kept_volumes_and_band_buffers(self):
         plane = 180 * 240 * 8
         assert pipeline._check_memory((100, 180, 240), 2, 1, keep=False) == \
@@ -635,6 +738,20 @@ class TestMemoryBudget:
 
 
 class TestCli:
+    @pytest.mark.parametrize("text,message", [
+        ("[]", "must be a JSON object"),
+        ("null", "must be a JSON object"),
+        ('"abc"', "must be a JSON object"),
+        ('{"events": [1, 2], "calibration": "calibration.json"}',
+         "events must be a list of paths"),
+    ])
+    def test_malformed_config_document_exits_2(self, tmp_path, capsys, text,
+                                               message):
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        assert cli_main(["map", "--config", str(path)]) == 2
+        assert message in capsys.readouterr().err
+
     def test_end_to_end_synth_map_eval(self, tmp_path, capsys):
         out = tmp_path / "scn"
         assert cli_main(["synth", "--scenario", "lateral_room",

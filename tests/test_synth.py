@@ -3,7 +3,7 @@ import pytest
 
 from raysweep.errors import MotionTooFastForStep
 from raysweep.events import EventStream
-from raysweep.geometry import PoseTrajectory, Se3
+from raysweep.geometry import PoseTrajectory, Se3, quat_rotate
 from raysweep.io import RigCalibration
 from raysweep.synth import (
     SyntheticScene,
@@ -185,7 +185,7 @@ class TestSimulatorVotingConsistency:
                 T_w_cam = Se3(q[i], t[i]) @ cam.T_body_cam
                 b = cam.undistort_pixel((float(s.x[i]), float(s.y[i])))
                 T_rv_cam = ref.inverse() @ T_w_cam
-                d = T_rv_cam.apply_rotation(np.array([b[0], b[1], 1.0]))
+                d = quat_rotate(T_rv_cam.quat, np.array([b[0], b[1], 1.0]))
                 o = T_rv_cam.trans
                 lam = (z_true - o[2]) / d[2]
                 u = ref_cam.fx * (o[0] + lam * d[0]) / z_true + ref_cam.cx
