@@ -17,31 +17,29 @@ voxel must exist (the top half-pixel edge rounds out of the grid). Plane
 indices ``lo``, ``hi`` and the depth samples are those of the whole
 volume; every event's [lo, hi) must lie within the array's planes.
 
-Both kernels sweep plane-major, as the space sweep does: for each plane
-they project every event, in ascending order, and scatter the hits into
-that plane's W x H slice alone, which stays in cache. A plane's votes
-therefore depend only on the events and their order, never on which other
-planes the same call sweeps, so callers may split the planes [lo, hi)
-across threads or bands (clip ``lo``/``hi`` to each range) and get the
-same volume bit for bit at any worker count or band size.
-
 Two kernels keep this contract: ``_sweep.c``, and numpy (blocks of events
-per step), which is the fallback and the test oracle. Nearest-mode votes
-are integral adds, so both produce bit-identical grids; bilinear differs
-only in summation order.
+per step), its fallback and test oracle. Both sweep plane-major, as the
+space sweep does: for each plane they project every event, in ascending
+order, and scatter the hits into that plane's W x H slice alone, which
+stays in cache. A plane's votes therefore depend only on the events and
+their order, never on which other planes the same call sweeps, so callers
+may split the planes [lo, hi) across threads or bands (clip ``lo``/``hi``
+to each range) and get the same volume bit for bit at any worker count or
+band size. Both add every vote in the same order, so their votes are
+bit-identical in both modes: C is only an accelerator.
 
 ``_sweep.c`` also holds ``prepare``, the compiled ``dsi._prepare_rays``
 that computes these coefficients (and each ray's origin, direction and
-conditioning flag) in one pass per event. It runs numpy's operations in
-numpy's order, so its outputs are bit-identical to the numpy form, which
-stays its fallback and oracle.
+conditioning flag) in one pass per event, with numpy's operations in
+numpy's order, so its outputs are bit-identical to the numpy form's.
 
 The C source is compiled on first use (not at import), once per source and
 flag set, with ``gcc -O3 -ffp-contract=off -fPIC -shared`` into
 ``$XDG_CACHE_HOME/raysweep`` (default ``~/.cache/raysweep``), and loaded with
 ctypes, which releases the GIL for the call, so plane ranges split across
-threads still run in parallel. If the library cannot be built or loaded,
-``kernel="auto"`` runs the numpy kernel and one warning names the error.
+threads still run in parallel. Without the library, ``run_sweep`` and
+``dsi._prepare_rays`` run numpy and one warning names the error;
+``kernel_name`` says which kernel runs.
 """
 
 from __future__ import annotations
@@ -58,10 +56,8 @@ from pathlib import Path
 import numpy as np
 
 # Read by the benchmark's environment record; ROADMAP item 1 replaces it
-# with the kernel that actually ran.
+# with kernel_name(), the kernel that actually runs.
 HAVE_NUMBA = False
-
-KERNELS = ("c", "numpy")
 
 _BLOCK = 1 << 16  # events projected per step; bounds the temporaries
 
@@ -146,14 +142,18 @@ def _require_c():
     return lib
 
 
-def resolve_kernel(kernel: str) -> str:
-    """The kernel that ``kernel`` selects: ``"auto"`` is ``"c"`` when the
-    compiled kernel loads and ``"numpy"`` otherwise."""
-    if kernel == "auto":
-        return "c" if _load_c() is not None else "numpy"
-    if kernel not in KERNELS:
-        raise ValueError(f"unknown kernel {kernel!r}")
-    return kernel
+def kernel_name() -> str:
+    """The kernel that prepares and sweeps rays: "c" if the library loads."""
+    return "c" if _load_c() is not None else "numpy"
+
+
+def _check_votes(votes):
+    """Both kernels index ``votes`` flat, as a C-contiguous array."""
+    if not (isinstance(votes, np.ndarray) and votes.dtype == np.float64
+            and votes.ndim == 3 and votes.flags.c_contiguous
+            and votes.flags.writeable):
+        raise ValueError("votes must be a writable C-contiguous float64 "
+                         "(planes, height, width) array")
 
 
 def _plane_range(lo, hi, offset, votes):
@@ -171,11 +171,7 @@ def _sweep_c(a_u, a_v, b_u, b_v, lo, hi, inv_zs, votes, bilinear, offset=0):
     """Call the C kernel after checking every bound it relies on, so that
     no argument can make it read or write outside its arrays."""
     lib = _require_c()
-    if not (isinstance(votes, np.ndarray) and votes.dtype == np.float64
-            and votes.ndim == 3 and votes.flags.c_contiguous
-            and votes.flags.writeable):
-        raise ValueError("votes must be a writable C-contiguous float64 "
-                         "(planes, height, width) array")
+    _check_votes(votes)
     coeffs = [np.ascontiguousarray(c, dtype=np.float64) for c in (a_u, a_v, b_u, b_v)]
     lo = np.ascontiguousarray(lo, dtype=np.int64)
     hi = np.ascontiguousarray(hi, dtype=np.int64)
@@ -244,11 +240,10 @@ def _scatter_plane(u, v, ok, plane, bilinear):
     """Add the votes of intersections ``(u, v)`` where ``ok`` into one
     (height, width) plane; returns ``ok`` narrowed to the events that voted.
 
-    Nearest rounds to a voxel that must exist. Bilinear splits each vote
-    over the four voxels around (u, v): four bincounts on the shared
-    top-left index, the three shifted ones added with the cell beyond the
-    last row/column dropped. The bincounts span only the rows the votes
-    reach, so a block with few hits costs little.
+    Nearest adds a unit at the rounded voxel, which must exist. Bilinear
+    adds each hit's four corner weights in ``_sweep.c``'s order: one
+    unbuffered ``np.add.at`` over the corners, event by event, so every
+    voxel sums the same values in the same order as in C.
     """
     height, width = plane.shape
     if not bilinear:
@@ -257,34 +252,35 @@ def _scatter_plane(u, v, ok, plane, bilinear):
             u = u + 0.5
             v = v + 0.5
             ok &= (u < width) & (v < height)
-    sel = np.flatnonzero(ok)
-    if sel.size == 0:
+    x, y = u[ok], v[ok]
+    if x.size == 0:
         return ok
-    # In-place arithmetic keeps the block's temporaries few enough to stay
-    # in cache; the float index (y0 - r0) * width + x0 is an exact integer.
-    wx, wy = u[sel], v[sel]
-    x0 = np.floor(wx)
-    y0 = np.floor(wy)
-    r0 = int(y0.min())
-    r1 = int(y0.max()) + 1
-    rows = plane[r0:r1]
-    idx = ((y0 - r0) * width + x0).astype(np.int64)
+    x0 = np.floor(x)
+    y0 = np.floor(y)
+    idx = (y0 * width + x0).astype(np.int64)  # an exact integer in float
+    flat = plane.reshape(-1)  # a view: votes are C-contiguous
     if not bilinear:
-        rows += np.bincount(idx, minlength=rows.size).reshape(rows.shape)
+        np.add.at(flat, idx, 1.0)
         return ok
-    wx -= x0
-    wy -= y0
-    rx = 1.0 - wx
-    ry = 1.0 - wy
-    c00, c10, c01, c11 = (
-        np.bincount(idx, weights=w, minlength=rows.size).reshape(rows.shape)
-        for w in (rx * ry, wx * ry, rx * wy, wx * wy)
-    )
-    rows += c00
-    rows[:, 1:] += c10[:, :-1]
-    below = plane[r0 + 1:r1 + 1]  # one row short when r1 == height
-    below += c01[:len(below)]
-    below[:, 1:] += c11[:len(below), :-1]
+    x -= x0
+    y -= y0
+    rx = 1.0 - x
+    ry = 1.0 - y
+    corners = np.empty((x.size, 4), dtype=np.int64)
+    weights = np.empty((x.size, 4))
+    for k, (step, wx, wy) in enumerate(
+            [(0, rx, ry), (1, x, ry), (width, rx, y), (width + 1, x, y)]):
+        np.add(idx, step, out=corners[:, k])
+        np.multiply(wx, wy, out=weights[:, k])
+    # A corner past the last column or row adds +0.0 to a voxel of the grid
+    # instead, which changes no bit (a vote is never -0.0).
+    last = np.flatnonzero(x0 == width - 1)
+    corners[last, 1::2] -= 1
+    weights[last, 1::2] = 0.0
+    last = np.flatnonzero(y0 == height - 1)
+    corners[last, 2:] -= width
+    weights[last, 2:] = 0.0
+    np.add.at(flat, corners.ravel(), weights.ravel())
     return ok
 
 
@@ -295,6 +291,7 @@ def _sweep_planes(project, lo, hi, votes, bilinear, offset):
     of events s:e meet plane i, which is ``votes[i - offset]``. Returns the
     per-event hit mask.
     """
+    _check_votes(votes)
     n_events = lo.shape[0]
     hit = np.zeros(n_events, dtype=bool)
     if n_events == 0:
@@ -350,13 +347,14 @@ def sweep_direct(origins, dirs, lo, hi, zs, intr, votes, bilinear, offset=0):
     return _sweep_planes(project, lo, hi, votes, bilinear, offset)
 
 
-def run_sweep(prep, inv_zs, votes, mode, kernel, offset=0):
-    """Dispatch a prepared event batch to the selected kernel.
+def run_sweep(prep, inv_zs, votes, mode, offset=0):
+    """Sweep a prepared event batch with the C kernel, or with numpy when
+    the library is unavailable; the votes are the same bit for bit.
 
     ``prep`` is the (a_u, a_v, b_u, b_v, lo, hi) tuple of affine-form
     coefficients; only planes in each event's [lo, hi) are touched, and
-    plane i is ``votes[i - offset]``. Returns the boolean mask of events
-    that voted on at least one plane.
+    plane i is ``votes[i - offset]``; ``dsi.sweep_band`` checks ``mode``.
+    Returns the boolean mask of events that voted on at least one plane.
     """
-    sweep = _sweep_c if resolve_kernel(kernel) == "c" else _sweep_numpy
+    sweep = _sweep_c if kernel_name() == "c" else _sweep_numpy
     return sweep(*prep, inv_zs, votes, bilinear=(mode == "bilinear"), offset=offset)

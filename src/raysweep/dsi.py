@@ -204,8 +204,7 @@ def _pixel_bearings(events: EventStream, cam: CameraModel):
 
 
 def _prepare_rays(grid: DsiGrid, events: EventStream, cam: CameraModel,
-                  q_wc: np.ndarray, t_wc: np.ndarray,
-                  kernel: str = "numpy") -> "_RayPrep":
+                  q_wc: np.ndarray, t_wc: np.ndarray) -> "_RayPrep":
     """Per-event sweep coefficients and ray geometry.
 
     The ray is expressed in the reference frame: origin = camera center,
@@ -213,14 +212,14 @@ def _prepare_rays(grid: DsiGrid, events: EventStream, cam: CameraModel,
     plane z is then affine in 1/z, and the planes in front of the ray
     origin (lam > 0) form the contiguous index range [lo, hi).
 
-    ``kernel="c"`` runs the compiled form, one pass per event with the
-    same operations in the same order, so every output is bit-identical;
-    this numpy form is its fallback and test oracle.
+    The compiled form runs whenever the C library loads: one pass per
+    event with the same operations in the same order, so every output is
+    bit-identical. This numpy form is its fallback and test oracle.
     """
     bearings, index = _pixel_bearings(events, cam)
     q_ref_inv = quat_conjugate(grid.ref_pose.quat)
     k = grid.ref_intrinsics
-    if kernel == "c":
+    if _sweep.kernel_name() == "c":
         return _RayPrep(*_sweep.prepare_c(
             q_wc, t_wc, bearings, index, q_ref_inv, grid.ref_pose.trans,
             (k.fx, k.fy, k.cx, k.cy), grid.depths, grid.inv_depths[0],
@@ -287,15 +286,14 @@ class SweepRays:
 
 def prepare_sweep(grid: DsiGrid, events: EventStream, cam: CameraModel, *,
                   traj: PoseTrajectory | None = None,
-                  pose: Se3 | None = None, kernel: str = "auto") -> SweepRays:
+                  pose: Se3 | None = None) -> SweepRays:
     """Per-event camera poses and rays of ``events`` in ``grid``'s reference
     view, split into the affine-form and the near-grazing rays.
 
     Camera poses come either from ``traj`` (per-event interpolation) or a
-    single fixed ``pose``. ``kernel`` prepares the rays as in ``sweep_band``
-    (``"c"``, ``"numpy"`` or ``"auto"``); poses are interpolated in numpy.
-    This is the part of voting that does not depend on the planes: do it
-    once per camera, then sweep any plane ranges with ``sweep_band``.
+    single fixed ``pose``; poses are interpolated in numpy. This is the
+    part of voting that does not depend on the planes: do it once per
+    camera, then sweep any plane ranges with ``sweep_band``.
     """
     if (traj is None) == (pose is None):
         raise ValueError("pass exactly one of traj= or pose=")
@@ -304,8 +302,7 @@ def prepare_sweep(grid: DsiGrid, events: EventStream, cam: CameraModel, *,
     else:
         q_wc = np.broadcast_to(pose.quat, (len(events), 4))
         t_wc = np.broadcast_to(pose.trans, (len(events), 3))
-    prep = _prepare_rays(grid, events, cam, q_wc, t_wc,
-                         _sweep.resolve_kernel(kernel))
+    prep = _prepare_rays(grid, events, cam, q_wc, t_wc)
     # Well-conditioned rays take the affine-form kernel; near-grazing ones
     # are intersected plane by plane. Only the grazing rays' origins and
     # directions are kept, as copies; when no ray grazes, which is usual,
@@ -321,16 +318,19 @@ def prepare_sweep(grid: DsiGrid, events: EventStream, cam: CameraModel, *,
 
 
 def sweep_band(grid: DsiGrid, rays: SweepRays, votes: np.ndarray, p0: int,
-               mode: str = "bilinear", kernel: str = "auto") -> np.ndarray:
+               mode: str = "bilinear") -> np.ndarray:
     """Vote prepared rays into planes [p0, p0 + len(votes)) of ``grid``'s
     volume, held by the (planes, height, width) array ``votes``
     (accumulates); ``grid.votes`` itself is not touched unless passed.
+    An unknown ``mode`` raises ValueError before any vote is written.
 
     Returns the hit mask over the events in (affine, graze) order: whether
     each voted on at least one plane of the band. The votes of a plane
     depend only on the events, never on the band, so any split of the
     planes into bands gives the same volume bit for bit.
     """
+    if mode not in VOTING_MODES:
+        raise ValueError(f"unknown voting mode {mode!r}")
     p1 = p0 + votes.shape[0]
     *coeffs, lo, hi = rays.affine
     origins, dirs, g_lo, g_hi = rays.graze
@@ -338,7 +338,7 @@ def sweep_band(grid: DsiGrid, rays: SweepRays, votes: np.ndarray, p0: int,
     if len(lo):
         hits.append(_sweep.run_sweep(
             (*coeffs, np.clip(lo, p0, p1), np.clip(hi, p0, p1)),
-            grid.inv_depths, votes, mode, kernel, offset=p0,
+            grid.inv_depths, votes, mode, offset=p0,
         ))
     if len(g_lo):
         k = grid.ref_intrinsics
@@ -358,36 +358,26 @@ def vote_events(
     traj: PoseTrajectory | None = None,
     pose: Se3 | None = None,
     mode: str = "bilinear",
-    kernel: str = "auto",
 ) -> DsiGrid:
     """Back-project a stream slice into ``grid`` (accumulates in place).
 
     Camera poses come either from ``traj`` (per-event interpolation) or a
-    single fixed ``pose``. ``kernel`` is ``"c"``, ``"numpy"`` or ``"auto"``
-    (C when it builds, else numpy). This is ``prepare_sweep`` and one
-    ``sweep_band`` over the whole volume, on the calling thread: the plain
-    reference for the pipeline's band loop, which splits the planes into
-    bands and the bands across workers and gives the same volume bit for
-    bit.
+    single fixed ``pose``. This is ``prepare_sweep`` and one ``sweep_band``
+    over the whole volume, on the calling thread: the plain reference for
+    the pipeline's band loop, which splits the planes into bands and the
+    bands across workers and gives the same volume bit for bit.
     """
-    if mode not in VOTING_MODES:
-        raise ValueError(f"unknown voting mode {mode!r}")
-    if (traj is None) == (pose is None):
-        raise ValueError("pass exactly one of traj= or pose=")
-    if len(events) == 0:
-        return grid
-
-    rays = prepare_sweep(grid, events, cam, traj=traj, pose=pose, kernel=kernel)
-    hit = sweep_band(grid, rays, grid.votes, 0, mode, kernel)
+    rays = prepare_sweep(grid, events, cam, traj=traj, pose=pose)
+    hit = sweep_band(grid, rays, grid.votes, 0, mode)
     grid.skipped_events += len(events) - int(np.count_nonzero(hit))
     return grid
 
 
 def vote_event(grid: DsiGrid, event: Event, cam: CameraModel, T_w_cam: Se3,
-               mode: str = "bilinear", kernel: str = "auto") -> DsiGrid:
+               mode: str = "bilinear") -> DsiGrid:
     """Vote a single event whose camera sits at ``T_w_cam``."""
     stream = EventStream.from_events("single", [event])
-    return vote_events(grid, stream, cam, pose=T_w_cam, mode=mode, kernel=kernel)
+    return vote_events(grid, stream, cam, pose=T_w_cam, mode=mode)
 
 
 def vote_event_bruteforce(grid: DsiGrid, event: Event, cam: CameraModel,
@@ -471,14 +461,16 @@ class FusionOp:
             raise ValueError("power mean needs an exponent p")
         if self.kind == "power" and not math.isfinite(self.p):
             # p = +-inf turns a voxel one camera never voted on into 1
-            raise ValueError(f"fusion {str(self)!r}: the power mean's exponent "
-                             f"must be finite")
+            raise ValueError("the power mean's exponent must be finite")
 
     @classmethod
     def from_string(cls, spec: str) -> "FusionOp":
         spec = spec.strip().lower()
         if spec.startswith("power:"):
-            return cls("power", float(spec.split(":", 1)[1]))
+            try:
+                return cls("power", float(spec.split(":", 1)[1]))
+            except ValueError as e:  # a bad or non-finite exponent
+                raise ValueError(f"fusion {spec!r}: {e}") from None
         return cls(spec)
 
     def __str__(self):

@@ -267,6 +267,9 @@ def write_trajectory(traj: PoseTrajectory, path):
 # rig calibration (JSON)
 
 def _require(obj, key, ctx, path):
+    if not isinstance(obj, dict):
+        raise ParseError(f"{ctx} must be a JSON object, got {type(obj).__name__}",
+                         path=path)
     if key not in obj:
         raise ParseError(f"missing field {ctx}.{key}", path=path)
     return obj[key]
@@ -368,15 +371,18 @@ def read_pfm(path) -> np.ndarray:
         magic = fh.readline().strip()
         if magic != b"Pf":
             raise ParseError(f"not a grayscale PFM (magic {magic!r})", path=path)
-        dims = fh.readline().split()
-        if len(dims) != 2:
-            raise ParseError("bad PFM dimension line", path=path)
-        w, h = int(dims[0]), int(dims[1])
-        scale = float(fh.readline())
+        header = (fh.readline() + fh.readline()).decode(errors="replace").split()
+        try:  # W H, then the scale
+            w, h, scale = int(header[0]), int(header[1]), float(header[2])
+        except (ValueError, IndexError):
+            w = h = scale = 0
+        if len(header) != 3 or min(w, h) < 1 or not 0.0 < abs(scale) < math.inf:
+            raise ParseError(f"bad PFM header {' '.join(header)!r}: need a positive "
+                             f"integer width and height and a nonzero scale", path=path)
         dtype = "<f4" if scale < 0 else ">f4"
-        payload = fh.read(4 * w * h)
-        if len(payload) != 4 * w * h:
+        if path.stat().st_size - fh.tell() < 4 * w * h:  # before allocating
             raise ParseError("truncated PFM payload", path=path)
+        payload = fh.read(4 * w * h)
         data = np.frombuffer(payload, dtype=dtype).reshape(h, w)
     return np.flipud(data).astype(np.float32)
 

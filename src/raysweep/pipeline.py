@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import io as rio
-from ._sweep import resolve_kernel
+from ._sweep import kernel_name
 from .depth import (
     DepthResult,
     adaptive_threshold,
@@ -224,17 +224,16 @@ def process_chunk(
     timings["reference"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    kernel = resolve_kernel("auto")  # prepares and sweeps the rays
     streams = [chunk.events[cid] for cid in rig.camera_ids]
-    rays = [prepare_sweep(fused, stream, cam, traj=traj, kernel=kernel)
+    rays = [prepare_sweep(fused, stream, cam, traj=traj)
             for stream, cam in zip(streams, rig.cameras)]
     timings["rays"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     cameras = np.empty((len(rays),) + fused.votes.shape) if config.dump_dsi else None
     hits, votes, fused_votes = _vote_and_fuse(
-        fused, rays, FusionOp.from_string(config.fusion), config.voting, kernel,
-        workers, cameras,
+        fused, rays, FusionOp.from_string(config.fusion), config.voting, workers,
+        cameras,
     )
     timings["vote_fuse"] = time.perf_counter() - t0
 
@@ -273,7 +272,7 @@ def process_chunk(
         "events_skipped": sum(c["events_skipped"] for c in per_camera.values()),
         "fused_votes": fused_votes,
         "valid_pixels": result.num_valid,
-        "kernel": kernel,
+        "kernel": kernel_name(),  # the one that prepared and swept the rays
         "timings": timings,
     }
     log.info(
@@ -289,8 +288,8 @@ def process_chunk(
     return out
 
 
-def _vote_and_fuse(fused: DsiGrid, rays, op: FusionOp, mode: str, kernel: str,
-                   workers: int, cameras: np.ndarray | None = None):
+def _vote_and_fuse(fused: DsiGrid, rays, op: FusionOp, mode: str, workers: int,
+                   cameras: np.ndarray | None = None):
     """Vote every camera's prepared rays and fuse them into ``fused.votes``,
     one band of BAND_PLANES planes at a time.
 
@@ -323,7 +322,7 @@ def _vote_and_fuse(fused: DsiGrid, rays, op: FusionOp, mode: str, kernel: str,
             stack = buf[:, :p1 - p0]
             stack.fill(0.0)
             for k, r in enumerate(rays):
-                hits[k] |= sweep_band(fused, r, stack[k], p0, mode, kernel)
+                hits[k] |= sweep_band(fused, r, stack[k], p0, mode)
             if cameras is not None:
                 cameras[:, p0:p1] = stack
             band_sums = [float(stack[k].sum()) for k in range(n)]

@@ -1,7 +1,29 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from raysweep import _sweep
 from raysweep.geometry import CameraModel, Se3
+
+KERNELS = ["c", "numpy"]
+
+
+def numpy_kernel():
+    """Context manager in which rays are prepared and swept with numpy, as
+    on a machine where the C library cannot be built."""
+    return mock.patch.object(_sweep, "_load_c", lambda: None)
+
+
+@pytest.fixture(params=KERNELS)
+def kernel(request):
+    """Runs a test once with each kernel: the compiled one, then numpy."""
+    if request.param == "c":
+        assert _sweep.kernel_name() == "c"
+        yield "c"
+    else:
+        with numpy_kernel():
+            yield "numpy"
 
 
 @pytest.fixture

@@ -10,7 +10,6 @@ import time
 import numpy as np
 import pytest
 
-from raysweep._sweep import resolve_kernel
 from raysweep.depth import extract_depth
 from raysweep.dsi import (
     ARITHMETIC,
@@ -253,11 +252,10 @@ def test_criterion_8_throughput_reported():
 
     grid = DsiGrid.create(Se3.identity(), cam, 0.45, 4.0, 100)
     rays = [prepare_sweep(grid, stream, cam, traj=traj)]
-    kernel = resolve_kernel("auto")
 
     def run_bands(workers):
         t0 = time.perf_counter()
-        _vote_and_fuse(grid, rays, HARMONIC, "bilinear", kernel, workers)
+        _vote_and_fuse(grid, rays, HARMONIC, "bilinear", workers)
         return n / (time.perf_counter() - t0)
 
     run()  # warm the caches

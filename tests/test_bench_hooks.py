@@ -6,6 +6,7 @@ import importlib
 import operator
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import raysweep
@@ -40,10 +41,17 @@ def test_used_name_exists(name):
     operator.attrgetter(name)(raysweep)
 
 
-def test_layers_install_trace_and_restore(bench):
+def test_layers_install_trace_and_restore(bench, monkeypatch):
     layers, spans = bench
     sc = make_scenario("lateral_room", n_points=60, seed=4)
     streams = sc.simulate()
+    prepared = []  # every camera's rays, as the chunk loop prepares them
+    prepare = raysweep.pipeline.prepare_sweep
+
+    def spy(*args, **kwargs):
+        prepared.append(prepare(*args, **kwargs))
+        return prepared[-1]
+    monkeypatch.setattr(raysweep.pipeline, "prepare_sweep", spy)
     original = raysweep.pipeline.process_chunk
     tracer = spans.Tracer()
     layers.install(tracer, raysweep)
@@ -57,5 +65,9 @@ def test_layers_install_trace_and_restore(bench):
     names = {s.name for s in tracer.spans}
     assert {"pipeline.process_chunk", "sweep.run_sweep",
             "geometry.interpolate_batch"} <= names
-    assert tracer.counters["sweep.ray_plane_tests"] > 0
+    # The counter reads lo and hi from run_sweep's first argument. Each band
+    # clips them to its planes, so over the bands a ray adds up to hi - lo.
+    want = sum(float(np.sum(r.affine[5] - r.affine[4])) for r in prepared)
+    assert len(prepared) == len(sc.rig) * tracer.counters["events.chunks"]
+    assert tracer.counters["sweep.ray_plane_tests"] == want > 0
     assert tracer.counters["events.chunks"] >= 1

@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import os
 import subprocess
@@ -23,6 +24,7 @@ from raysweep.dsi import (
     fuse,
     plane_depths,
     prepare_sweep,
+    sweep_band,
     vote_event,
     vote_event_bruteforce,
     vote_events,
@@ -32,9 +34,7 @@ from raysweep.errors import InvalidDepthRange, MisalignedDsi
 from raysweep.events import Event, EventStream
 from raysweep.geometry import CameraModel, PoseTrajectory, Se3
 
-from conftest import random_pose, random_unit_quat
-
-KERNELS = ["c", "numpy"]
+from conftest import KERNELS, numpy_kernel, random_pose, random_unit_quat
 
 positive = st.floats(min_value=1e-6, max_value=1e6)
 
@@ -134,7 +134,8 @@ class TestVoteEvent:
 
 
 class TestVotingOracle:
-    @pytest.mark.parametrize("kernel", KERNELS)
+    # indirect: the kernel fixture sets each kernel up
+    @pytest.mark.parametrize("kernel", KERNELS, indirect=True)
     @pytest.mark.parametrize("mode", ["nearest", "bilinear"])
     def test_examples_match_bruteforce(self, pinhole_cam, mode, kernel):
         grid = make_grid(pinhole_cam, num_planes=6)
@@ -144,7 +145,7 @@ class TestVotingOracle:
                      Se3.from_axis_angle([1, 0, 0], np.pi / 2)]:
             fast = grid.copy_empty()
             brute = grid.copy_empty()
-            vote_event(fast, ref_ev, pinhole_cam, pose, mode=mode, kernel=kernel)
+            vote_event(fast, ref_ev, pinhole_cam, pose, mode=mode)
             vote_event_bruteforce(brute, ref_ev, pinhole_cam, pose, mode=mode)
             if mode == "nearest":
                 assert np.array_equal(fast.votes, brute.votes)
@@ -152,7 +153,6 @@ class TestVotingOracle:
                 assert np.max(np.abs(fast.votes - brute.votes)) < 1e-12
             assert fast.skipped_events == brute.skipped_events
 
-    @pytest.mark.parametrize("kernel", KERNELS)
     def test_randomized_differential_nearest(self, distorted_cam, kernel):
         # cameras both outside and inside the depth range (lam sign flips)
         rng = np.random.default_rng(13)
@@ -162,7 +162,7 @@ class TestVotingOracle:
         for _ in range(300):
             pose = Se3(random_unit_quat(rng), rng.normal(size=3) * [0.3, 0.3, 1.5])
             ev = Event(0.0, int(rng.integers(0, 240)), int(rng.integers(0, 180)))
-            vote_event(fast, ev, distorted_cam, pose, mode="nearest", kernel=kernel)
+            vote_event(fast, ev, distorted_cam, pose, mode="nearest")
             vote_event_bruteforce(brute, ev, distorted_cam, pose, mode="nearest")
         assert np.array_equal(fast.votes, brute.votes)
         assert fast.skipped_events == brute.skipped_events
@@ -171,6 +171,28 @@ class TestVotingOracle:
         grid = make_grid(pinhole_cam)
         vote_events(grid, EventStream.empty("e"), pinhole_cam, pose=Se3.identity())
         assert grid.total_votes() == 0.0
+
+    @pytest.mark.parametrize("n", [0, 400])
+    def test_unknown_mode_rejected_before_any_vote(self, distorted_cam, kernel, n):
+        # the pose of TestGrazingFallback: affine and near-grazing rays both
+        rng = np.random.default_rng(5)
+        stream = random_stream(rng, n, distorted_cam)
+        pose = Se3.from_axis_angle([0, 1, 0], np.deg2rad(70), trans=[-0.3, 0.0, 0.8])
+        grid = make_grid(distorted_cam, num_planes=30, z_min=0.45, z_max=4.0)
+        rays = prepare_sweep(grid, stream, distorted_cam, pose=pose)
+        assert n == 0 or (len(rays.affine[4]) and len(rays.graze[2]))
+        with pytest.raises(ValueError, match="bilnear"):
+            sweep_band(grid, rays, grid.votes, 0, mode="bilnear")
+        with pytest.raises(ValueError, match="bilnear"):
+            vote_events(grid, stream, distorted_cam, pose=pose, mode="bilnear")
+        assert not grid.votes.any() and grid.skipped_events == 0
+        traj = PoseTrajectory(np.array([0.0, 1.0]), np.array([pose.quat] * 2),
+                              np.array([pose.trans] * 2))
+        with pytest.raises(ValueError, match="bilnear"):
+            vote_events(grid, stream, distorted_cam, traj=traj, mode="bilnear")
+        with pytest.raises(ValueError, match="exactly one"):
+            vote_events(grid, stream, distorted_cam, mode="nearest")
+        assert not grid.votes.any() and grid.skipped_events == 0
 
 
 class TestGrazingFallback:
@@ -270,15 +292,13 @@ class TestCKernel:
         prep = (a_u, a_v, b_u, b_v, lo, hi)
         v_c = np.zeros_like(grid.votes)
         v_numpy = np.zeros_like(grid.votes)
-        hit_c = _sweep.run_sweep(prep, grid.inv_depths, v_c, mode, "c")
-        hit_numpy = _sweep.run_sweep(prep, grid.inv_depths, v_numpy, mode, "numpy")
+        hit_c = _sweep.run_sweep(prep, grid.inv_depths, v_c, mode)
+        with numpy_kernel():
+            hit_numpy = _sweep.run_sweep(prep, grid.inv_depths, v_numpy, mode)
         assert hit_c.dtype == hit_numpy.dtype == np.bool_
         assert np.array_equal(hit_c, hit_numpy)
         assert 0 < np.count_nonzero(hit_numpy) < len(hit_numpy)
-        if mode == "nearest":
-            assert np.array_equal(v_c, v_numpy)
-        else:
-            assert np.max(np.abs(v_c - v_numpy)) <= 1e-12
+        assert_same_bits([v_c], [v_numpy])
         if planes is not None:
             outside = np.ones(grid.num_planes, bool)
             outside[planes[0]:planes[1]] = False
@@ -294,11 +314,11 @@ class TestCKernel:
                 np.full(n, nz, np.int64))
         inv_zs = np.array([1.0, 0.5, 0.25])
         v_c, v_numpy = np.zeros((nz, h, w)), np.zeros((nz, h, w))
-        hit_c = _sweep.run_sweep(prep, inv_zs, v_c, mode, "c")
-        hit_numpy = _sweep.run_sweep(prep, inv_zs, v_numpy, mode, "numpy")
+        hit_c = _sweep.run_sweep(prep, inv_zs, v_c, mode)
+        with numpy_kernel():
+            hit_numpy = _sweep.run_sweep(prep, inv_zs, v_numpy, mode)
         assert np.array_equal(hit_c, hit_numpy)
-        # at most two weights meet in a voxel, and a sum of two is order-free
-        assert np.array_equal(v_c, v_numpy)
+        assert_same_bits([v_c], [v_numpy])
         want = [mode == "bilinear", True, True, mode == "bilinear", True, False,
                 False, False, False, True, mode == "bilinear"]
         assert hit_c.tolist() == want
@@ -314,19 +334,17 @@ class TestCKernel:
         )
         a = make_grid(distorted_cam, num_planes=20, z_min=0.45, z_max=4.0)
         b = a.copy_empty()
-        vote_events(a, stream, distorted_cam, traj=traj, mode=mode, kernel="c")
-        vote_events(b, stream, distorted_cam, traj=traj, mode=mode, kernel="numpy")
-        if mode == "nearest":
-            assert np.array_equal(a.votes, b.votes)
-        else:
-            assert np.max(np.abs(a.votes - b.votes)) <= 1e-12
+        vote_events(a, stream, distorted_cam, traj=traj, mode=mode)
+        with numpy_kernel():
+            vote_events(b, stream, distorted_cam, traj=traj, mode=mode)
+        assert_same_bits([a.votes], [b.votes])
         assert a.skipped_events == b.skipped_events
         assert a.total_votes() > 0
 
     def test_auto_resolves_to_c(self):
-        assert _sweep.resolve_kernel("auto") == "c"
-        with pytest.raises(ValueError, match="unknown kernel"):
-            _sweep.resolve_kernel("numba")
+        assert _sweep.kernel_name() == "c"
+        with numpy_kernel():
+            assert _sweep.kernel_name() == "numpy"
 
     @pytest.mark.parametrize("bad", [
         "float32", "fortran", "readonly", "short_coeff", "negative_lo", "hi_beyond", "inv_zs",
@@ -352,7 +370,18 @@ class TestCKernel:
         elif bad == "inv_zs":
             inv_zs = inv_zs[:-1]
         with pytest.raises(ValueError):
-            _sweep.run_sweep(prep, inv_zs, votes, "bilinear", "c")
+            _sweep.run_sweep(prep, inv_zs, votes, "bilinear")
+
+    @pytest.mark.parametrize("bad", ["float32", "fortran", "readonly"])
+    def test_kernels_reject_the_same_votes(self, pinhole_cam, kernel, bad):
+        # numpy scatters into a flat view of each plane, so it needs the
+        # layout C needs; a copy would silently lose the votes
+        grid, prep = self._prep(pinhole_cam, n=50)
+        votes = np.zeros(grid.votes.shape, dtype=np.float32 if bad == "float32"
+                         else np.float64, order="F" if bad == "fortran" else "C")
+        votes.flags.writeable = bad != "readonly"
+        with pytest.raises(ValueError, match="C-contiguous float64"):
+            _sweep.run_sweep(prep, grid.inv_depths, votes, "bilinear")
 
     def test_compiles_without_warnings(self, tmp_path):
         out = tmp_path / "sweep.so"
@@ -384,15 +413,21 @@ class TestCKernel:
         assert not (tmp_path / "raysweep").exists()
 
     def test_requested_c_without_library_raises(self, monkeypatch, pinhole_cam):
+        # the C entry points raise; the dispatchers fall back to numpy
         monkeypatch.setattr(_sweep, "_c_lib", None)
         monkeypatch.setattr(_sweep, "_c_error", "OSError: no compiler")
         grid, prep = self._prep(pinhole_cam, n=10)
         with pytest.raises(RuntimeError, match="no compiler"):
-            _sweep.run_sweep(prep, grid.inv_depths, grid.votes, "nearest", "c")
-        grid, stream, quats, trans = random_ray_inputs(pinhole_cam, n=10)
+            _sweep._sweep_c(*prep, grid.inv_depths, grid.votes, bilinear=False)
+        _, stream, quats, trans = random_ray_inputs(pinhole_cam, n=10)
+        k = grid.ref_intrinsics
         with pytest.raises(RuntimeError, match="no compiler"):
-            _prepare_rays(grid, stream, pinhole_cam, quats, trans, kernel="c")
-        assert _sweep.resolve_kernel("auto") == "numpy"
+            _sweep.prepare_c(quats, trans, np.zeros((1, 2)), np.zeros(10, np.int64),
+                             np.array([0, 0, 0, 1.0]), np.zeros(3),
+                             (k.fx, k.fy, k.cx, k.cy), grid.depths, 1.0, 1e3)
+        assert _sweep.kernel_name() == "numpy"
+        assert _sweep.run_sweep(prep, grid.inv_depths, grid.votes, "nearest").any()
+        _prepare_rays(grid, stream, pinhole_cam, quats, trans)
 
 
 class TestCPrepare:
@@ -401,9 +436,9 @@ class TestCPrepare:
 
     @staticmethod
     def _both(grid, stream, cam, quats, trans):
-        want = _prepare_rays(grid, stream, cam, quats, trans)
-        assert_same_bits(_prepare_rays(grid, stream, cam, quats, trans, kernel="c"),
-                         want)
+        with numpy_kernel():
+            want = _prepare_rays(grid, stream, cam, quats, trans)
+        assert_same_bits(_prepare_rays(grid, stream, cam, quats, trans), want)
         return want
 
     def test_random_rays(self, distorted_cam):
@@ -435,8 +470,9 @@ class TestCPrepare:
             quats, trans = traj.camera_poses(stream.t, cam.T_body_cam)
             prep = self._both(grid, stream, cam, quats, trans)
             assert 0 < np.count_nonzero(~prep.affine_ok)
-            got = prepare_sweep(grid, stream, cam, traj=traj, kernel="c")
-            want = prepare_sweep(grid, stream, cam, traj=traj, kernel="numpy")
+            got = prepare_sweep(grid, stream, cam, traj=traj)
+            with numpy_kernel():
+                want = prepare_sweep(grid, stream, cam, traj=traj)
             assert_same_bits(got.affine + got.graze, want.affine + want.graze)
 
     def test_backward_parallel_and_on_plane_origins(self):
@@ -477,15 +513,14 @@ class TestCPrepare:
         assert np.isnan(prep.origins[~finite, 2]).all()
         assert (prep.lo[~finite & fwd] == 5).all() and (prep.hi[~finite & bwd] == 5).all()
 
-    @pytest.mark.parametrize("kernel", KERNELS)
     def test_empty_stream(self, distorted_cam, kernel):
         # a camera silent for one chunk
         grid = make_grid(distorted_cam)
         prep = _prepare_rays(grid, EventStream.empty("r"), distorted_cam,
-                             np.empty((0, 4)), np.empty((0, 3)), kernel=kernel)
+                             np.empty((0, 4)), np.empty((0, 3)))
         assert [a.shape for a in prep] == [(0,)] * 6 + [(0, 3)] * 2 + [(0,)]
         rays = prepare_sweep(grid, EventStream.empty("r"), distorted_cam,
-                             pose=Se3.identity(), kernel=kernel)
+                             pose=Se3.identity())
         assert rays.num_events == 0
 
     def test_fixed_pose(self, distorted_cam):
@@ -493,8 +528,9 @@ class TestCPrepare:
         stream = random_stream(rng, 3000, distorted_cam)
         grid = make_grid(distorted_cam, num_planes=20, z_min=0.45, z_max=4.0)
         pose = random_pose(rng, 0.5)
-        got = prepare_sweep(grid, stream, distorted_cam, pose=pose, kernel="c")
-        want = prepare_sweep(grid, stream, distorted_cam, pose=pose, kernel="numpy")
+        got = prepare_sweep(grid, stream, distorted_cam, pose=pose)
+        with numpy_kernel():
+            want = prepare_sweep(grid, stream, distorted_cam, pose=pose)
         assert_same_bits(got.affine + got.graze, want.affine + want.graze)
         assert got.num_events == len(stream)
 
@@ -538,10 +574,10 @@ class TestCPrepare:
     def test_out_of_bounds_pixel_rejected(self, distorted_cam):
         stream = EventStream("r", np.zeros(2), np.array([3, distorted_cam.width], np.int32),
                              np.zeros(2, np.int32), np.ones(2, np.int8))
-        for kernel in KERNELS:
-            with pytest.raises(ValueError, match="outside"):
+        for kernel in (contextlib.nullcontext(), numpy_kernel()):
+            with kernel, pytest.raises(ValueError, match="outside"):
                 prepare_sweep(make_grid(distorted_cam), stream, distorted_cam,
-                              pose=Se3.identity(), kernel=kernel)
+                              pose=Se3.identity())
 
 
 class TestBandSweep:
@@ -577,8 +613,9 @@ class TestBandSweep:
             if kernel == "direct":
                 return _sweep.sweep_direct(origins, dirs, lo_b, hi_b, zs, intr, votes,
                                            mode == "bilinear", offset=offset)
-            return _sweep.run_sweep((*coeffs, lo_b, hi_b), inv_zs, votes, mode,
-                                    kernel, offset=offset)
+            with numpy_kernel() if kernel == "numpy" else contextlib.nullcontext():
+                return _sweep.run_sweep((*coeffs, lo_b, hi_b), inv_zs, votes, mode,
+                                        offset=offset)
 
         return w, h, len(zs), sweep
 
@@ -608,9 +645,10 @@ class TestBandSweep:
     ] + [("c", "past_inv_zs")])  # numpy reads inv_zs/zs only at swept planes
     def test_range_outside_band_rejected_before_any_write(self, distorted_cam,
                                                           monkeypatch, kernel, bad):
-        calls = []
-        monkeypatch.setattr(_sweep, "_load_c", lambda: lambda *a: calls.append(a))
         w, h, nz, sweep = self._rays("random", distorted_cam)
+        calls = []
+        lib = types.SimpleNamespace(sweep=lambda *a: calls.append(a))
+        monkeypatch.setattr(_sweep, "_load_c", lambda: lib)
         votes = np.zeros((4, h, w))
         offset, p0, p1 = {
             "below": (4, 3, 8),        # events reach plane 3 < offset
@@ -628,8 +666,8 @@ class TestMerge:
     """Disjoint event slices voted into one grid in turn add up to a single
     vote over the whole stream."""
 
-    @pytest.mark.parametrize("mode,tol", [("nearest", 0.0), ("bilinear", 1e-9)])
-    def test_random_partitions_equal_sequential(self, distorted_cam, mode, tol):
+    @pytest.mark.parametrize("mode", ["nearest", "bilinear"])
+    def test_random_partitions_equal_sequential(self, distorted_cam, kernel, mode):
         rng = np.random.default_rng(31)
         stream = random_stream(rng, 1200, distorted_cam)
         pose = Se3(np.array([0, 0, 0, 1.0]), np.array([0.15, 0.02, -0.1]))
@@ -640,10 +678,7 @@ class TestMerge:
         for i0, i1 in zip([0, *cuts], [*cuts, len(stream)]):
             vote_events(merged, stream.slice(i0, i1), distorted_cam, pose=pose,
                         mode=mode)
-        if tol == 0.0:
-            assert np.array_equal(merged.votes, seq.votes)
-        else:
-            assert np.max(np.abs(merged.votes - seq.votes)) <= tol
+        assert_same_bits([merged.votes], [seq.votes])
         assert merged.skipped_events == seq.skipped_events
 
 
@@ -828,7 +863,7 @@ class TestFusionOp:
         assert FusionOp.from_string("power:0.5") == FusionOp("power", 0.5)
         with pytest.raises(ValueError):
             FusionOp.from_string("median")
-        for spec in ("power:nan", "power:inf", "power:-inf"):
+        for spec in ("power:nan", "power:inf", "power:-inf", "power:abc"):
             with pytest.raises(ValueError, match=f"fusion '{spec}'"):
                 FusionOp.from_string(spec)
 

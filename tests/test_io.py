@@ -262,6 +262,32 @@ class TestCalibrationParsing:
         with pytest.raises(ParseError):
             rio.parse_calibration(p)
 
+    @pytest.mark.parametrize("cameras,where", [
+        ([1, 2], "cameras[0]"),
+        ([None, None], "cameras[0]"),
+        (["cam0", "cam1"], "cameras[0]"),
+        ("good", "cameras[1]"),
+        ("extrinsic", "cameras[1].T_body_cam"),
+    ])
+    def test_non_object_entry_names_it(self, tmp_path, cameras, where):
+        doc = self._doc()
+        if cameras == "good":
+            doc["cameras"][1] = [doc["cameras"][1]]
+        elif cameras == "extrinsic":
+            doc["cameras"][1]["T_body_cam"] = [0.0, 0.0, 0.0]
+        else:
+            doc["cameras"] = cameras
+        p = write(tmp_path, "c.json", json.dumps(doc))
+        with pytest.raises(ParseError, match="must be a JSON object") as err:
+            rio.parse_calibration(p)
+        assert f"{where} must be" in str(err.value) and err.value.path == p
+
+    @pytest.mark.parametrize("text", ["[1, 2]", "null", "3"])
+    def test_non_object_document_rejected(self, tmp_path, text):
+        p = write(tmp_path, "c.json", text)
+        with pytest.raises(ParseError, match="must be a JSON object"):
+            rio.parse_calibration(p)
+
     def test_roundtrip(self, tmp_path):
         p = write(tmp_path, "c.json", json.dumps(self._doc()))
         rig = rio.parse_calibration(p)
@@ -320,6 +346,27 @@ class TestPfm:
         p = tmp_path / "x.pfm"
         p.write_bytes(b"PF\n1 1\n-1.0\n" + b"\x00" * 12)
         with pytest.raises(ParseError):
+            rio.read_pfm(p)
+
+    @pytest.mark.parametrize("dims,scale", [
+        (b"abc 3", b"-1.0"), (b"3 2.5", b"-1.0"), (b"0 3", b"-1.0"),
+        (b"3 -2", b"-1.0"), (b"3", b"-1.0"), (b"3 3 3", b"-1.0"),
+        (b"3 3", b"abc"), (b"3 3", b""), (b"3 3", b"nan"), (b"3 3", b"0.0"),
+    ])
+    def test_bad_header_names_file(self, tmp_path, dims, scale):
+        p = tmp_path / "bad.pfm"
+        p.write_bytes(b"Pf\n" + dims + b"\n" + scale + b"\n" + b"\x00" * 36)
+        header = " ".join((dims + b" " + scale).decode().split())
+        with pytest.raises(ParseError, match="need a positive integer width and "
+                                             "height and a nonzero scale") as err:
+            rio.read_pfm(p)
+        assert f"bad PFM header {header!r}" in str(err.value)
+        assert err.value.path == p and str(p) in str(err.value)
+
+    def test_huge_header_is_truncated_before_allocating(self, tmp_path):
+        p = tmp_path / "huge.pfm"
+        p.write_bytes(b"Pf\n100000 100000\n-1.0\n" + b"\x00" * 36)
+        with pytest.raises(ParseError, match="truncated PFM payload"):
             rio.read_pfm(p)
 
 

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from raysweep import dsi, pipeline
+from raysweep import _sweep, pipeline
 from raysweep.cli import cli_main
 from raysweep.depth import (
     adaptive_threshold,
@@ -35,6 +35,8 @@ from raysweep.geometry import (
 from raysweep.io import RigCalibration, read_pfm
 from raysweep.pipeline import PipelineConfig, process_chunk, run_pipeline
 from raysweep.synth import make_scenario
+
+from conftest import numpy_kernel
 
 
 JSON_VALUES = st.recursive(
@@ -111,6 +113,7 @@ class TestConfig:
         ("trajectory", 3),
         ("calibration", ["calibration.json"]),
         ("out_dir", True),
+        ("fusion", "power:abc"),  # names the spec, not just float()'s complaint
     ])
     def test_validation(self, field, value):
         cfg = PipelineConfig()
@@ -272,17 +275,17 @@ class TestRunPipeline:
         assert np.array_equal(solo.result.mask, full[0].result.mask)
 
     def test_numpy_fallback_when_build_fails(self, small_scenario, monkeypatch):
-        # without a compiled kernel the chunk votes with numpy, says so in its
-        # stats, and the failure is reported once, naming the compiler error
+        # without a compiled kernel the chunk prepares and votes with numpy,
+        # says so in its stats, reports the failure once, naming the
+        # compiler error, and gives the C run's volumes bit for bit
         import copy
-        from raysweep import _sweep
-        from raysweep.dsi import vote_events
         from raysweep.events import chunk_events
         from raysweep.pipeline import process_chunk
         sc, streams = small_scenario
         ordered = [streams[cid] for cid in sc.rig.camera_ids]
         chunk = chunk_events(ordered, sc.config.chunk_duration)[0]
-        c_out = process_chunk(copy.deepcopy(chunk), sc.rig, sc.traj, sc.config)
+        dump = dataclasses.replace(sc.config, dump_dsi=True)  # keeps the volumes
+        c_out = process_chunk(copy.deepcopy(chunk), sc.rig, sc.traj, dump)
         assert c_out.stats["kernel"] == "c"
 
         def broken_build():
@@ -290,34 +293,23 @@ class TestRunPipeline:
         monkeypatch.setattr(_sweep, "_build", broken_build)
         monkeypatch.setattr(_sweep, "_c_lib", None)
         monkeypatch.setattr(_sweep, "_c_error", None)
-        dump = dataclasses.replace(sc.config, dump_dsi=True)  # keeps the volumes
-        prepared = []
-        prepare_rays = dsi._prepare_rays
-
-        def spy(grid, events, cam, q_wc, t_wc, kernel="numpy"):
-            prepared.append(kernel)
-            return prepare_rays(grid, events, cam, q_wc, t_wc, kernel)
-        monkeypatch.setattr(dsi, "_prepare_rays", spy)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             outs = [process_chunk(copy.deepcopy(chunk), sc.rig, sc.traj, dump,
                                   workers=w) for w in (1, 2)]
         assert len(caught) == 1
         assert "bad value for -O3" in str(caught[0].message)
-        assert prepared and set(prepared) == {"numpy"}  # rays prepared in numpy too
         for out in outs:
             assert out.stats["kernel"] == "numpy"
-            for cid, cam, grid in zip(sc.rig.camera_ids, sc.rig.cameras,
-                                      out.camera_grids):
-                want = grid.copy_empty()
-                vote_events(want, chunk.events[cid], cam, traj=sc.traj,
-                            mode=sc.config.voting, kernel="numpy")
-                assert np.array_equal(grid.votes, want.votes)
+            for a, b in zip([c_out.fused] + c_out.camera_grids,
+                            [out.fused] + out.camera_grids):
+                assert np.array_equal(a.votes.view(np.uint64), b.votes.view(np.uint64))
 
-    def test_kernels_agree_on_rotating_trajectory(self, small_scenario, monkeypatch):
+    def test_kernels_agree_on_rotating_trajectory(self, small_scenario):
         # the scenario's body only translates; turning it a little about y
-        # between samples makes every event's pose a slerp. Nearest votes
-        # are integral, so C and numpy give the same volumes bit for bit.
+        # between samples makes every event's pose a slerp. C and numpy add
+        # every vote in the same order, so in both voting modes they give
+        # the same volumes, stats and depths bit for bit.
         sc, streams = small_scenario
         traj = sc.traj
         turns = np.linspace(-0.04, 0.04, len(traj))
@@ -326,21 +318,22 @@ class TestRunPipeline:
             np.array([quat_mul(q, quat_from_axis_angle([0, 1, 0], a))
                       for q, a in zip(traj.quats, turns)]),
             traj.trans)
-        config = dataclasses.replace(sc.config, voting="nearest", dump_dsi=True)
         chunk = chunk_events([streams[cid] for cid in sc.rig.camera_ids],
-                             config.chunk_duration)[0]
-        c_out = process_chunk(copy.deepcopy(chunk), sc.rig, rot, config)
-        monkeypatch.setattr(pipeline, "resolve_kernel", lambda kernel: "numpy")
-        np_out = process_chunk(copy.deepcopy(chunk), sc.rig, rot, config)
-        assert (c_out.stats.pop("kernel"), np_out.stats.pop("kernel")) == ("c", "numpy")
-        c_out.stats.pop("timings"), np_out.stats.pop("timings")
-        assert c_out.stats == np_out.stats and c_out.stats["events_voted"] > 0
-        for a, b in zip([c_out.fused] + c_out.camera_grids,
-                        [np_out.fused] + np_out.camera_grids):
-            assert np.array_equal(a.votes, b.votes)
-        for field in ("depth", "confidence", "mask"):
-            assert np.array_equal(getattr(c_out.result, field),
-                                  getattr(np_out.result, field), equal_nan=True)
+                             sc.config.chunk_duration)[0]
+        for voting in ("nearest", "bilinear"):
+            config = dataclasses.replace(sc.config, voting=voting, dump_dsi=True)
+            c_out = process_chunk(copy.deepcopy(chunk), sc.rig, rot, config)
+            with numpy_kernel():
+                np_out = process_chunk(copy.deepcopy(chunk), sc.rig, rot, config)
+            assert (c_out.stats.pop("kernel"), np_out.stats.pop("kernel")) == ("c", "numpy")
+            c_out.stats.pop("timings"), np_out.stats.pop("timings")
+            assert c_out.stats == np_out.stats and c_out.stats["events_voted"] > 0
+            for a, b in zip([c_out.fused] + c_out.camera_grids,
+                            [np_out.fused] + np_out.camera_grids):
+                assert np.array_equal(a.votes.view(np.uint64), b.votes.view(np.uint64))
+            for field in ("depth", "confidence", "mask"):
+                assert getattr(c_out.result, field).tobytes() == \
+                    getattr(np_out.result, field).tobytes()
 
     def test_rerun_is_deterministic(self, small_scenario):
         sc, streams = small_scenario
@@ -849,6 +842,25 @@ class TestCli:
         cfg.write_text(json.dumps(dict(PipelineConfig().to_dict(), num_planes="100")))
         assert cli_main(["map", "--config", str(cfg)]) == 2
         assert "num_planes" in capsys.readouterr().err
+
+    def test_non_object_camera_entry_exits_2(self, tmp_path, capsys):
+        calib = tmp_path / "calibration.json"
+        calib.write_text(json.dumps({"cameras": [1, 2]}))
+        cfg = tmp_path / "cfg.json"
+        PipelineConfig(events=["a.txt", "b.txt"], trajectory="t.txt",
+                       calibration=str(calib)).save(cfg)
+        assert cli_main(["map", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert str(calib) in err and "cameras[0] must be a JSON object" in err
+
+    def test_eval_bad_pfm_header_exits_2_naming_the_file(self, tmp_path, capsys):
+        from raysweep.io import write_pfm
+        bad, gt = tmp_path / "bad.pfm", tmp_path / "gt.pfm"
+        bad.write_bytes(b"Pf\nabc 3\n-1.0\n" + b"\x00" * 12)
+        write_pfm(np.ones((3, 4), np.float32), gt)
+        assert cli_main(["eval", "--pred", str(bad), "--gt", str(gt)]) == 2
+        err = capsys.readouterr().err
+        assert str(bad) in err and "bad PFM header 'abc 3 -1.0'" in err
 
     def test_eval_shape_mismatch(self, tmp_path, capsys):
         from raysweep.io import write_pfm
