@@ -14,6 +14,11 @@
  */
 #include <math.h>
 #include <stdint.h>
+#include <stdlib.h>
+#include <string.h>
+#ifdef __SSE2__
+#include <emmintrin.h>
+#endif
 
 void sweep(const double *a_u, const double *a_v, const double *b_u,
            const double *b_v, const int64_t *lo, const int64_t *hi,
@@ -155,4 +160,187 @@ void prepare(const double *q_wc, const double *t_wc, const double *bearings,
         affine_ok[k] = fabs(au) < bound && fabs(av) < bound
                        && fabs(bu) * inv_max < bound && fabs(bv) * inv_max < bound;
     }
+}
+
+/* Fusion kinds of fuse_band, numbered as _sweep.FUSE_KINDS lists them. */
+enum { FUSE_MIN, FUSE_MAX, FUSE_ARITHMETIC, FUSE_RMS, FUSE_HARMONIC };
+
+/* numpy's pairwise_sum blocks: leaves of at most PW_BLOCK elements. */
+#define PW_BLOCK 128
+
+struct band {
+    double *stack;      /* camera c's votes start at stack + c * stride */
+    int64_t n, stride;
+    int kind;
+    double *out;        /* the fused band */
+    int64_t plane;      /* voxels per plane */
+    int64_t p0;         /* volume index of the band's first plane */
+    double *confidence; /* running maximum per pixel ... */
+    int64_t *best;      /* ... and its plane */
+};
+
+/* One leaf of numpy's pairwise_sum over a[0:m], m <= PW_BLOCK, bit for bit. */
+static double leaf_sum(const double *a, int64_t m)
+{
+    if (m < 8) {
+        double res = 0.0;
+        for (int64_t i = 0; i < m; i++)
+            res += a[i];
+        return res;
+    }
+    double r[8];
+    for (int j = 0; j < 8; j++)
+        r[j] = a[j];
+    int64_t i;
+    for (i = 8; i < m - m % 8; i += 8)
+        for (int j = 0; j < 8; j++)
+            r[j] += a[i + j];
+    double res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
+    for (; i < m; i++)
+        res += a[i];
+    return res;
+}
+
+/* Where v[j] > conf[j], strictly: conf[j] = v[j] and best[j] = plane. */
+static void fold_peak(const double *v, double *conf, int64_t *best, int64_t len,
+                      int64_t plane)
+{
+    int64_t j = 0;
+#ifdef __SSE2__
+    /* two voxels at a time: gcc does not vectorize the blend of best */
+    const __m128i p = _mm_set1_epi64x(plane);
+    for (; j + 2 <= len; j += 2) {
+        const __m128d x = _mm_loadu_pd(v + j), c = _mm_loadu_pd(conf + j);
+        const __m128i g = _mm_castpd_si128(_mm_cmpgt_pd(x, c));
+        const __m128i b = _mm_loadu_si128((const __m128i *)(best + j));
+        _mm_storeu_pd(conf + j, _mm_max_pd(x, c)); /* x > c ? x : c */
+        _mm_storeu_si128((__m128i *)(best + j),
+                         _mm_or_si128(_mm_and_si128(g, p), _mm_andnot_si128(g, b)));
+    }
+#endif
+    for (; j < len; j++)
+        if (v[j] > conf[j]) {
+            conf[j] = v[j];
+            best[j] = plane;
+        }
+}
+
+/* Voxels [s, s + m) of the band: total each camera's votes into res[0:n],
+ * fuse them into out, total those into res[n], fold them into the running
+ * maximum and zero the cameras' votes. */
+static void fuse_leaf(const struct band *b, int64_t s, int64_t m, double *res)
+{
+    const int64_t n = b->n;
+    const double dn = (double)n;
+    double *o = b->out + s;
+    for (int64_t c = 0; c < n; c++)
+        res[c] = leaf_sum(b->stack + c * b->stride + s, m);
+
+    /* numpy's axis-0 reduction: camera 0, then each later camera in turn */
+    const double *x = b->stack + s;
+    switch (b->kind) {
+    case FUSE_MIN:
+    case FUSE_MAX:
+    case FUSE_HARMONIC:
+        for (int64_t i = 0; i < m; i++)
+            o[i] = x[i];
+        for (int64_t c = 1; c < n; c++) {
+            x = b->stack + c * b->stride + s;
+            if (b->kind == FUSE_MAX)
+                for (int64_t i = 0; i < m; i++)
+                    o[i] = x[i] > o[i] ? x[i] : o[i];
+            else
+                for (int64_t i = 0; i < m; i++)
+                    o[i] = x[i] < o[i] ? x[i] : o[i];
+        }
+        if (b->kind != FUSE_HARMONIC)
+            break;
+        /* Harmonic: n / (1/x_0 + ... + 1/x_{n-1}). A zero input makes the
+         * sum +inf and the result +0.0, the least input, so the divisions
+         * run only where that is positive (votes are never -0.0). */
+        for (int64_t i = 0; i < m; i++) {
+            if (o[i] == 0.0)
+                continue;
+            x = b->stack + s + i;
+            double sum = 1.0 / x[0];
+            for (int64_t c = 1; c < n; c++)
+                sum += 1.0 / x[c * b->stride];
+            o[i] = dn / sum;
+        }
+        break;
+    case FUSE_ARITHMETIC:
+    case FUSE_RMS: {
+        const int sq = b->kind == FUSE_RMS;
+        for (int64_t i = 0; i < m; i++)
+            o[i] = sq ? x[i] * x[i] : x[i];
+        for (int64_t c = 1; c < n; c++) {
+            x = b->stack + c * b->stride + s;
+            for (int64_t i = 0; i < m; i++)
+                o[i] += sq ? x[i] * x[i] : x[i];
+        }
+        for (int64_t i = 0; i < m; i++)
+            o[i] = sq ? sqrt(o[i] / dn) : o[i] / dn;
+        break;
+    }
+    }
+    res[n] = leaf_sum(o, m);
+
+    /* strictly greater: the first maximum, as np.argmax */
+    int64_t pl = s / b->plane, px = s % b->plane;
+    for (int64_t i = 0; i < m; pl++, px = 0) {
+        int64_t run = b->plane - px;
+        if (run > m - i)
+            run = m - i;
+        fold_peak(o + i, b->confidence + px, b->best + px, run, b->p0 + pl);
+        i += run;
+    }
+
+    for (int64_t c = 0; c < n; c++)
+        memset(b->stack + c * b->stride + s, 0, (size_t)m * sizeof(double));
+}
+
+/* numpy's pairwise_sum recursion over voxels [s, s + m), fusing at the
+ * leaves; res[0:n+1] receives the totals, and res[n+1:] is workspace for
+ * the right halves, one n + 1 row per level. */
+static void fuse_pairwise(const struct band *b, int64_t s, int64_t m, double *res)
+{
+    if (m <= PW_BLOCK) {
+        fuse_leaf(b, s, m, res);
+        return;
+    }
+    int64_t m2 = m / 2;
+    m2 -= m2 % 8;
+    double *right = res + b->n + 1;
+    fuse_pairwise(b, s, m2, res);
+    fuse_pairwise(b, s + m2, m - m2, right);
+    for (int64_t c = 0; c <= b->n; c++)
+        res[c] += right[c];
+}
+
+/* Fuse one band of n cameras' votes, voxel by voxel, with numpy's IEEE
+ * operations in numpy's order: planes [p0, p0 + planes) of the volume,
+ * each of `plane` voxels; camera c's band starts at stack + c * stride and
+ * the fused band is out. In the same pass, totals[c] becomes camera c's
+ * vote total and totals[n] the fused band's, each numpy's pairwise sum of
+ * its band bit for bit; every fused plane is folded into the running
+ * (confidence, best) with a strict >; and the cameras' votes are zeroed.
+ * Returns 0, or -1 if the workspace could not be allocated. */
+int fuse_band(double *stack, int64_t n, int64_t stride, int64_t planes,
+              int64_t plane, int kind, double *out, int64_t p0,
+              double *confidence, int64_t *best, double *totals)
+{
+    const int64_t len = planes * plane;
+    int64_t levels = 1;
+    for (int64_t m = len; m > PW_BLOCK; m -= m / 2 - m / 2 % 8)
+        levels++; /* the right halves are the larger ones */
+    double *work = malloc((size_t)(levels * (n + 1)) * sizeof(double));
+    if (work == NULL)
+        return -1;
+    const struct band b = {stack, n, stride, kind, out, plane, p0,
+                           confidence, best};
+    fuse_pairwise(&b, 0, len, work);
+    for (int64_t c = 0; c <= n; c++)
+        totals[c] = 0.0 + work[c]; /* numpy's sum starts at its identity */
+    free(work);
+    return 0;
 }

@@ -33,13 +33,28 @@ that computes these coefficients (and each ray's origin, direction and
 conditioning flag) in one pass per event, with numpy's operations in
 numpy's order, so its outputs are bit-identical to the numpy form's.
 
+Its third function, ``fuse_band``, is the compiled ``dsi.fuse_band``: the
+band step that follows the sweep. In one pass over a band of every
+camera's votes it fuses them (min, max, arithmetic, rms or harmonic,
+voxel by voxel, with numpy's IEEE operations in numpy's axis-0 order),
+totals each camera and the fused band, folds the fused planes into a
+running per-pixel maximum (strict >, so the first maximum, as
+``np.argmax``) and zeroes the votes for the next band. The totals follow
+numpy's own pairwise ``sum`` of a contiguous array: halves split at
+``n/2 - (n/2) % 8`` down to leaves of at most 128 elements, each summed
+with eight accumulators combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))
+plus its tail (a leaf under 8 elements is a plain loop from 0.0). Fusion
+runs inside those leaves, so each total is ``float(x.sum())`` of its band
+bit for bit. The geometric and power means are not compiled: numpy's
+SIMD ``log``, ``exp`` and ``pow`` are not libm's bit for bit.
+
 The C source is compiled on first use (not at import), once per source and
-flag set, with ``gcc -O3 -ffp-contract=off -fPIC -shared`` into
+flag set, with ``gcc -O3 -ffp-contract=off -fPIC -shared ... -lm`` into
 ``$XDG_CACHE_HOME/raysweep`` (default ``~/.cache/raysweep``), and loaded with
 ctypes, which releases the GIL for the call, so plane ranges split across
-threads still run in parallel. Without the library, ``run_sweep`` and
-``dsi._prepare_rays`` run numpy and one warning names the error;
-``kernel_name`` says which kernel runs.
+threads still run in parallel. Without the library, ``run_sweep``,
+``dsi._prepare_rays`` and ``dsi.fuse_band`` run numpy and one warning
+names the error; ``kernel_name`` says which kernel runs.
 """
 
 from __future__ import annotations
@@ -63,6 +78,7 @@ _BLOCK = 1 << 16  # events projected per step; bounds the temporaries
 
 _SOURCE = Path(__file__).with_name("_sweep.c")
 _COMPILE = ("gcc", "-O3", "-ffp-contract=off", "-fPIC", "-shared")
+_LIBS = ("-lm",)  # after the source, so that the linker keeps libm for sqrt
 _I64, _PTR, _F64 = ctypes.c_int64, ctypes.c_void_p, ctypes.c_double
 _ARGTYPES = {
     # sweep(a_u, a_v, b_u, b_v, lo, hi, n, inv_zs, p0, p1, votes, offset,
@@ -74,7 +90,17 @@ _ARGTYPES = {
     #         affine_ok)
     "prepare": [_PTR] * 4 + [_I64] + [_PTR] * 4 + [_I64, _F64, _F64]
                + [_PTR] * 9,
+    # fuse_band(stack, n, stride, planes, plane, kind, out, p0, confidence,
+    #           best, totals)
+    "fuse_band": [_PTR, _I64, _I64, _I64, _I64, ctypes.c_int, _PTR, _I64]
+                 + [_PTR] * 3,
 }
+_RESTYPES = {"fuse_band": ctypes.c_int}
+
+# The fusion kinds that fuse_band compiles, in _sweep.c's numbering. The
+# others (geometric, power) stay with numpy: its SIMD log, exp and pow are
+# not libm's bit for bit.
+FUSE_KINDS = ("min", "max", "arithmetic", "rms", "harmonic")
 
 _lock = threading.Lock()
 _c_lib = None  # the loaded library, its functions typed, once built
@@ -92,7 +118,8 @@ def _build() -> Path:
     the library is compiled to a temporary file and renamed into place, so
     a concurrent process never loads a partly written file."""
     src = _SOURCE.read_bytes()
-    key = hashlib.sha256(src + " ".join(_COMPILE).encode()).hexdigest()[:16]
+    flags = " ".join((*_COMPILE, *_LIBS)).encode()
+    key = hashlib.sha256(src + flags).hexdigest()[:16]
     cache = _cache_dir()
     lib = cache / f"_sweep-{key}.so"
     if lib.is_file():
@@ -101,7 +128,7 @@ def _build() -> Path:
     fd, tmp = tempfile.mkstemp(prefix=f".{lib.name}.", dir=cache)
     os.close(fd)
     try:
-        proc = subprocess.run([*_COMPILE, "-o", tmp, str(_SOURCE)],
+        proc = subprocess.run([*_COMPILE, "-o", tmp, str(_SOURCE), *_LIBS],
                               capture_output=True, text=True)
         if proc.returncode != 0:
             raise RuntimeError(f"{' '.join(_COMPILE)} failed: {proc.stderr.strip()}")
@@ -114,8 +141,8 @@ def _build() -> Path:
 
 def _load_c():
     """The compiled library, built and loaded on first call, with its
-    ``sweep`` and ``prepare`` functions typed; None if that failed, in
-    which case the first call warned once."""
+    ``sweep``, ``prepare`` and ``fuse_band`` functions typed; None if that
+    failed, in which case the first call warned once."""
     global _c_lib, _c_error
     with _lock:
         if _c_lib is None and _c_error is None:
@@ -124,12 +151,12 @@ def _load_c():
                 for name, argtypes in _ARGTYPES.items():
                     fn = getattr(lib, name)
                     fn.argtypes = argtypes
-                    fn.restype = None
+                    fn.restype = _RESTYPES.get(name)
                 _c_lib = lib
             except Exception as exc:  # no compiler, no cache, bad library...
                 _c_error = f"{type(exc).__name__}: {exc}"
-                warnings.warn(f"raysweep: C kernels unavailable, preparing and "
-                              f"sweeping rays with numpy ({_c_error})",
+                warnings.warn(f"raysweep: C kernels unavailable, preparing, "
+                              f"sweeping and fusing with numpy ({_c_error})",
                               RuntimeWarning, stacklevel=2)
     return _c_lib
 
@@ -234,6 +261,55 @@ def prepare_c(q_wc, t_wc, bearings, index, q_ref_inv, t_ref, intr, depths,
                 *(a.ctypes.data for a in (a_u, a_v, b_u, b_v, lo, hi, origins,
                                           dirs, affine_ok)))
     return a_u, a_v, b_u, b_v, lo, hi, origins, dirs, affine_ok
+
+
+def fuse_band_c(kind, stack, out, p0, confidence, best):
+    """Run the C ``fuse_band`` after checking every dtype, shape and stride
+    it relies on, so that no argument can make it read or write outside
+    its arrays.
+
+    ``stack`` (cameras, planes, H, W) holds each camera's votes on the
+    planes [p0, p0 + planes) of the volume; each camera's planes must be
+    contiguous, but the cameras may lie any stride apart (a short band of a
+    larger buffer). It is fused with ``kind`` (one of FUSE_KINDS) into the
+    C-contiguous ``out`` (planes, H, W), folded into the running per-pixel
+    maximum ``confidence`` (float64) and its plane ``best`` (int64), both
+    C-contiguous (H, W), and zeroed. Returns the cameras' vote totals and
+    the fused total, each ``float(x.sum())`` of its band bit for bit.
+    """
+    lib = _require_c()
+    if kind not in FUSE_KINDS:
+        raise ValueError(f"fuse_band compiles {FUSE_KINDS}, not {kind!r}")
+    if not (isinstance(stack, np.ndarray) and stack.dtype == np.float64
+            and stack.ndim == 4 and stack.flags.writeable):
+        raise ValueError("stack must be a writable float64 (cameras, planes, "
+                         "height, width) array")
+    n, planes, height, width = stack.shape
+    item = stack.itemsize
+    if stack.size == 0 or stack.strides[1:] != (height * width * item,
+                                                width * item, item):
+        raise ValueError("each camera's planes must be non-empty and "
+                         "C-contiguous")
+    if n > 1 and (stack.strides[0] % item
+                  or stack.strides[0] < planes * height * width * item):
+        raise ValueError("the cameras' bands must not overlap")
+    _check_votes(out)
+    if out.shape != (planes, height, width):
+        raise ValueError(f"out must have shape {(planes, height, width)}")
+    for a, dtype in ((confidence, np.float64), (best, np.int64)):
+        if not (isinstance(a, np.ndarray) and a.dtype == dtype
+                and a.shape == (height, width) and a.flags.c_contiguous
+                and a.flags.writeable):
+            raise ValueError(f"the peak maps must be writable C-contiguous "
+                             f"float64 and int64 arrays of shape "
+                             f"{(height, width)}")
+    totals = np.empty(n + 1)
+    if lib.fuse_band(stack.ctypes.data, n, stack.strides[0] // item, planes,
+                     height * width, FUSE_KINDS.index(kind), out.ctypes.data,
+                     int(p0), confidence.ctypes.data, best.ctypes.data,
+                     totals.ctypes.data):
+        raise MemoryError("fuse_band could not allocate its workspace")
+    return [float(t) for t in totals[:n]], float(totals[n])
 
 
 def _scatter_plane(u, v, ok, plane, bilinear):

@@ -5,13 +5,12 @@ refinement, point-cloud export).
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.ndimage import gaussian_filter, maximum_filter
 
-from .dsi import DsiGrid
+from .dsi import DsiGrid, empty_peak, update_peak
 from .geometry import CameraModel, Se3
 
 
@@ -40,25 +39,23 @@ class DepthResult:
         return np.where(self.mask, self.depth, fill)
 
 
-def extract_depth(fused: DsiGrid) -> DepthResult:
+def extract_depth(fused: DsiGrid, peak=None) -> DepthResult:
     """Per pixel, take the depth plane with the highest fused ray density.
 
     Ties break toward the nearest plane (smallest index). Pixels whose
     whole column is zero are left unmasked.
 
-    A running maximum over the planes, updated only where a plane is
-    strictly greater, gives the first maximum exactly as
-    ``np.argmax(votes, axis=0)`` does on NaN-free votes, in a few planes of
-    memory instead of volume-sized temporaries.
+    ``peak`` is the (confidence, best) pair that ``dsi.update_peak`` left
+    after every plane of ``fused``, as the pipeline's band loop keeps it;
+    without it the planes are scanned here. Either way ``best`` is the
+    first maximum exactly as ``np.argmax(votes, axis=0)`` gives it on
+    NaN-free votes, in a few planes of memory instead of volume-sized
+    temporaries.
     """
-    votes = fused.votes
-    confidence = votes[0].copy()
-    best = np.zeros(confidence.shape, dtype=np.intp)
-    greater = np.empty(confidence.shape, dtype=bool)
-    for i in range(1, fused.num_planes):
-        np.greater(votes[i], confidence, out=greater)
-        np.copyto(confidence, votes[i], where=greater)
-        np.copyto(best, i, where=greater)
+    if peak is None:
+        peak = empty_peak(fused.height, fused.width)
+        update_peak(fused.votes, 0, *peak)
+    confidence, best = peak
     return DepthResult(
         depth=fused.depths[best],
         confidence=confidence,
@@ -153,6 +150,11 @@ def median_filter_depth(result: DepthResult, kernel: int) -> DepthResult:
     Each masked pixel's depth becomes the median of the masked depths in
     its neighborhood (truncated at borders); pixels supported by fewer
     than 3 masked neighbors are unmasked. The mask never grows.
+
+    Only the masked pixels' windows are gathered and sorted (unmasked
+    neighbors are NaN, which sorts last); the median of s values is the
+    mean of sorted values (s - 1) // 2 and s // 2, as ``np.nanmedian``
+    takes it, bit for bit.
     """
     if kernel < 1 or kernel % 2 == 0:
         raise ValueError("kernel must be odd and >= 1")
@@ -164,16 +166,20 @@ def median_filter_depth(result: DepthResult, kernel: int) -> DepthResult:
         np.where(result.mask, result.depth, np.nan),
         pad, mode="constant", constant_values=np.nan,
     )
+    iy, ix = np.nonzero(result.mask)
     windows = np.lib.stride_tricks.sliding_window_view(padded, (kernel, kernel))
-    windows = windows.reshape(*result.depth.shape, -1)
-    support = np.count_nonzero(~np.isnan(windows), axis=-1)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # all-NaN windows
-        medians = np.nanmedian(windows, axis=-1)
+    windows = windows[iy, ix].reshape(len(iy), -1)  # a copy, k^2 per pixel
+    # every window holds its own pixel: support >= 1
+    support = kernel * kernel - np.count_nonzero(np.isnan(windows), axis=1)
+    windows.sort(axis=1)
+    rows = np.arange(len(windows))
+    medians = (windows[rows, (support - 1) // 2] + windows[rows, support // 2]) / 2
 
-    keep = result.mask & (support >= 3)
+    kept = support >= 3
+    keep = np.zeros_like(result.mask)
+    keep[iy, ix] = kept
     depth = result.depth.copy()
-    depth[keep] = medians[keep]
+    depth[keep] = medians[kept]  # row-major, as np.nonzero lists the pixels
     return replace(result, depth=depth, mask=keep)
 
 

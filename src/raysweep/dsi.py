@@ -556,3 +556,48 @@ def fuse(grids, op: FusionOp) -> DsiGrid:
         op.apply_into(planes, fused.votes[i])
     fused.skipped_events = sum(g.skipped_events for g in grids)
     return fused
+
+
+def empty_peak(height: int, width: int):
+    """The running per-pixel maximum before any plane: confidence -inf
+    (every vote is >= 0) and plane 0."""
+    return (np.full((height, width), -np.inf),
+            np.zeros((height, width), dtype=np.int64))
+
+
+def update_peak(planes, p0: int, confidence: np.ndarray, best: np.ndarray):
+    """Fold ``planes``, the planes p0, p0 + 1, ... of a volume, into the
+    running per-pixel maximum ``confidence`` and its plane ``best``, where
+    strictly greater. Over every plane in order that is the first maximum,
+    as ``np.argmax(votes, axis=0)`` gives it on NaN-free votes, in a few
+    planes of memory."""
+    greater = np.empty(confidence.shape, dtype=bool)
+    for i, plane in enumerate(planes, p0):
+        np.greater(plane, confidence, out=greater)
+        np.copyto(confidence, plane, where=greater)
+        np.copyto(best, i, where=greater)
+
+
+def fuse_band(op: FusionOp, stack: np.ndarray, out: np.ndarray, p0: int, peak):
+    """Fuse one band of every camera's votes, total them and zero them.
+
+    ``stack`` (cameras, planes, H, W) holds the votes on the planes
+    [p0, p0 + planes) of the volume, ``out`` receives their fusion and
+    ``peak``, an ``empty_peak`` pair, is updated with the fused planes
+    (``update_peak``); ``stack`` is then all zeros, ready for the next
+    band. Returns the cameras' vote totals and the fused total, each
+    ``float(x.sum())`` of its band.
+
+    For the kinds in ``_sweep.FUSE_KINDS`` this is one pass of the C
+    ``fuse_band`` whenever the library loads: the same IEEE operations in
+    numpy's order, and each total numpy's pairwise sum, so every output is
+    bit-identical. This numpy form is its fallback and test oracle, and
+    the only form of the geometric and power means.
+    """
+    if op.kind in _sweep.FUSE_KINDS and _sweep.kernel_name() == "c":
+        return _sweep.fuse_band_c(op.kind, stack, out, p0, *peak)
+    totals = [float(camera.sum()) for camera in stack]
+    op.apply_into(stack, out)  # overwrites stack
+    update_peak(out, p0, *peak)
+    stack.fill(0.0)
+    return totals, float(out.sum())

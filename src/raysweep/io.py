@@ -50,6 +50,10 @@ class RigCalibration:
             )
         if len(self.camera_ids) != len(self.cameras):
             raise ValueError("camera_ids and cameras must align")
+        if len(set(self.camera_ids)) != len(self.camera_ids):
+            # streams are keyed by camera id: one would be mapped twice
+            raise ValueError(f"rig {self.name!r} repeats a camera id: "
+                             f"{list(self.camera_ids)}")
 
     def __len__(self):
         return len(self.cameras)
@@ -299,6 +303,9 @@ def parse_calibration(path) -> RigCalibration:
     for i, c in enumerate(cams_doc):
         ctx = f"cameras[{i}]"
         name = str(_require(c, "name", ctx, path))
+        if name in ids:
+            raise ParseError(f"{ctx}: camera name {name!r} repeats "
+                             f"cameras[{ids.index(name)}]", path=path)
         ext = _require(c, "T_body_cam", ctx, path)
         try:
             extrinsic = Se3(

@@ -39,7 +39,9 @@ from .dsi import (  # noqa: F401
     VOTING_MODES,
     DsiGrid,
     FusionOp,
+    empty_peak,
     fuse,
+    fuse_band,
     prepare_sweep,
     resolve_workers,
     sweep_band,
@@ -231,7 +233,7 @@ def process_chunk(
 
     t0 = time.perf_counter()
     cameras = np.empty((len(rays),) + fused.votes.shape) if config.dump_dsi else None
-    hits, votes, fused_votes = _vote_and_fuse(
+    hits, votes, fused_votes, peak = _vote_and_fuse(
         fused, rays, FusionOp.from_string(config.fusion), config.voting, workers,
         cameras,
     )
@@ -250,7 +252,7 @@ def process_chunk(
     fused.skipped_events = sum(skipped)
 
     t0 = time.perf_counter()
-    result = extract_depth(fused)
+    result = extract_depth(fused, peak)
     keep = adaptive_threshold(
         result.confidence, config.threshold_sigma, config.threshold_offset
     )
@@ -294,19 +296,26 @@ def _vote_and_fuse(fused: DsiGrid, rays, op: FusionOp, mode: str, workers: int,
     one band of BAND_PLANES planes at a time.
 
     Each band of every camera is swept into a zeroed (cameras, band, H, W)
-    buffer, summed, copied into ``cameras`` (the per-camera volumes, when
-    kept) and fused into the band's planes of ``fused.votes``; the buffer
-    is then reused for the next band. Workers take contiguous runs of whole
-    bands, each with its own buffer, so fusion runs in parallel too. A
-    plane's votes depend only on the events and every fusion operator is
-    element-wise, so the result is bit-identical to voting whole volumes
-    with ``vote_events`` and fusing them with ``fuse``, at any worker
-    count.
+    buffer and copied into ``cameras`` (the per-camera volumes, when
+    kept). ``dsi.fuse_band`` then fuses it into the band's planes of
+    ``fused.votes``, totals every camera and the fused band, folds the
+    fused planes into a running per-pixel maximum and zeroes the buffer
+    for the next band: for min, max, arithmetic, rms and harmonic that is
+    one pass of the C ``fuse_band``, in numpy otherwise. Workers take
+    contiguous runs of whole bands, each with its own buffer and running
+    maximum, so fusion runs in parallel too. A plane's votes depend only on
+    the events and every fusion operator is element-wise, so the result is
+    bit-identical to voting whole volumes with ``vote_events`` and fusing
+    them with ``fuse``, at any worker count.
 
     Returns, per camera, the hit mask (events that voted on any plane) and
-    the vote total, and the fused vote total. A total is the sum of the
-    band sums in plane order: the same at any worker count, but not
-    bit-equal to ``votes.sum()`` over the whole volume.
+    the vote total, the fused vote total, and the (confidence, best) peak
+    maps that ``extract_depth`` takes: the workers' maps merged in plane
+    order with a strict >, which keeps ``np.argmax``'s first maximum. Each
+    band total is numpy's pairwise ``sum`` of the band, bit for bit; a
+    total is the sum of the band totals in plane order: the same at any
+    worker count, but not bit-equal to ``votes.sum()`` over the whole
+    volume.
     """
     nz, n = fused.num_planes, len(rays)
     bands = [(p0, min(p0 + BAND_PLANES, nz)) for p0 in range(0, nz, BAND_PLANES)]
@@ -315,36 +324,41 @@ def _vote_and_fuse(fused: DsiGrid, rays, op: FusionOp, mode: str, workers: int,
             for j in range(workers)]
 
     def run(my_bands):
-        buf = np.empty((n, BAND_PLANES, fused.height, fused.width))
+        buf = np.zeros((n, BAND_PLANES, fused.height, fused.width))
+        peak = empty_peak(fused.height, fused.width)
         hits = [np.zeros(r.num_events, dtype=bool) for r in rays]
         sums = []
         for p0, p1 in my_bands:
             stack = buf[:, :p1 - p0]
-            stack.fill(0.0)
             for k, r in enumerate(rays):
                 hits[k] |= sweep_band(fused, r, stack[k], p0, mode)
             if cameras is not None:
                 cameras[:, p0:p1] = stack
-            band_sums = [float(stack[k].sum()) for k in range(n)]
-            out = op.apply_into(stack, fused.votes[p0:p1])  # overwrites stack
-            sums.append((band_sums, float(out.sum())))
-        return hits, sums
+            sums.append(fuse_band(op, stack, fused.votes[p0:p1], p0, peak))
+        return hits, sums, peak
 
     if workers == 1:
         results = [run(runs[0])]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(run, runs))
-    hits = [np.logical_or.reduce([h[k] for h, _ in results]) for k in range(n)]
-    band_sums = [s for _, sums in results for s in sums]  # in plane order
+    hits = [np.logical_or.reduce([h[k] for h, _, _ in results]) for k in range(n)]
+    band_sums = [s for _, sums, _ in results for s in sums]  # in plane order
     votes = [sum(cams[k] for cams, _ in band_sums) for k in range(n)]
-    return hits, votes, sum(f for _, f in band_sums)
+    confidence, best = results[0][2]
+    greater = np.empty(confidence.shape, dtype=bool)
+    for _, _, (conf, plane) in results[1:]:  # later planes win only if greater
+        np.greater(conf, confidence, out=greater)
+        np.copyto(confidence, conf, where=greater)
+        np.copyto(best, plane, where=greater)
+    return hits, votes, sum(f for _, f in band_sums), (confidence, best)
 
 
 # The extraction filters' temporaries peak at up to 5 float64 copies of
 # their largest array (tracemalloc and ru_maxrss, 80x60 and 240x180 maps):
-# median_filter_depth's H*W*k^2 windows (4.4-5.0x) and the threshold
-# Gaussian's 2*int(4 sigma + 0.5) + 1 weights (3.0-4.7x).
+# the threshold Gaussian's 2*int(4 sigma + 0.5) + 1 weights (3.0-4.7x),
+# and median_filter_depth's windows, at most H*W*k^2 (1.1-1.4x with
+# every pixel masked, tracemalloc, k = 5 and 21).
 FILTER_COPIES = 5
 
 
@@ -352,15 +366,16 @@ def _check_memory(shape: tuple, n_cameras: int, workers: int, keep: bool,
                   median_kernel: int = 1, threshold_sigma: float = 0.0) -> int:
     """Bytes one chunk needs for its volumes of ``shape`` (planes, H, W),
     band buffers and extraction filters: the fused volume and, when dumped,
-    the per-camera volumes, plus the largest of one band buffer per worker
-    (voting), the median filter's and the threshold's temporaries, which
-    are never live at once. Raises DsiTooLarge when that exceeds physical
-    memory, before anything is allocated; where the system does not report
-    physical memory, nothing is checked."""
+    the per-camera volumes, plus the largest of one band buffer and two
+    peak maps (confidence and best plane) per worker (voting), the median
+    filter's and the threshold's temporaries, which are never live at
+    once. Raises DsiTooLarge when that exceeds physical memory, before
+    anything is allocated; where the system does not report physical
+    memory, nothing is checked."""
     num_planes, height, width = shape
     plane = width * height * 8
     workers = min(workers, -(-num_planes // BAND_PLANES))
-    buffers = workers * n_cameras * BAND_PLANES * plane
+    buffers = workers * (n_cameras * BAND_PLANES + 2) * plane
     median = FILTER_COPIES * plane * median_kernel**2
     gaussian = FILTER_COPIES * 8 * (2 * int(4 * threshold_sigma + 0.5) + 1)
     volumes = (1 + (n_cameras if keep else 0)) * num_planes * plane

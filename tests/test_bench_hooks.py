@@ -25,6 +25,7 @@ USED_NAMES = [
     # wrapped by bench/layers.py install, or called by its counters
     "DsiGrid.copy_empty", "pipeline.vote_events", "pipeline.fuse",
     "Chunk.total_events", "_sweep.run_sweep", "_sweep.sweep_direct",
+    "pipeline.extract_depth",
 ]
 
 
@@ -63,8 +64,10 @@ def test_layers_install_trace_and_restore(bench, monkeypatch):
         tracer.restore()
     assert raysweep.pipeline.process_chunk is original
     names = {s.name for s in tracer.spans}
+    # every chunk still extracts through pipeline.extract_depth, so the
+    # benchmark's depth.extract_depth.s cannot silently read 0
     assert {"pipeline.process_chunk", "sweep.run_sweep",
-            "geometry.interpolate_batch"} <= names
+            "geometry.interpolate_batch", "depth.extract_depth"} <= names
     # The counter reads lo and hi from run_sweep's first argument. Each band
     # clips them to its planes, so over the bands a ray adds up to hi - lo.
     want = sum(float(np.sum(r.affine[5] - r.affine[4])) for r in prepared)

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -253,7 +254,50 @@ class TestLocalPeakMask:
         assert not mask.any()
 
 
+def nanmedian_filter(result, kernel):
+    """Frozen copy of the median filter over every pixel's window with
+    np.nanmedian: the oracle of median_filter_depth."""
+    pad = kernel // 2
+    padded = np.pad(np.where(result.mask, result.depth, np.nan), pad,
+                    mode="constant", constant_values=np.nan)
+    windows = np.lib.stride_tricks.sliding_window_view(padded, (kernel, kernel))
+    windows = windows.reshape(*result.depth.shape, -1)
+    support = np.count_nonzero(~np.isnan(windows), axis=-1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # all-NaN windows
+        medians = np.nanmedian(windows, axis=-1)
+    keep = result.mask & (support >= 3)
+    depth = result.depth.copy()
+    depth[keep] = medians[keep]
+    return depth, keep
+
+
 class TestMedianFilter:
+    @pytest.mark.parametrize("kernel", [3, 5, 7])
+    def test_matches_nanmedian_over_every_window(self, pinhole_cam, kernel):
+        # random masks of every density, with depths drawn from a few values
+        # (ties) or continuous ones; windows hold odd and even supports
+        rng = np.random.default_rng(16)
+        supports = set()
+        for trial in range(20):
+            shape = (int(rng.integers(5, 40)), int(rng.integers(5, 40)))
+            mask = rng.random(shape) < rng.uniform(0.05, 0.95)
+            if trial % 2:
+                depth = rng.choice([0.5, 1.25, 2.0, 3.5], shape)
+            else:
+                depth = rng.uniform(0.45, 4.0, shape)
+            res = result_from(depth, mask, pinhole_cam)
+            out = median_filter_depth(res, kernel)
+            want_depth, want_mask = nanmedian_filter(res, kernel)
+            assert np.array_equal(out.mask, want_mask)
+            assert np.array_equal(out.depth.view(np.uint64),
+                                  want_depth.view(np.uint64))
+            padded = np.pad(mask, kernel // 2)
+            counts = np.lib.stride_tricks.sliding_window_view(
+                padded, (kernel, kernel)).sum(axis=(2, 3))
+            supports |= set(counts[want_mask] % 2)
+        assert supports == {0, 1}
+
     def test_kernel_one_is_identity(self, pinhole_cam):
         rng = np.random.default_rng(14)
         depth = rng.uniform(1, 4, (10, 12))

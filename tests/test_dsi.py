@@ -21,7 +21,9 @@ from raysweep.dsi import (
     RMS,
     DsiGrid,
     FusionOp,
+    empty_peak,
     fuse,
+    fuse_band,
     plane_depths,
     prepare_sweep,
     sweep_band,
@@ -387,7 +389,7 @@ class TestCKernel:
         out = tmp_path / "sweep.so"
         proc = subprocess.run(
             [*_sweep._COMPILE, "-Wall", "-Wextra", "-Werror", "-o", str(out),
-             str(_sweep._SOURCE)],
+             str(_sweep._SOURCE), *_sweep._LIBS],
             capture_output=True, text=True,
         )
         assert proc.returncode == 0, proc.stderr
@@ -882,3 +884,147 @@ class TestFusionOp:
                     mode="nearest")
         voted = len(stream) - grid.skipped_events
         assert grid.total_votes() <= voted * grid.num_planes
+
+
+def random_band(rng, shape):
+    """Votes of a (cameras, planes, height, width) band: zeros (the AND
+    logic), small integer counts (ties) and fractions over six decades."""
+    stack = np.where(rng.random(shape) < 0.5,
+                     10.0 ** rng.uniform(-3.0, 3.0, shape),
+                     rng.integers(1, 6, shape).astype(float))
+    stack[rng.random(shape) < 0.4] = 0.0
+    return stack
+
+
+def random_peak(rng, height, width, p0):
+    """A running maximum partway through a volume: some pixels still at
+    -inf, others with a vote and an earlier plane."""
+    confidence, best = empty_peak(height, width)
+    seen = rng.random((height, width)) < 0.7
+    confidence[seen] = rng.integers(0, 6, seen.sum()).astype(float)
+    best[seen] = rng.integers(0, max(p0, 1), seen.sum())
+    return confidence, best
+
+
+class TestFuseBand:
+    """The C fuse_band against its numpy form, the oracle: the fused band,
+    the running peak and the totals, compared as uint64 bits."""
+
+    @staticmethod
+    def run_both(op, stack, p0, peak):
+        """fuse_band on copies of ``stack`` and ``peak``, compiled and with
+        numpy; returns each side's (stack, out, peak, totals)."""
+        sides = []
+        for ctx in (contextlib.nullcontext(), numpy_kernel()):
+            band = stack.copy()
+            out = np.full(stack.shape[1:], np.nan)
+            state = tuple(a.copy() for a in peak)
+            with ctx:
+                cams, total = fuse_band(op, band, out, p0, state)
+            sides.append((band, out, state, np.array(cams + [total])))
+        return sides
+
+    def assert_same(self, op, stack, p0, peak):
+        (c_band, c_out, c_peak, c_tot), (n_band, n_out, n_peak, n_tot) = \
+            self.run_both(op, stack, p0, peak)
+        assert_same_bits([c_out, c_peak[0], c_tot], [n_out, n_peak[0], n_tot])
+        assert np.array_equal(c_peak[1], n_peak[1])
+        assert not c_band.any() and not n_band.any()
+        # each total is numpy's pairwise sum of its band
+        want = [float(camera.sum()) for camera in stack] + [float(n_out.sum())]
+        assert_same_bits([c_tot], [np.array(want)])
+        return c_out, c_peak
+
+    @pytest.mark.parametrize("kind", _sweep.FUSE_KINDS)
+    def test_every_length_up_to_300(self, kind):
+        # leaves of 1-7 voxels, one leaf of 8-128, and 129-300 voxels split
+        # in two or more; three planes put plane ends inside leaves
+        rng = np.random.default_rng(70)
+        op = FusionOp(kind)
+        for planes, widths in ((1, range(1, 301)), (3, range(1, 101))):
+            for width in widths:
+                for n in (1, 2, 3):
+                    stack = random_band(rng, (n, planes, 1, width))
+                    self.assert_same(op, stack, 5, random_peak(rng, 1, width, 5))
+
+    @pytest.mark.parametrize("kind", _sweep.FUSE_KINDS)
+    @pytest.mark.parametrize("planes", [1, 4])
+    def test_full_size_plane_and_band(self, kind, planes):
+        rng = np.random.default_rng(71)
+        for n in (2, 3):
+            stack = random_band(rng, (n, planes, 180, 240))
+            stack[:, :, 0] = stack[:, :1, 0]  # ties across planes
+            out, (confidence, best) = self.assert_same(
+                FusionOp(kind), stack, 8, empty_peak(180, 240))
+            # from an empty peak: np.argmax's first maximum
+            assert np.array_equal(best, 8 + np.argmax(out, axis=0))
+            assert np.array_equal(confidence, out.max(axis=0))
+
+    @pytest.mark.parametrize("kind", _sweep.FUSE_KINDS)
+    def test_short_last_band_of_the_buffer(self, kind):
+        # 13 planes in bands of 4 end with buf[:, :1]: each camera's plane
+        # is contiguous, but the cameras lie a whole band buffer apart
+        rng = np.random.default_rng(72)
+        buf = np.full((3, 4, 18, 24), 7.0)
+        stack = buf[:, :1]
+        assert not stack.flags.c_contiguous
+        stack[:] = random_band(rng, stack.shape)
+        c_peak = random_peak(rng, 18, 24, 12)
+        n_peak = tuple(a.copy() for a in c_peak)
+        c_out, n_out = np.full((2, 1, 18, 24), np.nan)
+        with numpy_kernel():
+            want = fuse_band(FusionOp(kind), stack.copy(), n_out, 12, n_peak)
+        got = _sweep.fuse_band_c(kind, stack, c_out, 12, *c_peak)
+        assert_same_bits([c_out, c_peak[0], np.array(got[0] + [got[1]])],
+                         [n_out, n_peak[0], np.array(want[0] + [want[1]])])
+        assert np.array_equal(c_peak[1], n_peak[1])
+        assert not stack.any() and (buf[:, 1:] == 7.0).all()
+
+    @pytest.mark.parametrize("op", [GEOMETRIC, FusionOp("power", -2.0),
+                                    FusionOp("power", 0.5), *map(
+                                        FusionOp, _sweep.FUSE_KINDS)],
+                             ids=str)
+    def test_only_the_compiled_kinds_leave_numpy(self, op, monkeypatch):
+        # numpy's SIMD log, exp and pow are not libm's bit for bit, so the
+        # geometric and power means keep numpy's fusion with C loaded
+        calls = []
+        real_apply, real_c = FusionOp.apply_into, _sweep.fuse_band_c
+        monkeypatch.setattr(FusionOp, "apply_into", lambda *a: calls.append(
+            "numpy") or real_apply(*a))
+        monkeypatch.setattr(_sweep, "fuse_band_c", lambda *a: calls.append(
+            "c") or real_c(*a))
+        assert _sweep.kernel_name() == "c"
+        stack = random_band(np.random.default_rng(73), (2, 2, 6, 8))
+        fuse_band(op, stack, np.empty((2, 6, 8)), 0, empty_peak(6, 8))
+        assert calls == ["c" if op.kind in _sweep.FUSE_KINDS else "numpy"]
+
+    @pytest.mark.parametrize("bad", ["kind", "dtype", "plane_stride",
+                                     "overlap", "out_shape", "out_order",
+                                     "peak_dtype", "peak_shape", "empty"])
+    def test_rejects_what_it_cannot_index(self, bad):
+        stack = np.zeros((2, 3, 4, 5))
+        out = np.zeros((3, 4, 5))
+        confidence, best = empty_peak(4, 5)
+        kind = "harmonic"
+        if bad == "kind":
+            kind = "geometric"
+        elif bad == "dtype":
+            stack = stack.astype(np.float32)
+        elif bad == "plane_stride":
+            stack = np.zeros((2, 3, 4, 10))[..., ::2]
+        elif bad == "overlap":
+            stack = np.lib.stride_tricks.as_strided(
+                stack, stack.shape, (8,) + stack.strides[1:])
+        elif bad == "out_shape":
+            out = np.zeros((2, 4, 5))
+        elif bad == "out_order":
+            out = np.zeros((3, 4, 5), order="F")
+        elif bad == "peak_dtype":
+            best = best.astype(np.int32)
+        elif bad == "peak_shape":
+            confidence = np.full((5, 4), -np.inf)
+        elif bad == "empty":
+            stack, out = np.zeros((2, 0, 4, 5)), np.zeros((0, 4, 5))
+        with pytest.raises(ValueError):
+            _sweep.fuse_band_c(kind, stack, out, 0, confidence, best)
+

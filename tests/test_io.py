@@ -239,6 +239,19 @@ class TestCalibrationParsing:
         assert rig.cameras[1].T_body_cam.trans[0] == pytest.approx(0.1184)
         assert rig.camera_ids[0] == "cam0"
 
+    def test_repeated_camera_name_rejected(self, tmp_path):
+        doc = self._doc(n_cams=3)
+        doc["cameras"][2]["name"] = "cam0"
+        p = write(tmp_path, "c.json", json.dumps(doc))
+        with pytest.raises(ParseError, match=rf"{p}: cameras\[2\]: camera name "
+                                             r"'cam0' repeats cameras\[0\]"):
+            rio.parse_calibration(p)
+
+    def test_rig_refuses_repeated_ids(self, pinhole_cam):
+        cam = pinhole_cam
+        with pytest.raises(ValueError, match="repeats a camera id"):
+            rio.RigCalibration("r", ("left", "left"), (cam, cam))
+
     def test_single_camera_rejected(self, tmp_path):
         p = write(tmp_path, "c.json", json.dumps(self._doc(n_cams=1)))
         with pytest.raises(InsufficientCameras):

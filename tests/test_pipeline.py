@@ -1,3 +1,4 @@
+import contextlib
 import copy
 import dataclasses
 import json
@@ -8,13 +9,14 @@ import threading
 import time
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from raysweep import _sweep, pipeline
+from raysweep import _sweep, depth, dsi, pipeline
 from raysweep.cli import cli_main
 from raysweep.depth import (
     adaptive_threshold,
@@ -468,6 +470,46 @@ class TestBandLoop:
         assert stats[0]["fused_votes"] == pytest.approx(
             fused.votes.sum(), rel=1e-12, abs=0.0)
 
+    @pytest.mark.parametrize("fusion", ["min", "harmonic", "geometric", "arithmetic",
+                                        "rms", "max", "power:-2", "power:0.5"])
+    def test_compiled_band_step_matches_numpy(self, band_inputs, monkeypatch,
+                                              fusion):
+        # the C fuse_band against its numpy form through process_chunk: the
+        # volumes, the kept per-camera volumes, the depth maps and every
+        # untimed stat, bit for bit, at 1-3 workers over 13 planes (bands of
+        # 4, 4, 4 and 1); on the C path the five compiled kinds make no
+        # numpy fusion call and extraction scans no plane
+        config = PipelineConfig(num_planes=13, fusion=fusion, dump_dsi=True)
+        rig, traj, chunk = band_inputs
+        calls = []
+        real_fuse, real_scan = FusionOp.apply_into, dsi.update_peak
+        monkeypatch.setattr(FusionOp, "apply_into", lambda *a: calls.append(
+            "fusion") or real_fuse(*a))
+        monkeypatch.setattr(depth, "update_peak", lambda *a: calls.append(
+            "scan") or real_scan(*a))
+        bands = ["fusion"] * 4
+        for workers in (1, 2, 3):
+            runs = []
+            for ctx, want in ((contextlib.nullcontext(),
+                               [] if fusion in _sweep.FUSE_KINDS else bands),
+                              (numpy_kernel(), bands)):
+                calls.clear()
+                with ctx:
+                    runs.append(process_chunk(copy.deepcopy(chunk), rig, traj,
+                                              config, workers=workers))
+                assert calls == want, workers
+            c_out, np_out = runs
+            assert (c_out.stats.pop("kernel"), np_out.stats.pop("kernel")) == \
+                ("c", "numpy")
+            c_out.stats.pop("timings"), np_out.stats.pop("timings")
+            assert c_out.stats == np_out.stats and c_out.stats["fused_votes"] > 0
+            for a, b in zip([c_out.fused] + c_out.camera_grids,
+                            [np_out.fused] + np_out.camera_grids):
+                assert np.array_equal(a.votes.view(np.uint64), b.votes.view(np.uint64))
+            for field in ("depth", "confidence", "mask"):
+                assert getattr(c_out.result, field).tobytes() == \
+                    getattr(np_out.result, field).tobytes()
+
     def test_stress_more_workers_than_cpus_and_bands(self, band_inputs):
         # 2 and 8 threads on few CPUs with a tiny switch interval, so the
         # threads interleave as often as the interpreter allows; 5 planes
@@ -693,10 +735,10 @@ class TestMemoryBudget:
                                       threshold_sigma=1e6) == \
             volume + copies * 8 * (2 * 4_000_000 + 1)
         # filters and band buffers are never live at once: small filters
-        # cost nothing beyond the buffers
+        # cost nothing beyond the buffers and the worker's two peak maps
         assert pipeline._check_memory((100, 180, 240), 2, 1, keep=False,
                                       median_kernel=1, threshold_sigma=7.0) == \
-            (100 + 2 * pipeline.BAND_PLANES) * plane
+            (100 + 2 * pipeline.BAND_PLANES + 2) * plane
 
     @pytest.mark.parametrize("flag,value,named", [
         ("--median-kernel", "101", "median_kernel 101"),
@@ -724,10 +766,11 @@ class TestMemoryBudget:
 
     def test_counts_kept_volumes_and_band_buffers(self):
         plane = 180 * 240 * 8
+        # each worker also keeps two peak maps, confidence and best plane
         assert pipeline._check_memory((100, 180, 240), 2, 1, keep=False) == \
-            (100 + 2 * pipeline.BAND_PLANES) * plane
+            (100 + 2 * pipeline.BAND_PLANES + 2) * plane
         assert pipeline._check_memory((100, 180, 240), 3, 2, keep=True) == \
-            ((1 + 3) * 100 + 2 * 3 * pipeline.BAND_PLANES) * plane
+            ((1 + 3) * 100 + 2 * (3 * pipeline.BAND_PLANES + 2)) * plane
 
 
 class TestCli:
@@ -852,6 +895,21 @@ class TestCli:
         assert cli_main(["map", "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
         assert str(calib) in err and "cameras[0] must be a JSON object" in err
+
+    def test_repeated_camera_name_exits_2(self, tmp_path, capsys):
+        # both cameras named left would map the left events twice
+        out = tmp_path / "scn"
+        assert cli_main(["synth", "--scenario", "lateral_room", "--out", str(out),
+                         "--points", "40", "--seed", "2"]) == 0
+        config = PipelineConfig.load(out / "config.json")
+        calib = Path(config.calibration)
+        doc = json.loads(calib.read_text())
+        doc["cameras"][1]["name"] = doc["cameras"][0]["name"]
+        calib.write_text(json.dumps(doc))
+        assert cli_main(["map", "--config", str(out / "config.json")]) == 2
+        err = capsys.readouterr().err
+        assert str(calib) in err and "repeats cameras[0]" in err
+        assert not (out / "results" / "stats.json").exists()
 
     def test_eval_bad_pfm_header_exits_2_naming_the_file(self, tmp_path, capsys):
         from raysweep.io import write_pfm
