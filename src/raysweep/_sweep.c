@@ -1,20 +1,21 @@
 /* Plane-major voting sweep: the compiled form of _sweep_planes.
  *
- * For each plane i in [p0, p1), every event k with lo[k] <= i < hi[k]
- * projects to u = a_u + b_u * inv_zs[i], v = a_v + b_v * inv_zs[i] and,
- * if (u, v) lies in [0, width) x [0, height), votes into that plane of
- * votes[planes][height][width], whose first plane is plane `offset` of
- * the volume: one unit at the nearest voxel, which must exist, or four
- * bilinear weights. hit[k] is set to 1 for every
- * event that voted. Each plane receives its events in ascending order, so
- * its votes do not depend on which other planes the call sweeps.
+ * votes[planes][height][width] holds the planes [offset, offset + planes)
+ * of the volume. For each of them, plane i, every event k with
+ * lo[k] <= i < hi[k] projects to u = a_u + b_u * inv_zs[i],
+ * v = a_v + b_v * inv_zs[i] and, if (u, v) lies in [0, width) x
+ * [0, height), votes into that plane: one unit at the nearest voxel, which
+ * must exist, or four bilinear weights. hit[k] is set to 1 for every event
+ * that voted. lo and hi are only compared, never used as indices, so the
+ * caller bounds every access through votes and inv_zs. Each plane receives
+ * its events in ascending order, so its votes do not depend on which other
+ * planes the call sweeps.
  *
  * Build with -ffp-contract=off: a fused multiply-add would round
  * a_u + b_u * inv_z differently from numpy's separate multiply and add.
  */
 #include <math.h>
 #include <stdint.h>
-#include <stdlib.h>
 #include <string.h>
 #ifdef __SSE2__
 #include <emmintrin.h>
@@ -22,12 +23,12 @@
 
 void sweep(const double *a_u, const double *a_v, const double *b_u,
            const double *b_v, const int64_t *lo, const int64_t *hi,
-           int64_t n, const double *inv_zs, int64_t p0, int64_t p1,
-           double *votes, int64_t offset, int64_t width, int64_t height,
-           int bilinear, uint8_t *hit)
+           int64_t n, const double *inv_zs, double *votes, int64_t planes,
+           int64_t offset, int64_t width, int64_t height, int bilinear,
+           uint8_t *hit)
 {
     const double w = (double)width, h = (double)height;
-    for (int64_t i = p0; i < p1; i++) {
+    for (int64_t i = offset; i < offset + planes; i++) {
         const double inv_z = inv_zs[i];
         double *plane = votes + (i - offset) * width * height;
         for (int64_t k = 0; k < n; k++) {
@@ -320,27 +321,20 @@ static void fuse_pairwise(const struct band *b, int64_t s, int64_t m, double *re
 /* Fuse one band of n cameras' votes, voxel by voxel, with numpy's IEEE
  * operations in numpy's order: planes [p0, p0 + planes) of the volume,
  * each of `plane` voxels; camera c's band starts at stack + c * stride and
- * the fused band is out. In the same pass, totals[c] becomes camera c's
- * vote total and totals[n] the fused band's, each numpy's pairwise sum of
+ * the fused band is out. In the same pass, work[c] becomes camera c's
+ * vote total and work[n] the fused band's, each numpy's pairwise sum of
  * its band bit for bit; every fused plane is folded into the running
  * (confidence, best) with a strict >; and the cameras' votes are zeroed.
- * Returns 0, or -1 if the workspace could not be allocated. */
-int fuse_band(double *stack, int64_t n, int64_t stride, int64_t planes,
-              int64_t plane, int kind, double *out, int64_t p0,
-              double *confidence, int64_t *best, double *totals)
+ * work holds one n + 1 row per level of the recursion: bit_length(planes *
+ * plane) rows suffice, as a level takes a length m > 128 to at most
+ * m/2 + 8. */
+void fuse_band(double *stack, int64_t n, int64_t stride, int64_t planes,
+               int64_t plane, int kind, double *out, int64_t p0,
+               double *confidence, int64_t *best, double *work)
 {
-    const int64_t len = planes * plane;
-    int64_t levels = 1;
-    for (int64_t m = len; m > PW_BLOCK; m -= m / 2 - m / 2 % 8)
-        levels++; /* the right halves are the larger ones */
-    double *work = malloc((size_t)(levels * (n + 1)) * sizeof(double));
-    if (work == NULL)
-        return -1;
     const struct band b = {stack, n, stride, kind, out, plane, p0,
                            confidence, best};
-    fuse_pairwise(&b, 0, len, work);
+    fuse_pairwise(&b, 0, planes * plane, work);
     for (int64_t c = 0; c <= n; c++)
-        totals[c] = 0.0 + work[c]; /* numpy's sum starts at its identity */
-    free(work);
-    return 0;
+        work[c] = 0.0 + work[c]; /* numpy's sum starts at its identity */
 }

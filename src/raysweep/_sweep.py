@@ -15,7 +15,9 @@ and return a per-event mask of the events that voted on at least one
 plane; an intersection must land inside [0, W) x [0, H), and the nearest
 voxel must exist (the top half-pixel edge rounds out of the grid). Plane
 indices ``lo``, ``hi`` and the depth samples are those of the whole
-volume; every event's [lo, hi) must lie within the array's planes.
+volume. The kernels loop over the planes that the array holds and only
+compare ``lo`` and ``hi``, so an event's range may reach past them: the
+array and its offset alone bound every memory access.
 
 Two kernels keep this contract: ``_sweep.c``, and numpy (blocks of events
 per step), its fallback and test oracle. Both sweep plane-major, as the
@@ -23,9 +25,9 @@ space sweep does: for each plane they project every event, in ascending
 order, and scatter the hits into that plane's W x H slice alone, which
 stays in cache. A plane's votes therefore depend only on the events and
 their order, never on which other planes the same call sweeps, so callers
-may split the planes [lo, hi) across threads or bands (clip ``lo``/``hi``
-to each range) and get the same volume bit for bit at any worker count or
-band size. Both add every vote in the same order, so their votes are
+may split the planes across threads or bands (one array and offset per
+range) and get the same volume bit for bit at any worker count or band
+size. Both add every vote in the same order, so their votes are
 bit-identical in both modes: C is only an accelerator.
 
 ``_sweep.c`` also holds ``prepare``, the compiled ``dsi._prepare_rays``
@@ -45,8 +47,10 @@ numpy's own pairwise ``sum`` of a contiguous array: halves split at
 with eight accumulators combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))
 plus its tail (a leaf under 8 elements is a plain loop from 0.0). Fusion
 runs inside those leaves, so each total is ``float(x.sum())`` of its band
-bit for bit. The geometric and power means are not compiled: numpy's
-SIMD ``log``, ``exp`` and ``pow`` are not libm's bit for bit.
+bit for bit. The recursion keeps its partial totals in rows of a
+workspace that ``fuse_band_c`` allocates: the C library allocates
+nothing. The geometric and power means are not compiled: numpy's SIMD
+``log``, ``exp`` and ``pow`` are not libm's bit for bit.
 
 The C source is compiled on first use (not at import), once per source and
 flag set, with ``gcc -O3 -ffp-contract=off -fPIC -shared ... -lm`` into
@@ -81,9 +85,9 @@ _COMPILE = ("gcc", "-O3", "-ffp-contract=off", "-fPIC", "-shared")
 _LIBS = ("-lm",)  # after the source, so that the linker keeps libm for sqrt
 _I64, _PTR, _F64 = ctypes.c_int64, ctypes.c_void_p, ctypes.c_double
 _ARGTYPES = {
-    # sweep(a_u, a_v, b_u, b_v, lo, hi, n, inv_zs, p0, p1, votes, offset,
+    # sweep(a_u, a_v, b_u, b_v, lo, hi, n, inv_zs, votes, planes, offset,
     #       width, height, bilinear, hit)
-    "sweep": [_PTR] * 6 + [_I64, _PTR, _I64, _I64, _PTR, _I64, _I64, _I64,
+    "sweep": [_PTR] * 6 + [_I64, _PTR, _PTR, _I64, _I64, _I64, _I64,
                            ctypes.c_int, _PTR],
     # prepare(q_wc, t_wc, bearings, index, n, q_ref_inv, t_ref, intr, depths,
     #         nz, inv_max, bound, a_u, a_v, b_u, b_v, lo, hi, origins, dirs,
@@ -91,11 +95,10 @@ _ARGTYPES = {
     "prepare": [_PTR] * 4 + [_I64] + [_PTR] * 4 + [_I64, _F64, _F64]
                + [_PTR] * 9,
     # fuse_band(stack, n, stride, planes, plane, kind, out, p0, confidence,
-    #           best, totals)
+    #           best, work)
     "fuse_band": [_PTR, _I64, _I64, _I64, _I64, ctypes.c_int, _PTR, _I64]
                  + [_PTR] * 3,
 }
-_RESTYPES = {"fuse_band": ctypes.c_int}
 
 # The fusion kinds that fuse_band compiles, in _sweep.c's numbering. The
 # others (geometric, power) stay with numpy: its SIMD log, exp and pow are
@@ -151,7 +154,7 @@ def _load_c():
                 for name, argtypes in _ARGTYPES.items():
                     fn = getattr(lib, name)
                     fn.argtypes = argtypes
-                    fn.restype = _RESTYPES.get(name)
+                    fn.restype = None
                 _c_lib = lib
             except Exception as exc:  # no compiler, no cache, bad library...
                 _c_error = f"{type(exc).__name__}: {exc}"
@@ -183,41 +186,34 @@ def _check_votes(votes):
                          "(planes, height, width) array")
 
 
-def _plane_range(lo, hi, offset, votes):
-    """The planes [p0, p1) that the events' ranges span; raises ValueError
-    unless they lie within the planes [offset, offset + len(votes)) that
-    ``votes`` holds, so that no plane index wraps or overruns."""
-    p0, p1 = int(lo.min()), int(hi.max())
-    if offset < 0 or p0 < offset or p1 > offset + votes.shape[0]:
-        raise ValueError(f"plane range [{p0}, {p1}) outside the planes "
-                         f"[{offset}, {offset + votes.shape[0]}) of votes")
-    return p0, p1
+def _check_band(votes, offset, depths):
+    """Both kernels sweep the planes [offset, offset + len(votes)) of the
+    volume, reading their depth samples ``depths[i]``; raises ValueError
+    unless ``votes`` passes ``_check_votes`` and those planes exist."""
+    _check_votes(votes)
+    if offset < 0 or np.ndim(depths) != 1 or len(depths) < offset + len(votes):
+        raise ValueError(f"planes [{offset}, {offset + len(votes)}) of votes "
+                         f"outside the {np.size(depths)} depth samples")
 
 
 def _sweep_c(a_u, a_v, b_u, b_v, lo, hi, inv_zs, votes, bilinear, offset=0):
     """Call the C kernel after checking every bound it relies on, so that
     no argument can make it read or write outside its arrays."""
     lib = _require_c()
-    _check_votes(votes)
     coeffs = [np.ascontiguousarray(c, dtype=np.float64) for c in (a_u, a_v, b_u, b_v)]
     lo = np.ascontiguousarray(lo, dtype=np.int64)
     hi = np.ascontiguousarray(hi, dtype=np.int64)
     inv_zs = np.ascontiguousarray(inv_zs, dtype=np.float64)
+    offset = int(offset)
+    _check_band(votes, offset, inv_zs)
     n = lo.size
     if any(a.shape != (n,) for a in (*coeffs, lo, hi)):
         raise ValueError("coefficient and plane-range arrays must be 1-D and "
                          "of equal length")
-    offset = int(offset)
-    if inv_zs.ndim != 1 or inv_zs.size < offset + votes.shape[0]:
-        raise ValueError("inv_zs must hold an inverse depth for every plane "
-                         "of votes")
     hit = np.zeros(n, dtype=bool)
-    if n == 0:
-        return hit
-    p0, p1 = _plane_range(lo, hi, offset, votes)
-    height, width = votes.shape[1:]
+    planes, height, width = votes.shape
     lib.sweep(*(c.ctypes.data for c in coeffs), lo.ctypes.data, hi.ctypes.data,
-              n, inv_zs.ctypes.data, p0, p1, votes.ctypes.data, offset, width,
+              n, inv_zs.ctypes.data, votes.ctypes.data, planes, offset, width,
               height, int(bilinear), hit.ctypes.data)
     return hit
 
@@ -303,13 +299,14 @@ def fuse_band_c(kind, stack, out, p0, confidence, best):
             raise ValueError(f"the peak maps must be writable C-contiguous "
                              f"float64 and int64 arrays of shape "
                              f"{(height, width)}")
-    totals = np.empty(n + 1)
-    if lib.fuse_band(stack.ctypes.data, n, stack.strides[0] // item, planes,
-                     height * width, FUSE_KINDS.index(kind), out.ctypes.data,
-                     int(p0), confidence.ctypes.data, best.ctypes.data,
-                     totals.ctypes.data):
-        raise MemoryError("fuse_band could not allocate its workspace")
-    return [float(t) for t in totals[:n]], float(totals[n])
+    # one row of n + 1 partial totals per level of the pairwise recursion;
+    # row 0 receives the totals
+    work = np.empty(((planes * height * width).bit_length(), n + 1))
+    lib.fuse_band(stack.ctypes.data, n, stack.strides[0] // item, planes,
+                  height * width, FUSE_KINDS.index(kind), out.ctypes.data,
+                  int(p0), confidence.ctypes.data, best.ctypes.data,
+                  work.ctypes.data)
+    return [float(t) for t in work[0, :n]], float(work[0, n])
 
 
 def _scatter_plane(u, v, ok, plane, bilinear):
@@ -360,22 +357,18 @@ def _scatter_plane(u, v, ok, plane, bilinear):
     return ok
 
 
-def _sweep_planes(project, lo, hi, votes, bilinear, offset):
+def _sweep_planes(project, lo, hi, votes, bilinear, offset, depths):
     """Plane-major numpy sweep shared by the affine and the direct kernel.
 
     ``project(i, s, e)`` returns the pixel coordinates (u, v) where the rays
-    of events s:e meet plane i, which is ``votes[i - offset]``. Returns the
-    per-event hit mask.
+    of events s:e meet plane i, which is ``votes[i - offset]``, at the depth
+    sample ``depths[i]``. Returns the per-event hit mask.
     """
-    _check_votes(votes)
+    _check_band(votes, offset, depths)
     n_events = lo.shape[0]
     hit = np.zeros(n_events, dtype=bool)
-    if n_events == 0:
-        return hit
-    p0, p1 = _plane_range(lo, hi, offset, votes)
     height, width = votes.shape[1:]
-    for i in range(p0, p1):
-        plane = votes[i - offset]
+    for i, plane in enumerate(votes, offset):
         for s in range(0, n_events, _BLOCK):
             e = min(s + _BLOCK, n_events)
             u, v = project(i, s, e)
@@ -396,7 +389,7 @@ def _sweep_numpy(a_u, a_v, b_u, b_v, lo, hi, inv_zs, votes, bilinear, offset=0):
             v += a_v[s:e]
         return u, v
 
-    return _sweep_planes(project, lo, hi, votes, bilinear, offset)
+    return _sweep_planes(project, lo, hi, votes, bilinear, offset, inv_zs)
 
 
 def sweep_direct(origins, dirs, lo, hi, zs, intr, votes, bilinear, offset=0):
@@ -420,7 +413,7 @@ def sweep_direct(origins, dirs, lo, hi, zs, intr, votes, bilinear, offset=0):
             v = fy * (o[:, 1] + lam * d[:, 1]) / z + cy
         return u, v
 
-    return _sweep_planes(project, lo, hi, votes, bilinear, offset)
+    return _sweep_planes(project, lo, hi, votes, bilinear, offset, zs)
 
 
 def run_sweep(prep, inv_zs, votes, mode, offset=0):
@@ -428,8 +421,8 @@ def run_sweep(prep, inv_zs, votes, mode, offset=0):
     the library is unavailable; the votes are the same bit for bit.
 
     ``prep`` is the (a_u, a_v, b_u, b_v, lo, hi) tuple of affine-form
-    coefficients; only planes in each event's [lo, hi) are touched, and
-    plane i is ``votes[i - offset]``; ``dsi.sweep_band`` checks ``mode``.
+    coefficients; an event votes only on the planes of its [lo, hi) that
+    ``votes`` holds, and plane i is ``votes[i - offset]``; ``dsi.sweep_band`` checks ``mode``.
     Returns the boolean mask of events that voted on at least one plane.
     """
     sweep = _sweep_c if kernel_name() == "c" else _sweep_numpy

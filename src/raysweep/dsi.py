@@ -336,6 +336,7 @@ def sweep_band(grid: DsiGrid, rays: SweepRays, votes: np.ndarray, p0: int,
     origins, dirs, g_lo, g_hi = rays.graze
     hits = [np.zeros(0, dtype=bool)]
     if len(lo):
+        # clipped only so that bench/layers.py counts the band's ray-plane tests
         hits.append(_sweep.run_sweep(
             (*coeffs, np.clip(lo, p0, p1), np.clip(hi, p0, p1)),
             grid.inv_depths, votes, mode, offset=p0,
@@ -343,7 +344,7 @@ def sweep_band(grid: DsiGrid, rays: SweepRays, votes: np.ndarray, p0: int,
     if len(g_lo):
         k = grid.ref_intrinsics
         hits.append(_sweep.sweep_direct(
-            origins, dirs, np.clip(g_lo, p0, p1), np.clip(g_hi, p0, p1),
+            origins, dirs, g_lo, g_hi,
             grid.depths, (k.fx, k.fy, k.cx, k.cy), votes,
             bilinear=(mode == "bilinear"), offset=p0,
         ))

@@ -33,6 +33,7 @@ _PARSE_BLOCK = 1 << 16
 _PARSE_CHARS = 1 << 22  # text read per vectorized block (~160k event lines)
 _EVENT_ROW = np.dtype([("t", np.float64), ("x", np.int32), ("y", np.int32),
                        ("p", np.int8)])
+_I32 = np.iinfo(np.int32)
 
 
 @dataclass(frozen=True)
@@ -186,6 +187,9 @@ def _parse_events_lines(path: Path, width, height):
                     f"event at ({x}, {y}) outside {width}x{height} sensor",
                     path=path, line=lineno,
                 )
+            if not (_I32.min <= x <= _I32.max and _I32.min <= y <= _I32.max):
+                raise ParseError(f"coordinate outside int32 in {line!r}",
+                                 path=path, line=lineno)
             if t < prev_t:
                 if prev_t - t > _TIME_JITTER:
                     raise NonMonotonicTimestamps(
@@ -423,8 +427,8 @@ def write_ply(result: DepthResult, path):
         fh.write("property float x\nproperty float y\nproperty float z\n")
         fh.write("property float confidence\n")
         fh.write("end_header\n")
-        for (x, y, z), c in zip(points, conf):
-            fh.write(f"{x:.17g} {y:.17g} {z:.17g} {c:.17g}\n")
+        rows = np.column_stack([points, conf])
+        fh.write(("%.17g %.17g %.17g %.17g\n" * len(rows)) % tuple(rows.ravel().tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -447,8 +451,11 @@ def read_dsi(path):
         if len(head) != 28:
             raise ParseError("truncated DSI header", path=path)
         w, h, nz = (int(v) for v in np.frombuffer(head[:12], "<i4"))
+        if min(w, h, nz) < 1:
+            raise ParseError(f"bad DSI header {w} x {h} x {nz}: need a positive "
+                             f"width, height and plane count", path=path)
         z_min, z_max = (float(v) for v in np.frombuffer(head[12:20], "<f4"))
-        votes = np.frombuffer(fh.read(4 * w * h * nz), dtype="<f4")
-        if votes.size != w * h * nz:
+        if path.stat().st_size - fh.tell() < 4 * w * h * nz:  # before allocating
             raise ParseError("truncated DSI payload", path=path)
+        votes = np.frombuffer(fh.read(4 * w * h * nz), dtype="<f4")
     return votes.reshape(nz, h, w).copy(), z_min, z_max

@@ -1,6 +1,8 @@
 import contextlib
+import ctypes
 import dataclasses
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -349,7 +351,7 @@ class TestCKernel:
             assert _sweep.kernel_name() == "numpy"
 
     @pytest.mark.parametrize("bad", [
-        "float32", "fortran", "readonly", "short_coeff", "negative_lo", "hi_beyond", "inv_zs",
+        "float32", "fortran", "readonly", "short_coeff", "inv_zs",
     ])
     def test_guard_rejects_unsafe_arguments(self, pinhole_cam, bad):
         grid, prep = self._prep(pinhole_cam, n=50)
@@ -363,16 +365,38 @@ class TestCKernel:
             votes.flags.writeable = False
         elif bad == "short_coeff":
             prep[2] = prep[2][:-1]
-        elif bad == "negative_lo":
-            prep[4] = prep[4] - 1
-            prep[4][0] = -1
-        elif bad == "hi_beyond":
-            prep[5] = prep[5].copy()
-            prep[5][0] = grid.num_planes + 1
         elif bad == "inv_zs":
             inv_zs = inv_zs[:-1]
         with pytest.raises(ValueError):
             _sweep.run_sweep(prep, inv_zs, votes, "bilinear")
+
+    @pytest.mark.parametrize("bad", ["negative_lo", "hi_beyond"])
+    def test_range_outside_volume_stays_inside(self, pinhole_cam, bad):
+        # lo and hi are only compared: ranges reaching past the volume's
+        # planes vote as the clipped ranges do, and write nothing outside
+        # votes, here the middle planes of a sentinel-filled buffer
+        grid, prep = self._prep(pinhole_cam, n=50)
+        nz = grid.num_planes
+        lo, hi = prep[4].copy(), prep[5].copy()
+        if bad == "negative_lo":
+            lo -= 3
+            lo[0] = np.iinfo(np.int64).min
+        else:
+            hi += 3
+            hi[0] = np.iinfo(np.int64).max
+        wide = (*prep[:4], lo, hi)
+        clipped = (*prep[:4], np.clip(lo, 0, nz), np.clip(hi, 0, nz))
+        for kernel in KERNELS:
+            for mode in ("nearest", "bilinear"):
+                buf = np.full((nz + 2, grid.height, grid.width), -1.0)
+                buf[1:-1] = 0.0
+                want = np.zeros_like(grid.votes)
+                with numpy_kernel() if kernel == "numpy" else contextlib.nullcontext():
+                    hit = _sweep.run_sweep(wide, grid.inv_depths, buf[1:-1], mode)
+                    want_hit = _sweep.run_sweep(clipped, grid.inv_depths, want, mode)
+                assert (buf[[0, -1]] == -1.0).all()
+                assert_same_bits([buf[1:-1], hit], [want, want_hit])
+                assert want.any()
 
     @pytest.mark.parametrize("bad", ["float32", "fortran", "readonly"])
     def test_kernels_reject_the_same_votes(self, pinhole_cam, kernel, bad):
@@ -430,6 +454,70 @@ class TestCKernel:
         assert _sweep.kernel_name() == "numpy"
         assert _sweep.run_sweep(prep, grid.inv_depths, grid.votes, "nearest").any()
         _prepare_rays(grid, stream, pinhole_cam, quats, trans)
+
+
+_C_KINDS = {"int64_t": ctypes.c_int64, "int": ctypes.c_int, "double": ctypes.c_double}
+
+
+def c_exports(source):
+    """{name: (return type, ctypes type per parameter)} of each function that
+    the C ``source`` defines without ``static``: a pointer is c_void_p."""
+    source = re.sub(r"/\*.*?\*/", "", source, flags=re.S)
+    exports = {}
+    for ret, name, params in re.findall(r"^(\w+) (\w+)\(([^)]*)\)\s*\{", source, re.M):
+        kinds = []
+        for param in params.split(","):
+            words = param.replace("*", " * ").split()
+            kinds.append(ctypes.c_void_p if "*" in words else _C_KINDS[words[-2]])
+        exports[name] = (ret, kinds)
+    return exports
+
+
+def abi_mismatches(exports, argtypes, restypes):
+    """Where the ctypes declarations disagree with the C definitions."""
+    problems = []
+    if set(exports) != set(argtypes):
+        problems.append(f"exported {sorted(exports)}, typed {sorted(argtypes)}")
+    for name in set(exports) & set(argtypes):
+        ret, kinds = exports[name]
+        if len(kinds) != len(argtypes[name]):
+            problems.append(f"{name}: {len(kinds)} parameters, "
+                            f"{len(argtypes[name])} argtypes")
+        for i, (kind, argtype) in enumerate(zip(kinds, argtypes[name])):
+            if kind is not argtype:
+                problems.append(f"{name} argument {i}: {kind.__name__} in C, "
+                                f"{argtype.__name__} in argtypes")
+        if restypes[name] is not (None if ret == "void" else _C_KINDS[ret]):
+            problems.append(f"{name}: returns {ret}, restype "
+                            f"{getattr(restypes[name], '__name__', None)}")
+    return problems
+
+
+class TestCAbi:
+    """The ctypes declarations in _sweep against the definitions in
+    _sweep.c: a mismatch there reads or writes memory silently."""
+
+    def test_argtypes_match_the_c_definitions(self):
+        exports = c_exports(_sweep._SOURCE.read_text())
+        assert set(exports) == {"sweep", "prepare", "fuse_band"}
+        lib = _sweep._require_c()
+        restypes = {name: getattr(lib, name).restype for name in exports}
+        assert all(getattr(lib, name).argtypes == _sweep._ARGTYPES[name]
+                   for name in exports)
+        assert abi_mismatches(exports, _sweep._ARGTYPES, restypes) == []
+
+    def test_a_swapped_argtype_is_caught(self):
+        exports = c_exports(_sweep._SOURCE.read_text())
+        restypes = dict.fromkeys(exports)
+        swapped = {name: list(types_) for name, types_ in _sweep._ARGTYPES.items()}
+        bilinear = swapped["sweep"].index(ctypes.c_int)
+        swapped["sweep"][bilinear] = ctypes.c_int64
+        assert abi_mismatches(exports, swapped, restypes) == [
+            f"sweep argument {bilinear}: c_int in C, "
+            f"{ctypes.c_int64.__name__} in argtypes"]
+        assert abi_mismatches(exports, _sweep._ARGTYPES,
+                              {**restypes, "fuse_band": ctypes.c_int}) == [
+            "fuse_band: returns void, restype c_int"]
 
 
 class TestCPrepare:
@@ -641,10 +729,26 @@ class TestBandSweep:
         assert np.array_equal(got, whole)
         assert np.array_equal(np.logical_or.reduce(hits), want_hit)
 
-    @pytest.mark.parametrize("kernel,bad", [
-        (kernel, bad) for kernel in ("c", "numpy", "direct")
-        for bad in ("below", "beyond", "negative_offset")
-    ] + [("c", "past_inv_zs")])  # numpy reads inv_zs/zs only at swept planes
+    @pytest.mark.parametrize("bad", ["below", "beyond"])
+    @pytest.mark.parametrize("kernel", ["c", "numpy", "direct"])
+    def test_range_outside_band_stays_inside(self, distorted_cam, kernel, bad):
+        # lo and hi are only compared: events whose ranges reach past the
+        # band [4, 8) vote as with their ranges clipped to it, and write
+        # nothing outside it, here planes 1-4 of a sentinel-filled buffer
+        w, h, nz, sweep = self._rays("random", distorted_cam)
+        p0, p1 = {"below": (3, 8), "beyond": (4, 9)}[bad]
+        for mode in ("nearest", "bilinear"):
+            buf = np.full((6, h, w), -1.0)
+            buf[1:5] = 0.0
+            hit = sweep(buf[1:5], 4, p0, p1, kernel, mode)
+            want = np.zeros((4, h, w))
+            want_hit = sweep(want, 4, 4, 8, kernel, mode)
+            assert (buf[[0, 5]] == -1.0).all()
+            assert_same_bits([buf[1:5], hit], [want, want_hit])
+            assert want.any()
+
+    @pytest.mark.parametrize("bad", ["negative_offset", "past_inv_zs"])
+    @pytest.mark.parametrize("kernel", ["c", "numpy", "direct"])
     def test_range_outside_band_rejected_before_any_write(self, distorted_cam,
                                                           monkeypatch, kernel, bad):
         w, h, nz, sweep = self._rays("random", distorted_cam)
@@ -653,8 +757,6 @@ class TestBandSweep:
         monkeypatch.setattr(_sweep, "_load_c", lambda: lib)
         votes = np.zeros((4, h, w))
         offset, p0, p1 = {
-            "below": (4, 3, 8),        # events reach plane 3 < offset
-            "beyond": (4, 4, 9),       # plane 8 is past the buffer
             "negative_offset": (-1, 0, 3),
             "past_inv_zs": (nz - 2, nz - 2, nz),  # buffer reaches plane nz + 1
         }[bad]

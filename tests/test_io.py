@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -52,6 +53,14 @@ class TestEventParsing:
         p = write(tmp_path, "e.txt", "0.1 1 2 1\n0.2 300 4 1\n")
         with pytest.raises(ParseError) as err:
             rio.parse_events(p, width=240, height=180)
+        assert err.value.line == 2
+
+    @pytest.mark.parametrize("line", ["0.1 3000000000 5 1", "0.1 5 -2147483649 0"])
+    def test_coordinate_outside_int32_reports_line(self, tmp_path, line):
+        # without sensor bounds only the int32 columns bound a coordinate
+        p = write(tmp_path, "e.txt", f"0.0 1 2 1\n{line}\n")
+        with pytest.raises(ParseError, match="outside int32") as err:
+            rio.parse_events(p)
         assert err.value.line == 2
 
     def test_large_time_regression_rejected(self, tmp_path):
@@ -418,6 +427,20 @@ class TestPly:
         assert vals[:3] == list(pts[0])
         assert vals[3] == conf[0]
 
+    def test_rows_match_per_row_format(self, pinhole_cam, tmp_path, monkeypatch):
+        rng = np.random.default_rng(5)
+        pts = rng.normal(size=(500, 3)) * 10.0 ** rng.integers(-5, 6, (500, 3))
+        pts[:3] = [[-0.0, 1e-300, 1e300], [0.0, -1e300, 5e-324], [1 / 3, -2.5, 7.0]]
+        conf = rng.uniform(0.0, 50.0, 500)
+        conf[0] = -0.0
+        monkeypatch.setattr(rio, "to_point_cloud", lambda result: (pts, conf))
+        p = tmp_path / "c.ply"
+        rio.write_ply(make_result(pinhole_cam, {}), p)
+        rows = "".join(f"{x:.17g} {y:.17g} {z:.17g} {c:.17g}\n"
+                       for (x, y, z), c in zip(pts, conf))
+        assert p.read_text().endswith("end_header\n" + rows)
+        assert "element vertex 500\n" in p.read_text()
+
 
 class TestDsiDump:
     def test_header_and_roundtrip(self, pinhole_cam, tmp_path):
@@ -446,3 +469,36 @@ class TestDsiDump:
         payload = np.frombuffer(p.read_bytes()[28:], "<f4")
         assert payload[1] == 5.0
         assert payload.sum() == 5.0
+
+    @staticmethod
+    def _dump(tmp_path, w, h, nz, payload=b"\x00" * 64):
+        p = tmp_path / "g.dsi"
+        p.write_bytes(np.array([w, h, nz], "<i4").tobytes()
+                      + np.array([1.0, 4.0, 0.0, 0.0], "<f4").tobytes() + payload)
+        return p
+
+    @pytest.mark.parametrize("w,h,nz", [(-2, -2, 1), (0, 5, 1), (5, 0, 1), (2, 2, 0),
+                                        (2, 2, -1)])
+    def test_non_positive_size_is_parse_error(self, tmp_path, w, h, nz):
+        p = self._dump(tmp_path, w, h, nz)
+        with pytest.raises(ParseError, match="bad DSI header") as err:
+            rio.read_dsi(p)
+        assert err.value.path == p
+
+    @pytest.mark.parametrize("cut", [1, 4])
+    def test_truncated_payload_is_parse_error(self, tmp_path, cut):
+        p = self._dump(tmp_path, 2, 2, 4, b"\x00" * (64 - cut))
+        with pytest.raises(ParseError, match="truncated DSI payload"):
+            rio.read_dsi(p)
+        assert rio.read_dsi(self._dump(tmp_path, 2, 2, 4))[0].shape == (4, 2, 2)
+
+    def test_huge_header_is_truncated_before_allocating(self, tmp_path):
+        p = self._dump(tmp_path, 200, 200, 50)  # 8 MB of votes, 64 bytes given
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParseError, match="truncated DSI payload"):
+                rio.read_dsi(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
