@@ -14,8 +14,10 @@
  * Build with -ffp-contract=off: a fused multiply-add would round
  * a_u + b_u * inv_z differently from numpy's separate multiply and add.
  */
+#include <float.h>
 #include <math.h>
 #include <stdint.h>
+#include <stdlib.h>
 #include <string.h>
 #ifdef __SSE2__
 #include <emmintrin.h>
@@ -337,4 +339,188 @@ void fuse_band(double *stack, int64_t n, int64_t stride, int64_t planes,
     fuse_pairwise(&b, 0, planes * plane, work);
     for (int64_t c = 0; c <= n; c++)
         work[c] = 0.0 + work[c]; /* numpy's sum starts at its identity */
+}
+
+/* Event text: the compiled pass of io._parse_events_blocks.
+ *
+ * Lines end in "\n", "\r\n" or, at the end of text, "\r". A line is blank
+ * (spaces and tabs), a comment (spaces and tabs, then '#') or an event:
+ * four fields "t x y p" split by runs of spaces and tabs. t is
+ * [+-]?(digits[.digits*] | .digits)([eE][+-]?digits)?, finite; x, y and p
+ * are [+-]?digits; x and y fit int32 and, when width >= 0, lie in
+ * [0, width) x [0, height); p is 0, 1 or -1, and 0 becomes -1. Every such
+ * line is also accepted by the line parser (float() and int() after
+ * str.split()) with the same values: t is exact, either by Clinger's fast
+ * path (at most 15 significant digits times a power of ten up to 22, so
+ * one correctly rounded IEEE multiply or divide of exact operands) or by
+ * strtod, which also rounds correctly. Anything else refuses the text: a
+ * byte above 0x7f anywhere, a lone '\r' anywhere (the line parser ends a
+ * line there, even in a comment), whitespace other than spaces and tabs in
+ * a blank or event line, an inline comment, a wrong field count or a bad
+ * or out-of-range field.
+ */
+static const double POW10[] = {1e0,  1e1,  1e2,  1e3,  1e4,  1e5,  1e6,  1e7,
+                               1e8,  1e9,  1e10, 1e11, 1e12, 1e13, 1e14, 1e15,
+                               1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22};
+
+static int is_digit(unsigned char c)
+{
+    return c >= '0' && c <= '9';
+}
+
+static int is_blank(unsigned char c)
+{
+    return c == ' ' || c == '\t';
+}
+
+/* A field of [s, e) ends at e or at a space or tab. */
+static int field_end(const unsigned char *s, const unsigned char *e)
+{
+    return s == e || is_blank(*s);
+}
+
+/* The integer field at s into *out; returns its end, or NULL unless it is
+ * [+-]?digits within int32. */
+static const unsigned char *parse_int32(const unsigned char *s,
+                                        const unsigned char *e, int32_t *out)
+{
+    const int neg = s < e && *s == '-';
+    if (s < e && (*s == '+' || *s == '-'))
+        s++;
+    const unsigned char *const digits = s;
+    int64_t v = 0;
+    for (; s < e && is_digit(*s); s++)
+        if ((v = 10 * v + (*s - '0')) > (int64_t)INT32_MAX + 1)
+            return NULL;
+    if (s == digits || !field_end(s, e) || (!neg && v > INT32_MAX))
+        return NULL;
+    *out = (int32_t)(neg ? -v : v);
+    return s;
+}
+
+/* The timestamp field at s into *out, as float() gives it; returns its
+ * end, or NULL unless it has the timestamp grammar and a finite value. */
+static const unsigned char *parse_time(const unsigned char *s,
+                                       const unsigned char *e, double *out)
+{
+    const unsigned char *q = s;
+    const int neg = q < e && *q == '-';
+    if (q < e && (*q == '+' || *q == '-'))
+        q++;
+    uint64_t m = 0;   /* the first 15 significant digits */
+    int sig = 0;      /* significant digits */
+    int digits = 0;   /* mantissa digits */
+    int64_t exp = 0;  /* value = m * 10^exp while sig <= 15 */
+    for (; q < e && is_digit(*q); q++, digits++)
+        if (m || *q != '0') {
+            if (++sig <= 15)
+                m = 10 * m + (*q - '0');
+        }
+    if (q < e && *q == '.')
+        for (q++; q < e && is_digit(*q); q++, digits++, exp--)
+            if (m || *q != '0') {
+                if (++sig <= 15)
+                    m = 10 * m + (*q - '0');
+            }
+    if (!digits)
+        return NULL;
+    if (q < e && (*q == 'e' || *q == 'E')) {
+        q++;
+        const int eneg = q < e && *q == '-';
+        if (q < e && (*q == '+' || *q == '-'))
+            q++;
+        const unsigned char *const exp_digits = q;
+        int64_t ex = 0;
+        for (; q < e && is_digit(*q); q++)
+            if (ex < 100000) /* far past any finite double either way */
+                ex = 10 * ex + (*q - '0');
+        if (q == exp_digits)
+            return NULL;
+        exp += eneg ? -ex : ex;
+    }
+    if (!field_end(q, e))
+        return NULL;
+    double v;
+    if (FLT_EVAL_METHOD == 0 && sig <= 15 && exp >= -22 && exp <= 22) {
+        v = exp >= 0 ? (double)m * POW10[exp] : (double)m / POW10[-exp];
+        if (neg)
+            v = -v;
+    } else {
+        char buf[64];
+        char *stop;
+        if (q - s >= (int64_t)sizeof buf)
+            return NULL;
+        memcpy(buf, s, (size_t)(q - s));
+        buf[q - s] = '\0';
+        v = strtod(buf, &stop);
+        if (stop != buf + (q - s)) /* e.g. a locale's other decimal point */
+            return NULL;
+    }
+    if (!isfinite(v))
+        return NULL;
+    *out = v;
+    return q;
+}
+
+/* Parse the events of text[0:len] into t, x, y, p (room for cap events);
+ * returns their number, or -1 where the text is refused. *t_max is the
+ * latest timestamp before the text, and after it on return; an event
+ * earlier than that by more than jitter refuses the text, and a smaller
+ * step back sets *unsorted. */
+int64_t parse_events(const char *text, int64_t len, int64_t width,
+                     int64_t height, double jitter, double *t_max,
+                     uint8_t *unsorted, double *t, int32_t *x, int32_t *y,
+                     int8_t *p, int64_t cap)
+{
+    const unsigned char *s = (const unsigned char *)text, *const end = s + len;
+    double latest = *t_max;
+    int64_t n = 0;
+    while (s < end) {
+        const unsigned char *eol = memchr(s, '\n', (size_t)(end - s));
+        const unsigned char *const next = eol ? eol + 1 : end;
+        if (!eol)
+            eol = end;
+        if (eol > s && eol[-1] == '\r')
+            eol--;
+        while (s < eol && is_blank(*s))
+            s++;
+        if (s < eol && *s == '#') {
+            for (; s < eol; s++)
+                if (*s >= 0x80 || *s == '\r')
+                    return -1;
+        } else if (s < eol) {
+            double tk;
+            int32_t f[3]; /* x, y, p */
+            if (n == cap || !(s = parse_time(s, eol, &tk)))
+                return -1;
+            for (int k = 0; k < 3; k++) {
+                const unsigned char *const gap = s;
+                while (s < eol && is_blank(*s))
+                    s++;
+                if (s == gap || !(s = parse_int32(s, eol, &f[k])))
+                    return -1;
+            }
+            while (s < eol && is_blank(*s))
+                s++;
+            if (s != eol || f[2] < -1 || f[2] > 1)
+                return -1;
+            if (width >= 0 && (f[0] < 0 || f[0] >= width || f[1] < 0 || f[1] >= height))
+                return -1;
+            if (tk < latest) {
+                if (latest - tk > jitter)
+                    return -1;
+                *unsorted = 1;
+            } else {
+                latest = tk;
+            }
+            t[n] = tk;
+            x[n] = f[0];
+            y[n] = f[1];
+            p[n] = (int8_t)(f[2] ? f[2] : -1);
+            n++;
+        }
+        s = next;
+    }
+    *t_max = latest;
+    return n;
 }

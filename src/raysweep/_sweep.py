@@ -52,13 +52,33 @@ workspace that ``fuse_band_c`` allocates: the C library allocates
 nothing. The geometric and power means are not compiled: numpy's SIMD
 ``log``, ``exp`` and ``pow`` are not libm's bit for bit.
 
+Its fourth, ``parse_events``, is the compiled pass of
+``io._parse_events_blocks``: one pass over a block of event text that
+reads ``t x y p`` lines, skips blank lines and whole-line ``#`` comments,
+checks every field (``t`` finite, ``x``/``y`` in int32 and on the sensor
+when bounds are given, ``p`` in {0, 1, -1, +1}), maps polarity 0 to -1
+and carries the running maximum timestamp from block to block, refusing a
+step back of more than the jitter and flagging smaller ones for the
+caller's stable sort. Its grammar is a strict 7-bit ASCII subset of what
+``float()`` and ``int()`` take after ``str.split()``: fields are
+``[+-]?digits`` and ``[+-]?(digits[.digits*] | .digits)([eE][+-]?digits)?``
+split by spaces and tabs, and lines end in ``\n`` or ``\r\n``. A
+timestamp of at most 15 significant digits and a power of ten up to 22 is
+one correctly rounded IEEE multiply or divide of exact operands; any other
+goes to ``strtod``, which must consume the whole field. Both round as
+``float()`` does, so the values are the line parser's bit for bit. Anything
+else (an inline comment, ``1_0``, another whitespace or byte, ``nan``,
+``1e400``, an out-of-range field) refuses the whole block, and the line
+parser decides with the same values or the error for the first bad line.
+
 The C source is compiled on first use (not at import), once per source and
 flag set, with ``gcc -O3 -ffp-contract=off -fPIC -shared ... -lm`` into
 ``$XDG_CACHE_HOME/raysweep`` (default ``~/.cache/raysweep``), and loaded with
 ctypes, which releases the GIL for the call, so plane ranges split across
 threads still run in parallel. Without the library, ``run_sweep``,
-``dsi._prepare_rays`` and ``dsi.fuse_band`` run numpy and one warning
-names the error; ``kernel_name`` says which kernel runs.
+``dsi._prepare_rays`` and ``dsi.fuse_band`` run numpy, event files are
+parsed line by line, and one warning names the error; ``kernel_name`` says
+which kernel runs.
 """
 
 from __future__ import annotations
@@ -98,7 +118,13 @@ _ARGTYPES = {
     #           best, work)
     "fuse_band": [_PTR, _I64, _I64, _I64, _I64, ctypes.c_int, _PTR, _I64]
                  + [_PTR] * 3,
+    # parse_events(text, len, width, height, jitter, t_max, unsorted, t, x,
+    #              y, p, cap)
+    "parse_events": [_PTR, _I64, _I64, _I64, _F64] + [_PTR] * 6 + [_I64],
 }
+# what each returns; None is void
+_RESTYPES = {"sweep": None, "prepare": None, "fuse_band": None,
+             "parse_events": _I64}
 
 # The fusion kinds that fuse_band compiles, in _sweep.c's numbering. The
 # others (geometric, power) stay with numpy: its SIMD log, exp and pow are
@@ -144,8 +170,8 @@ def _build() -> Path:
 
 def _load_c():
     """The compiled library, built and loaded on first call, with its
-    ``sweep``, ``prepare`` and ``fuse_band`` functions typed; None if that
-    failed, in which case the first call warned once."""
+    ``sweep``, ``prepare``, ``fuse_band`` and ``parse_events`` functions
+    typed; None if that failed, in which case the first call warned once."""
     global _c_lib, _c_error
     with _lock:
         if _c_lib is None and _c_error is None:
@@ -154,12 +180,13 @@ def _load_c():
                 for name, argtypes in _ARGTYPES.items():
                     fn = getattr(lib, name)
                     fn.argtypes = argtypes
-                    fn.restype = None
+                    fn.restype = _RESTYPES[name]
                 _c_lib = lib
             except Exception as exc:  # no compiler, no cache, bad library...
                 _c_error = f"{type(exc).__name__}: {exc}"
                 warnings.warn(f"raysweep: C kernels unavailable, preparing, "
-                              f"sweeping and fusing with numpy ({_c_error})",
+                              f"sweeping and fusing with numpy and parsing "
+                              f"line by line ({_c_error})",
                               RuntimeWarning, stacklevel=2)
     return _c_lib
 
@@ -307,6 +334,35 @@ def fuse_band_c(kind, stack, out, p0, confidence, best):
                   int(p0), confidence.ctypes.data, best.ctypes.data,
                   work.ctypes.data)
     return [float(t) for t in work[0, :n]], float(work[0, n])
+
+
+def parse_events_c(text, width, height, jitter, t_max):
+    """Run the C ``parse_events`` on the event text ``text`` (bytes).
+
+    ``width``/``height`` bound x and y when both are >= 0; ``t_max`` is
+    the latest timestamp before ``text`` (-inf at the start of a file).
+    Returns (t, x, y, p, t_max, unsorted): the events in file order, with
+    polarity 0 as -1, the latest timestamp after them, and whether one of
+    them lies up to ``jitter`` before an earlier one. Returns None where the
+    pass refuses the text (see ``_sweep.c``): the line parser decides.
+    """
+    lib = _require_c()
+    if not isinstance(text, bytes):
+        raise TypeError("text must be bytes")
+    # An event line takes at least 8 bytes with its newline ("0 0 0 0\n").
+    # Pages the events never reach are never touched.
+    cap = len(text) // 8 + 1
+    t, x, y, p = (np.empty(cap, dtype) for dtype in (np.float64, np.int32,
+                                                     np.int32, np.int8))
+    state = np.array([t_max], dtype=np.float64)
+    unsorted = np.zeros(1, dtype=np.uint8)
+    n = lib.parse_events(text, len(text), int(width), int(height),
+                         float(jitter), state.ctypes.data, unsorted.ctypes.data,
+                         t.ctypes.data, x.ctypes.data, y.ctypes.data,
+                         p.ctypes.data, cap)
+    if n < 0:
+        return None
+    return t[:n], x[:n], y[:n], p[:n], float(state[0]), bool(unsorted[0])
 
 
 def _scatter_plane(u, v, ok, plane, bilinear):

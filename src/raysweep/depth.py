@@ -79,6 +79,30 @@ def _parabola_vertex(x1, y1, x2, y2, x3, y3):
     return np.where(den != 0.0, vertex, x2)
 
 
+def _nearest_plane(inv, cur):
+    """Index of the plane of ``inv`` nearest each inverse depth ``cur``:
+    ``np.argmin(np.abs(inv[:, None] - cur[None]), axis=0)`` without its
+    (Nz, n) temporary.
+
+    ``inv`` is evenly spaced, as ``DsiGrid.create`` samples it, so the
+    nearest plane is the rounded position of ``cur`` or a neighbor of it.
+    Of those three planes the first of the nearest is taken, as argmin
+    takes the first minimum, so ties at midpoints, ``inf`` and 0 give
+    argmin's plane too.
+    """
+    last = len(inv) - 1
+    pos = np.rint((inv[0] - cur) * (last / (inv[0] - inv[-1])))
+    k = np.clip(np.nan_to_num(pos), 0, last).astype(np.intp)
+    best = np.maximum(k - 1, 0)
+    gap = np.abs(inv[best] - cur)
+    for j in (k, np.minimum(k + 1, last)):
+        d = np.abs(inv[j] - cur)
+        closer = d < gap  # strict: an equal gap keeps the earlier plane
+        best[closer] = j[closer]
+        gap[closer] = d[closer]
+    return best
+
+
 def refine_result(fused: DsiGrid, result: DepthResult) -> DepthResult:
     """Sub-plane refinement of every masked pixel of ``result``.
 
@@ -87,15 +111,14 @@ def refine_result(fused: DsiGrid, result: DepthResult) -> DepthResult:
     consensus plane after median filtering). Only interior planes that are
     local vote maxima are refined; anything else keeps its depth.
 
-    The nearest plane is searched for the masked pixels only, an
-    (Nz, n_masked) array rather than two volume-sized ones; the result is
-    bit-identical to the search over every pixel.
+    The nearest plane is found for the masked pixels only, by
+    ``_nearest_plane``.
     """
     inv = fused.inv_depths  # decreasing with plane index
     iy, ix = np.nonzero(result.mask)
     with np.errstate(divide="ignore"):
         cur = 1.0 / result.depth[iy, ix]
-    best = np.argmin(np.abs(inv[:, None] - cur[None]), axis=0)
+    best = _nearest_plane(inv, cur)
     interior = (best > 0) & (best < fused.num_planes - 1)
     if not interior.any():
         return replace(result, depth=result.depth.copy())

@@ -2,20 +2,21 @@
 and the depth / confidence / point-cloud / DSI writers.
 
 All multi-byte binary output is little-endian. Event files may hold tens
-of millions of lines, so the parser streams them in blocks.
+of millions of lines, so the parser streams them in blocks, each parsed in
+one compiled pass (``_sweep.parse_events_c``); the line parser takes what
+that pass refuses, and every file where the C library is unavailable.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import warnings
 from dataclasses import dataclass
-from io import StringIO
 from pathlib import Path
 
 import numpy as np
 
+from . import _sweep
 from .depth import DepthResult, to_point_cloud
 from .dsi import DsiGrid
 from .errors import (
@@ -30,9 +31,7 @@ from .geometry import CameraModel, PoseTrajectory, Se3
 _TIME_JITTER = 1e-6  # tolerated backward step in event timestamps (s)
 _QUAT_PARSE_TOL = 1e-3
 _PARSE_BLOCK = 1 << 16
-_PARSE_CHARS = 1 << 22  # text read per vectorized block (~160k event lines)
-_EVENT_ROW = np.dtype([("t", np.float64), ("x", np.int32), ("y", np.int32),
-                       ("p", np.int8)])
+_PARSE_CHARS = 1 << 22  # bytes read per compiled block (~200k event lines)
 _I32 = np.iinfo(np.int32)
 
 
@@ -72,11 +71,12 @@ def parse_events(path, camera_id: str | None = None, *,
     timestamp jitter (<= 1e-6 s backward) is repaired by a stable sort;
     larger regressions raise NonMonotonicTimestamps.
 
-    A well-formed file is parsed in vectorized blocks. A file the
-    vectorized pass turns down (a bad or out-of-range field, an inline
-    comment, a timestamp regression, a non-finite timestamp, no events) is
-    re-read line by line, which returns the same arrays or raises the error
-    for the first bad line.
+    A well-formed file is parsed in compiled blocks. A file that pass
+    turns down (a bad or out-of-range field, an inline comment, a
+    timestamp regression, a non-finite timestamp, a byte or whitespace
+    outside its ASCII grammar, no events), or any file when the C library
+    is unavailable, is re-read line by line, which returns the same arrays
+    or raises the error for the first bad line.
     """
     path = Path(path)
     if camera_id is None:
@@ -89,54 +89,35 @@ def parse_events(path, camera_id: str | None = None, *,
     return EventStream(camera_id, *cols)
 
 
-def _whole_line_comments(text: str) -> bool:
-    """Whether every '#' in ``text`` starts a comment line: only whitespace
-    before it on its line, as the line parser requires."""
-    pos = text.find("#")
-    while pos >= 0:
-        if text[text.rfind("\n", 0, pos) + 1:pos].strip():
-            return False
-        end = text.find("\n", pos)
-        pos = -1 if end < 0 else text.find("#", end)
-    return True
-
-
 def _parse_events_blocks(path: Path, width, height):
-    """Vectorized parse of a well-formed event file into (t, x, y, p), or
-    None if the line parser must decide. Everything this accepts, the line
-    parser accepts with the same values: numpy's number parsing takes a
-    subset of what float()/int() take and rounds floats the same way."""
+    """Parse a well-formed event file in compiled blocks into (t, x, y, p),
+    or return None if the line parser must decide. Each block is
+    ``_PARSE_CHARS`` bytes read up to the end of a line, so memory stays
+    bounded by the events, not the text. Everything this accepts, the line
+    parser accepts with the same values (see ``_sweep.parse_events_c``)."""
+    if _sweep.kernel_name() != "c":
+        return None
+    bounds = (-1, -1) if width is None else (max(width, 0), max(height, 0))
     blocks = []
-    try:
-        with open(path, "r") as fh:
-            while True:
-                text = fh.read(_PARSE_CHARS)
-                if not text:
-                    break
-                text += fh.readline()
-                if not _whole_line_comments(text):
-                    return None
-                with warnings.catch_warnings():
-                    warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-                    blocks.append(np.loadtxt(StringIO(text), dtype=_EVENT_ROW,
-                                             comments="#", ndmin=1))
-    except ValueError:  # bad field, field count or encoding
+    t_max, unsorted = -math.inf, False
+    with open(path, "rb") as fh:
+        while text := fh.read(_PARSE_CHARS):
+            cols = _sweep.parse_events_c(text + fh.readline(), *bounds,
+                                         _TIME_JITTER, t_max)
+            if cols is None:
+                return None
+            blocks.append(cols[:4])
+            t_max, back = cols[4:]
+            unsorted |= back
+    if not blocks:  # an empty file
         return None
-    if not blocks:
+    if len(blocks) == 1:
+        t, x, y, p = blocks[0]
+    else:
+        t, x, y, p = (np.concatenate(col) for col in zip(*blocks))
+    if len(t) == 0:
         return None
-    t, x, y, p = (np.concatenate([b[f] for b in blocks]) for f in _EVENT_ROW.names)
-    if len(t) == 0 or not np.isfinite(t).all():
-        return None
-    if not ((p == 1) | (p == 0) | (p == -1)).all():
-        return None
-    if width is not None and not ((x >= 0) & (x < width) & (y >= 0) & (y < height)).all():
-        return None
-    # back[i]: how far event i+1 lies before the latest earlier timestamp
-    back = np.maximum.accumulate(t)[:-1] - t[1:]
-    if (back > _TIME_JITTER).any():
-        return None
-    p[p == 0] = -1
-    if (back > 0.0).any():
+    if unsorted:
         order = np.argsort(t, kind="stable")
         t, x, y, p = t[order], x[order], y[order], p[order]
     return t, x, y, p

@@ -428,6 +428,13 @@ def run_pipeline(
             )
     _check_memory(shape, len(rig.cameras), workers, config.dump_dsi,
                   config.median_kernel, config.threshold_sigma)
+    side = max(shape[1:])
+    if config.threshold_sigma > side:
+        # the blur's time grows with sigma, its background barely past this
+        raise ValueError(
+            f"threshold_sigma {config.threshold_sigma:g} exceeds {side}, the "
+            f"larger side of the {shape[2]}x{shape[1]} DSI; use at most {side}"
+        )
     if traj is None:
         if config.trajectory is None:
             raise RaysweepError("no trajectory provided")
@@ -437,11 +444,15 @@ def run_pipeline(
             raise RaysweepError(
                 f"{len(config.events)} event files for {len(rig.cameras)} cameras"
             )
-        streams = {}
-        for path, cid, cam in zip(config.events, rig.camera_ids, rig.cameras):
-            streams[cid] = rio.parse_events(
-                path, cid, width=cam.width, height=cam.height
-            )
+
+        def parse(path, cid, cam):
+            return rio.parse_events(path, cid, width=cam.width, height=cam.height)
+
+        # the compiled parser and file reads release the GIL: the files
+        # are parsed in parallel, and the first bad one in rig order raises
+        with ThreadPoolExecutor(max_workers=min(workers, len(rig.cameras))) as pool:
+            streams = dict(zip(rig.camera_ids, pool.map(
+                parse, config.events, rig.camera_ids, rig.cameras)))
     else:
         if sorted(streams) != sorted(rig.camera_ids):
             raise RaysweepError(

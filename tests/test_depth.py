@@ -7,6 +7,7 @@ import pytest
 
 from raysweep.depth import (
     DepthResult,
+    _nearest_plane,
     _parabola_vertex,
     adaptive_threshold,
     extract_depth,
@@ -15,7 +16,7 @@ from raysweep.depth import (
     refine_result,
     to_point_cloud,
 )
-from raysweep.dsi import DsiGrid
+from raysweep.dsi import DsiGrid, inverse_depth_samples
 from raysweep.geometry import Se3
 
 
@@ -194,6 +195,39 @@ class TestSubvoxelRefine:
         refined = refine_result(small_grid, res)
         assert np.all(refined.depth[res.mask] >= small_grid.z_min)
         assert np.all(refined.depth[res.mask] <= small_grid.z_max)
+
+
+class TestNearestPlane:
+    """The direct nearest-plane search of refine_result against the
+    argmin over every plane, its oracle, index for index."""
+
+    @staticmethod
+    def argmin(inv, cur):
+        return np.argmin(np.abs(inv[:, None] - cur[None]), axis=0)
+
+    @pytest.mark.parametrize("z_min,z_max,planes", [
+        (1.0, 20.0, 100), (1.0, 20.0, 37), (0.45, 4.0, 100), (1.0, 20.0, 2),
+        (0.5, 2.0, 4),  # inverse depths 2, 1.5, 1, 0.5: exact midpoints
+    ])
+    def test_matches_argmin(self, z_min, z_max, planes):
+        inv = inverse_depth_samples(z_min, z_max, planes)
+        rng = np.random.default_rng(planes)
+        with np.errstate(divide="ignore"):
+            cur = np.concatenate([
+                inv,                                  # on the planes
+                (inv[1:] + inv[:-1]) / 2,             # at the midpoints
+                np.nextafter(inv, 0.0), np.nextafter(inv, 9.0),
+                1.0 / rng.uniform(z_min, z_max, 20000),
+                1.0 / rng.uniform(0.5 * z_min, 2.0 * z_max, 20000),
+                1.0 / np.array([0.0, np.inf]),        # depth 0 and inf
+            ])
+        assert np.array_equal(_nearest_plane(inv, cur), self.argmin(inv, cur))
+
+    def test_exact_midpoint_ties_take_the_nearer_plane_first(self):
+        inv = inverse_depth_samples(0.5, 2.0, 4)
+        assert inv.tolist() == [2.0, 1.5, 1.0, 0.5]
+        assert _nearest_plane(inv, np.array([1.75, 1.25, 0.75])).tolist() == \
+            [0, 1, 2]
 
 
 class TestAdaptiveThreshold:

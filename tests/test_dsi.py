@@ -499,16 +499,17 @@ class TestCAbi:
 
     def test_argtypes_match_the_c_definitions(self):
         exports = c_exports(_sweep._SOURCE.read_text())
-        assert set(exports) == {"sweep", "prepare", "fuse_band"}
+        assert set(exports) == {"sweep", "prepare", "fuse_band", "parse_events"}
         lib = _sweep._require_c()
         restypes = {name: getattr(lib, name).restype for name in exports}
         assert all(getattr(lib, name).argtypes == _sweep._ARGTYPES[name]
                    for name in exports)
+        assert restypes == _sweep._RESTYPES
         assert abi_mismatches(exports, _sweep._ARGTYPES, restypes) == []
 
     def test_a_swapped_argtype_is_caught(self):
         exports = c_exports(_sweep._SOURCE.read_text())
-        restypes = dict.fromkeys(exports)
+        restypes = dict(_sweep._RESTYPES)
         swapped = {name: list(types_) for name, types_ in _sweep._ARGTYPES.items()}
         bilinear = swapped["sweep"].index(ctypes.c_int)
         swapped["sweep"][bilinear] = ctypes.c_int64
@@ -518,6 +519,10 @@ class TestCAbi:
         assert abi_mismatches(exports, _sweep._ARGTYPES,
                               {**restypes, "fuse_band": ctypes.c_int}) == [
             "fuse_band: returns void, restype c_int"]
+        # a dropped restype would read parse_events' count as None
+        assert abi_mismatches(exports, _sweep._ARGTYPES,
+                              {**restypes, "parse_events": None}) == [
+            "parse_events: returns int64_t, restype None"]
 
 
 class TestCPrepare:

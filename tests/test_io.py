@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from raysweep import _sweep
 from raysweep import io as rio
 from raysweep.depth import DepthResult, to_point_cloud
 from raysweep.dsi import DsiGrid, vote_event
@@ -94,14 +95,95 @@ class TestEventParsing:
 
 
 def _both_parsers(path, **bounds):
-    """(vectorized, line-by-line) results; the vectorized one is None where
-    it hands the file to the line parser."""
+    """(compiled, line-by-line) results; the compiled one is None where it
+    hands the file to the line parser."""
     w, h = bounds.get("width"), bounds.get("height")
     return rio._parse_events_blocks(path, w, h), rio._parse_events_lines(path, w, h)
 
 
+def assert_same_columns(got, want):
+    """(t, x, y, p) equal bit for bit: t as its uint64 bits, so -0.0 and
+    0.0 differ."""
+    assert [a.dtype for a in got] == [np.dtype(np.float64), np.dtype(np.int32),
+                                      np.dtype(np.int32), np.dtype(np.int8)]
+    assert [a.dtype for a in want] == [a.dtype for a in got]
+    assert np.array_equal(got[0].view(np.uint64), want[0].view(np.uint64))
+    for a, b in zip(got[1:], want[1:]):
+        assert np.array_equal(a, b)
+
+
+def _columns(stream):
+    return stream.t, stream.x, stream.y, stream.polarity
+
+
+def random_event_text(rng, n, bounded):
+    """Lines of ``n`` events, with comments and blank lines between them, in
+    the forms both parsers take: CRLF and LF, runs of spaces and tabs,
+    signs, leading zeros, exponent and 17-digit repr stamps, stamps that
+    step back by under a microsecond, and x/y at the edges of the 240x180
+    sensor or, unbounded, of int32."""
+    t = np.cumsum(rng.exponential(1e-4, n)) * 10.0 ** rng.integers(-2, 4)
+    t += rng.choice([0.0, -0.5])
+    back = rng.choice(n, n // 20)
+    t[back] -= 9e-7 * rng.random(back.size)
+    if bounded:
+        edges = [0, 239, 0, 179]
+        xy = np.stack([rng.integers(0, 240, n), rng.integers(0, 180, n)], 1)
+    else:
+        edges = [-2**31, 2**31 - 1] * 2
+        xy = rng.integers(-2**31, 2**31, (n, 2))
+    edge = rng.random(n) < 0.1
+    xy[edge, 0] = rng.choice(edges[:2], edge.sum())
+    xy[edge, 1] = rng.choice(edges[2:], edge.sum())
+
+    def number(v):
+        return rng.choice([str(v), f"+{v}" if v >= 0 else str(v),
+                           f"00{v}" if v >= 0 else f"-00{-v}"])
+
+    def stamp(v):
+        forms = [f"{v:.9f}", repr(v), f"{v:.12e}", f"{v:.10E}",
+                 f"{v * 1e3:.6f}e-3", f"{v:.9f}".rstrip("0")]
+        if v >= 0:
+            forms += [f"+{v:.9f}", f"000{v:.9f}"]
+        return str(rng.choice(forms))
+
+    lines = ["# t x y p"]
+    for k in range(n):
+        if rng.random() < 0.05:
+            lines.append(str(rng.choice(["", "  ", "\t", "# c", "  # indented",
+                                         "\t#0.1 1 2 1"])))
+        sep = [str(rng.choice([" ", "\t", "  ", " \t", "\t\t "])) for _ in range(3)]
+        fields = [stamp(float(t[k])), number(int(xy[k, 0])), number(int(xy[k, 1])),
+                  str(rng.choice(["0", "1", "-1", "+1", "00", "-0", "+01"]))]
+        lines.append(str(rng.choice(["", " ", "\t"])) + fields[0] + sep[0]
+                     + fields[1] + sep[1] + fields[2] + sep[2] + fields[3]
+                     + str(rng.choice(["", " ", "\t "])))
+    return lines
+
+
+# (line, what the line parser makes of it): a ParseError subclass, or the
+# line's (x, y) for a line only the line parser takes; {t} is the stamp of
+# the event before it
+_BAD_LINES = [
+    ("{t} 2147483648 4 1", ParseError),  # outside int32
+    ("{t} 1 2 2", ParseError),        # polarity
+    ("{t} 1 2", ParseError),          # field count
+    ("nan 1 2 1", ParseError),
+    ("1e400 1 2 1", ParseError),      # inf
+    ("{t} 1 2 1 # c", ParseError),    # inline comment
+    ("{t} x 2 1", ParseError),
+    ("-1e9 1 2 1", NonMonotonicTimestamps),
+]
+_LINE_PARSER_ONLY = [
+    ("{t} 1_0 2 1", (10, 2)),
+    ("\x0c{t} 3 4 1", (3, 4)),
+    ("{t}\xa05 6 1", (5, 6)),
+    ("{t} 7\x0b8 1", (7, 8)),
+]
+
+
 class TestVectorizedEventParsing:
-    """The vectorized pass returns exactly what the line parser returns, and
+    """The compiled pass returns exactly what the line parser returns, and
     hands every file it cannot take whole to the line parser."""
 
     CLEAN = (
@@ -143,7 +225,7 @@ class TestVectorizedEventParsing:
 
     @pytest.mark.parametrize("text", [
         "0.1 1 2 1 # inline comment\n",
-        "0.1 1 2 1\n0.2 1_0 2 1\n",      # int() takes it, numpy does not
+        "0.1 1 2 1\n0.2 1_0 2 1\n",      # int() takes it, the pass does not
         "0.1 1 2 2\n",
         "0.1 1 2 1\n0.2 300 4 1\n",
         "0.5 1 2 1\n0.1 3 4 1\n",
@@ -151,10 +233,89 @@ class TestVectorizedEventParsing:
         "0.1 1 2 1\ninf 1 2 1\n",
         "# only a comment\n",
         "",
+        "\x0c0.1 1 2 1\n",                # whitespace to str.split() only
+        "0.1\xa01 2 1\n",
+        "# \xe9\n0.1 1 2 1\n",             # non-ASCII, even in a comment
+        "1e400 1 2 1\n",
+        "0.1 1 2 1\n0.2 2147483648 2 1\n",
+        "0.1 1 2 1\n# a lone CR ends this line\r0.2 3 4 1\n",
+        "0.1 1 2 1\r0.2 3 4 1\n",
+        "0.1 1 2 1e0\n",
+        "0x1p-3 1 2 1\n",
+        ". 1 2 1\n",
     ])
     def test_irregular_file_goes_to_line_parser(self, tmp_path, text):
         p = write(tmp_path, "e.txt", text)
         assert rio._parse_events_blocks(p, 240, 180) is None
+
+    @pytest.mark.parametrize("stamp", [".5", "5.", "-0", "+.5e-3", "1E+2",
+                                       "0.30000000000000004", "1e-400",
+                                       "123456789012345678e-20"])
+    def test_float_forms_identical(self, tmp_path, stamp):
+        p = write(tmp_path, "e.txt", f"{stamp} 1 2 1\n")
+        fast, lines = _both_parsers(p)
+        assert fast is not None
+        assert_same_columns(fast, lines)
+        assert fast[0][0] == float(stamp)
+
+    @pytest.mark.parametrize("seed", range(2 * (1 + len(_BAD_LINES)
+                                                + len(_LINE_PARSER_ONLY))))
+    def test_random_files_identical_or_same_error(self, tmp_path, monkeypatch,
+                                                  seed):
+        """The differential test: random files, blocks of 64-4096 bytes and
+        lines longer than a block give the line parser's arrays bit for bit.
+        With one line added, a bad line gives the line parser's error with
+        its line number, a line only the line parser takes its arrays."""
+        rng = np.random.default_rng(seed)
+        bounded = seed % 2 == 0
+        lines = random_event_text(rng, int(rng.integers(50, 400)), bounded)
+        events = [k for k, line in enumerate(lines)
+                  if line.strip() and not line.strip().startswith("#")]
+        long = int(rng.choice(events))
+        lines[long] = (" " * 5000).join(lines[long].split())
+        lines.insert(int(rng.integers(1, len(lines))), "# " + "x" * 5000)
+        end = "\r\n" if seed % 4 == 1 else "\n"
+        p = tmp_path / "e.txt"
+        monkeypatch.setattr(rio, "_PARSE_CHARS", int(rng.integers(64, 4097)))
+        bounds = {"width": 240, "height": 180} if bounded else {}
+        w, h = bounds.get("width"), bounds.get("height")
+
+        p.write_bytes((end.join(lines) + end).encode())
+        fast = rio._parse_events_blocks(p, w, h)
+        want = rio._parse_events_lines(p, w, h)
+        assert fast is not None
+        assert_same_columns(fast, want)
+
+        cases = [None] + _BAD_LINES + _LINE_PARSER_ONLY  # odd: each case
+        injected = cases[seed % len(cases)]              # bounded and not
+        if not injected:
+            return
+        at = int(rng.integers(len(lines) // 2, len(lines)))
+        before = next(line for line in reversed(lines[:at])
+                      if line.strip() and not line.strip().startswith("#"))
+        lines.insert(at, injected[0].replace("{t}", before.split()[0]))
+        p.write_bytes((end.join(lines) + end).encode())
+        assert rio._parse_events_blocks(p, w, h) is None
+        if isinstance(injected[1], type):
+            with pytest.raises(injected[1]) as err:
+                rio.parse_events(p, **bounds)
+            assert err.value.line == at + 1
+        else:  # a line only the line parser takes
+            want = rio._parse_events_lines(p, w, h)
+            assert len(want[0]) == len(fast[0]) + 1
+            assert injected[1] in zip(want[1].tolist(), want[2].tolist())
+            assert_same_columns(_columns(rio.parse_events(p, **bounds)), want)
+
+    def test_same_arrays_without_the_c_library(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(5)
+        p = write(tmp_path, "e.txt",
+                  "\n".join(random_event_text(rng, 500, True)) + "\n")
+        compiled = rio.parse_events(p, width=240, height=180)
+        monkeypatch.setattr(_sweep, "_c_lib", None)
+        monkeypatch.setattr(_sweep, "_c_error", "OSError: no compiler")
+        assert rio._parse_events_blocks(p, 240, 180) is None
+        fallback = rio.parse_events(p, width=240, height=180)
+        assert_same_columns(_columns(fallback), _columns(compiled))
 
     def test_inline_comment_reports_line(self, tmp_path):
         p = write(tmp_path, "e.txt", "# ok\n0.1 1 2 1\n0.2 3 4 1 # not ok\n")

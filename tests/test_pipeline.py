@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from raysweep import _sweep, depth, dsi, pipeline
+from raysweep import io as rio
 from raysweep.cli import cli_main
 from raysweep.depth import (
     adaptive_threshold,
@@ -25,7 +26,7 @@ from raysweep.depth import (
     refine_result,
 )
 from raysweep.dsi import DsiGrid, FusionOp, fuse, prepare_sweep, vote_events
-from raysweep.errors import DsiTooLarge, RaysweepError
+from raysweep.errors import DsiTooLarge, ParseError, RaysweepError
 from raysweep.events import EventStream, chunk_events, select_reference_view
 from raysweep.geometry import (
     CameraModel,
@@ -764,6 +765,31 @@ class TestMemoryBudget:
         need = int(re.search(r"the DSI needs (\d+) bytes", err).group(1))
         assert need > 2**31 and named in err
 
+    def test_threshold_sigma_beyond_the_larger_side_refused(self, tmp_path,
+                                                            capsys,
+                                                            monkeypatch):
+        # a blur this wide would take seconds per chunk
+        out = tmp_path / "scn"
+        assert cli_main(["synth", "--scenario", "lateral_room", "--out", str(out),
+                         "--points", "40", "--seed", "2"]) == 0
+
+        def reached(*args, **kwargs):
+            raise AssertionError("the run went past the sigma check")
+        monkeypatch.setattr(pipeline, "adaptive_threshold", reached)
+        monkeypatch.setattr(pipeline.rio, "parse_events", reached)
+        assert cli_main(["map", "--config", str(out / "config.json"),
+                         "--threshold-sigma", "1e4"]) == 2
+        err = capsys.readouterr().err
+        assert "threshold_sigma 10000 exceeds 240, the larger side" in err
+        assert not (out / "results" / "stats.json").exists()
+
+    def test_threshold_sigma_of_the_larger_side_accepted(self, small_scenario):
+        sc, streams = small_scenario
+        config = dataclasses.replace(sc.config, threshold_sigma=240.0)
+        outputs = run_pipeline(config, streams=streams, rig=sc.rig, traj=sc.traj,
+                               workers=1)
+        assert any(o.result is not None for o in outputs)
+
     def test_counts_kept_volumes_and_band_buffers(self):
         plane = 180 * 240 * 8
         # each worker also keeps two peak maps, confidence and best plane
@@ -771,6 +797,42 @@ class TestMemoryBudget:
             (100 + 2 * pipeline.BAND_PLANES + 2) * plane
         assert pipeline._check_memory((100, 180, 240), 3, 2, keep=True) == \
             ((1 + 3) * 100 + 2 * (3 * pipeline.BAND_PLANES + 2)) * plane
+
+
+class TestEventFiles:
+    """run_pipeline parses the event files in parallel, one per worker."""
+
+    @pytest.fixture
+    def scenario(self, tmp_path):
+        out = tmp_path / "scn"
+        assert cli_main(["synth", "--scenario", "lateral_room", "--out", str(out),
+                         "--points", "40", "--seed", "2"]) == 0
+        return PipelineConfig.load(out / "config.json")
+
+    def test_same_outputs_as_from_parsed_streams(self, scenario):
+        config = dataclasses.replace(scenario, out_dir=None)
+        rig = rio.parse_calibration(config.calibration)
+        streams = {cid: rio.parse_events(path, cid, width=cam.width,
+                                         height=cam.height)
+                   for path, cid, cam in zip(config.events, rig.camera_ids,
+                                             rig.cameras)}
+        from_files = run_pipeline(config, workers=2)
+        given = run_pipeline(config, streams=streams, workers=1)
+        assert [o.stats["events_read"] for o in from_files] == \
+            [o.stats["events_read"] for o in given]
+        for a, b in zip(from_files, given):
+            assert (a.result is None) == (b.result is None)
+            if a.result is not None:
+                assert np.array_equal(a.result.depth, b.result.depth)
+                assert np.array_equal(a.result.mask, b.result.mask)
+
+    def test_first_bad_file_in_rig_order_raises(self, scenario):
+        for path in scenario.events:
+            with open(path, "a") as fh:
+                fh.write("x 1 2 1\n")
+        with pytest.raises(ParseError, match="bad numeric field") as err:
+            run_pipeline(scenario, workers=2)
+        assert Path(err.value.path) == Path(scenario.events[0])
 
 
 class TestCli:
