@@ -103,7 +103,7 @@ def _nearest_plane(inv, cur):
     return best
 
 
-def refine_result(fused: DsiGrid, result: DepthResult) -> DepthResult:
+def refine_result(fused: DsiGrid, result: DepthResult, around=None) -> DepthResult:
     """Sub-plane refinement of every masked pixel of ``result``.
 
     Each pixel is refined around the plane nearest its current depth (the
@@ -112,7 +112,12 @@ def refine_result(fused: DsiGrid, result: DepthResult) -> DepthResult:
     local vote maxima are refined; anything else keeps its depth.
 
     The nearest plane is found for the masked pixels only, by
-    ``_nearest_plane``.
+    ``_nearest_plane``. The three fused votes around it come from
+    ``fused.votes``, or, given ``around``, from ``result.confidence`` and
+    the (below, above) maps of a ``dsi.BandTrack``: the votes at each
+    pixel's argmax plane -1 and +1, for a ``result`` whose masked depths
+    are still their argmax planes' (extraction output, or a median filter
+    of kernel 1), so that the nearest plane is the argmax plane.
     """
     inv = fused.inv_depths  # decreasing with plane index
     iy, ix = np.nonzero(result.mask)
@@ -124,9 +129,14 @@ def refine_result(fused: DsiGrid, result: DepthResult) -> DepthResult:
         return replace(result, depth=result.depth.copy())
 
     iy, ix, i = iy[interior], ix[interior], best[interior]
-    y1 = fused.votes[i - 1, iy, ix]
-    y2 = fused.votes[i, iy, ix]
-    y3 = fused.votes[i + 1, iy, ix]
+    if around is None:
+        y1 = fused.votes[i - 1, iy, ix]
+        y2 = fused.votes[i, iy, ix]
+        y3 = fused.votes[i + 1, iy, ix]
+    else:
+        y1 = around[0][iy, ix]
+        y2 = result.confidence[iy, ix]
+        y3 = around[1][iy, ix]
     peak = (y2 >= y1) & (y2 >= y3)
     x1 = inv[i - 1]
     x2 = inv[i]

@@ -87,8 +87,9 @@ def resolve_workers(workers: int | None = None) -> int:
 class DsiGrid:
     """W x H x Nz nonnegative ray-density volume at a reference view.
 
-    ``votes`` is stored as (num_planes, height, width); the reference view
-    is an ideal (distortion-free) pinhole at the left camera's intrinsics.
+    ``votes`` is stored as (num_planes, height, width), or is None in a
+    grid of geometry only; the reference view is an ideal
+    (distortion-free) pinhole at the left camera's intrinsics.
     """
 
     width: int
@@ -99,7 +100,7 @@ class DsiGrid:
     depths: np.ndarray
     ref_pose: Se3
     ref_intrinsics: CameraModel
-    votes: np.ndarray
+    votes: np.ndarray | None
     skipped_events: int = 0
 
     @classmethod
@@ -113,16 +114,20 @@ class DsiGrid:
         width: int | None = None,
         height: int | None = None,
         votes: np.ndarray | None = None,
+        *,
+        allocate: bool = True,
     ) -> "DsiGrid":
         """A grid at the reference view; ``width``/``height`` default to the
         camera's. ``votes`` is an existing (num_planes, height, width)
         float64 array to hold the volume, contents kept; None allocates a
-        zeroed one."""
+        zeroed one, or, with ``allocate=False``, leaves ``votes`` None: a
+        grid of geometry only, as the pipeline uses when no step reads the
+        fused volume."""
         width = int(width if width is not None else ref_intrinsics.width)
         height = int(height if height is not None else ref_intrinsics.height)
         shape = (int(num_planes), height, width)
         if votes is None:
-            votes = np.zeros(shape)
+            votes = np.zeros(shape) if allocate else None
         elif votes.shape != shape or votes.dtype != np.float64:
             raise ValueError(f"votes must be a float64 array of shape {shape}, "
                              f"got {votes.dtype} {votes.shape}")
@@ -560,10 +565,10 @@ def fuse(grids, op: FusionOp) -> DsiGrid:
 
 
 def empty_peak(height: int, width: int):
-    """The running per-pixel maximum before any plane: confidence -inf
-    (every vote is >= 0) and plane 0."""
-    return (np.full((height, width), -np.inf),
-            np.zeros((height, width), dtype=np.int64))
+    """The running per-pixel maximum before any plane: confidence 0 and
+    plane 0. Votes are >= 0, so a pixel whose votes are all 0 keeps plane
+    0, as ``np.argmax`` gives it, and only a positive vote moves a best."""
+    return (np.zeros((height, width)), np.zeros((height, width), dtype=np.int64))
 
 
 def update_peak(planes, p0: int, confidence: np.ndarray, best: np.ndarray):
@@ -579,15 +584,63 @@ def update_peak(planes, p0: int, confidence: np.ndarray, best: np.ndarray):
         np.copyto(best, i, where=greater)
 
 
-def fuse_band(op: FusionOp, stack: np.ndarray, out: np.ndarray, p0: int, peak):
+@dataclass
+class BandTrack:
+    """The fused votes beside a running argmax, kept band by band so that
+    sub-plane refinement needs no volume.
+
+    After every band of a run of bands, in plane order, has gone through
+    ``fuse_band``, ``below`` and ``above`` (H, W) hold each voted pixel's
+    fused votes at its best plane -1 and +1, where those planes lie in the
+    run; the merge of several runs fills in the others from the runs' edge
+    planes. ``listed`` (2 * H * W pixel indices) and ``carried`` are the C
+    pass's list of pixels whose best changed, between calls.
+    """
+
+    below: np.ndarray
+    above: np.ndarray
+    listed: np.ndarray
+    carried: int = 0
+
+    @classmethod
+    def create(cls, height: int, width: int) -> "BandTrack":
+        return cls(np.empty((height, width)), np.empty((height, width)),
+                   np.empty(2 * height * width, dtype=np.int64))
+
+
+def _track_band(out, p0: int, confidence, best, track: BandTrack, prev):
+    """The numpy form of the C pass's tracking, after ``update_peak``: a
+    pixel whose best is the plane before the band takes ``above`` from the
+    band's first plane; one whose best moved into the band takes ``below``
+    and ``above`` from the band, or ``below`` from ``prev``, the previous
+    band's last plane."""
+    voted = confidence > 0.0
+    carried = voted & (best == p0 - 1)
+    track.above[carried] = out[0][carried]
+    iy, ix = np.nonzero(voted & (best >= p0))
+    i = best[iy, ix] - p0
+    has = i > 0
+    track.below[iy[has], ix[has]] = out[i[has] - 1, iy[has], ix[has]]
+    if prev is not None:
+        has = i == 0
+        track.below[iy[has], ix[has]] = prev[iy[has], ix[has]]
+    has = i + 1 < len(out)
+    track.above[iy[has], ix[has]] = out[i[has] + 1, iy[has], ix[has]]
+
+
+def fuse_band(op: FusionOp, stack: np.ndarray, out: np.ndarray, p0: int, peak,
+              track: BandTrack | None = None, prev: np.ndarray | None = None):
     """Fuse one band of every camera's votes, total them and zero them.
 
     ``stack`` (cameras, planes, H, W) holds the votes on the planes
     [p0, p0 + planes) of the volume, ``out`` receives their fusion and
     ``peak``, an ``empty_peak`` pair, is updated with the fused planes
     (``update_peak``); ``stack`` is then all zeros, ready for the next
-    band. Returns the cameras' vote totals and the fused total, each
-    ``float(x.sum())`` of its band.
+    band. With ``track``, the bands of one run come in plane order from an
+    ``empty_peak``, and each call also updates ``track``'s ``below`` and
+    ``above`` (see ``BandTrack``); ``prev`` is the previous band's last
+    fused plane, None for the run's first band. Returns the cameras' vote
+    totals and the fused total, each ``float(x.sum())`` of its band.
 
     For the kinds in ``_sweep.FUSE_KINDS`` this is one pass of the C
     ``fuse_band`` whenever the library loads: the same IEEE operations in
@@ -596,9 +649,16 @@ def fuse_band(op: FusionOp, stack: np.ndarray, out: np.ndarray, p0: int, peak):
     the only form of the geometric and power means.
     """
     if op.kind in _sweep.FUSE_KINDS and _sweep.kernel_name() == "c":
-        return _sweep.fuse_band_c(op.kind, stack, out, p0, *peak)
+        if track is None:
+            return _sweep.fuse_band_c(op.kind, stack, out, p0, *peak)[:2]
+        *totals, track.carried = _sweep.fuse_band_c(
+            op.kind, stack, out, p0, *peak, prev, track.below, track.above,
+            track.listed, track.carried)
+        return tuple(totals)
     totals = [float(camera.sum()) for camera in stack]
     op.apply_into(stack, out)  # overwrites stack
     update_peak(out, p0, *peak)
+    if track is not None:
+        _track_band(out, p0, *peak, track, prev)
     stack.fill(0.0)
     return totals, float(out.sum())

@@ -3,7 +3,8 @@ into a shared reference view, fuse, and extract semi-dense depth.
 
 Chunks are independent work units. Within a chunk, voting and fusion run
 one band of depth planes at a time, so the per-camera volumes never exist
-as a whole; workers take whole bands (worker count capped by
+as a whole, and the fused volume exists only where a step reads it
+(``_needs_volume``); workers take whole bands (worker count capped by
 RAYSWEEP_THREADS).
 """
 
@@ -37,6 +38,7 @@ from .depth import (
 # traced benchmark wraps them in this namespace by name.
 from .dsi import (  # noqa: F401
     VOTING_MODES,
+    BandTrack,
     DsiGrid,
     FusionOp,
     empty_peak,
@@ -199,6 +201,15 @@ class ChunkOutput:
     camera_grids: list[DsiGrid] | None = None
 
 
+def _needs_volume(config: PipelineConfig) -> bool:
+    """Whether a step of the chunk reads the fused volume: the DSI dump,
+    or sub-plane refinement after a median filter, which may move a depth
+    off its argmax plane. Otherwise the band loop keeps all that
+    refinement reads (the votes beside each argmax plane), and no chunk
+    allocates a volume."""
+    return config.dump_dsi or (config.subvoxel and config.median_kernel > 1)
+
+
 def process_chunk(
     chunk: Chunk,
     rig: rio.RigCalibration,
@@ -206,15 +217,20 @@ def process_chunk(
     config: PipelineConfig,
     workers: int = 1,
     volume: np.ndarray | None = None,
+    scratch: list | None = None,
 ) -> ChunkOutput:
     """Run reference-view selection, per-camera voting, fusion, and depth
     extraction for one chunk. Assumes trajectory coverage was checked.
 
     The fused DSI is written into ``volume``, a (num_planes, height, width)
     float64 array whose contents are overwritten (``run_pipeline`` passes
-    one for all its chunks); None allocates one. With ``config.dump_dsi``
-    the chunk also gets fresh per-camera volumes, and its output holds
-    them and the fused DSI (which wraps ``volume``) for writing.
+    one for all its chunks when ``_needs_volume``). None allocates one only
+    if ``_needs_volume(config)``; otherwise the chunk's fused grid has
+    ``votes`` None and no volume exists. With ``config.dump_dsi`` the chunk
+    also gets fresh per-camera volumes, and its output holds them and the
+    fused DSI (which wraps ``volume``) for writing. ``scratch`` is the
+    workers' band buffers (``_band_scratch``), which ``run_pipeline``
+    allocates once for all its chunks; None allocates them for this chunk.
     """
     timings = {}
     t0 = time.perf_counter()
@@ -222,6 +238,7 @@ def process_chunk(
     fused = DsiGrid.create(
         ref_view, rig.cameras[0], config.z_min, config.z_max,
         config.num_planes, config.width, config.height, votes=volume,
+        allocate=_needs_volume(config),
     )
     timings["reference"] = time.perf_counter() - t0
 
@@ -232,21 +249,27 @@ def process_chunk(
     timings["rays"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    cameras = np.empty((len(rays),) + fused.votes.shape) if config.dump_dsi else None
-    hits, votes, fused_votes, peak = _vote_and_fuse(
+    shape = (fused.num_planes, fused.height, fused.width)
+    if scratch is None:
+        scratch = _band_scratch(len(rays), shape, workers, fused.votes is None,
+                                config.subvoxel)
+    cameras = np.empty((len(rays),) + shape) if config.dump_dsi else None
+    hits, votes, fused_votes, peak, around = _vote_and_fuse(
         fused, rays, FusionOp.from_string(config.fusion), config.voting, workers,
-        cameras,
+        cameras, scratch,
     )
     timings["vote_fuse"] = time.perf_counter() - t0
 
     per_camera = {}
     skipped = []
-    for cid, stream, hit, total in zip(rig.camera_ids, streams, hits, votes):
+    for cid, stream, r, hit, total in zip(rig.camera_ids, streams, rays, hits,
+                                          votes):
         skipped.append(len(stream) - int(np.count_nonzero(hit)))
         per_camera[cid] = {
             "events_read": len(stream),
             "events_voted": len(stream) - skipped[-1],
             "events_skipped": skipped[-1],
+            "events_grazing": len(r.graze[2]),
             "votes": total,
         }
     fused.skipped_events = sum(skipped)
@@ -261,7 +284,7 @@ def process_chunk(
     result = dataclasses.replace(result, mask=result.mask & keep)
     result = median_filter_depth(result, config.median_kernel)
     if config.subvoxel:
-        result = refine_result(fused, result)
+        result = refine_result(fused, result, around)
     timings["extraction"] = time.perf_counter() - t0
 
     stats = {
@@ -290,68 +313,142 @@ def process_chunk(
     return out
 
 
-def _vote_and_fuse(fused: DsiGrid, rays, op: FusionOp, mode: str, workers: int,
-                   cameras: np.ndarray | None = None):
-    """Vote every camera's prepared rays and fuse them into ``fused.votes``,
-    one band of BAND_PLANES planes at a time.
-
-    Each band of every camera is swept into a zeroed (cameras, band, H, W)
-    buffer and copied into ``cameras`` (the per-camera volumes, when
-    kept). ``dsi.fuse_band`` then fuses it into the band's planes of
-    ``fused.votes``, totals every camera and the fused band, folds the
-    fused planes into a running per-pixel maximum and zeroes the buffer
-    for the next band: for min, max, arithmetic, rms and harmonic that is
-    one pass of the C ``fuse_band``, in numpy otherwise. Workers take
-    contiguous runs of whole bands, each with its own buffer and running
-    maximum, so fusion runs in parallel too. A plane's votes depend only on
-    the events and every fusion operator is element-wise, so the result is
-    bit-identical to voting whole volumes with ``vote_events`` and fusing
-    them with ``fuse``, at any worker count.
-
-    Returns, per camera, the hit mask (events that voted on any plane) and
-    the vote total, the fused vote total, and the (confidence, best) peak
-    maps that ``extract_depth`` takes: the workers' maps merged in plane
-    order with a strict >, which keeps ``np.argmax``'s first maximum. Each
-    band total is numpy's pairwise ``sum`` of the band, bit for bit; a
-    total is the sum of the band totals in plane order: the same at any
-    worker count, but not bit-equal to ``votes.sum()`` over the whole
-    volume.
-    """
-    nz, n = fused.num_planes, len(rays)
-    bands = [(p0, min(p0 + BAND_PLANES, nz)) for p0 in range(0, nz, BAND_PLANES)]
+def _runs(num_planes: int, workers: int) -> list:
+    """The volume's bands of BAND_PLANES planes, (p0, p1) each, split into
+    contiguous runs, one per worker and at most one per band."""
+    bands = [(p0, min(p0 + BAND_PLANES, num_planes))
+             for p0 in range(0, num_planes, BAND_PLANES)]
     workers = max(1, min(workers, len(bands)))
-    runs = [bands[len(bands) * j // workers:len(bands) * (j + 1) // workers]
+    return [bands[len(bands) * j // workers:len(bands) * (j + 1) // workers]
             for j in range(workers)]
 
-    def run(my_bands):
-        buf = np.zeros((n, BAND_PLANES, fused.height, fused.width))
+
+@dataclass
+class _Scratch:
+    """One worker's band buffers, reused by every chunk of a run.
+
+    ``stack`` (cameras, BAND_PLANES, H, W) receives the cameras' votes of a
+    band and is all zeros between bands. Without a fused volume, ``outs``
+    holds two fused bands, written in turn, so that the previous band's
+    last plane stays readable; ``track`` keeps the votes beside the running
+    argmax for refinement, and ``first`` a copy of the run's first fused
+    plane, which the merge reads at the seam with the run before.
+    """
+
+    stack: np.ndarray
+    outs: np.ndarray | None = None
+    track: BandTrack | None = None
+    first: np.ndarray | None = None
+
+
+def _band_scratch(n_cameras: int, shape: tuple, workers: int, volume_free: bool,
+                  track: bool) -> list:
+    """One ``_Scratch`` per run of ``_runs``: with ``volume_free`` the fused
+    bands go to its ``outs``, and with ``track`` too it keeps a
+    ``BandTrack`` (and, past the first run, ``first``)."""
+    num_planes, height, width = shape
+    band = (BAND_PLANES, height, width)
+    scratch = []
+    for j in range(len(_runs(num_planes, workers))):
+        s = _Scratch(np.zeros((n_cameras,) + band))
+        if volume_free:
+            s.outs = np.empty((2,) + band)
+            if track:
+                s.track = BandTrack.create(height, width)
+                s.first = np.empty(band[1:]) if j else None
+        scratch.append(s)
+    return scratch
+
+
+def _vote_and_fuse(fused: DsiGrid, rays, op: FusionOp, mode: str, workers: int,
+                   cameras: np.ndarray | None = None, scratch: list | None = None):
+    """Vote every camera's prepared rays and fuse them, one band of
+    BAND_PLANES planes at a time, into ``fused.votes`` or, where that is
+    None, into band-sized buffers only.
+
+    Workers take the contiguous runs of bands of ``_runs``, each with its
+    own buffers (``scratch``, from ``_band_scratch`` for the same
+    ``workers``; None allocates them, with a ``BandTrack`` where there is
+    no volume) and running maximum, so fusion runs in parallel too. Each
+    band of every camera is swept into the worker's zeroed stack and
+    copied into
+    ``cameras`` (the per-camera volumes, when kept). ``dsi.fuse_band`` then
+    fuses it into the band's planes of ``fused.votes`` (or the next of the
+    two outputs in ``scratch``), totals every camera and the fused band,
+    folds the fused planes into a running per-pixel maximum, keeps the
+    votes beside it when ``scratch`` holds a ``BandTrack``, and zeroes the
+    stack for the next band: for min, max, arithmetic, rms and harmonic
+    that is one pass of the C ``fuse_band``, in numpy otherwise. A plane's
+    votes depend only on the events and every fusion operator is
+    element-wise, so the result is bit-identical to voting whole volumes
+    with ``vote_events`` and fusing them with ``fuse``, at any worker
+    count.
+
+    Returns, per camera, the hit mask (events that voted on any plane) and
+    the vote total, the fused vote total, the (confidence, best) peak maps
+    that ``extract_depth`` takes, and the (below, above) maps that
+    ``refine_result`` takes, or None without a ``BandTrack``. The workers'
+    maps are merged in plane order with a strict >, which keeps
+    ``np.argmax``'s first maximum; at each seam between two runs the
+    earlier run's last fused plane and the later one's first fill in the
+    votes beside a best plane that lies at the seam. Each band total is
+    numpy's pairwise ``sum`` of the band, bit for bit; a total is the sum
+    of the band totals in plane order: the same at any worker count, but
+    not bit-equal to ``votes.sum()`` over the whole volume.
+    """
+    n = len(rays)
+    runs = _runs(fused.num_planes, workers)
+    if scratch is None:
+        scratch = _band_scratch(n, (fused.num_planes, fused.height, fused.width),
+                                workers, fused.votes is None, fused.votes is None)
+
+    def run(j):
+        s = scratch[j]
         peak = empty_peak(fused.height, fused.width)
         hits = [np.zeros(r.num_events, dtype=bool) for r in rays]
-        sums = []
-        for p0, p1 in my_bands:
-            stack = buf[:, :p1 - p0]
+        sums, prev = [], None
+        if s.track is not None:
+            s.track.carried = 0
+        for b, (p0, p1) in enumerate(runs[j]):
+            stack = s.stack[:, :p1 - p0]
             for k, r in enumerate(rays):
                 hits[k] |= sweep_band(fused, r, stack[k], p0, mode)
             if cameras is not None:
                 cameras[:, p0:p1] = stack
-            sums.append(fuse_band(op, stack, fused.votes[p0:p1], p0, peak))
-        return hits, sums, peak
+            out = (s.outs[b % 2, :p1 - p0] if fused.votes is None
+                   else fused.votes[p0:p1])
+            sums.append(fuse_band(op, stack, out, p0, peak, s.track, prev))
+            if b == 0 and s.first is not None:
+                np.copyto(s.first, out[0])
+            prev = out[-1]
+        return hits, sums, peak, prev
 
-    if workers == 1:
-        results = [run(runs[0])]
+    if len(runs) == 1:
+        results = [run(0)]
     else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, runs))
-    hits = [np.logical_or.reduce([h[k] for h, _, _ in results]) for k in range(n)]
-    band_sums = [s for _, sums, _ in results for s in sums]  # in plane order
+        with ThreadPoolExecutor(max_workers=len(runs)) as pool:
+            results = list(pool.map(run, range(len(runs))))
+    hits = [np.logical_or.reduce([r[0][k] for r in results]) for k in range(n)]
+    band_sums = [s for r in results for s in r[1]]  # in plane order
     votes = [sum(cams[k] for cams, _ in band_sums) for k in range(n)]
     confidence, best = results[0][2]
+    track = scratch[0].track
     greater = np.empty(confidence.shape, dtype=bool)
-    for _, _, (conf, plane) in results[1:]:  # later planes win only if greater
+    for j in range(1, len(runs)):  # later planes win only if greater
+        conf, plane = results[j][2]
+        if track is not None:
+            seam, later = runs[j][0][0], scratch[j].track
+            np.copyto(track.above, scratch[j].first, where=best == seam - 1)
+            np.copyto(later.below, results[j - 1][3], where=plane == seam)
         np.greater(conf, confidence, out=greater)
         np.copyto(confidence, conf, where=greater)
         np.copyto(best, plane, where=greater)
-    return hits, votes, sum(f for _, f in band_sums), (confidence, best)
+        if track is not None:
+            np.copyto(track.below, later.below, where=greater)
+            np.copyto(track.above, later.above, where=greater)
+    around = None if track is None else (track.below, track.above)
+    return (hits, votes, sum(f for _, f in band_sums), (confidence, best),
+            around)
 
 
 # The extraction filters' temporaries peak at up to 5 float64 copies of
@@ -363,22 +460,31 @@ FILTER_COPIES = 5
 
 
 def _check_memory(shape: tuple, n_cameras: int, workers: int, keep: bool,
-                  median_kernel: int = 1, threshold_sigma: float = 0.0) -> int:
+                  median_kernel: int = 1, threshold_sigma: float = 0.0,
+                  volume: bool = True) -> int:
     """Bytes one chunk needs for its volumes of ``shape`` (planes, H, W),
-    band buffers and extraction filters: the fused volume and, when dumped,
-    the per-camera volumes, plus the largest of one band buffer and two
-    peak maps (confidence and best plane) per worker (voting), the median
-    filter's and the threshold's temporaries, which are never live at
-    once. Raises DsiTooLarge when that exceeds physical memory, before
+    band buffers and extraction filters: the fused volume (unless
+    ``volume`` is False, which ``_needs_volume`` decides) and, when dumped
+    (``keep``), the per-camera volumes, plus the largest of the workers'
+    band buffers (voting), the median filter's and the threshold's
+    temporaries, which are never live at once. Each worker keeps one band
+    buffer per camera and two peak maps (confidence and best plane);
+    without a volume also two fused bands and five maps for refinement:
+    below, above, the run's first plane and the change list (2 H W
+    int64). Raises DsiTooLarge when that exceeds physical memory, before
     anything is allocated; where the system does not report physical
     memory, nothing is checked."""
     num_planes, height, width = shape
     plane = width * height * 8
     workers = min(workers, -(-num_planes // BAND_PLANES))
-    buffers = workers * (n_cameras * BAND_PLANES + 2) * plane
+    volume = volume or keep
+    per_worker = n_cameras * BAND_PLANES + 2
+    if not volume:
+        per_worker += 2 * BAND_PLANES + 5
+    buffers = workers * per_worker * plane
     median = FILTER_COPIES * plane * median_kernel**2
     gaussian = FILTER_COPIES * 8 * (2 * int(4 * threshold_sigma + 0.5) + 1)
-    volumes = (1 + (n_cameras if keep else 0)) * num_planes * plane
+    volumes = (int(volume) + (n_cameras if keep else 0)) * num_planes * plane
     need = volumes + max(buffers, median, gaussian)
     try:
         pages, page_size = os.sysconf("SC_PHYS_PAGES"), os.sysconf("SC_PAGE_SIZE")
@@ -427,7 +533,8 @@ def run_pipeline(
                 f"keeps; {name} must exceed {c}"
             )
     _check_memory(shape, len(rig.cameras), workers, config.dump_dsi,
-                  config.median_kernel, config.threshold_sigma)
+                  config.median_kernel, config.threshold_sigma,
+                  _needs_volume(config))
     side = max(shape[1:])
     if config.threshold_sigma > side:
         # the blur's time grows with sigma, its background barely past this
@@ -473,7 +580,10 @@ def run_pipeline(
     if out_dir:
         out_dir.mkdir(parents=True, exist_ok=True)
 
-    volume = np.empty(shape)  # the fused DSI of every chunk
+    # the fused DSI and the band buffers of every chunk
+    volume = np.empty(shape) if _needs_volume(config) else None
+    scratch = _band_scratch(len(rig.cameras), shape, workers, volume is None,
+                            config.subvoxel)
     outputs = []
     for chunk in chunks:
         lo = min(
@@ -498,7 +608,7 @@ def run_pipeline(
             continue
         try:
             result = process_chunk(chunk, rig, traj, config, workers=workers,
-                                   volume=volume)
+                                   volume=volume, scratch=scratch)
         except RaysweepError as e:
             raise RaysweepError(
                 f"chunk {chunk.index} [{chunk.t_start:.3f}, {chunk.t_end:.3f}): {e}"

@@ -17,7 +17,9 @@ from raysweep.depth import (
     to_point_cloud,
 )
 from raysweep.dsi import DsiGrid, inverse_depth_samples
-from raysweep.geometry import Se3
+from raysweep.geometry import CameraModel, Se3
+from raysweep.pipeline import PipelineConfig
+from raysweep.synth import SCENARIO_NAMES, make_scenario
 
 
 @pytest.fixture
@@ -222,6 +224,22 @@ class TestNearestPlane:
                 1.0 / np.array([0.0, np.inf]),        # depth 0 and inf
             ])
         assert np.array_equal(_nearest_plane(inv, cur), self.argmin(inv, cur))
+
+    @pytest.mark.parametrize("z_min,z_max,planes", sorted(
+        {(c.z_min, c.z_max, c.num_planes)
+         for c in [PipelineConfig()] + [make_scenario(name, n_points=1).config
+                                        for name in SCENARIO_NAMES]}
+        | {(0.45, 4.0, n) for n in (2, 5, 13, 25)}))
+    def test_argmax_depth_maps_back_to_its_plane(self, z_min, z_max, planes):
+        # the depth of plane k, inverted again, is nearest plane k: so the
+        # votes beside the argmax plane, which the band loop keeps when no
+        # volume exists, are those that refinement reads around the
+        # nearest plane (the configs in use and the tests' grids)
+        grid = DsiGrid.create(Se3.identity(), CameraModel(
+            fx=1.0, fy=1.0, cx=0.5, cy=0.5, width=1, height=1),
+            z_min, z_max, planes, allocate=False)
+        k = np.arange(planes)
+        assert np.array_equal(_nearest_plane(grid.inv_depths, 1.0 / grid.depths), k)
 
     def test_exact_midpoint_ties_take_the_nearer_plane_first(self):
         inv = inverse_depth_samples(0.5, 2.0, 4)

@@ -21,6 +21,7 @@ from raysweep.dsi import (
     MAX,
     MIN,
     RMS,
+    BandTrack,
     DsiGrid,
     FusionOp,
     empty_peak,
@@ -518,11 +519,32 @@ class TestCAbi:
             f"{ctypes.c_int64.__name__} in argtypes"]
         assert abi_mismatches(exports, _sweep._ARGTYPES,
                               {**restypes, "fuse_band": ctypes.c_int}) == [
-            "fuse_band: returns void, restype c_int"]
+            "fuse_band: returns int64_t, restype c_int"]
         # a dropped restype would read parse_events' count as None
         assert abi_mismatches(exports, _sweep._ARGTYPES,
                               {**restypes, "parse_events": None}) == [
             "parse_events: returns int64_t, restype None"]
+
+
+    def test_fuse_band_tracking_arguments(self):
+        # prev, below, above and listed are pointers and carried an int64,
+        # which fuse_band also returns; a dropped or narrowed one is caught
+        exports = c_exports(_sweep._SOURCE.read_text())
+        ret, kinds = exports["fuse_band"]
+        assert ret == "int64_t" and kinds[11:] == [ctypes.c_void_p] * 4 + [
+            ctypes.c_int64]
+        restypes = dict(_sweep._RESTYPES)
+        argtypes = {name: list(types_) for name, types_ in _sweep._ARGTYPES.items()}
+        argtypes["fuse_band"][-1] = ctypes.c_int
+        assert abi_mismatches(exports, argtypes, restypes) == [
+            f"fuse_band argument 15: {ctypes.c_int64.__name__} in C, c_int in "
+            f"argtypes"]
+        argtypes["fuse_band"] = argtypes["fuse_band"][:-1]
+        assert abi_mismatches(exports, argtypes, restypes) == [
+            "fuse_band: 16 parameters, 15 argtypes"]
+        assert abi_mismatches(exports, _sweep._ARGTYPES,
+                              {**restypes, "fuse_band": None}) == [
+            "fuse_band: returns int64_t, restype None"]
 
 
 class TestCPrepare:
@@ -1004,8 +1026,8 @@ def random_band(rng, shape):
 
 
 def random_peak(rng, height, width, p0):
-    """A running maximum partway through a volume: some pixels still at
-    -inf, others with a vote and an earlier plane."""
+    """A running maximum partway through a volume: some pixels still at 0
+    and plane 0, others with a vote and an earlier plane."""
     confidence, best = empty_peak(height, width)
     seen = rng.random((height, width)) < 0.7
     confidence[seen] = rng.integers(0, 6, seen.sum()).astype(float)
@@ -1063,8 +1085,12 @@ class TestFuseBand:
             stack[:, :, 0] = stack[:, :1, 0]  # ties across planes
             out, (confidence, best) = self.assert_same(
                 FusionOp(kind), stack, 8, empty_peak(180, 240))
-            # from an empty peak: np.argmax's first maximum
-            assert np.array_equal(best, 8 + np.argmax(out, axis=0))
+            # from an empty peak: np.argmax's first maximum where a fused
+            # vote is positive; an all-zero column keeps the empty peak's 0
+            voted = out.max(axis=0) > 0.0
+            assert not voted.all() and voted.any()
+            assert np.array_equal(best, np.where(voted, 8 + np.argmax(out, axis=0),
+                                                 0))
             assert np.array_equal(confidence, out.max(axis=0))
 
     @pytest.mark.parametrize("kind", _sweep.FUSE_KINDS)
@@ -1087,6 +1113,55 @@ class TestFuseBand:
         assert np.array_equal(c_peak[1], n_peak[1])
         assert not stack.any() and (buf[:, 1:] == 7.0).all()
 
+    @pytest.mark.parametrize("kind", _sweep.FUSE_KINDS)
+    @pytest.mark.parametrize("p0,p1", [(0, 13), (8, 13), (4, 8), (0, 1)])
+    def test_tracked_neighbors_match_numpy_and_the_volume(self, kind, p0, p1):
+        # one worker's run of bands of 4 over planes [p0, p1) from an empty
+        # peak, the outputs in two alternating buffers: below and above,
+        # bit for bit between C and numpy, are the run's fused votes at
+        # every voted pixel's best plane -1 and +1 where the run holds them
+        rng = np.random.default_rng(74)
+        op = FusionOp(kind)
+        height, width = 18, 24
+        stacks = [random_band(rng, (2, min(4, p1 - b), height, width))
+                  for b in range(p0, p1, 4)]
+        for k in range(0, len(stacks), 2):  # a sparse band now and then
+            stacks[k][:, :, rng.random((height, width)) < 0.9] = 0.0
+        sides = []
+        for ctx in (contextlib.nullcontext(), numpy_kernel()):
+            peak = empty_peak(height, width)
+            track = BandTrack.create(height, width)
+            track.below.fill(np.nan)
+            track.above.fill(np.nan)
+            outs, volume, prev = np.empty((2, 4, height, width)), [], None
+            with ctx:
+                for k, stack in enumerate(stacks):
+                    out = outs[k % 2, :stack.shape[1]]
+                    fuse_band(op, stack.copy(), out, p0 + 4 * k, peak, track, prev)
+                    volume.append(out.copy())
+                    prev = out[-1]
+            sides.append((peak, track.below, track.above, np.concatenate(volume)))
+        (c_peak, *c_maps), (n_peak, *n_maps) = sides
+        assert_same_bits([c_peak[0], *c_maps], [n_peak[0], *n_maps])
+        assert np.array_equal(c_peak[1], n_peak[1])
+        confidence, best = c_peak
+        below, above, volume = c_maps
+        iy, ix = np.nonzero(confidence > 0.0)
+        assert iy.size
+        i = best[iy, ix] - p0  # index into the run's volume
+        assert_same_bits([confidence[iy, ix]], [volume[i, iy, ix]])
+        has = i > 0
+        assert_same_bits([below[iy[has], ix[has]]],
+                         [volume[i[has] - 1, iy[has], ix[has]]])
+        has = i + 1 < p1 - p0
+        assert_same_bits([above[iy[has], ix[has]]],
+                         [volume[i[has] + 1, iy[has], ix[has]]])
+        # without a previous band, a best at the run's first plane has no
+        # below; the merge fills it in, as it does above at the last plane
+        assert np.isnan(below[iy[i == 0], ix[i == 0]]).all()
+        if p1 - p0 > 4:  # a best at a band's last plane, resolved by the next
+            assert np.any(i % 4 == 3) and np.any((i % 4 == 0) & (i > 0))
+
     @pytest.mark.parametrize("op", [GEOMETRIC, FusionOp("power", -2.0),
                                     FusionOp("power", 0.5), *map(
                                         FusionOp, _sweep.FUSE_KINDS)],
@@ -1107,11 +1182,18 @@ class TestFuseBand:
 
     @pytest.mark.parametrize("bad", ["kind", "dtype", "plane_stride",
                                      "overlap", "out_shape", "out_order",
-                                     "peak_dtype", "peak_shape", "empty"])
+                                     "peak_dtype", "peak_shape", "empty",
+                                     "listed_size", "listed_dtype", "below_shape",
+                                     "prev_order", "carried"])
     def test_rejects_what_it_cannot_index(self, bad):
         stack = np.zeros((2, 3, 4, 5))
         out = np.zeros((3, 4, 5))
         confidence, best = empty_peak(4, 5)
+        # prev, below, above, listed (2 * H * W) and carried, all valid
+        track = [np.zeros((4, 5)), np.zeros((4, 5)), np.zeros((4, 5)),
+                 np.zeros(40, np.int64), 20]
+        _sweep.fuse_band_c("harmonic", stack.copy(), out.copy(), 0,
+                           confidence.copy(), best.copy(), *track)
         kind = "harmonic"
         if bad == "kind":
             kind = "geometric"
@@ -1132,6 +1214,19 @@ class TestFuseBand:
             confidence = np.full((5, 4), -np.inf)
         elif bad == "empty":
             stack, out = np.zeros((2, 0, 4, 5)), np.zeros((0, 4, 5))
+        elif bad == "listed_size":
+            track[3] = np.zeros(39, np.int64)  # room for 2 * H * W pixels
+        elif bad == "listed_dtype":
+            track[3] = np.zeros(40, np.int32)
+        elif bad == "below_shape":
+            track[1] = np.zeros((5, 4))
+        elif bad == "prev_order":
+            track[0] = np.zeros((4, 5), order="F")[:, ::-1]
+        elif bad == "carried":
+            track[4] = 21  # more than the H * W pixels
+        if bad not in ("listed_size", "listed_dtype", "below_shape", "prev_order",
+                       "carried"):
+            track = []
         with pytest.raises(ValueError):
-            _sweep.fuse_band_c(kind, stack, out, 0, confidence, best)
+            _sweep.fuse_band_c(kind, stack, out, 0, confidence, best, *track)
 

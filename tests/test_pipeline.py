@@ -37,7 +37,7 @@ from raysweep.geometry import (
 )
 from raysweep.io import RigCalibration, read_pfm
 from raysweep.pipeline import PipelineConfig, process_chunk, run_pipeline
-from raysweep.synth import make_scenario
+from raysweep.synth import SyntheticScene, make_scenario
 
 from conftest import numpy_kernel
 
@@ -443,6 +443,21 @@ class TestBandLoop:
         rays = prepare_sweep(grid, chunk.events["c"], rig.cameras[2], traj=traj)
         assert 0 < len(rays.graze[2]) < rays.num_events
 
+    def test_stats_count_the_grazing_rays(self, band_inputs):
+        rig, traj, chunk = band_inputs
+        config = PipelineConfig(num_planes=13)
+        out = process_chunk(copy.deepcopy(chunk), rig, traj, config, workers=2)
+        ref_view = select_reference_view(chunk, traj, rig.cameras[0])
+        grid = DsiGrid.create(ref_view, rig.cameras[0], config.z_min, config.z_max,
+                              13, allocate=False)
+        grazing = {}
+        for cid, cam in zip(rig.camera_ids, rig.cameras):
+            rays = prepare_sweep(grid, chunk.events[cid], cam, traj=traj)
+            grazing[cid] = len(rays.graze[2])
+        assert grazing["c"] > 0
+        assert {cid: c["events_grazing"] for cid, c in out.stats["cameras"].items()} \
+            == grazing
+
     @pytest.mark.parametrize("fusion", ["min", "harmonic", "geometric", "arithmetic",
                                         "rms", "max", "power:-2", "power:0.5"])
     @pytest.mark.parametrize("voting", ["nearest", "bilinear"])
@@ -577,12 +592,13 @@ class TestBandLoop:
         sc, streams = small_scenario
         config = dataclasses.replace(sc.config, chunk_duration=0.1, dump_dsi=dump_dsi,
                                      out_dir=str(tmp_path) if dump_dsi else None)
-        snapshots, volumes = [], []
+        snapshots, volumes, scratches = [], [], []
         real = pipeline.process_chunk
 
         def spy(*args, **kwargs):
             out = real(*args, **kwargs)
             volumes.append(kwargs["volume"])
+            scratches.append(kwargs["scratch"])
             arrays = [out.result.depth, out.result.confidence, out.result.mask]
             snapshots.append([a.copy() for a in arrays])
             return out
@@ -590,8 +606,11 @@ class TestBandLoop:
         outs = run_pipeline(config, streams=streams, rig=sc.rig, traj=sc.traj,
                             workers=2)
         assert len(outs) >= 3 and all(not o.skipped for o in outs)
-        assert volumes[0] is not None
+        # lateral_room refines after a median filter of 1: a volume exists
+        # only to be dumped; the band buffers are reused either way
+        assert (volumes[0] is not None) == dump_dsi
         assert all(v is volumes[0] for v in volumes)
+        assert all(s is scratches[0] for s in scratches)
         for out, snap in zip(outs, snapshots):
             assert out.fused is None and out.camera_grids is None
             arrays = [out.result.depth, out.result.confidence, out.result.mask]
@@ -620,8 +639,10 @@ class TestBandLoop:
 
     def test_peak_allocation_is_one_volume_plus_bands(self, small_scenario,
                                                       monkeypatch):
+        # refinement after a median filter of 5 reads the volume
         sc, streams = small_scenario
-        config = dataclasses.replace(sc.config, chunk_duration=0.1)
+        config = dataclasses.replace(sc.config, chunk_duration=0.1, median_kernel=5)
+        assert pipeline._needs_volume(config)
         cam = sc.rig.cameras[0]
         plane = cam.width * cam.height * 8
         workers, n_cams = 2, len(sc.rig.cameras)
@@ -650,6 +671,131 @@ class TestBandLoop:
         assert len(peaks) >= 3
         assert volume < peaks[0] <= volume + bands  # a chunk on its own
         assert max(peaks[2:]) <= bands  # the run's volume is reused
+
+    def test_volume_free_peak_allocation_is_band_scratch(self, small_scenario,
+                                                         monkeypatch):
+        # lateral_room refines after a median filter of 1: the band loop
+        # keeps the votes beside each argmax, and no volume is allocated
+        sc, streams = small_scenario
+        config = dataclasses.replace(sc.config, chunk_duration=0.1)
+        assert config.median_kernel == 1 and config.subvoxel
+        assert not pipeline._needs_volume(config)
+        cam = sc.rig.cameras[0]
+        plane = cam.width * cam.height * 8
+        workers, n_cams = 2, len(sc.rig.cameras)
+        # per worker: the cameras' band buffer, two fused bands, below,
+        # above, the run's first plane and the change list (two planes)
+        scratch = workers * ((n_cams + 2) * pipeline.BAND_PLANES + 5) * plane
+        # plus each worker's two peak maps and a few planes for extraction
+        # and the events
+        per_chunk = (workers * 2 + 12) * plane
+        chunk = chunk_events([streams[c] for c in sc.rig.camera_ids],
+                             config.chunk_duration)[1]
+        peaks = []
+        real = pipeline.process_chunk
+
+        def measured(*args, **kwargs):
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            out = real(*args, **kwargs)
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+            return out
+        monkeypatch.setattr(pipeline, "process_chunk", measured)
+        tracemalloc.start()
+        try:
+            pipeline.process_chunk(chunk, sc.rig, sc.traj, config, workers=workers)
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            run_pipeline(config, streams=streams, rig=sc.rig, traj=sc.traj,
+                         workers=workers)
+            run_peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert len(peaks) >= 3
+        volume = config.num_planes * plane
+        assert peaks[0] <= scratch + per_chunk < volume  # a chunk on its own
+        assert max(peaks[1:]) <= per_chunk  # the run's band buffers are reused
+        assert run_peak <= scratch + per_chunk  # and no volume either
+
+
+FUSIONS = ["min", "harmonic", "geometric", "arithmetic", "rms", "max", "power:-2",
+           "power:0.5"]
+
+
+# The planes where a worker run starts or ends, at 1-3 workers over 13
+# planes in bands of 4, 4, 4 and 1: runs [0, 13); [0, 8), [8, 13); [0, 4),
+# [4, 8), [8, 13).
+EDGE_PLANES = (0, 3, 4, 7, 8, 12)
+
+
+@pytest.fixture(scope="module")
+def edge_inputs():
+    """(rig, trajectory, chunk) of lateral_room's rig and motion seeing
+    points at the depths of EDGE_PLANES of 13 planes over [0.45, 4]."""
+    sc = make_scenario("lateral_room", n_points=1, seed=3)
+    points = [(x * z, y * z, z)
+              for z in dsi.plane_depths(0.45, 4.0, 13)[list(EDGE_PLANES)]
+              for x in (-0.25, 0.0, 0.25) for y in (-0.15, 0.15)]
+    sc = dataclasses.replace(sc, scene=SyntheticScene(np.array(points)))
+    streams = sc.simulate()
+    return sc.rig, sc.traj, chunk_events([streams[c] for c in sc.rig.camera_ids],
+                                         0.5)[0]
+
+
+class TestVolumeFree:
+    """Refinement after a median filter of 1 reads only the fused votes
+    beside each argmax plane, which the band loop keeps: no volume exists.
+    Its outputs must equal those of a volume passed in, bit for bit."""
+
+    @pytest.mark.parametrize("fusion", FUSIONS)
+    @pytest.mark.parametrize("voting", ["nearest", "bilinear"])
+    def test_matches_a_forced_volume(self, edge_inputs, kernel, fusion, voting):
+        config = PipelineConfig(num_planes=13, fusion=fusion, voting=voting,
+                                median_kernel=1)
+        assert config.subvoxel and not pipeline._needs_volume(config)
+        rig, traj, chunk = edge_inputs
+        for workers in (1, 2, 3):
+            volume = np.full((13, 180, 240), np.nan)  # all overwritten
+            want = process_chunk(copy.deepcopy(chunk), rig, traj, config,
+                                 workers=workers, volume=volume)
+            got = process_chunk(copy.deepcopy(chunk), rig, traj, config,
+                                workers=workers)
+            assert want.fused is None and got.fused is None
+            for name in ("depth", "confidence", "mask"):
+                assert getattr(got.result, name).tobytes() == \
+                    getattr(want.result, name).tobytes(), (workers, name)
+            for out in (want, got):
+                out.stats.pop("timings")
+            assert got.stats == want.stats, workers
+            # the masked pixels' argmax planes include the volume's first
+            # and last and every run's edges, and refinement moved depths
+            mask = want.result.mask
+            best = np.argmax(volume, axis=0)[mask]
+            assert set(EDGE_PLANES) <= set(best.tolist()), workers
+            unrefined = np.take(dsi.plane_depths(0.45, 4.0, 13), best)
+            assert np.any(want.result.depth[mask] != unrefined)
+
+    def test_process_chunk_allocates_a_volume_only_for_a_reader(self, band_inputs,
+                                                                 monkeypatch):
+        rig, traj, chunk = band_inputs
+        created = []
+        real = DsiGrid.create
+
+        def spy(*args, **kwargs):
+            grid = real(*args, **kwargs)
+            created.append(grid.votes)
+            return grid
+        monkeypatch.setattr(DsiGrid, "create", spy)
+        for kwargs, has_volume in (({}, False), ({"subvoxel": False}, False),
+                                   ({"median_kernel": 3}, True),
+                                   ({"median_kernel": 3, "subvoxel": False}, False),
+                                   ({"dump_dsi": True}, True)):
+            config = PipelineConfig(num_planes=13, median_kernel=kwargs.pop(
+                "median_kernel", 1), **kwargs)
+            assert pipeline._needs_volume(config) == has_volume
+            created.clear()
+            process_chunk(copy.deepcopy(chunk), rig, traj, config, workers=2)
+            assert [v is not None for v in created] == [has_volume]
 
 
 class TestDsiShape:
@@ -690,7 +836,8 @@ class TestDsiShape:
 class TestMemoryBudget:
     def test_oversized_dsi_refused_before_allocating(self, small_scenario):
         sc, streams = small_scenario
-        config = dataclasses.replace(sc.config, num_planes=10**7)  # 3.5 TB
+        # 3.5 TB: with a median filter of 5, refinement reads the volume
+        config = dataclasses.replace(sc.config, num_planes=10**7, median_kernel=5)
         need = 10**7 * 240 * 180 * 8
         tracemalloc.start()
         try:
@@ -709,7 +856,8 @@ class TestMemoryBudget:
         assert cli_main(["synth", "--scenario", "lateral_room", "--out", str(out),
                          "--points", "40", "--seed", "2"]) == 0
         assert cli_main(["map", "--config", str(out / "config.json"),
-                         "--num-planes", "10000000", "--width", "1000"]) == 2
+                         "--num-planes", "10000000", "--width", "1000",
+                         "--median-kernel", "5"]) == 2
         assert "bytes" in capsys.readouterr().err
         assert not (out / "results" / "stats.json").exists()
 
@@ -797,6 +945,21 @@ class TestMemoryBudget:
             (100 + 2 * pipeline.BAND_PLANES + 2) * plane
         assert pipeline._check_memory((100, 180, 240), 3, 2, keep=True) == \
             ((1 + 3) * 100 + 2 * (3 * pipeline.BAND_PLANES + 2)) * plane
+
+    def test_counts_band_outputs_without_a_volume(self):
+        # no fused volume: each worker also keeps two fused bands and five
+        # maps for refinement, whatever the number of planes
+        plane = 180 * 240 * 8
+        per_worker = (2 + 2) * pipeline.BAND_PLANES + 2 + 5
+        for planes in (100, 10**7):
+            assert pipeline._check_memory((planes, 180, 240), 2, 1, keep=False,
+                                          volume=False) == per_worker * plane
+        assert pipeline._check_memory((100, 180, 240), 2, 2, keep=False,
+                                      volume=False) == 2 * per_worker * plane
+        # a dump keeps the fused volume
+        assert pipeline._check_memory((100, 180, 240), 2, 1, keep=True,
+                                      volume=False) == \
+            ((1 + 2) * 100 + 2 * pipeline.BAND_PLANES + 2) * plane
 
 
 class TestEventFiles:
