@@ -786,12 +786,13 @@ class TestVolumeFree:
             created.append(grid.votes)
             return grid
         monkeypatch.setattr(DsiGrid, "create", spy)
-        for kwargs, has_volume in (({}, False), ({"subvoxel": False}, False),
-                                   ({"median_kernel": 3}, True),
-                                   ({"median_kernel": 3, "subvoxel": False}, False),
-                                   ({"dump_dsi": True}, True)):
-            config = PipelineConfig(num_planes=13, median_kernel=kwargs.pop(
-                "median_kernel", 1), **kwargs)
+        for median, subvoxel, dump_dsi, has_volume in [(1, True, False, False),
+                                                       (1, False, False, False),
+                                                       (3, True, False, True),
+                                                       (3, False, False, False),
+                                                       (1, True, True, True)]:
+            config = PipelineConfig(num_planes=13, median_kernel=median,
+                                    subvoxel=subvoxel, dump_dsi=dump_dsi)
             assert pipeline._needs_volume(config) == has_volume
             created.clear()
             process_chunk(copy.deepcopy(chunk), rig, traj, config, workers=2)
