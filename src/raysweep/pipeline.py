@@ -217,7 +217,6 @@ def process_chunk(
     config: PipelineConfig,
     workers: int = 1,
     volume: np.ndarray | None = None,
-    scratch: list | None = None,
 ) -> ChunkOutput:
     """Run reference-view selection, per-camera voting, fusion, and depth
     extraction for one chunk. Assumes trajectory coverage was checked.
@@ -226,11 +225,11 @@ def process_chunk(
     float64 array whose contents are overwritten (``run_pipeline`` passes
     one for all its chunks when ``_needs_volume``). None allocates one only
     if ``_needs_volume(config)``; otherwise the chunk's fused grid has
-    ``votes`` None and no volume exists. With ``config.dump_dsi`` the chunk
-    also gets fresh per-camera volumes, and its output holds them and the
-    fused DSI (which wraps ``volume``) for writing. ``scratch`` is the
-    workers' band buffers (``_band_scratch``), which ``run_pipeline``
-    allocates once for all its chunks; None allocates them for this chunk.
+    ``votes`` None and no volume exists: the band loop then keeps the
+    votes beside each argmax plane for ``config.subvoxel``. With
+    ``config.dump_dsi`` the chunk also gets fresh per-camera volumes, and
+    its output holds them and the fused DSI (which wraps ``volume``) for
+    writing.
     """
     timings = {}
     t0 = time.perf_counter()
@@ -250,13 +249,12 @@ def process_chunk(
 
     t0 = time.perf_counter()
     shape = (fused.num_planes, fused.height, fused.width)
-    if scratch is None:
-        scratch = _band_scratch(len(rays), shape, workers, fused.votes is None,
-                                config.subvoxel)
     cameras = np.empty((len(rays),) + shape) if config.dump_dsi else None
+    # refinement reads the votes beside each argmax from the volume, if any
+    track = config.subvoxel and fused.votes is None
     hits, votes, fused_votes, peak, around = _vote_and_fuse(
         fused, rays, FusionOp.from_string(config.fusion), config.voting, workers,
-        cameras, scratch,
+        cameras, track,
     )
     timings["vote_fuse"] = time.perf_counter() - t0
 
@@ -314,114 +312,78 @@ def process_chunk(
 
 
 def _runs(num_planes: int, workers: int) -> list:
-    """The volume's bands of BAND_PLANES planes, (p0, p1) each, split into
-    contiguous runs, one per worker and at most one per band."""
-    bands = [(p0, min(p0 + BAND_PLANES, num_planes))
-             for p0 in range(0, num_planes, BAND_PLANES)]
-    workers = max(1, min(workers, len(bands)))
-    return [bands[len(bands) * j // workers:len(bands) * (j + 1) // workers]
+    """The volume's bands of BAND_PLANES planes, band b being the planes
+    [b * BAND_PLANES, min((b + 1) * BAND_PLANES, num_planes)), split into
+    contiguous runs of band indices, one per worker and at most one per
+    band."""
+    bands = -(-num_planes // BAND_PLANES)
+    workers = max(1, min(workers, bands))
+    return [range(bands * j // workers, bands * (j + 1) // workers)
             for j in range(workers)]
 
 
-@dataclass
-class _Scratch:
-    """One worker's band buffers, reused by every chunk of a run.
-
-    ``stack`` (cameras, BAND_PLANES, H, W) receives the cameras' votes of a
-    band and is all zeros between bands. Without a fused volume, ``outs``
-    holds two fused bands, written in turn, so that the previous band's
-    last plane stays readable; ``track`` keeps the votes beside the running
-    argmax for refinement, and ``first`` a copy of the run's first fused
-    plane, which the merge reads at the seam with the run before.
-    """
-
-    stack: np.ndarray
-    outs: np.ndarray | None = None
-    track: BandTrack | None = None
-    first: np.ndarray | None = None
-
-
-def _band_scratch(n_cameras: int, shape: tuple, workers: int, volume_free: bool,
-                  track: bool) -> list:
-    """One ``_Scratch`` per run of ``_runs``: with ``volume_free`` the fused
-    bands go to its ``outs``, and with ``track`` too it keeps a
-    ``BandTrack`` (and, past the first run, ``first``)."""
-    num_planes, height, width = shape
-    band = (BAND_PLANES, height, width)
-    scratch = []
-    for j in range(len(_runs(num_planes, workers))):
-        s = _Scratch(np.zeros((n_cameras,) + band))
-        if volume_free:
-            s.outs = np.empty((2,) + band)
-            if track:
-                s.track = BandTrack.create(height, width)
-                s.first = np.empty(band[1:]) if j else None
-        scratch.append(s)
-    return scratch
-
-
 def _vote_and_fuse(fused: DsiGrid, rays, op: FusionOp, mode: str, workers: int,
-                   cameras: np.ndarray | None = None, scratch: list | None = None):
+                   cameras: np.ndarray | None = None, track: bool = False):
     """Vote every camera's prepared rays and fuse them, one band of
     BAND_PLANES planes at a time, into ``fused.votes`` or, where that is
     None, into band-sized buffers only.
 
     Workers take the contiguous runs of bands of ``_runs``, each with its
-    own buffers (``scratch``, from ``_band_scratch`` for the same
-    ``workers``; None allocates them, with a ``BandTrack`` where there is
-    no volume) and running maximum, so fusion runs in parallel too. Each
-    band of every camera is swept into the worker's zeroed stack and
-    copied into
-    ``cameras`` (the per-camera volumes, when kept). ``dsi.fuse_band`` then
-    fuses it into the band's planes of ``fused.votes`` (or the next of the
-    two outputs in ``scratch``), totals every camera and the fused band,
-    folds the fused planes into a running per-pixel maximum, keeps the
-    votes beside it when ``scratch`` holds a ``BandTrack``, and zeroes the
-    stack for the next band: for min, max, arithmetic, rms and harmonic
-    that is one pass of the C ``fuse_band``, in numpy otherwise. A plane's
-    votes depend only on the events and every fusion operator is
-    element-wise, so the result is bit-identical to voting whole volumes
-    with ``vote_events`` and fusing them with ``fuse``, at any worker
-    count.
+    own buffers and running maximum, so fusion runs in parallel too. Each
+    band of every camera is swept into the worker's zeroed (cameras, band,
+    H, W) stack and copied into ``cameras`` (the per-camera volumes, when
+    kept). ``dsi.fuse_band`` then fuses it into the band's planes of
+    ``fused.votes`` (without a volume, into the worker's two band outputs
+    in turn, so that the previous band's last plane stays readable),
+    totals every camera and the fused band, folds the fused planes into a
+    running per-pixel maximum, with ``track`` keeps the votes beside it in
+    a ``dsi.BandTrack``, and zeroes the stack for the next band: for min,
+    max, arithmetic, rms and harmonic that is one pass of the C
+    ``fuse_band``, in numpy otherwise. A plane's votes depend only on the
+    events and every fusion operator is element-wise, so the result is
+    bit-identical to voting whole volumes with ``vote_events`` and fusing
+    them with ``fuse``, at any worker count.
 
     Returns, per camera, the hit mask (events that voted on any plane) and
     the vote total, the fused vote total, the (confidence, best) peak maps
-    that ``extract_depth`` takes, and the (below, above) maps that
-    ``refine_result`` takes, or None without a ``BandTrack``. The workers'
-    maps are merged in plane order with a strict >, which keeps
-    ``np.argmax``'s first maximum; at each seam between two runs the
-    earlier run's last fused plane and the later one's first fill in the
-    votes beside a best plane that lies at the seam. Each band total is
-    numpy's pairwise ``sum`` of the band, bit for bit; a total is the sum
-    of the band totals in plane order: the same at any worker count, but
-    not bit-equal to ``votes.sum()`` over the whole volume.
+    that ``extract_depth`` takes, and, with ``track``, the (below, above)
+    maps that ``refine_result`` takes, else None. The workers' maps are
+    merged in plane order with a strict >, which keeps ``np.argmax``'s
+    first maximum; at each seam between two runs the earlier run's last
+    fused plane and the later one's first fill in the votes beside a best
+    plane that lies at the seam. Each band total is numpy's pairwise
+    ``sum`` of the band, bit for bit; a total is the sum of the band
+    totals in plane order: the same at any worker count, but not bit-equal
+    to ``votes.sum()`` over the whole volume.
     """
-    n = len(rays)
-    runs = _runs(fused.num_planes, workers)
-    if scratch is None:
-        scratch = _band_scratch(n, (fused.num_planes, fused.height, fused.width),
-                                workers, fused.votes is None, fused.votes is None)
+    n, nz = len(rays), fused.num_planes
+    runs = _runs(nz, workers)
+    band = (BAND_PLANES, fused.height, fused.width)
+    totals = np.empty((runs[-1].stop, n + 1))  # per band: cameras, fused
 
     def run(j):
-        s = scratch[j]
-        peak = empty_peak(fused.height, fused.width)
+        stack = np.zeros((n,) + band)
+        outs = np.empty((2,) + band) if fused.votes is None else None
+        bt = BandTrack.create(*band[1:]) if track else None
+        peak = empty_peak(*band[1:])
         hits = [np.zeros(r.num_events, dtype=bool) for r in rays]
-        sums, prev = [], None
-        if s.track is not None:
-            s.track.carried = 0
-        for b, (p0, p1) in enumerate(runs[j]):
-            stack = s.stack[:, :p1 - p0]
+        first = prev = None
+        for b in runs[j]:
+            p0 = b * BAND_PLANES
+            p1 = min(p0 + BAND_PLANES, nz)
+            planes = stack[:, :p1 - p0]
             for k, r in enumerate(rays):
-                hits[k] |= sweep_band(fused, r, stack[k], p0, mode)
+                hits[k] |= sweep_band(fused, r, planes[k], p0, mode)
             if cameras is not None:
-                cameras[:, p0:p1] = stack
-            out = (s.outs[b % 2, :p1 - p0] if fused.votes is None
+                cameras[:, p0:p1] = planes
+            out = (outs[b % 2, :p1 - p0] if outs is not None
                    else fused.votes[p0:p1])
-            sums.append(fuse_band(op, stack, out, p0, peak, s.track, prev))
-            if b == 0 and s.first is not None:
-                np.copyto(s.first, out[0])
+            cams, totals[b, n] = fuse_band(op, planes, out, p0, peak, bt, prev)
+            totals[b, :n] = cams
+            if track and j and b == runs[j].start:
+                first = out[0].copy()  # the merge reads it at the seam
             prev = out[-1]
-        return hits, sums, peak, prev
+        return hits, peak, bt, first, prev
 
     if len(runs) == 1:
         results = [run(0)]
@@ -429,26 +391,25 @@ def _vote_and_fuse(fused: DsiGrid, rays, op: FusionOp, mode: str, workers: int,
         with ThreadPoolExecutor(max_workers=len(runs)) as pool:
             results = list(pool.map(run, range(len(runs))))
     hits = [np.logical_or.reduce([r[0][k] for r in results]) for k in range(n)]
-    band_sums = [s for r in results for s in r[1]]  # in plane order
-    votes = [sum(cams[k] for cams, _ in band_sums) for k in range(n)]
-    confidence, best = results[0][2]
-    track = scratch[0].track
+    # Python's sums of the band totals, in plane order
+    votes = [sum(totals[:, k].tolist()) for k in range(n)]
+    fused_votes = sum(totals[:, n].tolist())
+    (confidence, best), bt = results[0][1:3]
     greater = np.empty(confidence.shape, dtype=bool)
     for j in range(1, len(runs)):  # later planes win only if greater
-        conf, plane = results[j][2]
-        if track is not None:
-            seam, later = runs[j][0][0], scratch[j].track
-            np.copyto(track.above, scratch[j].first, where=best == seam - 1)
-            np.copyto(later.below, results[j - 1][3], where=plane == seam)
+        _, (conf, plane), later, first, _ = results[j]
+        if track:
+            seam = runs[j][0] * BAND_PLANES
+            np.copyto(bt.above, first, where=best == seam - 1)
+            np.copyto(later.below, results[j - 1][4], where=plane == seam)
         np.greater(conf, confidence, out=greater)
         np.copyto(confidence, conf, where=greater)
         np.copyto(best, plane, where=greater)
-        if track is not None:
-            np.copyto(track.below, later.below, where=greater)
-            np.copyto(track.above, later.above, where=greater)
-    around = None if track is None else (track.below, track.above)
-    return (hits, votes, sum(f for _, f in band_sums), (confidence, best),
-            around)
+        if track:
+            np.copyto(bt.below, later.below, where=greater)
+            np.copyto(bt.above, later.above, where=greater)
+    around = (bt.below, bt.above) if track else None
+    return hits, votes, fused_votes, (confidence, best), around
 
 
 # The extraction filters' temporaries peak at up to 5 float64 copies of
@@ -463,20 +424,24 @@ def _check_memory(shape: tuple, n_cameras: int, workers: int, keep: bool,
                   median_kernel: int = 1, threshold_sigma: float = 0.0,
                   volume: bool = True) -> int:
     """Bytes one chunk needs for its volumes of ``shape`` (planes, H, W),
-    band buffers and extraction filters: the fused volume (unless
-    ``volume`` is False, which ``_needs_volume`` decides) and, when dumped
-    (``keep``), the per-camera volumes, plus the largest of the workers'
-    band buffers (voting), the median filter's and the threshold's
-    temporaries, which are never live at once. Each worker keeps one band
-    buffer per camera and two peak maps (confidence and best plane);
-    without a volume also two fused bands and five maps for refinement:
-    below, above, the run's first plane and the change list (2 H W
-    int64). Raises DsiTooLarge when that exceeds physical memory, before
-    anything is allocated; where the system does not report physical
-    memory, nothing is checked."""
+    per-plane bookkeeping, band buffers and extraction filters: the fused
+    volume (unless ``volume`` is False, which ``_needs_volume`` decides)
+    and, when dumped (``keep``), the per-camera volumes; three float64 per
+    plane (the planes' depths and inverse depths, and the temporary that
+    makes them) and, per band, its cameras' and fused vote totals plus one
+    in transit as a Python float (32 bytes); plus the largest of the
+    workers' band buffers (voting), the median filter's and the
+    threshold's temporaries, which are never live at once. Each worker
+    keeps one band buffer per camera and two peak maps (confidence and
+    best plane); without a volume also two fused bands and five maps for
+    refinement: below, above, the run's first plane and the change list
+    (2 H W int64). Raises DsiTooLarge when that exceeds physical memory,
+    before anything is allocated; where the system does not report
+    physical memory, nothing is checked."""
     num_planes, height, width = shape
     plane = width * height * 8
-    workers = min(workers, -(-num_planes // BAND_PLANES))
+    bands = -(-num_planes // BAND_PLANES)
+    workers = min(workers, bands)
     volume = volume or keep
     per_worker = n_cameras * BAND_PLANES + 2
     if not volume:
@@ -485,7 +450,8 @@ def _check_memory(shape: tuple, n_cameras: int, workers: int, keep: bool,
     median = FILTER_COPIES * plane * median_kernel**2
     gaussian = FILTER_COPIES * 8 * (2 * int(4 * threshold_sigma + 0.5) + 1)
     volumes = (int(volume) + (n_cameras if keep else 0)) * num_planes * plane
-    need = volumes + max(buffers, median, gaussian)
+    bookkeeping = 8 * (3 * num_planes + (n_cameras + 1 + 4) * bands)
+    need = volumes + bookkeeping + max(buffers, median, gaussian)
     try:
         pages, page_size = os.sysconf("SC_PHYS_PAGES"), os.sysconf("SC_PAGE_SIZE")
     except (AttributeError, OSError, ValueError):  # no sysconf, or no such name
@@ -494,7 +460,9 @@ def _check_memory(shape: tuple, n_cameras: int, workers: int, keep: bool,
     if pages > 0 and page_size > 0 and physical < need:
         raise DsiTooLarge(
             f"the DSI needs {need} bytes ({need / 2**30:.1f} GiB: "
-            f"{num_planes} planes of {plane} bytes, {n_cameras} cameras, "
+            f"{num_planes} planes of {plane} bytes, "
+            f"{'a' if volume else 'no'} fused volume, {bookkeeping} bytes for "
+            f"the planes' depths and vote totals, {n_cameras} cameras, "
             f"{workers} workers; {median} bytes for median_kernel "
             f"{median_kernel} and {gaussian} bytes for threshold_sigma "
             f"{threshold_sigma:g}) but the machine has {physical} bytes of "
@@ -580,10 +548,8 @@ def run_pipeline(
     if out_dir:
         out_dir.mkdir(parents=True, exist_ok=True)
 
-    # the fused DSI and the band buffers of every chunk
+    # the fused DSI of every chunk, where a step reads it
     volume = np.empty(shape) if _needs_volume(config) else None
-    scratch = _band_scratch(len(rig.cameras), shape, workers, volume is None,
-                            config.subvoxel)
     outputs = []
     for chunk in chunks:
         lo = min(
@@ -608,7 +574,7 @@ def run_pipeline(
             continue
         try:
             result = process_chunk(chunk, rig, traj, config, workers=workers,
-                                   volume=volume, scratch=scratch)
+                                   volume=volume)
         except RaysweepError as e:
             raise RaysweepError(
                 f"chunk {chunk.index} [{chunk.t_start:.3f}, {chunk.t_end:.3f}): {e}"

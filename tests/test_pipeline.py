@@ -592,13 +592,12 @@ class TestBandLoop:
         sc, streams = small_scenario
         config = dataclasses.replace(sc.config, chunk_duration=0.1, dump_dsi=dump_dsi,
                                      out_dir=str(tmp_path) if dump_dsi else None)
-        snapshots, volumes, scratches = [], [], []
+        snapshots, volumes = [], []
         real = pipeline.process_chunk
 
         def spy(*args, **kwargs):
             out = real(*args, **kwargs)
             volumes.append(kwargs["volume"])
-            scratches.append(kwargs["scratch"])
             arrays = [out.result.depth, out.result.confidence, out.result.mask]
             snapshots.append([a.copy() for a in arrays])
             return out
@@ -607,10 +606,9 @@ class TestBandLoop:
                             workers=2)
         assert len(outs) >= 3 and all(not o.skipped for o in outs)
         # lateral_room refines after a median filter of 1: a volume exists
-        # only to be dumped; the band buffers are reused either way
+        # only to be dumped
         assert (volumes[0] is not None) == dump_dsi
         assert all(v is volumes[0] for v in volumes)
-        assert all(s is scratches[0] for s in scratches)
         for out, snap in zip(outs, snapshots):
             assert out.fused is None and out.camera_grids is None
             arrays = [out.result.depth, out.result.confidence, out.result.mask]
@@ -683,12 +681,10 @@ class TestBandLoop:
         cam = sc.rig.cameras[0]
         plane = cam.width * cam.height * 8
         workers, n_cams = 2, len(sc.rig.cameras)
-        # per worker: the cameras' band buffer, two fused bands, below,
-        # above, the run's first plane and the change list (two planes)
-        scratch = workers * ((n_cams + 2) * pipeline.BAND_PLANES + 5) * plane
-        # plus each worker's two peak maps and a few planes for extraction
-        # and the events
-        per_chunk = (workers * 2 + 12) * plane
+        # per worker and chunk: the cameras' band buffer, two fused bands,
+        # two peak maps, below, above, the run's first plane and the change
+        # list (two planes); plus a few planes for extraction and the events
+        bands = (workers * ((n_cams + 2) * pipeline.BAND_PLANES + 7) + 12) * plane
         chunk = chunk_events([streams[c] for c in sc.rig.camera_ids],
                              config.chunk_duration)[1]
         peaks = []
@@ -713,9 +709,9 @@ class TestBandLoop:
             tracemalloc.stop()
         assert len(peaks) >= 3
         volume = config.num_planes * plane
-        assert peaks[0] <= scratch + per_chunk < volume  # a chunk on its own
-        assert max(peaks[1:]) <= per_chunk  # the run's band buffers are reused
-        assert run_peak <= scratch + per_chunk  # and no volume either
+        assert peaks[0] <= bands < volume  # a chunk on its own
+        assert max(peaks[1:]) <= bands  # each chunk of a run
+        assert run_peak <= bands  # and no volume for the run either
 
 
 FUSIONS = ["min", "harmonic", "geometric", "arithmetic", "rms", "max", "power:-2",
@@ -835,7 +831,31 @@ class TestDsiShape:
 
 
 class TestMemoryBudget:
-    def test_oversized_dsi_refused_before_allocating(self, small_scenario):
+    def test_oversized_dsi_refused_before_allocating(self, small_scenario,
+                                                     monkeypatch):
+        # lateral_room refines at a median filter of 1 and keeps no volume,
+        # but the planes' depths and vote totals grow with num_planes:
+        # 3 + (2 cameras + 5) / 4 float64 per plane, 380 MB here
+        sc, streams = small_scenario
+        config = dataclasses.replace(sc.config, num_planes=10**7)
+        assert not pipeline._needs_volume(config)
+        need = 8 * (3 * 10**7 + (2 + 5) * 10**7 // pipeline.BAND_PLANES)
+        monkeypatch.setattr(pipeline.os, "sysconf", lambda name: {  # 256 MiB
+            "SC_PHYS_PAGES": 2**16, "SC_PAGE_SIZE": 4096}[name])
+        tracemalloc.start()
+        try:
+            with pytest.raises(DsiTooLarge, match=r"the DSI needs (\d+) bytes") as exc:
+                run_pipeline(config, streams=streams, rig=sc.rig, traj=sc.traj,
+                             workers=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        asked = int(exc.value.args[0].split()[3])
+        assert need < asked < need + 2**24  # the bookkeeping plus the band buffers
+        assert "no fused volume" in exc.value.args[0]
+
+    def test_oversized_volume_refused_before_allocating(self, small_scenario):
         sc, streams = small_scenario
         # 3.5 TB: with a median filter of 5, refinement reads the volume
         config = dataclasses.replace(sc.config, num_planes=10**7, median_kernel=5)
@@ -852,7 +872,20 @@ class TestMemoryBudget:
         asked = int(exc.value.args[0].split()[3])
         assert need < asked < need + 2**30  # the volume plus the band buffers
 
-    def test_cli_exits_2_naming_the_bytes(self, tmp_path, capsys):
+    def test_cli_exits_2_naming_the_bytes(self, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "scn"
+        assert cli_main(["synth", "--scenario", "lateral_room", "--out", str(out),
+                         "--points", "40", "--seed", "2"]) == 0
+        # no volume at a median filter of 1; 413 MB of per-plane bookkeeping
+        # and band buffers on a machine of 256 MiB
+        monkeypatch.setattr(pipeline.os, "sysconf", lambda name: {
+            "SC_PHYS_PAGES": 2**16, "SC_PAGE_SIZE": 4096}[name])
+        assert cli_main(["map", "--config", str(out / "config.json"),
+                         "--num-planes", "10000000", "--width", "1000"]) == 2
+        assert "bytes" in capsys.readouterr().err
+        assert not (out / "results" / "stats.json").exists()
+
+    def test_cli_exits_2_naming_the_volume_bytes(self, tmp_path, capsys):
         out = tmp_path / "scn"
         assert cli_main(["synth", "--scenario", "lateral_room", "--out", str(out),
                          "--points", "40", "--seed", "2"]) == 0
@@ -874,9 +907,14 @@ class TestMemoryBudget:
         monkeypatch.setattr(pipeline.os, "sysconf", lambda name: -1)
         assert pipeline._check_memory(shape, 2, 1, keep=False) > 10**12
 
+    # 100 planes' depths, inverse depths and the temporary that makes
+    # them; per band of 4 planes two cameras' and the fused vote totals,
+    # and one total in transit (32 bytes)
+    BOOKKEEPING = 8 * (3 * 100 + (2 + 1 + 4) * 25)
+
     def test_counts_the_extraction_filters(self):
         plane = 180 * 240 * 8
-        volume = 100 * plane
+        volume = 100 * plane + self.BOOKKEEPING
         copies = pipeline.FILTER_COPIES
         assert pipeline._check_memory((100, 180, 240), 2, 1, keep=False,
                                       median_kernel=21) == \
@@ -888,7 +926,7 @@ class TestMemoryBudget:
         # cost nothing beyond the buffers and the worker's two peak maps
         assert pipeline._check_memory((100, 180, 240), 2, 1, keep=False,
                                       median_kernel=1, threshold_sigma=7.0) == \
-            (100 + 2 * pipeline.BAND_PLANES + 2) * plane
+            (100 + 2 * pipeline.BAND_PLANES + 2) * plane + self.BOOKKEEPING
 
     @pytest.mark.parametrize("flag,value,named", [
         ("--median-kernel", "101", "median_kernel 101"),
@@ -943,24 +981,47 @@ class TestMemoryBudget:
         plane = 180 * 240 * 8
         # each worker also keeps two peak maps, confidence and best plane
         assert pipeline._check_memory((100, 180, 240), 2, 1, keep=False) == \
-            (100 + 2 * pipeline.BAND_PLANES + 2) * plane
+            (100 + 2 * pipeline.BAND_PLANES + 2) * plane + self.BOOKKEEPING
         assert pipeline._check_memory((100, 180, 240), 3, 2, keep=True) == \
-            ((1 + 3) * 100 + 2 * (3 * pipeline.BAND_PLANES + 2)) * plane
+            ((1 + 3) * 100 + 2 * (3 * pipeline.BAND_PLANES + 2)) * plane \
+            + 8 * (3 * 100 + (3 + 1 + 4) * 25)
 
     def test_counts_band_outputs_without_a_volume(self):
         # no fused volume: each worker also keeps two fused bands and five
-        # maps for refinement, whatever the number of planes
+        # maps for refinement; only the bookkeeping grows with the planes
         plane = 180 * 240 * 8
         per_worker = (2 + 2) * pipeline.BAND_PLANES + 2 + 5
         for planes in (100, 10**7):
             assert pipeline._check_memory((planes, 180, 240), 2, 1, keep=False,
-                                          volume=False) == per_worker * plane
+                                          volume=False) == \
+                per_worker * plane + 8 * (3 * planes + 7 * -(-planes // 4))
         assert pipeline._check_memory((100, 180, 240), 2, 2, keep=False,
-                                      volume=False) == 2 * per_worker * plane
+                                      volume=False) == \
+            2 * per_worker * plane + self.BOOKKEEPING
         # a dump keeps the fused volume
         assert pipeline._check_memory((100, 180, 240), 2, 1, keep=True,
                                       volume=False) == \
-            ((1 + 2) * 100 + 2 * pipeline.BAND_PLANES + 2) * plane
+            ((1 + 2) * 100 + 2 * pipeline.BAND_PLANES + 2) * plane \
+            + self.BOOKKEEPING
+
+    def test_bookkeeping_bounds_the_growth_with_planes(self, small_scenario):
+        # a volume-free run on a small DSI: what it allocates beyond the
+        # check's count stays the same from 2000 planes to 10000
+        sc, streams = small_scenario
+        peaks, counts = [], []
+        for planes in (2000, 10000):
+            config = dataclasses.replace(sc.config, num_planes=planes,
+                                         width=122, height=92)
+            counts.append(pipeline._check_memory((planes, 92, 122), 2, 1,
+                                                 keep=False, volume=False))
+            tracemalloc.start()
+            try:
+                run_pipeline(config, streams=streams, rig=sc.rig, traj=sc.traj,
+                             workers=1)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert 0 < peaks[1] - peaks[0] <= counts[1] - counts[0]
 
 
 class TestEventFiles:
