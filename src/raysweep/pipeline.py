@@ -399,7 +399,7 @@ def _vote_and_fuse(fused: DsiGrid, rays, op: FusionOp, mode: str, workers: int,
     for j in range(1, len(runs)):  # later planes win only if greater
         _, (conf, plane), later, first, _ = results[j]
         if track:
-            seam = runs[j][0] * BAND_PLANES
+            seam = runs[j].start * BAND_PLANES
             np.copyto(bt.above, first, where=best == seam - 1)
             np.copyto(later.below, results[j - 1][4], where=plane == seam)
         np.greater(conf, confidence, out=greater)
