@@ -180,8 +180,6 @@ struct band {
     int64_t p0;         /* volume index of the band's first plane */
     double *confidence; /* running maximum per pixel ... */
     int64_t *best;      /* ... and its plane */
-    int64_t *listed;    /* NULL, or the pixels whose best changed ... */
-    int64_t *count;     /* ... and their number */
 };
 
 /* One leaf of numpy's pairwise_sum over a[0:m], m <= PW_BLOCK, bit for bit. */
@@ -206,20 +204,7 @@ static double leaf_sum(const double *a, int64_t m)
     return res;
 }
 
-/* Add pixel px to b->listed unless its best already changed in this band:
- * a best below p0 was set in an earlier band, and a confidence that is not
- * positive was never set (the running maximum starts at 0). Votes are
- * >= 0, so a pixel is listed at most once per band; listed has room for
- * 2 * plane pixels, which bounds it whatever the inputs. */
-static void list_pixel(const struct band *b, int64_t px)
-{
-    if ((b->best[px] < b->p0 || !(b->confidence[px] > 0.0))
-        && *b->count < 2 * b->plane)
-        b->listed[(*b->count)++] = px;
-}
-
-/* Where v[j] > conf[px + j], strictly: conf = v[j] and best = plane, and
- * the pixel is listed (list_pixel) when b->listed is set. */
+/* Where v[j] > conf[px + j], strictly: conf = v[j] and best = plane. */
 static void fold_peak(const struct band *b, const double *v, int64_t px,
                       int64_t len, int64_t plane)
 {
@@ -232,15 +217,8 @@ static void fold_peak(const struct band *b, const double *v, int64_t px,
     for (; j + 2 <= len; j += 2) {
         const __m128d x = _mm_loadu_pd(v + j), c = _mm_loadu_pd(conf + j);
         const __m128d gt = _mm_cmpgt_pd(x, c);
-        const int mask = _mm_movemask_pd(gt);
-        if (!mask) /* usual: most fused voxels are 0 and fold nothing */
+        if (!_mm_movemask_pd(gt)) /* usual: most fused voxels fold nothing */
             continue;
-        if (b->listed) {
-            if (mask & 1)
-                list_pixel(b, px + j);
-            if (mask & 2)
-                list_pixel(b, px + j + 1);
-        }
         const __m128i g = _mm_castpd_si128(gt);
         const __m128i o = _mm_loadu_si128((const __m128i *)(best + j));
         _mm_storeu_pd(conf + j, _mm_max_pd(x, c)); /* x > c ? x : c */
@@ -250,8 +228,6 @@ static void fold_peak(const struct band *b, const double *v, int64_t px,
 #endif
     for (; j < len; j++)
         if (v[j] > conf[j]) {
-            if (b->listed)
-                list_pixel(b, px + j);
             conf[j] = v[j];
             best[j] = plane;
         }
@@ -349,39 +325,28 @@ static void fuse_pairwise(const struct band *b, int64_t s, int64_t m, double *re
         res[c] += right[c];
 }
 
-/* The fused votes beside each listed pixel's best plane b: below[px] at
- * b - 1 and above[px] at b + 1, read from the band out (planes [p0, p0 +
- * planes)) or, for b - 1 = p0 - 1, from prev (that plane of the previous
- * band), when given. A pixel at the band's last plane is kept in listed for
- * the next band, which reads its above from its own first plane: listed[0:
- * carried] are such pixels from the band before, whose best was p0 - 1
- * unless it changed since (then they are listed again, later); one outside
- * the plane is skipped. Returns the number of pixels kept, now at the start
- * of listed. */
-static int64_t resolve_listed(const struct band *b, int64_t planes,
-                              const double *prev, double *below, double *above,
-                              int64_t carried)
+/* The fused votes beside each pixel's best plane, as dsi._track_band
+ * keeps them after a band's fold: with i = best[px] - p0, a pixel with a
+ * vote and i in [-1, planes) takes below[px] from the band out (planes
+ * [p0, p0 + planes)) at i - 1, or from prev (that plane of the previous
+ * band), when given, for i = 0; and above[px] at i + 1 where the band
+ * holds it: for i = -1, a best on the previous band's last plane, that is
+ * the band's first. */
+static void track_band(const struct band *b, int64_t planes,
+                       const double *prev, double *below, double *above)
 {
-    const int64_t plane = b->plane, p0 = b->p0;
-    int64_t *const listed = b->listed;
-    for (int64_t k = 0; k < carried; k++) {
-        const int64_t px = listed[k];
-        if (px >= 0 && px < plane && b->best[px] == p0 - 1)
-            above[px] = b->out[px];
-    }
-    int64_t kept = 0;
-    for (int64_t k = carried; k < *b->count; k++) {
-        const int64_t px = listed[k], i = b->best[px] - p0;
+    const int64_t plane = b->plane;
+    for (int64_t px = 0; px < plane; px++) {
+        const int64_t i = b->best[px] - b->p0;
+        if (i < -1 || i >= planes || !(b->confidence[px] > 0.0))
+            continue;
         if (i > 0)
             below[px] = b->out[(i - 1) * plane + px];
-        else if (prev)
+        else if (i == 0 && prev)
             below[px] = prev[px];
         if (i + 1 < planes)
             above[px] = b->out[(i + 1) * plane + px];
-        else
-            listed[kept++] = px; /* kept <= k - carried: no entry is lost */
     }
-    return kept;
 }
 
 /* Fuse one band of n cameras' votes, voxel by voxel, with numpy's IEEE
@@ -395,25 +360,23 @@ static int64_t resolve_listed(const struct band *b, int64_t planes,
  * plane) rows suffice, as a level takes a length m > 128 to at most
  * m/2 + 8.
  *
- * With listed (room for 2 * plane pixels; NULL tracks nothing), the bands
- * of a run come in plane order and the running maximum starts at 0; the
- * call also keeps below and above, the fused votes at each pixel's best
- * plane -1 and +1 (resolve_listed, with prev and carried as there), so
- * that no plane of the volume need be kept. Returns the new carried
- * count (0 without listed). */
-int64_t fuse_band(double *stack, int64_t n, int64_t stride, int64_t planes,
-                  int64_t plane, int kind, double *out, int64_t p0,
-                  double *confidence, int64_t *best, double *work,
-                  const double *prev, double *below, double *above,
-                  int64_t *listed, int64_t carried)
+ * With below and above (NULL tracks nothing), the bands of a run come in
+ * plane order and the running maximum starts at 0; the call then also
+ * keeps below and above, the fused votes at each pixel's best plane -1
+ * and +1 (track_band, with prev as there), so that no plane of the volume
+ * need be kept. */
+void fuse_band(double *stack, int64_t n, int64_t stride, int64_t planes,
+               int64_t plane, int kind, double *out, int64_t p0,
+               double *confidence, int64_t *best, double *work,
+               const double *prev, double *below, double *above)
 {
-    int64_t count = carried;
     const struct band b = {stack, n, stride, kind, out, plane, p0,
-                           confidence, best, listed, &count};
+                           confidence, best};
     fuse_pairwise(&b, 0, planes * plane, work);
     for (int64_t c = 0; c <= n; c++)
         work[c] = 0.0 + work[c]; /* numpy's sum starts at its identity */
-    return listed ? resolve_listed(&b, planes, prev, below, above, carried) : 0;
+    if (below)
+        track_band(&b, planes, prev, below, above);
 }
 
 /* Event text: the compiled pass of io._parse_events_blocks.

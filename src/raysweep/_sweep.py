@@ -50,11 +50,11 @@ runs inside those leaves, so each total is ``float(x.sum())`` of its band
 bit for bit. The recursion keeps its partial totals in rows of a
 workspace that ``fuse_band_c`` allocates: the C library allocates
 nothing. Where no fused volume is kept, the same call also keeps the
-fused votes at each pixel's best plane -1 and +1 (``dsi.BandTrack``):
-the fold lists a pixel the first time its best moves within the band,
-which is rare, and at the end of the band those pixels read their
-neighbors from the band, from the previous band's last plane, or, for a
-best on the band's last plane, from the next band's first. The
+fused votes at each pixel's best plane -1 and +1 (one ``(2, H, W)``
+array) with ``dsi._track_band``'s rule: after the fold, one scan of the
+peak maps reads them for each pixel whose best lies in the band, from
+the band or the previous band's last plane, and reads the band's first
+plane as the votes above a best on the previous band's last plane. The
 geometric and power means are not compiled: numpy's SIMD ``log``,
 ``exp`` and ``pow`` are not libm's bit for bit.
 
@@ -121,15 +121,15 @@ _ARGTYPES = {
     "prepare": [_PTR] * 4 + [_I64] + [_PTR] * 4 + [_I64, _F64, _F64]
                + [_PTR] * 9,
     # fuse_band(stack, n, stride, planes, plane, kind, out, p0, confidence,
-    #           best, work, prev, below, above, listed, carried)
+    #           best, work, prev, below, above)
     "fuse_band": [_PTR, _I64, _I64, _I64, _I64, ctypes.c_int, _PTR, _I64]
-                 + [_PTR] * 7 + [_I64],
+                 + [_PTR] * 6,
     # parse_events(text, len, width, height, jitter, t_max, unsorted, t, x,
     #              y, p, cap)
     "parse_events": [_PTR, _I64, _I64, _I64, _F64] + [_PTR] * 6 + [_I64],
 }
 # what each returns; None is void
-_RESTYPES = {"sweep": None, "prepare": None, "fuse_band": _I64,
+_RESTYPES = {"sweep": None, "prepare": None, "fuse_band": None,
              "parse_events": _I64}
 
 # The fusion kinds that fuse_band compiles, in _sweep.c's numbering. The
@@ -299,8 +299,8 @@ def _check_map(a, dtype, shape, what):
                          f"{np.dtype(dtype).name} arrays of shape {shape}")
 
 
-def fuse_band_c(kind, stack, out, p0, confidence, best, prev=None, below=None,
-                above=None, listed=None, carried=0):
+def fuse_band_c(kind, stack, out, p0, confidence, best, prev=None,
+                around=None):
     """Run the C ``fuse_band`` after checking every dtype, shape, stride and
     index it relies on, so that no argument can make it read or write
     outside its arrays.
@@ -313,15 +313,13 @@ def fuse_band_c(kind, stack, out, p0, confidence, best, prev=None, below=None,
     maximum ``confidence`` (float64) and its plane ``best`` (int64), both
     C-contiguous (H, W), and zeroed.
 
-    With ``listed``, an int64 array of 2 * H * W pixel indices that the
-    bands of one run share, the call also keeps ``below`` and ``above``
-    (float64 (H, W)): the fused votes at each pixel's best plane -1 and +1
-    (see ``_sweep.c``). ``prev`` is the previous band's last fused plane,
-    None for a run's first band, and ``carried`` the count that the
-    previous band's call returned (0 for the first).
+    With ``around``, a float64 (2, H, W) array that the bands of one run
+    share, the call also keeps in it the fused votes at each pixel's best
+    plane -1 and +1 (see ``dsi._track_band``); ``prev`` (H, W) is the
+    previous band's last fused plane, None for a run's first band.
 
     Returns the cameras' vote totals and the fused total, each
-    ``float(x.sum())`` of its band bit for bit, and the new carried count.
+    ``float(x.sum())`` of its band bit for bit.
     """
     lib = _require_c()
     if kind not in FUSE_KINDS:
@@ -342,29 +340,24 @@ def fuse_band_c(kind, stack, out, p0, confidence, best, prev=None, below=None,
     _check_votes(out)
     if out.shape != (planes, height, width):
         raise ValueError(f"out must have shape {(planes, height, width)}")
-    shape, pixels = (height, width), height * width
+    shape = (height, width)
     _check_map(confidence, np.float64, shape, "the peak maps")
     _check_map(best, np.int64, shape, "the peak maps")
-    track = [None] * 4
-    carried = int(carried)
-    if listed is not None:
-        for a in (below, above) + ((prev,) if prev is not None else ()):
-            _check_map(a, np.float64, shape, "prev, below and above")
-        _check_map(listed, np.int64, (2 * pixels,), "listed")
-        if not 0 <= carried <= pixels:  # C skips a carried pixel off the map
-            raise ValueError(f"carried {carried} outside [0, {pixels}]")
-        track = [None if prev is None else prev.ctypes.data, below.ctypes.data,
-                 above.ctypes.data, listed.ctypes.data]
-    else:
-        carried = 0
+    track = [None] * 3
+    if around is not None:
+        _check_map(around, np.float64, (2,) + shape, "around")
+        if prev is not None:
+            _check_map(prev, np.float64, shape, "prev")
+        track = [None if prev is None else prev.ctypes.data,
+                 around[0].ctypes.data, around[1].ctypes.data]
     # one row of n + 1 partial totals per level of the pairwise recursion;
     # row 0 receives the totals
     work = np.empty(((planes * height * width).bit_length(), n + 1))
-    carried = lib.fuse_band(stack.ctypes.data, n, stack.strides[0] // item,
-                            planes, pixels, FUSE_KINDS.index(kind),
-                            out.ctypes.data, int(p0), confidence.ctypes.data,
-                            best.ctypes.data, work.ctypes.data, *track, carried)
-    return [float(t) for t in work[0, :n]], float(work[0, n]), carried
+    lib.fuse_band(stack.ctypes.data, n, stack.strides[0] // item, planes,
+                  height * width, FUSE_KINDS.index(kind), out.ctypes.data,
+                  int(p0), confidence.ctypes.data, best.ctypes.data,
+                  work.ctypes.data, *track)
+    return [float(t) for t in work[0, :n]], float(work[0, n])
 
 
 def parse_events_c(text, width, height, jitter, t_max):

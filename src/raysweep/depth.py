@@ -114,10 +114,11 @@ def refine_result(fused: DsiGrid, result: DepthResult, around=None) -> DepthResu
     The nearest plane is found for the masked pixels only, by
     ``_nearest_plane``. The three fused votes around it come from
     ``fused.votes``, or, given ``around``, from ``result.confidence`` and
-    the (below, above) maps of a ``dsi.BandTrack``: the votes at each
-    pixel's argmax plane -1 and +1, for a ``result`` whose masked depths
-    are still their argmax planes' (extraction output, or a median filter
-    of kernel 1), so that the nearest plane is the argmax plane.
+    ``around``, the (2, H, W) votes at each pixel's argmax plane -1 and +1
+    that the band loop keeps (``dsi.fuse_band``), for a ``result`` whose
+    masked depths are still their argmax planes' (extraction output, or a
+    median filter of kernel 1), so that the nearest plane is the argmax
+    plane.
     """
     inv = fused.inv_depths  # decreasing with plane index
     iy, ix = np.nonzero(result.mask)

@@ -584,63 +584,43 @@ def update_peak(planes, p0: int, confidence: np.ndarray, best: np.ndarray):
         np.copyto(best, i, where=greater)
 
 
-@dataclass
-class BandTrack:
-    """The fused votes beside a running argmax, kept band by band so that
-    sub-plane refinement needs no volume.
-
-    After every band of a run of bands, in plane order, has gone through
-    ``fuse_band``, ``below`` and ``above`` (H, W) hold each voted pixel's
-    fused votes at its best plane -1 and +1, where those planes lie in the
-    run; the merge of several runs fills in the others from the runs' edge
-    planes. ``listed`` (2 * H * W pixel indices) and ``carried`` are the C
-    pass's list of pixels whose best changed, between calls.
-    """
-
-    below: np.ndarray
-    above: np.ndarray
-    listed: np.ndarray
-    carried: int = 0
-
-    @classmethod
-    def create(cls, height: int, width: int) -> "BandTrack":
-        return cls(np.empty((height, width)), np.empty((height, width)),
-                   np.empty(2 * height * width, dtype=np.int64))
-
-
-def _track_band(out, p0: int, confidence, best, track: BandTrack, prev):
-    """The numpy form of the C pass's tracking, after ``update_peak``: a
-    pixel whose best is the plane before the band takes ``above`` from the
-    band's first plane; one whose best moved into the band takes ``below``
-    and ``above`` from the band, or ``below`` from ``prev``, the previous
-    band's last plane."""
-    voted = confidence > 0.0
-    carried = voted & (best == p0 - 1)
-    track.above[carried] = out[0][carried]
-    iy, ix = np.nonzero(voted & (best >= p0))
-    i = best[iy, ix] - p0
+def _track_band(out, p0: int, confidence, best, around, prev):
+    """The numpy form of the C pass's tracking, after ``update_peak``: the
+    fused votes beside each pixel's best plane, ``around[0]`` at best - 1
+    and ``around[1]`` at best + 1, kept band by band so that sub-plane
+    refinement needs no volume. With i = best - p0, a pixel with a vote
+    and i in [-1, len(out)) takes ``around[0]`` from ``out`` at i - 1, or
+    from ``prev``, the previous band's last plane, for i = 0 when given,
+    and ``around[1]`` at i + 1 where ``out`` holds it: for i = -1, a best
+    on the previous band's last plane, that is the band's first. After a
+    run of bands, in plane order from an ``empty_peak``, ``around`` holds
+    both wherever the run holds those planes."""
+    i = best - p0
+    iy, ix = np.nonzero((confidence > 0.0) & (i >= -1) & (i < len(out)))
+    i = i[iy, ix]
     has = i > 0
-    track.below[iy[has], ix[has]] = out[i[has] - 1, iy[has], ix[has]]
+    around[0, iy[has], ix[has]] = out[i[has] - 1, iy[has], ix[has]]
     if prev is not None:
         has = i == 0
-        track.below[iy[has], ix[has]] = prev[iy[has], ix[has]]
+        around[0, iy[has], ix[has]] = prev[iy[has], ix[has]]
     has = i + 1 < len(out)
-    track.above[iy[has], ix[has]] = out[i[has] + 1, iy[has], ix[has]]
+    around[1, iy[has], ix[has]] = out[i[has] + 1, iy[has], ix[has]]
 
 
 def fuse_band(op: FusionOp, stack: np.ndarray, out: np.ndarray, p0: int, peak,
-              track: BandTrack | None = None, prev: np.ndarray | None = None):
+              around: np.ndarray | None = None, prev: np.ndarray | None = None):
     """Fuse one band of every camera's votes, total them and zero them.
 
     ``stack`` (cameras, planes, H, W) holds the votes on the planes
     [p0, p0 + planes) of the volume, ``out`` receives their fusion and
     ``peak``, an ``empty_peak`` pair, is updated with the fused planes
     (``update_peak``); ``stack`` is then all zeros, ready for the next
-    band. With ``track``, the bands of one run come in plane order from an
-    ``empty_peak``, and each call also updates ``track``'s ``below`` and
-    ``above`` (see ``BandTrack``); ``prev`` is the previous band's last
-    fused plane, None for the run's first band. Returns the cameras' vote
-    totals and the fused total, each ``float(x.sum())`` of its band.
+    band. With ``around``, a (2, H, W) array, the bands of one run come in
+    plane order from an ``empty_peak``, and each call also keeps in it the
+    fused votes beside each best plane (``_track_band``); ``prev`` is the
+    previous band's last fused plane, None for the run's first band.
+    Returns the cameras' vote totals and the fused total, each
+    ``float(x.sum())`` of its band.
 
     For the kinds in ``_sweep.FUSE_KINDS`` this is one pass of the C
     ``fuse_band`` whenever the library loads: the same IEEE operations in
@@ -649,16 +629,11 @@ def fuse_band(op: FusionOp, stack: np.ndarray, out: np.ndarray, p0: int, peak,
     the only form of the geometric and power means.
     """
     if op.kind in _sweep.FUSE_KINDS and _sweep.kernel_name() == "c":
-        if track is None:
-            return _sweep.fuse_band_c(op.kind, stack, out, p0, *peak)[:2]
-        *totals, track.carried = _sweep.fuse_band_c(
-            op.kind, stack, out, p0, *peak, prev, track.below, track.above,
-            track.listed, track.carried)
-        return tuple(totals)
+        return _sweep.fuse_band_c(op.kind, stack, out, p0, *peak, prev, around)
     totals = [float(camera.sum()) for camera in stack]
     op.apply_into(stack, out)  # overwrites stack
     update_peak(out, p0, *peak)
-    if track is not None:
-        _track_band(out, p0, *peak, track, prev)
+    if around is not None:
+        _track_band(out, p0, *peak, around, prev)
     stack.fill(0.0)
     return totals, float(out.sum())

@@ -38,7 +38,6 @@ from .depth import (
 # traced benchmark wraps them in this namespace by name.
 from .dsi import (  # noqa: F401
     VOTING_MODES,
-    BandTrack,
     DsiGrid,
     FusionOp,
     empty_peak,
@@ -337,7 +336,7 @@ def _vote_and_fuse(fused: DsiGrid, rays, op: FusionOp, mode: str, workers: int,
     in turn, so that the previous band's last plane stays readable),
     totals every camera and the fused band, folds the fused planes into a
     running per-pixel maximum, with ``track`` keeps the votes beside it in
-    a ``dsi.BandTrack``, and zeroes the stack for the next band: for min,
+    a (2, H, W) array, and zeroes the stack for the next band: for min,
     max, arithmetic, rms and harmonic that is one pass of the C
     ``fuse_band``, in numpy otherwise. A plane's votes depend only on the
     events and every fusion operator is element-wise, so the result is
@@ -346,12 +345,12 @@ def _vote_and_fuse(fused: DsiGrid, rays, op: FusionOp, mode: str, workers: int,
 
     Returns, per camera, the hit mask (events that voted on any plane) and
     the vote total, the fused vote total, the (confidence, best) peak maps
-    that ``extract_depth`` takes, and, with ``track``, the (below, above)
-    maps that ``refine_result`` takes, else None. The workers' maps are
-    merged in plane order with a strict >, which keeps ``np.argmax``'s
-    first maximum; at each seam between two runs the earlier run's last
-    fused plane and the later one's first fill in the votes beside a best
-    plane that lies at the seam. Each band total is numpy's pairwise
+    that ``extract_depth`` takes, and, with ``track``, the (2, H, W) votes
+    below and above each best plane that ``refine_result`` takes, else
+    None. The workers' maps are merged in plane order with a strict >,
+    which keeps ``np.argmax``'s first maximum; at each seam between two
+    runs the earlier run's last fused plane and the later one's first fill
+    in the votes beside a best plane that lies at the seam. Each band total is numpy's pairwise
     ``sum`` of the band, bit for bit; a total is the sum of the band
     totals in plane order: the same at any worker count, but not bit-equal
     to ``votes.sum()`` over the whole volume.
@@ -364,7 +363,7 @@ def _vote_and_fuse(fused: DsiGrid, rays, op: FusionOp, mode: str, workers: int,
     def run(j):
         stack = np.zeros((n,) + band)
         outs = np.empty((2,) + band) if fused.votes is None else None
-        bt = BandTrack.create(*band[1:]) if track else None
+        around = np.empty((2,) + band[1:]) if track else None
         peak = empty_peak(*band[1:])
         hits = [np.zeros(r.num_events, dtype=bool) for r in rays]
         first = prev = None
@@ -378,12 +377,13 @@ def _vote_and_fuse(fused: DsiGrid, rays, op: FusionOp, mode: str, workers: int,
                 cameras[:, p0:p1] = planes
             out = (outs[b % 2, :p1 - p0] if outs is not None
                    else fused.votes[p0:p1])
-            cams, totals[b, n] = fuse_band(op, planes, out, p0, peak, bt, prev)
+            cams, totals[b, n] = fuse_band(op, planes, out, p0, peak, around,
+                                           prev)
             totals[b, :n] = cams
             if track and j and b == runs[j].start:
                 first = out[0].copy()  # the merge reads it at the seam
             prev = out[-1]
-        return hits, peak, bt, first, prev
+        return hits, peak, around, first, prev
 
     if len(runs) == 1:
         results = [run(0)]
@@ -394,21 +394,19 @@ def _vote_and_fuse(fused: DsiGrid, rays, op: FusionOp, mode: str, workers: int,
     # Python's sums of the band totals, in plane order
     votes = [sum(totals[:, k].tolist()) for k in range(n)]
     fused_votes = sum(totals[:, n].tolist())
-    (confidence, best), bt = results[0][1:3]
+    (confidence, best), around = results[0][1:3]
     greater = np.empty(confidence.shape, dtype=bool)
     for j in range(1, len(runs)):  # later planes win only if greater
         _, (conf, plane), later, first, _ = results[j]
         if track:
             seam = runs[j].start * BAND_PLANES
-            np.copyto(bt.above, first, where=best == seam - 1)
-            np.copyto(later.below, results[j - 1][4], where=plane == seam)
+            np.copyto(around[1], first, where=best == seam - 1)
+            np.copyto(later[0], results[j - 1][4], where=plane == seam)
         np.greater(conf, confidence, out=greater)
         np.copyto(confidence, conf, where=greater)
         np.copyto(best, plane, where=greater)
         if track:
-            np.copyto(bt.below, later.below, where=greater)
-            np.copyto(bt.above, later.above, where=greater)
-    around = (bt.below, bt.above) if track else None
+            np.copyto(around, later, where=greater)
     return hits, votes, fused_votes, (confidence, best), around
 
 
@@ -433,11 +431,11 @@ def _check_memory(shape: tuple, n_cameras: int, workers: int, keep: bool,
     workers' band buffers (voting), the median filter's and the
     threshold's temporaries, which are never live at once. Each worker
     keeps one band buffer per camera and two peak maps (confidence and
-    best plane); without a volume also two fused bands and five maps for
-    refinement: below, above, the run's first plane and the change list
-    (2 H W int64). Raises DsiTooLarge when that exceeds physical memory,
-    before anything is allocated; where the system does not report
-    physical memory, nothing is checked."""
+    best plane); without a volume also two fused bands and three maps for
+    refinement: below, above and the run's first plane. Raises
+    DsiTooLarge when that exceeds physical memory, before anything is
+    allocated; where the system does not report physical memory, nothing
+    is checked."""
     num_planes, height, width = shape
     plane = width * height * 8
     bands = -(-num_planes // BAND_PLANES)
@@ -445,7 +443,7 @@ def _check_memory(shape: tuple, n_cameras: int, workers: int, keep: bool,
     volume = volume or keep
     per_worker = n_cameras * BAND_PLANES + 2
     if not volume:
-        per_worker += 2 * BAND_PLANES + 5
+        per_worker += 2 * BAND_PLANES + 3
     buffers = workers * per_worker * plane
     median = FILTER_COPIES * plane * median_kernel**2
     gaussian = FILTER_COPIES * 8 * (2 * int(4 * threshold_sigma + 0.5) + 1)

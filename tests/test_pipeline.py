@@ -682,9 +682,9 @@ class TestBandLoop:
         plane = cam.width * cam.height * 8
         workers, n_cams = 2, len(sc.rig.cameras)
         # per worker and chunk: the cameras' band buffer, two fused bands,
-        # two peak maps, below, above, the run's first plane and the change
-        # list (two planes); plus a few planes for extraction and the events
-        bands = (workers * ((n_cams + 2) * pipeline.BAND_PLANES + 7) + 12) * plane
+        # two peak maps, below, above and the run's first plane; plus a few
+        # planes for extraction and the events
+        bands = (workers * ((n_cams + 2) * pipeline.BAND_PLANES + 5) + 12) * plane
         chunk = chunk_events([streams[c] for c in sc.rig.camera_ids],
                              config.chunk_duration)[1]
         peaks = []
@@ -718,9 +718,10 @@ FUSIONS = ["min", "harmonic", "geometric", "arithmetic", "rms", "max", "power:-2
            "power:0.5"]
 
 
-# The planes where a worker run starts or ends, at 1-3 workers over 13
+# The planes where a worker run starts or ends, at 1-4 workers over 13
 # planes in bands of 4, 4, 4 and 1: runs [0, 13); [0, 8), [8, 13); [0, 4),
-# [4, 8), [8, 13).
+# [4, 8), [8, 13); [0, 4), [4, 8), [8, 12), [12, 13), the last one plane
+# whose first and last fused planes coincide.
 EDGE_PLANES = (0, 3, 4, 7, 8, 12)
 
 
@@ -750,7 +751,7 @@ class TestVolumeFree:
                                 median_kernel=1)
         assert config.subvoxel and not pipeline._needs_volume(config)
         rig, traj, chunk = edge_inputs
-        for workers in (1, 2, 3):
+        for workers in (1, 2, 3, 4):
             volume = np.full((13, 180, 240), np.nan)  # all overwritten
             want = process_chunk(copy.deepcopy(chunk), rig, traj, config,
                                  workers=workers, volume=volume)
@@ -987,10 +988,10 @@ class TestMemoryBudget:
             + 8 * (3 * 100 + (3 + 1 + 4) * 25)
 
     def test_counts_band_outputs_without_a_volume(self):
-        # no fused volume: each worker also keeps two fused bands and five
+        # no fused volume: each worker also keeps two fused bands and three
         # maps for refinement; only the bookkeeping grows with the planes
         plane = 180 * 240 * 8
-        per_worker = (2 + 2) * pipeline.BAND_PLANES + 2 + 5
+        per_worker = (2 + 2) * pipeline.BAND_PLANES + 2 + 3
         for planes in (100, 10**7):
             assert pipeline._check_memory((planes, 180, 240), 2, 1, keep=False,
                                           volume=False) == \
