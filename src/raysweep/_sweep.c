@@ -360,11 +360,10 @@ static void track_band(const struct band *b, int64_t planes,
  * plane) rows suffice, as a level takes a length m > 128 to at most
  * m/2 + 8.
  *
- * With below and above (NULL tracks nothing), the bands of a run come in
- * plane order and the running maximum starts at 0; the call then also
- * keeps below and above, the fused votes at each pixel's best plane -1
- * and +1 (track_band, with prev as there), so that no plane of the volume
- * need be kept. */
+ * The bands of a run come in plane order and the running maximum starts
+ * at 0; the call also keeps below and above, the fused votes at each
+ * pixel's best plane -1 and +1 (track_band, with prev as there, NULL for
+ * a run's first band), so that refinement needs no plane of the volume. */
 void fuse_band(double *stack, int64_t n, int64_t stride, int64_t planes,
                int64_t plane, int kind, double *out, int64_t p0,
                double *confidence, int64_t *best, double *work,
@@ -375,8 +374,7 @@ void fuse_band(double *stack, int64_t n, int64_t stride, int64_t planes,
     fuse_pairwise(&b, 0, planes * plane, work);
     for (int64_t c = 0; c <= n; c++)
         work[c] = 0.0 + work[c]; /* numpy's sum starts at its identity */
-    if (below)
-        track_band(&b, planes, prev, below, above);
+    track_band(&b, planes, prev, below, above);
 }
 
 /* Event text: the compiled pass of io._parse_events_blocks.

@@ -49,14 +49,14 @@ plus its tail (a leaf under 8 elements is a plain loop from 0.0). Fusion
 runs inside those leaves, so each total is ``float(x.sum())`` of its band
 bit for bit. The recursion keeps its partial totals in rows of a
 workspace that ``fuse_band_c`` allocates: the C library allocates
-nothing. Where no fused volume is kept, the same call also keeps the
-fused votes at each pixel's best plane -1 and +1 (one ``(2, H, W)``
-array) with ``dsi._track_band``'s rule: after the fold, one scan of the
-peak maps reads them for each pixel whose best lies in the band, from
-the band or the previous band's last plane, and reads the band's first
-plane as the votes above a best on the previous band's last plane. The
-geometric and power means are not compiled: numpy's SIMD ``log``,
-``exp`` and ``pow`` are not libm's bit for bit.
+nothing. Every call also keeps the fused votes at each pixel's best
+plane -1 and +1 (one ``(2, H, W)`` array) with ``dsi._track_band``'s
+rule: after the fold, one scan of the peak maps reads them for each
+pixel whose best lies in the band, from the band or the previous band's
+last plane, and reads the band's first plane as the votes above a best
+on the previous band's last plane. The geometric and power means are not
+compiled: numpy's SIMD ``log``, ``exp`` and ``pow`` are not libm's bit
+for bit.
 
 Its fourth, ``parse_events``, is the compiled pass of
 ``io._parse_events_blocks``: one pass over a block of event text that
@@ -299,8 +299,7 @@ def _check_map(a, dtype, shape, what):
                          f"{np.dtype(dtype).name} arrays of shape {shape}")
 
 
-def fuse_band_c(kind, stack, out, p0, confidence, best, prev=None,
-                around=None):
+def fuse_band_c(kind, stack, out, p0, confidence, best, prev, around):
     """Run the C ``fuse_band`` after checking every dtype, shape, stride and
     index it relies on, so that no argument can make it read or write
     outside its arrays.
@@ -311,12 +310,11 @@ def fuse_band_c(kind, stack, out, p0, confidence, best, prev=None,
     larger buffer). It is fused with ``kind`` (one of FUSE_KINDS) into the
     C-contiguous ``out`` (planes, H, W), folded into the running per-pixel
     maximum ``confidence`` (float64) and its plane ``best`` (int64), both
-    C-contiguous (H, W), and zeroed.
-
-    With ``around``, a float64 (2, H, W) array that the bands of one run
-    share, the call also keeps in it the fused votes at each pixel's best
-    plane -1 and +1 (see ``dsi._track_band``); ``prev`` (H, W) is the
-    previous band's last fused plane, None for a run's first band.
+    C-contiguous (H, W), and zeroed. The call also keeps in ``around``, a
+    C-contiguous float64 (2, H, W) array that the bands of one run share,
+    the fused votes at each pixel's best plane -1 and +1 (see
+    ``dsi._track_band``); ``prev`` (H, W) is the previous band's last
+    fused plane, None for a run's first band.
 
     Returns the cameras' vote totals and the fused total, each
     ``float(x.sum())`` of its band bit for bit.
@@ -343,20 +341,17 @@ def fuse_band_c(kind, stack, out, p0, confidence, best, prev=None,
     shape = (height, width)
     _check_map(confidence, np.float64, shape, "the peak maps")
     _check_map(best, np.int64, shape, "the peak maps")
-    track = [None] * 3
-    if around is not None:
-        _check_map(around, np.float64, (2,) + shape, "around")
-        if prev is not None:
-            _check_map(prev, np.float64, shape, "prev")
-        track = [None if prev is None else prev.ctypes.data,
-                 around[0].ctypes.data, around[1].ctypes.data]
+    _check_map(around, np.float64, (2,) + shape, "around")
+    if prev is not None:
+        _check_map(prev, np.float64, shape, "prev")
     # one row of n + 1 partial totals per level of the pairwise recursion;
     # row 0 receives the totals
     work = np.empty(((planes * height * width).bit_length(), n + 1))
     lib.fuse_band(stack.ctypes.data, n, stack.strides[0] // item, planes,
                   height * width, FUSE_KINDS.index(kind), out.ctypes.data,
                   int(p0), confidence.ctypes.data, best.ctypes.data,
-                  work.ctypes.data, *track)
+                  work.ctypes.data, None if prev is None else prev.ctypes.data,
+                  around[0].ctypes.data, around[1].ctypes.data)
     return [float(t) for t in work[0, :n]], float(work[0, n])
 
 

@@ -113,12 +113,12 @@ def refine_result(fused: DsiGrid, result: DepthResult, around=None) -> DepthResu
 
     The nearest plane is found for the masked pixels only, by
     ``_nearest_plane``. The three fused votes around it come from
-    ``fused.votes``, or, given ``around``, from ``result.confidence`` and
-    ``around``, the (2, H, W) votes at each pixel's argmax plane -1 and +1
-    that the band loop keeps (``dsi.fuse_band``), for a ``result`` whose
-    masked depths are still their argmax planes' (extraction output, or a
-    median filter of kernel 1), so that the nearest plane is the argmax
-    plane.
+    ``fused.votes`` whenever the grid holds a volume. Otherwise they come
+    from ``result.confidence`` and ``around``, the (2, H, W) votes at each
+    pixel's argmax plane -1 and +1 that the band loop keeps
+    (``dsi.fuse_band``); ``result``'s masked depths must then still be
+    their argmax planes' (extraction output, or a median filter of kernel
+    1), so that the nearest plane is the argmax plane.
     """
     inv = fused.inv_depths  # decreasing with plane index
     iy, ix = np.nonzero(result.mask)
@@ -130,7 +130,7 @@ def refine_result(fused: DsiGrid, result: DepthResult, around=None) -> DepthResu
         return replace(result, depth=result.depth.copy())
 
     iy, ix, i = iy[interior], ix[interior], best[interior]
-    if around is None:
+    if fused.votes is not None:
         y1 = fused.votes[i - 1, iy, ix]
         y2 = fused.votes[i, iy, ix]
         y3 = fused.votes[i + 1, iy, ix]

@@ -608,18 +608,18 @@ def _track_band(out, p0: int, confidence, best, around, prev):
 
 
 def fuse_band(op: FusionOp, stack: np.ndarray, out: np.ndarray, p0: int, peak,
-              around: np.ndarray | None = None, prev: np.ndarray | None = None):
+              around: np.ndarray, prev: np.ndarray | None = None):
     """Fuse one band of every camera's votes, total them and zero them.
 
     ``stack`` (cameras, planes, H, W) holds the votes on the planes
     [p0, p0 + planes) of the volume, ``out`` receives their fusion and
     ``peak``, an ``empty_peak`` pair, is updated with the fused planes
     (``update_peak``); ``stack`` is then all zeros, ready for the next
-    band. With ``around``, a (2, H, W) array, the bands of one run come in
-    plane order from an ``empty_peak``, and each call also keeps in it the
-    fused votes beside each best plane (``_track_band``); ``prev`` is the
-    previous band's last fused plane, None for the run's first band.
-    Returns the cameras' vote totals and the fused total, each
+    band. The bands of one run come in plane order from an
+    ``empty_peak``, and each call also keeps in ``around``, a (2, H, W)
+    array, the fused votes beside each best plane (``_track_band``);
+    ``prev`` is the previous band's last fused plane, None for the run's
+    first band. Returns the cameras' vote totals and the fused total, each
     ``float(x.sum())`` of its band.
 
     For the kinds in ``_sweep.FUSE_KINDS`` this is one pass of the C
@@ -633,7 +633,6 @@ def fuse_band(op: FusionOp, stack: np.ndarray, out: np.ndarray, p0: int, peak,
     totals = [float(camera.sum()) for camera in stack]
     op.apply_into(stack, out)  # overwrites stack
     update_peak(out, p0, *peak)
-    if around is not None:
-        _track_band(out, p0, *peak, around, prev)
+    _track_band(out, p0, *peak, around, prev)
     stack.fill(0.0)
     return totals, float(out.sum())

@@ -143,7 +143,10 @@ class Se3:
     def __post_init__(self):
         q = np.asarray(self.quat, dtype=np.float64).reshape(4)
         t = np.asarray(self.trans, dtype=np.float64).reshape(3)
-        n = np.linalg.norm(q)
+        if not (np.isfinite(q).all() and np.isfinite(t).all()):
+            raise ValueError(f"quaternion {q} and translation {t} must be finite")
+        with np.errstate(over="ignore"):  # a norm past float range is inf
+            n = np.linalg.norm(q)
         if abs(n - 1.0) > _QUAT_NORM_TOL:
             raise ValueError(f"quaternion norm {n:.6g} too far from 1")
         object.__setattr__(self, "quat", _readonly(q / n))
@@ -210,11 +213,13 @@ class CameraModel:
     T_body_cam: Se3 = field(default_factory=Se3.identity)
 
     def __post_init__(self):
-        if not (self.fx > 0.0 and self.fy > 0.0):
-            raise ValueError("focal lengths must be positive")
+        if not (0.0 < self.fx < np.inf and 0.0 < self.fy < np.inf):
+            raise ValueError("focal lengths must be positive and finite")
         if not (0.0 <= self.cx < self.width and 0.0 <= self.cy < self.height):
             raise ValueError("principal point outside image bounds")
         d = np.asarray(self.dist, dtype=np.float64).reshape(4)
+        if not np.isfinite(d).all():
+            raise ValueError(f"distortion coefficients {d} must be finite")
         object.__setattr__(self, "dist", _readonly(d))
         R = self.T_body_cam.rotation_matrix()
         if np.max(np.abs(R @ R.T - np.eye(3))) > 1e-9 or np.linalg.det(R) < 0.0:

@@ -203,9 +203,9 @@ class ChunkOutput:
 def _needs_volume(config: PipelineConfig) -> bool:
     """Whether a step of the chunk reads the fused volume: the DSI dump,
     or sub-plane refinement after a median filter, which may move a depth
-    off its argmax plane. Otherwise the band loop keeps all that
-    refinement reads (the votes beside each argmax plane), and no chunk
-    allocates a volume."""
+    off its argmax plane. Otherwise all that refinement reads is the votes
+    beside each argmax plane, which the band loop always keeps, and no
+    chunk allocates a volume."""
     return config.dump_dsi or (config.subvoxel and config.median_kernel > 1)
 
 
@@ -224,8 +224,8 @@ def process_chunk(
     float64 array whose contents are overwritten (``run_pipeline`` passes
     one for all its chunks when ``_needs_volume``). None allocates one only
     if ``_needs_volume(config)``; otherwise the chunk's fused grid has
-    ``votes`` None and no volume exists: the band loop then keeps the
-    votes beside each argmax plane for ``config.subvoxel``. With
+    ``votes`` None and no volume exists, and refinement reads the votes
+    beside each argmax plane that the band loop keeps. With
     ``config.dump_dsi`` the chunk also gets fresh per-camera volumes, and
     its output holds them and the fused DSI (which wraps ``volume``) for
     writing.
@@ -249,11 +249,9 @@ def process_chunk(
     t0 = time.perf_counter()
     shape = (fused.num_planes, fused.height, fused.width)
     cameras = np.empty((len(rays),) + shape) if config.dump_dsi else None
-    # refinement reads the votes beside each argmax from the volume, if any
-    track = config.subvoxel and fused.votes is None
     hits, votes, fused_votes, peak, around = _vote_and_fuse(
         fused, rays, FusionOp.from_string(config.fusion), config.voting, workers,
-        cameras, track,
+        cameras,
     )
     timings["vote_fuse"] = time.perf_counter() - t0
 
@@ -322,7 +320,7 @@ def _runs(num_planes: int, workers: int) -> list:
 
 
 def _vote_and_fuse(fused: DsiGrid, rays, op: FusionOp, mode: str, workers: int,
-                   cameras: np.ndarray | None = None, track: bool = False):
+                   cameras: np.ndarray | None = None):
     """Vote every camera's prepared rays and fuse them, one band of
     BAND_PLANES planes at a time, into ``fused.votes`` or, where that is
     None, into band-sized buffers only.
@@ -335,8 +333,8 @@ def _vote_and_fuse(fused: DsiGrid, rays, op: FusionOp, mode: str, workers: int,
     ``fused.votes`` (without a volume, into the worker's two band outputs
     in turn, so that the previous band's last plane stays readable),
     totals every camera and the fused band, folds the fused planes into a
-    running per-pixel maximum, with ``track`` keeps the votes beside it in
-    a (2, H, W) array, and zeroes the stack for the next band: for min,
+    running per-pixel maximum, keeps the votes beside it in the worker's
+    (2, H, W) array, and zeroes the stack for the next band: for min,
     max, arithmetic, rms and harmonic that is one pass of the C
     ``fuse_band``, in numpy otherwise. A plane's votes depend only on the
     events and every fusion operator is element-wise, so the result is
@@ -345,15 +343,15 @@ def _vote_and_fuse(fused: DsiGrid, rays, op: FusionOp, mode: str, workers: int,
 
     Returns, per camera, the hit mask (events that voted on any plane) and
     the vote total, the fused vote total, the (confidence, best) peak maps
-    that ``extract_depth`` takes, and, with ``track``, the (2, H, W) votes
-    below and above each best plane that ``refine_result`` takes, else
-    None. The workers' maps are merged in plane order with a strict >,
-    which keeps ``np.argmax``'s first maximum; at each seam between two
-    runs the earlier run's last fused plane and the later one's first fill
-    in the votes beside a best plane that lies at the seam. Each band total is numpy's pairwise
-    ``sum`` of the band, bit for bit; a total is the sum of the band
-    totals in plane order: the same at any worker count, but not bit-equal
-    to ``votes.sum()`` over the whole volume.
+    that ``extract_depth`` takes, and the (2, H, W) votes below and above
+    each best plane that ``refine_result`` takes where no volume exists.
+    The workers' maps are merged in plane order with a strict >, which
+    keeps ``np.argmax``'s first maximum; at each seam between two runs the
+    earlier run's last fused plane and the later one's first fill in the
+    votes beside a best plane that lies at the seam. Each band total is
+    numpy's pairwise ``sum`` of the band, bit for bit; a total is the sum
+    of the band totals in plane order: the same at any worker count, but
+    not bit-equal to ``votes.sum()`` over the whole volume.
     """
     n, nz = len(rays), fused.num_planes
     runs = _runs(nz, workers)
@@ -363,7 +361,7 @@ def _vote_and_fuse(fused: DsiGrid, rays, op: FusionOp, mode: str, workers: int,
     def run(j):
         stack = np.zeros((n,) + band)
         outs = np.empty((2,) + band) if fused.votes is None else None
-        around = np.empty((2,) + band[1:]) if track else None
+        around = np.empty((2,) + band[1:])
         peak = empty_peak(*band[1:])
         hits = [np.zeros(r.num_events, dtype=bool) for r in rays]
         first = prev = None
@@ -380,7 +378,7 @@ def _vote_and_fuse(fused: DsiGrid, rays, op: FusionOp, mode: str, workers: int,
             cams, totals[b, n] = fuse_band(op, planes, out, p0, peak, around,
                                            prev)
             totals[b, :n] = cams
-            if track and j and b == runs[j].start:
+            if j and b == runs[j].start:
                 first = out[0].copy()  # the merge reads it at the seam
             prev = out[-1]
         return hits, peak, around, first, prev
@@ -398,15 +396,13 @@ def _vote_and_fuse(fused: DsiGrid, rays, op: FusionOp, mode: str, workers: int,
     greater = np.empty(confidence.shape, dtype=bool)
     for j in range(1, len(runs)):  # later planes win only if greater
         _, (conf, plane), later, first, _ = results[j]
-        if track:
-            seam = runs[j].start * BAND_PLANES
-            np.copyto(around[1], first, where=best == seam - 1)
-            np.copyto(later[0], results[j - 1][4], where=plane == seam)
+        seam = runs[j].start * BAND_PLANES
+        np.copyto(around[1], first, where=best == seam - 1)
+        np.copyto(later[0], results[j - 1][4], where=plane == seam)
         np.greater(conf, confidence, out=greater)
         np.copyto(confidence, conf, where=greater)
         np.copyto(best, plane, where=greater)
-        if track:
-            np.copyto(around, later, where=greater)
+        np.copyto(around, later, where=greater)
     return hits, votes, fused_votes, (confidence, best), around
 
 
@@ -430,9 +426,9 @@ def _check_memory(shape: tuple, n_cameras: int, workers: int, keep: bool,
     in transit as a Python float (32 bytes); plus the largest of the
     workers' band buffers (voting), the median filter's and the
     threshold's temporaries, which are never live at once. Each worker
-    keeps one band buffer per camera and two peak maps (confidence and
-    best plane); without a volume also two fused bands and three maps for
-    refinement: below, above and the run's first plane. Raises
+    keeps one band buffer per camera, two peak maps (confidence and best
+    plane) and three maps for refinement (below, above and the run's first
+    plane); without a volume also two fused bands. Raises
     DsiTooLarge when that exceeds physical memory, before anything is
     allocated; where the system does not report physical memory, nothing
     is checked."""
@@ -441,9 +437,9 @@ def _check_memory(shape: tuple, n_cameras: int, workers: int, keep: bool,
     bands = -(-num_planes // BAND_PLANES)
     workers = min(workers, bands)
     volume = volume or keep
-    per_worker = n_cameras * BAND_PLANES + 2
+    per_worker = n_cameras * BAND_PLANES + 5
     if not volume:
-        per_worker += 2 * BAND_PLANES + 3
+        per_worker += 2 * BAND_PLANES
     buffers = workers * per_worker * plane
     median = FILTER_COPIES * plane * median_kernel**2
     gaussian = FILTER_COPIES * 8 * (2 * int(4 * threshold_sigma + 0.5) + 1)
@@ -502,12 +498,15 @@ def run_pipeline(
                   config.median_kernel, config.threshold_sigma,
                   _needs_volume(config))
     side = max(shape[1:])
-    if config.threshold_sigma > side:
-        # the blur's time grows with sigma, its background barely past this
-        raise ValueError(
-            f"threshold_sigma {config.threshold_sigma:g} exceeds {side}, the "
-            f"larger side of the {shape[2]}x{shape[1]} DSI; use at most {side}"
-        )
+    # the blur's and the NMS window's times grow with these; past the larger
+    # side the blur's background barely moves and the window covers the map
+    for name in ("threshold_sigma", "nms_radius"):
+        value = getattr(config, name)
+        if value > side:
+            raise ValueError(
+                f"{name} {value:.15g} exceeds {side}, the larger side of the "
+                f"{shape[2]}x{shape[1]} DSI; use at most {side}"
+            )
     if traj is None:
         if config.trajectory is None:
             raise RaysweepError("no trajectory provided")

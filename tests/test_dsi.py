@@ -1035,26 +1035,31 @@ def random_peak(rng, height, width, p0):
 
 class TestFuseBand:
     """The C fuse_band against its numpy form, the oracle: the fused band,
-    the running peak and the totals, compared as uint64 bits."""
+    the running peak, the votes beside it and the totals, compared as
+    uint64 bits."""
 
     @staticmethod
     def run_both(op, stack, p0, peak):
-        """fuse_band on copies of ``stack`` and ``peak``, compiled and with
-        numpy; returns each side's (stack, out, peak, totals)."""
+        """fuse_band on copies of ``stack`` and ``peak`` with a NaN-filled
+        ``around``, compiled and with numpy; returns each side's (stack,
+        out, peak, around, totals)."""
         sides = []
         for ctx in (contextlib.nullcontext(), numpy_kernel()):
             band = stack.copy()
             out = np.full(stack.shape[1:], np.nan)
             state = tuple(a.copy() for a in peak)
+            around = np.full((2,) + stack.shape[2:], np.nan)
             with ctx:
-                cams, total = fuse_band(op, band, out, p0, state)
-            sides.append((band, out, state, np.array(cams + [total])))
+                cams, total = fuse_band(op, band, out, p0, state, around)
+            sides.append((band, out, state, around, np.array(cams + [total])))
         return sides
 
     def assert_same(self, op, stack, p0, peak):
-        (c_band, c_out, c_peak, c_tot), (n_band, n_out, n_peak, n_tot) = \
+        (c_band, c_out, c_peak, c_around, c_tot), \
+            (n_band, n_out, n_peak, n_around, n_tot) = \
             self.run_both(op, stack, p0, peak)
-        assert_same_bits([c_out, c_peak[0], c_tot], [n_out, n_peak[0], n_tot])
+        assert_same_bits([c_out, c_peak[0], c_around, c_tot],
+                         [n_out, n_peak[0], n_around, n_tot])
         assert np.array_equal(c_peak[1], n_peak[1])
         assert not c_band.any() and not n_band.any()
         # each total is numpy's pairwise sum of its band
@@ -1103,11 +1108,15 @@ class TestFuseBand:
         c_peak = random_peak(rng, 18, 24, 12)
         n_peak = tuple(a.copy() for a in c_peak)
         c_out, n_out = np.full((2, 1, 18, 24), np.nan)
+        c_around, n_around = np.full((2, 2, 18, 24), np.nan)
         with numpy_kernel():
-            want = fuse_band(FusionOp(kind), stack.copy(), n_out, 12, n_peak)
-        got = _sweep.fuse_band_c(kind, stack, c_out, 12, *c_peak)
-        assert_same_bits([c_out, c_peak[0], np.array(got[0] + [got[1]])],
-                         [n_out, n_peak[0], np.array(want[0] + [want[1]])])
+            want = fuse_band(FusionOp(kind), stack.copy(), n_out, 12, n_peak,
+                             n_around)
+        got = _sweep.fuse_band_c(kind, stack, c_out, 12, *c_peak, None, c_around)
+        assert_same_bits([c_out, c_peak[0], c_around,
+                          np.array(got[0] + [got[1]])],
+                         [n_out, n_peak[0], n_around,
+                          np.array(want[0] + [want[1]])])
         assert np.array_equal(c_peak[1], n_peak[1])
         assert not stack.any() and (buf[:, 1:] == 7.0).all()
 
@@ -1208,14 +1217,15 @@ class TestFuseBand:
             "c") or real_c(*a))
         assert _sweep.kernel_name() == "c"
         stack = random_band(np.random.default_rng(73), (2, 2, 6, 8))
-        fuse_band(op, stack, np.empty((2, 6, 8)), 0, empty_peak(6, 8))
+        fuse_band(op, stack, np.empty((2, 6, 8)), 0, empty_peak(6, 8),
+                  np.empty((2, 6, 8)))
         assert calls == ["c" if op.kind in _sweep.FUSE_KINDS else "numpy"]
 
     @pytest.mark.parametrize("bad", ["kind", "dtype", "plane_stride",
                                      "overlap", "out_shape", "out_order",
                                      "peak_dtype", "peak_shape", "empty",
-                                     "around_shape", "around_order",
-                                     "prev_order"])
+                                     "around_missing", "around_shape",
+                                     "around_order", "prev_order"])
     def test_rejects_what_it_cannot_index(self, bad):
         stack = np.zeros((2, 3, 4, 5))
         out = np.zeros((3, 4, 5))
@@ -1243,14 +1253,14 @@ class TestFuseBand:
             confidence = np.full((5, 4), -np.inf)
         elif bad == "empty":
             stack, out = np.zeros((2, 0, 4, 5)), np.zeros((0, 4, 5))
+        elif bad == "around_missing":
+            track[1] = None
         elif bad == "around_shape":
             track[1] = np.zeros((2, 5, 4))
         elif bad == "around_order":
             track[1] = np.zeros((2, 4, 5), order="F")
         elif bad == "prev_order":
             track[0] = np.zeros((4, 5), order="F")[:, ::-1]
-        if bad not in ("around_shape", "around_order", "prev_order"):
-            track = []
         with pytest.raises(ValueError):
             _sweep.fuse_band_c(kind, stack, out, 0, confidence, best, *track)
 

@@ -72,6 +72,15 @@ class TestCameraValidation:
         with pytest.raises(ValueError):
             CameraModel(fx=200, fy=200, cx=240.0, cy=90, width=240, height=180)
 
+    @pytest.mark.parametrize("field,value", [
+        ("fx", np.inf), ("fy", np.inf), ("fx", np.nan),
+        ("dist", [0.0, np.nan, 0.0, 0.0]), ("dist", [0.0, 0.0, 0.0, -np.inf]),
+    ])
+    def test_non_finite_intrinsics_rejected(self, field, value):
+        args = dict(fx=200.0, fy=200.0, cx=120.0, cy=90.0, width=240, height=180)
+        with pytest.raises(ValueError, match="finite"):
+            CameraModel(**{**args, field: value})
+
 
 class TestPoseInterpolation:
     def _traj(self):
@@ -215,6 +224,23 @@ class TestSe3:
     def test_bad_quaternion_rejected(self):
         with pytest.raises(ValueError):
             Se3(np.array([1.0, 1.0, 0.0, 1.0]), np.zeros(3))
+
+    @given(st.lists(st.floats(), min_size=4, max_size=4),
+           st.lists(st.floats(), min_size=3, max_size=3), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_holds_a_finite_unit_quaternion_or_raises(self, q, t, normalize):
+        # any floats, nan and inf included; normalizing first lets many
+        # draws through, huge and tiny ones still overflow or vanish
+        q = np.array(q)
+        if normalize:
+            with np.errstate(all="ignore"):
+                q = q / np.linalg.norm(q)
+        try:
+            pose = Se3(q, np.array(t))
+        except ValueError:
+            return
+        assert np.isfinite(pose.quat).all() and np.isfinite(pose.trans).all()
+        assert abs(np.linalg.norm(pose.quat) - 1.0) <= 1e-12
 
 
 class TestQuatRotate:

@@ -1,4 +1,5 @@
 import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 
 from raysweep import _sweep
 from raysweep import io as rio
+from raysweep.cli import cli_main
 from raysweep.depth import DepthResult, to_point_cloud
 from raysweep.dsi import DsiGrid, vote_event
 from raysweep.errors import (
@@ -431,6 +433,32 @@ class TestCalibrationParsing:
         p = write(tmp_path, "c.json", json.dumps(self._doc(fx=-5.0)))
         with pytest.raises(ParseError):
             rio.parse_calibration(p)
+
+    @pytest.mark.parametrize("keys,value", [
+        (("T_body_cam", "translation"), [math.nan, 0.0, 0.0]),
+        (("T_body_cam", "quaternion_xyzw"), [0.0, 0.0, math.nan, 1.0]),
+        (("fx",), math.inf),
+        (("dist",), [math.nan, 0.0, 0.0, 0.0]),
+    ], ids=["nan_translation", "nan_quaternion", "inf_fx", "nan_dist"])
+    def test_non_finite_value_rejected(self, tmp_path, capsys, keys, value):
+        # JSON's NaN and Infinity parse; a camera holding one would map
+        # nothing, so the file is refused, and `raysweep map` exits 2
+        out = tmp_path / "scn"
+        assert cli_main(["synth", "--scenario", "lateral_room", "--out", str(out),
+                         "--points", "40", "--seed", "2"]) == 0
+        path = out / "calibration.json"
+        doc = json.loads(path.read_text())
+        entry = doc["cameras"][1]
+        for key in keys[:-1]:
+            entry = entry[key]
+        entry[keys[-1]] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ParseError, match=r"cameras\[1\]: .*finite"):
+            rio.parse_calibration(path)
+        capsys.readouterr()
+        assert cli_main(["map", "--config", str(out / "config.json")]) == 2
+        assert "finite" in capsys.readouterr().err
+        assert not (out / "results" / "stats.json").exists()
 
     def test_missing_field_names_path(self, tmp_path):
         doc = self._doc()

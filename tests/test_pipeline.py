@@ -746,13 +746,20 @@ class TestVolumeFree:
 
     @pytest.mark.parametrize("fusion", FUSIONS)
     @pytest.mark.parametrize("voting", ["nearest", "bilinear"])
-    def test_matches_a_forced_volume(self, edge_inputs, kernel, fusion, voting):
+    def test_matches_a_forced_volume(self, edge_inputs, kernel, fusion, voting,
+                                     monkeypatch):
         config = PipelineConfig(num_planes=13, fusion=fusion, voting=voting,
                                 median_kernel=1)
         assert config.subvoxel and not pipeline._needs_volume(config)
         rig, traj, chunk = edge_inputs
+        arounds = []
+        real = pipeline.refine_result
+        monkeypatch.setattr(pipeline, "refine_result", lambda fused, result,
+                            around: arounds.append(around) or real(fused, result,
+                                                                   around))
         for workers in (1, 2, 3, 4):
             volume = np.full((13, 180, 240), np.nan)  # all overwritten
+            arounds.clear()
             want = process_chunk(copy.deepcopy(chunk), rig, traj, config,
                                  workers=workers, volume=volume)
             got = process_chunk(copy.deepcopy(chunk), rig, traj, config,
@@ -771,6 +778,15 @@ class TestVolumeFree:
             assert set(EDGE_PLANES) <= set(best.tolist()), workers
             unrefined = np.take(dsi.plane_depths(0.45, 4.0, 13), best)
             assert np.any(want.result.depth[mask] != unrefined)
+            # with a volume too, the band loop keeps the votes beside each
+            # argmax plane, at the runs' seams (planes 4, 8 and 12) as well
+            around = arounds[0]
+            best = np.argmax(volume, axis=0)
+            iy, ix = np.nonzero(mask & (best > 0) & (best < 12))
+            i = best[iy, ix]
+            assert set(EDGE_PLANES[1:-1]) <= set(i.tolist()), workers
+            assert around[0][iy, ix].tobytes() == volume[i - 1, iy, ix].tobytes()
+            assert around[1][iy, ix].tobytes() == volume[i + 1, iy, ix].tobytes()
 
     def test_process_chunk_allocates_a_volume_only_for_a_reader(self, band_inputs,
                                                                  monkeypatch):
@@ -924,10 +940,10 @@ class TestMemoryBudget:
                                       threshold_sigma=1e6) == \
             volume + copies * 8 * (2 * 4_000_000 + 1)
         # filters and band buffers are never live at once: small filters
-        # cost nothing beyond the buffers and the worker's two peak maps
+        # cost nothing beyond the buffers and the worker's five maps
         assert pipeline._check_memory((100, 180, 240), 2, 1, keep=False,
                                       median_kernel=1, threshold_sigma=7.0) == \
-            (100 + 2 * pipeline.BAND_PLANES + 2) * plane + self.BOOKKEEPING
+            (100 + 2 * pipeline.BAND_PLANES + 5) * plane + self.BOOKKEEPING
 
     @pytest.mark.parametrize("flag,value,named", [
         ("--median-kernel", "101", "median_kernel 101"),
@@ -978,18 +994,43 @@ class TestMemoryBudget:
                                workers=1)
         assert any(o.result is not None for o in outputs)
 
+    def test_nms_radius_beyond_the_larger_side_refused(self, tmp_path, capsys,
+                                                       monkeypatch):
+        # a window this wide would take seconds per chunk and change nothing
+        out = tmp_path / "scn"
+        assert cli_main(["synth", "--scenario", "lateral_room", "--out", str(out),
+                         "--points", "40", "--seed", "2"]) == 0
+
+        def reached(*args, **kwargs):
+            raise AssertionError("the run went past the radius check")
+        monkeypatch.setattr(pipeline, "local_peak_mask", reached)
+        monkeypatch.setattr(pipeline.rio, "parse_events", reached)
+        assert cli_main(["map", "--config", str(out / "config.json"),
+                         "--nms-radius", "1000000"]) == 2
+        err = capsys.readouterr().err
+        assert "nms_radius 1000000 exceeds 240, the larger side" in err
+        assert not (out / "results" / "stats.json").exists()
+
+    def test_nms_radius_of_the_larger_side_accepted(self, small_scenario):
+        sc, streams = small_scenario
+        config = dataclasses.replace(sc.config, nms_radius=240)
+        outputs = run_pipeline(config, streams=streams, rig=sc.rig, traj=sc.traj,
+                               workers=1)
+        assert any(o.result is not None for o in outputs)
+
     def test_counts_kept_volumes_and_band_buffers(self):
         plane = 180 * 240 * 8
-        # each worker also keeps two peak maps, confidence and best plane
+        # each worker also keeps two peak maps, confidence and best plane,
+        # and three for refinement: below, above and the run's first plane
         assert pipeline._check_memory((100, 180, 240), 2, 1, keep=False) == \
-            (100 + 2 * pipeline.BAND_PLANES + 2) * plane + self.BOOKKEEPING
+            (100 + 2 * pipeline.BAND_PLANES + 5) * plane + self.BOOKKEEPING
         assert pipeline._check_memory((100, 180, 240), 3, 2, keep=True) == \
-            ((1 + 3) * 100 + 2 * (3 * pipeline.BAND_PLANES + 2)) * plane \
+            ((1 + 3) * 100 + 2 * (3 * pipeline.BAND_PLANES + 5)) * plane \
             + 8 * (3 * 100 + (3 + 1 + 4) * 25)
 
     def test_counts_band_outputs_without_a_volume(self):
-        # no fused volume: each worker also keeps two fused bands and three
-        # maps for refinement; only the bookkeeping grows with the planes
+        # no fused volume: each worker also keeps two fused bands; only the
+        # bookkeeping grows with the planes
         plane = 180 * 240 * 8
         per_worker = (2 + 2) * pipeline.BAND_PLANES + 2 + 3
         for planes in (100, 10**7):
@@ -1002,7 +1043,7 @@ class TestMemoryBudget:
         # a dump keeps the fused volume
         assert pipeline._check_memory((100, 180, 240), 2, 1, keep=True,
                                       volume=False) == \
-            ((1 + 2) * 100 + 2 * pipeline.BAND_PLANES + 2) * plane \
+            ((1 + 2) * 100 + 2 * pipeline.BAND_PLANES + 5) * plane \
             + self.BOOKKEEPING
 
     def test_bookkeeping_bounds_the_growth_with_planes(self, small_scenario):
