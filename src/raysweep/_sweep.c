@@ -499,17 +499,13 @@ static const unsigned char *parse_time(const unsigned char *s,
 }
 
 /* Parse the events of text[0:len] into t, x, y, p (room for cap events);
- * returns their number, or -1 where the text is refused. *t_max is the
- * latest timestamp before the text, and after it on return; an event
- * earlier than that by more than jitter refuses the text, and a smaller
- * step back sets *unsorted. */
+ * returns their number, or -1 where the text is refused. Each line is read
+ * on its own: the caller checks the time order once over the whole file. */
 int64_t parse_events(const char *text, int64_t len, int64_t width,
-                     int64_t height, double jitter, double *t_max,
-                     uint8_t *unsorted, double *t, int32_t *x, int32_t *y,
+                     int64_t height, double *t, int32_t *x, int32_t *y,
                      int8_t *p, int64_t cap)
 {
     const unsigned char *s = (const unsigned char *)text, *const end = s + len;
-    double latest = *t_max;
     int64_t n = 0;
     while (s < end) {
         const unsigned char *eol = memchr(s, '\n', (size_t)(end - s));
@@ -525,9 +521,8 @@ int64_t parse_events(const char *text, int64_t len, int64_t width,
                 if (*s >= 0x80 || *s == '\r')
                     return -1;
         } else if (s < eol) {
-            double tk;
             int32_t f[3]; /* x, y, p */
-            if (n == cap || !(s = parse_time(s, eol, &tk)))
+            if (n == cap || !(s = parse_time(s, eol, &t[n])))
                 return -1;
             for (int k = 0; k < 3; k++) {
                 const unsigned char *const gap = s;
@@ -542,14 +537,6 @@ int64_t parse_events(const char *text, int64_t len, int64_t width,
                 return -1;
             if (width >= 0 && (f[0] < 0 || f[0] >= width || f[1] < 0 || f[1] >= height))
                 return -1;
-            if (tk < latest) {
-                if (latest - tk > jitter)
-                    return -1;
-                *unsorted = 1;
-            } else {
-                latest = tk;
-            }
-            t[n] = tk;
             x[n] = f[0];
             y[n] = f[1];
             p[n] = (int8_t)(f[2] ? f[2] : -1);
@@ -557,6 +544,5 @@ int64_t parse_events(const char *text, int64_t len, int64_t width,
         }
         s = next;
     }
-    *t_max = latest;
     return n;
 }

@@ -62,10 +62,9 @@ Its fourth, ``parse_events``, is the compiled pass of
 ``io._parse_events_blocks``: one pass over a block of event text that
 reads ``t x y p`` lines, skips blank lines and whole-line ``#`` comments,
 checks every field (``t`` finite, ``x``/``y`` in int32 and on the sensor
-when bounds are given, ``p`` in {0, 1, -1, +1}), maps polarity 0 to -1
-and carries the running maximum timestamp from block to block, refusing a
-step back of more than the jitter and flagging smaller ones for the
-caller's stable sort. Its grammar is a strict 7-bit ASCII subset of what
+when bounds are given, ``p`` in {0, 1, -1, +1}) and maps polarity 0 to
+-1. It reads each line on its own: the caller checks the time order once
+over the whole file. Its grammar is a strict 7-bit ASCII subset of what
 ``float()`` and ``int()`` take after ``str.split()``: fields are
 ``[+-]?digits`` and ``[+-]?(digits[.digits*] | .digits)([eE][+-]?digits)?``
 split by spaces and tabs, and lines end in ``\n`` or ``\r\n``. A
@@ -124,9 +123,8 @@ _ARGTYPES = {
     #           best, work, prev, below, above)
     "fuse_band": [_PTR, _I64, _I64, _I64, _I64, ctypes.c_int, _PTR, _I64]
                  + [_PTR] * 6,
-    # parse_events(text, len, width, height, jitter, t_max, unsorted, t, x,
-    #              y, p, cap)
-    "parse_events": [_PTR, _I64, _I64, _I64, _F64] + [_PTR] * 6 + [_I64],
+    # parse_events(text, len, width, height, t, x, y, p, cap)
+    "parse_events": [_PTR, _I64, _I64, _I64] + [_PTR] * 4 + [_I64],
 }
 # what each returns; None is void
 _RESTYPES = {"sweep": None, "prepare": None, "fuse_band": None,
@@ -355,15 +353,13 @@ def fuse_band_c(kind, stack, out, p0, confidence, best, prev, around):
     return [float(t) for t in work[0, :n]], float(work[0, n])
 
 
-def parse_events_c(text, width, height, jitter, t_max):
+def parse_events_c(text, width, height):
     """Run the C ``parse_events`` on the event text ``text`` (bytes).
 
-    ``width``/``height`` bound x and y when both are >= 0; ``t_max`` is
-    the latest timestamp before ``text`` (-inf at the start of a file).
-    Returns (t, x, y, p, t_max, unsorted): the events in file order, with
-    polarity 0 as -1, the latest timestamp after them, and whether one of
-    them lies up to ``jitter`` before an earlier one. Returns None where the
-    pass refuses the text (see ``_sweep.c``): the line parser decides.
+    ``width``/``height`` bound x and y when both are >= 0. Returns (t, x,
+    y, p): the events in file order, with polarity 0 as -1, their time
+    order unchecked. Returns None where the pass refuses the text (see
+    ``_sweep.c``): the line parser decides.
     """
     lib = _require_c()
     if not isinstance(text, bytes):
@@ -373,15 +369,12 @@ def parse_events_c(text, width, height, jitter, t_max):
     cap = len(text) // 8 + 1
     t, x, y, p = (np.empty(cap, dtype) for dtype in (np.float64, np.int32,
                                                      np.int32, np.int8))
-    state = np.array([t_max], dtype=np.float64)
-    unsorted = np.zeros(1, dtype=np.uint8)
     n = lib.parse_events(text, len(text), int(width), int(height),
-                         float(jitter), state.ctypes.data, unsorted.ctypes.data,
                          t.ctypes.data, x.ctypes.data, y.ctypes.data,
                          p.ctypes.data, cap)
     if n < 0:
         return None
-    return t[:n], x[:n], y[:n], p[:n], float(state[0]), bool(unsorted[0])
+    return t[:n], x[:n], y[:n], p[:n]
 
 
 def _scatter_plane(u, v, ok, plane, bilinear):

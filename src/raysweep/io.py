@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -30,7 +31,6 @@ from .geometry import CameraModel, PoseTrajectory, Se3
 
 _TIME_JITTER = 1e-6  # tolerated backward step in event timestamps (s)
 _QUAT_PARSE_TOL = 1e-3
-_PARSE_BLOCK = 1 << 16
 _PARSE_CHARS = 1 << 22  # bytes read per compiled block (~200k event lines)
 _I32 = np.iinfo(np.int32)
 
@@ -68,12 +68,14 @@ def parse_events(path, camera_id: str | None = None, *,
 
     Polarity 0 is normalized to -1. When ``width``/``height`` are given,
     out-of-bounds coordinates are rejected with their line number. Tiny
-    timestamp jitter (<= 1e-6 s backward) is repaired by a stable sort;
-    larger regressions raise NonMonotonicTimestamps.
+    timestamp jitter (<= 1e-6 s behind the latest earlier stamp) is
+    repaired by a stable sort; larger regressions raise
+    NonMonotonicTimestamps.
 
-    A well-formed file is parsed in compiled blocks. A file that pass
-    turns down (a bad or out-of-range field, an inline comment, a
-    timestamp regression, a non-finite timestamp, a byte or whitespace
+    A well-formed file is parsed in compiled blocks, line by line with no
+    state, and its time order is checked once over the whole file. A file
+    that pass turns down (a bad or out-of-range field, an inline comment,
+    a timestamp regression, a non-finite timestamp, a byte or whitespace
     outside its ASCII grammar, no events), or any file when the C library
     is unavailable, is re-read line by line, which returns the same arrays
     or raises the error for the first bad line.
@@ -93,49 +95,40 @@ def _parse_events_blocks(path: Path, width, height):
     """Parse a well-formed event file in compiled blocks into (t, x, y, p),
     or return None if the line parser must decide. Each block is
     ``_PARSE_CHARS`` bytes read up to the end of a line, so memory stays
-    bounded by the events, not the text. Everything this accepts, the line
-    parser accepts with the same values (see ``_sweep.parse_events_c``)."""
+    bounded by the events, not the text. The blocks' lines are read on
+    their own; the time order is then checked once over the whole file,
+    by the line parser's rule. Everything this accepts, the line parser
+    accepts with the same values (see ``_sweep.parse_events_c``)."""
     if _sweep.kernel_name() != "c":
         return None
     bounds = (-1, -1) if width is None else (max(width, 0), max(height, 0))
     blocks = []
-    t_max, unsorted = -math.inf, False
     with open(path, "rb") as fh:
         while text := fh.read(_PARSE_CHARS):
-            cols = _sweep.parse_events_c(text + fh.readline(), *bounds,
-                                         _TIME_JITTER, t_max)
+            cols = _sweep.parse_events_c(text + fh.readline(), *bounds)
             if cols is None:
                 return None
-            blocks.append(cols[:4])
-            t_max, back = cols[4:]
-            unsorted |= back
+            blocks.append(cols)
     if not blocks:  # an empty file
         return None
-    if len(blocks) == 1:
+    if len(blocks) == 1:  # most files: no copy
         t, x, y, p = blocks[0]
     else:
         t, x, y, p = (np.concatenate(col) for col in zip(*blocks))
     if len(t) == 0:
         return None
-    if unsorted:
-        order = np.argsort(t, kind="stable")
-        t, x, y, p = t[order], x[order], y[order], p[order]
-    return t, x, y, p
+    # the line parser's rule, once over the whole file: no event may lie
+    # more than the jitter before the latest earlier one. A file in order,
+    # the common case, needs no running maximum.
+    unsorted = bool(np.any(t[1:] < t[:-1]))
+    if unsorted and np.any(np.maximum.accumulate(t) - t > _TIME_JITTER):
+        return None  # the line parser names the line
+    return _time_sorted(t, x, y, p, unsorted)
 
 
 def _parse_events_lines(path: Path, width, height):
     """Line-by-line parse into (t, x, y, p); raises on the first bad line."""
-    ts, xs, ys, ps = [], [], [], []
-    t_blocks, x_blocks, y_blocks, p_blocks = [], [], [], []
-
-    def flush():
-        if ts:
-            t_blocks.append(np.array(ts, dtype=np.float64))
-            x_blocks.append(np.array(xs, dtype=np.int32))
-            y_blocks.append(np.array(ys, dtype=np.int32))
-            p_blocks.append(np.array(ps, dtype=np.int8))
-            ts.clear(), xs.clear(), ys.clear(), ps.clear()
-
+    ts, xs, ys, ps = array("d"), array("i"), array("i"), array("b")
     prev_t = -np.inf
     needs_sort = False
     with open(path, "r") as fh:
@@ -179,20 +172,15 @@ def _parse_events_lines(path: Path, width, height):
                 needs_sort = True
             prev_t = max(prev_t, t)
             ts.append(t), xs.append(x), ys.append(y), ps.append(p)
-            if len(ts) >= _PARSE_BLOCK:
-                flush()
-    flush()
+    return _time_sorted(np.frombuffer(ts, np.float64), np.frombuffer(xs, np.intc),
+                        np.frombuffer(ys, np.intc), np.frombuffer(ps, np.int8),
+                        needs_sort)
 
-    if t_blocks:
-        t = np.concatenate(t_blocks)
-        x = np.concatenate(x_blocks)
-        y = np.concatenate(y_blocks)
-        p = np.concatenate(p_blocks)
-    else:
-        t = np.empty(0)
-        x = y = np.empty(0, np.int32)
-        p = np.empty(0, np.int8)
-    if needs_sort:
+
+def _time_sorted(t, x, y, p, unsorted):
+    """(t, x, y, p), stably sorted by t when ``unsorted``, so that equal
+    stamps keep their file order."""
+    if unsorted:
         order = np.argsort(t, kind="stable")
         t, x, y, p = t[order], x[order], y[order], p[order]
     return t, x, y, p
@@ -264,12 +252,31 @@ def _require(obj, key, ctx, path):
     return obj[key]
 
 
+_KINDS = {str: "a string", int: "an integer", float: "a number"}
+
+
+def _typed(obj, key, ctx, path, kind, length=None):
+    """``obj[key]`` (see ``_require``), which must have the JSON type
+    ``kind`` (str, int, or float, which takes an int too) or, with
+    ``length``, be a list of that many floats; raises ParseError naming the
+    field otherwise. A bool is neither, though Python counts it an int."""
+    value = _require(obj, key, ctx, path)
+    accepted = (int, float) if kind is float else kind
+    items = [value] if length is None else value
+    if not (isinstance(items, list) and len(items) == (length or 1) and all(
+            isinstance(v, accepted) and not isinstance(v, bool) for v in items)):
+        what = _KINDS[kind] if length is None else f"a list of {length} numbers"
+        raise ParseError(f"{ctx}.{key} must be {what}, got {value!r}", path=path)
+    return value
+
+
 def parse_calibration(path) -> RigCalibration:
     """Read a rig calibration document.
 
     Schema: {"rig": str, "cameras": [{"name", "width", "height", "fx",
     "fy", "cx", "cy", "dist" (4 floats), "T_body_cam": {"translation"
-    (3), "quaternion_xyzw" (4)}}, ...]}; camera 0 is the reference.
+    (3), "quaternion_xyzw" (4)}}, ...]}; camera 0 is the reference. The
+    width and height are JSON integers, the other camera values numbers.
     """
     path = Path(path)
     try:
@@ -287,27 +294,28 @@ def parse_calibration(path) -> RigCalibration:
     ids, cams = [], []
     for i, c in enumerate(cams_doc):
         ctx = f"cameras[{i}]"
-        name = str(_require(c, "name", ctx, path))
+        name = _typed(c, "name", ctx, path, str)
         if name in ids:
             raise ParseError(f"{ctx}: camera name {name!r} repeats "
                              f"cameras[{ids.index(name)}]", path=path)
         ext = _require(c, "T_body_cam", ctx, path)
+        ext_ctx = ctx + ".T_body_cam"
         try:
             extrinsic = Se3(
-                np.array(_require(ext, "quaternion_xyzw", ctx + ".T_body_cam", path)),
-                np.array(_require(ext, "translation", ctx + ".T_body_cam", path)),
+                np.array(_typed(ext, "quaternion_xyzw", ext_ctx, path, float, 4)),
+                np.array(_typed(ext, "translation", ext_ctx, path, float, 3)),
             )
             cam = CameraModel(
-                fx=float(_require(c, "fx", ctx, path)),
-                fy=float(_require(c, "fy", ctx, path)),
-                cx=float(_require(c, "cx", ctx, path)),
-                cy=float(_require(c, "cy", ctx, path)),
-                width=int(_require(c, "width", ctx, path)),
-                height=int(_require(c, "height", ctx, path)),
-                dist=np.array(_require(c, "dist", ctx, path), dtype=np.float64),
+                fx=float(_typed(c, "fx", ctx, path, float)),
+                fy=float(_typed(c, "fy", ctx, path, float)),
+                cx=float(_typed(c, "cx", ctx, path, float)),
+                cy=float(_typed(c, "cy", ctx, path, float)),
+                width=_typed(c, "width", ctx, path, int),
+                height=_typed(c, "height", ctx, path, int),
+                dist=np.array(_typed(c, "dist", ctx, path, float, 4), dtype=np.float64),
                 T_body_cam=extrinsic,
             )
-        except (ValueError, TypeError) as e:
+        except (ValueError, TypeError, OverflowError) as e:
             raise ParseError(f"{ctx}: {e}", path=path)
         ids.append(name)
         cams.append(cam)

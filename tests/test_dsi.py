@@ -277,6 +277,44 @@ def edge_rays():
     return w, h, a_u, a_v
 
 
+# Runs in a process of its own with the library at argv[1]: the event pass on
+# texts it takes and texts it refuses, then the pipeline through every
+# compiled fusion kind and both voting modes, with and without a fused volume.
+_UBSAN_RUN = r"""
+import dataclasses, sys
+from pathlib import Path
+from raysweep import _sweep
+from raysweep.pipeline import run_pipeline
+from raysweep.synth import make_scenario
+
+_sweep._build = lambda: Path(sys.argv[1])
+assert _sweep.kernel_name() == "c"
+for text, taken in [
+    (b"# t x y p\n0.5 1 2 1\r\n\t.25  3\t4 -0\n0.5 5 6 +1", True),
+    (b"1e-400 -2147483648 2147483647 -1\n123456789012345678e-20 0 0 1\n", True),
+    (b"9" * 40 + b"e-30 0 0 1\n" + b"0." + b"1" * 40 + b" 0 0 1\n", True),
+    (b"1e99999999999999999999 1 2 1\n", False),
+    (b"0.1 -2147483649 2 1\n", False),
+    (b"0.1 99999999999999999999 2 1\n", False),
+    (b"0." + b"1" * 80 + b" 1 2 1\n", False),
+    (b"0.1 1 2 1 # c\n", False),
+    (b"# \xff\n", False),
+]:
+    assert (_sweep.parse_events_c(text, -1, -1) is not None) == taken, text
+    _sweep.parse_events_c(text, 2, 2)
+sc = make_scenario("lateral_room", n_points=80, seed=3)
+streams = sc.simulate()
+for fusion in _sweep.FUSE_KINDS:
+    for median in (1, 5):
+        voting = "nearest" if median == 1 else "bilinear"
+        config = dataclasses.replace(sc.config, fusion=fusion, voting=voting,
+                                     median_kernel=median)
+        out, = run_pipeline(config, streams=streams, rig=sc.rig, traj=sc.traj,
+                            workers=2)
+        assert out.result is not None, (fusion, voting)
+"""
+
+
 class TestCKernel:
     """The compiled kernel against the numpy kernel, its oracle."""
 
@@ -418,6 +456,23 @@ class TestCKernel:
         )
         assert proc.returncode == 0, proc.stderr
         assert out.stat().st_size > 0
+
+    def test_no_undefined_behaviour(self, tmp_path):
+        # the event pass reads text from outside the program: every compiled
+        # function runs under UBSan, which aborts on the first undefined
+        # operation (signed overflow, a shift out of range, ...)
+        lib = tmp_path / "sweep-ubsan.so"
+        proc = subprocess.run(
+            [*_sweep._COMPILE, "-fsanitize=undefined", "-fno-sanitize-recover=all",
+             "-o", str(lib), str(_sweep._SOURCE), *_sweep._LIBS],
+            capture_output=True, text=True,
+        )
+        if proc.returncode != 0:
+            pytest.skip(f"no UBSan build: {proc.stderr.strip()}")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        proc = subprocess.run([sys.executable, "-c", _UBSAN_RUN, str(lib)], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
 
     def test_build_is_cached_by_source_and_flags(self, tmp_path, monkeypatch):
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))

@@ -225,6 +225,28 @@ class TestVectorizedEventParsing:
             assert np.array_equal(a, b)
         assert np.array_equal(rio.parse_events(p).t, lines[0])
 
+        # the order is checked across blocks: the second block's first event
+        # steps back from the first block's latest by under, then over, the
+        # jitter
+        data = p.read_bytes()
+        start = data.index(b"\n", 1000) + 1  # read(1000), then up to a line end
+        at = data.count(b"\n", 0, start)  # that line's index; line 0 is "# header"
+        rows = data.decode().split("\n")
+        latest = float(t[:at - 1].max())
+        for step in (9e-7, 2e-6):
+            fields = rows[at].split()
+            fields[0] = repr(latest - step)
+            p.write_text("\n".join(rows[:at] + [" ".join(fields)] + rows[at + 1:]))
+            if step < rio._TIME_JITTER:
+                fast, lines = _both_parsers(p)
+                assert fast is not None
+                assert_same_columns(fast, lines)
+                continue
+            assert rio._parse_events_blocks(p, None, None) is None
+            with pytest.raises(NonMonotonicTimestamps) as err:
+                rio.parse_events(p)
+            assert err.value.line == at + 1
+
     @pytest.mark.parametrize("text", [
         "0.1 1 2 1 # inline comment\n",
         "0.1 1 2 1\n0.2 1_0 2 1\n",      # int() takes it, the pass does not
@@ -458,6 +480,56 @@ class TestCalibrationParsing:
         capsys.readouterr()
         assert cli_main(["map", "--config", str(out / "config.json")]) == 2
         assert "finite" in capsys.readouterr().err
+        assert not (out / "results" / "stats.json").exists()
+
+    @pytest.mark.parametrize("field,value", [
+        ("width", 240.9), ("width", 1e300), ("height", True), ("fx", "200"),
+        ("cy", False), ("name", 7), ("dist", [0.0, "1", 0.0, 0.0]),
+        ("dist", [0.0, 0.0, 0.0]), ("T_body_cam.translation", [0.1, 0.0]),
+        ("T_body_cam.translation", "0 0 0"),
+        ("T_body_cam.quaternion_xyzw", [0.0, 0.0, 0.0, True]),
+    ])
+    def test_wrongly_typed_value_names_field(self, tmp_path, field, value):
+        # json gives each value its JSON type; none is coerced to another
+        doc = self._doc()
+        *parents, key = field.split(".")
+        entry = doc["cameras"][1]
+        for parent in parents:
+            entry = entry[parent]
+        entry[key] = value
+        p = write(tmp_path, "c.json", json.dumps(doc))
+        with pytest.raises(ParseError) as err:
+            rio.parse_calibration(p)
+        assert f"cameras[1].{field} must be" in str(err.value)
+        assert err.value.path == p
+
+    def test_integer_values_accepted(self, tmp_path):
+        doc = self._doc(fx=200)
+        doc["cameras"][1]["dist"] = [0, 0, 0, 0]
+        doc["cameras"][1]["T_body_cam"]["translation"] = [1, 0, 0]
+        p = write(tmp_path, "c.json", json.dumps(doc))
+        rig = rio.parse_calibration(p)
+        assert type(rig.cameras[0].fx) is float and rig.cameras[0].fx == 200.0
+        assert rig.cameras[1].T_body_cam.trans.tolist() == [1.0, 0.0, 0.0]
+
+    def test_integer_past_float_range_rejected(self, tmp_path):
+        doc = self._doc()
+        doc["cameras"][1]["fx"] = 10 ** 400
+        p = write(tmp_path, "c.json", json.dumps(doc))
+        with pytest.raises(ParseError, match=r"cameras\[1\]: int too large"):
+            rio.parse_calibration(p)
+
+    def test_wrongly_typed_value_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "scn"
+        assert cli_main(["synth", "--scenario", "lateral_room", "--out", str(out),
+                         "--points", "40", "--seed", "2"]) == 0
+        path = out / "calibration.json"
+        doc = json.loads(path.read_text())
+        doc["cameras"][0]["height"] = True  # would map a 1-row DSI
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert cli_main(["map", "--config", str(out / "config.json")]) == 2
+        assert "cameras[0].height must be an integer, got True" in capsys.readouterr().err
         assert not (out / "results" / "stats.json").exists()
 
     def test_missing_field_names_path(self, tmp_path):
