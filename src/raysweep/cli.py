@@ -12,7 +12,6 @@ import argparse
 import dataclasses
 import logging
 import sys
-import typing
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +21,7 @@ from . import io as rio
 from .dsi import VOTING_MODES
 from .errors import RaysweepError
 from .events import chunk_events, select_reference_view
-from .pipeline import PipelineConfig, run_pipeline
+from .pipeline import CONFIG_TYPES, PipelineConfig, run_pipeline
 from .synth import SCENARIO_NAMES, ground_truth_depth, make_scenario
 
 
@@ -63,15 +62,12 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     ``--field-name``, typed like the field. A bool field that defaults to
     off is a bare switch; one that defaults to on takes ``on|off``. Every
     flag defaults to None, meaning "keep the config's value"."""
-    types = typing.get_type_hints(PipelineConfig)
     for f in dataclasses.fields(PipelineConfig):
         if f.name in _PATH_KEYS:
             continue
         kw = dict(_FLAG_SETTINGS.get(f.name, {}))
         flag = kw.pop("flag", "--" + f.name.replace("_", "-"))
-        kind = types[f.name]
-        if type(None) in typing.get_args(kind):  # int | None -> int
-            kind = typing.get_args(kind)[0]
+        kind = CONFIG_TYPES[f.name][0]
         if kind is bool and not f.default:
             kw["action"] = "store_true"
         elif kind is bool:

@@ -56,5 +56,5 @@ class MotionTooFastForStep(RaysweepError):
 
 
 class DsiTooLarge(RaysweepError):
-    """The DSI volume, its voting buffers or its extraction filters exceed
-    physical memory."""
+    """The DSI volume, its voting buffers or its extraction filters, or the
+    results a run keeps of all its windows, exceed physical memory."""

@@ -125,28 +125,41 @@ class Chunk:
         return sum(len(s) for s in self.events.values())
 
 
-def chunk_events(streams, duration: float) -> list[Chunk]:
-    """Partition streams into consecutive windows of ``duration`` seconds.
-
-    Windows are half-open [start, start + T) and anchored at the latest
-    stream start (the first instant every camera is live); they extend far
-    enough to cover the last event of any stream. Events before the anchor
-    are dropped with a warning so that fused windows never pair one camera
-    against silence.
-    """
+def chunk_windows(streams, duration: float) -> tuple[float, int]:
+    """(start, count) of the windows that ``chunk_events`` makes: anchored
+    at the latest stream start, as many as cover the last event of any
+    stream. A duration that, added to that start or to the last timestamp,
+    leaves it unchanged cannot tell windows apart: ValueError."""
     if duration <= 0.0:
         raise ValueError("chunk duration must be positive")
-    streams = list(streams)
     if not streams or any(len(s) == 0 for s in streams):
         raise NoCommonTimeSpan("every stream must contain events")
     t0 = max(float(s.t[0]) for s in streams)
     t_last = max(float(s.t[-1]) for s in streams)
     if t0 > min(float(s.t[-1]) for s in streams):
         raise NoCommonTimeSpan("streams do not overlap in time")
-
+    if t0 + duration == t0 or t_last + duration == t_last:
+        raise ValueError(f"chunk duration {duration:g} s is below the float "
+                         f"spacing of the event timestamps in [{t0}, {t_last}]")
     n_chunks = int(math.floor((t_last - t0) / duration)) + 1
-    while t0 + n_chunks * duration <= t_last:  # FP guard: last event must fit
+    # FP guard: the last event must fit. Each step moves the end by over
+    # half an ulp of the timestamps (checked above), so it stops.
+    while t0 + n_chunks * duration <= t_last:
         n_chunks += 1
+    return t0, n_chunks
+
+
+def chunk_events(streams, duration: float) -> list[Chunk]:
+    """Partition streams into consecutive windows of ``duration`` seconds.
+
+    Windows are half-open [start, start + T) and anchored at the latest
+    stream start (the first instant every camera is live); they extend far
+    enough to cover the last event of any stream (``chunk_windows``).
+    Events before the anchor are dropped with a warning so that fused
+    windows never pair one camera against silence.
+    """
+    streams = list(streams)
+    t0, n_chunks = chunk_windows(streams, duration)
     boundaries = t0 + np.arange(n_chunks + 1) * duration
     chunks = [
         Chunk(i, float(boundaries[i]), float(boundaries[i + 1])) for i in range(n_chunks)

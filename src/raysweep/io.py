@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
+import re
 from array import array
 from dataclasses import dataclass
 from pathlib import Path
@@ -57,6 +59,65 @@ class RigCalibration:
 
     def __len__(self):
         return len(self.cameras)
+
+
+# ---------------------------------------------------------------------------
+# text records and JSON documents: the rules every input file is read by
+
+def _records(path: Path, fields: str, types: tuple):
+    """Yield (line number, stripped line, values) for each record of a UTF-8
+    text file, skipping blank lines and whole-line ``#`` comments: the
+    fields that ``fields`` names (e.g. ``"t x y p"``), read by ``types``.
+    Anything else raises ParseError naming the file and line; so does a
+    byte that is not UTF-8, which surrogateescape keeps as U+DC80-U+DCFF."""
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.isascii() and (bad := re.search("[\udc80-\udcff]", line)):
+                raise ParseError(f"byte {ord(bad[0]) - 0xDC00:#04x} is not UTF-8",
+                                 path=path, line=lineno)
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            parts = line.split()
+            if len(parts) != len(types):
+                raise ParseError(f"expected '{fields}', got {line!r}",
+                                 path=path, line=lineno)
+            try:
+                values = [kind(v) for kind, v in zip(types, parts)]
+            except ValueError:
+                raise ParseError(f"bad numeric field in {line!r}", path=path,
+                                 line=lineno) from None
+            yield lineno, line, values
+
+
+def read_json(path):
+    """The JSON document in ``path``, read as UTF-8. A syntax error, nesting
+    deeper than the decoder recurses or a byte that is not UTF-8 raises
+    ParseError naming the file."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except (ValueError, RecursionError) as e:  # ValueError: JSON or UTF-8
+        raise ParseError(f"invalid JSON: {e}", path=path) from None
+
+
+# JSON type -> the Python types that hold it (numpy's too), and its name
+_JSON_TYPES = {str: (str, "a string"), int: (numbers.Integral, "an integer"),
+               float: (numbers.Real, "a number"), bool: (bool, "true or false")}
+
+
+def check_json_type(name, value, kind, length=None):
+    """``value`` if it has the JSON type ``kind`` (str, int, float or bool)
+    or, with ``length``, is a list of that many numbers, else ValueError
+    naming ``name``. A bool is never an int or a number; an int is a number."""
+    accepted, what = _JSON_TYPES[kind]
+    items = [value] if length is None else value
+    if not (isinstance(items, list) and len(items) == (length or 1) and all(
+            isinstance(v, accepted) and (kind is bool or not isinstance(v, bool))
+            for v in items)):
+        what = what if length is None else f"a list of {length} numbers"
+        raise ValueError(f"{name} must be {what}, got {value!r}")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -131,47 +192,32 @@ def _parse_events_lines(path: Path, width, height):
     ts, xs, ys, ps = array("d"), array("i"), array("i"), array("b")
     prev_t = -np.inf
     needs_sort = False
-    with open(path, "r") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 4:
-                raise ParseError(
-                    f"expected 't x y p', got {line!r}", path=path, line=lineno
+    for lineno, line, (t, x, y, p) in _records(path, "t x y p",
+                                               (float, int, int, int)):
+        if not math.isfinite(t):
+            raise ParseError(f"non-finite timestamp in {line!r}",
+                             path=path, line=lineno)
+        if p == 0:
+            p = -1
+        if p not in (-1, 1):
+            raise ParseError(f"polarity must be 0/1 or -1/+1, got {p}",
+                             path=path, line=lineno)
+        if width is not None and not (0 <= x < width and 0 <= y < height):
+            raise ParseError(
+                f"event at ({x}, {y}) outside {width}x{height} sensor",
+                path=path, line=lineno,
+            )
+        if not (_I32.min <= x <= _I32.max and _I32.min <= y <= _I32.max):
+            raise ParseError(f"coordinate outside int32 in {line!r}",
+                             path=path, line=lineno)
+        if t < prev_t:
+            if prev_t - t > _TIME_JITTER:
+                raise NonMonotonicTimestamps(
+                    f"timestamp {t:.9f} after {prev_t:.9f}", path=path, line=lineno
                 )
-            try:
-                t = float(parts[0])
-                x = int(parts[1])
-                y = int(parts[2])
-                p = int(parts[3])
-            except ValueError:
-                raise ParseError(f"bad numeric field in {line!r}", path=path, line=lineno)
-            if not math.isfinite(t):
-                raise ParseError(f"non-finite timestamp in {line!r}",
-                                 path=path, line=lineno)
-            if p == 0:
-                p = -1
-            if p not in (-1, 1):
-                raise ParseError(f"polarity must be 0/1 or -1/+1, got {p}",
-                                 path=path, line=lineno)
-            if width is not None and not (0 <= x < width and 0 <= y < height):
-                raise ParseError(
-                    f"event at ({x}, {y}) outside {width}x{height} sensor",
-                    path=path, line=lineno,
-                )
-            if not (_I32.min <= x <= _I32.max and _I32.min <= y <= _I32.max):
-                raise ParseError(f"coordinate outside int32 in {line!r}",
-                                 path=path, line=lineno)
-            if t < prev_t:
-                if prev_t - t > _TIME_JITTER:
-                    raise NonMonotonicTimestamps(
-                        f"timestamp {t:.9f} after {prev_t:.9f}", path=path, line=lineno
-                    )
-                needs_sort = True
-            prev_t = max(prev_t, t)
-            ts.append(t), xs.append(x), ys.append(y), ps.append(p)
+            needs_sort = True
+        prev_t = max(prev_t, t)
+        ts.append(t), xs.append(x), ys.append(y), ps.append(p)
     return _time_sorted(np.frombuffer(ts, np.float64), np.frombuffer(xs, np.intc),
                         np.frombuffer(ys, np.intc), np.frombuffer(ps, np.int8),
                         needs_sort)
@@ -200,32 +246,19 @@ def write_events(stream: EventStream, path):
 def parse_trajectory(path) -> PoseTrajectory:
     path = Path(path)
     times, quats, trans = [], [], []
-    with open(path, "r") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 8:
-                raise ParseError(
-                    f"expected 't tx ty tz qx qy qz qw', got {line!r}",
-                    path=path, line=lineno,
-                )
-            try:
-                vals = [float(v) for v in parts]
-            except ValueError:
-                raise ParseError(f"bad numeric field in {line!r}", path=path, line=lineno)
-            if not all(map(math.isfinite, vals)):
-                raise ParseError(f"non-finite value in {line!r}", path=path, line=lineno)
-            q = np.array(vals[4:8])
+    for lineno, line, vals in _records(path, "t tx ty tz qx qy qz qw", (float,) * 8):
+        if not all(map(math.isfinite, vals)):
+            raise ParseError(f"non-finite value in {line!r}", path=path, line=lineno)
+        q = np.array(vals[4:8])
+        with np.errstate(over="ignore"):  # an inf norm is refused below
             norm = float(np.linalg.norm(q))
-            if abs(norm - 1.0) > _QUAT_PARSE_TOL:
-                raise QuaternionNormError(
-                    f"quaternion norm {norm:.6f} too far from 1", path=path, line=lineno
-                )
-            times.append(vals[0])
-            trans.append(vals[1:4])
-            quats.append(q / norm)
+        if abs(norm - 1.0) > _QUAT_PARSE_TOL:
+            raise QuaternionNormError(
+                f"quaternion norm {norm:.6f} too far from 1", path=path, line=lineno
+            )
+        times.append(vals[0])
+        trans.append(vals[1:4])
+        quats.append(q / norm)
     try:
         return PoseTrajectory(np.array(times), np.array(quats), np.array(trans))
     except ValueError as e:
@@ -243,31 +276,25 @@ def write_trajectory(traj: PoseTrajectory, path):
 # ---------------------------------------------------------------------------
 # rig calibration (JSON)
 
-def _require(obj, key, ctx, path):
-    if not isinstance(obj, dict):
-        raise ParseError(f"{ctx} must be a JSON object, got {type(obj).__name__}",
-                         path=path)
-    if key not in obj:
-        raise ParseError(f"missing field {ctx}.{key}", path=path)
-    return obj[key]
+# A camera entry's scalar values and their JSON types.
+_CAMERA_KEYS = (("width", int), ("height", int), ("fx", float), ("fy", float),
+                ("cx", float), ("cy", float))
 
 
-_KINDS = {str: "a string", int: "an integer", float: "a number"}
-
-
-def _typed(obj, key, ctx, path, kind, length=None):
-    """``obj[key]`` (see ``_require``), which must have the JSON type
-    ``kind`` (str, int, or float, which takes an int too) or, with
-    ``length``, be a list of that many floats; raises ParseError naming the
-    field otherwise. A bool is neither, though Python counts it an int."""
-    value = _require(obj, key, ctx, path)
-    accepted = (int, float) if kind is float else kind
-    items = [value] if length is None else value
-    if not (isinstance(items, list) and len(items) == (length or 1) and all(
-            isinstance(v, accepted) and not isinstance(v, bool) for v in items)):
-        what = _KINDS[kind] if length is None else f"a list of {length} numbers"
-        raise ParseError(f"{ctx}.{key} must be {what}, got {value!r}", path=path)
-    return value
+def _field(obj, key, ctx, path, kind=None, length=None):
+    """``obj[key]``, where ``obj`` must be a JSON object holding ``key`` and,
+    with ``kind``, the value must pass ``check_json_type``; raises
+    ParseError naming the field otherwise."""
+    try:
+        if not isinstance(obj, dict):
+            raise ValueError(f"{ctx} must be a JSON object, got {type(obj).__name__}")
+        if key not in obj:
+            raise ValueError(f"missing field {ctx}.{key}")
+        if kind is None:
+            return obj[key]
+        return check_json_type(f"{ctx}.{key}", obj[key], kind, length)
+    except ValueError as e:
+        raise ParseError(str(e), path=path) from None
 
 
 def parse_calibration(path) -> RigCalibration:
@@ -275,51 +302,43 @@ def parse_calibration(path) -> RigCalibration:
 
     Schema: {"rig": str, "cameras": [{"name", "width", "height", "fx",
     "fy", "cx", "cy", "dist" (4 floats), "T_body_cam": {"translation"
-    (3), "quaternion_xyzw" (4)}}, ...]}; camera 0 is the reference. The
-    width and height are JSON integers, the other camera values numbers.
-    """
+    (3), "quaternion_xyzw" (4)}}, ...]}; camera 0 is the reference. Names
+    are strings ("rig" if the rig has none), width and height integers and
+    the other camera values numbers."""
     path = Path(path)
-    try:
-        with open(path, "r") as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as e:
-        raise ParseError(f"invalid JSON: {e}", path=path)
-
-    cams_doc = _require(doc, "cameras", "$", path)
+    doc = read_json(path)
+    cams_doc = _field(doc, "cameras", "$", path)
     if not isinstance(cams_doc, list):
         raise ParseError("cameras must be a list", path=path)
     if len(cams_doc) < 2:
         raise InsufficientCameras(f"{path}: found {len(cams_doc)} camera(s), need >= 2")
+    rig = _field({"rig": "rig", **doc}, "rig", "$", path, str)  # "rig" if missing
 
     ids, cams = [], []
     for i, c in enumerate(cams_doc):
         ctx = f"cameras[{i}]"
-        name = _typed(c, "name", ctx, path, str)
+        name = _field(c, "name", ctx, path, str)
         if name in ids:
             raise ParseError(f"{ctx}: camera name {name!r} repeats "
                              f"cameras[{ids.index(name)}]", path=path)
-        ext = _require(c, "T_body_cam", ctx, path)
+        ext = _field(c, "T_body_cam", ctx, path)
         ext_ctx = ctx + ".T_body_cam"
         try:
             extrinsic = Se3(
-                np.array(_typed(ext, "quaternion_xyzw", ext_ctx, path, float, 4)),
-                np.array(_typed(ext, "translation", ext_ctx, path, float, 3)),
+                np.array(_field(ext, "quaternion_xyzw", ext_ctx, path, float, 4)),
+                np.array(_field(ext, "translation", ext_ctx, path, float, 3)),
             )
             cam = CameraModel(
-                fx=float(_typed(c, "fx", ctx, path, float)),
-                fy=float(_typed(c, "fy", ctx, path, float)),
-                cx=float(_typed(c, "cx", ctx, path, float)),
-                cy=float(_typed(c, "cy", ctx, path, float)),
-                width=_typed(c, "width", ctx, path, int),
-                height=_typed(c, "height", ctx, path, int),
-                dist=np.array(_typed(c, "dist", ctx, path, float, 4), dtype=np.float64),
+                **{key: kind(_field(c, key, ctx, path, kind))
+                   for key, kind in _CAMERA_KEYS},
+                dist=np.array(_field(c, "dist", ctx, path, float, 4), dtype=np.float64),
                 T_body_cam=extrinsic,
             )
         except (ValueError, TypeError, OverflowError) as e:
             raise ParseError(f"{ctx}: {e}", path=path)
         ids.append(name)
         cams.append(cam)
-    return RigCalibration(str(doc.get("rig", "rig")), tuple(ids), tuple(cams))
+    return RigCalibration(rig, tuple(ids), tuple(cams))
 
 
 def write_calibration(rig: RigCalibration, path):
@@ -328,12 +347,7 @@ def write_calibration(rig: RigCalibration, path):
         "cameras": [
             {
                 "name": cid,
-                "width": cam.width,
-                "height": cam.height,
-                "fx": cam.fx,
-                "fy": cam.fy,
-                "cx": cam.cx,
-                "cy": cam.cy,
+                **{key: getattr(cam, key) for key, _ in _CAMERA_KEYS},
                 "dist": list(cam.dist),
                 "T_body_cam": {
                     "translation": list(cam.T_body_cam.trans),

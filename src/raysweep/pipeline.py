@@ -14,12 +14,12 @@ import dataclasses
 import json
 import logging
 import math
-import numbers
 import os
 import time
 import typing
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
@@ -48,8 +48,9 @@ from .dsi import (  # noqa: F401
     sweep_band,
     vote_events,
 )
-from .errors import DsiTooLarge, RaysweepError
-from .events import Chunk, EventStream, chunk_events, select_reference_view
+from .errors import DsiTooLarge, ParseError, RaysweepError
+from .events import (Chunk, EventStream, chunk_events, chunk_windows,
+                     select_reference_view)
 from .geometry import PoseTrajectory
 
 log = logging.getLogger(__name__)
@@ -62,15 +63,6 @@ BAND_PLANES = 4
 # Config fields holding file paths (str or path-like; events a list of
 # them), checked apart from the others, whose annotations give their types.
 _PATH_FIELDS = ("events", "trajectory", "calibration", "out_dir")
-
-# Annotation -> accepted value types; bool, an int subclass, is accepted
-# only where the annotation is bool.
-_FIELD_TYPES = {
-    int: (numbers.Integral, "an int"),
-    float: (numbers.Real, "a number"),
-    bool: (bool, "true or false"),
-    str: (str, "a string"),
-}
 
 
 @dataclass
@@ -141,20 +133,11 @@ class PipelineConfig:
             value = getattr(self, name)
             if value is not None and not isinstance(value, path):
                 raise ValueError(f"{name} must be a path or null, got {value!r}")
-        hints = typing.get_type_hints(type(self))
         for f in dataclasses.fields(self):
-            if f.name in _PATH_FIELDS:
-                continue
             value = getattr(self, f.name)
-            kind = hints[f.name]
-            if type(None) in typing.get_args(kind):  # int | None -> int
-                if value is None:
-                    continue
-                kind = typing.get_args(kind)[0]
-            accepted, text = _FIELD_TYPES[kind]
-            if not isinstance(value, accepted) or (
-                    isinstance(value, bool) and kind is not bool):
-                raise ValueError(f"{f.name} must be {text}, got {value!r}")
+            kind, optional = CONFIG_TYPES[f.name]
+            if f.name not in _PATH_FIELDS and not (optional and value is None):
+                rio.check_json_type(f.name, value, kind)
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -163,8 +146,7 @@ class PipelineConfig:
     def from_dict(cls, d: dict) -> "PipelineConfig":
         if not isinstance(d, dict):
             raise ValueError(f"a config must be a JSON object, got {type(d).__name__}")
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(d) - known
+        unknown = set(d) - set(CONFIG_TYPES)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         return cls(**d)
@@ -176,8 +158,18 @@ class PipelineConfig:
 
     @classmethod
     def load(cls, path) -> "PipelineConfig":
-        with open(path, "r") as fh:
-            return cls.from_dict(json.load(fh))
+        try:
+            return cls.from_dict(rio.read_json(path))
+        except ValueError as e:  # from_dict's, which name no file
+            raise ParseError(str(e), path=path) from None
+
+
+# Each config field's (type, whether it may be None): ``X | None`` is (X, True).
+CONFIG_TYPES = {
+    name: (typing.get_args(kind)[0], True) if type(None) in typing.get_args(kind)
+    else (kind, False)
+    for name, kind in typing.get_type_hints(PipelineConfig).items()
+}
 
 
 @dataclass
@@ -442,18 +434,18 @@ def _check_memory(shape: tuple, n_cameras: int, workers: int, keep: bool,
         per_worker += 2 * BAND_PLANES
     buffers = workers * per_worker * plane
     median = FILTER_COPIES * plane * median_kernel**2
-    gaussian = FILTER_COPIES * 8 * (2 * int(4 * threshold_sigma + 0.5) + 1)
+    # scipy's radius, int(4 sigma + 0.5); from 2**52 on a float sigma is
+    # whole, 4 sigma + 0.5 rounds to 4 sigma, and 4 sigma may overflow
+    radius = (int(4 * threshold_sigma + 0.5) if threshold_sigma < 2**52
+              else 4 * int(threshold_sigma))
+    gaussian = FILTER_COPIES * 8 * (2 * radius + 1)
     volumes = (int(volume) + (n_cameras if keep else 0)) * num_planes * plane
     bookkeeping = 8 * (3 * num_planes + (n_cameras + 1 + 4) * bands)
     need = volumes + bookkeeping + max(buffers, median, gaussian)
-    try:
-        pages, page_size = os.sysconf("SC_PHYS_PAGES"), os.sysconf("SC_PAGE_SIZE")
-    except (AttributeError, OSError, ValueError):  # no sysconf, or no such name
-        return need
-    physical = pages * page_size
-    if pages > 0 and page_size > 0 and physical < need:
+    physical = _physical_memory()
+    if physical is not None and physical < need:
         raise DsiTooLarge(
-            f"the DSI needs {need} bytes ({need / 2**30:.1f} GiB: "
+            f"the DSI needs {need} bytes ({Decimal(need) / 2**30:.1f} GiB: "
             f"{num_planes} planes of {plane} bytes, "
             f"{'a' if volume else 'no'} fused volume, {bookkeeping} bytes for "
             f"the planes' depths and vote totals, {n_cameras} cameras, "
@@ -464,6 +456,20 @@ def _check_memory(shape: tuple, n_cameras: int, workers: int, keep: bool,
             f"median_kernel or threshold_sigma"
         )
     return need
+
+
+def _physical_memory() -> int | None:
+    """Bytes of physical memory, or None where the system does not say."""
+    try:
+        pages, page_size = os.sysconf("SC_PHYS_PAGES"), os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, OSError, ValueError):  # no sysconf, or no such name
+        return None
+    return pages * page_size if pages > 0 and page_size > 0 else None
+
+
+# Bytes per DSI pixel that run_pipeline keeps of every processed window: its
+# float64 depth and confidence maps and its boolean mask.
+RESULT_BYTES = 17
 
 
 def run_pipeline(
@@ -494,9 +500,12 @@ def run_pipeline(
                 f"({cam.cx}, {cam.cy}) of the reference camera, which the DSI "
                 f"keeps; {name} must exceed {c}"
             )
-    _check_memory(shape, len(rig.cameras), workers, config.dump_dsi,
-                  config.median_kernel, config.threshold_sigma,
-                  _needs_volume(config))
+    need = _check_memory(shape, len(rig.cameras), workers, config.dump_dsi,
+                         config.median_kernel, config.threshold_sigma,
+                         _needs_volume(config))
+    if config.dump_dsi and not config.out_dir:
+        raise ValueError("dump_dsi writes each chunk's DSI volumes to out_dir, "
+                         "which is not set: set out_dir, or turn dump_dsi off")
     side = max(shape[1:])
     # the blur's and the NMS window's times grow with these; past the larger
     # side the blur's background barely moves and the window covers the map
@@ -540,6 +549,16 @@ def run_pipeline(
             streams[cid].check_bounds(cam)
 
     ordered = [streams[cid] for cid in rig.camera_ids]
+    windows = chunk_windows(ordered, config.chunk_duration)[1]
+    kept = windows * RESULT_BYTES * shape[1] * shape[2]
+    physical = _physical_memory()
+    if physical is not None and physical < need + kept:
+        raise DsiTooLarge(
+            f"chunk_duration {config.chunk_duration:g} makes {windows} windows, "
+            f"whose depth, confidence and mask maps take {kept} bytes beside "
+            f"the {need} bytes of one chunk, but the machine has {physical} "
+            f"bytes of physical memory; use a longer chunk_duration"
+        )
     chunks = chunk_events(ordered, config.chunk_duration)
     out_dir = Path(config.out_dir) if config.out_dir else None
     if out_dir:

@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from raysweep import _sweep
 from raysweep import io as rio
@@ -18,6 +20,7 @@ from raysweep.errors import (
 )
 from raysweep.events import Event, EventStream
 from raysweep.geometry import Se3
+from raysweep.pipeline import PipelineConfig
 
 
 def write(tmp_path, name, text):
@@ -580,6 +583,82 @@ class TestCalibrationParsing:
         for a, b in zip(rig.cameras, rig2.cameras):
             assert (a.fx, a.fy, a.cx, a.cy) == (b.fx, b.fy, b.cx, b.cy)
             assert np.array_equal(a.T_body_cam.trans, b.T_body_cam.trans)
+
+
+# Text files: lines of numbers at the edges of their types, with as many
+# fields as an event or a trajectory sample or any count, stray bytes (not
+# UTF-8, non-ASCII, NUL, a lone CR) and comments; or any bytes at all.
+_NUMBERS = [b"0", b"1", b"-1", b"+1", b"0.5", b"0.25", b"1e-3", b"179", b"240",
+            b"2147483648", b"1e300", b"-1e-320", b"nan", b"inf", b"1e400", b"1_0"]
+_FIELDS = st.sampled_from(_NUMBERS)
+_LINES = st.one_of(
+    st.lists(st.sampled_from(_NUMBERS + [b"x", b"#", b"", b"\xff", b"\xc3\xa9",
+                                         b"\xc3", b"\xa0", b"\r", b"\x00"]),
+             max_size=9),
+    st.lists(_FIELDS, min_size=4, max_size=4),
+    st.lists(_FIELDS, min_size=8, max_size=8),
+)
+_TEXT_FILES = st.one_of(
+    st.binary(max_size=300),
+    st.lists(_LINES.map(b" ".join), max_size=30).map(b"\n".join),
+)
+
+
+class TestInputRules:
+    """Every reader reads UTF-8 and names the file, and a text reader the
+    line, of what it refuses."""
+
+    @pytest.mark.parametrize("name,line", [
+        ("events_left.txt", 3), ("trajectory.txt", 3), ("calibration.json", None),
+        ("config.json", None)])
+    def test_byte_not_utf8_names_file_and_line(self, tmp_path, capsys, name, line):
+        out = tmp_path / "scn"
+        assert cli_main(["synth", "--scenario", "lateral_room", "--out", str(out),
+                         "--points", "40", "--seed", "2"]) == 0
+        path = out / name
+        lines = path.read_bytes().split(b"\n")
+        lines[2] += b" \xff"
+        path.write_bytes(b"\n".join(lines))
+        read = {"events_left.txt": rio.parse_events,
+                "trajectory.txt": rio.parse_trajectory,
+                "calibration.json": rio.parse_calibration,
+                "config.json": PipelineConfig.load}[name]
+        with pytest.raises(ParseError, match="0xff") as err:
+            read(path)
+        assert err.value.path == path and err.value.line == line
+        capsys.readouterr()
+        assert cli_main(["map", "--config", str(out / "config.json")]) == 2
+        where = f"{path}: " + (f"line {line}: " if line else "")
+        assert where in capsys.readouterr().err
+        assert not (out / "results" / "stats.json").exists()
+
+    @given(data=_TEXT_FILES, bounded=st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_any_bytes_as_event_file_parse_or_raise_parse_error(
+            self, tmp_path_factory, data, bounded):
+        path = tmp_path_factory.getbasetemp() / "any_events.txt"
+        path.write_bytes(data)
+        bounds = {"width": 240, "height": 180} if bounded else {}
+        try:
+            stream = rio.parse_events(path, **bounds)
+        except ParseError as e:
+            assert e.path == path
+            return
+        assert np.all(np.diff(stream.t) >= 0)  # an empty file is an empty stream
+
+    @given(data=_TEXT_FILES)
+    @example(data=b"0 0 0 0 0 0 0 1e300\n")  # its norm overflows
+    @settings(max_examples=200, deadline=None)
+    def test_any_bytes_as_trajectory_file_parse_or_raise_parse_error(
+            self, tmp_path_factory, data):
+        path = tmp_path_factory.getbasetemp() / "any_trajectory.txt"
+        path.write_bytes(data)
+        try:
+            traj = rio.parse_trajectory(path)
+        except ParseError as e:
+            assert e.path == path
+            return
+        assert len(traj) > 0
 
 
 def make_result(cam, pixels):

@@ -3,7 +3,9 @@ import copy
 import dataclasses
 import json
 import math
+import os
 import re
+import subprocess
 import sys
 import threading
 import time
@@ -145,6 +147,107 @@ class TestConfig:
             PipelineConfig.from_dict(doc).validate()
         except ValueError:
             pass
+
+
+    @pytest.mark.parametrize("text,message", [
+        (b"{nope", "invalid JSON"),
+        (b"[]", "must be a JSON object"),
+        (b'{"zmin": 1.0}', "unknown config keys: ['zmin']"),
+        (b'{"fusion": "min\xff"}', "can't decode byte 0xff"),
+        pytest.param(b"[" * 100_000, "maximum recursion depth",
+                     id="nested-100000-deep"),
+    ])
+    def test_config_file_errors_name_the_file(self, tmp_path, capsys, text,
+                                              message):
+        path = tmp_path / "config.json"
+        path.write_bytes(text)
+        with pytest.raises(ParseError) as err:
+            PipelineConfig.load(path)
+        assert err.value.path == path and message in str(err.value)
+        assert cli_main(["map", "--config", str(path)]) == 2
+        assert f"{path}: " in capsys.readouterr().err
+
+    @given(where=st.sampled_from(["", "events", "num_planes", "width", "fusion",
+                                  "subvoxel", "extra"]),
+           value=JSON_VALUES)
+    @settings(max_examples=200, deadline=None)
+    def test_any_json_value_in_a_config_file_loads_or_raises(
+            self, tmp_path_factory, where, value):
+        doc = PipelineConfig(events=["a.txt", "b.txt"]).to_dict()
+        if where:
+            doc[where] = value
+        else:
+            doc = value
+        path = tmp_path_factory.getbasetemp() / "any_config.json"
+        path.write_text(json.dumps(doc))
+        try:
+            config = PipelineConfig.load(path)
+        except RaysweepError as e:
+            assert str(path) in str(e)
+            return
+        try:
+            config.validate()
+        except ValueError:
+            pass
+
+
+def _json_paths(doc, prefix=()):
+    """The key/index path of every node of a JSON document, root first."""
+    yield prefix
+    if isinstance(doc, (dict, list)):
+        for key, item in (doc.items() if isinstance(doc, dict) else enumerate(doc)):
+            yield from _json_paths(item, prefix + (key,))
+
+
+CALIBRATION = {"rig": "r", "cameras": [
+    {"name": name, "width": 240, "height": 180, "fx": 200.0, "fy": 200,
+     "cx": 120.0, "cy": 90.0, "dist": [0.0, 0.0, 0.0, 0.0],
+     "T_body_cam": {"translation": [0.12 * i, 0.0, 0.0],
+                    "quaternion_xyzw": [0.0, 0.0, 0.0, 1.0]}}
+    for i, name in enumerate(["left", "right"])]}
+
+
+class TestCalibrationValues:
+    @given(where=st.sampled_from(list(_json_paths(CALIBRATION))
+                                 + [("extra",), ("cameras", 1, "extra")]),
+           value=JSON_VALUES)
+    @settings(max_examples=200, deadline=None)
+    def test_any_json_value_parses_or_raises(self, tmp_path_factory, where,
+                                             value):
+        doc = copy.deepcopy(CALIBRATION)
+        if where:
+            parent = doc
+            for key in where[:-1]:
+                parent = parent[key]
+            parent[where[-1]] = value
+        else:
+            doc = value
+        path = tmp_path_factory.getbasetemp() / "any_calibration.json"
+        path.write_text(json.dumps(doc))
+        try:
+            rig = rio.parse_calibration(path)
+        except RaysweepError:
+            return
+        assert rig.name == doc["rig"]  # a string: the rig name is never coerced
+
+    @pytest.mark.parametrize("rig", [7, None, ["a"], True])
+    def test_rig_name_must_be_a_string(self, tmp_path, capsys, rig):
+        path = tmp_path / "calibration.json"
+        path.write_text(json.dumps(dict(CALIBRATION, rig=rig)))
+        with pytest.raises(ParseError, match=r"\$\.rig must be a string") as err:
+            rio.parse_calibration(path)
+        assert err.value.path == path
+        config = tmp_path / "config.json"
+        PipelineConfig(events=["a.txt", "b.txt"], trajectory="t.txt",
+                       calibration=str(path)).save(config)
+        assert cli_main(["map", "--config", str(config)]) == 2
+        assert f"{path}: $.rig must be a string" in capsys.readouterr().err
+
+    def test_missing_rig_name_is_rig(self, tmp_path):
+        doc = {key: value for key, value in CALIBRATION.items() if key != "rig"}
+        path = tmp_path / "calibration.json"
+        path.write_text(json.dumps(doc))
+        assert rio.parse_calibration(path).name == "rig"
 
 
 class TestWorkerResolution:
@@ -948,6 +1051,10 @@ class TestMemoryBudget:
     @pytest.mark.parametrize("flag,value,named", [
         ("--median-kernel", "101", "median_kernel 101"),
         ("--threshold-sigma", "1e8", "threshold_sigma 1e+08"),
+        # beyond float range: 4 sigma, and the bytes in GiB
+        ("--threshold-sigma", "1e308", "threshold_sigma 1e+308"),
+        pytest.param("--median-kernel", str(10**161 + 1),
+                     f"median_kernel {10**161 + 1}", id="median-kernel-10**161+1"),
     ])
     def test_unbounded_filter_refused_before_parsing(self, tmp_path, capsys,
                                                      monkeypatch, flag, value,
@@ -968,6 +1075,76 @@ class TestMemoryBudget:
         err = capsys.readouterr().err
         need = int(re.search(r"the DSI needs (\d+) bytes", err).group(1))
         assert need > 2**31 and named in err
+
+    def test_kept_results_beyond_memory_refused_before_chunks(self, tmp_path,
+                                                              capsys, monkeypatch):
+        # every processed window keeps its depth, confidence and mask: 17 B
+        # per pixel, 3.6 GB for the ~4900 windows of 0.1 ms here, on a
+        # machine of 256 MiB where one chunk's 14.5 MB fit
+        out = tmp_path / "scn"
+        assert cli_main(["synth", "--scenario", "lateral_room", "--out", str(out),
+                         "--points", "40", "--seed", "2"]) == 0
+
+        def reached(*args, **kwargs):
+            raise AssertionError("the run went past the window check")
+        monkeypatch.setattr(pipeline, "process_chunk", reached)
+        monkeypatch.setattr(pipeline, "chunk_events", reached)
+        monkeypatch.setattr(pipeline.os, "sysconf", lambda name: {  # 256 MiB
+            "SC_PHYS_PAGES": 2**16, "SC_PAGE_SIZE": 4096}[name])
+        config = PipelineConfig.load(out / "config.json")
+        config.chunk_duration = 1e-4
+        with pytest.raises(DsiTooLarge, match="chunk_duration 0.0001 makes") as exc:
+            run_pipeline(config, workers=1)
+        streams = [rio.parse_events(path) for path in config.events]
+        windows = pipeline.chunk_windows(streams, 1e-4)[1]
+        kept = windows * pipeline.RESULT_BYTES * 240 * 180
+        assert kept > 2**28 and f"{windows} windows" in str(exc.value)
+        assert f"take {kept} bytes" in str(exc.value)
+        assert cli_main(["map", "--config", str(out / "config.json"),
+                         "--chunk-duration", "1e-4"]) == 2
+        assert "use a longer chunk_duration" in capsys.readouterr().err
+        assert not (out / "results" / "stats.json").exists()
+
+    def test_window_below_the_timestamps_spacing_refused(self, tmp_path):
+        # the chunker's floating-point guard once spun forever on windows
+        # too short to move its end: a subprocess, so that a hang fails
+        out = tmp_path / "scn"
+        assert cli_main(["synth", "--scenario", "lateral_room", "--out", str(out),
+                         "--points", "40", "--seed", "2"]) == 0
+        src = str(Path(pipeline.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys; from raysweep.cli import cli_main; "
+             "sys.exit(cli_main(sys.argv[1:]))", "map", "--config",
+             str(out / "config.json"), "--chunk-duration", "1e-300"],
+            capture_output=True, text=True, timeout=60, env=env)
+        assert proc.returncode == 2, proc.stderr
+        assert "chunk duration 1e-300 s is below the float spacing" in proc.stderr
+        assert not (out / "results" / "stats.json").exists()
+
+    def test_dump_without_out_dir_refused_before_parsing(self, tmp_path, capsys,
+                                                         monkeypatch):
+        # the chunk loop drops each chunk's volumes once written: without an
+        # out_dir they would be built for nothing
+        out = tmp_path / "scn"
+        assert cli_main(["synth", "--scenario", "lateral_room", "--out", str(out),
+                         "--points", "40", "--seed", "2"]) == 0
+        config = PipelineConfig.load(out / "config.json")
+        config.out_dir = None
+        config.save(out / "config.json")
+
+        def reached(*args, **kwargs):
+            raise AssertionError("the run went past the dump check")
+        monkeypatch.setattr(pipeline.rio, "parse_events", reached)
+        assert cli_main(["map", "--config", str(out / "config.json"),
+                         "--dump-dsi"]) == 2
+        assert "dump_dsi writes each chunk's DSI volumes to out_dir" in \
+            capsys.readouterr().err
+        # an oversized config keeps its DsiTooLarge: the memory check comes first
+        with pytest.raises(DsiTooLarge):
+            run_pipeline(dataclasses.replace(config, dump_dsi=True,
+                                             num_planes=10**7), workers=1)
 
     def test_threshold_sigma_beyond_the_larger_side_refused(self, tmp_path,
                                                             capsys,
