@@ -6,9 +6,10 @@
  * v = a_v + b_v * inv_zs[i] and, if (u, v) lies in [0, width) x
  * [0, height), votes into that plane: one unit at the nearest voxel, which
  * must exist, or four bilinear weights. hit[k] is set to 1 for every event
- * that voted. lo and hi are only compared, never used as indices, so the
- * caller bounds every access through votes and inv_zs. Each plane receives
- * its events in ascending order, so its votes do not depend on which other
+ * that voted, and the call returns the number of (event, plane) votes it
+ * cast. lo and hi are only compared, never used as indices, so the caller
+ * bounds every access through votes and inv_zs. Each plane receives its
+ * events in ascending order, so its votes do not depend on which other
  * planes the call sweeps.
  *
  * Build with -ffp-contract=off: a fused multiply-add would round
@@ -23,13 +24,14 @@
 #include <emmintrin.h>
 #endif
 
-void sweep(const double *a_u, const double *a_v, const double *b_u,
-           const double *b_v, const int64_t *lo, const int64_t *hi,
-           int64_t n, const double *inv_zs, double *votes, int64_t planes,
-           int64_t offset, int64_t width, int64_t height, int bilinear,
-           uint8_t *hit)
+int64_t sweep(const double *a_u, const double *a_v, const double *b_u,
+              const double *b_v, const int64_t *lo, const int64_t *hi,
+              int64_t n, const double *inv_zs, double *votes, int64_t planes,
+              int64_t offset, int64_t width, int64_t height, int bilinear,
+              uint8_t *hit)
 {
     const double w = (double)width, h = (double)height;
+    int64_t cast = 0;
     for (int64_t i = offset; i < offset + planes; i++) {
         const double inv_z = inv_zs[i];
         double *plane = votes + (i - offset) * width * height;
@@ -62,8 +64,10 @@ void sweep(const double *a_u, const double *a_v, const double *b_u,
                 }
             }
             hit[k] = 1;
+            cast++;
         }
     }
+    return cast;
 }
 
 /* numpy's float ordering for searchsorted: NaN sorts after every number. */
@@ -168,8 +172,9 @@ void prepare(const double *q_wc, const double *t_wc, const double *bearings,
 /* Fusion kinds of fuse_band, numbered as _sweep.FUSE_KINDS lists them. */
 enum { FUSE_MIN, FUSE_MAX, FUSE_ARITHMETIC, FUSE_RMS, FUSE_HARMONIC };
 
-/* numpy's pairwise_sum blocks: leaves of at most PW_BLOCK elements. */
-#define PW_BLOCK 128
+/* Voxels fused, folded into the peak and zeroed per step: the cameras'
+ * block and its fusion stay in L1 cache between the three. */
+#define BLOCK 128
 
 struct band {
     double *stack;      /* camera c's votes start at stack + c * stride */
@@ -181,28 +186,6 @@ struct band {
     double *confidence; /* running maximum per pixel ... */
     int64_t *best;      /* ... and its plane */
 };
-
-/* One leaf of numpy's pairwise_sum over a[0:m], m <= PW_BLOCK, bit for bit. */
-static double leaf_sum(const double *a, int64_t m)
-{
-    if (m < 8) {
-        double res = 0.0;
-        for (int64_t i = 0; i < m; i++)
-            res += a[i];
-        return res;
-    }
-    double r[8];
-    for (int j = 0; j < 8; j++)
-        r[j] = a[j];
-    int64_t i;
-    for (i = 8; i < m - m % 8; i += 8)
-        for (int j = 0; j < 8; j++)
-            r[j] += a[i + j];
-    double res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
-    for (; i < m; i++)
-        res += a[i];
-    return res;
-}
 
 /* Where v[j] > conf[px + j], strictly: conf = v[j] and best = plane. */
 static void fold_peak(const struct band *b, const double *v, int64_t px,
@@ -233,16 +216,13 @@ static void fold_peak(const struct band *b, const double *v, int64_t px,
         }
 }
 
-/* Voxels [s, s + m) of the band: total each camera's votes into res[0:n],
- * fuse them into out, total those into res[n], fold them into the running
- * maximum and zero the cameras' votes. */
-static void fuse_leaf(const struct band *b, int64_t s, int64_t m, double *res)
+/* Voxels [s, s + m) of the band: fuse the cameras' votes into out, fold
+ * them into the running maximum and zero the cameras' votes. */
+static void fuse_block(const struct band *b, int64_t s, int64_t m)
 {
     const int64_t n = b->n;
     const double dn = (double)n;
     double *o = b->out + s;
-    for (int64_t c = 0; c < n; c++)
-        res[c] = leaf_sum(b->stack + c * b->stride + s, m);
 
     /* numpy's axis-0 reduction: camera 0, then each later camera in turn */
     const double *x = b->stack + s;
@@ -291,7 +271,6 @@ static void fuse_leaf(const struct band *b, int64_t s, int64_t m, double *res)
         break;
     }
     }
-    res[n] = leaf_sum(o, m);
 
     /* strictly greater: the first maximum, as np.argmax */
     int64_t pl = s / b->plane, px = s % b->plane;
@@ -305,24 +284,6 @@ static void fuse_leaf(const struct band *b, int64_t s, int64_t m, double *res)
 
     for (int64_t c = 0; c < n; c++)
         memset(b->stack + c * b->stride + s, 0, (size_t)m * sizeof(double));
-}
-
-/* numpy's pairwise_sum recursion over voxels [s, s + m), fusing at the
- * leaves; res[0:n+1] receives the totals, and res[n+1:] is workspace for
- * the right halves, one n + 1 row per level. */
-static void fuse_pairwise(const struct band *b, int64_t s, int64_t m, double *res)
-{
-    if (m <= PW_BLOCK) {
-        fuse_leaf(b, s, m, res);
-        return;
-    }
-    int64_t m2 = m / 2;
-    m2 -= m2 % 8;
-    double *right = res + b->n + 1;
-    fuse_pairwise(b, s, m2, res);
-    fuse_pairwise(b, s + m2, m - m2, right);
-    for (int64_t c = 0; c <= b->n; c++)
-        res[c] += right[c];
 }
 
 /* The fused votes beside each pixel's best plane, as dsi._track_band
@@ -352,13 +313,9 @@ static void track_band(const struct band *b, int64_t planes,
 /* Fuse one band of n cameras' votes, voxel by voxel, with numpy's IEEE
  * operations in numpy's order: planes [p0, p0 + planes) of the volume,
  * each of `plane` voxels; camera c's band starts at stack + c * stride and
- * the fused band is out. In the same pass, work[c] becomes camera c's
- * vote total and work[n] the fused band's, each numpy's pairwise sum of
- * its band bit for bit; every fused plane is folded into the running
- * (confidence, best) with a strict >; and the cameras' votes are zeroed.
- * work holds one n + 1 row per level of the recursion: bit_length(planes *
- * plane) rows suffice, as a level takes a length m > 128 to at most
- * m/2 + 8.
+ * the fused band is out. Block by block, the fused voxels are folded into
+ * the running (confidence, best) with a strict > and the cameras' votes
+ * are zeroed.
  *
  * The bands of a run come in plane order and the running maximum starts
  * at 0; the call also keeps below and above, the fused votes at each
@@ -366,14 +323,14 @@ static void track_band(const struct band *b, int64_t planes,
  * a run's first band), so that refinement needs no plane of the volume. */
 void fuse_band(double *stack, int64_t n, int64_t stride, int64_t planes,
                int64_t plane, int kind, double *out, int64_t p0,
-               double *confidence, int64_t *best, double *work,
-               const double *prev, double *below, double *above)
+               double *confidence, int64_t *best, const double *prev,
+               double *below, double *above)
 {
     const struct band b = {stack, n, stride, kind, out, plane, p0,
                            confidence, best};
-    fuse_pairwise(&b, 0, planes * plane, work);
-    for (int64_t c = 0; c <= n; c++)
-        work[c] = 0.0 + work[c]; /* numpy's sum starts at its identity */
+    const int64_t size = planes * plane;
+    for (int64_t s = 0; s < size; s += BLOCK)
+        fuse_block(&b, s, size - s < BLOCK ? size - s : BLOCK);
     track_band(&b, planes, prev, below, above);
 }
 

@@ -12,8 +12,9 @@ per event. The kernels scatter one vote per valid (event, plane) pair into
 a ``(planes, height, width)`` array holding the planes [offset, offset +
 planes) of the volume (the whole volume at offset 0, or one band of it)
 and return a per-event mask of the events that voted on at least one
-plane; an intersection must land inside [0, W) x [0, H), and the nearest
-voxel must exist (the top half-pixel edge rounds out of the grid). Plane
+plane and the number of (event, plane) votes they cast, an exact integer;
+an intersection must land inside [0, W) x [0, H), and the nearest voxel
+must exist (the top half-pixel edge rounds out of the grid). Plane
 indices ``lo``, ``hi`` and the depth samples are those of the whole
 volume. The kernels loop over the planes that the array holds and only
 compare ``lo`` and ``hi``, so an event's range may reach past them: the
@@ -28,7 +29,9 @@ their order, never on which other planes the same call sweeps, so callers
 may split the planes across threads or bands (one array and offset per
 range) and get the same volume bit for bit at any worker count or band
 size. Both add every vote in the same order, so their votes are
-bit-identical in both modes: C is only an accelerator.
+bit-identical in both modes: C is only an accelerator. A count of votes
+cast is the same in every kernel and adds up over any split of the
+planes; under nearest voting it is the sum of the votes.
 
 ``_sweep.c`` also holds ``prepare``, the compiled ``dsi._prepare_rays``
 that computes these coefficients (and each ray's origin, direction and
@@ -39,17 +42,11 @@ Its third function, ``fuse_band``, is the compiled ``dsi.fuse_band``: the
 band step that follows the sweep. In one pass over a band of every
 camera's votes it fuses them (min, max, arithmetic, rms or harmonic,
 voxel by voxel, with numpy's IEEE operations in numpy's axis-0 order),
-totals each camera and the fused band, folds the fused planes into a
-running per-pixel maximum (strict >, so the first maximum, as
-``np.argmax``) and zeroes the votes for the next band. The totals follow
-numpy's own pairwise ``sum`` of a contiguous array: halves split at
-``n/2 - (n/2) % 8`` down to leaves of at most 128 elements, each summed
-with eight accumulators combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))
-plus its tail (a leaf under 8 elements is a plain loop from 0.0). Fusion
-runs inside those leaves, so each total is ``float(x.sum())`` of its band
-bit for bit. The recursion keeps its partial totals in rows of a
-workspace that ``fuse_band_c`` allocates: the C library allocates
-nothing. Every call also keeps the fused votes at each pixel's best
+folds the fused planes into a running per-pixel maximum (strict >, so the
+first maximum, as ``np.argmax``) and zeroes the votes for the next band,
+block by block of at most 128 voxels, so that each block stays in cache
+from its fusion to its zeroing. The C library allocates nothing. Every
+call also keeps the fused votes at each pixel's best
 plane -1 and +1 (one ``(2, H, W)`` array) with ``dsi._track_band``'s
 rule: after the fold, one scan of the peak maps reads them for each
 pixel whose best lies in the band, from the band or the previous band's
@@ -120,14 +117,14 @@ _ARGTYPES = {
     "prepare": [_PTR] * 4 + [_I64] + [_PTR] * 4 + [_I64, _F64, _F64]
                + [_PTR] * 9,
     # fuse_band(stack, n, stride, planes, plane, kind, out, p0, confidence,
-    #           best, work, prev, below, above)
+    #           best, prev, below, above)
     "fuse_band": [_PTR, _I64, _I64, _I64, _I64, ctypes.c_int, _PTR, _I64]
-                 + [_PTR] * 6,
+                 + [_PTR] * 5,
     # parse_events(text, len, width, height, t, x, y, p, cap)
     "parse_events": [_PTR, _I64, _I64, _I64] + [_PTR] * 4 + [_I64],
 }
 # what each returns; None is void
-_RESTYPES = {"sweep": None, "prepare": None, "fuse_band": None,
+_RESTYPES = {"sweep": _I64, "prepare": None, "fuse_band": None,
              "parse_events": _I64}
 
 # The fusion kinds that fuse_band compiles, in _sweep.c's numbering. The
@@ -229,7 +226,8 @@ def _check_band(votes, offset, depths):
 
 def _sweep_c(a_u, a_v, b_u, b_v, lo, hi, inv_zs, votes, bilinear, offset=0):
     """Call the C kernel after checking every bound it relies on, so that
-    no argument can make it read or write outside its arrays."""
+    no argument can make it read or write outside its arrays. Returns the
+    hit mask and the number of votes cast."""
     lib = _require_c()
     coeffs = [np.ascontiguousarray(c, dtype=np.float64) for c in (a_u, a_v, b_u, b_v)]
     lo = np.ascontiguousarray(lo, dtype=np.int64)
@@ -243,10 +241,11 @@ def _sweep_c(a_u, a_v, b_u, b_v, lo, hi, inv_zs, votes, bilinear, offset=0):
                          "of equal length")
     hit = np.zeros(n, dtype=bool)
     planes, height, width = votes.shape
-    lib.sweep(*(c.ctypes.data for c in coeffs), lo.ctypes.data, hi.ctypes.data,
-              n, inv_zs.ctypes.data, votes.ctypes.data, planes, offset, width,
-              height, int(bilinear), hit.ctypes.data)
-    return hit
+    cast = lib.sweep(*(c.ctypes.data for c in coeffs), lo.ctypes.data,
+                     hi.ctypes.data, n, inv_zs.ctypes.data, votes.ctypes.data,
+                     planes, offset, width, height, int(bilinear),
+                     hit.ctypes.data)
+    return hit, cast
 
 
 def prepare_c(q_wc, t_wc, bearings, index, q_ref_inv, t_ref, intr, depths,
@@ -313,9 +312,6 @@ def fuse_band_c(kind, stack, out, p0, confidence, best, prev, around):
     the fused votes at each pixel's best plane -1 and +1 (see
     ``dsi._track_band``); ``prev`` (H, W) is the previous band's last
     fused plane, None for a run's first band.
-
-    Returns the cameras' vote totals and the fused total, each
-    ``float(x.sum())`` of its band bit for bit.
     """
     lib = _require_c()
     if kind not in FUSE_KINDS:
@@ -342,15 +338,11 @@ def fuse_band_c(kind, stack, out, p0, confidence, best, prev, around):
     _check_map(around, np.float64, (2,) + shape, "around")
     if prev is not None:
         _check_map(prev, np.float64, shape, "prev")
-    # one row of n + 1 partial totals per level of the pairwise recursion;
-    # row 0 receives the totals
-    work = np.empty(((planes * height * width).bit_length(), n + 1))
     lib.fuse_band(stack.ctypes.data, n, stack.strides[0] // item, planes,
                   height * width, FUSE_KINDS.index(kind), out.ctypes.data,
                   int(p0), confidence.ctypes.data, best.ctypes.data,
-                  work.ctypes.data, None if prev is None else prev.ctypes.data,
+                  None if prev is None else prev.ctypes.data,
                   around[0].ctypes.data, around[1].ctypes.data)
-    return [float(t) for t in work[0, :n]], float(work[0, n])
 
 
 def parse_events_c(text, width, height):
@@ -430,11 +422,13 @@ def _sweep_planes(project, lo, hi, votes, bilinear, offset, depths):
 
     ``project(i, s, e)`` returns the pixel coordinates (u, v) where the rays
     of events s:e meet plane i, which is ``votes[i - offset]``, at the depth
-    sample ``depths[i]``. Returns the per-event hit mask.
+    sample ``depths[i]``. Returns the per-event hit mask and the number of
+    votes cast.
     """
     _check_band(votes, offset, depths)
     n_events = lo.shape[0]
     hit = np.zeros(n_events, dtype=bool)
+    cast = 0
     height, width = votes.shape[1:]
     for i, plane in enumerate(votes, offset):
         for s in range(0, n_events, _BLOCK):
@@ -443,8 +437,10 @@ def _sweep_planes(project, lo, hi, votes, bilinear, offset, depths):
             with np.errstate(invalid="ignore"):
                 ok = (lo[s:e] <= i) & (hi[s:e] > i)
                 ok &= (u >= 0.0) & (u < width) & (v >= 0.0) & (v < height)
-            hit[s:e] |= _scatter_plane(u, v, ok, plane, bilinear)
-    return hit
+            voted = _scatter_plane(u, v, ok, plane, bilinear)
+            hit[s:e] |= voted
+            cast += int(np.count_nonzero(voted))
+    return hit, cast
 
 
 def _sweep_numpy(a_u, a_v, b_u, b_v, lo, hi, inv_zs, votes, bilinear, offset=0):
@@ -467,7 +463,8 @@ def sweep_direct(origins, dirs, lo, hi, zs, intr, votes, bilinear, offset=0):
     nearly parallel to the planes (|a|, |b/z| >> |u|); evaluating the
     intersection point explicitly stays well conditioned. Vectorized numpy;
     only the rare ill-conditioned events take this route. Same plane-major
-    sweep, plane offset and hit-mask return as the affine kernels.
+    sweep, plane offset and (hit mask, votes cast) return as the affine
+    kernels.
     """
     fx, fy, cx, cy = intr
 
@@ -490,8 +487,9 @@ def run_sweep(prep, inv_zs, votes, mode, offset=0):
 
     ``prep`` is the (a_u, a_v, b_u, b_v, lo, hi) tuple of affine-form
     coefficients; an event votes only on the planes of its [lo, hi) that
-    ``votes`` holds, and plane i is ``votes[i - offset]``; ``dsi.sweep_band`` checks ``mode``.
-    Returns the boolean mask of events that voted on at least one plane.
+    ``votes`` holds, and plane i is ``votes[i - offset]``; ``dsi.sweep_band``
+    checks ``mode``. Returns the boolean mask of events that voted on at
+    least one plane and the number of (event, plane) votes cast.
     """
     sweep = _sweep_c if kernel_name() == "c" else _sweep_numpy
     return sweep(*prep, inv_zs, votes, bilinear=(mode == "bilinear"), offset=offset)

@@ -8,7 +8,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.ndimage import gaussian_filter, maximum_filter
 
 from .dsi import DsiGrid, empty_peak, update_peak
 from .geometry import CameraModel, Se3
@@ -159,6 +158,10 @@ def adaptive_threshold(confidence, sigma: float, offset: float) -> np.ndarray:
     """
     if sigma <= 0.0:
         raise ValueError("sigma must be positive")
+    # imported here, not at module level: scipy.ndimage takes longer to
+    # import than the rest of raysweep, and only depth extraction uses it
+    from scipy.ndimage import gaussian_filter
+
     confidence = np.asarray(confidence, dtype=np.float64)
     background = gaussian_filter(confidence, sigma=sigma, mode="reflect")
     return (confidence > background + offset) & (confidence > 0.0)
@@ -173,6 +176,8 @@ def local_peak_mask(confidence, radius: int = 1) -> np.ndarray:
     """
     if radius < 1:
         raise ValueError("radius must be >= 1")
+    from scipy.ndimage import maximum_filter  # as in adaptive_threshold
+
     confidence = np.asarray(confidence, dtype=np.float64)
     peak = confidence == maximum_filter(confidence, size=2 * radius + 1)
     return peak & (confidence > 0.0)

@@ -323,37 +323,40 @@ def prepare_sweep(grid: DsiGrid, events: EventStream, cam: CameraModel, *,
 
 
 def sweep_band(grid: DsiGrid, rays: SweepRays, votes: np.ndarray, p0: int,
-               mode: str = "bilinear") -> np.ndarray:
+               mode: str = "bilinear") -> tuple[np.ndarray, int]:
     """Vote prepared rays into planes [p0, p0 + len(votes)) of ``grid``'s
     volume, held by the (planes, height, width) array ``votes``
     (accumulates); ``grid.votes`` itself is not touched unless passed.
     An unknown ``mode`` raises ValueError before any vote is written.
 
-    Returns the hit mask over the events in (affine, graze) order: whether
-    each voted on at least one plane of the band. The votes of a plane
-    depend only on the events, never on the band, so any split of the
-    planes into bands gives the same volume bit for bit.
+    Returns the hit mask over the events in (affine, graze) order, whether
+    each voted on at least one plane of the band, and the number of
+    (event, plane) votes cast. The votes of a plane depend only on the
+    events, never on the band, so any split of the planes into bands gives
+    the same volume bit for bit, and band counts that add up to the whole
+    volume's.
     """
     if mode not in VOTING_MODES:
         raise ValueError(f"unknown voting mode {mode!r}")
     p1 = p0 + votes.shape[0]
     *coeffs, lo, hi = rays.affine
     origins, dirs, g_lo, g_hi = rays.graze
-    hits = [np.zeros(0, dtype=bool)]
+    swept = [(np.zeros(0, dtype=bool), 0)]  # (hit mask, votes cast) per kernel
     if len(lo):
         # clipped only so that bench/layers.py counts the band's ray-plane tests
-        hits.append(_sweep.run_sweep(
+        swept.append(_sweep.run_sweep(
             (*coeffs, np.clip(lo, p0, p1), np.clip(hi, p0, p1)),
             grid.inv_depths, votes, mode, offset=p0,
         ))
     if len(g_lo):
         k = grid.ref_intrinsics
-        hits.append(_sweep.sweep_direct(
+        swept.append(_sweep.sweep_direct(
             origins, dirs, g_lo, g_hi,
             grid.depths, (k.fx, k.fy, k.cx, k.cy), votes,
             bilinear=(mode == "bilinear"), offset=p0,
         ))
-    return np.concatenate(hits)
+    hits, casts = zip(*swept)
+    return np.concatenate(hits), sum(casts)
 
 
 def vote_events(
@@ -374,7 +377,7 @@ def vote_events(
     bands across workers and gives the same volume bit for bit.
     """
     rays = prepare_sweep(grid, events, cam, traj=traj, pose=pose)
-    hit = sweep_band(grid, rays, grid.votes, 0, mode)
+    hit = sweep_band(grid, rays, grid.votes, 0, mode)[0]
     grid.skipped_events += len(events) - int(np.count_nonzero(hit))
     return grid
 
@@ -609,7 +612,7 @@ def _track_band(out, p0: int, confidence, best, around, prev):
 
 def fuse_band(op: FusionOp, stack: np.ndarray, out: np.ndarray, p0: int, peak,
               around: np.ndarray, prev: np.ndarray | None = None):
-    """Fuse one band of every camera's votes, total them and zero them.
+    """Fuse one band of every camera's votes and zero them.
 
     ``stack`` (cameras, planes, H, W) holds the votes on the planes
     [p0, p0 + planes) of the volume, ``out`` receives their fusion and
@@ -619,20 +622,18 @@ def fuse_band(op: FusionOp, stack: np.ndarray, out: np.ndarray, p0: int, peak,
     ``empty_peak``, and each call also keeps in ``around``, a (2, H, W)
     array, the fused votes beside each best plane (``_track_band``);
     ``prev`` is the previous band's last fused plane, None for the run's
-    first band. Returns the cameras' vote totals and the fused total, each
-    ``float(x.sum())`` of its band.
+    first band.
 
     For the kinds in ``_sweep.FUSE_KINDS`` this is one pass of the C
     ``fuse_band`` whenever the library loads: the same IEEE operations in
-    numpy's order, and each total numpy's pairwise sum, so every output is
-    bit-identical. This numpy form is its fallback and test oracle, and
-    the only form of the geometric and power means.
+    numpy's order, so every output is bit-identical. This numpy form is
+    its fallback and test oracle, and the only form of the geometric and
+    power means.
     """
     if op.kind in _sweep.FUSE_KINDS and _sweep.kernel_name() == "c":
-        return _sweep.fuse_band_c(op.kind, stack, out, p0, *peak, prev, around)
-    totals = [float(camera.sum()) for camera in stack]
+        _sweep.fuse_band_c(op.kind, stack, out, p0, *peak, prev, around)
+        return
     op.apply_into(stack, out)  # overwrites stack
     update_peak(out, p0, *peak)
     _track_band(out, p0, *peak, around, prev)
     stack.fill(0.0)
-    return totals, float(out.sum())

@@ -176,7 +176,7 @@ CONFIG_TYPES = {
 class ChunkOutput:
     """Result of one chunk: the (post-processed) depth result plus stats.
 
-    ``stats`` records events read/voted/skipped per camera, vote totals,
+    ``stats`` records events read/voted/skipped and votes cast per camera,
     and per-stage timings in seconds. ``fused`` and ``camera_grids`` are
     set only with ``config.dump_dsi``, and ``run_pipeline`` drops them
     once written.
@@ -241,7 +241,7 @@ def process_chunk(
     t0 = time.perf_counter()
     shape = (fused.num_planes, fused.height, fused.width)
     cameras = np.empty((len(rays),) + shape) if config.dump_dsi else None
-    hits, votes, fused_votes, peak, around = _vote_and_fuse(
+    hits, votes, peak, around = _vote_and_fuse(
         fused, rays, FusionOp.from_string(config.fusion), config.voting, workers,
         cameras,
     )
@@ -249,15 +249,15 @@ def process_chunk(
 
     per_camera = {}
     skipped = []
-    for cid, stream, r, hit, total in zip(rig.camera_ids, streams, rays, hits,
-                                          votes):
+    for cid, stream, r, hit, cast in zip(rig.camera_ids, streams, rays, hits,
+                                         votes):
         skipped.append(len(stream) - int(np.count_nonzero(hit)))
         per_camera[cid] = {
             "events_read": len(stream),
             "events_voted": len(stream) - skipped[-1],
             "events_skipped": skipped[-1],
             "events_grazing": len(r.graze[2]),
-            "votes": total,
+            "votes": cast,
         }
     fused.skipped_events = sum(skipped)
 
@@ -282,15 +282,14 @@ def process_chunk(
         "events_read": sum(c["events_read"] for c in per_camera.values()),
         "events_voted": sum(c["events_voted"] for c in per_camera.values()),
         "events_skipped": sum(c["events_skipped"] for c in per_camera.values()),
-        "fused_votes": fused_votes,
         "valid_pixels": result.num_valid,
         "kernel": kernel_name(),  # the one that prepared and swept the rays
         "timings": timings,
     }
     log.info(
-        "chunk %d [%.3f, %.3f): %d events -> %.0f fused votes -> %d pixels",
-        chunk.index, chunk.t_start, chunk.t_end,
-        stats["events_read"], stats["fused_votes"], stats["valid_pixels"],
+        "chunk %d [%.3f, %.3f): %d events -> %d votes -> %d pixels",
+        chunk.index, chunk.t_start, chunk.t_end, stats["events_read"],
+        sum(votes), stats["valid_pixels"],
     )
     out = ChunkOutput(chunk.index, chunk.t_start, chunk.t_end, result, stats)
     if cameras is not None:
@@ -324,31 +323,27 @@ def _vote_and_fuse(fused: DsiGrid, rays, op: FusionOp, mode: str, workers: int,
     kept). ``dsi.fuse_band`` then fuses it into the band's planes of
     ``fused.votes`` (without a volume, into the worker's two band outputs
     in turn, so that the previous band's last plane stays readable),
-    totals every camera and the fused band, folds the fused planes into a
-    running per-pixel maximum, keeps the votes beside it in the worker's
-    (2, H, W) array, and zeroes the stack for the next band: for min,
-    max, arithmetic, rms and harmonic that is one pass of the C
-    ``fuse_band``, in numpy otherwise. A plane's votes depend only on the
+    folds the fused planes into a running per-pixel maximum, keeps the
+    votes beside it in the worker's (2, H, W) array, and zeroes the stack
+    for the next band: for min, max, arithmetic, rms and harmonic that is
+    one pass of the C ``fuse_band``, in numpy otherwise. A plane's votes depend only on the
     events and every fusion operator is element-wise, so the result is
     bit-identical to voting whole volumes with ``vote_events`` and fusing
     them with ``fuse``, at any worker count.
 
     Returns, per camera, the hit mask (events that voted on any plane) and
-    the vote total, the fused vote total, the (confidence, best) peak maps
-    that ``extract_depth`` takes, and the (2, H, W) votes below and above
-    each best plane that ``refine_result`` takes where no volume exists.
-    The workers' maps are merged in plane order with a strict >, which
-    keeps ``np.argmax``'s first maximum; at each seam between two runs the
-    earlier run's last fused plane and the later one's first fill in the
-    votes beside a best plane that lies at the seam. Each band total is
-    numpy's pairwise ``sum`` of the band, bit for bit; a total is the sum
-    of the band totals in plane order: the same at any worker count, but
-    not bit-equal to ``votes.sum()`` over the whole volume.
+    the number of (event, plane) votes cast, the (confidence, best) peak
+    maps that ``extract_depth`` takes, and the (2, H, W) votes below and
+    above each best plane that ``refine_result`` takes where no volume
+    exists. The workers' maps are merged in plane order with a strict >,
+    which keeps ``np.argmax``'s first maximum; at each seam between two
+    runs the earlier run's last fused plane and the later one's first fill
+    in the votes beside a best plane that lies at the seam. The counts are
+    exact integers, the same at any worker count as over the whole volume.
     """
     n, nz = len(rays), fused.num_planes
     runs = _runs(nz, workers)
     band = (BAND_PLANES, fused.height, fused.width)
-    totals = np.empty((runs[-1].stop, n + 1))  # per band: cameras, fused
 
     def run(j):
         stack = np.zeros((n,) + band)
@@ -356,24 +351,25 @@ def _vote_and_fuse(fused: DsiGrid, rays, op: FusionOp, mode: str, workers: int,
         around = np.empty((2,) + band[1:])
         peak = empty_peak(*band[1:])
         hits = [np.zeros(r.num_events, dtype=bool) for r in rays]
+        votes = [0] * n
         first = prev = None
         for b in runs[j]:
             p0 = b * BAND_PLANES
             p1 = min(p0 + BAND_PLANES, nz)
             planes = stack[:, :p1 - p0]
             for k, r in enumerate(rays):
-                hits[k] |= sweep_band(fused, r, planes[k], p0, mode)
+                hit, cast = sweep_band(fused, r, planes[k], p0, mode)
+                hits[k] |= hit
+                votes[k] += cast
             if cameras is not None:
                 cameras[:, p0:p1] = planes
             out = (outs[b % 2, :p1 - p0] if outs is not None
                    else fused.votes[p0:p1])
-            cams, totals[b, n] = fuse_band(op, planes, out, p0, peak, around,
-                                           prev)
-            totals[b, :n] = cams
+            fuse_band(op, planes, out, p0, peak, around, prev)
             if j and b == runs[j].start:
                 first = out[0].copy()  # the merge reads it at the seam
             prev = out[-1]
-        return hits, peak, around, first, prev
+        return hits, peak, around, first, prev, votes
 
     if len(runs) == 1:
         results = [run(0)]
@@ -381,13 +377,11 @@ def _vote_and_fuse(fused: DsiGrid, rays, op: FusionOp, mode: str, workers: int,
         with ThreadPoolExecutor(max_workers=len(runs)) as pool:
             results = list(pool.map(run, range(len(runs))))
     hits = [np.logical_or.reduce([r[0][k] for r in results]) for k in range(n)]
-    # Python's sums of the band totals, in plane order
-    votes = [sum(totals[:, k].tolist()) for k in range(n)]
-    fused_votes = sum(totals[:, n].tolist())
+    votes = [sum(r[5][k] for r in results) for k in range(n)]
     (confidence, best), around = results[0][1:3]
     greater = np.empty(confidence.shape, dtype=bool)
     for j in range(1, len(runs)):  # later planes win only if greater
-        _, (conf, plane), later, first, _ = results[j]
+        _, (conf, plane), later, first, _, _ = results[j]
         seam = runs[j].start * BAND_PLANES
         np.copyto(around[1], first, where=best == seam - 1)
         np.copyto(later[0], results[j - 1][4], where=plane == seam)
@@ -395,7 +389,7 @@ def _vote_and_fuse(fused: DsiGrid, rays, op: FusionOp, mode: str, workers: int,
         np.copyto(confidence, conf, where=greater)
         np.copyto(best, plane, where=greater)
         np.copyto(around, later, where=greater)
-    return hits, votes, fused_votes, (confidence, best), around
+    return hits, votes, (confidence, best), around
 
 
 # The extraction filters' temporaries peak at up to 5 float64 copies of
@@ -414,8 +408,7 @@ def _check_memory(shape: tuple, n_cameras: int, workers: int, keep: bool,
     volume (unless ``volume`` is False, which ``_needs_volume`` decides)
     and, when dumped (``keep``), the per-camera volumes; three float64 per
     plane (the planes' depths and inverse depths, and the temporary that
-    makes them) and, per band, its cameras' and fused vote totals plus one
-    in transit as a Python float (32 bytes); plus the largest of the
+    makes them); plus the largest of the
     workers' band buffers (voting), the median filter's and the
     threshold's temporaries, which are never live at once. Each worker
     keeps one band buffer per camera, two peak maps (confidence and best
@@ -440,22 +433,30 @@ def _check_memory(shape: tuple, n_cameras: int, workers: int, keep: bool,
               else 4 * int(threshold_sigma))
     gaussian = FILTER_COPIES * 8 * (2 * radius + 1)
     volumes = (int(volume) + (n_cameras if keep else 0)) * num_planes * plane
-    bookkeeping = 8 * (3 * num_planes + (n_cameras + 1 + 4) * bands)
+    bookkeeping = 8 * 3 * num_planes
     need = volumes + bookkeeping + max(buffers, median, gaussian)
     physical = _physical_memory()
     if physical is not None and physical < need:
+        r = _readable
         raise DsiTooLarge(
-            f"the DSI needs {need} bytes ({Decimal(need) / 2**30:.1f} GiB: "
-            f"{num_planes} planes of {plane} bytes, "
-            f"{'a' if volume else 'no'} fused volume, {bookkeeping} bytes for "
-            f"the planes' depths and vote totals, {n_cameras} cameras, "
-            f"{workers} workers; {median} bytes for median_kernel "
-            f"{median_kernel} and {gaussian} bytes for threshold_sigma "
-            f"{threshold_sigma:g}) but the machine has {physical} bytes of "
-            f"physical memory; use fewer planes, a smaller width/height, "
-            f"median_kernel or threshold_sigma"
+            f"the DSI needs {r(need)} bytes ({r(Decimal(need) / 2**30, '.1f')} "
+            f"GiB: {r(num_planes)} planes of {r(plane)} bytes, "
+            f"{'a' if volume else 'no'} fused volume, {r(bookkeeping)} bytes "
+            f"for the planes' depths, {r(n_cameras)} cameras, {r(workers)} "
+            f"workers; {r(median)} bytes for median_kernel {r(median_kernel)} "
+            f"and {r(gaussian)} bytes for threshold_sigma {threshold_sigma:g}) "
+            f"but the machine has {r(physical)} bytes of physical memory; use "
+            f"fewer planes, a smaller width/height, median_kernel or "
+            f"threshold_sigma"
         )
     return need
+
+
+def _readable(value, spec: str = "d") -> str:
+    """``value`` as the ``DsiTooLarge`` messages print it: formatted with
+    ``spec`` up to 10**15, in e-notation with 3 significant digits beyond,
+    so that an absurd setting cannot flood the message with digits."""
+    return format(value, spec) if value <= 10**15 else f"{Decimal(value):.2e}"
 
 
 def _physical_memory() -> int | None:
@@ -553,11 +554,13 @@ def run_pipeline(
     kept = windows * RESULT_BYTES * shape[1] * shape[2]
     physical = _physical_memory()
     if physical is not None and physical < need + kept:
+        r = _readable
         raise DsiTooLarge(
-            f"chunk_duration {config.chunk_duration:g} makes {windows} windows, "
-            f"whose depth, confidence and mask maps take {kept} bytes beside "
-            f"the {need} bytes of one chunk, but the machine has {physical} "
-            f"bytes of physical memory; use a longer chunk_duration"
+            f"chunk_duration {config.chunk_duration:g} makes {r(windows)} "
+            f"windows, whose depth, confidence and mask maps take {r(kept)} "
+            f"bytes beside the {r(need)} bytes of one chunk, but the machine "
+            f"has {r(physical)} bytes of physical memory; use a longer "
+            f"chunk_duration"
         )
     chunks = chunk_events(ordered, config.chunk_duration)
     out_dir = Path(config.out_dir) if config.out_dir else None

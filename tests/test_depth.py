@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -304,6 +307,22 @@ class TestLocalPeakMask:
     def test_zero_background_not_masked(self):
         mask = local_peak_mask(np.zeros((8, 8)), radius=1)
         assert not mask.any()
+
+
+def test_import_loads_no_scipy():
+    # scipy.ndimage takes longer to import than the rest of raysweep, and
+    # only depth extraction needs it: the filters import it on first use
+    code = (
+        "import sys, numpy, raysweep\n"
+        "def scipy(): return sorted(m for m in sys.modules "
+        "if m.partition('.')[0] == 'scipy')\n"
+        "assert scipy() == [], scipy()\n"
+        "raysweep.adaptive_threshold(numpy.ones((4, 4)), 1.0, 0.0)\n"
+        "assert 'scipy.ndimage' in scipy()\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                   timeout=120)
 
 
 def nanmedian_filter(result, kernel):

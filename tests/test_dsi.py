@@ -214,9 +214,9 @@ class TestGrazingFallback:
         voted = {}
         for name in ("run_sweep", "sweep_direct"):
             def spy(*args, _fn=getattr(_sweep, name), _name=name, **kwargs):
-                hit = _fn(*args, **kwargs)
+                hit, cast = _fn(*args, **kwargs)
                 voted[_name] = voted.get(_name, 0) + int(np.count_nonzero(hit))
-                return hit
+                return hit, cast
             monkeypatch.setattr(_sweep, name, spy)
 
         fast = grid.copy_empty()
@@ -334,13 +334,19 @@ class TestCKernel:
         prep = (a_u, a_v, b_u, b_v, lo, hi)
         v_c = np.zeros_like(grid.votes)
         v_numpy = np.zeros_like(grid.votes)
-        hit_c = _sweep.run_sweep(prep, grid.inv_depths, v_c, mode)
+        hit_c, cast_c = _sweep.run_sweep(prep, grid.inv_depths, v_c, mode)
         with numpy_kernel():
-            hit_numpy = _sweep.run_sweep(prep, grid.inv_depths, v_numpy, mode)
+            hit_numpy, cast_numpy = _sweep.run_sweep(prep, grid.inv_depths,
+                                                     v_numpy, mode)
         assert hit_c.dtype == hit_numpy.dtype == np.bool_
         assert np.array_equal(hit_c, hit_numpy)
         assert 0 < np.count_nonzero(hit_numpy) < len(hit_numpy)
         assert_same_bits([v_c], [v_numpy])
+        # the votes cast: an exact int, one unit per vote in nearest mode
+        assert type(cast_c) is type(cast_numpy) is int
+        assert cast_c == cast_numpy >= np.count_nonzero(hit_c)
+        if mode == "nearest":
+            assert cast_c == v_c.sum()
         if planes is not None:
             outside = np.ones(grid.num_planes, bool)
             outside[planes[0]:planes[1]] = False
@@ -356,14 +362,16 @@ class TestCKernel:
                 np.full(n, nz, np.int64))
         inv_zs = np.array([1.0, 0.5, 0.25])
         v_c, v_numpy = np.zeros((nz, h, w)), np.zeros((nz, h, w))
-        hit_c = _sweep.run_sweep(prep, inv_zs, v_c, mode)
+        hit_c, cast_c = _sweep.run_sweep(prep, inv_zs, v_c, mode)
         with numpy_kernel():
-            hit_numpy = _sweep.run_sweep(prep, inv_zs, v_numpy, mode)
+            hit_numpy, cast_numpy = _sweep.run_sweep(prep, inv_zs, v_numpy, mode)
         assert np.array_equal(hit_c, hit_numpy)
         assert_same_bits([v_c], [v_numpy])
         want = [mode == "bilinear", True, True, mode == "bilinear", True, False,
                 False, False, False, True, mode == "bilinear"]
         assert hit_c.tolist() == want
+        # every hit votes on all three planes: u and v do not move with z
+        assert cast_c == cast_numpy == 3 * sum(want)
 
     @pytest.mark.parametrize("mode", ["nearest", "bilinear"])
     def test_streams_agree_with_numpy(self, distorted_cam, mode):
@@ -430,11 +438,13 @@ class TestCKernel:
                 buf[1:-1] = 0.0
                 want = np.zeros_like(grid.votes)
                 with numpy_kernel() if kernel == "numpy" else contextlib.nullcontext():
-                    hit = _sweep.run_sweep(wide, grid.inv_depths, buf[1:-1], mode)
-                    want_hit = _sweep.run_sweep(clipped, grid.inv_depths, want, mode)
+                    hit, cast = _sweep.run_sweep(wide, grid.inv_depths,
+                                                 buf[1:-1], mode)
+                    want_hit, want_cast = _sweep.run_sweep(
+                        clipped, grid.inv_depths, want, mode)
                 assert (buf[[0, -1]] == -1.0).all()
                 assert_same_bits([buf[1:-1], hit], [want, want_hit])
-                assert want.any()
+                assert want.any() and cast == want_cast
 
     @pytest.mark.parametrize("bad", ["float32", "fortran", "readonly"])
     def test_kernels_reject_the_same_votes(self, pinhole_cam, kernel, bad):
@@ -507,7 +517,7 @@ class TestCKernel:
                              np.array([0, 0, 0, 1.0]), np.zeros(3),
                              (k.fx, k.fy, k.cx, k.cy), grid.depths, 1.0, 1e3)
         assert _sweep.kernel_name() == "numpy"
-        assert _sweep.run_sweep(prep, grid.inv_depths, grid.votes, "nearest").any()
+        assert _sweep.run_sweep(prep, grid.inv_depths, grid.votes, "nearest")[0].any()
         _prepare_rays(grid, stream, pinhole_cam, quats, trans)
 
 
@@ -578,6 +588,10 @@ class TestCAbi:
         assert abi_mismatches(exports, _sweep._ARGTYPES,
                               {**restypes, "parse_events": None}) == [
             "parse_events: returns int64_t, restype None"]
+        # and ctypes' default, c_int, would cut sweep's count of votes
+        assert abi_mismatches(exports, _sweep._ARGTYPES,
+                              {**restypes, "sweep": ctypes.c_int}) == [
+            "sweep: returns int64_t, restype c_int"]
 
 
     def test_fuse_band_tracking_arguments(self):
@@ -585,7 +599,7 @@ class TestCAbi:
         # a narrowed or dropped argument and a read return are caught
         exports = c_exports(_sweep._SOURCE.read_text())
         ret, kinds = exports["fuse_band"]
-        assert ret == "void" and kinds[11:] == [ctypes.c_void_p] * 3
+        assert ret == "void" and kinds[10:] == [ctypes.c_void_p] * 3
         restypes = dict(_sweep._RESTYPES)
         argtypes = {name: list(types_) for name, types_ in _sweep._ARGTYPES.items()}
         argtypes["fuse_band"][7] = ctypes.c_int  # p0
@@ -594,7 +608,7 @@ class TestCAbi:
             f"argtypes"]
         argtypes["fuse_band"] = list(_sweep._ARGTYPES["fuse_band"][:-1])
         assert abi_mismatches(exports, argtypes, restypes) == [
-            "fuse_band: 14 parameters, 13 argtypes"]
+            "fuse_band: 13 parameters, 12 argtypes"]
         assert abi_mismatches(exports, _sweep._ARGTYPES,
                               {**restypes, "fuse_band": ctypes.c_int64}) == [
             f"fuse_band: returns void, restype {ctypes.c_int64.__name__}"]
@@ -759,7 +773,7 @@ class TestBandSweep:
     def _rays(case, cam):
         """(width, height, nz, sweep) where sweep(votes, offset, p0, p1,
         kernel, mode) votes the case's events, clipped to [p0, p1), into
-        ``votes`` and returns the hit mask."""
+        ``votes`` and returns the hit mask and the votes cast."""
         if case == "random":
             grid, prep = random_rays(cam)
             w, h, inv_zs, zs = grid.width, grid.height, grid.inv_depths, grid.depths
@@ -797,17 +811,23 @@ class TestBandSweep:
         w, h, nz, sweep = self._rays(case, distorted_cam)
         band = band or nz
         whole = np.zeros((nz, h, w))
-        want_hit = sweep(whole, 0, 0, nz, kernel, mode)
+        want_hit, want_cast = sweep(whole, 0, 0, nz, kernel, mode)
         assert whole.any() and want_hit.any()
-        got, hits = np.zeros_like(whole), []
+        got, hits, casts = np.zeros_like(whole), [], []
         for p0 in range(0, nz, band):
             p1 = min(p0 + band, nz)
             buf = np.full((band, h, w), 0.0)
-            hits.append(sweep(buf[:p1 - p0], p0, p0, p1, kernel, mode))
+            hit, cast = sweep(buf[:p1 - p0], p0, p0, p1, kernel, mode)
+            hits.append(hit)
+            casts.append(cast)
             assert not buf[p1 - p0:].any()
             got[p0:p1] = buf[:p1 - p0]
         assert np.array_equal(got, whole)
         assert np.array_equal(np.logical_or.reduce(hits), want_hit)
+        # the bands' counts add up to the whole volume's, in every kernel
+        assert sum(casts) == want_cast >= np.count_nonzero(want_hit)
+        if mode == "nearest":
+            assert want_cast == whole.sum()
 
     @pytest.mark.parametrize("bad", ["below", "beyond"])
     @pytest.mark.parametrize("kernel", ["c", "numpy", "direct"])
@@ -820,12 +840,12 @@ class TestBandSweep:
         for mode in ("nearest", "bilinear"):
             buf = np.full((6, h, w), -1.0)
             buf[1:5] = 0.0
-            hit = sweep(buf[1:5], 4, p0, p1, kernel, mode)
+            hit, cast = sweep(buf[1:5], 4, p0, p1, kernel, mode)
             want = np.zeros((4, h, w))
-            want_hit = sweep(want, 4, 4, 8, kernel, mode)
+            want_hit, want_cast = sweep(want, 4, 4, 8, kernel, mode)
             assert (buf[[0, 5]] == -1.0).all()
             assert_same_bits([buf[1:5], hit], [want, want_hit])
-            assert want.any()
+            assert want.any() and cast == want_cast
 
     @pytest.mark.parametrize("bad", ["negative_offset", "past_inv_zs"])
     @pytest.mark.parametrize("kernel", ["c", "numpy", "direct"])
@@ -1089,15 +1109,15 @@ def random_peak(rng, height, width, p0):
 
 
 class TestFuseBand:
-    """The C fuse_band against its numpy form, the oracle: the fused band,
-    the running peak, the votes beside it and the totals, compared as
-    uint64 bits."""
+    """The C fuse_band against its numpy form, the oracle: the fused band
+    and the running peak and the votes beside it, compared as uint64
+    bits."""
 
     @staticmethod
     def run_both(op, stack, p0, peak):
         """fuse_band on copies of ``stack`` and ``peak`` with a NaN-filled
         ``around``, compiled and with numpy; returns each side's (stack,
-        out, peak, around, totals)."""
+        out, peak, around)."""
         sides = []
         for ctx in (contextlib.nullcontext(), numpy_kernel()):
             band = stack.copy()
@@ -1105,27 +1125,24 @@ class TestFuseBand:
             state = tuple(a.copy() for a in peak)
             around = np.full((2,) + stack.shape[2:], np.nan)
             with ctx:
-                cams, total = fuse_band(op, band, out, p0, state, around)
-            sides.append((band, out, state, around, np.array(cams + [total])))
+                assert fuse_band(op, band, out, p0, state, around) is None
+            sides.append((band, out, state, around))
         return sides
 
     def assert_same(self, op, stack, p0, peak):
-        (c_band, c_out, c_peak, c_around, c_tot), \
-            (n_band, n_out, n_peak, n_around, n_tot) = \
+        (c_band, c_out, c_peak, c_around), (n_band, n_out, n_peak, n_around) = \
             self.run_both(op, stack, p0, peak)
-        assert_same_bits([c_out, c_peak[0], c_around, c_tot],
-                         [n_out, n_peak[0], n_around, n_tot])
+        assert_same_bits([c_out, c_peak[0], c_around],
+                         [n_out, n_peak[0], n_around])
         assert np.array_equal(c_peak[1], n_peak[1])
         assert not c_band.any() and not n_band.any()
-        # each total is numpy's pairwise sum of its band
-        want = [float(camera.sum()) for camera in stack] + [float(n_out.sum())]
-        assert_same_bits([c_tot], [np.array(want)])
         return c_out, c_peak
 
     @pytest.mark.parametrize("kind", _sweep.FUSE_KINDS)
     def test_every_length_up_to_300(self, kind):
-        # leaves of 1-7 voxels, one leaf of 8-128, and 129-300 voxels split
-        # in two or more; three planes put plane ends inside leaves
+        # bands of 1-300 voxels: one short block of 1-128 voxels, a full
+        # one and a short one, or more; three planes put plane ends inside
+        # blocks
         rng = np.random.default_rng(70)
         op = FusionOp(kind)
         for planes, widths in ((1, range(1, 301)), (3, range(1, 101))):
@@ -1165,13 +1182,10 @@ class TestFuseBand:
         c_out, n_out = np.full((2, 1, 18, 24), np.nan)
         c_around, n_around = np.full((2, 2, 18, 24), np.nan)
         with numpy_kernel():
-            want = fuse_band(FusionOp(kind), stack.copy(), n_out, 12, n_peak,
-                             n_around)
-        got = _sweep.fuse_band_c(kind, stack, c_out, 12, *c_peak, None, c_around)
-        assert_same_bits([c_out, c_peak[0], c_around,
-                          np.array(got[0] + [got[1]])],
-                         [n_out, n_peak[0], n_around,
-                          np.array(want[0] + [want[1]])])
+            fuse_band(FusionOp(kind), stack.copy(), n_out, 12, n_peak, n_around)
+        _sweep.fuse_band_c(kind, stack, c_out, 12, *c_peak, None, c_around)
+        assert_same_bits([c_out, c_peak[0], c_around],
+                         [n_out, n_peak[0], n_around])
         assert np.array_equal(c_peak[1], n_peak[1])
         assert not stack.any() and (buf[:, 1:] == 7.0).all()
 
