@@ -10,7 +10,10 @@
  * cast. lo and hi are only compared, never used as indices, so the caller
  * bounds every access through votes and inv_zs. Each plane receives its
  * events in ascending order, so its votes do not depend on which other
- * planes the call sweeps.
+ * planes the call sweeps. Given marks (one byte per SEGMENT voxels of each
+ * row of each plane), the call also sets the segment of every voxel that it
+ * writes: the nearest voxel's, or rows y0 and y0 + 1 of the segments of x0
+ * and x0 + 1 for the four bilinear weights.
  *
  * Build with -ffp-contract=off: a fused multiply-add would round
  * a_u + b_u * inv_z differently from numpy's separate multiply and add.
@@ -24,17 +27,27 @@
 #include <emmintrin.h>
 #endif
 
-int64_t sweep(const double *a_u, const double *a_v, const double *b_u,
-              const double *b_v, const int64_t *lo, const int64_t *hi,
-              int64_t n, const double *inv_zs, double *votes, int64_t planes,
-              int64_t offset, int64_t width, int64_t height, int bilinear,
-              uint8_t *hit)
+/* Voxels per mark: a band's marks hold one byte per SEGMENT voxels of each
+ * row of each plane, segs = ceil(width / SEGMENT) per row; a set byte says
+ * that the segment may hold a vote. */
+#define SEGMENT 16
+
+/* The sweep's body, compiled twice: with mark a constant 0 it is the
+ * unmarked sweep, and a dense band pays nothing for the marks. */
+static inline __attribute__((always_inline)) int64_t
+sweep_body(const double *a_u, const double *a_v, const double *b_u,
+           const double *b_v, const int64_t *lo, const int64_t *hi, int64_t n,
+           const double *inv_zs, double *votes, int64_t planes, int64_t offset,
+           int64_t width, int64_t height, int bilinear, uint8_t *hit,
+           uint8_t *marks, const int mark)
 {
     const double w = (double)width, h = (double)height;
+    const int64_t segs = (width + SEGMENT - 1) / SEGMENT;
     int64_t cast = 0;
     for (int64_t i = offset; i < offset + planes; i++) {
         const double inv_z = inv_zs[i];
         double *plane = votes + (i - offset) * width * height;
+        uint8_t *rows = mark ? marks + (i - offset) * height * segs : NULL;
         for (int64_t k = 0; k < n; k++) {
             if (i < lo[k] || i >= hi[k])
                 continue;
@@ -47,20 +60,30 @@ int64_t sweep(const double *a_u, const double *a_v, const double *b_u,
                 const double un = u + 0.5, vn = v + 0.5;
                 if (!(un < w && vn < h))
                     continue;
-                plane[(int64_t)vn * width + (int64_t)un] += 1.0;
+                const int64_t x = (int64_t)un, y = (int64_t)vn;
+                plane[y * width + x] += 1.0;
+                if (mark)
+                    rows[y * segs + x / SEGMENT] = 1;
             } else {
                 const int64_t x0 = (int64_t)u, y0 = (int64_t)v;
                 const double wx = u - (double)x0, wy = v - (double)y0;
                 const double rx = 1.0 - wx, ry = 1.0 - wy;
                 double *p = plane + y0 * width + x0;
-                const int right = x0 + 1 < width;
+                const int right = x0 + 1 < width, down = y0 + 1 < height;
                 p[0] += rx * ry;
                 if (right)
                     p[1] += wx * ry;
-                if (y0 + 1 < height) {
+                if (down) {
                     p[width] += rx * wy;
                     if (right)
                         p[width + 1] += wx * wy;
+                }
+                if (mark) {
+                    uint8_t *m = rows + y0 * segs;
+                    const int64_t s0 = x0 / SEGMENT, s1 = (x0 + right) / SEGMENT;
+                    m[s0] = m[s1] = 1;
+                    if (down)
+                        m[segs + s0] = m[segs + s1] = 1;
                 }
             }
             hit[k] = 1;
@@ -68,6 +91,19 @@ int64_t sweep(const double *a_u, const double *a_v, const double *b_u,
         }
     }
     return cast;
+}
+
+int64_t sweep(const double *a_u, const double *a_v, const double *b_u,
+              const double *b_v, const int64_t *lo, const int64_t *hi,
+              int64_t n, const double *inv_zs, double *votes, int64_t planes,
+              int64_t offset, int64_t width, int64_t height, int bilinear,
+              uint8_t *hit, uint8_t *marks)
+{
+    if (marks)
+        return sweep_body(a_u, a_v, b_u, b_v, lo, hi, n, inv_zs, votes, planes,
+                          offset, width, height, bilinear, hit, marks, 1);
+    return sweep_body(a_u, a_v, b_u, b_v, lo, hi, n, inv_zs, votes, planes,
+                      offset, width, height, bilinear, hit, NULL, 0);
 }
 
 /* numpy's float ordering for searchsorted: NaN sorts after every number. */
@@ -216,9 +252,10 @@ static void fold_peak(const struct band *b, const double *v, int64_t px,
         }
 }
 
-/* Voxels [s, s + m) of the band: fuse the cameras' votes into out, fold
- * them into the running maximum and zero the cameras' votes. */
-static void fuse_block(const struct band *b, int64_t s, int64_t m)
+/* Voxels [s, s + m) of the band: fuse the cameras' votes into out.
+ * Inlined in both passes, so the dense one compiles as it did alone. */
+static inline __attribute__((always_inline)) void
+fuse_voxels(const struct band *b, int64_t s, int64_t m)
 {
     const int64_t n = b->n;
     const double dn = (double)n;
@@ -271,8 +308,16 @@ static void fuse_block(const struct band *b, int64_t s, int64_t m)
         break;
     }
     }
+}
+
+/* Voxels [s, s + m) of the band: fuse the cameras' votes into out, fold
+ * them into the running maximum and zero the cameras' votes. */
+static void fuse_block(const struct band *b, int64_t s, int64_t m)
+{
+    fuse_voxels(b, s, m);
 
     /* strictly greater: the first maximum, as np.argmax */
+    const double *o = b->out + s;
     int64_t pl = s / b->plane, px = s % b->plane;
     for (int64_t i = 0; i < m; pl++, px = 0) {
         int64_t run = b->plane - px;
@@ -282,8 +327,61 @@ static void fuse_block(const struct band *b, int64_t s, int64_t m)
         i += run;
     }
 
-    for (int64_t c = 0; c < n; c++)
+    for (int64_t c = 0; c < b->n; c++)
         memset(b->stack + c * b->stride + s, 0, (size_t)m * sizeof(double));
+}
+
+/* The band step on marked segments only, row by row. Camera c's marks
+ * (planes x height x segs) start at marks + c * mark_stride; a voxel
+ * outside its camera's marked segments holds no vote. Where every camera
+ * marked a segment (min and harmonic: a zero input fuses to +0.0) or any
+ * did (max, arithmetic, rms: all-zero inputs fuse to +0.0), the segment is
+ * fused, folded and zeroed as fuse_block does it; elsewhere its fusion is
+ * +0.0, which folds nothing, so out's segment is zeroed unless written
+ * says that it already holds zeros, and the cameras' marked segments are
+ * zeroed. written (planes x height x segs, or NULL: every segment) marks
+ * the segments of out that may hold a nonzero value; it is left marking
+ * the fused ones, and the cameras' marks are cleared. */
+static void fuse_marked(const struct band *b, int64_t planes, int64_t width,
+                        uint8_t *marks, int64_t mark_stride, uint8_t *written)
+{
+    const int64_t n = b->n, height = b->plane / width;
+    const int64_t segs = (width + SEGMENT - 1) / SEGMENT;
+    const int every = b->kind == FUSE_MIN || b->kind == FUSE_HARMONIC;
+    for (int64_t p = 0, row = 0; p < planes; p++)
+        for (int64_t y = 0; y < height; y++, row++) {
+            const uint8_t *const m = marks + row * segs;
+            uint8_t *const wr = written ? written + row * segs : NULL;
+            for (int64_t s = 0, x = 0; s < segs; s++, x += SEGMENT) {
+                int all = 1, any = 0;
+                for (int64_t c = 0; c < n; c++) {
+                    all &= m[c * mark_stride + s];
+                    any |= m[c * mark_stride + s];
+                }
+                const int64_t v = row * width + x;
+                const int64_t len = width - x < SEGMENT ? width - x : SEGMENT;
+                if (every ? all : any) {
+                    fuse_voxels(b, v, len);
+                    fold_peak(b, b->out + v, y * width + x, len, b->p0 + p);
+                    for (int64_t c = 0; c < n; c++)
+                        memset(b->stack + c * b->stride + v, 0,
+                               (size_t)len * sizeof(double));
+                    if (wr)
+                        wr[s] = 1;
+                    continue;
+                }
+                for (int64_t c = 0; any && c < n; c++)
+                    if (m[c * mark_stride + s])
+                        memset(b->stack + c * b->stride + v, 0,
+                               (size_t)len * sizeof(double));
+                if (!wr || wr[s])
+                    memset(b->out + v, 0, (size_t)len * sizeof(double));
+                if (wr)
+                    wr[s] = 0;
+            }
+        }
+    for (int64_t c = 0; c < n; c++)
+        memset(marks + c * mark_stride, 0, (size_t)(planes * height * segs));
 }
 
 /* The fused votes beside each pixel's best plane, as dsi._track_band
@@ -312,10 +410,11 @@ static void track_band(const struct band *b, int64_t planes,
 
 /* Fuse one band of n cameras' votes, voxel by voxel, with numpy's IEEE
  * operations in numpy's order: planes [p0, p0 + planes) of the volume,
- * each of `plane` voxels; camera c's band starts at stack + c * stride and
- * the fused band is out. Block by block, the fused voxels are folded into
- * the running (confidence, best) with a strict > and the cameras' votes
- * are zeroed.
+ * each of `plane` voxels in rows of width; camera c's band starts at
+ * stack + c * stride and the fused band is out. Block by block, the fused
+ * voxels are folded into the running (confidence, best) with a strict >
+ * and the cameras' votes are zeroed. With marks (see fuse_marked) only the
+ * marked segments are visited, and every output is the same bit for bit.
  *
  * The bands of a run come in plane order and the running maximum starts
  * at 0; the call also keeps below and above, the fused votes at each
@@ -324,13 +423,17 @@ static void track_band(const struct band *b, int64_t planes,
 void fuse_band(double *stack, int64_t n, int64_t stride, int64_t planes,
                int64_t plane, int kind, double *out, int64_t p0,
                double *confidence, int64_t *best, const double *prev,
-               double *below, double *above)
+               double *below, double *above, int64_t width, uint8_t *marks,
+               int64_t mark_stride, uint8_t *written)
 {
     const struct band b = {stack, n, stride, kind, out, plane, p0,
                            confidence, best};
     const int64_t size = planes * plane;
-    for (int64_t s = 0; s < size; s += BLOCK)
-        fuse_block(&b, s, size - s < BLOCK ? size - s : BLOCK);
+    if (marks)
+        fuse_marked(&b, planes, width, marks, mark_stride, written);
+    else
+        for (int64_t s = 0; s < size; s += BLOCK)
+            fuse_block(&b, s, size - s < BLOCK ? size - s : BLOCK);
     track_band(&b, planes, prev, below, above);
 }
 

@@ -55,6 +55,24 @@ on the previous band's last plane. The geometric and power means are not
 compiled: numpy's SIMD ``log``, ``exp`` and ``pow`` are not libm's bit
 for bit.
 
+A short window's votes fill few voxels of the volume, so the two compiled
+steps can skip the empty ones. Given marks, one byte per ``SEGMENT`` (16)
+voxels of each row of each plane of a band (``mark_shape``), the C sweep
+sets the segment of every voxel it writes, and ``fuse_band`` then visits
+only marked segments: it fuses, folds and zeroes a segment that every
+camera marked (min, harmonic: a zero input fuses to +0.0) or any camera
+did (max, arithmetic, rms), zeroes the cameras' other marked segments and
+clears the marks. A ``written`` mask per band output says which segments
+of it may hold a nonzero value from an earlier band, so that the call
+zeroes only those of the unfused segments and the output ends exact
+everywhere; a volume gets zeros wherever nothing was fused. Every output
+is bit-identical to the dense pass. The numpy sweeps set the whole mark
+array once they vote (only the rare near-grazing rays go there when C
+runs), and the numpy ``fuse_band`` ignores marks: numpy stays the dense
+fallback and the oracle. The sweep's body is compiled twice, with and
+without marking, so an unmarked sweep runs the same machine code as
+before marks existed; ``pipeline._sparse`` decides per chunk.
+
 Its fourth, ``parse_events``, is the compiled pass of
 ``io._parse_events_blocks``: one pass over a block of event text that
 reads ``t x y p`` lines, skips blank lines and whole-line ``#`` comments,
@@ -108,18 +126,18 @@ _LIBS = ("-lm",)  # after the source, so that the linker keeps libm for sqrt
 _I64, _PTR, _F64 = ctypes.c_int64, ctypes.c_void_p, ctypes.c_double
 _ARGTYPES = {
     # sweep(a_u, a_v, b_u, b_v, lo, hi, n, inv_zs, votes, planes, offset,
-    #       width, height, bilinear, hit)
+    #       width, height, bilinear, hit, marks)
     "sweep": [_PTR] * 6 + [_I64, _PTR, _PTR, _I64, _I64, _I64, _I64,
-                           ctypes.c_int, _PTR],
+                           ctypes.c_int, _PTR, _PTR],
     # prepare(q_wc, t_wc, bearings, index, n, q_ref_inv, t_ref, intr, depths,
     #         nz, inv_max, bound, a_u, a_v, b_u, b_v, lo, hi, origins, dirs,
     #         affine_ok)
     "prepare": [_PTR] * 4 + [_I64] + [_PTR] * 4 + [_I64, _F64, _F64]
                + [_PTR] * 9,
     # fuse_band(stack, n, stride, planes, plane, kind, out, p0, confidence,
-    #           best, prev, below, above)
+    #           best, prev, below, above, width, marks, mark_stride, written)
     "fuse_band": [_PTR, _I64, _I64, _I64, _I64, ctypes.c_int, _PTR, _I64]
-                 + [_PTR] * 5,
+                 + [_PTR] * 5 + [_I64, _PTR, _I64, _PTR],
     # parse_events(text, len, width, height, t, x, y, p, cap)
     "parse_events": [_PTR, _I64, _I64, _I64] + [_PTR] * 4 + [_I64],
 }
@@ -131,6 +149,10 @@ _RESTYPES = {"sweep": _I64, "prepare": None, "fuse_band": None,
 # others (geometric, power) stay with numpy: its SIMD log, exp and pow are
 # not libm's bit for bit.
 FUSE_KINDS = ("min", "max", "arithmetic", "rms", "harmonic")
+
+# Voxels per mark: a band's marks hold one byte per SEGMENT voxels of each
+# row of each plane (_sweep.c's SEGMENT).
+SEGMENT = 16
 
 _lock = threading.Lock()
 _c_lib = None  # the loaded library, its functions typed, once built
@@ -214,27 +236,39 @@ def _check_votes(votes):
                          "(planes, height, width) array")
 
 
-def _check_band(votes, offset, depths):
+def mark_shape(planes: int, height: int, width: int) -> tuple:
+    """The shape of the marks of a (planes, height, width) band: one byte
+    per SEGMENT voxels of each row, the last segment of a row maybe short."""
+    return (planes, height, -(-width // SEGMENT))
+
+
+def _check_band(votes, offset, depths, marks=None):
     """Both kernels sweep the planes [offset, offset + len(votes)) of the
     volume, reading their depth samples ``depths[i]``; raises ValueError
-    unless ``votes`` passes ``_check_votes`` and those planes exist."""
+    unless ``votes`` passes ``_check_votes``, those planes exist and
+    ``marks``, unless None, is a writable C-contiguous uint8 array of
+    ``mark_shape(*votes.shape)``."""
     _check_votes(votes)
     if offset < 0 or np.ndim(depths) != 1 or len(depths) < offset + len(votes):
         raise ValueError(f"planes [{offset}, {offset + len(votes)}) of votes "
                          f"outside the {np.size(depths)} depth samples")
+    if marks is not None:
+        _check_map(marks, np.uint8, mark_shape(*votes.shape), "marks")
 
 
-def _sweep_c(a_u, a_v, b_u, b_v, lo, hi, inv_zs, votes, bilinear, offset=0):
+def _sweep_c(a_u, a_v, b_u, b_v, lo, hi, inv_zs, votes, bilinear, offset=0,
+             marks=None):
     """Call the C kernel after checking every bound it relies on, so that
     no argument can make it read or write outside its arrays. Returns the
-    hit mask and the number of votes cast."""
+    hit mask and the number of votes cast; ``marks`` (``mark_shape`` of
+    ``votes``, or None) gets the segment of every voxel a vote wrote."""
     lib = _require_c()
     coeffs = [np.ascontiguousarray(c, dtype=np.float64) for c in (a_u, a_v, b_u, b_v)]
     lo = np.ascontiguousarray(lo, dtype=np.int64)
     hi = np.ascontiguousarray(hi, dtype=np.int64)
     inv_zs = np.ascontiguousarray(inv_zs, dtype=np.float64)
     offset = int(offset)
-    _check_band(votes, offset, inv_zs)
+    _check_band(votes, offset, inv_zs, marks)
     n = lo.size
     if any(a.shape != (n,) for a in (*coeffs, lo, hi)):
         raise ValueError("coefficient and plane-range arrays must be 1-D and "
@@ -244,7 +278,7 @@ def _sweep_c(a_u, a_v, b_u, b_v, lo, hi, inv_zs, votes, bilinear, offset=0):
     cast = lib.sweep(*(c.ctypes.data for c in coeffs), lo.ctypes.data,
                      hi.ctypes.data, n, inv_zs.ctypes.data, votes.ctypes.data,
                      planes, offset, width, height, int(bilinear),
-                     hit.ctypes.data)
+                     hit.ctypes.data, None if marks is None else marks.ctypes.data)
     return hit, cast
 
 
@@ -296,7 +330,8 @@ def _check_map(a, dtype, shape, what):
                          f"{np.dtype(dtype).name} arrays of shape {shape}")
 
 
-def fuse_band_c(kind, stack, out, p0, confidence, best, prev, around):
+def fuse_band_c(kind, stack, out, p0, confidence, best, prev, around,
+                marks=None, written=None):
     """Run the C ``fuse_band`` after checking every dtype, shape, stride and
     index it relies on, so that no argument can make it read or write
     outside its arrays.
@@ -312,6 +347,18 @@ def fuse_band_c(kind, stack, out, p0, confidence, best, prev, around):
     the fused votes at each pixel's best plane -1 and +1 (see
     ``dsi._track_band``); ``prev`` (H, W) is the previous band's last
     fused plane, None for a run's first band.
+
+    With ``marks`` (cameras, planes, H, segs) uint8, ``mark_shape`` per
+    camera (each camera's marks contiguous, the cameras any stride apart),
+    which set at least every segment that holds a vote, the call visits
+    only the marked segments: it fuses, folds and zeroes a segment that
+    every camera marked (min, harmonic) or any camera did (max,
+    arithmetic, rms), zeroes the other marked ones, and clears the marks.
+    Every other segment of ``out`` is set to zero, except where
+    ``written`` (``mark_shape`` of ``out``, or None: everywhere), the
+    segments of ``out`` that may hold a nonzero value, says that it
+    already is; ``written`` is left marking the fused segments. Every
+    output is the same bit for bit as without marks.
     """
     lib = _require_c()
     if kind not in FUSE_KINDS:
@@ -338,11 +385,29 @@ def fuse_band_c(kind, stack, out, p0, confidence, best, prev, around):
     _check_map(around, np.float64, (2,) + shape, "around")
     if prev is not None:
         _check_map(prev, np.float64, shape, "prev")
+    segs = mark_shape(planes, height, width)
+    mark_stride = 0
+    if marks is not None:
+        if not (isinstance(marks, np.ndarray) and marks.dtype == np.uint8
+                and marks.shape == (n,) + segs and marks.flags.writeable
+                and marks.strides[1:] == (height * segs[2], segs[2], 1)):
+            raise ValueError(f"marks must be writable uint8 arrays of shape "
+                             f"{(n,) + segs}, each camera's C-contiguous")
+        mark_stride = marks.strides[0]
+        if n > 1 and mark_stride < planes * height * segs[2]:
+            raise ValueError("the cameras' marks must not overlap")
+    if written is not None:
+        if marks is None:
+            raise ValueError("written needs marks: without them every "
+                             "segment of out is written")
+        _check_map(written, np.uint8, segs, "written")
     lib.fuse_band(stack.ctypes.data, n, stack.strides[0] // item, planes,
                   height * width, FUSE_KINDS.index(kind), out.ctypes.data,
                   int(p0), confidence.ctypes.data, best.ctypes.data,
                   None if prev is None else prev.ctypes.data,
-                  around[0].ctypes.data, around[1].ctypes.data)
+                  around[0].ctypes.data, around[1].ctypes.data, width,
+                  None if marks is None else marks.ctypes.data, mark_stride,
+                  None if written is None else written.ctypes.data)
 
 
 def parse_events_c(text, width, height):
@@ -417,15 +482,15 @@ def _scatter_plane(u, v, ok, plane, bilinear):
     return ok
 
 
-def _sweep_planes(project, lo, hi, votes, bilinear, offset, depths):
+def _sweep_planes(project, lo, hi, votes, bilinear, offset, depths, marks):
     """Plane-major numpy sweep shared by the affine and the direct kernel.
 
     ``project(i, s, e)`` returns the pixel coordinates (u, v) where the rays
     of events s:e meet plane i, which is ``votes[i - offset]``, at the depth
     sample ``depths[i]``. Returns the per-event hit mask and the number of
-    votes cast.
+    votes cast. ``marks``, unless None, is set whole once a vote is cast.
     """
-    _check_band(votes, offset, depths)
+    _check_band(votes, offset, depths, marks)
     n_events = lo.shape[0]
     hit = np.zeros(n_events, dtype=bool)
     cast = 0
@@ -440,10 +505,13 @@ def _sweep_planes(project, lo, hi, votes, bilinear, offset, depths):
             voted = _scatter_plane(u, v, ok, plane, bilinear)
             hit[s:e] |= voted
             cast += int(np.count_nonzero(voted))
+    if marks is not None and cast:
+        marks.fill(1)
     return hit, cast
 
 
-def _sweep_numpy(a_u, a_v, b_u, b_v, lo, hi, inv_zs, votes, bilinear, offset=0):
+def _sweep_numpy(a_u, a_v, b_u, b_v, lo, hi, inv_zs, votes, bilinear, offset=0,
+                 marks=None):
     def project(i, s, e):
         inv_z = inv_zs[i]
         with np.errstate(invalid="ignore", over="ignore"):
@@ -453,10 +521,11 @@ def _sweep_numpy(a_u, a_v, b_u, b_v, lo, hi, inv_zs, votes, bilinear, offset=0):
             v += a_v[s:e]
         return u, v
 
-    return _sweep_planes(project, lo, hi, votes, bilinear, offset, inv_zs)
+    return _sweep_planes(project, lo, hi, votes, bilinear, offset, inv_zs, marks)
 
 
-def sweep_direct(origins, dirs, lo, hi, zs, intr, votes, bilinear, offset=0):
+def sweep_direct(origins, dirs, lo, hi, zs, intr, votes, bilinear, offset=0,
+                 marks=None):
     """Vote near-grazing rays by direct per-plane intersection.
 
     The affine u = a + b/z form cancels catastrophically when the ray runs
@@ -464,7 +533,8 @@ def sweep_direct(origins, dirs, lo, hi, zs, intr, votes, bilinear, offset=0):
     intersection point explicitly stays well conditioned. Vectorized numpy;
     only the rare ill-conditioned events take this route. Same plane-major
     sweep, plane offset and (hit mask, votes cast) return as the affine
-    kernels.
+    kernels; ``marks`` (or None) is set whole once a vote is cast, as these
+    rays are too few to mark one by one.
     """
     fx, fy, cx, cy = intr
 
@@ -478,10 +548,10 @@ def sweep_direct(origins, dirs, lo, hi, zs, intr, votes, bilinear, offset=0):
             v = fy * (o[:, 1] + lam * d[:, 1]) / z + cy
         return u, v
 
-    return _sweep_planes(project, lo, hi, votes, bilinear, offset, zs)
+    return _sweep_planes(project, lo, hi, votes, bilinear, offset, zs, marks)
 
 
-def run_sweep(prep, inv_zs, votes, mode, offset=0):
+def run_sweep(prep, inv_zs, votes, mode, offset=0, marks=None):
     """Sweep a prepared event batch with the C kernel, or with numpy when
     the library is unavailable; the votes are the same bit for bit.
 
@@ -490,6 +560,12 @@ def run_sweep(prep, inv_zs, votes, mode, offset=0):
     ``votes`` holds, and plane i is ``votes[i - offset]``; ``dsi.sweep_band``
     checks ``mode``. Returns the boolean mask of events that voted on at
     least one plane and the number of (event, plane) votes cast.
+
+    ``marks``, a ``mark_shape(*votes.shape)`` uint8 array or None, gets a 1
+    at least for every segment of SEGMENT voxels of a row that a vote
+    wrote: C marks each vote's segments, numpy the whole array once a vote
+    is cast. The votes and the count are the same with or without marks.
     """
     sweep = _sweep_c if kernel_name() == "c" else _sweep_numpy
-    return sweep(*prep, inv_zs, votes, bilinear=(mode == "bilinear"), offset=offset)
+    return sweep(*prep, inv_zs, votes, bilinear=(mode == "bilinear"), offset=offset,
+                 marks=marks)

@@ -288,6 +288,13 @@ class SweepRays:
     def num_events(self) -> int:
         return len(self.affine[4]) + len(self.graze[2])
 
+    @property
+    def plane_tests(self) -> int:
+        """The ray-plane tests of a sweep over the whole volume: the sum of
+        every ray's hi - lo."""
+        return int(np.sum(self.affine[5] - self.affine[4])
+                   + np.sum(self.graze[3] - self.graze[2]))
+
 
 def prepare_sweep(grid: DsiGrid, events: EventStream, cam: CameraModel, *,
                   traj: PoseTrajectory | None = None,
@@ -323,7 +330,8 @@ def prepare_sweep(grid: DsiGrid, events: EventStream, cam: CameraModel, *,
 
 
 def sweep_band(grid: DsiGrid, rays: SweepRays, votes: np.ndarray, p0: int,
-               mode: str = "bilinear") -> tuple[np.ndarray, int]:
+               mode: str = "bilinear",
+               marks: np.ndarray | None = None) -> tuple[np.ndarray, int]:
     """Vote prepared rays into planes [p0, p0 + len(votes)) of ``grid``'s
     volume, held by the (planes, height, width) array ``votes``
     (accumulates); ``grid.votes`` itself is not touched unless passed.
@@ -334,7 +342,9 @@ def sweep_band(grid: DsiGrid, rays: SweepRays, votes: np.ndarray, p0: int,
     (event, plane) votes cast. The votes of a plane depend only on the
     events, never on the band, so any split of the planes into bands gives
     the same volume bit for bit, and band counts that add up to the whole
-    volume's.
+    volume's. ``marks`` (``_sweep.mark_shape`` of ``votes``, uint8, or
+    None) gets at least the segments that the votes wrote (``run_sweep``),
+    for ``fuse_band``.
     """
     if mode not in VOTING_MODES:
         raise ValueError(f"unknown voting mode {mode!r}")
@@ -346,14 +356,14 @@ def sweep_band(grid: DsiGrid, rays: SweepRays, votes: np.ndarray, p0: int,
         # clipped only so that bench/layers.py counts the band's ray-plane tests
         swept.append(_sweep.run_sweep(
             (*coeffs, np.clip(lo, p0, p1), np.clip(hi, p0, p1)),
-            grid.inv_depths, votes, mode, offset=p0,
+            grid.inv_depths, votes, mode, offset=p0, marks=marks,
         ))
     if len(g_lo):
         k = grid.ref_intrinsics
         swept.append(_sweep.sweep_direct(
             origins, dirs, g_lo, g_hi,
             grid.depths, (k.fx, k.fy, k.cx, k.cy), votes,
-            bilinear=(mode == "bilinear"), offset=p0,
+            bilinear=(mode == "bilinear"), offset=p0, marks=marks,
         ))
     hits, casts = zip(*swept)
     return np.concatenate(hits), sum(casts)
@@ -611,7 +621,8 @@ def _track_band(out, p0: int, confidence, best, around, prev):
 
 
 def fuse_band(op: FusionOp, stack: np.ndarray, out: np.ndarray, p0: int, peak,
-              around: np.ndarray, prev: np.ndarray | None = None):
+              around: np.ndarray, prev: np.ndarray | None = None,
+              marks: np.ndarray | None = None, written: np.ndarray | None = None):
     """Fuse one band of every camera's votes and zero them.
 
     ``stack`` (cameras, planes, H, W) holds the votes on the planes
@@ -629,9 +640,15 @@ def fuse_band(op: FusionOp, stack: np.ndarray, out: np.ndarray, p0: int, peak,
     numpy's order, so every output is bit-identical. This numpy form is
     its fallback and test oracle, and the only form of the geometric and
     power means.
+
+    ``marks``, each camera's marks from ``sweep_band``, and ``written``,
+    the segments of ``out`` that may hold a nonzero value, let the C pass
+    visit only the marked segments, with the same outputs bit for bit
+    (``_sweep.fuse_band_c``); the numpy form ignores both.
     """
     if op.kind in _sweep.FUSE_KINDS and _sweep.kernel_name() == "c":
-        _sweep.fuse_band_c(op.kind, stack, out, p0, *peak, prev, around)
+        _sweep.fuse_band_c(op.kind, stack, out, p0, *peak, prev, around, marks,
+                           written)
         return
     op.apply_into(stack, out)  # overwrites stack
     update_peak(out, p0, *peak)

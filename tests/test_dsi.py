@@ -1,6 +1,7 @@
 import contextlib
 import ctypes
 import dataclasses
+import itertools
 import os
 import re
 import subprocess
@@ -595,11 +596,13 @@ class TestCAbi:
 
 
     def test_fuse_band_tracking_arguments(self):
-        # prev, below and above are pointers and fuse_band returns nothing;
-        # a narrowed or dropped argument and a read return are caught
+        # prev, below and above are pointers, then the width, the marks,
+        # their camera stride and the written mask; fuse_band returns
+        # nothing; a narrowed or dropped argument and a read return are caught
         exports = c_exports(_sweep._SOURCE.read_text())
         ret, kinds = exports["fuse_band"]
-        assert ret == "void" and kinds[10:] == [ctypes.c_void_p] * 3
+        assert ret == "void" and kinds[10:] == [ctypes.c_void_p] * 3 + [
+            ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p]
         restypes = dict(_sweep._RESTYPES)
         argtypes = {name: list(types_) for name, types_ in _sweep._ARGTYPES.items()}
         argtypes["fuse_band"][7] = ctypes.c_int  # p0
@@ -608,10 +611,121 @@ class TestCAbi:
             f"argtypes"]
         argtypes["fuse_band"] = list(_sweep._ARGTYPES["fuse_band"][:-1])
         assert abi_mismatches(exports, argtypes, restypes) == [
-            "fuse_band: 13 parameters, 12 argtypes"]
+            "fuse_band: 17 parameters, 16 argtypes"]
         assert abi_mismatches(exports, _sweep._ARGTYPES,
                               {**restypes, "fuse_band": ctypes.c_int64}) == [
             f"fuse_band: returns void, restype {ctypes.c_int64.__name__}"]
+
+
+def segment_marks(votes):
+    """The segments of _sweep.SEGMENT voxels of each row that hold a
+    nonzero voxel of ``votes`` (..., H, W), as booleans (..., H, segs)."""
+    width, seg = votes.shape[-1], _sweep.SEGMENT
+    segs = -(-width // seg)
+    padded = np.zeros(votes.shape[:-1] + (segs * seg,), dtype=bool)
+    padded[..., :width] = votes != 0.0
+    return padded.reshape(votes.shape[:-1] + (segs, seg)).any(axis=-1)
+
+
+def covers(marks, votes):
+    """Whether the uint8 ``marks`` set every segment where ``votes`` holds
+    a vote."""
+    return not (segment_marks(votes) & (marks == 0)).any()
+
+
+class TestMarks:
+    """A sweep given marks sets at least the segment of every voxel that it
+    writes (C: each vote's segments; numpy: the whole band once it votes),
+    and casts the same votes and count as a sweep without."""
+
+    @staticmethod
+    def both(prep, inv_zs, shape, mode, offset=0):
+        """run_sweep into zeroed ``shape`` votes without marks and with;
+        returns (votes, hit, cast) and (votes, hit, cast, marks)."""
+        plain = np.zeros(shape)
+        hit, cast = _sweep.run_sweep(prep, inv_zs, plain, mode, offset)
+        marked = np.zeros(shape)
+        marks = np.zeros(_sweep.mark_shape(*shape), np.uint8)
+        m_hit, m_cast = _sweep.run_sweep(prep, inv_zs, marked, mode, offset,
+                                         marks=marks)
+        assert_same_bits([marked, m_hit], [plain, hit])
+        assert m_cast == cast
+        return (plain, hit, cast), (marked, m_hit, m_cast, marks)
+
+    @pytest.mark.parametrize("mode", ["nearest", "bilinear"])
+    @pytest.mark.parametrize("shape", [(3, 37, 53), (2, 16, 48), (4, 5, 17),
+                                       (1, 90, 7)])
+    def test_marks_cover_every_vote(self, distorted_cam, kernel, mode, shape):
+        # random rays into bands whose widths are and are not multiples of 16
+        grid, prep = random_rays(distorted_cam, n=3000)
+        prep = [a[prep.affine_ok] for a in prep[:6]]
+        (votes, _, cast), (_, _, _, marks) = self.both(
+            prep, grid.inv_depths, shape, mode, offset=3)
+        assert cast > 0 and covers(marks, votes)
+        if kernel == "numpy":
+            assert marks.all()
+        elif shape[2] > 16:
+            assert not marks.all()  # C marks no more than the votes' rows
+
+    @pytest.mark.parametrize("mode", ["nearest", "bilinear"])
+    def test_edges_and_segment_boundaries(self, kernel, mode):
+        # hits on a 37 x 5 grid (segments [0, 16), [16, 32), [32, 37)) at
+        # x = W - 1, at y = H - 1 and either side of segment edges; u and v
+        # do not move with the plane. C marks, per hit, the nearest voxel's
+        # segment, or rows y0 and y0 + 1 (in the grid) and the segments of
+        # x0 and x0 + 1 (in the grid)
+        w, h = 37, 5
+        a_u = np.array([w - 1.0, w - 0.75, 15.0, 15.5, 16.0, 31.9, 0.0, 20.0,
+                        w - 0.5, 47.0])
+        a_v = np.array([0.0, h - 1.0, 2.0, h - 1.0, 1.5, 3.25, h - 0.6, h - 0.7,
+                        1.0, 1.0])
+        n, nz = len(a_u), 3
+        zeros = np.zeros(n)
+        prep = (a_u, a_v, zeros, zeros, np.zeros(n, np.int64), np.full(n, nz))
+        (votes, hit, cast), (_, _, _, marks) = self.both(
+            prep, np.array([1.0, 0.5, 0.25]), (nz, h, w), mode)
+        assert cast == nz * np.count_nonzero(hit) > 0
+        assert covers(marks, votes)
+        if kernel == "numpy":
+            assert marks.all()
+            return
+        want = np.zeros(marks.shape[1:], np.uint8)
+        for u, v in zip(a_u[hit], a_v[hit]):
+            if mode == "nearest":
+                want[int(v + 0.5), int(u + 0.5) // 16] = 1
+            else:
+                x0, y0 = int(u), int(v)
+                for y in {y0, min(y0 + 1, h - 1)}:
+                    for x in {x0, min(x0 + 1, w - 1)}:
+                        want[y, x // 16] = 1
+        assert np.array_equal(marks, np.broadcast_to(want, marks.shape))
+
+    def test_no_vote_marks_nothing(self, kernel):
+        # rays that miss the band set no mark in either kernel
+        n = 4
+        prep = (np.full(n, -5.0), np.zeros(n), np.zeros(n), np.zeros(n),
+                np.zeros(n, np.int64), np.full(n, 2))
+        _, (votes, hit, cast, marks) = self.both(prep, np.array([1.0, 0.5]),
+                                                 (2, 3, 20), "bilinear")
+        assert cast == 0 and not hit.any() and not marks.any()
+
+    @pytest.mark.parametrize("bad", ["shape", "dtype", "readonly", "fortran"])
+    def test_kernels_reject_the_same_marks(self, pinhole_cam, kernel, bad):
+        grid, prep = random_rays(pinhole_cam, n=50)
+        prep = [a[prep.affine_ok] for a in prep[:6]]
+        votes = np.zeros((2, 20, 40))
+        marks = np.zeros(_sweep.mark_shape(2, 20, 40), np.uint8)
+        if bad == "shape":
+            marks = np.zeros((2, 20, 2), np.uint8)  # one segment short
+        elif bad == "dtype":
+            marks = marks.astype(bool)
+        elif bad == "readonly":
+            marks.flags.writeable = False
+        else:
+            marks = np.asfortranarray(marks)
+        with pytest.raises(ValueError, match="marks"):
+            _sweep.run_sweep(prep, grid.inv_depths, votes, "bilinear", marks=marks)
+        assert not votes.any()
 
 
 class TestCPrepare:
@@ -1108,6 +1222,16 @@ def random_peak(rng, height, width, p0):
     return confidence, best
 
 
+def sparse_band(rng, shape):
+    """``random_band`` votes of which whole row segments of each camera are
+    empty, as in a short window: 30-95% of them."""
+    stack = random_band(rng, shape)
+    segs = _sweep.mark_shape(*shape[1:])[2]
+    empty = rng.random(shape[:3] + (segs,)) < rng.choice([0.3, 0.7, 0.95])
+    stack[np.repeat(empty, _sweep.SEGMENT, axis=-1)[..., :shape[3]]] = 0.0
+    return stack
+
+
 class TestFuseBand:
     """The C fuse_band against its numpy form, the oracle: the fused band
     and the running peak and the votes beside it, compared as uint64
@@ -1270,6 +1394,111 @@ class TestFuseBand:
                     prev, start = out[-1], start + len(out)
             sides.append([*peak, around])
         assert_same_bits(*sides)
+
+    @pytest.mark.parametrize("kind", _sweep.FUSE_KINDS)
+    def test_marked_segments_match_the_dense_pass_and_numpy(self, kind):
+        # sparse bands of widths 1-40 (one to three segments per row, the
+        # last one short), 1-3 cameras, a whole band buffer or its short last
+        # band, with and without prev and a written mask, every combination
+        # of the three at each camera count: on the marked segments the C
+        # pass gives the dense C pass's and numpy's out, peak and around bit
+        # for bit, zeroes the band, clears its marks and leaves written
+        # marking the fused segments
+        rng = np.random.default_rng(75)
+        flags = list(itertools.product((False, True), repeat=3))
+        for width in range(1, 41):
+            for n in (1, 2, 3):
+                self.check_marked(rng, FusionOp(kind), n, width,
+                                  *flags[(width + n) % len(flags)])
+
+    def check_marked(self, rng, op, n, width, short, with_prev, with_written):
+        height = int(rng.integers(1, 5))
+        planes = int(rng.integers(1, 4)) if short else 4
+        buf = np.full((n, 4, height, width), 7.0)  # a worker's band buffer
+        stack = buf[:, :planes]
+        stack[:] = sparse_band(rng, stack.shape)
+        segs = _sweep.mark_shape(4, height, width)
+        mark_buf = np.full((n,) + segs, 9, np.uint8)
+        marks = mark_buf[:, :planes]
+        # every segment holding a vote, and some that do not
+        marks[:] = segment_marks(stack) | (rng.random(marks.shape) < 0.1)
+        before, votes = marks.astype(bool), stack.copy()
+        every = op.kind in ("min", "harmonic")
+        fused = before.all(axis=0) if every else before.any(axis=0)
+        p0 = int(rng.integers(0, 20))
+        peak = random_peak(rng, height, width, p0)
+        prev = rng.integers(0, 4, (height, width)) * 0.5 if with_prev else None
+        written_buf = out_c = None
+        if with_written:
+            # segments of a reused output that may hold a value, and do
+            written_buf = (rng.random(segs) < 0.5).astype(np.uint8)
+            out_c = rng.uniform(1.0, 2.0, (planes, height, width))
+            out_c[~np.repeat(written_buf[:planes].astype(bool), _sweep.SEGMENT,
+                             axis=-1)[..., :width]] = 0.0
+        else:
+            out_c = np.full((planes, height, width), np.nan)
+        sides = []
+        for ctx, marked in ((contextlib.nullcontext(), True),
+                            (contextlib.nullcontext(), False),
+                            (numpy_kernel(), True)):  # numpy ignores marks
+            band = votes.copy() if sides else stack
+            out = out_c if not sides else np.full(out_c.shape, np.nan)
+            state = tuple(a.copy() for a in peak)
+            around = np.full((2, height, width), np.nan)
+            written = None
+            if marked and with_written:
+                written = written_buf[:planes] if not sides else written_buf.copy()
+            with ctx:
+                fuse_band(op, band, out, p0, state, around, prev,
+                          (marks if not sides else before.astype(np.uint8))
+                          if marked else None, written)
+            assert not band.any()
+            sides.append((out, state, around))
+        (c_out, c_peak, c_around), *others = sides
+        for out, peak_, around in others:
+            assert_same_bits([c_out, c_peak[0], c_around],
+                             [out, peak_[0], around])
+            assert np.array_equal(c_peak[1], peak_[1])
+        # the short band's buffer beyond it is untouched
+        assert (buf[:, planes:] == 7.0).all() and (mark_buf[:, planes:] == 9).all()
+        assert not marks.any()
+        if with_written:
+            assert np.array_equal(written_buf[:planes], fused)
+
+    @pytest.mark.parametrize("bad", ["marks_dtype", "marks_shape", "marks_order",
+                                     "marks_overlap", "marks_readonly",
+                                     "written_shape", "written_dtype",
+                                     "written_without_marks"])
+    def test_rejects_marks_it_cannot_index(self, bad):
+        stack = np.zeros((2, 3, 4, 20))
+        out = np.zeros((3, 4, 20))
+        segs = _sweep.mark_shape(3, 4, 20)
+        marks = np.zeros((2,) + segs, np.uint8)
+        written = np.zeros(segs, np.uint8)
+        confidence, best = empty_peak(4, 20)
+        around = np.zeros((2, 4, 20))
+        _sweep.fuse_band_c("min", stack, out, 0, confidence, best, None, around,
+                           marks, written)
+        if bad == "marks_dtype":
+            marks = marks.astype(bool)
+        elif bad == "marks_shape":
+            marks = np.zeros((2, 3, 4, 1), np.uint8)  # one segment short
+        elif bad == "marks_order":
+            marks = np.zeros((2, 3, 2, 4), np.uint8).transpose(0, 1, 3, 2)
+        elif bad == "marks_overlap":
+            marks = np.lib.stride_tricks.as_strided(
+                marks, marks.shape, (1,) + marks.strides[1:])
+        elif bad == "marks_readonly":
+            marks.flags.writeable = False
+        elif bad == "written_shape":
+            written = np.zeros((3, 4, 1), np.uint8)
+        elif bad == "written_dtype":
+            written = written.astype(np.int64)
+        else:
+            marks = None
+        with pytest.raises(ValueError, match="marks|written"):
+            _sweep.fuse_band_c("min", stack, out, 0, confidence, best, None,
+                               around, marks, written)
 
     @pytest.mark.parametrize("op", [GEOMETRIC, FusionOp("power", -2.0),
                                     FusionOp("power", 0.5), *map(

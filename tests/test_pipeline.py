@@ -10,6 +10,7 @@ import sys
 import threading
 import time
 import tracemalloc
+import types
 import warnings
 from pathlib import Path
 
@@ -925,6 +926,133 @@ class TestVolumeFree:
             assert [v is not None for v in created] == [has_volume]
 
 
+@pytest.fixture(scope="module")
+def short_chunk():
+    """(scenario, chunk): a middle 0.05 s window of lateral_room, sparse
+    votes as room_short maps them."""
+    sc = make_scenario("lateral_room", n_points=300, seed=7)
+    streams = sc.simulate()
+    chunks = chunk_events([streams[c] for c in sc.rig.camera_ids], 0.05)
+    return sc, chunks[len(chunks) // 2]
+
+
+def force_path(monkeypatch, sparse: bool):
+    """Every chunk takes the sparse band step, or none does."""
+    monkeypatch.setattr(pipeline, "SPARSE_TESTS_PER_VOXEL",
+                        math.inf if sparse else 0.0)
+
+
+def spy_marks(monkeypatch):
+    """Per fuse_band call of the band loop, whether it was given marks."""
+    calls = []
+    real = pipeline.fuse_band
+    monkeypatch.setattr(pipeline, "fuse_band", lambda *a: calls.append(
+        a[7] is not None) or real(*a))
+    return calls
+
+
+def assert_same_chunk(got, want, volumes=()):
+    """Two ChunkOutputs hold the same bits: depth maps, untimed stats and
+    any dumped volumes; ``volumes`` are (got, want) volume pairs."""
+    for name in ("depth", "confidence", "mask"):
+        assert getattr(got.result, name).tobytes() == \
+            getattr(want.result, name).tobytes(), name
+    assert {k: v for k, v in got.stats.items() if k != "timings"} == \
+        {k: v for k, v in want.stats.items() if k != "timings"}
+    pairs = list(volumes)
+    if want.fused is not None:
+        pairs += [(g.votes, w.votes) for g, w in zip(
+            [got.fused] + got.camera_grids, [want.fused] + want.camera_grids)]
+    for g, w in pairs:
+        assert g.tobytes() == w.tobytes()
+
+
+class TestSparseBandStep:
+    """A chunk whose votes are sparse sweeps with marks and fuses only the
+    marked segments of its bands; its outputs are the dense path's bit for
+    bit."""
+
+    def test_sparse_gate(self, monkeypatch):
+        rays = [types.SimpleNamespace(plane_tests=t) for t in (10, 49)]
+        harmonic = FusionOp("harmonic")
+        shape = (10, 2, 5)  # 100 voxels: 0.49 tests per voxel at most
+        monkeypatch.setattr(pipeline, "SPARSE_TESTS_PER_VOXEL", 0.5)
+        assert pipeline._sparse(rays, harmonic, shape)
+        monkeypatch.setattr(pipeline, "SPARSE_TESTS_PER_VOXEL", 0.49)
+        assert not pipeline._sparse(rays, harmonic, shape)  # the busiest camera
+        monkeypatch.setattr(pipeline, "SPARSE_TESTS_PER_VOXEL", math.inf)
+        for kind in _sweep.FUSE_KINDS:
+            assert pipeline._sparse(rays, FusionOp(kind), shape)
+        # numpy fuses every voxel: marks would only cost
+        assert not pipeline._sparse(rays, FusionOp("geometric"), shape)
+        with numpy_kernel():
+            assert not pipeline._sparse(rays, harmonic, shape)
+
+    def test_a_short_window_takes_the_sparse_path(self, short_chunk, monkeypatch):
+        sc, chunk = short_chunk
+        calls = spy_marks(monkeypatch)
+        process_chunk(copy.deepcopy(chunk), sc.rig, sc.traj, sc.config, workers=1)
+        assert len(calls) == 25 and all(calls)
+
+    @pytest.mark.parametrize("case", [*_sweep.FUSE_KINDS, "nearest", "volume",
+                                      "dump"])
+    def test_matches_the_dense_path(self, short_chunk, monkeypatch, case):
+        # 1-3 workers; harmonic (lateral_room's), every other compiled kind,
+        # nearest voting, a fused volume (median 5 and sub-plane refinement)
+        # and dumped volumes: a volume passed in NaN-filled must end equal
+        sc, chunk = short_chunk
+        config = sc.config
+        if case in _sweep.FUSE_KINDS:
+            config = dataclasses.replace(config, fusion=case)
+        elif case == "nearest":
+            config = dataclasses.replace(config, voting="nearest")
+        elif case == "volume":
+            config = dataclasses.replace(config, median_kernel=5)
+        else:
+            config = dataclasses.replace(config, dump_dsi=True)
+        assert pipeline._needs_volume(config) == (case in ("volume", "dump"))
+        shape = (config.num_planes, 180, 240)
+        calls = spy_marks(monkeypatch)
+        for workers in (1, 2, 3):
+            outs = []
+            for sparse in (True, False):
+                force_path(monkeypatch, sparse)
+                calls.clear()
+                volume = np.full(shape, np.nan) if case == "volume" else None
+                outs.append((process_chunk(copy.deepcopy(chunk), sc.rig, sc.traj,
+                                           config, workers=workers,
+                                           volume=volume), volume))
+                assert calls and set(calls) == {sparse}
+            (got, got_volume), (want, want_volume) = outs
+            assert got.result.confidence.any()
+            assert_same_chunk(got, want, [(got_volume, want_volume)]
+                              if case == "volume" else [])
+            if case == "volume":
+                assert not np.isnan(got_volume).any()
+
+    @pytest.mark.parametrize("fusion", _sweep.FUSE_KINDS)
+    def test_grazing_fallback_matches_the_dense_path(self, band_inputs,
+                                                     monkeypatch, fusion):
+        # the third camera's near-grazing rays vote through the numpy
+        # sweep_direct, which marks the whole band once it votes there
+        rig, traj, chunk = band_inputs
+        config = PipelineConfig(num_planes=13, fusion=fusion, dump_dsi=True)
+        direct = []
+        real = _sweep.sweep_direct
+        monkeypatch.setattr(_sweep, "sweep_direct", lambda *a, **k: direct.append(
+            k["marks"] is not None) or real(*a, **k))
+        for workers in (1, 2, 3):
+            outs = []
+            for sparse in (True, False):
+                force_path(monkeypatch, sparse)
+                direct.clear()
+                outs.append(process_chunk(copy.deepcopy(chunk), rig, traj, config,
+                                          workers=workers))
+                assert direct and set(direct) == {sparse}
+            assert_same_chunk(*outs)
+            assert outs[0].stats["cameras"]["c"]["events_grazing"] > 0
+
+
 class TestDsiShape:
     """A DSI width/height that leaves out the reference camera's principal
     point is refused once the rig is loaded, before any event file is read."""
@@ -1039,6 +1167,8 @@ class TestMemoryBudget:
 
     # 100 planes' depths, inverse depths and the temporary that makes them
     BOOKKEEPING = 8 * 3 * 100
+    # a camera's marks: a byte per 16 voxels of a row, 15 per row of a plane
+    MARKS = pipeline.BAND_PLANES * 180 * 15
 
     def test_counts_the_extraction_filters(self):
         plane = 180 * 240 * 8
@@ -1051,10 +1181,11 @@ class TestMemoryBudget:
                                       threshold_sigma=1e6) == \
             volume + copies * 8 * (2 * 4_000_000 + 1)
         # filters and band buffers are never live at once: small filters
-        # cost nothing beyond the buffers and the worker's five maps
+        # cost nothing beyond the buffers, the worker's five maps and marks
         assert pipeline._check_memory((100, 180, 240), 2, 1, keep=False,
                                       median_kernel=1, threshold_sigma=7.0) == \
-            (100 + 2 * pipeline.BAND_PLANES + 5) * plane + self.BOOKKEEPING
+            (100 + 2 * pipeline.BAND_PLANES + 5) * plane + 2 * self.MARKS \
+            + self.BOOKKEEPING
 
     @pytest.mark.parametrize("flag,value,named", [
         ("--median-kernel", "101", "median_kernel 101"),
@@ -1208,30 +1339,40 @@ class TestMemoryBudget:
     def test_counts_kept_volumes_and_band_buffers(self):
         plane = 180 * 240 * 8
         # each worker also keeps two peak maps, confidence and best plane,
-        # and three for refinement: below, above and the run's first plane
+        # three for refinement (below, above and the run's first plane) and
+        # each camera's marks
         assert pipeline._check_memory((100, 180, 240), 2, 1, keep=False) == \
-            (100 + 2 * pipeline.BAND_PLANES + 5) * plane + self.BOOKKEEPING
+            (100 + 2 * pipeline.BAND_PLANES + 5) * plane + 2 * self.MARKS \
+            + self.BOOKKEEPING
         assert pipeline._check_memory((100, 180, 240), 3, 2, keep=True) == \
             ((1 + 3) * 100 + 2 * (3 * pipeline.BAND_PLANES + 5)) * plane \
-            + self.BOOKKEEPING
+            + 2 * 3 * self.MARKS + self.BOOKKEEPING
 
     def test_counts_band_outputs_without_a_volume(self):
-        # no fused volume: each worker also keeps two fused bands; only the
-        # bookkeeping grows with the planes
+        # no fused volume: each worker also keeps two fused bands and their
+        # written masks; only the bookkeeping grows with the planes
         plane = 180 * 240 * 8
-        per_worker = (2 + 2) * pipeline.BAND_PLANES + 2 + 3
+        per_worker = ((2 + 2) * pipeline.BAND_PLANES + 2 + 3) * plane \
+            + (2 + 2) * self.MARKS
         for planes in (100, 10**7):
             assert pipeline._check_memory((planes, 180, 240), 2, 1, keep=False,
                                           volume=False) == \
-                per_worker * plane + 8 * 3 * planes
+                per_worker + 8 * 3 * planes
         assert pipeline._check_memory((100, 180, 240), 2, 2, keep=False,
                                       volume=False) == \
-            2 * per_worker * plane + self.BOOKKEEPING
+            2 * per_worker + self.BOOKKEEPING
         # a dump keeps the fused volume
         assert pipeline._check_memory((100, 180, 240), 2, 1, keep=True,
                                       volume=False) == \
             ((1 + 2) * 100 + 2 * pipeline.BAND_PLANES + 5) * plane \
-            + self.BOOKKEEPING
+            + 2 * self.MARKS + self.BOOKKEEPING
+
+    def test_counts_the_marks_of_rows_of_any_width(self):
+        # a row of 17 voxels holds two segments, one of them short
+        plane = 3 * 17 * 8
+        assert pipeline._check_memory((8, 3, 17), 2, 1, keep=False) == \
+            (8 + 2 * pipeline.BAND_PLANES + 5) * plane \
+            + 2 * pipeline.BAND_PLANES * 3 * 2 + 8 * 3 * 8
 
     def test_bookkeeping_bounds_the_growth_with_planes(self, small_scenario):
         # a volume-free run on a small DSI: what it allocates beyond the
