@@ -280,11 +280,12 @@ def edge_rays():
 
 # Runs in a process of its own with the library at argv[1]: the event pass on
 # texts it takes and texts it refuses, then the pipeline through every
-# compiled fusion kind and both voting modes, with and without a fused volume.
+# compiled fusion kind and both voting modes, with and without a fused volume,
+# on the sparse and on the dense band step.
 _UBSAN_RUN = r"""
-import dataclasses, sys
+import dataclasses, math, sys
 from pathlib import Path
-from raysweep import _sweep
+from raysweep import _sweep, pipeline
 from raysweep.pipeline import run_pipeline
 from raysweep.synth import make_scenario
 
@@ -306,7 +307,8 @@ for text, taken in [
 sc = make_scenario("lateral_room", n_points=80, seed=3)
 streams = sc.simulate()
 for fusion in _sweep.FUSE_KINDS:
-    for median in (1, 5):
+    for median, gate in ((1, math.inf), (5, math.inf), (1, 0.0)):
+        pipeline.SPARSE_TESTS_PER_VOXEL = gate
         voting = "nearest" if median == 1 else "bilinear"
         config = dataclasses.replace(sc.config, fusion=fusion, voting=voting,
                                      median_kernel=median)
