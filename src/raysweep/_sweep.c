@@ -253,7 +253,7 @@ static void fold_peak(const struct band *b, const double *v, int64_t px,
 }
 
 /* Voxels [s, s + m) of the band: fuse the cameras' votes into out.
- * Inlined in both passes, so the dense one compiles as it did alone. */
+ * Inlined in both passes. */
 static inline __attribute__((always_inline)) void
 fuse_voxels(const struct band *b, int64_t s, int64_t m)
 {

@@ -307,7 +307,7 @@ for text, taken in [
 sc = make_scenario("lateral_room", n_points=80, seed=3)
 streams = sc.simulate()
 for fusion in _sweep.FUSE_KINDS:
-    for median, gate in ((1, math.inf), (5, math.inf), (1, 0.0)):
+    for median, gate in ((1, math.inf), (5, math.inf), (1, 0.0), (5, 0.0)):
         pipeline.SPARSE_TESTS_PER_VOXEL = gate
         voting = "nearest" if median == 1 else "bilinear"
         config = dataclasses.replace(sc.config, fusion=fusion, voting=voting,
@@ -617,6 +617,13 @@ class TestCAbi:
         assert abi_mismatches(exports, _sweep._ARGTYPES,
                               {**restypes, "fuse_band": ctypes.c_int64}) == [
             f"fuse_band: returns void, restype {ctypes.c_int64.__name__}"]
+
+    def test_segment_matches_the_c_definition(self):
+        # the Python checks size the marks with _sweep.SEGMENT and the C
+        # kernels index them with their own SEGMENT: the two must agree
+        defines = re.findall(r"^#define SEGMENT (\d+)$",
+                             _sweep._SOURCE.read_text(), flags=re.MULTILINE)
+        assert defines == [str(_sweep.SEGMENT)]
 
 
 def segment_marks(votes):
