@@ -437,6 +437,62 @@ void fuse_band(double *stack, int64_t n, int64_t stride, int64_t planes,
     track_band(&b, planes, prev, below, above);
 }
 
+/* A worker's run of the band step in one call: the planes [p0, p0 +
+ * planes) of the volume, in bands of `band` planes (the last maybe short)
+ * starting at p0. Camera c's rays are the events [starts[c], starts[c +
+ * 1]) of a_u ... hi. For each band in plane order, every camera sweeps its
+ * rays into its band of the stack (camera c's at stack + c * stride), as
+ * sweep does, with its marks at marks + c * mark_stride when marks is not
+ * NULL; the cameras' bands are copied into cameras (camera c's planes of
+ * the run at cameras + c * cam_stride) when that is not NULL; then
+ * fuse_band fuses them into the band's planes of volume or, where that is
+ * NULL, into outs + (q / band % 2) * band * plane for the band starting at
+ * plane q, with written at the same offset in mark units, prev being the
+ * band before's last fused plane. hit[k] is set for every event that
+ * votes, casts[c] gets camera c's (event, plane) votes, and first, when
+ * not NULL, the run's first fused plane. Every output is that of the same
+ * sweep and fuse_band calls made one by one.
+ */
+void run_bands(const double *a_u, const double *a_v, const double *b_u,
+               const double *b_v, const int64_t *lo, const int64_t *hi,
+               const int64_t *starts, int64_t n, const double *inv_zs,
+               int64_t p0, int64_t planes, int64_t band, int64_t width,
+               int64_t height, int bilinear, int kind, double *stack,
+               int64_t stride, uint8_t *marks, int64_t mark_stride,
+               double *volume, double *outs, uint8_t *written,
+               double *confidence, int64_t *best, double *below,
+               double *above, double *first, double *cameras,
+               int64_t cam_stride, uint8_t *hit, int64_t *casts)
+{
+    const int64_t plane = width * height;
+    const int64_t segs = (width + SEGMENT - 1) / SEGMENT;
+    const double *prev = NULL;
+    for (int64_t c = 0; c < n; c++)
+        casts[c] = 0;
+    for (int64_t q = p0; q < p0 + planes; q += band) {
+        const int64_t m = p0 + planes - q < band ? p0 + planes - q : band;
+        for (int64_t c = 0; c < n; c++) {
+            const int64_t s = starts[c];
+            casts[c] += sweep(a_u + s, a_v + s, b_u + s, b_v + s, lo + s, hi + s,
+                              starts[c + 1] - s, inv_zs, stack + c * stride, m,
+                              q, width, height, bilinear, hit + s,
+                              marks ? marks + c * mark_stride : NULL);
+        }
+        for (int64_t c = 0; cameras && c < n; c++)
+            memcpy(cameras + c * cam_stride + (q - p0) * plane, stack + c * stride,
+                   (size_t)(m * plane) * sizeof(double));
+        const int64_t turn = q / band % 2;
+        double *const out = volume ? volume + (q - p0) * plane
+                                   : outs + turn * band * plane;
+        fuse_band(stack, n, stride, m, plane, kind, out, q, confidence, best,
+                  prev, below, above, width, marks, mark_stride,
+                  written ? written + turn * band * height * segs : NULL);
+        if (first && q == p0)
+            memcpy(first, out, (size_t)plane * sizeof(double));
+        prev = out + (m - 1) * plane;
+    }
+}
+
 /* Event text: the compiled pass of io._parse_events_blocks.
  *
  * Lines end in "\n", "\r\n" or, at the end of text, "\r". A line is blank

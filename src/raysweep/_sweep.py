@@ -91,11 +91,26 @@ else (an inline comment, ``1_0``, another whitespace or byte, ``nan``,
 ``1e400``, an out-of-range field) refuses the whole block, and the line
 parser decides with the same values or the error for the first bad line.
 
+Its fifth, ``run_bands``, is a worker's whole run of the pipeline's band
+loop in one call, reached through ``run_sweep`` with a ``Bands``: every
+camera's affine rays in one set of arrays with per-camera start offsets,
+and for each band of the run in plane order, each camera's ``sweep``
+(marked or not) into the worker's stack, then ``fuse_band`` (over marked
+segments or dense) with its tracking, into the fused volume or the two
+band outputs in turn. It also copies each band to the per-camera volumes
+when they are kept and the run's first fused plane to a buffer for the
+seam merge, and returns each camera's vote count. It calls the same two
+functions that Python would call band by band, so every output is the
+same bit for bit; Python checks the arguments once per run instead of
+once per band and camera. ``pipeline._compiled`` decides per chunk: the
+compiled fusion kinds, the library loaded, and no near-grazing ray.
+
 The C source is compiled on first use (not at import), once per source and
 flag set, with ``gcc -O3 -ffp-contract=off -fPIC -shared ... -lm`` into
 ``$XDG_CACHE_HOME/raysweep`` (default ``~/.cache/raysweep``), and loaded with
-ctypes, which releases the GIL for the call, so plane ranges split across
-threads still run in parallel. Without the library, ``run_sweep``,
+ctypes, which releases the GIL for each call: a worker's run of bands is
+one call, so the pipeline's workers hold the GIL only to set their runs up
+and run in parallel for the rest. Without the library, ``run_sweep``,
 ``dsi._prepare_rays`` and ``dsi.fuse_band`` run numpy, event files are
 parsed line by line, and one warning names the error; ``kernel_name`` says
 which kernel runs.
@@ -111,6 +126,7 @@ import tempfile
 import threading
 import warnings
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -140,10 +156,17 @@ _ARGTYPES = {
                  + [_PTR] * 5 + [_I64, _PTR, _I64, _PTR],
     # parse_events(text, len, width, height, t, x, y, p, cap)
     "parse_events": [_PTR, _I64, _I64, _I64] + [_PTR] * 4 + [_I64],
+    # run_bands(a_u, a_v, b_u, b_v, lo, hi, starts, n, inv_zs, p0, planes,
+    #           band, width, height, bilinear, kind, stack, stride, marks,
+    #           mark_stride, volume, outs, written, confidence, best, below,
+    #           above, first, cameras, cam_stride, hit, casts)
+    "run_bands": [_PTR] * 7 + [_I64, _PTR] + [_I64] * 5
+                 + [ctypes.c_int] * 2 + [_PTR, _I64, _PTR, _I64] + [_PTR] * 9
+                 + [_I64, _PTR, _PTR],
 }
 # what each returns; None is void
 _RESTYPES = {"sweep": _I64, "prepare": None, "fuse_band": None,
-             "parse_events": _I64}
+             "parse_events": _I64, "run_bands": None}
 
 # The fusion kinds that fuse_band compiles, in _sweep.c's numbering. The
 # others (geometric, power) stay with numpy: its SIMD log, exp and pow are
@@ -263,27 +286,39 @@ def _sweep_c(a_u, a_v, b_u, b_v, lo, hi, inv_zs, votes, bilinear, offset=0,
     hit mask and the number of votes cast; ``marks`` (``mark_shape`` of
     ``votes``, or None) gets the segment of every voxel a vote wrote."""
     lib = _require_c()
-    coeffs = [np.ascontiguousarray(c, dtype=np.float64) for c in (a_u, a_v, b_u, b_v)]
-    lo = np.ascontiguousarray(lo, dtype=np.int64)
-    hi = np.ascontiguousarray(hi, dtype=np.int64)
-    inv_zs = np.ascontiguousarray(inv_zs, dtype=np.float64)
+    rays, inv_zs = _contiguous_rays(a_u, a_v, b_u, b_v, lo, hi, inv_zs)
     offset = int(offset)
     _check_band(votes, offset, inv_zs, marks)
-    n = lo.size
-    if any(a.shape != (n,) for a in (*coeffs, lo, hi)):
-        raise ValueError("coefficient and plane-range arrays must be 1-D and "
-                         "of equal length")
+    n = len(rays[4])
     hit = np.zeros(n, dtype=bool)
     planes, height, width = votes.shape
-    cast = lib.sweep(*(c.ctypes.data for c in coeffs), lo.ctypes.data,
-                     hi.ctypes.data, n, inv_zs.ctypes.data, votes.ctypes.data,
-                     planes, offset, width, height, int(bilinear),
-                     hit.ctypes.data, None if marks is None else marks.ctypes.data)
+    cast = lib.sweep(*(a.ctypes.data for a in rays), n, inv_zs.ctypes.data,
+                     votes.ctypes.data, planes, offset, width, height,
+                     int(bilinear), hit.ctypes.data, _data(marks))
     return hit, cast
 
 
+def _contiguous_rays(a_u, a_v, b_u, b_v, lo, hi, inv_zs):
+    """The rays (a_u, a_v, b_u, b_v as float64, lo, hi as int64) and the
+    inverse depths (float64) as C-contiguous arrays; raises ValueError
+    unless the rays are 1-D and of equal length."""
+    rays = [np.ascontiguousarray(a, dtype=np.float64) for a in (a_u, a_v, b_u, b_v)]
+    rays += [np.ascontiguousarray(a, dtype=np.int64) for a in (lo, hi)]
+    if any(a.shape != (rays[4].size,) for a in rays):
+        raise ValueError("coefficient and plane-range arrays must be 1-D and "
+                         "of equal length")
+    return rays, np.ascontiguousarray(inv_zs, dtype=np.float64)
+
+
+def empty_prep(n: int) -> list:
+    """Room for the affine rays of n events: a_u, a_v, b_u, b_v (float64)
+    and lo, hi (int64), uninitialised."""
+    return [np.empty(n) for _ in range(4)] + [np.empty(n, np.int64)
+                                              for _ in range(2)]
+
+
 def prepare_c(q_wc, t_wc, bearings, index, q_ref_inv, t_ref, intr, depths,
-              inv_max, bound):
+              inv_max, bound, out=None):
     """Run the C ``prepare``, the compiled ``dsi._prepare_rays``, after
     checking every dtype, shape and index it relies on, so that no argument
     can make it read or write outside its arrays.
@@ -292,7 +327,8 @@ def prepare_c(q_wc, t_wc, bearings, index, q_ref_inv, t_ref, intr, depths,
     bearing ``bearings[index[k]]``; ``q_ref_inv``/``t_ref`` are the inverse
     rotation and position of the reference view, ``intr`` its (fx, fy, cx,
     cy). Returns (a_u, a_v, b_u, b_v, lo, hi, origins, dirs, affine_ok), as
-    ``_prepare_rays`` does, bit for bit.
+    ``_prepare_rays`` does, bit for bit; a_u ... hi are written into
+    ``out``, arrays as ``empty_prep`` makes them, where given.
     """
     lib = _require_c()
     q_wc, t_wc, bearings, q_ref_inv, t_ref, intr, depths = (
@@ -310,8 +346,13 @@ def prepare_c(q_wc, t_wc, bearings, index, q_ref_inv, t_ref, intr, depths,
                          "(4,), depths 1-D")
     if n and (index.min() < 0 or index.max() >= len(bearings)):
         raise ValueError(f"pixel index outside the {len(bearings)} bearings")
-    a_u, a_v, b_u, b_v = (np.empty(n) for _ in range(4))
-    lo, hi = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
+    if out is None:
+        out = empty_prep(n)
+    elif len(out) != 6:
+        raise ValueError("out must hold six arrays: a_u, a_v, b_u, b_v, lo, hi")
+    for a, dtype in zip(out, [np.float64] * 4 + [np.int64] * 2):
+        _check_map(a, dtype, (n,), "out")
+    a_u, a_v, b_u, b_v, lo, hi = out
     origins, dirs = np.empty((n, 3)), np.empty((n, 3))
     affine_ok = np.empty(n, dtype=bool)
     lib.prepare(q_wc.ctypes.data, t_wc.ctypes.data, bearings.ctypes.data,
@@ -361,53 +402,81 @@ def fuse_band_c(kind, stack, out, p0, confidence, best, prev, around,
     output is the same bit for bit as without marks.
     """
     lib = _require_c()
-    if kind not in FUSE_KINDS:
-        raise ValueError(f"fuse_band compiles {FUSE_KINDS}, not {kind!r}")
-    if not (isinstance(stack, np.ndarray) and stack.dtype == np.float64
-            and stack.ndim == 4 and stack.flags.writeable):
-        raise ValueError("stack must be a writable float64 (cameras, planes, "
-                         "height, width) array")
+    _check_kind(kind)
+    stride = _check_stack(stack, "stack")
     n, planes, height, width = stack.shape
-    item = stack.itemsize
-    if stack.size == 0 or stack.strides[1:] != (height * width * item,
-                                                width * item, item):
-        raise ValueError("each camera's planes must be non-empty and "
-                         "C-contiguous")
-    if n > 1 and (stack.strides[0] % item
-                  or stack.strides[0] < planes * height * width * item):
-        raise ValueError("the cameras' bands must not overlap")
     _check_votes(out)
     if out.shape != (planes, height, width):
         raise ValueError(f"out must have shape {(planes, height, width)}")
-    shape = (height, width)
-    _check_map(confidence, np.float64, shape, "the peak maps")
-    _check_map(best, np.int64, shape, "the peak maps")
-    _check_map(around, np.float64, (2,) + shape, "around")
+    _check_peak(confidence, best, around, (height, width))
     if prev is not None:
-        _check_map(prev, np.float64, shape, "prev")
-    segs = mark_shape(planes, height, width)
-    mark_stride = 0
-    if marks is not None:
-        if not (isinstance(marks, np.ndarray) and marks.dtype == np.uint8
-                and marks.shape == (n,) + segs and marks.flags.writeable
-                and marks.strides[1:] == (height * segs[2], segs[2], 1)):
-            raise ValueError(f"marks must be writable uint8 arrays of shape "
-                             f"{(n,) + segs}, each camera's C-contiguous")
-        mark_stride = marks.strides[0]
-        if n > 1 and mark_stride < planes * height * segs[2]:
-            raise ValueError("the cameras' marks must not overlap")
+        _check_map(prev, np.float64, (height, width), "prev")
+    mark_stride = _check_marks(marks, stack.shape)
     if written is not None:
         if marks is None:
             raise ValueError("written needs marks: without them every "
                              "segment of out is written")
-        _check_map(written, np.uint8, segs, "written")
-    lib.fuse_band(stack.ctypes.data, n, stack.strides[0] // item, planes,
-                  height * width, FUSE_KINDS.index(kind), out.ctypes.data,
-                  int(p0), confidence.ctypes.data, best.ctypes.data,
-                  None if prev is None else prev.ctypes.data,
+        _check_map(written, np.uint8, mark_shape(planes, height, width),
+                   "written")
+    lib.fuse_band(stack.ctypes.data, n, stride, planes, height * width,
+                  FUSE_KINDS.index(kind), out.ctypes.data, int(p0),
+                  confidence.ctypes.data, best.ctypes.data, _data(prev),
                   around[0].ctypes.data, around[1].ctypes.data, width,
-                  None if marks is None else marks.ctypes.data, mark_stride,
-                  None if written is None else written.ctypes.data)
+                  _data(marks), mark_stride, _data(written))
+
+
+def _data(a):
+    """The address that C is given for ``a``: NULL for None."""
+    return None if a is None else a.ctypes.data
+
+
+def _check_kind(kind):
+    if kind not in FUSE_KINDS:
+        raise ValueError(f"fuse_band compiles {FUSE_KINDS}, not {kind!r}")
+
+
+def _check_stack(stack, what):
+    """``stack`` (cameras, planes, H, W) float64, writable, each camera's
+    planes non-empty and C-contiguous, the cameras any stride apart but
+    not overlapping; returns that stride in float64 items."""
+    if not (isinstance(stack, np.ndarray) and stack.dtype == np.float64
+            and stack.ndim == 4 and stack.flags.writeable):
+        raise ValueError(f"{what} must be a writable float64 (cameras, "
+                         f"planes, height, width) array")
+    n, planes, height, width = stack.shape
+    item = stack.itemsize
+    if stack.size == 0 or stack.strides[1:] != (height * width * item,
+                                                width * item, item):
+        raise ValueError(f"each camera's planes of {what} must be non-empty "
+                         f"and C-contiguous")
+    if n > 1 and (stack.strides[0] % item
+                  or stack.strides[0] < planes * height * width * item):
+        raise ValueError(f"the cameras' planes of {what} must not overlap")
+    return stack.strides[0] // item
+
+
+def _check_peak(confidence, best, around, shape):
+    _check_map(confidence, np.float64, shape, "the peak maps")
+    _check_map(best, np.int64, shape, "the peak maps")
+    _check_map(around, np.float64, (2,) + shape, "around")
+
+
+def _check_marks(marks, shape):
+    """``marks`` None, or the uint8 (cameras, planes, H, segs) marks of a
+    stack of ``shape``, each camera's C-contiguous and the cameras not
+    overlapping; returns their camera stride in bytes (0 for None)."""
+    if marks is None:
+        return 0
+    n, planes, height, width = shape
+    segs = mark_shape(planes, height, width)
+    if not (isinstance(marks, np.ndarray) and marks.dtype == np.uint8
+            and marks.shape == (n,) + segs and marks.flags.writeable
+            and marks.strides[1:] == (height * segs[2], segs[2], 1)):
+        raise ValueError(f"marks must be writable uint8 arrays of shape "
+                         f"{(n,) + segs}, each camera's C-contiguous")
+    if n > 1 and marks.strides[0] < planes * height * segs[2]:
+        raise ValueError("the cameras' marks must not overlap")
+    return marks.strides[0]
 
 
 def parse_events_c(text, width, height):
@@ -551,7 +620,98 @@ def sweep_direct(origins, dirs, lo, hi, zs, intr, votes, bilinear, offset=0,
     return _sweep_planes(project, lo, hi, votes, bilinear, offset, zs, marks)
 
 
-def run_sweep(prep, inv_zs, votes, mode, offset=0, marks=None):
+class Bands(NamedTuple):
+    """The band step of a worker's run of bands, for ``run_sweep``.
+
+    Camera c's rays are the events ``starts[c]:starts[c + 1]`` of the
+    sweep's ``prep`` (``starts`` ascends from 0 to the event count); the
+    run is the planes [offset, offset + ``planes``) of the volume. Each
+    band is fused with ``kind``, one of FUSE_KINDS, into its planes of
+    ``volume`` (``planes``, H, W) or, where that is None, into ``outs``
+    (2, band planes, H, W), the two band outputs in turn, with
+    ``written``, their ``mark_shape`` written masks (2, ...) or None, as
+    ``fuse_band_c`` takes them. ``confidence``, ``best`` and ``around``
+    are the worker's running maximum and the votes beside it, from
+    ``dsi.empty_peak``. ``first`` (H, W), unless None, gets the run's first
+    fused plane, and ``cameras`` (cameras, ``planes``, H, W), unless None,
+    every camera's votes on the run's planes.
+    """
+
+    starts: np.ndarray
+    planes: int
+    kind: str
+    confidence: np.ndarray
+    best: np.ndarray
+    around: np.ndarray
+    volume: np.ndarray | None = None
+    outs: np.ndarray | None = None
+    written: np.ndarray | None = None
+    first: np.ndarray | None = None
+    cameras: np.ndarray | None = None
+
+
+def _run_c(a_u, a_v, b_u, b_v, lo, hi, inv_zs, stack, mode, offset, marks,
+           bands: Bands):
+    """Run the C ``run_bands`` after checking every dtype, shape, stride,
+    offset and plane range it relies on, so that no argument can make it
+    read or write outside its arrays. Returns the hit mask over every
+    camera's events and each camera's number of votes cast."""
+    lib = _require_c()
+    if mode not in ("nearest", "bilinear"):
+        raise ValueError(f"unknown voting mode {mode!r}")
+    _check_kind(bands.kind)
+    rays, inv_zs = _contiguous_rays(a_u, a_v, b_u, b_v, lo, hi, inv_zs)
+    count = len(rays[4])
+    stride = _check_stack(stack, "stack")
+    n, band, height, width = stack.shape
+    starts = np.ascontiguousarray(bands.starts, dtype=np.int64)
+    if not (starts.shape == (n + 1,) and starts[0] == 0
+            and starts[-1] == count and (np.diff(starts) >= 0).all()):
+        raise ValueError(f"starts must ascend from 0 to the {count} events, "
+                         f"one per camera of the stack and then the end")
+    offset, planes = int(offset), int(bands.planes)
+    if not (offset >= 0 and planes >= 1 and inv_zs.ndim == 1
+            and offset + planes <= len(inv_zs)):
+        raise ValueError(f"planes [{offset}, {offset + planes}) of the run "
+                         f"outside the {inv_zs.size} depth samples")
+    shape = (height, width)
+    _check_peak(bands.confidence, bands.best, bands.around, shape)
+    if bands.first is not None:
+        _check_map(bands.first, np.float64, shape, "first")
+    mark_stride = _check_marks(marks, stack.shape)
+    if (bands.volume is None) == (bands.outs is None):
+        raise ValueError("pass exactly one of volume and outs")
+    if bands.volume is not None:
+        _check_map(bands.volume, np.float64, (planes,) + shape, "volume")
+    else:
+        _check_map(bands.outs, np.float64, (2, band) + shape, "outs")
+    if bands.written is not None:
+        if marks is None or bands.outs is None:
+            raise ValueError("written needs marks and outs")
+        _check_map(bands.written, np.uint8, (2,) + mark_shape(band, *shape),
+                   "written")
+    cam_stride = 0
+    if bands.cameras is not None:
+        cam_stride = _check_stack(bands.cameras, "cameras")
+        if bands.cameras.shape != (n, planes) + shape:
+            raise ValueError(f"cameras must have shape {(n, planes) + shape}")
+    hit = np.zeros(count, dtype=bool)
+    casts = np.zeros(n, dtype=np.int64)
+    around = bands.around
+    lib.run_bands(*(a.ctypes.data for a in rays), starts.ctypes.data, n,
+                  inv_zs.ctypes.data, offset, planes, band, width, height,
+                  int(mode == "bilinear"), FUSE_KINDS.index(bands.kind),
+                  stack.ctypes.data, stride,
+                  _data(marks), mark_stride, _data(bands.volume),
+                  _data(bands.outs), _data(bands.written),
+                  bands.confidence.ctypes.data, bands.best.ctypes.data,
+                  around[0].ctypes.data, around[1].ctypes.data,
+                  _data(bands.first), _data(bands.cameras), cam_stride,
+                  hit.ctypes.data, casts.ctypes.data)
+    return hit, casts.tolist()
+
+
+def run_sweep(prep, inv_zs, votes, mode, offset=0, marks=None, bands=None):
     """Sweep a prepared event batch with the C kernel, or with numpy when
     the library is unavailable; the votes are the same bit for bit.
 
@@ -565,7 +725,18 @@ def run_sweep(prep, inv_zs, votes, mode, offset=0, marks=None):
     at least for every segment of SEGMENT voxels of a row that a vote
     wrote: C marks each vote's segments, numpy the whole array once a vote
     is cast. The votes and the count are the same with or without marks.
+
+    With ``bands`` (a ``Bands``, C only), the call is a worker's whole run
+    of band steps in one C call, which holds no GIL: ``prep`` holds every
+    camera's rays, ``votes`` is the worker's zeroed (cameras, band planes,
+    H, W) stack and ``marks`` its (cameras, ...) marks or None, and band by
+    band of the run, each camera is swept into its band of the stack and
+    the band is fused, folded, tracked and zeroed with ``fuse_band_c``.
+    Every output is that of those calls made one by one. The hit mask then
+    covers every camera's events, and the count is a list, one per camera.
     """
+    if bands is not None:
+        return _run_c(*prep, inv_zs, votes, mode, offset, marks, bands)
     sweep = _sweep_c if kernel_name() == "c" else _sweep_numpy
     return sweep(*prep, inv_zs, votes, bilinear=(mode == "bilinear"), offset=offset,
                  marks=marks)

@@ -209,8 +209,9 @@ def _pixel_bearings(events: EventStream, cam: CameraModel):
 
 
 def _prepare_rays(grid: DsiGrid, events: EventStream, cam: CameraModel,
-                  q_wc: np.ndarray, t_wc: np.ndarray) -> "_RayPrep":
-    """Per-event sweep coefficients and ray geometry.
+                  q_wc: np.ndarray, t_wc: np.ndarray, out=None) -> "_RayPrep":
+    """Per-event sweep coefficients and ray geometry; a_u, a_v, b_u, b_v,
+    lo and hi go into ``out`` (``_sweep.empty_prep``) where given.
 
     The ray is expressed in the reference frame: origin = camera center,
     direction = rotated undistorted bearing (u, v, 1). Projection onto
@@ -228,7 +229,7 @@ def _prepare_rays(grid: DsiGrid, events: EventStream, cam: CameraModel,
         return _RayPrep(*_sweep.prepare_c(
             q_wc, t_wc, bearings, index, q_ref_inv, grid.ref_pose.trans,
             (k.fx, k.fy, k.cx, k.cy), grid.depths, grid.inv_depths[0],
-            _AFFINE_COND_BOUND,
+            _AFFINE_COND_BOUND, out,
         ))
     dirs_cam = np.ones((len(events), 3))
     dirs_cam[:, :2] = bearings[index]
@@ -268,7 +269,12 @@ def _prepare_rays(grid: DsiGrid, events: EventStream, cam: CameraModel,
             np.maximum(np.abs(b_u), np.abs(b_v)) * inv_max,
         )
     affine_ok = scale < _AFFINE_COND_BOUND  # False also for NaN/inf
-    return _RayPrep(a_u, a_v, b_u, b_v, lo, hi, origins, dirs, affine_ok)
+    coeffs = (a_u, a_v, b_u, b_v, lo, hi)
+    if out is not None:
+        for dst, src in zip(out, coeffs):
+            dst[...] = src
+        coeffs = out
+    return _RayPrep(*coeffs, origins, dirs, affine_ok)
 
 
 @dataclass(frozen=True)
@@ -298,14 +304,17 @@ class SweepRays:
 
 def prepare_sweep(grid: DsiGrid, events: EventStream, cam: CameraModel, *,
                   traj: PoseTrajectory | None = None,
-                  pose: Se3 | None = None) -> SweepRays:
+                  pose: Se3 | None = None, out=None) -> SweepRays:
     """Per-event camera poses and rays of ``events`` in ``grid``'s reference
     view, split into the affine-form and the near-grazing rays.
 
     Camera poses come either from ``traj`` (per-event interpolation) or a
     single fixed ``pose``; poses are interpolated in numpy. This is the
     part of voting that does not depend on the planes: do it once per
-    camera, then sweep any plane ranges with ``sweep_band``.
+    camera, then sweep any plane ranges with ``sweep_band``. ``out``, the
+    six arrays of ``_sweep.empty_prep(len(events))`` (or views of larger
+    ones), receives every event's affine coefficients, which ``affine``
+    then holds as they are when no ray grazes.
     """
     if (traj is None) == (pose is None):
         raise ValueError("pass exactly one of traj= or pose=")
@@ -314,7 +323,7 @@ def prepare_sweep(grid: DsiGrid, events: EventStream, cam: CameraModel, *,
     else:
         q_wc = np.broadcast_to(pose.quat, (len(events), 4))
         t_wc = np.broadcast_to(pose.trans, (len(events), 3))
-    prep = _prepare_rays(grid, events, cam, q_wc, t_wc)
+    prep = _prepare_rays(grid, events, cam, q_wc, t_wc, out)
     # Well-conditioned rays take the affine-form kernel; near-grazing ones
     # are intersected plane by plane. Only the grazing rays' origins and
     # directions are kept, as copies; when no ray grazes, which is usual,
@@ -345,6 +354,12 @@ def sweep_band(grid: DsiGrid, rays: SweepRays, votes: np.ndarray, p0: int,
     volume's. ``marks`` (``_sweep.mark_shape`` of ``votes``, uint8, or
     None) gets at least the segments that the votes wrote (``run_sweep``),
     for ``fuse_band``.
+
+    The pipeline calls this per band and camera only in its Python band
+    loop: for chunks with near-grazing rays, for the geometric and power
+    means, and without the C library. Other chunks sweep and fuse each
+    worker's whole run of bands in one C call (``_sweep.run_sweep`` with
+    ``bands``), with the same votes bit for bit.
     """
     if mode not in VOTING_MODES:
         raise ValueError(f"unknown voting mode {mode!r}")

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import distance_transform_edt
 
 
 @dataclass(frozen=True)
@@ -45,6 +44,10 @@ def compare_depth(
     if n_pred == 0 or n_gt == 0:
         return DepthMetrics(n_pred, n_gt, 0, float("nan"),
                             1.0 if n_pred else 0.0, 0.0, 0.0)
+
+    # imported here, not at module level: the CLI imports this module, and
+    # scipy.ndimage takes longer to import than the rest of raysweep
+    from scipy.ndimage import distance_transform_edt
 
     dist, (ny, nx) = distance_transform_edt(~gt_mask, return_indices=True)
     matched = pred_mask & (dist <= match_radius)

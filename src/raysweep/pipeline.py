@@ -24,6 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import _sweep
 from . import io as rio
 from ._sweep import FUSE_KINDS, kernel_name, mark_shape
 from .depth import (
@@ -245,16 +246,21 @@ def process_chunk(
 
     t0 = time.perf_counter()
     streams = [chunk.events[cid] for cid in rig.camera_ids]
-    rays = [prepare_sweep(fused, stream, cam, traj=traj)
-            for stream, cam in zip(streams, rig.cameras)]
+    # every camera's affine coefficients in one set of arrays, camera k's
+    # from starts[k], which the compiled band loop sweeps as they are
+    starts = np.cumsum([0] + [len(stream) for stream in streams])
+    joined = _sweep.empty_prep(starts[-1])
+    rays = [prepare_sweep(fused, stream, cam, traj=traj,
+                          out=[a[s:e] for a in joined])
+            for stream, cam, s, e in zip(streams, rig.cameras, starts, starts[1:])]
     timings["rays"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     shape = (fused.num_planes, fused.height, fused.width)
     cameras = np.empty((len(rays),) + shape) if config.dump_dsi else None
     hits, votes, peak, around = _vote_and_fuse(
-        fused, rays, FusionOp.from_string(config.fusion), config.voting, workers,
-        cameras,
+        fused, rays, joined, FusionOp.from_string(config.fusion), config.voting,
+        workers, cameras,
     )
     timings["vote_fuse"] = time.perf_counter() - t0
 
@@ -322,6 +328,14 @@ def _sparse(rays, op: FusionOp, shape: tuple) -> bool:
     return tests < SPARSE_TESTS_PER_VOXEL * math.prod(shape)
 
 
+def _compiled(rays, op: FusionOp) -> bool:
+    """Whether a chunk's band loop runs in C, one ``_sweep.run_sweep`` call
+    per worker run: for the compiled fusion kinds when the library loads
+    and no ray grazes (``dsi.sweep_direct`` is numpy only)."""
+    return (op.kind in FUSE_KINDS and kernel_name() == "c"
+            and not any(len(r.graze[2]) for r in rays))
+
+
 def _runs(num_planes: int, workers: int) -> list:
     """The volume's bands of BAND_PLANES planes, band b being the planes
     [b * BAND_PLANES, min((b + 1) * BAND_PLANES, num_planes)), split into
@@ -333,8 +347,8 @@ def _runs(num_planes: int, workers: int) -> list:
             for j in range(workers)]
 
 
-def _vote_and_fuse(fused: DsiGrid, rays, op: FusionOp, mode: str, workers: int,
-                   cameras: np.ndarray | None = None):
+def _vote_and_fuse(fused: DsiGrid, rays, joined, op: FusionOp, mode: str,
+                   workers: int, cameras: np.ndarray | None = None):
     """Vote every camera's prepared rays and fuse them, one band of
     BAND_PLANES planes at a time, into ``fused.votes`` or, where that is
     None, into band-sized buffers only.
@@ -343,19 +357,32 @@ def _vote_and_fuse(fused: DsiGrid, rays, op: FusionOp, mode: str, workers: int,
     own buffers and running maximum, so fusion runs in parallel too. Each
     band of every camera is swept into the worker's zeroed (cameras, band,
     H, W) stack and copied into ``cameras`` (the per-camera volumes, when
-    kept). ``dsi.fuse_band`` then fuses it into the band's planes of
+    kept). The band step then fuses it into the band's planes of
     ``fused.votes`` (without a volume, into the worker's two band outputs
     in turn, so that the previous band's last plane stays readable),
     folds the fused planes into a running per-pixel maximum, keeps the
     votes beside it in the worker's (2, H, W) array, and zeroes the stack
-    for the next band: for min, max, arithmetic, rms and harmonic that is
-    one pass of the C ``fuse_band``, in numpy otherwise. A sparse chunk
-    (``_sparse``) sweeps with each worker's marks and fuses only the marked
-    segments, keeping a written mask per band output; its results are the
-    dense pass's bit for bit. A plane's votes depend only on the
-    events and every fusion operator is element-wise, so the result is
-    bit-identical to voting whole volumes with ``vote_events`` and fusing
-    them with ``fuse``, at any worker count.
+    for the next band. A sparse chunk (``_sparse``) sweeps with each
+    worker's marks and fuses only the marked segments, keeping a written
+    mask per band output; its results are the dense pass's bit for bit.
+
+    Where ``_compiled`` (min, max, arithmetic, rms or harmonic, the C
+    library loaded, no near-grazing ray), the sweep takes every camera's
+    affine rays from ``joined``, the ``_sweep.empty_prep`` arrays that
+    ``prepare_sweep`` filled camera by camera in rig order (so with no
+    grazing ray, each camera's ``affine`` is a slice of them). Each
+    worker's whole run is one
+    ``_sweep.run_sweep`` call with a ``_sweep.Bands``: its arguments are
+    checked once, and the C ``run_bands`` sweeps, fuses and tracks every
+    band of the run without the GIL. Any other chunk runs the same steps
+    from Python, band by band: ``dsi.sweep_band`` per camera, then
+    ``dsi.fuse_band`` (one pass of the C ``fuse_band`` for the compiled
+    kinds, numpy otherwise); this loop is the fallback and the oracle of
+    the compiled one, whose outputs are the same bit for bit. A plane's
+    votes depend only on the events and every fusion operator is
+    element-wise, so the result is bit-identical to voting whole volumes
+    with ``vote_events`` and fusing them with ``fuse``, at any worker
+    count.
 
     Returns, per camera, the hit mask (events that voted on any plane) and
     the number of (event, plane) votes cast, the (confidence, best) peak
@@ -371,20 +398,43 @@ def _vote_and_fuse(fused: DsiGrid, rays, op: FusionOp, mode: str, workers: int,
     runs = _runs(nz, workers)
     band = (BAND_PLANES, fused.height, fused.width)
     sparse = _sparse(rays, op, (nz,) + band[1:])
+    # every camera's rays in joined, camera k's from starts[k]
+    prep = joined if _compiled(rays, op) else None
+    starts = np.cumsum([0] + [r.num_events for r in rays])
 
     def run(j):
         stack = np.zeros((n,) + band)
         outs = np.empty((2,) + band) if fused.votes is None else None
         around = np.empty((2,) + band[1:])
         peak = empty_peak(*band[1:])
-        hits = [np.zeros(r.num_events, dtype=bool) for r in rays]
-        votes = [0] * n
-        first = prev = None
         # each camera's marks, and the segments of each band output that
         # may hold a nonzero value: all of them at first (np.empty)
         marks = np.zeros((n,) + mark_shape(*band), np.uint8) if sparse else None
         written = (np.ones((2,) + mark_shape(*band), np.uint8)
                    if sparse and outs is not None else None)
+        if prep is not None:
+            p0 = runs[j].start * BAND_PLANES
+            p1 = min(runs[j].stop * BAND_PLANES, nz)
+            lo, hi = prep[4:]
+            if (p0, p1) != (0, nz):
+                # clipped only so that bench/layers.py counts the run's
+                # ray-plane tests; C only compares lo and hi
+                lo, hi = np.clip(lo, p0, p1), np.clip(hi, p0, p1)
+            first = np.empty(band[1:]) if j else None
+            hit, votes = _sweep.run_sweep(
+                (*prep[:4], lo, hi), fused.inv_depths, stack, mode, p0, marks,
+                _sweep.Bands(
+                    starts, p1 - p0, op.kind, *peak, around,
+                    volume=fused.votes[p0:p1] if outs is None else None,
+                    outs=outs, written=written, first=first,
+                    cameras=None if cameras is None else cameras[:, p0:p1]))
+            b = runs[j].stop - 1  # the run's last band, fused as below
+            last = (fused.votes[p1 - 1] if outs is None
+                    else outs[b % 2, p1 - 1 - b * BAND_PLANES])
+            return np.split(hit, starts[1:-1]), peak, around, first, last, votes
+        hits = [np.zeros(r.num_events, dtype=bool) for r in rays]
+        votes = [0] * n
+        first = prev = None
         for b in runs[j]:
             p0 = b * BAND_PLANES
             p1 = min(p0 + BAND_PLANES, nz)

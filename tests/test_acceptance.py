@@ -10,6 +10,7 @@ import time
 import numpy as np
 import pytest
 
+from raysweep import _sweep
 from raysweep.depth import extract_depth
 from raysweep.dsi import (
     ARITHMETIC,
@@ -251,11 +252,12 @@ def test_criterion_8_throughput_reported():
         return n / (time.perf_counter() - t0)
 
     grid = DsiGrid.create(Se3.identity(), cam, 0.45, 4.0, 100)
-    rays = [prepare_sweep(grid, stream, cam, traj=traj)]
+    joined = _sweep.empty_prep(n)  # the rays' arrays, as process_chunk keeps them
+    rays = [prepare_sweep(grid, stream, cam, traj=traj, out=joined)]
 
     def run_bands(workers):
         t0 = time.perf_counter()
-        _vote_and_fuse(grid, rays, HARMONIC, "bilinear", workers)
+        _vote_and_fuse(grid, rays, joined, HARMONIC, "bilinear", workers)
         return n / (time.perf_counter() - t0)
 
     run()  # warm the caches

@@ -74,3 +74,35 @@ def test_layers_install_trace_and_restore(bench, monkeypatch):
     assert len(prepared) == len(sc.rig) * tracer.counters["events.chunks"]
     assert tracer.counters["sweep.ray_plane_tests"] == want > 0
     assert tracer.counters["events.chunks"] >= 1
+
+
+def test_ray_plane_tests_count_once_at_two_workers(bench, monkeypatch):
+    # each worker's run clips lo and hi to its planes, so over the runs a
+    # ray still adds up to its whole-volume hi - lo, counted once
+    layers, spans = bench
+    sc = make_scenario("lateral_room", n_points=60, seed=4)
+    streams = sc.simulate()
+    prepared, runs = [], []
+    prepare, run_sweep = raysweep.pipeline.prepare_sweep, raysweep._sweep.run_sweep
+
+    def spy(*args, **kwargs):
+        prepared.append(prepare(*args, **kwargs))
+        return prepared[-1]
+
+    def count_runs(*args, **kwargs):
+        runs.append(args[2].shape[0] if len(args) > 6 and args[6] else 0)
+        return run_sweep(*args, **kwargs)
+    monkeypatch.setattr(raysweep.pipeline, "prepare_sweep", spy)
+    monkeypatch.setattr(raysweep._sweep, "run_sweep", count_runs)
+    tracer = spans.Tracer()
+    layers.install(tracer, raysweep)
+    try:
+        raysweep.pipeline.run_pipeline(sc.config, streams=streams, rig=sc.rig,
+                                       traj=sc.traj, workers=2)
+    finally:
+        tracer.restore()
+    chunks = int(tracer.counters["events.chunks"])
+    assert len(prepared) == len(sc.rig) * chunks >= 2
+    assert runs == [len(sc.rig)] * 2 * chunks  # two worker runs per chunk
+    want = sum(float(np.sum(r.affine[5] - r.affine[4])) for r in prepared)
+    assert tracer.counters["sweep.ray_plane_tests"] == want > 0

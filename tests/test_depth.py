@@ -311,9 +311,10 @@ class TestLocalPeakMask:
 
 def test_import_loads_no_scipy():
     # scipy.ndimage takes longer to import than the rest of raysweep, and
-    # only depth extraction needs it: the filters import it on first use
+    # only depth extraction and evaluation need it: they import it on first
+    # use, so no raysweep command loads it before then
     code = (
-        "import sys, numpy, raysweep\n"
+        "import sys, numpy, raysweep, raysweep.cli\n"
         "def scipy(): return sorted(m for m in sys.modules "
         "if m.partition('.')[0] == 'scipy')\n"
         "assert scipy() == [], scipy()\n"

@@ -281,12 +281,15 @@ def edge_rays():
 # Runs in a process of its own with the library at argv[1]: the event pass on
 # texts it takes and texts it refuses, then the pipeline through every
 # compiled fusion kind and both voting modes, with and without a fused volume,
-# on the sparse and on the dense band step.
+# on the sparse and on the dense band step, each worker's bands in one
+# run_bands call, at 100 planes and at 7 (a short last band), and with every
+# camera's volume kept.
 _UBSAN_RUN = r"""
 import dataclasses, math, sys
 from pathlib import Path
 from raysweep import _sweep, pipeline
-from raysweep.pipeline import run_pipeline
+from raysweep.events import chunk_events
+from raysweep.pipeline import process_chunk, run_pipeline
 from raysweep.synth import make_scenario
 
 _sweep._build = lambda: Path(sys.argv[1])
@@ -304,17 +307,29 @@ for text, taken in [
 ]:
     assert (_sweep.parse_events_c(text, -1, -1) is not None) == taken, text
     _sweep.parse_events_c(text, 2, 2)
+runs = []
+run_sweep = _sweep.run_sweep
+_sweep.run_sweep = lambda *a: runs.append(a[6] is not None) or run_sweep(*a)
 sc = make_scenario("lateral_room", n_points=80, seed=3)
 streams = sc.simulate()
 for fusion in _sweep.FUSE_KINDS:
-    for median, gate in ((1, math.inf), (5, math.inf), (1, 0.0), (5, 0.0)):
+    for median, gate, planes in ((1, math.inf, 7), (5, math.inf, 100),
+                                 (1, 0.0, 100), (5, 0.0, 7)):
         pipeline.SPARSE_TESTS_PER_VOXEL = gate
         voting = "nearest" if median == 1 else "bilinear"
         config = dataclasses.replace(sc.config, fusion=fusion, voting=voting,
-                                     median_kernel=median)
+                                     median_kernel=median, num_planes=planes)
         out, = run_pipeline(config, streams=streams, rig=sc.rig, traj=sc.traj,
                             workers=2)
         assert out.result is not None, (fusion, voting)
+chunk, = chunk_events([streams[c] for c in sc.rig.camera_ids],
+                      sc.config.chunk_duration)
+for gate in (math.inf, 0.0):
+    pipeline.SPARSE_TESTS_PER_VOXEL = gate
+    config = dataclasses.replace(sc.config, num_planes=7, dump_dsi=True)
+    out = process_chunk(chunk, sc.rig, sc.traj, config, workers=2)
+    assert out.camera_grids[0].votes.any()
+assert runs and all(runs), runs
 """
 
 
@@ -487,6 +502,30 @@ class TestCKernel:
                               capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr
 
+    def test_no_out_of_bounds_access(self, tmp_path):
+        # UBSan does not see a read or write past an array's end; under
+        # AddressSanitizer the same run stops at the first one. The run
+        # entry is handed each worker's whole buffers, whose ends ASan
+        # guards, and the numpy arrays come from ASan's malloc
+        lib = tmp_path / "sweep-asan.so"
+        proc = subprocess.run(
+            ["gcc", "-O1", "-g", "-fno-omit-frame-pointer", "-ffp-contract=off",
+             "-fPIC", "-shared", "-fsanitize=address", "-o", str(lib),
+             str(_sweep._SOURCE), *_sweep._LIBS],
+            capture_output=True, text=True,
+        )
+        if proc.returncode != 0:
+            pytest.skip(f"no ASan build: {proc.stderr.strip()}")
+        runtime = subprocess.run(["gcc", "-print-file-name=libasan.so"],
+                                 capture_output=True, text=True).stdout.strip()
+        if not os.path.isabs(runtime):  # gcc echoes a name it cannot find
+            pytest.skip("no libasan.so")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path),
+               "LD_PRELOAD": runtime, "ASAN_OPTIONS": "detect_leaks=0"}
+        proc = subprocess.run([sys.executable, "-c", _UBSAN_RUN, str(lib)], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+
     def test_build_is_cached_by_source_and_flags(self, tmp_path, monkeypatch):
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
         lib = _sweep._build()
@@ -567,7 +606,8 @@ class TestCAbi:
 
     def test_argtypes_match_the_c_definitions(self):
         exports = c_exports(_sweep._SOURCE.read_text())
-        assert set(exports) == {"sweep", "prepare", "fuse_band", "parse_events"}
+        assert set(exports) == {"sweep", "prepare", "fuse_band", "parse_events",
+                                "run_bands"}
         lib = _sweep._require_c()
         restypes = {name: getattr(lib, name).restype for name in exports}
         assert all(getattr(lib, name).argtypes == _sweep._ARGTYPES[name]
@@ -617,6 +657,27 @@ class TestCAbi:
         assert abi_mismatches(exports, _sweep._ARGTYPES,
                               {**restypes, "fuse_band": ctypes.c_int64}) == [
             f"fuse_band: returns void, restype {ctypes.c_int64.__name__}"]
+
+    def test_run_bands_arguments(self):
+        # the run's plane counts and sizes are int64, the voting mode and
+        # the fusion kind int, the strides int64 beside their pointers;
+        # run_bands returns nothing: a narrowed or dropped argument is caught
+        exports = c_exports(_sweep._SOURCE.read_text())
+        ret, kinds = exports["run_bands"]
+        assert ret == "void" and len(kinds) == 32
+        assert kinds[7:18] == [ctypes.c_int64, ctypes.c_void_p] + [
+            ctypes.c_int64] * 5 + [ctypes.c_int] * 2 + [ctypes.c_void_p,
+                                                         ctypes.c_int64]
+        assert kinds[19] is kinds[29] is ctypes.c_int64  # mark and camera strides
+        restypes = dict(_sweep._RESTYPES)
+        argtypes = {name: list(types_) for name, types_ in _sweep._ARGTYPES.items()}
+        argtypes["run_bands"][15] = ctypes.c_int64  # kind
+        assert abi_mismatches(exports, argtypes, restypes) == [
+            f"run_bands argument 15: c_int in C, {ctypes.c_int64.__name__} in "
+            f"argtypes"]
+        argtypes["run_bands"] = list(_sweep._ARGTYPES["run_bands"][:-1])
+        assert abi_mismatches(exports, argtypes, restypes) == [
+            "run_bands: 32 parameters, 31 argtypes"]
 
     def test_segment_matches_the_c_definition(self):
         # the Python checks size the marks with _sweep.SEGMENT and the C
@@ -843,7 +904,8 @@ class TestCPrepare:
 
     @pytest.mark.parametrize("bad", [
         "index_high", "index_negative", "index_2d", "quat_shape", "short_trans",
-        "bearings_shape", "intr", "depths_2d",
+        "bearings_shape", "intr", "depths_2d", "out_count", "out_short",
+        "out_dtype", "out_strided",
     ])
     def test_guard_rejects_unsafe_arguments(self, monkeypatch, bad):
         calls = []
@@ -874,9 +936,36 @@ class TestCPrepare:
             args["intr"] = (1.0, 1.0, 0.0)
         elif bad == "depths_2d":
             args["depths"] = np.ones((2, 2))
+        elif bad == "out_count":
+            args["out"] = _sweep.empty_prep(n)[:5]
+        elif bad == "out_short":
+            args["out"] = _sweep.empty_prep(n - 1)
+        elif bad == "out_dtype":
+            args["out"] = _sweep.empty_prep(n)[::-1]  # lo, hi first
+        elif bad == "out_strided":
+            args["out"] = [a[::2] for a in _sweep.empty_prep(2 * n)]
         with pytest.raises(ValueError):
             _sweep.prepare_c(**args)
         assert len(calls) == 1
+
+    def test_prepared_into_given_arrays(self, distorted_cam, kernel):
+        # rays prepared into views of larger arrays, as the pipeline joins
+        # every camera's: the same bits, and without grazing rays (a camera
+        # at the reference pose) the affine rays are those views
+        rng = np.random.default_rng(11)
+        stream = random_stream(rng, 500, distorted_cam)
+        grid = make_grid(distorted_cam, num_planes=12, z_min=0.45, z_max=4.0)
+        turned = Se3.from_axis_angle([0, 1, 0], np.deg2rad(70), trans=[-0.3, 0.0, 0.8])
+        for pose, grazing in ((Se3.identity(), False), (turned, True)):
+            want = prepare_sweep(grid, stream, distorted_cam, pose=pose)
+            out = [a[3:-4] for a in _sweep.empty_prep(len(stream) + 7)]
+            got = prepare_sweep(grid, stream, distorted_cam, pose=pose, out=out)
+            assert_same_bits([*got.affine, *got.graze], [*want.affine, *want.graze])
+            assert (len(got.graze[2]) > 0) == grazing
+            shared = [np.shares_memory(a, b) for a, b in zip(got.affine, out)]
+            assert shared == [not grazing] * 6
+            if not grazing:
+                assert_same_bits(out, want.affine)
 
     def test_out_of_bounds_pixel_rejected(self, distorted_cam):
         stream = EventStream("r", np.zeros(2), np.array([3, distorted_cam.width], np.int32),
@@ -1571,3 +1660,188 @@ class TestFuseBand:
         with pytest.raises(ValueError):
             _sweep.fuse_band_c(kind, stack, out, 0, confidence, best, *track)
 
+
+
+def run_inputs(kind="harmonic", sparse=True, volume=False, dump=False,
+               starts=(0, 300, 500)):
+    """Valid arguments of a run_sweep call with bands over the 7 planes
+    [2, 9) of 11 in bands of 3 (3, 3 and a short 1): random rays, camera
+    c's from ``starts[c]``. Returns (prep, inv_zs, stack, marks, Bands)."""
+    rng = np.random.default_rng(3)
+    n, band, planes, nz, h, w = len(starts) - 1, 3, 7, 11, 5, 37
+    count = starts[-1]
+    lo = rng.integers(0, nz, count)
+    prep = (rng.uniform(-2.0, w + 2.0, count), rng.uniform(-2.0, h + 2.0, count),
+            rng.normal(size=count), rng.normal(size=count), lo,
+            lo + rng.integers(0, nz, count))
+    inv_zs = np.linspace(2.0, 0.25, nz)
+    stack = np.zeros((n, band, h, w))
+    marks = np.zeros((n,) + _sweep.mark_shape(band, h, w), np.uint8) if sparse \
+        else None
+    bands = _sweep.Bands(
+        np.array(starts), planes, kind, *empty_peak(h, w),
+        np.full((2, h, w), np.nan),
+        volume=np.full((planes, h, w), np.nan) if volume else None,
+        outs=None if volume else np.full((2, band, h, w), np.nan),
+        written=(np.ones((2,) + _sweep.mark_shape(band, h, w), np.uint8)
+                 if sparse and not volume else None),
+        first=np.full((h, w), np.nan),
+        cameras=np.full((n, nz, h, w), np.nan)[:, 2:9] if dump else None)
+    return prep, inv_zs, stack, marks, bands
+
+
+def run_one_by_one(prep, inv_zs, stack, mode, offset, marks, bands):
+    """The oracle of a run_sweep call with bands: the same sweeps and
+    fuse_band_c calls, made one by one from Python; returns the hit mask
+    and each camera's votes cast."""
+    n, band = stack.shape[:2]
+    hit, casts = np.zeros(bands.starts[-1], bool), [0] * n
+    prev = None
+    for q in range(offset, offset + bands.planes, band):
+        m = min(band, offset + bands.planes - q)
+        for c in range(n):
+            s, e = bands.starts[c:c + 2]
+            voted, cast = _sweep._sweep_c(
+                *(a[s:e] for a in prep), inv_zs, stack[c, :m], mode == "bilinear",
+                offset=q, marks=None if marks is None else marks[c, :m])
+            hit[s:e] |= voted
+            casts[c] += cast
+        if bands.cameras is not None:
+            bands.cameras[:, q - offset:q - offset + m] = stack[:, :m]
+        turn = q // band % 2
+        out = (bands.volume[q - offset:q - offset + m] if bands.volume is not None
+               else bands.outs[turn, :m])
+        _sweep.fuse_band_c(
+            bands.kind, stack[:, :m], out, q, bands.confidence, bands.best, prev,
+            bands.around, None if marks is None else marks[:, :m],
+            None if bands.written is None else bands.written[turn, :m])
+        if q == offset:
+            bands.first[...] = out[0]
+        prev = out[-1]
+    return hit, casts
+
+
+class TestRunBands:
+    """run_sweep with bands: a worker's run of band steps in one C call,
+    the same bit for bit as its sweeps and fuse_band_c calls made one by
+    one, and every argument checked before the call."""
+
+    @pytest.mark.parametrize("kind", _sweep.FUSE_KINDS)
+    @pytest.mark.parametrize("mode", ["nearest", "bilinear"])
+    @pytest.mark.parametrize("case", ["sparse", "dense", "volume", "dump"])
+    @pytest.mark.parametrize("starts", [(0, 300, 500), (0, 500),
+                                        (0, 200, 200, 500)])
+    def test_matches_the_calls_one_by_one(self, kind, mode, case, starts):
+        # 1-3 cameras, the third of them without events
+        sides = []
+        for run in (_sweep.run_sweep, run_one_by_one):
+            prep, inv_zs, stack, marks, bands = run_inputs(
+                kind, sparse=case == "sparse", volume=case in ("volume", "dump"),
+                dump=case == "dump", starts=starts)
+            hit, casts = run(prep, inv_zs, stack, mode, 2, marks, bands)
+            sides.append(([np.array(casts), stack, *bands[3:6],
+                           *(a for a in bands[6:] if a is not None
+                             and a.dtype != np.uint8)],
+                          [hit] + [a for a in (marks, bands.written)
+                                   if a is not None]))
+        (got, got_masks), (want, want_masks) = sides
+        assert_same_bits(got, want)
+        # hits, marks and written masks
+        assert all(np.array_equal(g, w) for g, w in zip(got_masks, want_masks))
+        casts, stack, confidence = got[:3]
+        assert list(casts > 0) == list(np.diff(starts) > 0)
+        assert 0 < np.count_nonzero(got_masks[0]) < starts[-1]
+        assert not stack.any()
+        if len(starts) < 4 or kind in ("max", "arithmetic", "rms"):
+            assert confidence.any()  # the peak moved
+
+    def test_returns_a_list_of_ints(self):
+        prep, inv_zs, stack, marks, bands = run_inputs()
+        hit, casts = _sweep.run_sweep(prep, inv_zs, stack, "bilinear", 2, marks,
+                                      bands)
+        assert hit.dtype == np.bool_ and [type(c) for c in casts] == [int] * 2
+
+    @pytest.mark.parametrize("bad", [
+        "mode", "kind", "coeff_length", "coeff_2d", "stack_dtype", "stack_order",
+        "stack_overlap", "starts_count", "starts_first", "starts_descending",
+        "starts_end", "offset_negative", "planes_beyond", "planes_zero",
+        "peak_dtype", "around_shape", "first_shape", "marks_shape",
+        "marks_overlap", "volume_and_outs", "neither_output", "volume_shape",
+        "outs_shape", "written_without_marks", "written_shape",
+        "cameras_shape", "cameras_overlap", "cameras_order"])
+    def test_rejects_before_any_c_call(self, bad, monkeypatch):
+        calls = []
+        monkeypatch.setattr(_sweep, "_c_lib", types.SimpleNamespace(
+            run_bands=lambda *a: calls.append(a)))
+        prep, inv_zs, stack, marks, bands = run_inputs(dump=True)
+        _sweep.run_sweep(prep, inv_zs, stack, "nearest", 2, marks, bands)
+        assert len(calls) == 1  # valid arguments reach C
+        prep, inv_zs, stack, marks, bands = run_inputs(dump=True)
+        mode, offset, prep = "nearest", 2, list(prep)
+        n, band, h, w = stack.shape
+        change = {}
+        if bad == "mode":
+            mode = "bilnear"
+        elif bad == "kind":
+            change["kind"] = "geometric"
+        elif bad == "coeff_length":
+            prep[3] = prep[3][:-1]
+        elif bad == "coeff_2d":
+            prep[0] = prep[0].reshape(20, 25)
+        elif bad == "stack_dtype":
+            stack = stack.astype(np.float32)
+        elif bad == "stack_order":
+            stack = np.zeros((n, band, w, h)).transpose(0, 1, 3, 2)
+        elif bad == "stack_overlap":
+            stack = np.lib.stride_tricks.as_strided(
+                stack, stack.shape, (8 * h * w,) + stack.strides[1:])
+        elif bad == "starts_count":
+            change["starts"] = np.array([0, 300, 400, 500])  # 3 cameras
+        elif bad == "starts_first":
+            change["starts"] = np.array([1, 300, 500])
+        elif bad == "starts_descending":
+            change["starts"] = np.array([0, 501, 500])
+        elif bad == "starts_end":
+            change["starts"] = np.array([0, 300, 499])
+        elif bad == "offset_negative":
+            offset = -1
+        elif bad == "planes_beyond":
+            offset = 5  # planes [5, 12) of 11
+        elif bad == "planes_zero":
+            change["planes"] = 0
+        elif bad == "peak_dtype":
+            change["best"] = bands.best.astype(np.int32)
+        elif bad == "around_shape":
+            change["around"] = bands.around[:1]
+        elif bad == "first_shape":
+            change["first"] = bands.first[1:]
+        elif bad == "marks_shape":
+            marks = marks[:, :2]
+        elif bad == "marks_overlap":
+            marks = np.lib.stride_tricks.as_strided(
+                marks, marks.shape, (1,) + marks.strides[1:])
+        elif bad == "volume_and_outs":
+            change["volume"] = np.zeros((bands.planes, h, w))
+        elif bad == "neither_output":
+            change["outs"] = None
+        elif bad == "volume_shape":
+            change.update(outs=None, written=None,
+                          volume=np.zeros((bands.planes - 1, h, w)))
+        elif bad == "outs_shape":
+            change["outs"] = bands.outs[:, :2]
+        elif bad == "written_without_marks":
+            marks = None
+        elif bad == "written_shape":
+            change["written"] = bands.written[:1]
+        elif bad == "cameras_shape":
+            change["cameras"] = bands.cameras[:, 1:]
+        elif bad == "cameras_overlap":
+            change["cameras"] = np.lib.stride_tricks.as_strided(
+                bands.cameras, bands.cameras.shape,
+                (8 * h * w,) + bands.cameras.strides[1:])
+        elif bad == "cameras_order":
+            change["cameras"] = bands.cameras[..., ::-1]
+        with pytest.raises(ValueError):
+            _sweep.run_sweep(prep, inv_zs, stack, mode, offset, marks,
+                             bands._replace(**change))
+        assert len(calls) == 1

@@ -943,11 +943,16 @@ def force_path(monkeypatch, sparse: bool):
 
 
 def spy_marks(monkeypatch):
-    """Per fuse_band call of the band loop, whether it was given marks."""
+    """Per worker run of the compiled band loop (one _sweep.run_sweep call
+    with bands), whether it was given marks."""
     calls = []
-    real = pipeline.fuse_band
-    monkeypatch.setattr(pipeline, "fuse_band", lambda *a: calls.append(
-        a[7] is not None) or real(*a))
+    real = _sweep.run_sweep
+
+    def spy(prep, inv_zs, votes, mode, offset=0, marks=None, bands=None):
+        if bands is not None:
+            calls.append(marks is not None)
+        return real(prep, inv_zs, votes, mode, offset, marks, bands)
+    monkeypatch.setattr(_sweep, "run_sweep", spy)
     return calls
 
 
@@ -992,7 +997,7 @@ class TestSparseBandStep:
         sc, chunk = short_chunk
         calls = spy_marks(monkeypatch)
         process_chunk(copy.deepcopy(chunk), sc.rig, sc.traj, sc.config, workers=1)
-        assert len(calls) == 25 and all(calls)
+        assert calls == [True]  # one run of all 25 bands, with marks
 
     @pytest.mark.parametrize("case", [*_sweep.FUSE_KINDS, "nearest", "volume",
                                       "dump"])
@@ -1051,6 +1056,121 @@ class TestSparseBandStep:
                 assert direct and set(direct) == {sparse}
             assert_same_chunk(*outs)
             assert outs[0].stats["cameras"]["c"]["events_grazing"] > 0
+
+
+def band_loop(inputs, config, workers, monkeypatch, python_loop=False):
+    """pipeline._vote_and_fuse on the chunk of ``inputs`` with ``config``
+    (a NaN-filled volume when ``_needs_volume``, NaN-filled camera volumes
+    with ``dump_dsi``), in the compiled band loop or, with
+    ``python_loop``, in the Python one. Returns its outputs, the volumes
+    and the number of run_sweep calls with bands."""
+    rig, traj, chunk = inputs
+    ref_view = select_reference_view(chunk, traj, rig.cameras[0])
+    shape = (config.num_planes, 180, 240)
+    fused = DsiGrid.create(
+        ref_view, rig.cameras[0], config.z_min, config.z_max, config.num_planes,
+        votes=np.full(shape, np.nan) if pipeline._needs_volume(config) else None,
+        allocate=False)
+    streams = [chunk.events[cid] for cid in rig.camera_ids]
+    starts = np.cumsum([0] + [len(stream) for stream in streams])
+    joined = _sweep.empty_prep(starts[-1])
+    rays = [prepare_sweep(fused, stream, cam, traj=traj,
+                          out=[a[s:e] for a in joined])
+            for stream, cam, s, e in zip(streams, rig.cameras, starts, starts[1:])]
+    cameras = np.full((len(rays),) + shape, np.nan) if config.dump_dsi else None
+    runs = []
+    real = _sweep.run_sweep
+
+    def spy(prep, inv_zs, votes, mode, offset=0, marks=None, bands=None):
+        runs.append(bands is not None)
+        return real(prep, inv_zs, votes, mode, offset, marks, bands)
+    with monkeypatch.context() as m:
+        m.setattr(_sweep, "run_sweep", spy)
+        if python_loop:
+            m.setattr(pipeline, "_compiled", lambda rays, op: False)
+        out = pipeline._vote_and_fuse(fused, rays, joined, FusionOp.from_string(
+            config.fusion), config.voting, workers, cameras)
+    return out, fused.votes, cameras, runs
+
+
+def assert_same_band_loop(got, want, num_planes):
+    """Two band_loop results hold the same hit masks, vote counts, peak
+    maps, volumes and votes beside each best plane where a pixel has
+    them."""
+    (hits, votes, (confidence, best), around), volume, cameras = got[:3]
+    (w_hits, w_votes, (w_conf, w_best), w_around), w_volume, w_cameras = want[:3]
+    assert len(hits) == len(w_hits)
+    assert all(np.array_equal(h, w) for h, w in zip(hits, w_hits))
+    assert votes == w_votes and all(type(v) is int for v in votes)
+    assert confidence.tobytes() == w_conf.tobytes()
+    assert best.tobytes() == w_best.tobytes()
+    voted = confidence > 0.0
+    for side, has in ((0, voted & (best > 0)), (1, voted & (best < num_planes - 1))):
+        assert around[side][has].tobytes() == w_around[side][has].tobytes()
+    for a, b in ((volume, w_volume), (cameras, w_cameras)):
+        assert (a is None) == (b is None)
+        assert a is None or a.tobytes() == b.tobytes()
+
+
+class TestCompiledBandLoop:
+    """A chunk of the compiled fusion kinds without grazing rays runs each
+    worker's bands in one C call (one run_sweep call with bands); its
+    outputs are the Python band loop's bit for bit."""
+
+    @pytest.mark.parametrize("fusion", _sweep.FUSE_KINDS)
+    @pytest.mark.parametrize("voting", ["nearest", "bilinear"])
+    @pytest.mark.parametrize("sparse", [True, False], ids=["sparse", "dense"])
+    @pytest.mark.parametrize("store", ["bands", "volume", "dump"])
+    def test_matches_the_python_loop(self, edge_inputs, monkeypatch, fusion,
+                                     voting, sparse, store):
+        # 13 planes, bands of 4, 4, 4 and 1, runs ending at the planes where
+        # edge_inputs' points lie; without a volume, with one, and with
+        # every camera's volume kept
+        config = PipelineConfig(num_planes=13, fusion=fusion, voting=voting,
+                                median_kernel=5 if store == "volume" else 1,
+                                dump_dsi=store == "dump")
+        assert pipeline._needs_volume(config) == (store != "bands")
+        force_path(monkeypatch, sparse)
+        for workers in (1, 2, 3):
+            got = band_loop(edge_inputs, config, workers, monkeypatch)
+            want = band_loop(edge_inputs, config, workers, monkeypatch,
+                             python_loop=True)
+            assert got[3] == [True] * workers  # one C call per run
+            assert want[3] and not any(want[3])
+            assert_same_band_loop(got, want, 13)
+            assert got[0][2][0].any()
+            for volume in got[1:3]:
+                assert volume is None or not np.isnan(volume).any()
+
+    @pytest.mark.parametrize("case", ["grazing", "geometric"])
+    def test_other_chunks_take_the_python_loop(self, band_inputs, edge_inputs,
+                                               monkeypatch, case):
+        # near-grazing rays vote in numpy's sweep_direct, and numpy fuses the
+        # geometric mean: such chunks keep the band loop in Python, whose
+        # outputs are the whole-volume oracle's
+        inputs, fusion = ((band_inputs, "harmonic") if case == "grazing"
+                          else (edge_inputs, "geometric"))
+        config = PipelineConfig(num_planes=13, fusion=fusion)
+        rig, traj, chunk = inputs
+        *_, want = whole_volume_chunk(chunk, rig, traj, config)
+        for workers in (1, 2, 3):
+            (_, votes, _, _), _, _, runs = band_loop(inputs, config, workers,
+                                                     monkeypatch)
+            assert runs and not any(runs) and all(votes)
+            calls = []
+            real = _sweep.run_sweep
+            monkeypatch.setattr(_sweep, "run_sweep", lambda *a, **k: calls.append(
+                k.get("bands")) or real(*a, **k))
+            out = process_chunk(copy.deepcopy(chunk), rig, traj, config,
+                                workers=workers)
+            monkeypatch.setattr(_sweep, "run_sweep", real)
+            # one sweep per band and camera with affine rays
+            assert calls == [None] * 4 * len(rig.cameras)
+            grazing = sum(c["events_grazing"] for c in out.stats["cameras"].values())
+            assert (grazing > 0) == (case == "grazing")
+            for name in ("depth", "mask", "confidence"):
+                assert getattr(out.result, name).tobytes() == \
+                    getattr(want, name).tobytes(), (workers, name)
 
 
 class TestDsiShape:
