@@ -127,82 +127,139 @@ static int64_t search(const double *depths, int64_t nz, double z, int right)
     return first;
 }
 
-/* Ray preparation: the compiled form of dsi._prepare_rays, one event at a
- * time with numpy's operation order, so every output is bit-identical.
- *
- * Event k's camera sits at (q_wc[k], t_wc[k]) in the world and sees along
- * the undistorted bearing (bearings[index[k]], 1). In the reference view,
- * whose inverse rotation is q_ref_inv and position t_ref, its ray starts at
- * origins[k] and runs along dirs[k]. Plane z then meets it at pixel
- * (a_u + b_u / z, a_v + b_v / z) of the pinhole intr = (fx, fy, cx, cy);
- * the planes in front of the origin are depths[lo[k]:hi[k]]; affine_ok[k]
- * is 1 where no coefficient reaches bound (inverse depths up to inv_max).
- */
-void prepare(const double *q_wc, const double *t_wc, const double *bearings,
-             const int64_t *index, int64_t n, const double *q_ref_inv,
-             const double *t_ref, const double *intr, const double *depths,
-             int64_t nz, double inv_max, double bound, double *a_u,
-             double *a_v, double *b_u, double *b_v, int64_t *lo, int64_t *hi,
-             double *origins, double *dirs, uint8_t *affine_ok)
+/* quat_mul(a, b) into q, in numpy's operation order. */
+static inline void quat_mul(const double *a, const double *b, double *q)
 {
-    const double ax = q_ref_inv[0], ay = q_ref_inv[1], az = q_ref_inv[2],
-                 aw = q_ref_inv[3];
+    const double ax = a[0], ay = a[1], az = a[2], aw = a[3];
+    const double bx = b[0], by = b[1], bz = b[2], bw = b[3];
+    q[0] = aw * bx + ax * bw + ay * bz - az * by;
+    q[1] = aw * by - ax * bz + ay * bw + az * bx;
+    q[2] = aw * bz + ax * by - ay * bx + az * bw;
+    q[3] = aw * bw - ax * bx - ay * by - az * bz;
+}
+
+/* quat_rotate(q, v) into r, in numpy's operation order. */
+static inline void quat_rotate(const double *q, const double *v, double *r)
+{
+    const double x = q[0], y = q[1], z = q[2], w = q[3];
+    const double vx = v[0], vy = v[1], vz = v[2];
+    const double tx = 2.0 * (y * vz - z * vy);
+    const double ty = 2.0 * (z * vx - x * vz);
+    const double tz = 2.0 * (x * vy - y * vx);
+    r[0] = vx + w * tx + (y * tz - z * ty);
+    r[1] = vy + w * ty + (z * tx - x * tz);
+    r[2] = vz + w * tz + (x * ty - y * tx);
+}
+
+/* Ray preparation: the compiled form of PoseTrajectory.camera_poses and
+ * dsi._prepare_rays, one event at a time with numpy's operations in numpy's
+ * order, so every output is bit-identical.
+ *
+ * Event k's body pose is that of the trajectory of m samples (times,
+ * quats, trans) at ts[k], as interpolate_batch gives it: the segment [i0,
+ * i1 = i0 + 1] with i1 = searchsorted(times, ts[k], side="right") clipped
+ * to [1, m - 1], the translation (p1 - p0) * alpha + p0 with alpha = (t -
+ * t0) / (t1 - t0), the rotation quats[i0], or q_body[k] (slerped) where
+ * q_body is not NULL, and a time equal to t0 and then to t1 takes that
+ * sample's pose as it is. With m = 1 every event takes the one sample, and
+ * ts and q_body are not read. The camera is mounted on the body at mount
+ * (qx, qy, qz, qw, tx, ty, tz): q_wc = q_wb * q_mount and t_wc = t_wb +
+ * q_wb rotating t_mount, as camera_poses; with mount NULL the body pose is
+ * the camera's.
+ *
+ * The camera sees along the undistorted bearing (bearings[index[k]], 1).
+ * In the reference view, whose inverse rotation is q_ref_inv and position
+ * t_ref, the ray starts at origin and runs along dir. Plane z then meets it
+ * at pixel (a_u + b_u / z, a_v + b_v / z) of the pinhole intr = (fx, fy,
+ * cx, cy); the planes in front of the origin are depths[lo[k]:hi[k]];
+ * affine_ok[k] is 1 where no coefficient reaches bound (inverse depths up
+ * to inv_max). The origins and dirs (3 each) of the rays with affine_ok 0
+ * go to the front of origins and dirs, in event order, and the call
+ * returns their number.
+ */
+int64_t prepare(const double *times, const double *quats, const double *trans,
+                int64_t m, const double *ts, const double *q_body,
+                const double *mount, const double *bearings,
+                const int64_t *index, int64_t n, const double *q_ref_inv,
+                const double *t_ref, const double *intr, const double *depths,
+                int64_t nz, double inv_max, double bound, double *a_u,
+                double *a_v, double *b_u, double *b_v, int64_t *lo,
+                int64_t *hi, double *origins, double *dirs,
+                uint8_t *affine_ok)
+{
     const double fx = intr[0], fy = intr[1], cx = intr[2], cy = intr[3];
+    int64_t grazing = 0, s = 0; /* s: the previous event's searchsorted */
     for (int64_t k = 0; k < n; k++) {
-        const double *b = q_wc + 4 * k;
-        const double bx = b[0], by = b[1], bz = b[2], bw = b[3];
-        /* q = q_ref_inv * q_wc, as quat_mul */
-        const double x = aw * bx + ax * bw + ay * bz - az * by;
-        const double y = aw * by - ax * bz + ay * bw + az * bx;
-        const double z = aw * bz + ax * by - ay * bx + az * bw;
-        const double w = aw * bw - ax * bx - ay * by - az * bz;
+        double q_wb[4], t_wb[3];
+        if (m == 1) {
+            memcpy(q_wb, quats, sizeof q_wb);
+            memcpy(t_wb, trans, sizeof t_wb);
+        } else {
+            const double t = ts[k];
+            /* events come in time order: s is usually this one's too */
+            if (!((s == 0 || !less(t, times[s - 1])) && (s == m || less(t, times[s]))))
+                s = search(times, m, t, 1);
+            const int64_t i1 = s < 1 ? 1 : s > m - 1 ? m - 1 : s, i0 = i1 - 1;
+            const double t0 = times[i0], t1 = times[i1];
+            const double alpha = (t - t0) / (t1 - t0);
+            const double *p0 = trans + 3 * i0, *p1 = trans + 3 * i1;
+            memcpy(q_wb, q_body ? q_body + 4 * k : quats + 4 * i0, sizeof q_wb);
+            for (int j = 0; j < 3; j++)
+                t_wb[j] = (p1[j] - p0[j]) * alpha + p0[j];
+            if (t == t0) {
+                memcpy(q_wb, quats + 4 * i0, sizeof q_wb);
+                memcpy(t_wb, p0, sizeof t_wb);
+            }
+            if (t == t1) {
+                memcpy(q_wb, quats + 4 * i1, sizeof q_wb);
+                memcpy(t_wb, p1, sizeof t_wb);
+            }
+        }
+        double q_wc[4], t_wc[3];
+        if (mount) {
+            quat_mul(q_wb, mount, q_wc);
+            quat_rotate(q_wb, mount + 4, t_wc);
+            for (int j = 0; j < 3; j++)
+                t_wc[j] = t_wb[j] + t_wc[j];
+        } else {
+            memcpy(q_wc, q_wb, sizeof q_wc);
+            memcpy(t_wc, t_wb, sizeof t_wc);
+        }
 
-        /* origin = q_ref_inv rotating t_wc - t_ref, as quat_rotate */
-        const double vx = t_wc[3 * k] - t_ref[0];
-        const double vy = t_wc[3 * k + 1] - t_ref[1];
-        const double vz = t_wc[3 * k + 2] - t_ref[2];
-        double tx = 2.0 * (ay * vz - az * vy);
-        double ty = 2.0 * (az * vx - ax * vz);
-        double tz = 2.0 * (ax * vy - ay * vx);
-        const double ox = vx + aw * tx + (ay * tz - az * ty);
-        const double oy = vy + aw * ty + (az * tx - ax * tz);
-        const double oz = vz + aw * tz + (ax * ty - ay * tx);
-        double *o = origins + 3 * k;
-        o[0] = ox;
-        o[1] = oy;
-        o[2] = oz;
+        /* the ray: origin = q_ref_inv rotating t_wc - t_ref, dir = q_ref_inv
+         * * q_wc rotating the bearing */
+        const double v[3] = {t_wc[0] - t_ref[0], t_wc[1] - t_ref[1],
+                             t_wc[2] - t_ref[2]};
+        const double u[3] = {bearings[2 * index[k]], bearings[2 * index[k] + 1],
+                             1.0};
+        double q[4], o[3], d[3];
+        quat_rotate(q_ref_inv, v, o);
+        quat_mul(q_ref_inv, q_wc, q);
+        quat_rotate(q, u, d);
 
-        /* dir = q rotating the bearing (ux, uy, 1) */
-        const double ux = bearings[2 * index[k]];
-        const double uy = bearings[2 * index[k] + 1];
-        tx = 2.0 * (y - z * uy);
-        ty = 2.0 * (z * ux - x);
-        tz = 2.0 * (x * uy - y * ux);
-        const double dx = ux + w * tx + (y * tz - z * ty);
-        const double dy = uy + w * ty + (z * tx - x * tz);
-        const double dz = 1.0 + w * tz + (x * ty - y * tx);
-        double *d = dirs + 3 * k;
-        d[0] = dx;
-        d[1] = dy;
-        d[2] = dz;
-
-        const double dxz = dx / dz, dyz = dy / dz;
+        const double dxz = d[0] / d[2], dyz = d[1] / d[2];
         const double au = fx * dxz + cx, av = fy * dyz + cy;
-        const double bu = fx * (ox - oz * dxz), bv = fy * (oy - oz * dyz);
+        const double bu = fx * (o[0] - o[2] * dxz), bv = fy * (o[1] - o[2] * dyz);
         a_u[k] = au;
         a_v[k] = av;
         b_u[k] = bu;
         b_v[k] = bv;
 
         /* planes with (z_i - o_z) / d_z > 0 */
-        lo[k] = dz > 0.0 ? search(depths, nz, oz, 1) : 0;
-        hi[k] = dz > 0.0 ? nz : dz < 0.0 ? search(depths, nz, oz, 0) : 0;
+        lo[k] = d[2] > 0.0 ? search(depths, nz, o[2], 1) : 0;
+        hi[k] = d[2] > 0.0 ? nz : d[2] < 0.0 ? search(depths, nz, o[2], 0) : 0;
 
         /* max(|a_u|, |a_v|, max(|b_u|, |b_v|) * inv_max) < bound, false for
          * NaN; a product with inv_max > 0 keeps the order of the two |b|. */
         affine_ok[k] = fabs(au) < bound && fabs(av) < bound
                        && fabs(bu) * inv_max < bound && fabs(bv) * inv_max < bound;
+        if (!affine_ok[k]) {
+            memcpy(origins + 3 * grazing, o, sizeof o);
+            memcpy(dirs + 3 * grazing, d, sizeof d);
+            grazing++;
+        }
     }
+    return grazing;
 }
 
 /* Fusion kinds of fuse_band, numbered as _sweep.FUSE_KINDS lists them. */

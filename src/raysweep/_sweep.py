@@ -33,10 +33,13 @@ bit-identical in both modes: C is only an accelerator. A count of votes
 cast is the same in every kernel and adds up over any split of the
 planes; under nearest voting it is the sum of the votes.
 
-``_sweep.c`` also holds ``prepare``, the compiled ``dsi._prepare_rays``
-that computes these coefficients (and each ray's origin, direction and
-conditioning flag) in one pass per event, with numpy's operations in
-numpy's order, so its outputs are bit-identical to the numpy form's.
+``_sweep.c`` also holds ``prepare``, the compiled
+``PoseTrajectory.camera_poses`` and ``dsi._prepare_rays``: from each
+event's time it interpolates and mounts the camera pose and computes these
+coefficients (and the ray's plane range and conditioning flag, and the
+origin and direction of a near-grazing ray) in one pass per event, with
+numpy's operations in numpy's order, so its outputs are bit-identical to
+the numpy form's.
 
 Its third function, ``fuse_band``, is the compiled ``dsi.fuse_band``: the
 band step that follows the sweep. In one pass over a band of every
@@ -111,9 +114,9 @@ flag set, with ``gcc -O3 -ffp-contract=off -fPIC -shared ... -lm`` into
 ctypes, which releases the GIL for each call: a worker's run of bands is
 one call, so the pipeline's workers hold the GIL only to set their runs up
 and run in parallel for the rest. Without the library, ``run_sweep``,
-``dsi._prepare_rays`` and ``dsi.fuse_band`` run numpy, event files are
-parsed line by line, and one warning names the error; ``kernel_name`` says
-which kernel runs.
+``camera_poses`` with ``dsi._prepare_rays``, and ``dsi.fuse_band`` run
+numpy, event files are parsed line by line, and one warning names the
+error; ``kernel_name`` says which kernel runs.
 """
 
 from __future__ import annotations
@@ -130,6 +133,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .geometry import check_span
+
 # Read by the benchmark's environment record; ROADMAP item 1 replaces it
 # with kernel_name(), the kernel that actually runs.
 HAVE_NUMBA = False
@@ -145,11 +150,11 @@ _ARGTYPES = {
     #       width, height, bilinear, hit, marks)
     "sweep": [_PTR] * 6 + [_I64, _PTR, _PTR, _I64, _I64, _I64, _I64,
                            ctypes.c_int, _PTR, _PTR],
-    # prepare(q_wc, t_wc, bearings, index, n, q_ref_inv, t_ref, intr, depths,
-    #         nz, inv_max, bound, a_u, a_v, b_u, b_v, lo, hi, origins, dirs,
-    #         affine_ok)
-    "prepare": [_PTR] * 4 + [_I64] + [_PTR] * 4 + [_I64, _F64, _F64]
-               + [_PTR] * 9,
+    # prepare(times, quats, trans, m, ts, q_body, mount, bearings, index, n,
+    #         q_ref_inv, t_ref, intr, depths, nz, inv_max, bound, a_u, a_v,
+    #         b_u, b_v, lo, hi, origins, dirs, affine_ok)
+    "prepare": [_PTR] * 3 + [_I64] + [_PTR] * 5 + [_I64] + [_PTR] * 4
+               + [_I64, _F64, _F64] + [_PTR] * 9,
     # fuse_band(stack, n, stride, planes, plane, kind, out, p0, confidence,
     #           best, prev, below, above, width, marks, mark_stride, written)
     "fuse_band": [_PTR, _I64, _I64, _I64, _I64, ctypes.c_int, _PTR, _I64]
@@ -165,7 +170,7 @@ _ARGTYPES = {
                  + [_I64, _PTR, _PTR],
 }
 # what each returns; None is void
-_RESTYPES = {"sweep": _I64, "prepare": None, "fuse_band": None,
+_RESTYPES = {"sweep": _I64, "prepare": _I64, "fuse_band": None,
              "parse_events": _I64, "run_bands": None}
 
 # The fusion kinds that fuse_band compiles, in _sweep.c's numbering. The
@@ -317,29 +322,63 @@ def empty_prep(n: int) -> list:
                                               for _ in range(2)]
 
 
-def prepare_c(q_wc, t_wc, bearings, index, q_ref_inv, t_ref, intr, depths,
-              inv_max, bound, out=None):
-    """Run the C ``prepare``, the compiled ``dsi._prepare_rays``, after
-    checking every dtype, shape and index it relies on, so that no argument
-    can make it read or write outside its arrays.
+def prepare_c(times, quats, trans, ts, bearings, index, q_ref_inv, t_ref, intr,
+              depths, inv_max, bound, mount=None, q_body=None, out=None):
+    """Run the C ``prepare``, the compiled ``PoseTrajectory.camera_poses``
+    and ``dsi._prepare_rays``, after checking every dtype, shape and index
+    it relies on, so that no argument can make it read or write outside its
+    arrays.
 
-    Event k's camera pose is (``q_wc[k]``, ``t_wc[k]``) and its undistorted
-    bearing ``bearings[index[k]]``; ``q_ref_inv``/``t_ref`` are the inverse
-    rotation and position of the reference view, ``intr`` its (fx, fy, cx,
-    cy). Returns (a_u, a_v, b_u, b_v, lo, hi, origins, dirs, affine_ok), as
-    ``_prepare_rays`` does, bit for bit; a_u ... hi are written into
-    ``out``, arrays as ``empty_prep`` makes them, where given.
+    Event k's body pose is interpolated at ``ts[k]`` in the trajectory
+    samples ``times`` (m,), strictly increasing, ``quats`` (m, 4) and
+    ``trans`` (m, 3), as ``PoseTrajectory.interpolate_batch`` does it, with
+    ``q_body`` (n, 4), where given, as the slerped rotations that it pins
+    exact sample hits over; a time that is not finite or lies outside the
+    samples' span raises OutOfTrajectoryRange, as there. ``ts`` None (m
+    must be 1) gives every event the one sample. ``mount`` (q (4,), t (3,))
+    is the camera's pose on the body, as ``camera_poses`` composes it;
+    None takes the body pose as the camera's. The event's undistorted
+    bearing is ``bearings[index[k]]``; ``q_ref_inv``/``t_ref`` are the
+    inverse rotation and position of the reference view, ``intr`` its (fx,
+    fy, cx, cy).
+
+    Returns (a_u, a_v, b_u, b_v, lo, hi, origins, dirs, affine_ok), as
+    ``_prepare_rays`` does, bit for bit, except that ``origins`` and
+    ``dirs`` hold only the rays where ``affine_ok`` is False, in event
+    order: ``_prepare_rays``' ``origins[~affine_ok]``. a_u ... hi are
+    written into ``out``, arrays as ``empty_prep`` makes them, where given.
     """
     lib = _require_c()
-    q_wc, t_wc, bearings, q_ref_inv, t_ref, intr, depths = (
+    times, quats, trans, bearings, q_ref_inv, t_ref, intr, depths = (
         np.ascontiguousarray(a, dtype=np.float64)
-        for a in (q_wc, t_wc, bearings, q_ref_inv, t_ref, intr, depths))
+        for a in (times, quats, trans, bearings, q_ref_inv, t_ref, intr, depths))
     index = np.ascontiguousarray(index, dtype=np.int64)
-    n = len(index)
-    if not (index.ndim == 1 and q_wc.shape == (n, 4) and t_wc.shape == (n, 3)):
-        raise ValueError("index, q_wc and t_wc must be (n,), (n, 4) and (n, 3)")
+    n, m = len(index), len(times)
+    if not (index.ndim == 1 and times.ndim == 1 and m >= 1
+            and quats.shape == (m, 4) and trans.shape == (m, 3)):
+        raise ValueError("index, times, quats and trans must be (n,), (m,), "
+                         "(m, 4) and (m, 3), m >= 1")
+    if not (np.diff(times) > 0.0).all():
+        raise ValueError("trajectory times must be strictly increasing")
+    if ts is None:
+        if m != 1:
+            raise ValueError(f"event times needed for {m} trajectory samples")
+    else:
+        ts = np.ascontiguousarray(ts, dtype=np.float64)
+        if ts.shape != (n,):
+            raise ValueError(f"ts must be an ({n},) array")
+        check_span(ts, times)
+    if mount is not None:
+        mount = np.concatenate([np.asarray(a, dtype=np.float64).reshape(-1)
+                                for a in mount])
+        if mount.shape != (7,):
+            raise ValueError("mount must be a (4,) rotation and a (3,) offset")
+    if q_body is not None:
+        q_body = np.ascontiguousarray(q_body, dtype=np.float64)
+        if q_body.shape != (n, 4):
+            raise ValueError(f"q_body must be an ({n}, 4) array")
     if bearings.ndim != 2 or bearings.shape[1] != 2:
-        raise ValueError("bearings must be an (m, 2) array")
+        raise ValueError("bearings must be a (pixels, 2) array")
     if (q_ref_inv.shape, t_ref.shape, intr.shape) != ((4,), (3,), (4,)) \
             or depths.ndim != 1:
         raise ValueError("q_ref_inv, t_ref and intr must be (4,), (3,) and "
@@ -353,15 +392,19 @@ def prepare_c(q_wc, t_wc, bearings, index, q_ref_inv, t_ref, intr, depths,
     for a, dtype in zip(out, [np.float64] * 4 + [np.int64] * 2):
         _check_map(a, dtype, (n,), "out")
     a_u, a_v, b_u, b_v, lo, hi = out
+    # room for every ray, but C writes only the grazing ones, so the pages
+    # past them are never touched
     origins, dirs = np.empty((n, 3)), np.empty((n, 3))
     affine_ok = np.empty(n, dtype=bool)
-    lib.prepare(q_wc.ctypes.data, t_wc.ctypes.data, bearings.ctypes.data,
-                index.ctypes.data, n, q_ref_inv.ctypes.data, t_ref.ctypes.data,
-                intr.ctypes.data, depths.ctypes.data, len(depths),
-                float(inv_max), float(bound),
-                *(a.ctypes.data for a in (a_u, a_v, b_u, b_v, lo, hi, origins,
-                                          dirs, affine_ok)))
-    return a_u, a_v, b_u, b_v, lo, hi, origins, dirs, affine_ok
+    grazing = lib.prepare(
+        times.ctypes.data, quats.ctypes.data, trans.ctypes.data, m, _data(ts),
+        _data(q_body), _data(mount), bearings.ctypes.data, index.ctypes.data, n,
+        q_ref_inv.ctypes.data, t_ref.ctypes.data, intr.ctypes.data,
+        depths.ctypes.data, len(depths), float(inv_max), float(bound),
+        *(a.ctypes.data for a in (a_u, a_v, b_u, b_v, lo, hi, origins, dirs,
+                                  affine_ok)))
+    return (a_u, a_v, b_u, b_v, lo, hi, origins[:grazing].copy(),
+            dirs[:grazing].copy(), affine_ok)
 
 
 def _check_map(a, dtype, shape, what):

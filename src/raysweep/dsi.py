@@ -210,27 +210,23 @@ def _pixel_bearings(events: EventStream, cam: CameraModel):
 
 def _prepare_rays(grid: DsiGrid, events: EventStream, cam: CameraModel,
                   q_wc: np.ndarray, t_wc: np.ndarray, out=None) -> "_RayPrep":
-    """Per-event sweep coefficients and ray geometry; a_u, a_v, b_u, b_v,
-    lo and hi go into ``out`` (``_sweep.empty_prep``) where given.
+    """Per-event sweep coefficients and ray geometry of events whose
+    cameras sit at (``q_wc``, ``t_wc``); a_u, a_v, b_u, b_v, lo and hi go
+    into ``out`` (``_sweep.empty_prep``) where given.
 
     The ray is expressed in the reference frame: origin = camera center,
     direction = rotated undistorted bearing (u, v, 1). Projection onto
     plane z is then affine in 1/z, and the planes in front of the ray
     origin (lam > 0) form the contiguous index range [lo, hi).
 
-    The compiled form runs whenever the C library loads: one pass per
-    event with the same operations in the same order, so every output is
-    bit-identical. This numpy form is its fallback and test oracle.
+    This numpy form, after ``PoseTrajectory.camera_poses``, is the
+    fallback and test oracle of ``_prepare_rays_c``, which interpolates
+    the poses too: with the same operations in the same order, every
+    output is bit-identical.
     """
     bearings, index = _pixel_bearings(events, cam)
     q_ref_inv = quat_conjugate(grid.ref_pose.quat)
     k = grid.ref_intrinsics
-    if _sweep.kernel_name() == "c":
-        return _RayPrep(*_sweep.prepare_c(
-            q_wc, t_wc, bearings, index, q_ref_inv, grid.ref_pose.trans,
-            (k.fx, k.fy, k.cx, k.cy), grid.depths, grid.inv_depths[0],
-            _AFFINE_COND_BOUND, out,
-        ))
     dirs_cam = np.ones((len(events), 3))
     dirs_cam[:, :2] = bearings[index]
 
@@ -302,6 +298,35 @@ class SweepRays:
                    + np.sum(self.graze[3] - self.graze[2]))
 
 
+def _prepare_rays_c(grid: DsiGrid, events: EventStream, cam: CameraModel,
+                    traj: PoseTrajectory | None, pose: Se3 | None,
+                    out=None) -> "_RayPrep":
+    """``_prepare_rays`` after the camera poses, from the event times, in
+    one compiled pass (``_sweep.prepare_c``), except that ``origins`` and
+    ``dirs`` hold only the rays where ``affine_ok`` is False.
+
+    With ``traj``, the C pass interpolates and mounts each event's pose;
+    numpy slerps the rotations where the trajectory turns. A fixed
+    ``pose`` is a one-sample trajectory that C takes as it is, with no
+    mount to compose.
+    """
+    if traj is not None:
+        samples = (traj.times, traj.quats, traj.trans)
+        ts, mount = events.t, (cam.T_body_cam.quat, cam.T_body_cam.trans)
+        q_body = traj.slerped_quats(ts)
+    else:
+        samples = (np.zeros(1), pose.quat[None], pose.trans[None])
+        ts = mount = q_body = None
+    bearings, index = _pixel_bearings(events, cam)
+    k = grid.ref_intrinsics
+    return _RayPrep(*_sweep.prepare_c(
+        *samples, ts, bearings, index, quat_conjugate(grid.ref_pose.quat),
+        grid.ref_pose.trans, (k.fx, k.fy, k.cx, k.cy), grid.depths,
+        grid.inv_depths[0], _AFFINE_COND_BOUND, mount=mount, q_body=q_body,
+        out=out,
+    ))
+
+
 def prepare_sweep(grid: DsiGrid, events: EventStream, cam: CameraModel, *,
                   traj: PoseTrajectory | None = None,
                   pose: Se3 | None = None, out=None) -> SweepRays:
@@ -309,7 +334,10 @@ def prepare_sweep(grid: DsiGrid, events: EventStream, cam: CameraModel, *,
     view, split into the affine-form and the near-grazing rays.
 
     Camera poses come either from ``traj`` (per-event interpolation) or a
-    single fixed ``pose``; poses are interpolated in numpy. This is the
+    single fixed ``pose``. With the C library, one compiled pass
+    (``_prepare_rays_c``) interpolates the poses and prepares the rays;
+    only slerp and undistortion run in numpy. Without it, numpy's
+    ``camera_poses`` and ``_prepare_rays`` give the same bits. This is the
     part of voting that does not depend on the planes: do it once per
     camera, then sweep any plane ranges with ``sweep_band``. ``out``, the
     six arrays of ``_sweep.empty_prep(len(events))`` (or views of larger
@@ -318,24 +346,25 @@ def prepare_sweep(grid: DsiGrid, events: EventStream, cam: CameraModel, *,
     """
     if (traj is None) == (pose is None):
         raise ValueError("pass exactly one of traj= or pose=")
-    if traj is not None:
-        q_wc, t_wc = traj.camera_poses(events.t, cam.T_body_cam)
+    if _sweep.kernel_name() == "c":
+        prep = _prepare_rays_c(grid, events, cam, traj, pose, out)
     else:
-        q_wc = np.broadcast_to(pose.quat, (len(events), 4))
-        t_wc = np.broadcast_to(pose.trans, (len(events), 3))
-    prep = _prepare_rays(grid, events, cam, q_wc, t_wc, out)
+        if traj is not None:
+            q_wc, t_wc = traj.camera_poses(events.t, cam.T_body_cam)
+        else:
+            q_wc = np.broadcast_to(pose.quat, (len(events), 4))
+            t_wc = np.broadcast_to(pose.trans, (len(events), 3))
+        prep = _prepare_rays(grid, events, cam, q_wc, t_wc, out)
+        graze = ~prep.affine_ok  # as C: the grazing rays' origins and dirs
+        prep = prep._replace(origins=prep.origins[graze], dirs=prep.dirs[graze])
     # Well-conditioned rays take the affine-form kernel; near-grazing ones
-    # are intersected plane by plane. Only the grazing rays' origins and
-    # directions are kept, as copies; when no ray grazes, which is usual,
+    # are intersected plane by plane. When no ray grazes, which is usual,
     # the coefficient arrays are kept as they are, not copied.
     ok = prep.affine_ok
     graze = ~ok
-    affine = prep[:6] if ok.all() else tuple(a[ok] for a in prep[:6])
-    return SweepRays(
-        affine=affine,
-        graze=(prep.origins[graze], prep.dirs[graze], prep.lo[graze],
-               prep.hi[graze]),
-    )
+    affine = prep[:6] if not len(prep.origins) else tuple(a[ok] for a in prep[:6])
+    return SweepRays(affine=affine, graze=(prep.origins, prep.dirs,
+                                           prep.lo[graze], prep.hi[graze]))
 
 
 def sweep_band(grid: DsiGrid, rays: SweepRays, votes: np.ndarray, p0: int,

@@ -307,6 +307,27 @@ class CameraModel:
 # ---------------------------------------------------------------------------
 # pose trajectory
 
+def check_span(ts, times):
+    """Raise OutOfTrajectoryRange unless every time of ``ts`` is finite and
+    within [times[0], times[-1]]."""
+    if ts.size == 0:
+        return
+    t_min, t_max = ts.min(), ts.max()  # NaN where a time is NaN
+    if times[0] <= t_min and t_max <= times[-1]:
+        return
+    finite = np.isfinite(ts)
+    if not finite.all():
+        bad = int(np.argmin(finite))
+        raise OutOfTrajectoryRange(
+            f"time {ts[bad]} (index {bad}) is not finite; trajectory span "
+            f"[{times[0]:.6f}, {times[-1]:.6f}]"
+        )
+    raise OutOfTrajectoryRange(
+        f"time range [{t_min:.6f}, {t_max:.6f}] outside trajectory span "
+        f"[{times[0]:.6f}, {times[-1]:.6f}]"
+    )
+
+
 @dataclass(frozen=True, eq=False)
 class PoseTrajectory:
     """Time-indexed world-from-body poses with slerp/lerp interpolation."""
@@ -366,28 +387,30 @@ class PoseTrajectory:
         q, p = self.interpolate_batch(np.array([t]))
         return Se3(q[0], p[0])
 
+    def _segments(self, ts):
+        """Each time's segment [lo, hi = lo + 1] of samples, clipped to the
+        first and last, its bounds' times t0 and t1, and its fraction
+        alpha = (t - t0) / (t1 - t0); for two or more samples."""
+        hi = np.searchsorted(self.times, ts, side="right")
+        hi = np.clip(hi, 1, len(self.times) - 1)
+        lo = hi - 1
+        t0, t1 = self.times[lo], self.times[hi]
+        return lo, hi, t0, t1, (ts - t0) / (t1 - t0)
+
     def interpolate_batch(self, ts):
         """Vectorized interpolation; returns ``(quats (N,4), trans (N,3))``.
 
-        Exact samples are returned verbatim; times outside the span raise
-        OutOfTrajectoryRange.
+        Exact samples are returned verbatim; times outside the span, and
+        times that are not finite, raise OutOfTrajectoryRange.
         """
         ts = np.asarray(ts, dtype=np.float64).reshape(-1)
-        if ts.size and (ts.min() < self.times[0] or ts.max() > self.times[-1]):
-            raise OutOfTrajectoryRange(
-                f"time range [{ts.min():.6f}, {ts.max():.6f}] outside trajectory span "
-                f"[{self.t_start:.6f}, {self.t_end:.6f}]"
-            )
+        check_span(ts, self.times)
         if len(self.times) == 1:
             return (
                 np.repeat(self.quats, ts.size, axis=0),
                 np.repeat(self.trans, ts.size, axis=0),
             )
-        hi = np.searchsorted(self.times, ts, side="right")
-        hi = np.clip(hi, 1, len(self.times) - 1)
-        lo = hi - 1
-        t0, t1 = self.times[lo], self.times[hi]
-        alpha = (ts - t0) / (t1 - t0)
+        lo, hi, t0, t1, alpha = self._segments(ts)
 
         # np.take gathers rows faster than fancy indexing, into fresh arrays
         q_lo = np.take(self.quats, lo, axis=0)
@@ -411,6 +434,32 @@ class PoseTrajectory:
         q[exact_hi] = self.quats[hi[exact_hi]]
         p[exact_hi] = self.trans[hi[exact_hi]]
         return q, p
+
+    def slerped_quats(self, ts):
+        """The rotations that ``interpolate_batch`` slerps at the
+        non-decreasing ``ts``, before it pins exact sample hits; None where
+        it slerps none: no segment that ``ts`` reach rotates.
+
+        This is the part of interpolation that the compiled ray preparation
+        leaves to numpy. The segments that ``ts`` reach come from one search
+        per sample, not per time: segment j takes the times from the first
+        at or after ``times[j]`` to the first at or after ``times[j + 1]``,
+        the last one also those at ``times[-1]``.
+        """
+        ts = np.asarray(ts, dtype=np.float64).reshape(-1)
+        check_span(ts, self.times)
+        if len(self.times) == 1:
+            return None
+        if (ts[1:] < ts[:-1]).any():
+            raise ValueError("times must be non-decreasing")
+        first = np.searchsorted(ts, self.times[:-1])
+        reached = np.diff(first, append=ts.size) > 0
+        turns = (self.quats[:-1] != self.quats[1:]).any(axis=1)
+        if not (reached & turns).any():
+            return None
+        lo, hi, _, _, alpha = self._segments(ts)
+        return quat_slerp(np.take(self.quats, lo, axis=0),
+                          np.take(self.quats, hi, axis=0), alpha)
 
     def camera_poses(self, ts, T_body_cam: Se3):
         """World-from-camera poses at ``ts`` of a camera mounted at

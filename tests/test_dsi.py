@@ -34,10 +34,10 @@ from raysweep.dsi import (
     vote_event_bruteforce,
     vote_events,
 )
-from raysweep.dsi import _prepare_rays
-from raysweep.errors import InvalidDepthRange, MisalignedDsi
+from raysweep.dsi import _AFFINE_COND_BOUND, _RayPrep, _pixel_bearings, _prepare_rays, _prepare_rays_c
+from raysweep.errors import InvalidDepthRange, MisalignedDsi, OutOfTrajectoryRange
 from raysweep.events import Event, EventStream
-from raysweep.geometry import CameraModel, PoseTrajectory, Se3
+from raysweep.geometry import CameraModel, PoseTrajectory, Se3, quat_conjugate
 
 from conftest import KERNELS, numpy_kernel, random_pose, random_unit_quat
 
@@ -253,6 +253,21 @@ def random_rays(cam, n=300, num_planes=12, seed=8):
     return grid, _prepare_rays(grid, stream, cam, quats, trans)
 
 
+def prepare_c_per_event(grid, stream, cam, quats, trans):
+    """``_sweep.prepare_c`` of events that each take their own camera pose
+    (``quats[k]``, ``trans[k]``): a trajectory of one sample per event at
+    the event's own sample time, which pinning hands to C as it is, and no
+    mount."""
+    times = np.arange(float(len(stream)))
+    bearings, index = _pixel_bearings(stream, cam)
+    k = grid.ref_intrinsics
+    return _RayPrep(*_sweep.prepare_c(
+        times, quats, trans, times, bearings, index,
+        quat_conjugate(grid.ref_pose.quat), grid.ref_pose.trans,
+        (k.fx, k.fy, k.cx, k.cy), grid.depths, grid.inv_depths[0],
+        _AFFINE_COND_BOUND))
+
+
 def assert_same_bits(got, want):
     """Two sequences of arrays hold the same dtypes, shapes and bits."""
     assert len(got) == len(want)
@@ -283,12 +298,16 @@ def edge_rays():
 # compiled fusion kind and both voting modes, with and without a fused volume,
 # on the sparse and on the dense band step, each worker's bands in one
 # run_bands call, at 100 planes and at 7 (a short last band), and with every
-# camera's volume kept.
+# camera's volume kept; and the ray preparation on trajectories of one, two
+# and five samples, the last rotating, with events at the first and last
+# sample times, every array in a malloc block of exactly its size.
 _UBSAN_RUN = r"""
 import dataclasses, math, sys
 from pathlib import Path
-from raysweep import _sweep, pipeline
-from raysweep.events import chunk_events
+import numpy as np
+from raysweep import _sweep, dsi, pipeline
+from raysweep.events import EventStream, chunk_events
+from raysweep.geometry import PoseTrajectory, Se3
 from raysweep.pipeline import process_chunk, run_pipeline
 from raysweep.synth import make_scenario
 
@@ -312,6 +331,21 @@ run_sweep = _sweep.run_sweep
 _sweep.run_sweep = lambda *a: runs.append(a[6] is not None) or run_sweep(*a)
 sc = make_scenario("lateral_room", n_points=80, seed=3)
 streams = sc.simulate()
+cam = sc.rig.cameras[1]  # mounted off the body's origin
+grid = dsi.DsiGrid.create(Se3.identity(), cam, 0.5, 4.0, 20, allocate=False)
+rng = np.random.default_rng(5)
+for times in ([0.5], [0.5, 1.5], [0.5, 0.75, 1.0, 1.25, 1.5]):
+    m = len(times)
+    quats = rng.normal(size=(m, 4))
+    traj = PoseTrajectory(np.array(times), quats, rng.normal(size=(m, 3)))
+    t = np.sort(np.concatenate([times[:1] * 3, times[-1:] * 3,
+                                rng.uniform(times[0], times[-1], 300)]))
+    stream = EventStream("c", t, rng.integers(0, cam.width, len(t)),
+                         rng.integers(0, cam.height, len(t)), np.ones(len(t)))
+    assert (traj.slerped_quats(t) is None) == (m == 1)
+    for source in (dict(traj=traj), dict(pose=traj.pose_at(m - 1))):
+        rays = dsi.prepare_sweep(grid, stream, cam, **source)
+        assert rays.num_events == len(t)
 for fusion in _sweep.FUSE_KINDS:
     for median, gate, planes in ((1, math.inf, 7), (5, math.inf, 100),
                                  (1, 0.0, 100), (5, 0.0, 7)):
@@ -553,14 +587,12 @@ class TestCKernel:
         with pytest.raises(RuntimeError, match="no compiler"):
             _sweep._sweep_c(*prep, grid.inv_depths, grid.votes, bilinear=False)
         _, stream, quats, trans = random_ray_inputs(pinhole_cam, n=10)
-        k = grid.ref_intrinsics
         with pytest.raises(RuntimeError, match="no compiler"):
-            _sweep.prepare_c(quats, trans, np.zeros((1, 2)), np.zeros(10, np.int64),
-                             np.array([0, 0, 0, 1.0]), np.zeros(3),
-                             (k.fx, k.fy, k.cx, k.cy), grid.depths, 1.0, 1e3)
+            prepare_c_per_event(grid, stream, pinhole_cam, quats, trans)
         assert _sweep.kernel_name() == "numpy"
         assert _sweep.run_sweep(prep, grid.inv_depths, grid.votes, "nearest")[0].any()
-        _prepare_rays(grid, stream, pinhole_cam, quats, trans)
+        traj = PoseTrajectory(stream.t, quats, trans)
+        assert prepare_sweep(grid, stream, pinhole_cam, traj=traj).num_events == 10
 
 
 _C_KINDS = {"int64_t": ctypes.c_int64, "int": ctypes.c_int, "double": ctypes.c_double}
@@ -799,49 +831,124 @@ class TestMarks:
 
 
 class TestCPrepare:
-    """The compiled ray preparation against numpy's ``_prepare_rays``, its
-    oracle: every output array bit for bit."""
+    """The compiled ray preparation, which interpolates and mounts the
+    camera poses too, against ``camera_poses`` and numpy's
+    ``_prepare_rays``, its oracle: every output array bit for bit."""
 
     @staticmethod
-    def _both(grid, stream, cam, quats, trans):
+    def _same_prep(got, want):
+        """C's prepared arrays are numpy's, but for origins and dirs, which
+        C keeps for the grazing rays only."""
+        assert_same_bits([*got[:6], got.affine_ok], [*want[:6], want.affine_ok])
+        graze = ~want.affine_ok
+        assert_same_bits([got.origins, got.dirs],
+                         [want.origins[graze], want.dirs[graze]])
+
+    def _check(self, grid, stream, cam, traj):
+        """The C preparation of ``stream`` on ``traj`` against numpy's, also
+        through ``prepare_sweep``; returns numpy's ``_prepare_rays``."""
         with numpy_kernel():
-            want = _prepare_rays(grid, stream, cam, quats, trans)
-        assert_same_bits(_prepare_rays(grid, stream, cam, quats, trans), want)
+            want = _prepare_rays(grid, stream, cam,
+                                 *traj.camera_poses(stream.t, cam.T_body_cam))
+            want_rays = prepare_sweep(grid, stream, cam, traj=traj)
+        self._same_prep(_prepare_rays_c(grid, stream, cam, traj, None), want)
+        got_rays = prepare_sweep(grid, stream, cam, traj=traj)
+        assert_same_bits(got_rays.affine + got_rays.graze,
+                         want_rays.affine + want_rays.graze)
         return want
 
     def test_random_rays(self, distorted_cam):
+        # one trajectory sample per event, at the event's time: pinning hands
+        # C each random pose as it is
         grid, stream, quats, trans = random_ray_inputs(distorted_cam, n=3000)
-        prep = self._both(grid, stream, distorted_cam, quats, trans)
+        traj = PoseTrajectory(stream.t, quats, trans)
+        prep = self._check(grid, stream, distorted_cam, traj)
         d_z = prep.dirs[:, 2]
         assert (d_z > 0).any() and (d_z < 0).any()
         assert prep.lo.max() > 0 and prep.hi.min() < grid.num_planes
         assert 0 < np.count_nonzero(~prep.affine_ok) < len(stream)  # grazing
 
     def test_slerped_trajectory_and_rotated_mount(self, distorted_cam):
-        # a rotating 21-sample trajectory, events also at its exact sample
-        # times, a rotated and offset camera mount, random reference views
+        # a rotating 21-sample trajectory, events also at its first, interior
+        # and last sample times, a rotated and offset camera mount, random
+        # reference views
         rng = np.random.default_rng(21)
         times = np.linspace(0.0, 1.0, 21)
         traj = PoseTrajectory(times, np.array([random_unit_quat(rng) for _ in times]),
                               rng.normal(size=(21, 3)) * 0.3)
         cam = dataclasses.replace(
             distorted_cam, T_body_cam=Se3(random_unit_quat(rng), [0.1, -0.05, 0.02]))
-        n = 4000
-        stream = EventStream(
-            "r", np.sort(np.concatenate([rng.uniform(0.0, 1.0, n), times])),
-            rng.integers(0, cam.width, n + 21, dtype=np.int32),
-            rng.integers(0, cam.height, n + 21, dtype=np.int32),
-            np.ones(n + 21, np.int8))
+        stream = self._stream(rng, cam, np.concatenate([rng.uniform(0.0, 1.0, 4000),
+                                                        times]))
+        assert traj.slerped_quats(stream.t) is not None
         for _ in range(5):
             grid = make_grid(cam, num_planes=20, z_min=0.45, z_max=4.0,
                              ref=random_pose(rng, 0.3))
-            quats, trans = traj.camera_poses(stream.t, cam.T_body_cam)
-            prep = self._both(grid, stream, cam, quats, trans)
-            assert 0 < np.count_nonzero(~prep.affine_ok)
-            got = prepare_sweep(grid, stream, cam, traj=traj)
-            with numpy_kernel():
-                want = prepare_sweep(grid, stream, cam, traj=traj)
-            assert_same_bits(got.affine + got.graze, want.affine + want.graze)
+            prep = self._check(grid, stream, cam, traj)
+            assert 0 < np.count_nonzero(~prep.affine_ok)  # grazing rays
+
+    @staticmethod
+    def _stream(rng, cam, t):
+        n = len(t)
+        return EventStream("r", np.sort(t), rng.integers(0, cam.width, n, dtype=np.int32),
+                           rng.integers(0, cam.height, n, dtype=np.int32),
+                           np.ones(n, np.int8))
+
+    @pytest.mark.parametrize("rotating", [False, True])
+    def test_translating_and_turning_trajectories(self, distorted_cam, rotating):
+        # pure translation, one rotation throughout: no slerp; or a turn in
+        # the middle segment, which every event then slerps across
+        rng = np.random.default_rng(23)
+        times = np.array([0.0, 0.3, 0.5, 0.9, 1.2])
+        quats = np.tile(random_unit_quat(rng), (5, 1))
+        if rotating:
+            quats[2:] = random_unit_quat(rng)
+        traj = PoseTrajectory(times, quats, rng.normal(size=(5, 3)) * 0.3)
+        cam = dataclasses.replace(distorted_cam, T_body_cam=Se3(random_unit_quat(rng),
+                                                                [0.1184, 0.0, 0.0]))
+        stream = self._stream(rng, cam, np.concatenate([rng.uniform(0.0, 1.2, 3000),
+                                                        times, times]))
+        assert (traj.slerped_quats(stream.t) is None) == (not rotating)
+        grid = make_grid(cam, num_planes=20, z_min=0.45, z_max=4.0,
+                         ref=random_pose(rng, 0.3))
+        self._check(grid, stream, cam, traj)
+
+    @pytest.mark.parametrize("reach", ["untouched", "at_its_start"])
+    def test_slerp_only_where_a_touched_segment_turns(self, distorted_cam, reach):
+        # segments [0, 1] and [2, 3] keep one rotation, [1, 2] turns: events
+        # in the still segments only take the sampled rotation, but one event
+        # at t = 1 falls in the turning segment and makes numpy slerp every
+        # event, which moves the still segments' rotations by some ulps
+        rng = np.random.default_rng(24)
+        q0, q1 = random_unit_quat(rng), random_unit_quat(rng)
+        traj = PoseTrajectory(np.arange(4.0), np.array([q0, q0, q1, q1]),
+                              rng.normal(size=(4, 3)) * 0.3)
+        t = np.concatenate([rng.uniform(0.0, 1.0, 1500), rng.uniform(2.0, 3.0, 1500),
+                            [0.0, 2.0, 3.0] + ([1.0] if reach == "at_its_start" else [])])
+        stream = self._stream(rng, distorted_cam, t)
+        slerped = traj.slerped_quats(stream.t)
+        assert (slerped is None) == (reach == "untouched")
+        if slerped is not None:
+            still = (stream.t != 1.0)
+            assert not np.array_equal(slerped[still], np.take(
+                traj.quats, np.floor(stream.t[still]).astype(int).clip(0, 2), axis=0))
+        grid = make_grid(distorted_cam, num_planes=20, z_min=0.45, z_max=4.0,
+                         ref=random_pose(rng, 0.3))
+        self._check(grid, stream, distorted_cam, traj)
+
+    @pytest.mark.parametrize("samples", [1, 2])
+    def test_one_and_two_sample_trajectories(self, distorted_cam, samples):
+        rng = np.random.default_rng(25 + samples)
+        times = np.array([0.25, 0.75])[:samples]
+        traj = PoseTrajectory(times, [random_unit_quat(rng) for _ in times],
+                              rng.normal(size=(samples, 3)) * 0.3)
+        cam = dataclasses.replace(distorted_cam, T_body_cam=random_pose(rng, 0.1))
+        t = (np.full(500, 0.25) if samples == 1 else
+             np.concatenate([rng.uniform(0.25, 0.75, 2000), times, times]))
+        stream = self._stream(rng, cam, t)
+        grid = make_grid(cam, num_planes=20, z_min=0.45, z_max=4.0,
+                         ref=random_pose(rng, 0.3))
+        self._check(grid, stream, cam, traj)
 
     def test_backward_parallel_and_on_plane_origins(self):
         # fx = fy = 2, cx = cy = 0: pixel (x, y) has the exact bearing
@@ -864,7 +971,8 @@ class TestCPrepare:
         trans = np.zeros((n, 3))
         trans[:, 2] = heights[zi]
         with np.errstate(invalid="ignore"):  # 0 * inf
-            prep = self._both(grid, stream, cam, quats[qi], trans)
+            prep = _prepare_rays(grid, stream, cam, quats[qi], trans)
+        self._same_prep(prepare_c_per_event(grid, stream, cam, quats[qi], trans), prep)
 
         finite = zi < 6
         assert np.array_equal(prep.origins[finite, 2], trans[finite, 2])
@@ -884,40 +992,49 @@ class TestCPrepare:
     def test_empty_stream(self, distorted_cam, kernel):
         # a camera silent for one chunk
         grid = make_grid(distorted_cam)
-        prep = _prepare_rays(grid, EventStream.empty("r"), distorted_cam,
+        empty = EventStream.empty("r")
+        prep = _prepare_rays(grid, empty, distorted_cam,
                              np.empty((0, 4)), np.empty((0, 3)))
         assert [a.shape for a in prep] == [(0,)] * 6 + [(0, 3)] * 2 + [(0,)]
-        rays = prepare_sweep(grid, EventStream.empty("r"), distorted_cam,
-                             pose=Se3.identity())
-        assert rays.num_events == 0
+        traj = PoseTrajectory([0.0, 1.0], [[0, 0, 0, 1.0]] * 2, np.eye(3)[:2])
+        for source in (dict(pose=Se3.identity()), dict(traj=traj)):
+            rays = prepare_sweep(grid, empty, distorted_cam, **source)
+            assert rays.num_events == 0
+            assert [a.shape for a in rays.affine + rays.graze] == \
+                [(0,)] * 6 + [(0, 3)] * 2 + [(0,)] * 2
+        if kernel == "c":
+            prep = _prepare_rays_c(grid, empty, distorted_cam, traj, None)
+            assert [a.shape for a in prep] == [(0,)] * 6 + [(0, 3)] * 2 + [(0,)]
 
     def test_fixed_pose(self, distorted_cam):
         rng = np.random.default_rng(22)
         stream = random_stream(rng, 3000, distorted_cam)
         grid = make_grid(distorted_cam, num_planes=20, z_min=0.45, z_max=4.0)
-        pose = random_pose(rng, 0.5)
-        got = prepare_sweep(grid, stream, distorted_cam, pose=pose)
-        with numpy_kernel():
-            want = prepare_sweep(grid, stream, distorted_cam, pose=pose)
-        assert_same_bits(got.affine + got.graze, want.affine + want.graze)
-        assert got.num_events == len(stream)
+        # inverse() conjugates: the first pose's x, y and z are -0.0, which
+        # the fixed pose keeps, as it is not composed with any mount
+        poses = [Se3.identity().inverse(), random_pose(rng, 0.5),
+                 Se3.from_axis_angle([0, 1, 0], 0.3, trans=[0.1, 0.0, 0.2]).inverse()]
+        assert np.signbit(poses[0].quat[:3]).all()
+        for pose in poses:
+            got = prepare_sweep(grid, stream, distorted_cam, pose=pose)
+            with numpy_kernel():
+                want = prepare_sweep(grid, stream, distorted_cam, pose=pose)
+            assert_same_bits(got.affine + got.graze, want.affine + want.graze)
+            assert got.num_events == len(stream)
 
     @pytest.mark.parametrize("bad", [
         "index_high", "index_negative", "index_2d", "quat_shape", "short_trans",
         "bearings_shape", "intr", "depths_2d", "out_count", "out_short",
-        "out_dtype", "out_strided",
+        "out_dtype", "out_strided", "times_2d", "no_samples", "times_unsorted",
+        "times_repeated", "ts_short", "ts_missing", "mount_shape", "q_body_shape",
     ])
     def test_guard_rejects_unsafe_arguments(self, monkeypatch, bad):
         calls = []
         monkeypatch.setattr(_sweep, "_c_lib",
-                            types.SimpleNamespace(prepare=lambda *a: calls.append(a)))
+                            types.SimpleNamespace(prepare=lambda *a: calls.append(a) or 0))
         monkeypatch.setattr(_sweep, "_c_error", None)
-        n, m = 6, 4
-        args = dict(q_wc=np.tile([0, 0, 0, 1.0], (n, 1)), t_wc=np.zeros((n, 3)),
-                    bearings=np.zeros((m, 2)), index=np.arange(n) % m,
-                    q_ref_inv=np.array([0, 0, 0, 1.0]), t_ref=np.zeros(3),
-                    intr=(1.0, 1.0, 0.0, 0.0), depths=np.array([1.0, 2.0]),
-                    inv_max=1.0, bound=1e3)
+        n, m, s = 6, 4, 3  # events, distinct pixels, trajectory samples
+        args = self._guard_args(n, m, s)
         _sweep.prepare_c(**args)
         assert len(calls) == 1
         if bad == "index_high":
@@ -927,9 +1044,9 @@ class TestCPrepare:
         elif bad == "index_2d":
             args["index"] = np.zeros((n, 1), np.int64)
         elif bad == "quat_shape":
-            args["q_wc"] = np.zeros((n, 3))
+            args["quats"] = np.zeros((s, 3))
         elif bad == "short_trans":
-            args["t_wc"] = np.zeros((n - 1, 3))
+            args["trans"] = np.zeros((s - 1, 3))
         elif bad == "bearings_shape":
             args["bearings"] = np.zeros((m, 3))
         elif bad == "intr":
@@ -944,9 +1061,70 @@ class TestCPrepare:
             args["out"] = _sweep.empty_prep(n)[::-1]  # lo, hi first
         elif bad == "out_strided":
             args["out"] = [a[::2] for a in _sweep.empty_prep(2 * n)]
+        elif bad == "times_2d":
+            args["times"] = args["times"][:, None]
+        elif bad == "no_samples":
+            args.update(times=np.empty(0), quats=np.empty((0, 4)), trans=np.empty((0, 3)))
+        elif bad == "times_unsorted":
+            args["times"] = np.array([0.0, 2.0, 1.0])
+        elif bad == "times_repeated":
+            args["times"] = np.array([0.0, 1.0, 1.0])
+        elif bad == "ts_short":
+            args["ts"] = args["ts"][1:]
+        elif bad == "ts_missing":
+            args["ts"] = None
+        elif bad == "mount_shape":
+            args["mount"] = (np.array([0, 0, 0, 1.0]), np.zeros(2))
+        elif bad == "q_body_shape":
+            args["q_body"] = np.zeros((n - 1, 4))
         with pytest.raises(ValueError):
             _sweep.prepare_c(**args)
         assert len(calls) == 1
+
+    @staticmethod
+    def _guard_args(n, m, s):
+        return dict(times=np.arange(float(s)), quats=np.tile([0, 0, 0, 1.0], (s, 1)),
+                    trans=np.zeros((s, 3)), ts=np.linspace(0.0, s - 1.0, n),
+                    bearings=np.zeros((m, 2)), index=np.arange(n) % m,
+                    q_ref_inv=np.array([0, 0, 0, 1.0]), t_ref=np.zeros(3),
+                    intr=(1.0, 1.0, 0.0, 0.0), depths=np.array([1.0, 2.0]),
+                    inv_max=1.0, bound=1e3,
+                    mount=(np.array([0, 0, 0, 1.0]), np.zeros(3)),
+                    q_body=np.tile([0, 0, 0, 1.0], (n, 1)))
+
+    @pytest.mark.parametrize("t, message", [
+        (np.nan, r"time nan \(index 2\) is not finite"),
+        (np.inf, r"time inf \(index 2\) is not finite"),
+        (-np.inf, r"time -inf \(index 2\) is not finite"),
+        (2.5, r"time range \[0\.000000, 2\.500000\] outside trajectory span "
+              r"\[0\.000000, 2\.000000\]"),
+        (-1e-9, r"time range \[-0\.000000, 2\.000000\] outside trajectory span"),
+    ])
+    def test_guard_rejects_times_outside_the_trajectory(self, monkeypatch, t, message):
+        calls = []
+        monkeypatch.setattr(_sweep, "_c_lib",
+                            types.SimpleNamespace(prepare=lambda *a: calls.append(a) or 0))
+        monkeypatch.setattr(_sweep, "_c_error", None)
+        args = self._guard_args(6, 4, 3)
+        args["ts"][2] = t
+        with pytest.raises(OutOfTrajectoryRange, match=message):
+            _sweep.prepare_c(**args)
+        assert not calls
+
+    def test_times_outside_the_trajectory_raise_as_numpy(self, distorted_cam):
+        # the error that numpy's interpolate_batch raises, word for word
+        rng = np.random.default_rng(27)
+        traj = PoseTrajectory([0.1, 0.6], [random_unit_quat(rng) for _ in range(2)],
+                              rng.normal(size=(2, 3)))
+        grid = make_grid(distorted_cam)
+        for t in ([0.05, 0.3], [0.3, 0.6000001], [0.6, 0.7]):
+            stream = self._stream(rng, distorted_cam, np.array(t))
+            message = (f"time range [{min(t):.6f}, {max(t):.6f}] outside trajectory "
+                       f"span [0.100000, 0.600000]")
+            for kernel in (contextlib.nullcontext(), numpy_kernel()):
+                with kernel, pytest.raises(OutOfTrajectoryRange) as err:
+                    prepare_sweep(grid, stream, distorted_cam, traj=traj)
+                assert str(err.value) == message
 
     def test_prepared_into_given_arrays(self, distorted_cam, kernel):
         # rays prepared into views of larger arrays, as the pipeline joins

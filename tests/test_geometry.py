@@ -165,6 +165,37 @@ class TestPoseInterpolation:
         with pytest.raises(OutOfTrajectoryRange):
             traj.interpolate(-0.0001)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_times_raise(self, bad):
+        # a NaN compares False with the span's ends: it once came back as a
+        # NaN pose, and interpolate(nan) failed in Se3 instead
+        traj = self._traj()
+        with pytest.raises(OutOfTrajectoryRange, match=rf"time {bad} \(index 1\) is not finite"):
+            traj.interpolate_batch([0.1, bad, 0.2])
+        with pytest.raises(OutOfTrajectoryRange, match=f"time {bad} "):
+            traj.interpolate(bad)
+        with pytest.raises(OutOfTrajectoryRange, match=f"time {bad} "):
+            traj.slerped_quats([0.1, bad])
+
+    @pytest.mark.parametrize("rotating", [True, False])
+    def test_slerped_quats_are_those_of_interpolate_batch(self, rotating):
+        # the rotations that interpolate_batch slerps, before it pins exact
+        # sample hits: where no time is one, the same bits
+        rng = np.random.default_rng(13)
+        times = np.sort(rng.uniform(0.0, 2.0, 9))
+        quats = (np.array([random_unit_quat(rng) for _ in times]) if rotating
+                 else np.tile(random_unit_quat(rng), (len(times), 1)))
+        traj = PoseTrajectory(times, quats, rng.normal(size=(len(times), 3)))
+        ts = np.sort(rng.uniform(times[0], times[-1], 500))
+        got = traj.slerped_quats(ts)
+        if rotating:
+            assert np.array_equal(got.view(np.uint64),
+                                  traj.interpolate_batch(ts)[0].view(np.uint64))
+        else:
+            assert got is None
+        with pytest.raises(ValueError, match="non-decreasing"):
+            traj.slerped_quats(ts[::-1])
+
     def test_timestamps_must_increase(self):
         with pytest.raises(ValueError):
             PoseTrajectory.from_poses([(0.0, Se3.identity()), (0.0, Se3.identity())])
