@@ -86,8 +86,14 @@ class EventStream:
         return Event(float(self.t[i]), int(self.x[i]), int(self.y[i]), int(self.polarity[i]))
 
     def slice(self, i0: int, i1: int) -> "EventStream":
-        return EventStream(self.camera_id, self.t[i0:i1], self.x[i0:i1],
-                           self.y[i0:i1], self.polarity[i0:i1])
+        """Events [i0, i1), as read-only views of these columns. A slice of
+        a valid stream is valid, so the constructor's O(n) checks are not
+        run again."""
+        out = object.__new__(EventStream)
+        object.__setattr__(out, "camera_id", self.camera_id)
+        for name in ("t", "x", "y", "polarity"):
+            object.__setattr__(out, name, getattr(self, name)[i0:i1])
+        return out
 
     def select(self, idx) -> "EventStream":
         return EventStream(self.camera_id, self.t[idx], self.x[idx],

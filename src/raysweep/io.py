@@ -1,5 +1,6 @@
 """File formats: event text, TUM-style trajectories, rig calibration JSON,
-and the depth / confidence / point-cloud / DSI writers.
+and the depth / confidence / point-cloud / DSI writers, with readers for
+the depth, point-cloud and DSI files.
 
 All multi-byte binary output is little-endian. Event files may hold tens
 of millions of lines, so the parser streams them in blocks, each parsed in
@@ -421,17 +422,45 @@ def write_confidence_pgm(result: DepthResult, path):
         fh.write(img.tobytes())
 
 
+# The lines of write_ply's header; {} is the vertex count.
+_PLY_HEADER = ("ply", "format binary_little_endian 1.0", "element vertex {}",
+               "property double x", "property double y", "property double z",
+               "property double confidence", "end_header")
+
+
 def write_ply(result: DepthResult, path):
-    """ASCII PLY point cloud with per-vertex confidence."""
+    """Binary PLY point cloud with per-vertex confidence: the header of
+    ``_PLY_HEADER`` (little-endian, one vertex element of four doubles x,
+    y, z, confidence), then one row of four little-endian float64 per
+    vertex, the exact values of ``to_point_cloud``, 32 bytes each."""
     points, conf = to_point_cloud(result)
-    with open(path, "w") as fh:
-        fh.write("ply\nformat ascii 1.0\n")
-        fh.write(f"element vertex {len(points)}\n")
-        fh.write("property float x\nproperty float y\nproperty float z\n")
-        fh.write("property float confidence\n")
-        fh.write("end_header\n")
-        rows = np.column_stack([points, conf])
-        fh.write(("%.17g %.17g %.17g %.17g\n" * len(rows)) % tuple(rows.ravel().tolist()))
+    header = "\n".join(_PLY_HEADER).format(len(points)) + "\n"
+    with open(path, "wb") as fh:
+        fh.write(header.encode("ascii"))
+        fh.write(np.column_stack([points, conf]).astype("<f8").tobytes())
+
+
+def read_ply(path) -> tuple[np.ndarray, np.ndarray]:
+    """Read a point cloud written by write_ply; returns (points float64
+    (N, 3), confidence float64 (N,)). Any other layout (another format,
+    element or property, a truncated or overlong payload) raises
+    ParseError naming the file."""
+    path = Path(path)
+    with open(path, "rb") as fh:
+        for i, want in enumerate(_PLY_HEADER):
+            line = fh.readline(80)
+            got = line.decode("ascii", errors="replace").rstrip("\n")
+            if i == 2 and re.fullmatch(r"element vertex (0|[1-9][0-9]{0,17})", got):
+                count = int(got.split()[-1])
+            elif got != want or not line.endswith(b"\n"):
+                raise ParseError(f"PLY header line {i + 1} is {got!r}, need "
+                                 f"{want.format('<count>')!r}", path=path)
+        size = path.stat().st_size - fh.tell()
+        if size != 32 * count:  # before allocating
+            raise ParseError(f"PLY payload of {size} bytes, need {32 * count} "
+                             f"for {count} vertices", path=path)
+        rows = np.frombuffer(fh.read(size), dtype="<f8").reshape(count, 4)
+    return rows[:, :3].astype(np.float64), rows[:, 3].astype(np.float64)
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,8 @@ into a shared reference view, fuse, and extract semi-dense depth.
 Chunks are independent work units. Within a chunk, voting and fusion run
 one band of depth planes at a time, so the per-camera volumes never exist
 as a whole, and the fused volume exists only where a step reads it
-(``_needs_volume``); workers take whole bands (worker count capped by
-RAYSWEEP_THREADS).
+(``_needs_volume``); workers prepare one camera's rays each, then take
+whole bands (worker count capped by RAYSWEEP_THREADS).
 """
 
 from __future__ import annotations
@@ -232,7 +232,8 @@ def process_chunk(
     beside each argmax plane that the band loop keeps. With
     ``config.dump_dsi`` the chunk also gets fresh per-camera volumes, and
     its output holds them and the fused DSI (which wraps ``volume``) for
-    writing.
+    writing. With ``workers`` > 1 each camera's rays are prepared on a
+    thread of their own; the outputs are the same bits at any count.
     """
     timings = {}
     t0 = time.perf_counter()
@@ -250,17 +251,22 @@ def process_chunk(
     # from starts[k], which the compiled band loop sweeps as they are
     starts = np.cumsum([0] + [len(stream) for stream in streams])
     joined = _sweep.empty_prep(starts[-1])
-    rays = [prepare_sweep(fused, stream, cam, traj=traj,
-                          out=[a[s:e] for a in joined])
-            for stream, cam, s, e in zip(streams, rig.cameras, starts, starts[1:])]
+
+    def prepare(stream, cam, s, e):
+        return prepare_sweep(fused, stream, cam, traj=traj,
+                             out=[a[s:e] for a in joined])
+
+    # C prepare, most of a camera's preparation, releases the GIL: the
+    # cameras are prepared in parallel, each into its own slices of joined
+    rays = _in_parallel(prepare, workers, streams, rig.cameras, starts, starts[1:])
     timings["rays"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     shape = (fused.num_planes, fused.height, fused.width)
     cameras = np.empty((len(rays),) + shape) if config.dump_dsi else None
+    op = FusionOp.from_string(config.fusion)
     hits, votes, peak, around = _vote_and_fuse(
-        fused, rays, joined, FusionOp.from_string(config.fusion), config.voting,
-        workers, cameras,
+        fused, rays, joined, op, config.voting, workers, cameras,
     )
     timings["vote_fuse"] = time.perf_counter() - t0
 
@@ -301,6 +307,8 @@ def process_chunk(
         "events_skipped": sum(c["events_skipped"] for c in per_camera.values()),
         "valid_pixels": result.num_valid,
         "kernel": kernel_name(),  # the one that prepared and swept the rays
+        "band_step": "sparse" if _sparse(rays, op, shape) else "dense",
+        "workers": len(_runs(fused.num_planes, workers)),  # band runs
         "timings": timings,
     }
     log.info(
@@ -314,6 +322,18 @@ def process_chunk(
         out.camera_grids = [dataclasses.replace(fused, votes=v, skipped_events=n)
                             for v, n in zip(cameras, skipped)]
     return out
+
+
+def _in_parallel(fn, workers: int, *iterables) -> list:
+    """``list(map(fn, *iterables))``, run on up to ``workers`` threads when
+    that is more than one and there is more than one item, else in a plain
+    loop. Either way the error raised is the first failing item's, in
+    order."""
+    items = list(zip(*iterables))
+    if workers <= 1 or len(items) <= 1:
+        return [fn(*args) for args in items]
+    with ThreadPoolExecutor(max_workers=min(workers, len(items))) as pool:
+        return list(pool.map(lambda args: fn(*args), items))
 
 
 def _sparse(rays, op: FusionOp, shape: tuple) -> bool:
@@ -369,8 +389,8 @@ def _vote_and_fuse(fused: DsiGrid, rays, joined, op: FusionOp, mode: str,
     Where ``_compiled`` (min, max, arithmetic, rms or harmonic, the C
     library loaded, no near-grazing ray), the sweep takes every camera's
     affine rays from ``joined``, the ``_sweep.empty_prep`` arrays that
-    ``prepare_sweep`` filled camera by camera in rig order (so with no
-    grazing ray, each camera's ``affine`` is a slice of them). Each
+    ``prepare_sweep`` filled, camera k's from ``starts[k]`` in rig order
+    (so with no grazing ray, each camera's ``affine`` is a slice of them). Each
     worker's whole run is one
     ``_sweep.run_sweep`` call with a ``_sweep.Bands``: its arguments are
     checked once, and the C ``run_bands`` sweeps, fuses and tracks every
@@ -456,11 +476,7 @@ def _vote_and_fuse(fused: DsiGrid, rays, joined, op: FusionOp, mode: str,
             prev = out[-1]
         return hits, peak, around, first, prev, votes
 
-    if len(runs) == 1:
-        results = [run(0)]
-    else:
-        with ThreadPoolExecutor(max_workers=len(runs)) as pool:
-            results = list(pool.map(run, range(len(runs))))
+    results = _in_parallel(run, len(runs), range(len(runs)))
     hits = [np.logical_or.reduce([r[0][k] for r in results]) for k in range(n)]
     votes = [sum(r[5][k] for r in results) for k in range(n)]
     (confidence, best), around = results[0][1:3]
@@ -622,9 +638,8 @@ def run_pipeline(
 
         # the compiled parser and file reads release the GIL: the files
         # are parsed in parallel, and the first bad one in rig order raises
-        with ThreadPoolExecutor(max_workers=min(workers, len(rig.cameras))) as pool:
-            streams = dict(zip(rig.camera_ids, pool.map(
-                parse, config.events, rig.camera_ids, rig.cameras)))
+        streams = dict(zip(rig.camera_ids, _in_parallel(
+            parse, workers, config.events, rig.camera_ids, rig.cameras)))
     else:
         if sorted(streams) != sorted(rig.camera_ids):
             raise RaysweepError(

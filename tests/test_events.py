@@ -29,6 +29,31 @@ class TestEvent:
         with pytest.raises(ValueError, match="event 1 has a non-finite"):
             stream_at([0.0, bad, 0.2])
 
+    @pytest.mark.parametrize("i0,i1", [(0, 5), (1, 4), (2, 2), (4, 5), (3, 9)])
+    def test_slice_keeps_read_only_columns(self, i0, i1):
+        rng = np.random.default_rng(8)
+        whole = EventStream("c", np.sort(rng.uniform(0, 1, 5)),
+                            rng.integers(0, 9, 5), rng.integers(0, 9, 5),
+                            rng.choice([-1, 1], 5))
+        part = whole.slice(i0, i1)
+        assert type(part) is EventStream and part.camera_id == "c"
+        for name in ("t", "x", "y", "polarity"):
+            col, full = getattr(part, name), getattr(whole, name)
+            assert col.dtype == full.dtype and not col.flags.writeable
+            assert col.tobytes() == full[i0:i1].tobytes()
+        with pytest.raises(ValueError):
+            part.t[:] = 0.0
+
+    @pytest.mark.parametrize("columns,match", [
+        (([0.2, 0.1], [0, 0], [0, 0], [1, 1]), "non-decreasing"),
+        (([0.1, np.nan], [0, 0], [0, 0], [1, 1]), "non-finite"),
+        (([0.1, 0.2], [0, 0], [0, 0], [1, 0]), "polarities"),
+        (([0.1, 0.2], [0], [0, 0], [1, 1]), "one length"),
+    ])
+    def test_constructor_still_refuses_bad_columns(self, columns, match):
+        with pytest.raises(ValueError, match=match):
+            EventStream("c", *columns)
+
     def test_stream_roundtrip_single_events(self):
         s = EventStream.from_events("c", [Event(0.1, 3, 4, -1), Event(0.2, 5, 6, 1)])
         assert len(s) == 2

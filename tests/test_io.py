@@ -746,40 +746,108 @@ class TestPgm:
         assert img[5, 5] == 0
 
 
+PLY_HEADER = (b"ply\nformat binary_little_endian 1.0\nelement vertex %d\n"
+              b"property double x\nproperty double y\nproperty double z\n"
+              b"property double confidence\nend_header\n")
+
+
 class TestPly:
-    def test_empty_mask_zero_vertices(self, pinhole_cam, tmp_path):
-        res = make_result(pinhole_cam, {})
-        p = tmp_path / "c.ply"
-        rio.write_ply(res, p)
-        text = p.read_text()
-        assert "element vertex 0" in text
-        assert text.strip().endswith("end_header")
-
-    def test_single_vertex_matches_point_cloud(self, pinhole_cam, tmp_path):
-        res = make_result(pinhole_cam, {(90, 120): (2.5, 7.0)})
-        p = tmp_path / "c.ply"
-        rio.write_ply(res, p)
-        lines = p.read_text().splitlines()
-        n = int([l for l in lines if l.startswith("element vertex")][0].split()[-1])
-        assert n == 1
-        vals = [float(v) for v in lines[-1].split()]
-        pts, conf = to_point_cloud(res)
-        assert vals[:3] == list(pts[0])
-        assert vals[3] == conf[0]
-
-    def test_rows_match_per_row_format(self, pinhole_cam, tmp_path, monkeypatch):
+    @staticmethod
+    def _extremes(monkeypatch):
+        """500 rows of every magnitude with -0.0, the smallest subnormal,
+        +-1e300 and 1/3 in the first three, which ``to_point_cloud``
+        returns in place of the result's."""
         rng = np.random.default_rng(5)
         pts = rng.normal(size=(500, 3)) * 10.0 ** rng.integers(-5, 6, (500, 3))
         pts[:3] = [[-0.0, 1e-300, 1e300], [0.0, -1e300, 5e-324], [1 / 3, -2.5, 7.0]]
         conf = rng.uniform(0.0, 50.0, 500)
         conf[0] = -0.0
         monkeypatch.setattr(rio, "to_point_cloud", lambda result: (pts, conf))
+        return pts, conf
+
+    def test_empty_mask_zero_vertices(self, pinhole_cam, tmp_path):
+        res = make_result(pinhole_cam, {})
+        p = tmp_path / "c.ply"
+        rio.write_ply(res, p)
+        assert p.read_bytes() == PLY_HEADER % 0  # header only
+        pts, conf = rio.read_ply(p)
+        assert pts.shape == (0, 3) and conf.shape == (0,)
+
+    def test_single_vertex_matches_point_cloud(self, pinhole_cam, tmp_path):
+        res = make_result(pinhole_cam, {(90, 120): (2.5, 7.0)})
+        p = tmp_path / "c.ply"
+        rio.write_ply(res, p)
+        raw = p.read_bytes()
+        assert raw.startswith(PLY_HEADER % 1) and len(raw) == len(PLY_HEADER % 1) + 32
+        pts, conf = to_point_cloud(res)
+        vals = np.frombuffer(raw[-32:], "<f8")
+        assert list(vals[:3]) == list(pts[0]) and vals[3] == conf[0]
+
+    def test_rows_match_per_row_format(self, pinhole_cam, tmp_path, monkeypatch):
+        # the payload is the float64 rows as they are: every value keeps its
+        # bits, -0.0 and subnormals included
+        pts, conf = self._extremes(monkeypatch)
         p = tmp_path / "c.ply"
         rio.write_ply(make_result(pinhole_cam, {}), p)
-        rows = "".join(f"{x:.17g} {y:.17g} {z:.17g} {c:.17g}\n"
-                       for (x, y, z), c in zip(pts, conf))
-        assert p.read_text().endswith("end_header\n" + rows)
-        assert "element vertex 500\n" in p.read_text()
+        rows = np.column_stack([pts, conf]).astype("<f8").tobytes()
+        assert p.read_bytes() == PLY_HEADER % 500 + rows
+        assert len(rows) == 32 * 500
+
+    def test_read_round_trips_bit_for_bit(self, pinhole_cam, tmp_path, monkeypatch):
+        pts, conf = self._extremes(monkeypatch)
+        p = tmp_path / "c.ply"
+        rio.write_ply(make_result(pinhole_cam, {}), p)
+        got_pts, got_conf = rio.read_ply(p)
+        assert got_pts.dtype == got_conf.dtype == np.float64
+        assert got_pts.tobytes() == pts.tobytes()
+        assert got_conf.tobytes() == conf.tobytes()
+
+    @pytest.mark.parametrize("header,line", [
+        # the ASCII layout that write_ply wrote before
+        (b"ply\nformat ascii 1.0\nelement vertex 1\nproperty float x\n"
+         b"property float y\nproperty float z\nproperty float confidence\n"
+         b"end_header\n", 2),
+        (PLY_HEADER.replace(b"little", b"big"), 2),
+        (PLY_HEADER.replace(b"double x", b"float x"), 4),
+        (PLY_HEADER.replace(b"confidence", b"intensity"), 7),
+        (PLY_HEADER.replace(b"property double z\n", b""), 6),
+        (PLY_HEADER.replace(b"end_header", b"property double w\nend_header"), 8),
+        (PLY_HEADER.replace(b"vertex %d", b"face %d"), 3),
+        (PLY_HEADER.replace(b"vertex %d", b"vertex -%d"), 3),
+        (PLY_HEADER.replace(b"vertex %d", b"vertex 0%d"), 3),
+        (PLY_HEADER.replace(b"\n", b"\r\n"), 1),
+        (b"PLY\n", 1),
+        (b"", 1),
+    ])
+    def test_read_refuses_other_layouts(self, tmp_path, header, line):
+        p = tmp_path / "x.ply"
+        if b"%d" in header:
+            header %= 1
+        p.write_bytes(header + b"\x00" * 32)
+        with pytest.raises(ParseError, match=f"PLY header line {line} is ") as err:
+            rio.read_ply(p)
+        assert err.value.path == p and str(p) in str(err.value)
+
+    @pytest.mark.parametrize("size", [0, 31, 33, 64])
+    def test_read_refuses_a_payload_of_another_size(self, tmp_path, size):
+        p = tmp_path / "x.ply"
+        p.write_bytes(PLY_HEADER % 1 + b"\x00" * size)
+        with pytest.raises(ParseError, match=f"PLY payload of {size} bytes, "
+                                             f"need 32 for 1 vertices") as err:
+            rio.read_ply(p)
+        assert err.value.path == p
+
+    def test_huge_count_is_refused_before_allocating(self, tmp_path):
+        p = tmp_path / "x.ply"
+        p.write_bytes(PLY_HEADER % (10**17) + b"\x00" * 32)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParseError, match="PLY payload of 32 bytes"):
+                rio.read_ply(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestDsiDump:

@@ -28,8 +28,8 @@ from raysweep.depth import (
     median_filter_depth,
     refine_result,
 )
-from raysweep.dsi import (DsiGrid, FusionOp, fuse, prepare_sweep, sweep_band,
-                          vote_events)
+from raysweep.dsi import (DsiGrid, FusionOp, fuse, prepare_sweep, resolve_workers,
+                          sweep_band, vote_events)
 from raysweep.errors import DsiTooLarge, ParseError, RaysweepError
 from raysweep.events import EventStream, chunk_events, select_reference_view
 from raysweep.geometry import (
@@ -59,6 +59,13 @@ CONFIG_DOCUMENTS = st.dictionaries(
     JSON_VALUES | st.lists(st.text(), max_size=2) | st.sampled_from(
         ["harmonic", "power:0.5", "power:1e400", "power:x", "nearest", "cfg.json"]),
 )
+
+
+def untimed(stats: dict) -> dict:
+    """A chunk's stats less what says how it ran rather than what it
+    computed: its timings, its band step and its worker count."""
+    return {k: v for k, v in stats.items()
+            if k not in ("timings", "band_step", "workers")}
 
 
 @pytest.fixture(scope="module")
@@ -309,9 +316,8 @@ class TestRunPipeline:
                                                   + cam["events_skipped"])
             read = sum(o.stats["events_read"] for o in outs)
             assert read + before == sum(len(s) for s in trimmed.values())
-        untimed = [[{k: v for k, v in o.stats.items() if k != "timings"} for o in outs]
-                   for outs in runs]
-        assert untimed[0] == untimed[1]
+        assert [untimed(o.stats) for o in runs[0]] == \
+            [untimed(o.stats) for o in runs[1]]
 
     def test_zero_event_chunk_yields_empty_result(self, pinhole_cam):
         # two bursts separated by a quiet window: the middle chunk is empty
@@ -434,8 +440,8 @@ class TestRunPipeline:
             with numpy_kernel():
                 np_out = process_chunk(copy.deepcopy(chunk), sc.rig, rot, config)
             assert (c_out.stats.pop("kernel"), np_out.stats.pop("kernel")) == ("c", "numpy")
-            c_out.stats.pop("timings"), np_out.stats.pop("timings")
-            assert c_out.stats == np_out.stats and c_out.stats["events_voted"] > 0
+            assert untimed(c_out.stats) == untimed(np_out.stats)
+            assert c_out.stats["events_voted"] > 0
             for a, b in zip([c_out.fused] + c_out.camera_grids,
                             [np_out.fused] + np_out.camera_grids):
                 assert np.array_equal(a.votes.view(np.uint64), b.votes.view(np.uint64))
@@ -594,7 +600,7 @@ class TestBandLoop:
             for cid in rig.camera_ids:
                 assert type(per_camera[cid]["votes"]) is int
                 assert per_camera[cid]["votes"] == cast[cid], (workers, cid)
-            stats.append({k: v for k, v in out.stats.items() if k != "timings"})
+            stats.append(untimed(out.stats))
         assert stats[0] == stats[1] == stats[2]
         for cid, grid in zip(rig.camera_ids, grids):
             assert stats[0]["cameras"][cid]["events_skipped"] == grid.skipped_events
@@ -630,8 +636,7 @@ class TestBandLoop:
             c_out, np_out = runs
             assert (c_out.stats.pop("kernel"), np_out.stats.pop("kernel")) == \
                 ("c", "numpy")
-            c_out.stats.pop("timings"), np_out.stats.pop("timings")
-            assert c_out.stats == np_out.stats
+            assert untimed(c_out.stats) == untimed(np_out.stats)
             assert all(c["votes"] > 0 for c in c_out.stats["cameras"].values())
             for a, b in zip([c_out.fused] + c_out.camera_grids,
                             [np_out.fused] + np_out.camera_grids):
@@ -658,7 +663,7 @@ class TestBandLoop:
                         volume = np.full((num_planes, 180, 240), np.nan)
                         out = process_chunk(copy.deepcopy(chunk), rig, traj, config,
                                             workers=workers, volume=volume)
-                        stats = {k: v for k, v in out.stats.items() if k != "timings"}
+                        stats = untimed(out.stats)
                         outs.append((volume, stats))
                     ref_volume, ref_stats = outs[0]
                     if not ref_volume.any():
@@ -882,9 +887,7 @@ class TestVolumeFree:
             for name in ("depth", "confidence", "mask"):
                 assert getattr(got.result, name).tobytes() == \
                     getattr(want.result, name).tobytes(), (workers, name)
-            for out in (want, got):
-                out.stats.pop("timings")
-            assert got.stats == want.stats, workers
+            assert untimed(got.stats) == untimed(want.stats), workers
             # the masked pixels' argmax planes include the volume's first
             # and last and every run's edges, and refinement moved depths
             mask = want.result.mask
@@ -962,8 +965,7 @@ def assert_same_chunk(got, want, volumes=()):
     for name in ("depth", "confidence", "mask"):
         assert getattr(got.result, name).tobytes() == \
             getattr(want.result, name).tobytes(), name
-    assert {k: v for k, v in got.stats.items() if k != "timings"} == \
-        {k: v for k, v in want.stats.items() if k != "timings"}
+    assert untimed(got.stats) == untimed(want.stats)
     pairs = list(volumes)
     if want.fused is not None:
         pairs += [(g.votes, w.votes) for g, w in zip(
@@ -1171,6 +1173,105 @@ class TestCompiledBandLoop:
             for name in ("depth", "mask", "confidence"):
                 assert getattr(out.result, name).tobytes() == \
                     getattr(want, name).tobytes(), (workers, name)
+
+
+@pytest.fixture(scope="module", params=["lateral_room", "noisy_left"])
+def scenario_chunk(request):
+    """(scenario, its first 0.5 s chunk) of 300 scene points."""
+    sc = make_scenario(request.param, n_points=300, seed=7)
+    streams = sc.simulate()
+    chunk = chunk_events([streams[c] for c in sc.rig.camera_ids], 0.5)[0]
+    return sc, chunk
+
+
+class TestParallelPreparation:
+    @staticmethod
+    def _run(sc, chunk, workers, monkeypatch):
+        """process_chunk at ``workers``, with the threads that prepared each
+        camera's rays and the rays and joined arrays that the band loop got."""
+        threads, seen = [], []
+        real_prepare, real_vote = pipeline.prepare_sweep, pipeline._vote_and_fuse
+
+        def prepare(*args, **kwargs):
+            threads.append(threading.get_ident())
+            return real_prepare(*args, **kwargs)
+
+        def vote(fused, rays, joined, *args):
+            seen.append((rays, joined))
+            return real_vote(fused, rays, joined, *args)
+        with monkeypatch.context() as m:
+            m.setattr(pipeline, "prepare_sweep", prepare)
+            m.setattr(pipeline, "_vote_and_fuse", vote)
+            out = process_chunk(copy.deepcopy(chunk), sc.rig, sc.traj, sc.config,
+                                workers=workers)
+        return out, threads, seen[0]
+
+    def test_workers_prepare_the_same_bits(self, scenario_chunk, monkeypatch):
+        # each camera's rays are prepared on a thread of their own at two
+        # workers and on the calling thread at one, into the same slices
+        sc, chunk = scenario_chunk
+        (one, threads1, (rays1, joined1)), (two, threads2, (rays2, joined2)) = [
+            self._run(sc, chunk, workers, monkeypatch) for workers in (1, 2)]
+        main = threading.get_ident()
+        assert threads1 == [main, main] and main not in threads2
+        assert len(threads2) == 2
+        assert [a.tobytes() for a in joined1] == [a.tobytes() for a in joined2]
+        for r1, r2 in zip(rays1, rays2):
+            for a, b in zip(r1.affine + r1.graze, r2.affine + r2.graze):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        assert one.stats["workers"] == 1 and two.stats["workers"] == 2
+        assert_same_chunk(two, one)
+        assert one.result.num_valid > 0
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_first_bad_camera_in_rig_order_raises(self, scenario_chunk, workers):
+        # a pixel outside the sensor fails that camera's preparation; with
+        # both cameras bad, the left one's error is raised
+        sc, chunk = scenario_chunk
+        left, right = sc.rig.camera_ids
+
+        def off_sensor(stream):
+            x = stream.x.copy()
+            x[3] = 240
+            return EventStream(stream.camera_id, stream.t, x, stream.y,
+                               stream.polarity)
+        for bad, named in (((right,), right), ((left, right), left)):
+            broken = copy.deepcopy(chunk)
+            for cid in bad:
+                broken.events[cid] = off_sensor(broken.events[cid])
+            with pytest.raises(ValueError, match=f"stream {named}: event 3 at "
+                                                 f"\\(240, "):
+                process_chunk(broken, sc.rig, sc.traj, sc.config, workers=workers)
+
+
+class TestChunkStats:
+    KEYS = {"chunk", "t_start", "t_end", "cameras", "events_read", "events_voted",
+            "events_skipped", "valid_pixels", "kernel", "band_step", "workers",
+            "timings"}
+
+    @pytest.fixture(scope="class")
+    def room(self):
+        sc = make_scenario("lateral_room", n_points=500, seed=7)
+        return sc, sc.simulate()
+
+    @pytest.mark.parametrize("duration,band_step", [(0.05, "sparse"), (0.5, "dense")])
+    @pytest.mark.parametrize("workers", [1, 2, 40])
+    def test_schema(self, room, duration, band_step, workers):
+        # 100 planes form 25 bands: 40 workers run 25 of them
+        sc, streams = room
+        config = dataclasses.replace(sc.config, chunk_duration=duration)
+        outs = run_pipeline(config, streams=streams, rig=sc.rig, traj=sc.traj,
+                            workers=workers)
+        assert len(outs) == round(0.5 / duration)
+        for out in outs:
+            st = out.stats
+            assert set(st) == self.KEYS
+            assert set(st["timings"]) == {"reference", "rays", "vote_fuse",
+                                          "extraction"}
+            assert st["kernel"] == "c"
+            assert st["band_step"] == band_step
+            assert st["workers"] == min(resolve_workers(workers), 25)
+            assert json.loads(json.dumps(st)) == st
 
 
 class TestDsiShape:
