@@ -477,11 +477,11 @@ static void track_band(const struct band *b, int64_t planes,
  * at 0; the call also keeps below and above, the fused votes at each
  * pixel's best plane -1 and +1 (track_band, with prev as there, NULL for
  * a run's first band), so that refinement needs no plane of the volume. */
-void fuse_band(double *stack, int64_t n, int64_t stride, int64_t planes,
-               int64_t plane, int kind, double *out, int64_t p0,
-               double *confidence, int64_t *best, const double *prev,
-               double *below, double *above, int64_t width, uint8_t *marks,
-               int64_t mark_stride, uint8_t *written)
+static void fuse_band(double *stack, int64_t n, int64_t stride, int64_t planes,
+                      int64_t plane, int kind, double *out, int64_t p0,
+                      double *confidence, int64_t *best, const double *prev,
+                      double *below, double *above, int64_t width,
+                      uint8_t *marks, int64_t mark_stride, uint8_t *written)
 {
     const struct band b = {stack, n, stride, kind, out, plane, p0,
                            confidence, best};
@@ -505,10 +505,12 @@ void fuse_band(double *stack, int64_t n, int64_t stride, int64_t planes,
  * fuse_band fuses them into the band's planes of volume or, where that is
  * NULL, into outs + (q / band % 2) * band * plane for the band starting at
  * plane q, with written at the same offset in mark units, prev being the
- * band before's last fused plane. hit[k] is set for every event that
- * votes, casts[c] gets camera c's (event, plane) votes, and first, when
- * not NULL, the run's first fused plane. Every output is that of the same
- * sweep and fuse_band calls made one by one.
+ * band before's last fused plane: for the run's first band, the prev
+ * given (the fused plane p0 - 1 of a run that goes on from an earlier
+ * call), or NULL. hit[k] is set for every event that votes, casts[c] gets
+ * camera c's (event, plane) votes, and first, when not NULL, the run's
+ * first fused plane. A run split into calls of fewer bands, each given
+ * the last fused plane before it, gives the same outputs bit for bit.
  */
 void run_bands(const double *a_u, const double *a_v, const double *b_u,
                const double *b_v, const int64_t *lo, const int64_t *hi,
@@ -517,13 +519,12 @@ void run_bands(const double *a_u, const double *a_v, const double *b_u,
                int64_t height, int bilinear, int kind, double *stack,
                int64_t stride, uint8_t *marks, int64_t mark_stride,
                double *volume, double *outs, uint8_t *written,
-               double *confidence, int64_t *best, double *below,
-               double *above, double *first, double *cameras,
+               double *confidence, int64_t *best, const double *prev,
+               double *below, double *above, double *first, double *cameras,
                int64_t cam_stride, uint8_t *hit, int64_t *casts)
 {
     const int64_t plane = width * height;
     const int64_t segs = (width + SEGMENT - 1) / SEGMENT;
-    const double *prev = NULL;
     for (int64_t c = 0; c < n; c++)
         casts[c] = 0;
     for (int64_t q = p0; q < p0 + planes; q += band) {

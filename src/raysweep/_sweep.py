@@ -41,25 +41,32 @@ origin and direction of a near-grazing ray) in one pass per event, with
 numpy's operations in numpy's order, so its outputs are bit-identical to
 the numpy form's.
 
-Its third function, ``fuse_band``, is the compiled ``dsi.fuse_band``: the
-band step that follows the sweep. In one pass over a band of every
-camera's votes it fuses them (min, max, arithmetic, rms or harmonic,
-voxel by voxel, with numpy's IEEE operations in numpy's axis-0 order),
-folds the fused planes into a running per-pixel maximum (strict >, so the
-first maximum, as ``np.argmax``) and zeroes the votes for the next band,
-block by block of at most 128 voxels, so that each block stays in cache
-from its fusion to its zeroing. The C library allocates nothing. Every
-call also keeps the fused votes at each pixel's best
-plane -1 and +1 (one ``(2, H, W)`` array) with ``dsi._track_band``'s
-rule: after the fold, one scan of the peak maps reads them for each
-pixel whose best lies in the band, from the band or the previous band's
-last plane, and reads the band's first plane as the votes above a best
-on the previous band's last plane. The geometric and power means are not
-compiled: numpy's SIMD ``log``, ``exp`` and ``pow`` are not libm's bit
-for bit.
+Its third, ``run_bands``, is a worker's run of the pipeline's band loop
+in one call, reached through ``run_sweep`` with a ``Bands``: every
+camera's rays in one set of arrays with per-camera start offsets, and for
+each band of the run in plane order, each camera's sweep into the
+worker's stack, then the band step, the static ``fuse_band``, into the
+fused volume or the two band outputs in turn. In one pass over the band
+of every camera's votes the step fuses them (min, max, arithmetic, rms
+or harmonic, voxel by voxel, with numpy's IEEE operations in numpy's
+axis-0 order, as ``dsi.fuse_band`` does), folds the fused planes into a
+running per-pixel maximum (strict >, so the first maximum, as
+``np.argmax``) and zeroes the votes for the next band, block by block of
+at most 128 voxels, so that each block stays in cache from its fusion to
+its zeroing; it then keeps the fused votes at each pixel's best plane -1
+and +1 (one ``(2, H, W)`` array) with ``dsi._track_band``'s rule. The
+call also copies each band to the per-camera volumes when they are kept
+and the run's first fused plane to a buffer for the seam merge, and
+returns each camera's vote count; Python checks the arguments once per
+call. Split into calls of one band each, each given the fused plane
+before it (``prev``), a run gives the same outputs bit for bit: the
+pipeline does so where numpy's ``sweep_direct`` votes near-grazing rays
+into each band first. The C library allocates nothing. The geometric and
+power means are not compiled: numpy's SIMD ``log``, ``exp`` and ``pow``
+are not libm's bit for bit.
 
-A short window's votes fill few voxels of the volume, so the two compiled
-steps can skip the empty ones. Given marks, one byte per ``SEGMENT`` (16)
+A short window's votes fill few voxels of the volume, so the band step
+can skip the empty ones. Given marks, one byte per ``SEGMENT`` (16)
 voxels of each row of each plane of a band (``mark_shape``), the C sweep
 sets the segment of every voxel it writes, and ``fuse_band`` then visits
 only marked segments: it fuses, folds and zeroes a segment that every
@@ -69,12 +76,11 @@ clears the marks. A ``written`` mask per band output says which segments
 of it may hold a nonzero value from an earlier band, so that the call
 zeroes only those of the unfused segments and the output ends exact
 everywhere; a volume gets zeros wherever nothing was fused. Every output
-is bit-identical to the dense pass. The numpy sweeps set the whole mark
-array once they vote (only the rare near-grazing rays go there when C
-runs), and the numpy ``fuse_band`` ignores marks: numpy stays the dense
-fallback and the oracle. The sweep's body is compiled twice, with and
-without marking, so an unmarked sweep runs the same machine code as
-before marks existed; ``pipeline._sparse`` decides per chunk.
+is bit-identical to the dense pass. Of the numpy sweeps only
+``sweep_direct`` marks, the whole band once it votes (its near-grazing
+rays are few). The sweep's body is compiled twice, with and without
+marking, so an unmarked sweep runs the same machine code as before marks
+existed; ``pipeline._sparse`` decides per chunk.
 
 Its fourth, ``parse_events``, is the compiled pass of
 ``io._parse_events_blocks``: one pass over a block of event text that
@@ -94,29 +100,16 @@ else (an inline comment, ``1_0``, another whitespace or byte, ``nan``,
 ``1e400``, an out-of-range field) refuses the whole block, and the line
 parser decides with the same values or the error for the first bad line.
 
-Its fifth, ``run_bands``, is a worker's whole run of the pipeline's band
-loop in one call, reached through ``run_sweep`` with a ``Bands``: every
-camera's affine rays in one set of arrays with per-camera start offsets,
-and for each band of the run in plane order, each camera's ``sweep``
-(marked or not) into the worker's stack, then ``fuse_band`` (over marked
-segments or dense) with its tracking, into the fused volume or the two
-band outputs in turn. It also copies each band to the per-camera volumes
-when they are kept and the run's first fused plane to a buffer for the
-seam merge, and returns each camera's vote count. It calls the same two
-functions that Python would call band by band, so every output is the
-same bit for bit; Python checks the arguments once per run instead of
-once per band and camera. ``pipeline._compiled`` decides per chunk: the
-compiled fusion kinds, the library loaded, and no near-grazing ray.
-
 The C source is compiled on first use (not at import), once per source and
 flag set, with ``gcc -O3 -ffp-contract=off -fPIC -shared ... -lm`` into
 ``$XDG_CACHE_HOME/raysweep`` (default ``~/.cache/raysweep``), and loaded with
 ctypes, which releases the GIL for each call: a worker's run of bands is
-one call, so the pipeline's workers hold the GIL only to set their runs up
-and run in parallel for the rest. Without the library, ``run_sweep``,
-``camera_poses`` with ``dsi._prepare_rays``, and ``dsi.fuse_band`` run
-numpy, event files are parsed line by line, and one warning names the
-error; ``kernel_name`` says which kernel runs.
+one call (one per band where rays graze), so the pipeline's workers hold
+the GIL only to set their runs up and run in parallel for the rest.
+Without the library, ``run_sweep`` (without ``bands``), ``camera_poses``
+with ``dsi._prepare_rays``, and ``dsi.fuse_band`` run numpy, event files
+are parsed line by line, and one warning names the error;
+``kernel_name`` says which kernel runs.
 """
 
 from __future__ import annotations
@@ -155,25 +148,21 @@ _ARGTYPES = {
     #         b_u, b_v, lo, hi, origins, dirs, affine_ok)
     "prepare": [_PTR] * 3 + [_I64] + [_PTR] * 5 + [_I64] + [_PTR] * 4
                + [_I64, _F64, _F64] + [_PTR] * 9,
-    # fuse_band(stack, n, stride, planes, plane, kind, out, p0, confidence,
-    #           best, prev, below, above, width, marks, mark_stride, written)
-    "fuse_band": [_PTR, _I64, _I64, _I64, _I64, ctypes.c_int, _PTR, _I64]
-                 + [_PTR] * 5 + [_I64, _PTR, _I64, _PTR],
     # parse_events(text, len, width, height, t, x, y, p, cap)
     "parse_events": [_PTR, _I64, _I64, _I64] + [_PTR] * 4 + [_I64],
     # run_bands(a_u, a_v, b_u, b_v, lo, hi, starts, n, inv_zs, p0, planes,
     #           band, width, height, bilinear, kind, stack, stride, marks,
-    #           mark_stride, volume, outs, written, confidence, best, below,
-    #           above, first, cameras, cam_stride, hit, casts)
+    #           mark_stride, volume, outs, written, confidence, best, prev,
+    #           below, above, first, cameras, cam_stride, hit, casts)
     "run_bands": [_PTR] * 7 + [_I64, _PTR] + [_I64] * 5
-                 + [ctypes.c_int] * 2 + [_PTR, _I64, _PTR, _I64] + [_PTR] * 9
+                 + [ctypes.c_int] * 2 + [_PTR, _I64, _PTR, _I64] + [_PTR] * 10
                  + [_I64, _PTR, _PTR],
 }
 # what each returns; None is void
-_RESTYPES = {"sweep": _I64, "prepare": _I64, "fuse_band": None,
-             "parse_events": _I64, "run_bands": None}
+_RESTYPES = {"sweep": _I64, "prepare": _I64, "parse_events": _I64,
+             "run_bands": None}
 
-# The fusion kinds that fuse_band compiles, in _sweep.c's numbering. The
+# The fusion kinds that run_bands compiles, in _sweep.c's numbering. The
 # others (geometric, power) stay with numpy: its SIMD log, exp and pow are
 # not libm's bit for bit.
 FUSE_KINDS = ("min", "max", "arithmetic", "rms", "harmonic")
@@ -221,7 +210,7 @@ def _build() -> Path:
 
 def _load_c():
     """The compiled library, built and loaded on first call, with its
-    ``sweep``, ``prepare``, ``fuse_band`` and ``parse_events`` functions
+    ``sweep``, ``prepare``, ``parse_events`` and ``run_bands`` functions
     typed; None if that failed, in which case the first call warned once."""
     global _c_lib, _c_error
     with _lock:
@@ -255,15 +244,6 @@ def kernel_name() -> str:
     return "c" if _load_c() is not None else "numpy"
 
 
-def _check_votes(votes):
-    """Both kernels index ``votes`` flat, as a C-contiguous array."""
-    if not (isinstance(votes, np.ndarray) and votes.dtype == np.float64
-            and votes.ndim == 3 and votes.flags.c_contiguous
-            and votes.flags.writeable):
-        raise ValueError("votes must be a writable C-contiguous float64 "
-                         "(planes, height, width) array")
-
-
 def mark_shape(planes: int, height: int, width: int) -> tuple:
     """The shape of the marks of a (planes, height, width) band: one byte
     per SEGMENT voxels of each row, the last segment of a row maybe short."""
@@ -273,10 +253,14 @@ def mark_shape(planes: int, height: int, width: int) -> tuple:
 def _check_band(votes, offset, depths, marks=None):
     """Both kernels sweep the planes [offset, offset + len(votes)) of the
     volume, reading their depth samples ``depths[i]``; raises ValueError
-    unless ``votes`` passes ``_check_votes``, those planes exist and
-    ``marks``, unless None, is a writable C-contiguous uint8 array of
-    ``mark_shape(*votes.shape)``."""
-    _check_votes(votes)
+    unless ``votes`` is a writable C-contiguous float64 array (both
+    kernels index it flat), those planes exist and ``marks``, unless None,
+    is a writable C-contiguous uint8 array of ``mark_shape(*votes.shape)``."""
+    if not (isinstance(votes, np.ndarray) and votes.dtype == np.float64
+            and votes.ndim == 3 and votes.flags.c_contiguous
+            and votes.flags.writeable):
+        raise ValueError("votes must be a writable C-contiguous float64 "
+                         "(planes, height, width) array")
     if offset < 0 or np.ndim(depths) != 1 or len(depths) < offset + len(votes):
         raise ValueError(f"planes [{offset}, {offset + len(votes)}) of votes "
                          f"outside the {np.size(depths)} depth samples")
@@ -284,22 +268,20 @@ def _check_band(votes, offset, depths, marks=None):
         _check_map(marks, np.uint8, mark_shape(*votes.shape), "marks")
 
 
-def _sweep_c(a_u, a_v, b_u, b_v, lo, hi, inv_zs, votes, bilinear, offset=0,
-             marks=None):
-    """Call the C kernel after checking every bound it relies on, so that
-    no argument can make it read or write outside its arrays. Returns the
-    hit mask and the number of votes cast; ``marks`` (``mark_shape`` of
-    ``votes``, or None) gets the segment of every voxel a vote wrote."""
+def _sweep_c(a_u, a_v, b_u, b_v, lo, hi, inv_zs, votes, bilinear, offset=0):
+    """Call the C kernel, unmarked, after checking every bound it relies
+    on, so that no argument can make it read or write outside its arrays.
+    Returns the hit mask and the number of votes cast."""
     lib = _require_c()
     rays, inv_zs = _contiguous_rays(a_u, a_v, b_u, b_v, lo, hi, inv_zs)
     offset = int(offset)
-    _check_band(votes, offset, inv_zs, marks)
+    _check_band(votes, offset, inv_zs)
     n = len(rays[4])
     hit = np.zeros(n, dtype=bool)
     planes, height, width = votes.shape
     cast = lib.sweep(*(a.ctypes.data for a in rays), n, inv_zs.ctypes.data,
                      votes.ctypes.data, planes, offset, width, height,
-                     int(bilinear), hit.ctypes.data, _data(marks))
+                     int(bilinear), hit.ctypes.data, None)
     return hit, cast
 
 
@@ -414,60 +396,6 @@ def _check_map(a, dtype, shape, what):
                          f"{np.dtype(dtype).name} arrays of shape {shape}")
 
 
-def fuse_band_c(kind, stack, out, p0, confidence, best, prev, around,
-                marks=None, written=None):
-    """Run the C ``fuse_band`` after checking every dtype, shape, stride and
-    index it relies on, so that no argument can make it read or write
-    outside its arrays.
-
-    ``stack`` (cameras, planes, H, W) holds each camera's votes on the
-    planes [p0, p0 + planes) of the volume; each camera's planes must be
-    contiguous, but the cameras may lie any stride apart (a short band of a
-    larger buffer). It is fused with ``kind`` (one of FUSE_KINDS) into the
-    C-contiguous ``out`` (planes, H, W), folded into the running per-pixel
-    maximum ``confidence`` (float64) and its plane ``best`` (int64), both
-    C-contiguous (H, W), and zeroed. The call also keeps in ``around``, a
-    C-contiguous float64 (2, H, W) array that the bands of one run share,
-    the fused votes at each pixel's best plane -1 and +1 (see
-    ``dsi._track_band``); ``prev`` (H, W) is the previous band's last
-    fused plane, None for a run's first band.
-
-    With ``marks`` (cameras, planes, H, segs) uint8, ``mark_shape`` per
-    camera (each camera's marks contiguous, the cameras any stride apart),
-    which set at least every segment that holds a vote, the call visits
-    only the marked segments: it fuses, folds and zeroes a segment that
-    every camera marked (min, harmonic) or any camera did (max,
-    arithmetic, rms), zeroes the other marked ones, and clears the marks.
-    Every other segment of ``out`` is set to zero, except where
-    ``written`` (``mark_shape`` of ``out``, or None: everywhere), the
-    segments of ``out`` that may hold a nonzero value, says that it
-    already is; ``written`` is left marking the fused segments. Every
-    output is the same bit for bit as without marks.
-    """
-    lib = _require_c()
-    _check_kind(kind)
-    stride = _check_stack(stack, "stack")
-    n, planes, height, width = stack.shape
-    _check_votes(out)
-    if out.shape != (planes, height, width):
-        raise ValueError(f"out must have shape {(planes, height, width)}")
-    _check_peak(confidence, best, around, (height, width))
-    if prev is not None:
-        _check_map(prev, np.float64, (height, width), "prev")
-    mark_stride = _check_marks(marks, stack.shape)
-    if written is not None:
-        if marks is None:
-            raise ValueError("written needs marks: without them every "
-                             "segment of out is written")
-        _check_map(written, np.uint8, mark_shape(planes, height, width),
-                   "written")
-    lib.fuse_band(stack.ctypes.data, n, stride, planes, height * width,
-                  FUSE_KINDS.index(kind), out.ctypes.data, int(p0),
-                  confidence.ctypes.data, best.ctypes.data, _data(prev),
-                  around[0].ctypes.data, around[1].ctypes.data, width,
-                  _data(marks), mark_stride, _data(written))
-
-
 def _data(a):
     """The address that C is given for ``a``: NULL for None."""
     return None if a is None else a.ctypes.data
@@ -475,7 +403,7 @@ def _data(a):
 
 def _check_kind(kind):
     if kind not in FUSE_KINDS:
-        raise ValueError(f"fuse_band compiles {FUSE_KINDS}, not {kind!r}")
+        raise ValueError(f"run_bands compiles {FUSE_KINDS}, not {kind!r}")
 
 
 def _check_stack(stack, what):
@@ -496,12 +424,6 @@ def _check_stack(stack, what):
                   or stack.strides[0] < planes * height * width * item):
         raise ValueError(f"the cameras' planes of {what} must not overlap")
     return stack.strides[0] // item
-
-
-def _check_peak(confidence, best, around, shape):
-    _check_map(confidence, np.float64, shape, "the peak maps")
-    _check_map(best, np.int64, shape, "the peak maps")
-    _check_map(around, np.float64, (2,) + shape, "around")
 
 
 def _check_marks(marks, shape):
@@ -594,7 +516,7 @@ def _scatter_plane(u, v, ok, plane, bilinear):
     return ok
 
 
-def _sweep_planes(project, lo, hi, votes, bilinear, offset, depths, marks):
+def _sweep_planes(project, lo, hi, votes, bilinear, offset, depths, marks=None):
     """Plane-major numpy sweep shared by the affine and the direct kernel.
 
     ``project(i, s, e)`` returns the pixel coordinates (u, v) where the rays
@@ -622,8 +544,7 @@ def _sweep_planes(project, lo, hi, votes, bilinear, offset, depths, marks):
     return hit, cast
 
 
-def _sweep_numpy(a_u, a_v, b_u, b_v, lo, hi, inv_zs, votes, bilinear, offset=0,
-                 marks=None):
+def _sweep_numpy(a_u, a_v, b_u, b_v, lo, hi, inv_zs, votes, bilinear, offset=0):
     def project(i, s, e):
         inv_z = inv_zs[i]
         with np.errstate(invalid="ignore", over="ignore"):
@@ -633,7 +554,7 @@ def _sweep_numpy(a_u, a_v, b_u, b_v, lo, hi, inv_zs, votes, bilinear, offset=0,
             v += a_v[s:e]
         return u, v
 
-    return _sweep_planes(project, lo, hi, votes, bilinear, offset, inv_zs, marks)
+    return _sweep_planes(project, lo, hi, votes, bilinear, offset, inv_zs)
 
 
 def sweep_direct(origins, dirs, lo, hi, zs, intr, votes, bilinear, offset=0,
@@ -645,8 +566,8 @@ def sweep_direct(origins, dirs, lo, hi, zs, intr, votes, bilinear, offset=0,
     intersection point explicitly stays well conditioned. Vectorized numpy;
     only the rare ill-conditioned events take this route. Same plane-major
     sweep, plane offset and (hit mask, votes cast) return as the affine
-    kernels; ``marks`` (or None) is set whole once a vote is cast, as these
-    rays are too few to mark one by one.
+    kernels; ``marks`` (``mark_shape`` of ``votes``, or None) is set whole
+    once a vote is cast, as these rays are too few to mark one by one.
     """
     fx, fy, cx, cy = intr
 
@@ -671,13 +592,17 @@ class Bands(NamedTuple):
     run is the planes [offset, offset + ``planes``) of the volume. Each
     band is fused with ``kind``, one of FUSE_KINDS, into its planes of
     ``volume`` (``planes``, H, W) or, where that is None, into ``outs``
-    (2, band planes, H, W), the two band outputs in turn, with
-    ``written``, their ``mark_shape`` written masks (2, ...) or None, as
-    ``fuse_band_c`` takes them. ``confidence``, ``best`` and ``around``
-    are the worker's running maximum and the votes beside it, from
-    ``dsi.empty_peak``. ``first`` (H, W), unless None, gets the run's first
-    fused plane, and ``cameras`` (cameras, ``planes``, H, W), unless None,
-    every camera's votes on the run's planes.
+    (2, band planes, H, W), the two band outputs in turn (the band from
+    plane q into ``outs[q // band planes % 2]``), with ``written``, their
+    ``mark_shape`` written masks (2, ...) or None: the segments of each
+    output that may hold a nonzero value, left marking the fused ones.
+    ``confidence``, ``best`` and ``around`` are the worker's running
+    maximum and the votes beside it (``dsi.fuse_band``), from
+    ``dsi.empty_peak``, and ``prev`` (H, W), unless None, the fused plane
+    offset - 1, the last one before the run. ``first`` (H, W), unless
+    None, gets the run's first fused plane, and ``cameras`` (cameras,
+    ``planes``, H, W), unless None, every camera's votes on the run's
+    planes.
     """
 
     starts: np.ndarray
@@ -691,6 +616,7 @@ class Bands(NamedTuple):
     written: np.ndarray | None = None
     first: np.ndarray | None = None
     cameras: np.ndarray | None = None
+    prev: np.ndarray | None = None
 
 
 def _run_c(a_u, a_v, b_u, b_v, lo, hi, inv_zs, stack, mode, offset, marks,
@@ -718,9 +644,12 @@ def _run_c(a_u, a_v, b_u, b_v, lo, hi, inv_zs, stack, mode, offset, marks,
         raise ValueError(f"planes [{offset}, {offset + planes}) of the run "
                          f"outside the {inv_zs.size} depth samples")
     shape = (height, width)
-    _check_peak(bands.confidence, bands.best, bands.around, shape)
-    if bands.first is not None:
-        _check_map(bands.first, np.float64, shape, "first")
+    _check_map(bands.confidence, np.float64, shape, "the peak maps")
+    _check_map(bands.best, np.int64, shape, "the peak maps")
+    _check_map(bands.around, np.float64, (2,) + shape, "around")
+    for name in ("first", "prev"):
+        if getattr(bands, name) is not None:
+            _check_map(getattr(bands, name), np.float64, shape, name)
     mark_stride = _check_marks(marks, stack.shape)
     if (bands.volume is None) == (bands.outs is None):
         raise ValueError("pass exactly one of volume and outs")
@@ -748,7 +677,7 @@ def _run_c(a_u, a_v, b_u, b_v, lo, hi, inv_zs, stack, mode, offset, marks,
                   _data(marks), mark_stride, _data(bands.volume),
                   _data(bands.outs), _data(bands.written),
                   bands.confidence.ctypes.data, bands.best.ctypes.data,
-                  around[0].ctypes.data, around[1].ctypes.data,
+                  _data(bands.prev), around[0].ctypes.data, around[1].ctypes.data,
                   _data(bands.first), _data(bands.cameras), cam_stride,
                   hit.ctypes.data, casts.ctypes.data)
     return hit, casts.tolist()
@@ -764,22 +693,21 @@ def run_sweep(prep, inv_zs, votes, mode, offset=0, marks=None, bands=None):
     checks ``mode``. Returns the boolean mask of events that voted on at
     least one plane and the number of (event, plane) votes cast.
 
-    ``marks``, a ``mark_shape(*votes.shape)`` uint8 array or None, gets a 1
-    at least for every segment of SEGMENT voxels of a row that a vote
-    wrote: C marks each vote's segments, numpy the whole array once a vote
-    is cast. The votes and the count are the same with or without marks.
-
-    With ``bands`` (a ``Bands``, C only), the call is a worker's whole run
-    of band steps in one C call, which holds no GIL: ``prep`` holds every
-    camera's rays, ``votes`` is the worker's zeroed (cameras, band planes,
-    H, W) stack and ``marks`` its (cameras, ...) marks or None, and band by
-    band of the run, each camera is swept into its band of the stack and
-    the band is fused, folded, tracked and zeroed with ``fuse_band_c``.
-    Every output is that of those calls made one by one. The hit mask then
-    covers every camera's events, and the count is a list, one per camera.
+    With ``bands`` (a ``Bands``, C only), the call is a worker's run of
+    band steps in one C call, ``run_bands``, which holds no GIL: ``prep``
+    holds every camera's rays, ``votes`` is the worker's (cameras, band
+    planes, H, W) stack, zeroed or holding votes on the run's first band
+    already, and band by band of the run, each camera's rays are swept
+    into its band of the stack and the band is fused, folded, tracked and
+    zeroed. ``marks``, the stack's (cameras, ...) ``mark_shape`` marks or
+    None (the dense step), set at least every segment that holds a vote
+    and are left cleared. The hit mask then covers every camera's events,
+    and the count is a list, one per camera. Without ``bands`` no marks
+    are taken.
     """
     if bands is not None:
         return _run_c(*prep, inv_zs, votes, mode, offset, marks, bands)
+    if marks is not None:
+        raise ValueError("marks need bands: only the compiled band step reads them")
     sweep = _sweep_c if kernel_name() == "c" else _sweep_numpy
-    return sweep(*prep, inv_zs, votes, bilinear=(mode == "bilinear"), offset=offset,
-                 marks=marks)
+    return sweep(*prep, inv_zs, votes, bilinear=(mode == "bilinear"), offset=offset)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import logging
+import math
 import sys
 from pathlib import Path
 
@@ -57,6 +58,19 @@ def _on_off(text: str) -> bool:
     return text == "on"
 
 
+def _at_least(kind: type, least):
+    """The argparse type of a finite ``kind`` number of at least ``least``:
+    a bad value is a usage error that names the flag, before anything runs."""
+    def parse(text: str):
+        value = kind(text)
+        if not least <= value < math.inf:  # also false for NaN
+            raise argparse.ArgumentTypeError(
+                f"must be finite and at least {least}, got {text}")
+        return value
+    parse.__name__ = kind.__name__  # argparse's name for an unparsable value
+    return parse
+
+
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     """One override flag per PipelineConfig field except the path keys:
     ``--field-name``, typed like the field. A bool field that defaults to
@@ -94,8 +108,8 @@ def build_parser() -> argparse.ArgumentParser:
                              help="generate a synthetic scenario to disk")
     p_synth.add_argument("--scenario", required=True, choices=SCENARIO_NAMES)
     p_synth.add_argument("--out", required=True, help="output directory")
-    p_synth.add_argument("--seed", type=int, default=7)
-    p_synth.add_argument("--points", type=int, default=500,
+    p_synth.add_argument("--seed", type=_at_least(int, 0), default=7)
+    p_synth.add_argument("--points", type=_at_least(int, 1), default=500,
                          help="number of scene points")
 
     p_map = sub.add_parser("map", parents=[common],
@@ -107,8 +121,8 @@ def build_parser() -> argparse.ArgumentParser:
                             help="compare predicted depth against ground truth")
     p_eval.add_argument("--pred", required=True, help="predicted depth PFM")
     p_eval.add_argument("--gt", required=True, help="ground-truth depth PFM")
-    p_eval.add_argument("--match-radius", type=float, default=2.0)
-    p_eval.add_argument("--outlier-rel", type=float, default=0.10)
+    p_eval.add_argument("--match-radius", type=_at_least(float, 0), default=2.0)
+    p_eval.add_argument("--outlier-rel", type=_at_least(float, 0), default=0.10)
     return parser
 
 

@@ -277,10 +277,11 @@ def _prepare_rays(grid: DsiGrid, events: EventStream, cam: CameraModel,
 class SweepRays:
     """One camera's events prepared for sweeps into any range of planes.
 
-    ``affine`` holds the sweep coefficients (a_u, a_v, b_u, b_v, lo, hi) of
-    the well-conditioned rays, ``graze`` the (origins, dirs, lo, hi) of the
-    near-grazing ones; hit masks list the events in this (affine, graze)
-    order.
+    ``affine`` holds every event's sweep coefficients (a_u, a_v, b_u, b_v,
+    lo, hi), in stream order, with an empty plane range (hi = lo) for each
+    near-grazing ray; ``graze`` holds those rays' (origins, dirs, lo, hi,
+    index), ``index`` being each one's event index. Hit masks list the
+    events in stream order.
     """
 
     affine: tuple
@@ -288,7 +289,7 @@ class SweepRays:
 
     @property
     def num_events(self) -> int:
-        return len(self.affine[4]) + len(self.graze[2])
+        return len(self.affine[4])
 
     @property
     def plane_tests(self) -> int:
@@ -331,7 +332,8 @@ def prepare_sweep(grid: DsiGrid, events: EventStream, cam: CameraModel, *,
                   traj: PoseTrajectory | None = None,
                   pose: Se3 | None = None, out=None) -> SweepRays:
     """Per-event camera poses and rays of ``events`` in ``grid``'s reference
-    view, split into the affine-form and the near-grazing rays.
+    view: every ray in affine form, the near-grazing ones also for direct
+    intersection (``SweepRays``).
 
     Camera poses come either from ``traj`` (per-event interpolation) or a
     single fixed ``pose``. With the C library, one compiled pass
@@ -342,7 +344,7 @@ def prepare_sweep(grid: DsiGrid, events: EventStream, cam: CameraModel, *,
     camera, then sweep any plane ranges with ``sweep_band``. ``out``, the
     six arrays of ``_sweep.empty_prep(len(events))`` (or views of larger
     ones), receives every event's affine coefficients, which ``affine``
-    then holds as they are when no ray grazes.
+    then holds.
     """
     if (traj is None) == (pose is None):
         raise ValueError("pass exactly one of traj= or pose=")
@@ -357,60 +359,67 @@ def prepare_sweep(grid: DsiGrid, events: EventStream, cam: CameraModel, *,
         prep = _prepare_rays(grid, events, cam, q_wc, t_wc, out)
         graze = ~prep.affine_ok  # as C: the grazing rays' origins and dirs
         prep = prep._replace(origins=prep.origins[graze], dirs=prep.dirs[graze])
-    # Well-conditioned rays take the affine-form kernel; near-grazing ones
-    # are intersected plane by plane. When no ray grazes, which is usual,
-    # the coefficient arrays are kept as they are, not copied.
-    ok = prep.affine_ok
-    graze = ~ok
-    affine = prep[:6] if not len(prep.origins) else tuple(a[ok] for a in prep[:6])
-    return SweepRays(affine=affine, graze=(prep.origins, prep.dirs,
-                                           prep.lo[graze], prep.hi[graze]))
+    # Near-grazing rays are intersected plane by plane, and their range in
+    # the affine arrays is emptied, so that the affine kernels skip them.
+    index = np.flatnonzero(~prep.affine_ok)
+    lo, hi = prep.lo, prep.hi
+    graze = (prep.origins, prep.dirs, lo[index], hi[index], index)
+    hi[index] = lo[index]
+    return SweepRays(affine=prep[:6], graze=graze)
 
 
 def sweep_band(grid: DsiGrid, rays: SweepRays, votes: np.ndarray, p0: int,
-               mode: str = "bilinear",
-               marks: np.ndarray | None = None) -> tuple[np.ndarray, int]:
+               mode: str = "bilinear") -> tuple[np.ndarray, int]:
     """Vote prepared rays into planes [p0, p0 + len(votes)) of ``grid``'s
     volume, held by the (planes, height, width) array ``votes``
     (accumulates); ``grid.votes`` itself is not touched unless passed.
     An unknown ``mode`` raises ValueError before any vote is written.
 
-    Returns the hit mask over the events in (affine, graze) order, whether
-    each voted on at least one plane of the band, and the number of
-    (event, plane) votes cast. The votes of a plane depend only on the
-    events, never on the band, so any split of the planes into bands gives
-    the same volume bit for bit, and band counts that add up to the whole
-    volume's. ``marks`` (``_sweep.mark_shape`` of ``votes``, uint8, or
-    None) gets at least the segments that the votes wrote (``run_sweep``),
-    for ``fuse_band``.
+    Returns the hit mask over the events in stream order, whether each
+    voted on at least one plane of the band, and the number of (event,
+    plane) votes cast. The votes of a plane depend only on the events,
+    never on the band, so any split of the planes into bands gives the
+    same volume bit for bit, and band counts that add up to the whole
+    volume's. The near-grazing rays vote first (``sweep_direct_band``),
+    then every other ray: the order of the compiled band loop's votes.
 
     The pipeline calls this per band and camera only in its Python band
-    loop: for chunks with near-grazing rays, for the geometric and power
-    means, and without the C library. Other chunks sweep and fuse each
-    worker's whole run of bands in one C call (``_sweep.run_sweep`` with
+    loop: for the geometric and power means, and without the C library.
+    Other chunks sweep and fuse in C (``_sweep.run_sweep`` with
     ``bands``), with the same votes bit for bit.
     """
     if mode not in VOTING_MODES:
         raise ValueError(f"unknown voting mode {mode!r}")
+    hit = np.zeros(rays.num_events, dtype=bool)
+    cast = sweep_direct_band(grid, rays, votes, p0, mode, hit)
     p1 = p0 + votes.shape[0]
     *coeffs, lo, hi = rays.affine
-    origins, dirs, g_lo, g_hi = rays.graze
-    swept = [(np.zeros(0, dtype=bool), 0)]  # (hit mask, votes cast) per kernel
-    if len(lo):
-        # clipped only so that bench/layers.py counts the band's ray-plane tests
-        swept.append(_sweep.run_sweep(
-            (*coeffs, np.clip(lo, p0, p1), np.clip(hi, p0, p1)),
-            grid.inv_depths, votes, mode, offset=p0, marks=marks,
-        ))
-    if len(g_lo):
-        k = grid.ref_intrinsics
-        swept.append(_sweep.sweep_direct(
-            origins, dirs, g_lo, g_hi,
-            grid.depths, (k.fx, k.fy, k.cx, k.cy), votes,
-            bilinear=(mode == "bilinear"), offset=p0, marks=marks,
-        ))
-    hits, casts = zip(*swept)
-    return np.concatenate(hits), sum(casts)
+    # clipped only so that bench/layers.py counts the band's ray-plane tests
+    affine_hit, affine_cast = _sweep.run_sweep(
+        (*coeffs, np.clip(lo, p0, p1), np.clip(hi, p0, p1)),
+        grid.inv_depths, votes, mode, offset=p0)
+    hit |= affine_hit
+    return hit, cast + affine_cast
+
+
+def sweep_direct_band(grid: DsiGrid, rays: SweepRays, votes: np.ndarray,
+                      p0: int, mode: str, hit: np.ndarray,
+                      marks: np.ndarray | None = None) -> int:
+    """Vote the near-grazing rays of ``rays`` into planes [p0, p0 +
+    len(votes)) of ``grid``'s volume, held by ``votes``, with numpy's
+    ``_sweep.sweep_direct``; sets ``hit`` (over every event, in stream
+    order) where one voted and returns the votes cast. ``marks``
+    (``_sweep.mark_shape`` of ``votes``, or None) is set whole once a vote
+    is cast."""
+    origins, dirs, lo, hi, index = rays.graze
+    if not len(index):
+        return 0
+    k = grid.ref_intrinsics
+    voted, cast = _sweep.sweep_direct(
+        origins, dirs, lo, hi, grid.depths, (k.fx, k.fy, k.cx, k.cy), votes,
+        bilinear=(mode == "bilinear"), offset=p0, marks=marks)
+    hit[index] |= voted
+    return cast
 
 
 def vote_events(
@@ -665,9 +674,8 @@ def _track_band(out, p0: int, confidence, best, around, prev):
 
 
 def fuse_band(op: FusionOp, stack: np.ndarray, out: np.ndarray, p0: int, peak,
-              around: np.ndarray, prev: np.ndarray | None = None,
-              marks: np.ndarray | None = None, written: np.ndarray | None = None):
-    """Fuse one band of every camera's votes and zero them.
+              around: np.ndarray, prev: np.ndarray | None = None):
+    """Fuse one band of every camera's votes and zero them, in numpy.
 
     ``stack`` (cameras, planes, H, W) holds the votes on the planes
     [p0, p0 + planes) of the volume, ``out`` receives their fusion and
@@ -679,21 +687,11 @@ def fuse_band(op: FusionOp, stack: np.ndarray, out: np.ndarray, p0: int, peak,
     ``prev`` is the previous band's last fused plane, None for the run's
     first band.
 
-    For the kinds in ``_sweep.FUSE_KINDS`` this is one pass of the C
-    ``fuse_band`` whenever the library loads: the same IEEE operations in
-    numpy's order, so every output is bit-identical. This numpy form is
-    its fallback and test oracle, and the only form of the geometric and
-    power means.
-
-    ``marks``, each camera's marks from ``sweep_band``, and ``written``,
-    the segments of ``out`` that may hold a nonzero value, let the C pass
-    visit only the marked segments, with the same outputs bit for bit
-    (``_sweep.fuse_band_c``); the numpy form ignores both.
+    For the kinds in ``_sweep.FUSE_KINDS`` the C ``run_bands`` takes this
+    step with the same IEEE operations in numpy's order, so every output is
+    bit-identical. This numpy form is its fallback and test oracle, and the
+    only form of the geometric and power means.
     """
-    if op.kind in _sweep.FUSE_KINDS and _sweep.kernel_name() == "c":
-        _sweep.fuse_band_c(op.kind, stack, out, p0, *peak, prev, around, marks,
-                           written)
-        return
     op.apply_into(stack, out)  # overwrites stack
     update_peak(out, p0, *peak)
     _track_band(out, p0, *peak, around, prev)

@@ -47,6 +47,7 @@ from .dsi import (  # noqa: F401
     prepare_sweep,
     resolve_workers,
     sweep_band,
+    sweep_direct_band,
     vote_events,
 )
 from .errors import DsiTooLarge, ParseError, RaysweepError
@@ -266,7 +267,7 @@ def process_chunk(
     cameras = np.empty((len(rays),) + shape) if config.dump_dsi else None
     op = FusionOp.from_string(config.fusion)
     hits, votes, peak, around = _vote_and_fuse(
-        fused, rays, joined, op, config.voting, workers, cameras,
+        fused, rays, joined, starts, op, config.voting, workers, cameras,
     )
     timings["vote_fuse"] = time.perf_counter() - t0
 
@@ -338,7 +339,7 @@ def _in_parallel(fn, workers: int, *iterables) -> list:
 
 def _sparse(rays, op: FusionOp, shape: tuple) -> bool:
     """Whether the chunk's sweeps mark the segments they write and its band
-    steps visit only those (``dsi.fuse_band``'s marks): for the compiled
+    steps visit only those (``_sweep.run_sweep``'s marks): for the compiled
     fusion kinds, when every camera's ray-plane tests over the ``shape``
     volume are fewer than SPARSE_TESTS_PER_VOXEL per voxel. Denser votes
     fill most segments, and marking them costs more than it skips."""
@@ -348,12 +349,10 @@ def _sparse(rays, op: FusionOp, shape: tuple) -> bool:
     return tests < SPARSE_TESTS_PER_VOXEL * math.prod(shape)
 
 
-def _compiled(rays, op: FusionOp) -> bool:
-    """Whether a chunk's band loop runs in C, one ``_sweep.run_sweep`` call
-    per worker run: for the compiled fusion kinds when the library loads
-    and no ray grazes (``dsi.sweep_direct`` is numpy only)."""
-    return (op.kind in FUSE_KINDS and kernel_name() == "c"
-            and not any(len(r.graze[2]) for r in rays))
+def _compiled(op: FusionOp) -> bool:
+    """Whether a chunk's band loop runs in C (``_sweep.run_sweep`` with
+    ``bands``): for the compiled fusion kinds when the library loads."""
+    return op.kind in FUSE_KINDS and kernel_name() == "c"
 
 
 def _runs(num_planes: int, workers: int) -> list:
@@ -367,7 +366,7 @@ def _runs(num_planes: int, workers: int) -> list:
             for j in range(workers)]
 
 
-def _vote_and_fuse(fused: DsiGrid, rays, joined, op: FusionOp, mode: str,
+def _vote_and_fuse(fused: DsiGrid, rays, joined, starts, op: FusionOp, mode: str,
                    workers: int, cameras: np.ndarray | None = None):
     """Vote every camera's prepared rays and fuse them, one band of
     BAND_PLANES planes at a time, into ``fused.votes`` or, where that is
@@ -382,24 +381,23 @@ def _vote_and_fuse(fused: DsiGrid, rays, joined, op: FusionOp, mode: str,
     in turn, so that the previous band's last plane stays readable),
     folds the fused planes into a running per-pixel maximum, keeps the
     votes beside it in the worker's (2, H, W) array, and zeroes the stack
-    for the next band. A sparse chunk (``_sparse``) sweeps with each
-    worker's marks and fuses only the marked segments, keeping a written
-    mask per band output; its results are the dense pass's bit for bit.
+    for the next band.
 
-    Where ``_compiled`` (min, max, arithmetic, rms or harmonic, the C
-    library loaded, no near-grazing ray), the sweep takes every camera's
-    affine rays from ``joined``, the ``_sweep.empty_prep`` arrays that
-    ``prepare_sweep`` filled, camera k's from ``starts[k]`` in rig order
-    (so with no grazing ray, each camera's ``affine`` is a slice of them). Each
-    worker's whole run is one
-    ``_sweep.run_sweep`` call with a ``_sweep.Bands``: its arguments are
-    checked once, and the C ``run_bands`` sweeps, fuses and tracks every
-    band of the run without the GIL. Any other chunk runs the same steps
-    from Python, band by band: ``dsi.sweep_band`` per camera, then
-    ``dsi.fuse_band`` (one pass of the C ``fuse_band`` for the compiled
-    kinds, numpy otherwise); this loop is the fallback and the oracle of
-    the compiled one, whose outputs are the same bit for bit. A plane's
-    votes depend only on the events and every fusion operator is
+    Where ``_compiled`` (min, max, arithmetic, rms or harmonic, and the C
+    library loaded), the C ``run_bands`` (``_sweep.run_sweep`` with a
+    ``_sweep.Bands``) sweeps, fuses and tracks without the GIL. It takes
+    every camera's rays from ``joined``, the ``_sweep.empty_prep`` arrays
+    that ``prepare_sweep`` filled, camera k's from ``starts[k]`` in rig
+    order. Each worker's whole run is one call, or, where some camera has
+    near-grazing rays, one call per band, after numpy's ``sweep_direct``
+    has voted those rays into the band (``dsi.sweep_direct_band``). A
+    sparse chunk (``_sparse``) sweeps with each worker's marks and fuses
+    only the marked segments, keeping a written mask per band output; its
+    results are the dense pass's bit for bit. Any other chunk runs the
+    same steps from Python, band by band: ``dsi.sweep_band`` per camera,
+    then numpy's ``dsi.fuse_band``; this loop is the fallback and the
+    oracle of the compiled one, whose outputs are the same bit for bit. A
+    plane's votes depend only on the events and every fusion operator is
     element-wise, so the result is bit-identical to voting whole volumes
     with ``vote_events`` and fusing them with ``fuse``, at any worker
     count.
@@ -417,67 +415,85 @@ def _vote_and_fuse(fused: DsiGrid, rays, joined, op: FusionOp, mode: str,
     n, nz = len(rays), fused.num_planes
     runs = _runs(nz, workers)
     band = (BAND_PLANES, fused.height, fused.width)
-    sparse = _sparse(rays, op, (nz,) + band[1:])
-    # every camera's rays in joined, camera k's from starts[k]
-    prep = joined if _compiled(rays, op) else None
-    starts = np.cumsum([0] + [r.num_events for r in rays])
+    compiled = _compiled(op)
+    sparse = compiled and _sparse(rays, op, (nz,) + band[1:])
+    grazing = any(len(r.graze[2]) for r in rays)
+    prep, live, live_starts = joined, slice(None), starts
+    if compiled and grazing:
+        # C would test every grazing ray's empty range on every plane, a
+        # branch that mispredicts where such rays interleave with the
+        # others: it sweeps the rays with planes in range only
+        live = np.flatnonzero(joined[5] > joined[4])
+        prep = [a[live] for a in joined]
+        live_starts = np.searchsorted(live, starts)
 
     def run(j):
         stack = np.zeros((n,) + band)
         outs = np.empty((2,) + band) if fused.votes is None else None
         around = np.empty((2,) + band[1:])
         peak = empty_peak(*band[1:])
-        # each camera's marks, and the segments of each band output that
-        # may hold a nonzero value: all of them at first (np.empty)
+        start, stop = runs[j].start * BAND_PLANES, min(runs[j].stop * BAND_PLANES, nz)
+        bands = map(lambda b: (b * BAND_PLANES, min((b + 1) * BAND_PLANES, nz)),
+                    runs[j])  # (p0, p1) of each band, made one at a time
+        hit = np.zeros(starts[-1], dtype=bool)  # every camera's events
+        votes = [0] * n
+        first = np.empty(band[1:]) if j else None  # the merge reads it at the seam
+        prev = None
+
+        def out(p0, p1):  # where the band step fuses the planes [p0, p1) of a band
+            if outs is None:
+                return fused.votes[p0:p1]
+            return outs[p0 // BAND_PLANES % 2, p0 % BAND_PLANES:][:p1 - p0]
+
+        if not compiled:
+            for p0, p1 in bands:
+                planes = stack[:, :p1 - p0]
+                for k, r in enumerate(rays):
+                    voted, cast = sweep_band(fused, r, planes[k], p0, mode)
+                    hit[starts[k]:starts[k + 1]] |= voted
+                    votes[k] += cast
+                if cameras is not None:
+                    cameras[:, p0:p1] = planes
+                fuse_band(op, planes, out(p0, p1), p0, peak, around, prev)
+                if first is not None and p0 == start:
+                    first[...] = out(p0, p1)[0]
+                prev = out(p0, p1)[-1]
+            return hit, peak, around, first, prev, votes
+        # each camera's marks, and the segments of each band output that may
+        # hold a nonzero value: all of them at first (np.empty)
         marks = np.zeros((n,) + mark_shape(*band), np.uint8) if sparse else None
         written = (np.ones((2,) + mark_shape(*band), np.uint8)
                    if sparse and outs is not None else None)
-        if prep is not None:
-            p0 = runs[j].start * BAND_PLANES
-            p1 = min(runs[j].stop * BAND_PLANES, nz)
+        swept = np.zeros(len(prep[4]), dtype=bool)  # prep's rays that voted
+        # one call per band where numpy votes the grazing rays into it first
+        for p0, p1 in bands if grazing else [(start, stop)]:
+            for k, r in enumerate(rays if grazing else []):
+                votes[k] += sweep_direct_band(
+                    fused, r, stack[k, :p1 - p0], p0, mode,
+                    hit[starts[k]:starts[k + 1]],
+                    None if marks is None else marks[k, :p1 - p0])
             lo, hi = prep[4:]
             if (p0, p1) != (0, nz):
-                # clipped only so that bench/layers.py counts the run's
+                # clipped only so that bench/layers.py counts the call's
                 # ray-plane tests; C only compares lo and hi
                 lo, hi = np.clip(lo, p0, p1), np.clip(hi, p0, p1)
-            first = np.empty(band[1:]) if j else None
-            hit, votes = _sweep.run_sweep(
+            voted, casts = _sweep.run_sweep(
                 (*prep[:4], lo, hi), fused.inv_depths, stack, mode, p0, marks,
                 _sweep.Bands(
-                    starts, p1 - p0, op.kind, *peak, around,
+                    live_starts, p1 - p0, op.kind, *peak, around,
                     volume=fused.votes[p0:p1] if outs is None else None,
-                    outs=outs, written=written, first=first,
-                    cameras=None if cameras is None else cameras[:, p0:p1]))
-            b = runs[j].stop - 1  # the run's last band, fused as below
-            last = (fused.votes[p1 - 1] if outs is None
-                    else outs[b % 2, p1 - 1 - b * BAND_PLANES])
-            return np.split(hit, starts[1:-1]), peak, around, first, last, votes
-        hits = [np.zeros(r.num_events, dtype=bool) for r in rays]
-        votes = [0] * n
-        first = prev = None
-        for b in runs[j]:
-            p0 = b * BAND_PLANES
-            p1 = min(p0 + BAND_PLANES, nz)
-            planes = stack[:, :p1 - p0]
-            marked = marks[:, :p1 - p0] if sparse else None
-            for k, r in enumerate(rays):
-                hit, cast = sweep_band(fused, r, planes[k], p0, mode,
-                                       marked[k] if sparse else None)
-                hits[k] |= hit
-                votes[k] += cast
-            if cameras is not None:
-                cameras[:, p0:p1] = planes
-            out = (outs[b % 2, :p1 - p0] if outs is not None
-                   else fused.votes[p0:p1])
-            fuse_band(op, planes, out, p0, peak, around, prev, marked,
-                      written[b % 2, :p1 - p0] if written is not None else None)
-            if j and b == runs[j].start:
-                first = out[0].copy()  # the merge reads it at the seam
-            prev = out[-1]
-        return hits, peak, around, first, prev, votes
+                    outs=outs, written=written,
+                    first=first if p0 == start else None,
+                    cameras=None if cameras is None else cameras[:, p0:p1],
+                    prev=prev))
+            swept |= voted
+            votes = [v + cast for v, cast in zip(votes, casts)]
+            prev = out(p1 - 1, p1)[0]
+        hit[live] |= swept
+        return hit, peak, around, first, prev, votes
 
     results = _in_parallel(run, len(runs), range(len(runs)))
-    hits = [np.logical_or.reduce([r[0][k] for r in results]) for k in range(n)]
+    hits = np.split(np.logical_or.reduce([r[0] for r in results]), starts[1:-1])
     votes = [sum(r[5][k] for r in results) for k in range(n)]
     (confidence, best), around = results[0][1:3]
     greater = np.empty(confidence.shape, dtype=bool)

@@ -1,6 +1,7 @@
 import contextlib
 import ctypes
 import dataclasses
+import functools
 import itertools
 import os
 import re
@@ -298,8 +299,12 @@ def edge_rays():
 # compiled fusion kind and both voting modes, with and without a fused volume,
 # on the sparse and on the dense band step, each worker's bands in one
 # run_bands call, at 100 planes and at 7 (a short last band), and with every
-# camera's volume kept; and the ray preparation on trajectories of one, two
-# and five samples, the last rotating, with events at the first and last
+# camera's volume kept; a chunk with near-grazing rays (one run_bands call per
+# band) the same way at 13 planes; run_bands on one camera's stack, filled
+# beforehand, and bilinear votes at x = W - 1 and y = H - 1, at widths 1-40,
+# over whole, short last and exact-size short bands, with prev, marks and
+# written masks and without; and the ray preparation on trajectories of one,
+# two and five samples, the last rotating, with events at the first and last
 # sample times, every array in a malloc block of exactly its size.
 _UBSAN_RUN = r"""
 import dataclasses, math, sys
@@ -307,8 +312,9 @@ from pathlib import Path
 import numpy as np
 from raysweep import _sweep, dsi, pipeline
 from raysweep.events import EventStream, chunk_events
-from raysweep.geometry import PoseTrajectory, Se3
-from raysweep.pipeline import process_chunk, run_pipeline
+from raysweep.geometry import CameraModel, PoseTrajectory, Se3
+from raysweep.io import RigCalibration
+from raysweep.pipeline import PipelineConfig, process_chunk, run_pipeline
 from raysweep.synth import make_scenario
 
 _sweep._build = lambda: Path(sys.argv[1])
@@ -363,6 +369,50 @@ for gate in (math.inf, 0.0):
     config = dataclasses.replace(sc.config, num_planes=7, dump_dsi=True)
     out = process_chunk(chunk, sc.rig, sc.traj, config, workers=2)
     assert out.camera_grids[0].votes.any()
+left = CameraModel(fx=200.0, fy=200.0, cx=120.0, cy=90.0, width=240, height=180,
+                   dist=np.array([-0.03, 0.0, 0.0, 0.0]))
+rig = RigCalibration("band", ("a", "b", "c"), (
+    left, dataclasses.replace(left, T_body_cam=Se3.from_axis_angle(
+        [0, 0, 1], 0.0, trans=[0.12, 0.0, 0.0])),
+    dataclasses.replace(left, T_body_cam=Se3.from_axis_angle(
+        [0, 1, 0], np.deg2rad(70), trans=[-0.3, 0.0, 0.8]))))
+traj = PoseTrajectory(np.array([0.0, 1.0]), np.tile([0, 0, 0, 1.0], (2, 1)),
+                      np.array([[-0.2, 0.0, 0.0], [0.2, 0.05, 0.1]]))
+chunk, = chunk_events([EventStream(cid, np.sort(rng.uniform(0.0, 1.0, 600)),
+                                   rng.integers(100, 140, 600, dtype=np.int32),
+                                   rng.integers(70, 110, 600, dtype=np.int32),
+                                   np.ones(600, np.int8))
+                       for cid in rig.camera_ids], 1.5)
+for fusion in _sweep.FUSE_KINDS:
+    for gate in (math.inf, 0.0):
+        pipeline.SPARSE_TESTS_PER_VOXEL = gate
+        for voting in dsi.VOTING_MODES:
+            for median in (1, 5):  # without a fused volume and with one
+                config = PipelineConfig(num_planes=13, fusion=fusion,
+                                        voting=voting, median_kernel=median)
+                out = process_chunk(chunk, rig, traj, config, workers=2)
+                assert out.stats["cameras"]["c"]["events_grazing"] > 0
+for width in range(1, 41):
+    kind, height, p0 = _sweep.FUSE_KINDS[width % 5], 1 + width % 3, 3 + width % 5
+    short = 1 + width % 3
+    edges = (np.array([width - 1.0, width - 0.25, 0.0, width - 0.5]),
+             np.array([height - 1.0, height - 0.25, height - 0.5, 0.0]),
+             np.zeros(4), np.zeros(4), np.zeros(4, np.int64), np.full(4, 20))
+    for band, planes in ((4, 4), (4, short), (short, short)):
+        for marked in (True, False):
+            stack = rng.random((1, band, height, width))
+            segs = _sweep.mark_shape(band, height, width)
+            marks = np.ones((1,) + segs, np.uint8) if marked else None
+            outputs = (dict(outs=np.empty((2, band, height, width)),
+                            written=np.ones((2,) + segs, np.uint8)) if marked
+                       else dict(volume=np.empty((planes, height, width))))
+            bands = _sweep.Bands(np.array([0, 4]), planes, kind,
+                                 *dsi.empty_peak(height, width),
+                                 np.empty((2, height, width)),
+                                 prev=rng.random((height, width)), **outputs)
+            hit, casts = _sweep.run_sweep(edges, np.ones(20), stack, "bilinear",
+                                          p0, marks, bands)
+            assert hit.all() and not stack[:, :planes].any()
 assert runs and all(runs), runs
 """
 
@@ -450,11 +500,12 @@ class TestCKernel:
 
     @pytest.mark.parametrize("bad", [
         "float32", "fortran", "readonly", "short_coeff", "inv_zs",
+        "marks_without_bands",
     ])
     def test_guard_rejects_unsafe_arguments(self, pinhole_cam, bad):
         grid, prep = self._prep(pinhole_cam, n=50)
         votes = np.zeros_like(grid.votes)
-        inv_zs = grid.inv_depths
+        inv_zs, marks = grid.inv_depths, None
         if bad == "float32":
             votes = votes.astype(np.float32)
         elif bad == "fortran":
@@ -465,8 +516,11 @@ class TestCKernel:
             prep[2] = prep[2][:-1]
         elif bad == "inv_zs":
             inv_zs = inv_zs[:-1]
+        else:  # only the compiled band step reads marks
+            marks = np.zeros(_sweep.mark_shape(*votes.shape), np.uint8)
         with pytest.raises(ValueError):
-            _sweep.run_sweep(prep, inv_zs, votes, "bilinear")
+            _sweep.run_sweep(prep, inv_zs, votes, "bilinear", marks=marks)
+        assert not votes.any()
 
     @pytest.mark.parametrize("bad", ["negative_lo", "hi_beyond"])
     def test_range_outside_volume_stays_inside(self, pinhole_cam, bad):
@@ -638,8 +692,7 @@ class TestCAbi:
 
     def test_argtypes_match_the_c_definitions(self):
         exports = c_exports(_sweep._SOURCE.read_text())
-        assert set(exports) == {"sweep", "prepare", "fuse_band", "parse_events",
-                                "run_bands"}
+        assert set(exports) == {"sweep", "prepare", "parse_events", "run_bands"}
         lib = _sweep._require_c()
         restypes = {name: getattr(lib, name).restype for name in exports}
         assert all(getattr(lib, name).argtypes == _sweep._ARGTYPES[name]
@@ -668,39 +721,20 @@ class TestCAbi:
                               {**restypes, "sweep": ctypes.c_int}) == [
             "sweep: returns int64_t, restype c_int"]
 
-
-    def test_fuse_band_tracking_arguments(self):
-        # prev, below and above are pointers, then the width, the marks,
-        # their camera stride and the written mask; fuse_band returns
-        # nothing; a narrowed or dropped argument and a read return are caught
-        exports = c_exports(_sweep._SOURCE.read_text())
-        ret, kinds = exports["fuse_band"]
-        assert ret == "void" and kinds[10:] == [ctypes.c_void_p] * 3 + [
-            ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p]
-        restypes = dict(_sweep._RESTYPES)
-        argtypes = {name: list(types_) for name, types_ in _sweep._ARGTYPES.items()}
-        argtypes["fuse_band"][7] = ctypes.c_int  # p0
-        assert abi_mismatches(exports, argtypes, restypes) == [
-            f"fuse_band argument 7: {ctypes.c_int64.__name__} in C, c_int in "
-            f"argtypes"]
-        argtypes["fuse_band"] = list(_sweep._ARGTYPES["fuse_band"][:-1])
-        assert abi_mismatches(exports, argtypes, restypes) == [
-            "fuse_band: 17 parameters, 16 argtypes"]
-        assert abi_mismatches(exports, _sweep._ARGTYPES,
-                              {**restypes, "fuse_band": ctypes.c_int64}) == [
-            f"fuse_band: returns void, restype {ctypes.c_int64.__name__}"]
-
     def test_run_bands_arguments(self):
         # the run's plane counts and sizes are int64, the voting mode and
         # the fusion kind int, the strides int64 beside their pointers;
-        # run_bands returns nothing: a narrowed or dropped argument is caught
+        # confidence, best, prev, below and above are pointers; run_bands
+        # returns nothing: a narrowed or dropped argument and a read return
+        # are caught
         exports = c_exports(_sweep._SOURCE.read_text())
         ret, kinds = exports["run_bands"]
-        assert ret == "void" and len(kinds) == 32
+        assert ret == "void" and len(kinds) == 33
         assert kinds[7:18] == [ctypes.c_int64, ctypes.c_void_p] + [
             ctypes.c_int64] * 5 + [ctypes.c_int] * 2 + [ctypes.c_void_p,
                                                          ctypes.c_int64]
-        assert kinds[19] is kinds[29] is ctypes.c_int64  # mark and camera strides
+        assert kinds[19] is kinds[30] is ctypes.c_int64  # mark and camera strides
+        assert kinds[23:28] == [ctypes.c_void_p] * 5
         restypes = dict(_sweep._RESTYPES)
         argtypes = {name: list(types_) for name, types_ in _sweep._ARGTYPES.items()}
         argtypes["run_bands"][15] = ctypes.c_int64  # kind
@@ -709,7 +743,10 @@ class TestCAbi:
             f"argtypes"]
         argtypes["run_bands"] = list(_sweep._ARGTYPES["run_bands"][:-1])
         assert abi_mismatches(exports, argtypes, restypes) == [
-            "run_bands: 32 parameters, 31 argtypes"]
+            "run_bands: 33 parameters, 32 argtypes"]
+        assert abi_mismatches(exports, _sweep._ARGTYPES,
+                              {**restypes, "run_bands": ctypes.c_int64}) == [
+            f"run_bands: returns void, restype {ctypes.c_int64.__name__}"]
 
     def test_segment_matches_the_c_definition(self):
         # the Python checks size the marks with _sweep.SEGMENT and the C
@@ -735,24 +772,69 @@ def covers(marks, votes):
     return not (segment_marks(votes) & (marks == 0)).any()
 
 
+def one_camera_run(prep, inv_zs, shape, mode, offset, marked):
+    """One camera's rays swept by ``run_bands`` in one band of ``shape``
+    (planes, H, W) from plane ``offset``, fused with max into the band
+    outputs; with ``marked``, on marked segments. Returns the camera's
+    votes, the hit mask, the votes cast and, when marked, the written mask
+    that the band step left: for max fusion of one camera, the segments
+    that the sweep marked."""
+    planes, height, width = shape
+    stack = np.zeros((1,) + shape)
+    segs = (1,) + _sweep.mark_shape(*shape)
+    marks = np.zeros(segs, np.uint8) if marked else None
+    written = np.ones((2,) + segs[1:], np.uint8) if marked else None
+    cameras = np.full((1,) + shape, np.nan)
+    bands = _sweep.Bands(np.array([0, len(prep[4])]), planes, "max",
+                         *empty_peak(height, width), np.empty((2, height, width)),
+                         outs=np.empty((2,) + shape), written=written,
+                         cameras=cameras)
+    hit, (cast,) = _sweep.run_sweep(prep, inv_zs, stack, mode, offset, marks, bands)
+    assert not stack.any() and (marks is None or not marks.any())
+    return cameras[0], hit, cast, (written[offset // planes % 2] if marked
+                                   else None)
+
+
 class TestMarks:
     """A sweep given marks sets at least the segment of every voxel that it
-    writes (C: each vote's segments; numpy: the whole band once it votes),
-    and casts the same votes and count as a sweep without."""
+    writes, and casts the same votes and count as a sweep without: C's
+    sweep in ``run_bands`` each vote's segments, numpy's ``sweep_direct``
+    the whole band once it votes."""
 
     @staticmethod
-    def both(prep, inv_zs, shape, mode, offset=0):
-        """run_sweep into zeroed ``shape`` votes without marks and with;
-        returns (votes, hit, cast) and (votes, hit, cast, marks)."""
-        plain = np.zeros(shape)
-        hit, cast = _sweep.run_sweep(prep, inv_zs, plain, mode, offset)
-        marked = np.zeros(shape)
-        marks = np.zeros(_sweep.mark_shape(*shape), np.uint8)
-        m_hit, m_cast = _sweep.run_sweep(prep, inv_zs, marked, mode, offset,
-                                         marks=marks)
+    def both(kernel, affine, direct, shape, mode, offset=0):
+        """The rays swept into zeroed ``shape`` votes without marks and with:
+        by ``run_bands`` from ``affine`` (prep, inv_zs) for C, by
+        ``sweep_direct`` from ``direct`` (origins, dirs, lo, hi, zs, intr)
+        for numpy. Returns (votes, hit, cast) and (votes, hit, cast,
+        marks)."""
+        sides = []
+        for marked in (False, True):
+            if kernel == "c":
+                sides.append(one_camera_run(*affine, shape, mode, offset, marked))
+                continue
+            votes = np.zeros(shape)
+            marks = np.zeros(_sweep.mark_shape(*shape), np.uint8) if marked else None
+            hit, cast = _sweep.sweep_direct(*direct, votes, mode == "bilinear",
+                                            offset=offset, marks=marks)
+            sides.append((votes, hit, cast, marks))
+        (plain, hit, cast, _), (marked, m_hit, m_cast, marks) = sides
         assert_same_bits([marked, m_hit], [plain, hit])
         assert m_cast == cast
         return (plain, hit, cast), (marked, m_hit, m_cast, marks)
+
+    @staticmethod
+    def flat_rays(a_u, a_v, nz):
+        """Rays that meet every one of ``nz`` planes at (a_u, a_v), in both
+        forms: affine with b = 0, and direct from the origin along (a_u,
+        a_v, 1) at power-of-two depths, fx = 1 and cx = 0."""
+        n = len(a_u)
+        zeros, lo, hi = np.zeros(n), np.zeros(n, np.int64), np.full(n, nz)
+        zs = 2.0 ** np.arange(nz)
+        affine = ((a_u, a_v, zeros, zeros, lo, hi), 1.0 / zs)
+        direct = (np.zeros((n, 3)), np.stack([a_u, a_v, np.ones(n)], axis=-1),
+                  lo, hi, zs, (1.0, 1.0, 0.0, 0.0))
+        return affine, direct
 
     @pytest.mark.parametrize("mode", ["nearest", "bilinear"])
     @pytest.mark.parametrize("shape", [(3, 37, 53), (2, 16, 48), (4, 5, 17),
@@ -760,9 +842,13 @@ class TestMarks:
     def test_marks_cover_every_vote(self, distorted_cam, kernel, mode, shape):
         # random rays into bands whose widths are and are not multiples of 16
         grid, prep = random_rays(distorted_cam, n=3000)
-        prep = [a[prep.affine_ok] for a in prep[:6]]
+        ok = prep.affine_ok
+        k = grid.ref_intrinsics
+        affine = ([a[ok] for a in prep[:6]], grid.inv_depths)
+        direct = (prep.origins[ok], prep.dirs[ok], prep.lo[ok], prep.hi[ok],
+                  grid.depths, (k.fx, k.fy, k.cx, k.cy))
         (votes, _, cast), (_, _, _, marks) = self.both(
-            prep, grid.inv_depths, shape, mode, offset=3)
+            kernel, affine, direct, shape, mode, offset=3)
         assert cast > 0 and covers(marks, votes)
         if kernel == "numpy":
             assert marks.all()
@@ -781,11 +867,9 @@ class TestMarks:
                         w - 0.5, 47.0])
         a_v = np.array([0.0, h - 1.0, 2.0, h - 1.0, 1.5, 3.25, h - 0.6, h - 0.7,
                         1.0, 1.0])
-        n, nz = len(a_u), 3
-        zeros = np.zeros(n)
-        prep = (a_u, a_v, zeros, zeros, np.zeros(n, np.int64), np.full(n, nz))
+        nz = 3
         (votes, hit, cast), (_, _, _, marks) = self.both(
-            prep, np.array([1.0, 0.5, 0.25]), (nz, h, w), mode)
+            kernel, *self.flat_rays(a_u, a_v, nz), (nz, h, w), mode)
         assert cast == nz * np.count_nonzero(hit) > 0
         assert covers(marks, votes)
         if kernel == "numpy":
@@ -805,20 +889,18 @@ class TestMarks:
     def test_no_vote_marks_nothing(self, kernel):
         # rays that miss the band set no mark in either kernel
         n = 4
-        prep = (np.full(n, -5.0), np.zeros(n), np.zeros(n), np.zeros(n),
-                np.zeros(n, np.int64), np.full(n, 2))
-        _, (votes, hit, cast, marks) = self.both(prep, np.array([1.0, 0.5]),
-                                                 (2, 3, 20), "bilinear")
+        rays = self.flat_rays(np.full(n, -5.0), np.zeros(n), 2)
+        _, (votes, hit, cast, marks) = self.both(kernel, *rays, (2, 3, 20),
+                                                 "bilinear")
         assert cast == 0 and not hit.any() and not marks.any()
 
     @pytest.mark.parametrize("bad", ["shape", "dtype", "readonly", "fortran"])
-    def test_kernels_reject_the_same_marks(self, pinhole_cam, kernel, bad):
-        grid, prep = random_rays(pinhole_cam, n=50)
-        prep = [a[prep.affine_ok] for a in prep[:6]]
-        votes = np.zeros((2, 20, 40))
-        marks = np.zeros(_sweep.mark_shape(2, 20, 40), np.uint8)
+    def test_kernels_reject_the_same_marks(self, kernel, bad):
+        (prep, inv_zs), direct = self.flat_rays(np.full(5, 3.0), np.ones(5), 2)
+        votes = np.zeros((1, 2, 20, 40))
+        marks = np.zeros((1,) + _sweep.mark_shape(2, 20, 40), np.uint8)
         if bad == "shape":
-            marks = np.zeros((2, 20, 2), np.uint8)  # one segment short
+            marks = np.zeros((1, 2, 20, 2), np.uint8)  # one segment short
         elif bad == "dtype":
             marks = marks.astype(bool)
         elif bad == "readonly":
@@ -826,7 +908,14 @@ class TestMarks:
         else:
             marks = np.asfortranarray(marks)
         with pytest.raises(ValueError, match="marks"):
-            _sweep.run_sweep(prep, grid.inv_depths, votes, "bilinear", marks=marks)
+            if kernel == "c":
+                _sweep.run_sweep(prep, inv_zs, votes, "bilinear", 0, marks,
+                                 _sweep.Bands(np.array([0, 5]), 2, "max",
+                                              *empty_peak(20, 40),
+                                              np.empty((2, 20, 40)),
+                                              volume=np.empty((2, 20, 40))))
+            else:
+                _sweep.sweep_direct(*direct, votes[0], True, marks=marks[0])
         assert not votes.any()
 
 
@@ -1001,7 +1090,7 @@ class TestCPrepare:
             rays = prepare_sweep(grid, empty, distorted_cam, **source)
             assert rays.num_events == 0
             assert [a.shape for a in rays.affine + rays.graze] == \
-                [(0,)] * 6 + [(0, 3)] * 2 + [(0,)] * 2
+                [(0,)] * 6 + [(0, 3)] * 2 + [(0,)] * 3
         if kernel == "c":
             prep = _prepare_rays_c(grid, empty, distorted_cam, traj, None)
             assert [a.shape for a in prep] == [(0,)] * 6 + [(0, 3)] * 2 + [(0,)]
@@ -1128,8 +1217,9 @@ class TestCPrepare:
 
     def test_prepared_into_given_arrays(self, distorted_cam, kernel):
         # rays prepared into views of larger arrays, as the pipeline joins
-        # every camera's: the same bits, and without grazing rays (a camera
-        # at the reference pose) the affine rays are those views
+        # every camera's: the same bits, and the affine rays are those views,
+        # grazing rays (a camera turned across the view) included with an
+        # empty plane range, their own range and event index in graze
         rng = np.random.default_rng(11)
         stream = random_stream(rng, 500, distorted_cam)
         grid = make_grid(distorted_cam, num_planes=12, z_min=0.45, z_max=4.0)
@@ -1140,10 +1230,16 @@ class TestCPrepare:
             got = prepare_sweep(grid, stream, distorted_cam, pose=pose, out=out)
             assert_same_bits([*got.affine, *got.graze], [*want.affine, *want.graze])
             assert (len(got.graze[2]) > 0) == grazing
-            shared = [np.shares_memory(a, b) for a, b in zip(got.affine, out)]
-            assert shared == [not grazing] * 6
-            if not grazing:
-                assert_same_bits(out, want.affine)
+            assert all(a is b for a, b in zip(got.affine, out))
+            q = np.broadcast_to(pose.quat, (len(stream), 4))
+            t = np.broadcast_to(pose.trans, (len(stream), 3))
+            rays = _prepare_rays(grid, stream, distorted_cam, q, t)
+            index = np.flatnonzero(~rays.affine_ok)
+            assert_same_bits(got.graze, [rays.origins[index], rays.dirs[index],
+                                         rays.lo[index], rays.hi[index], index])
+            hi = rays.hi.copy()
+            hi[index] = rays.lo[index]
+            assert_same_bits(out, [*rays[:5], hi])
 
     def test_out_of_bounds_pixel_rejected(self, distorted_cam):
         stream = EventStream("r", np.zeros(2), np.array([3, distorted_cam.width], np.int32),
@@ -1508,24 +1604,66 @@ def sparse_band(rng, shape):
     return stack
 
 
+NO_RAYS = [np.zeros(0)] * 4 + [np.zeros(0, np.int64)] * 2
+
+
+def fuse_run(stack, p0, planes, kind, peak, around, marks=None, **outputs):
+    """``run_sweep`` with bands and no rays: the compiled band step alone,
+    over the planes [p0, p0 + planes) that ``stack`` (cameras, band
+    planes, H, W) holds in its first ``planes`` planes; ``outputs`` are
+    the other ``_sweep.Bands`` fields (volume, outs, written, prev, ...)."""
+    bands = _sweep.Bands(np.zeros(len(stack) + 1, np.int64), planes, kind, *peak,
+                         around, **outputs)
+    _sweep.run_sweep(NO_RAYS, np.zeros(p0 + planes), stack, "nearest", p0, marks,
+                     bands)
+
+
+def c_band_step(kind, stack, out, p0, peak, around, prev=None, marks=None,
+                written=None):
+    """``dsi.fuse_band``'s step in C (``fuse_run``): the first len(out)
+    planes of ``stack`` are fused into ``out``; ``marks`` (as ``stack``)
+    and ``written`` (``mark_shape`` of ``out``) visit marked segments only.
+    With ``written``, ``out`` is the band output of its turn, as the band
+    loop without a volume has it."""
+    if written is None:
+        fuse_run(stack, p0, len(out), kind, peak, around, marks, volume=out,
+                 prev=prev)
+        return
+    turn, planes = p0 // stack.shape[1] % 2, len(out)
+    outs = np.full((2,) + stack.shape[1:], np.nan)
+    both = np.ones((2,) + marks.shape[1:], np.uint8)
+    outs[turn, :planes], both[turn, :planes] = out, written
+    fuse_run(stack, p0, planes, kind, peak, around, marks, outs=outs,
+             written=both, prev=prev)
+    out[...], written[...] = outs[turn, :planes], both[turn, :planes]
+
+
+def band_step(op, compiled):
+    """``dsi.fuse_band`` with ``op`` bound: compiled (``c_band_step``) or
+    numpy's."""
+    if compiled:
+        return lambda *args: c_band_step(op.kind, *args)
+    return lambda *args: fuse_band(op, *args)
+
+
 class TestFuseBand:
-    """The C fuse_band against its numpy form, the oracle: the fused band
-    and the running peak and the votes beside it, compared as uint64
-    bits."""
+    """The C band step, driven through ``run_sweep`` with bands and no rays
+    over a pre-filled stack, against ``dsi.fuse_band``, its numpy form and
+    oracle: the fused band and the running peak and the votes beside it,
+    compared as uint64 bits."""
 
     @staticmethod
     def run_both(op, stack, p0, peak):
-        """fuse_band on copies of ``stack`` and ``peak`` with a NaN-filled
-        ``around``, compiled and with numpy; returns each side's (stack,
-        out, peak, around)."""
+        """The band step on copies of ``stack`` and ``peak`` with a
+        NaN-filled ``around``, compiled and with numpy; returns each side's
+        (stack, out, peak, around)."""
         sides = []
-        for ctx in (contextlib.nullcontext(), numpy_kernel()):
+        for compiled in (True, False):
             band = stack.copy()
             out = np.full(stack.shape[1:], np.nan)
             state = tuple(a.copy() for a in peak)
             around = np.full((2,) + stack.shape[2:], np.nan)
-            with ctx:
-                assert fuse_band(op, band, out, p0, state, around) is None
+            assert band_step(op, compiled)(band, out, p0, state, around) is None
             sides.append((band, out, state, around))
         return sides
 
@@ -1570,20 +1708,18 @@ class TestFuseBand:
 
     @pytest.mark.parametrize("kind", _sweep.FUSE_KINDS)
     def test_short_last_band_of_the_buffer(self, kind):
-        # 13 planes in bands of 4 end with buf[:, :1]: each camera's plane
-        # is contiguous, but the cameras lie a whole band buffer apart
+        # 13 planes in bands of 4 end with a band of one plane: C is handed
+        # the whole band buffer and fuses its first plane of each camera
         rng = np.random.default_rng(72)
         buf = np.full((3, 4, 18, 24), 7.0)
         stack = buf[:, :1]
-        assert not stack.flags.c_contiguous
         stack[:] = random_band(rng, stack.shape)
         c_peak = random_peak(rng, 18, 24, 12)
         n_peak = tuple(a.copy() for a in c_peak)
         c_out, n_out = np.full((2, 1, 18, 24), np.nan)
         c_around, n_around = np.full((2, 2, 18, 24), np.nan)
-        with numpy_kernel():
-            fuse_band(FusionOp(kind), stack.copy(), n_out, 12, n_peak, n_around)
-        _sweep.fuse_band_c(kind, stack, c_out, 12, *c_peak, None, c_around)
+        fuse_band(FusionOp(kind), stack.copy(), n_out, 12, n_peak, n_around)
+        c_band_step(kind, buf, c_out, 12, c_peak, c_around)
         assert_same_bits([c_out, c_peak[0], c_around],
                          [n_out, n_peak[0], n_around])
         assert np.array_equal(c_peak[1], n_peak[1])
@@ -1604,16 +1740,16 @@ class TestFuseBand:
         for k in range(0, len(stacks), 2):  # a sparse band now and then
             stacks[k][:, :, rng.random((height, width)) < 0.9] = 0.0
         sides = []
-        for ctx in (contextlib.nullcontext(), numpy_kernel()):
+        for compiled in (True, False):
+            step = band_step(op, compiled)
             peak = empty_peak(height, width)
             around = np.full((2, height, width), np.nan)
             outs, volume, prev = np.empty((2, 4, height, width)), [], None
-            with ctx:
-                for k, stack in enumerate(stacks):
-                    out = outs[k % 2, :stack.shape[1]]
-                    fuse_band(op, stack.copy(), out, p0 + 4 * k, peak, around, prev)
-                    volume.append(out.copy())
-                    prev = out[-1]
+            for k, stack in enumerate(stacks):
+                out = outs[k % 2, :stack.shape[1]]
+                step(stack.copy(), out, p0 + 4 * k, peak, around, prev)
+                volume.append(out.copy())
+                prev = out[-1]
             sides.append((peak, *around, np.concatenate(volume)))
         (c_peak, *c_maps), (n_peak, *n_maps) = sides
         assert_same_bits([c_peak[0], *c_maps], [n_peak[0], *n_maps])
@@ -1658,16 +1794,15 @@ class TestFuseBand:
                 stack[:, 0] = stacks[-1][:, -1]
             stacks.append(stack)
         sides = []
-        for ctx in (contextlib.nullcontext(), numpy_kernel()):
+        for compiled in (True, False):
+            step = band_step(FusionOp(kind), compiled)
             peak = empty_peak(height, width)
             around = np.full((2, height, width), np.nan)
             prev, start = None, p0
-            with ctx:
-                for stack in stacks:
-                    out = np.empty(stack.shape[1:])
-                    fuse_band(FusionOp(kind), stack.copy(), out, start, peak,
-                              around, prev)
-                    prev, start = out[-1], start + len(out)
+            for stack in stacks:
+                out = np.empty(stack.shape[1:])
+                step(stack.copy(), out, start, peak, around, prev)
+                prev, start = out[-1], start + len(out)
             sides.append([*peak, around])
         assert_same_bits(*sides)
 
@@ -1714,20 +1849,17 @@ class TestFuseBand:
         else:
             out_c = np.full((planes, height, width), np.nan)
         sides = []
-        for ctx, marked in ((contextlib.nullcontext(), True),
-                            (contextlib.nullcontext(), False),
-                            (numpy_kernel(), True)):  # numpy ignores marks
-            band = votes.copy() if sides else stack
-            out = out_c if not sides else np.full(out_c.shape, np.nan)
+        for side in ("marked", "dense", "numpy"):
+            out = out_c if side == "marked" else np.full(out_c.shape, np.nan)
             state = tuple(a.copy() for a in peak)
             around = np.full((2, height, width), np.nan)
-            written = None
-            if marked and with_written:
-                written = written_buf[:planes] if not sides else written_buf.copy()
-            with ctx:
-                fuse_band(op, band, out, p0, state, around, prev,
-                          (marks if not sides else before.astype(np.uint8))
-                          if marked else None, written)
+            if side == "marked":  # handed the whole band buffer and marks
+                band = stack
+                c_band_step(op.kind, buf, out, p0, state, around, prev, mark_buf,
+                            written_buf[:planes] if with_written else None)
+            else:
+                band = votes.copy()
+                band_step(op, side == "dense")(band, out, p0, state, around, prev)
             assert not band.any()
             sides.append((out, state, around))
         (c_out, c_peak, c_around), *others = sides
@@ -1747,14 +1879,12 @@ class TestFuseBand:
                                      "written_without_marks"])
     def test_rejects_marks_it_cannot_index(self, bad):
         stack = np.zeros((2, 3, 4, 20))
-        out = np.zeros((3, 4, 20))
         segs = _sweep.mark_shape(3, 4, 20)
         marks = np.zeros((2,) + segs, np.uint8)
-        written = np.zeros(segs, np.uint8)
-        confidence, best = empty_peak(4, 20)
-        around = np.zeros((2, 4, 20))
-        _sweep.fuse_band_c("min", stack, out, 0, confidence, best, None, around,
-                           marks, written)
+        outs = np.zeros((2, 3, 4, 20))
+        written = np.zeros((2,) + segs, np.uint8)
+        peak, around = empty_peak(4, 20), np.zeros((2, 4, 20))
+        fuse_run(stack, 0, 3, "min", peak, around, marks, outs=outs, written=written)
         if bad == "marks_dtype":
             marks = marks.astype(bool)
         elif bad == "marks_shape":
@@ -1767,33 +1897,37 @@ class TestFuseBand:
         elif bad == "marks_readonly":
             marks.flags.writeable = False
         elif bad == "written_shape":
-            written = np.zeros((3, 4, 1), np.uint8)
+            written = np.zeros((2, 3, 4, 1), np.uint8)
         elif bad == "written_dtype":
             written = written.astype(np.int64)
         else:
             marks = None
         with pytest.raises(ValueError, match="marks|written"):
-            _sweep.fuse_band_c("min", stack, out, 0, confidence, best, None,
-                               around, marks, written)
+            fuse_run(stack, 0, 3, "min", peak, around, marks, outs=outs,
+                     written=written)
 
     @pytest.mark.parametrize("op", [GEOMETRIC, FusionOp("power", -2.0),
                                     FusionOp("power", 0.5), *map(
                                         FusionOp, _sweep.FUSE_KINDS)],
                              ids=str)
     def test_only_the_compiled_kinds_leave_numpy(self, op, monkeypatch):
-        # numpy's SIMD log, exp and pow are not libm's bit for bit, so the
-        # geometric and power means keep numpy's fusion with C loaded
+        # numpy's SIMD log, exp and pow are not libm's bit for bit, so C
+        # compiles the other kinds only; dsi.fuse_band, the oracle, fuses
+        # every kind with numpy
         calls = []
-        real_apply, real_c = FusionOp.apply_into, _sweep.fuse_band_c
+        real_apply = FusionOp.apply_into
         monkeypatch.setattr(FusionOp, "apply_into", lambda *a: calls.append(
             "numpy") or real_apply(*a))
-        monkeypatch.setattr(_sweep, "fuse_band_c", lambda *a: calls.append(
-            "c") or real_c(*a))
         assert _sweep.kernel_name() == "c"
         stack = random_band(np.random.default_rng(73), (2, 2, 6, 8))
-        fuse_band(op, stack, np.empty((2, 6, 8)), 0, empty_peak(6, 8),
+        fuse_band(op, stack.copy(), np.empty((2, 6, 8)), 0, empty_peak(6, 8),
                   np.empty((2, 6, 8)))
-        assert calls == ["c" if op.kind in _sweep.FUSE_KINDS else "numpy"]
+        assert calls == ["numpy"]
+        with (contextlib.nullcontext() if op.kind in _sweep.FUSE_KINDS
+              else pytest.raises(ValueError, match="compiles")):
+            c_band_step(op.kind, stack, np.empty((2, 6, 8)), 0, empty_peak(6, 8),
+                        np.empty((2, 6, 8)))
+        assert calls == ["numpy"]
 
     @pytest.mark.parametrize("bad", ["kind", "dtype", "plane_stride",
                                      "overlap", "out_shape", "out_order",
@@ -1804,9 +1938,9 @@ class TestFuseBand:
         stack = np.zeros((2, 3, 4, 5))
         out = np.zeros((3, 4, 5))
         confidence, best = empty_peak(4, 5)
-        track = [np.zeros((4, 5)), np.zeros((2, 4, 5))]  # prev, around: valid
-        _sweep.fuse_band_c("harmonic", stack.copy(), out.copy(), 0,
-                           confidence.copy(), best.copy(), *track)
+        prev, around = np.zeros((4, 5)), np.zeros((2, 4, 5))
+        c_band_step("harmonic", stack.copy(), out.copy(), 0,
+                    (confidence.copy(), best.copy()), around.copy(), prev)
         kind = "harmonic"
         if bad == "kind":
             kind = "geometric"
@@ -1818,7 +1952,7 @@ class TestFuseBand:
             stack = np.lib.stride_tricks.as_strided(
                 stack, stack.shape, (8,) + stack.strides[1:])
         elif bad == "out_shape":
-            out = np.zeros((2, 4, 5))
+            out = np.zeros((3, 5, 4))
         elif bad == "out_order":
             out = np.zeros((3, 4, 5), order="F")
         elif bad == "peak_dtype":
@@ -1828,23 +1962,23 @@ class TestFuseBand:
         elif bad == "empty":
             stack, out = np.zeros((2, 0, 4, 5)), np.zeros((0, 4, 5))
         elif bad == "around_missing":
-            track[1] = None
+            around = None
         elif bad == "around_shape":
-            track[1] = np.zeros((2, 5, 4))
+            around = np.zeros((2, 5, 4))
         elif bad == "around_order":
-            track[1] = np.zeros((2, 4, 5), order="F")
+            around = np.zeros((2, 4, 5), order="F")
         elif bad == "prev_order":
-            track[0] = np.zeros((4, 5), order="F")[:, ::-1]
+            prev = np.zeros((4, 5), order="F")[:, ::-1]
         with pytest.raises(ValueError):
-            _sweep.fuse_band_c(kind, stack, out, 0, confidence, best, *track)
-
+            c_band_step(kind, stack, out, 0, (confidence, best), around, prev)
 
 
 def run_inputs(kind="harmonic", sparse=True, volume=False, dump=False,
                starts=(0, 300, 500)):
     """Valid arguments of a run_sweep call with bands over the 7 planes
-    [2, 9) of 11 in bands of 3 (3, 3 and a short 1): random rays, camera
-    c's from ``starts[c]``. Returns (prep, inv_zs, stack, marks, Bands)."""
+    [2, 9) of 11 in bands of 3 (3, 3 and a short 1), going on from a fused
+    plane 1: random rays, camera c's from ``starts[c]``. Returns (prep,
+    inv_zs, stack, marks, Bands)."""
     rng = np.random.default_rng(3)
     n, band, planes, nz, h, w = len(starts) - 1, 3, 7, 11, 5, 37
     count = starts[-1]
@@ -1864,45 +1998,56 @@ def run_inputs(kind="harmonic", sparse=True, volume=False, dump=False,
         written=(np.ones((2,) + _sweep.mark_shape(band, h, w), np.uint8)
                  if sparse and not volume else None),
         first=np.full((h, w), np.nan),
-        cameras=np.full((n, nz, h, w), np.nan)[:, 2:9] if dump else None)
+        cameras=np.full((n, nz, h, w), np.nan)[:, 2:9] if dump else None,
+        prev=rng.integers(0, 3, (h, w)) * 0.5)
     return prep, inv_zs, stack, marks, bands
 
 
-def run_one_by_one(prep, inv_zs, stack, mode, offset, marks, bands):
-    """The oracle of a run_sweep call with bands: the same sweeps and
-    fuse_band_c calls, made one by one from Python; returns the hit mask
-    and each camera's votes cast."""
+def run_one_by_one(prep, inv_zs, stack, mode, offset, marks, bands, compiled=True):
+    """The oracles of a run_sweep call with bands: the run split into one
+    such call per band, each given the fused plane before it (``prev``),
+    or, unless ``compiled``, numpy's sweeps and ``dsi.fuse_band`` band by
+    band. Returns the hit mask and each camera's votes cast."""
     n, band = stack.shape[:2]
     hit, casts = np.zeros(bands.starts[-1], bool), [0] * n
-    prev = None
+    peak = (bands.confidence, bands.best)
+    prev = bands.prev
     for q in range(offset, offset + bands.planes, band):
         m = min(band, offset + bands.planes - q)
-        for c in range(n):
-            s, e = bands.starts[c:c + 2]
-            voted, cast = _sweep._sweep_c(
-                *(a[s:e] for a in prep), inv_zs, stack[c, :m], mode == "bilinear",
-                offset=q, marks=None if marks is None else marks[c, :m])
-            hit[s:e] |= voted
-            casts[c] += cast
-        if bands.cameras is not None:
-            bands.cameras[:, q - offset:q - offset + m] = stack[:, :m]
-        turn = q // band % 2
-        out = (bands.volume[q - offset:q - offset + m] if bands.volume is not None
+        turn, planes = q // band % 2, slice(q - offset, q - offset + m)
+        out = (bands.volume[planes] if bands.volume is not None
                else bands.outs[turn, :m])
-        _sweep.fuse_band_c(
-            bands.kind, stack[:, :m], out, q, bands.confidence, bands.best, prev,
-            bands.around, None if marks is None else marks[:, :m],
-            None if bands.written is None else bands.written[turn, :m])
-        if q == offset:
-            bands.first[...] = out[0]
+        cameras = None if bands.cameras is None else bands.cameras[:, planes]
+        if compiled:
+            voted, cast = _sweep.run_sweep(prep, inv_zs, stack, mode, q, marks, bands._replace(
+                planes=m, volume=None if bands.volume is None else out,
+                first=bands.first if q == offset else None, cameras=cameras,
+                prev=prev))
+            hit |= voted
+            casts = [a + b for a, b in zip(casts, cast)]
+        else:
+            for c in range(n):
+                s, e = bands.starts[c:c + 2]
+                voted, cast = _sweep._sweep_numpy(
+                    *(a[s:e] for a in prep), inv_zs, stack[c, :m],
+                    mode == "bilinear", offset=q)
+                hit[s:e] |= voted
+                casts[c] += cast
+            if cameras is not None:
+                cameras[...] = stack[:, :m]
+            fuse_band(FusionOp(bands.kind), stack[:, :m], out, q, peak,
+                      bands.around, prev)
+            if q == offset:
+                bands.first[...] = out[0]
         prev = out[-1]
     return hit, casts
 
 
 class TestRunBands:
     """run_sweep with bands: a worker's run of band steps in one C call,
-    the same bit for bit as its sweeps and fuse_band_c calls made one by
-    one, and every argument checked before the call."""
+    the same bit for bit as the run split into one call per band and as
+    numpy's sweeps and band steps, and every argument checked before the
+    call."""
 
     @pytest.mark.parametrize("kind", _sweep.FUSE_KINDS)
     @pytest.mark.parametrize("mode", ["nearest", "bilinear"])
@@ -1912,7 +2057,8 @@ class TestRunBands:
     def test_matches_the_calls_one_by_one(self, kind, mode, case, starts):
         # 1-3 cameras, the third of them without events
         sides = []
-        for run in (_sweep.run_sweep, run_one_by_one):
+        for run in (_sweep.run_sweep, run_one_by_one,
+                    functools.partial(run_one_by_one, compiled=False)):
             prep, inv_zs, stack, marks, bands = run_inputs(
                 kind, sparse=case == "sparse", volume=case in ("volume", "dump"),
                 dump=case == "dump", starts=starts)
@@ -1922,10 +2068,14 @@ class TestRunBands:
                              and a.dtype != np.uint8)],
                           [hit] + [a for a in (marks, bands.written)
                                    if a is not None]))
-        (got, got_masks), (want, want_masks) = sides
+        (got, got_masks), (want, want_masks), (numpy_, numpy_masks) = sides
         assert_same_bits(got, want)
-        # hits, marks and written masks
+        assert_same_bits(got, numpy_)
+        # hits, marks (left cleared) and written masks; numpy marks nothing
         assert all(np.array_equal(g, w) for g, w in zip(got_masks, want_masks))
+        assert np.array_equal(got_masks[0], numpy_masks[0])
+        if case == "sparse":
+            assert not got_masks[1].any()
         casts, stack, confidence = got[:3]
         assert list(casts > 0) == list(np.diff(starts) > 0)
         assert 0 < np.count_nonzero(got_masks[0]) < starts[-1]
@@ -1946,7 +2096,10 @@ class TestRunBands:
         "peak_dtype", "around_shape", "first_shape", "marks_shape",
         "marks_overlap", "volume_and_outs", "neither_output", "volume_shape",
         "outs_shape", "written_without_marks", "written_shape",
-        "cameras_shape", "cameras_overlap", "cameras_order"])
+        "cameras_shape", "cameras_overlap", "cameras_order", "stack_plane_stride",
+        "stack_empty", "peak_shape", "around_missing", "around_order",
+        "prev_shape", "prev_order", "marks_dtype", "marks_order",
+        "marks_readonly", "volume_order", "written_dtype"])
     def test_rejects_before_any_c_call(self, bad, monkeypatch):
         calls = []
         monkeypatch.setattr(_sweep, "_c_lib", types.SimpleNamespace(
@@ -2019,6 +2172,32 @@ class TestRunBands:
                 (8 * h * w,) + bands.cameras.strides[1:])
         elif bad == "cameras_order":
             change["cameras"] = bands.cameras[..., ::-1]
+        elif bad == "stack_plane_stride":
+            stack = np.zeros((n, band, h, 2 * w))[..., ::2]
+        elif bad == "stack_empty":
+            stack = np.zeros((n, 0, h, w))
+        elif bad == "peak_shape":
+            change["confidence"] = np.zeros((w, h))
+        elif bad == "around_missing":
+            change["around"] = None
+        elif bad == "around_order":
+            change["around"] = np.zeros((2, h, w), order="F")
+        elif bad == "prev_shape":
+            change["prev"] = np.zeros((h, w + 1))
+        elif bad == "prev_order":
+            change["prev"] = np.zeros((h, w))[:, ::-1]
+        elif bad == "marks_dtype":
+            marks = marks.astype(bool)
+        elif bad == "marks_order":
+            marks = np.zeros(marks.shape[:2] + marks.shape[:1:-1],
+                             np.uint8).transpose(0, 1, 3, 2)
+        elif bad == "marks_readonly":
+            marks.flags.writeable = False
+        elif bad == "volume_order":
+            change.update(outs=None, written=None,
+                          volume=np.zeros((bands.planes, h, w), order="F"))
+        elif bad == "written_dtype":
+            change["written"] = bands.written.astype(np.int64)
         with pytest.raises(ValueError):
             _sweep.run_sweep(prep, inv_zs, stack, mode, offset, marks,
                              bands._replace(**change))

@@ -1089,8 +1089,8 @@ def band_loop(inputs, config, workers, monkeypatch, python_loop=False):
     with monkeypatch.context() as m:
         m.setattr(_sweep, "run_sweep", spy)
         if python_loop:
-            m.setattr(pipeline, "_compiled", lambda rays, op: False)
-        out = pipeline._vote_and_fuse(fused, rays, joined, FusionOp.from_string(
+            m.setattr(pipeline, "_compiled", lambda op: False)
+        out = pipeline._vote_and_fuse(fused, rays, joined, starts, FusionOp.from_string(
             config.fusion), config.voting, workers, cameras)
     return out, fused.votes, cameras, runs
 
@@ -1115,9 +1115,9 @@ def assert_same_band_loop(got, want, num_planes):
 
 
 class TestCompiledBandLoop:
-    """A chunk of the compiled fusion kinds without grazing rays runs each
-    worker's bands in one C call (one run_sweep call with bands); its
-    outputs are the Python band loop's bit for bit."""
+    """A chunk of the compiled fusion kinds runs each worker's bands in one
+    C call (one run_sweep call with bands), or in one call per band where
+    rays graze; its outputs are the Python band loop's bit for bit."""
 
     @pytest.mark.parametrize("fusion", _sweep.FUSE_KINDS)
     @pytest.mark.parametrize("voting", ["nearest", "bilinear"])
@@ -1144,13 +1144,54 @@ class TestCompiledBandLoop:
             for volume in got[1:3]:
                 assert volume is None or not np.isnan(volume).any()
 
+    @pytest.mark.parametrize("fusion", _sweep.FUSE_KINDS)
+    @pytest.mark.parametrize("voting", ["nearest", "bilinear"])
+    @pytest.mark.parametrize("sparse", [True, False], ids=["sparse", "dense"])
+    @pytest.mark.parametrize("store", ["bands", "volume", "dump"])
+    def test_grazing_chunks_step_band_by_band(self, band_inputs, monkeypatch,
+                                              fusion, voting, sparse, store):
+        # the third camera's near-grazing rays vote in numpy's sweep_direct
+        # before each band's run_bands call: one call per band of 13 planes
+        # (4, 4, 4 and 1) at any worker count, no other C sweep and no
+        # numpy fusion; the outputs are numpy's Python loop's and the
+        # whole-volume oracle's bit for bit
+        config = PipelineConfig(num_planes=13, fusion=fusion, voting=voting,
+                                median_kernel=5 if store == "volume" else 1,
+                                dump_dsi=store == "dump")
+        force_path(monkeypatch, sparse)
+        rig, traj, chunk = band_inputs
+        grids, fused, _ = whole_volume_chunk(chunk, rig, traj, config)
+        calls = []
+        real_sweep, real_fuse = _sweep._sweep_c, FusionOp.apply_into
+        monkeypatch.setattr(_sweep, "_sweep_c", lambda *a, **k: calls.append(
+            "sweep") or real_sweep(*a, **k))
+        monkeypatch.setattr(FusionOp, "apply_into", lambda *a: calls.append(
+            "fusion") or real_fuse(*a))
+        for workers in (1, 2, 3):
+            calls.clear()
+            got = band_loop(band_inputs, config, workers, monkeypatch)
+            assert got[3] == [True] * 4 and calls == []
+            with numpy_kernel():
+                want = band_loop(band_inputs, config, workers, monkeypatch)
+            assert want[3] and not any(want[3])
+            assert_same_band_loop(got, want, 13)
+            (hits, votes, (confidence, _), _), volume, cameras = got[:3]
+            assert confidence.any() and all(votes)
+            if volume is not None:
+                assert volume.tobytes() == fused.votes.tobytes()
+            if cameras is not None:
+                assert all(c.tobytes() == g.votes.tobytes()
+                           for c, g in zip(cameras, grids))
+            assert [len(h) - np.count_nonzero(h) for h in hits] == \
+                [g.skipped_events for g in grids]
+
     @pytest.mark.parametrize("case", ["grazing", "geometric"])
     def test_other_chunks_take_the_python_loop(self, band_inputs, edge_inputs,
                                                monkeypatch, case):
-        # near-grazing rays vote in numpy's sweep_direct, and numpy fuses the
-        # geometric mean: such chunks keep the band loop in Python, whose
-        # outputs are the whole-volume oracle's
-        inputs, fusion = ((band_inputs, "harmonic") if case == "grazing"
+        # numpy fuses the geometric and power means: such chunks keep the
+        # band loop in Python, grazing rays or not, and its outputs are the
+        # whole-volume oracle's
+        inputs, fusion = ((band_inputs, "power:0.5") if case == "grazing"
                           else (edge_inputs, "geometric"))
         config = PipelineConfig(num_planes=13, fusion=fusion)
         rig, traj, chunk = inputs
@@ -1166,7 +1207,7 @@ class TestCompiledBandLoop:
             out = process_chunk(copy.deepcopy(chunk), rig, traj, config,
                                 workers=workers)
             monkeypatch.setattr(_sweep, "run_sweep", real)
-            # one sweep per band and camera with affine rays
+            # one sweep per band and camera
             assert calls == [None] * 4 * len(rig.cameras)
             grazing = sum(c["events_grazing"] for c in out.stats["cameras"].values())
             assert (grazing > 0) == (case == "grazing")
@@ -1687,6 +1728,24 @@ class TestCli:
 
     def test_unknown_subcommand_flag(self, capsys):
         assert cli_main(["map", "--config", "x", "--warp-speed", "9"]) == 1
+
+    @pytest.mark.parametrize("command,flag,value", [
+        ("synth", "--points", "-3"), ("synth", "--points", "0"),
+        ("synth", "--seed", "-1"), ("eval", "--match-radius", "-1"),
+        ("eval", "--match-radius", "nan"), ("eval", "--match-radius", "inf"),
+        ("eval", "--outlier-rel", "nan"), ("eval", "--outlier-rel", "-0.5"),
+    ])
+    def test_bad_numeric_flag_is_usage_error(self, tmp_path, capsys, command,
+                                             flag, value):
+        # refused before anything is read or written, naming the flag
+        out = tmp_path / "scn"
+        args = (["synth", "--scenario", "lateral_room", "--out", str(out)]
+                if command == "synth" else
+                ["eval", "--pred", str(tmp_path / "p.pfm"), "--gt",
+                 str(tmp_path / "g.pfm")])
+        assert cli_main(args + [flag, value]) == 1
+        assert f"argument {flag}: " in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_missing_file_is_processing_error(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
